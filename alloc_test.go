@@ -1,0 +1,51 @@
+// Allocation regression tests are meaningless under the race detector —
+// its instrumentation allocates on paths that are clean in normal builds.
+//go:build !race
+
+package querygraph
+
+import (
+	"context"
+	"strings"
+	"testing"
+)
+
+// TestSearchIntoSteadyStateAllocs pins Backend.SearchInto's contract on
+// the one local runtime: with the query's leaves in the plan cache and a
+// recycled dst, a Client — the N=1 short-circuit — allocates nothing, and
+// a 2-shard Pool pays exactly its concurrent fan-out (one goroutine per
+// extra shard in each of the plan and score phases), whatever k and
+// however long the query. The ranking lands in dst's storage either way.
+func TestSearchIntoSteadyStateAllocs(t *testing.T) {
+	ctx := context.Background()
+	client := poolTestWorld(t, 0)
+	defer client.Close()
+	pool, _ := shardedPool(t, client, 2)
+	defer pool.Close()
+
+	words := strings.Fields(client.Queries()[0].Keywords + " " + client.Queries()[1].Keywords)
+	short, long := words[0], strings.Join(words, " ")
+	for _, tc := range []struct {
+		name string
+		be   Backend
+		want float64
+	}{{"client", client, 0}, {"pool-2", pool, 2}} {
+		for _, query := range []string{short, long} {
+			for _, k := range []int{1, 5, 0} {
+				dst := make([]Result, 0, 512)
+				if _, err := tc.be.SearchInto(ctx, query, k, dst); err != nil { // warm the plan cache and the pools
+					t.Fatal(err)
+				}
+				allocs := testing.AllocsPerRun(200, func() {
+					rs, err := tc.be.SearchInto(ctx, query, k, dst)
+					if err != nil || len(rs) == 0 || &rs[0] != &dst[:1][0] {
+						t.Fatalf("%s %q k=%d: ranking not scored into dst (%d results, err %v)", tc.name, query, k, len(rs), err)
+					}
+				})
+				if allocs > tc.want {
+					t.Errorf("%s SearchInto(%q, k=%d) allocates %v per op at steady state, want <= %v", tc.name, query, k, allocs, tc.want)
+				}
+			}
+		}
+	}
+}

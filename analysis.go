@@ -7,12 +7,9 @@ import (
 
 	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/cycles"
-	"github.com/querygraph/querygraph/internal/eval"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/groundtruth"
 )
-
-func newRelevance(docs []int32) eval.Relevance { return eval.NewRelevance(docs) }
 
 // GroundTruthOptions controls the Section 2 ground-truth construction.
 // The zero value is valid: seed 0, default search budgets, GOMAXPROCS
@@ -46,20 +43,24 @@ func (o GroundTruthOptions) coreConfig() core.GroundTruthConfig {
 // the keywords and the relevant documents, search for X(q), and assemble
 // the query graph. A done ctx returns ctx.Err() before any work.
 func (c *Client) GroundTruth(ctx context.Context, q Query, opts GroundTruthOptions) (*GroundTruth, error) {
-	if err := c.ready(ctx); err != nil {
+	g, err := c.pin(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return c.cur().sys.BuildGroundTruth(ctx, q, opts.coreConfig())
+	defer g.release()
+	return g.sys().BuildGroundTruth(ctx, q, opts.coreConfig())
 }
 
 // GroundTruths fans the per-query pipeline out over a bounded worker pool
 // and returns the artifacts in query order. Cancelling ctx stops
 // scheduling and returns ctx.Err().
 func (c *Client) GroundTruths(ctx context.Context, qs []Query, opts GroundTruthOptions) ([]*GroundTruth, error) {
-	if err := c.ready(ctx); err != nil {
+	g, err := c.pin(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return c.cur().sys.BuildAllGroundTruths(ctx, qs, opts.coreConfig())
+	defer g.release()
+	return g.sys().BuildAllGroundTruths(ctx, qs, opts.coreConfig())
 }
 
 // AnalyzeOptions controls Analyze. The zero value reproduces the paper's
@@ -85,21 +86,23 @@ type AnalyzeOptions struct {
 // benchmark queries; cancelling ctx stops the per-query fan-out and
 // returns ctx.Err().
 func (c *Client) Analyze(ctx context.Context, opts AnalyzeOptions) (*Analysis, error) {
-	if err := c.ready(ctx); err != nil {
+	g, err := c.pin(ctx)
+	if err != nil {
 		return nil, err
 	}
-	if len(c.queries) == 0 {
+	defer g.release()
+	if len(g.set.Queries()) == 0 {
 		return nil, ErrNoBenchmark
 	}
 	gtOpts := opts.GroundTruth
 	if gtOpts.Workers <= 0 {
 		gtOpts.Workers = opts.Workers
 	}
-	gts, err := c.GroundTruths(ctx, c.queries, gtOpts)
+	gts, err := c.GroundTruths(ctx, g.set.Queries(), gtOpts)
 	if err != nil {
 		return nil, err
 	}
-	return c.cur().sys.Analyze(ctx, gts, core.AnalysisConfig{
+	return g.sys().Analyze(ctx, gts, core.AnalysisConfig{
 		MaxCycleLen: opts.MaxCycleLen,
 		Fig9Bins:    opts.Fig9Bins,
 		Workers:     opts.Workers,
@@ -121,13 +124,15 @@ type AblationOptions struct {
 // off, frequency ranking and redirect aliases. Returns ErrNoBenchmark when
 // the client has no benchmark queries.
 func (c *Client) CompareExpanders(ctx context.Context, opts AblationOptions) ([]AblationRow, error) {
-	if err := c.ready(ctx); err != nil {
+	g, err := c.pin(ctx)
+	if err != nil {
 		return nil, err
 	}
-	if len(c.queries) == 0 {
+	defer g.release()
+	if len(g.set.Queries()) == 0 {
 		return nil, ErrNoBenchmark
 	}
-	return c.cur().sys.CompareExpanders(ctx, c.queries, core.AblationConfig{
+	return g.sys().CompareExpanders(ctx, g.set.Queries(), core.AblationConfig{
 		MaxFeatures: opts.MaxFeatures,
 		Workers:     opts.Workers,
 	})
@@ -156,13 +161,15 @@ type Cycle struct {
 // bound) and measures each one. A done ctx returns ctx.Err() before any
 // work.
 func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([]Cycle, error) {
-	if err := c.ready(ctx); err != nil {
+	g, err := c.pin(ctx)
+	if err != nil {
 		return nil, err
 	}
+	defer g.release()
 	if maxLen <= 0 {
 		maxLen = 5
 	}
-	snap := c.cur().sys.Snapshot
+	snap := g.sys().Snapshot
 	sub := gt.Graph.Sub
 	var seeds []NodeID
 	for _, qa := range gt.QueryArticles {
@@ -203,7 +210,7 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([
 // DOT format with article titles as labels.
 func (c *Client) WriteQueryGraphDOT(w io.Writer, gt *GroundTruth, name string) error {
 	sub := gt.Graph.Sub
-	snap := c.cur().sys.Snapshot
+	snap := c.view().sys().Snapshot
 	label := func(n NodeID) string { return snap.Name(sub.ToParent[n]) }
 	return sub.Graph.WriteDOT(w, name, label)
 }

@@ -13,10 +13,11 @@ import (
 )
 
 // Backend is the one serving contract of the reproduction: every runtime —
-// the single-snapshot *Client, the sharded hot-reloadable *Pool, and any
-// future remote deployment — satisfies it, so front ends, tools and
-// libraries program against interchangeable backends instead of concrete
-// types. OpenBackend constructs one from either serving artifact.
+// the single-snapshot *Client and the sharded hot-reloadable *Pool (one
+// local runtime over 1 or N partitions) and the *Remote coordinator of a
+// qshard fleet — satisfies it, so front ends, tools and libraries program
+// against interchangeable backends instead of concrete types. OpenBackend
+// constructs one from any of the three serving artifacts.
 //
 // The method set is the serving surface: retrieval (Search/SearchAll),
 // cycle-based expansion (Expand/ExpandAll), expansion retrieval
@@ -41,8 +42,9 @@ type Backend interface {
 	// (dst may be nil). It exists for allocation-sensitive front ends: on a
 	// *Client the steady-state path — warm query-plan cache, recycled dst —
 	// allocates nothing, which is what cmd/qserve's /v1/search handler
-	// builds its zero-garbage request loop on. The backend does not retain
-	// query or dst beyond the call.
+	// builds its zero-garbage request loop on; a multi-shard *Pool takes
+	// the same cache and scores into dst, paying only its goroutine
+	// fan-out. The backend does not retain query or dst beyond the call.
 	SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error)
 	SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error)
 	Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error)

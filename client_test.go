@@ -297,8 +297,8 @@ func TestSearchExpansionsAlignment(t *testing.T) {
 
 func TestAnalyzeNoBenchmark(t *testing.T) {
 	c := client(t)
-	bare := &Client{}          // a client whose snapshot carried no benchmark
-	bare.st.Store(c.st.Load()) //qlint:ignore atomicguard constructor: bare has not escaped, no concurrent writer exists yet
+	// The same system, served as a client whose snapshot carried no benchmark.
+	bare := newClient(c.view().sys(), nil, clientConfig{})
 	ctx := context.Background()
 	if _, err := bare.Analyze(ctx, AnalyzeOptions{}); !errors.Is(err, ErrNoBenchmark) {
 		t.Errorf("Analyze err = %v, want ErrNoBenchmark", err)

@@ -14,7 +14,7 @@
 // reports queries/sec, retrieval latency quantiles and the cache hit
 // rate. With -json FILE (or "-" for stdout) the batch experiment also
 // emits a machine-readable summary — queries/sec, p50/p99 latency, cache
-// hit rate — for benchmark-trajectory tracking (BENCH_*.json).
+// hit rate — uploaded by CI's bench job as a trajectory artifact.
 //
 // With -load, the world is decoded from a binary snapshot written by
 // qgen -out world.qgs — or, when the path ends in .json, from a sharded
@@ -228,7 +228,7 @@ func worldSource(path string, seed int64) string {
 }
 
 // benchSummary is the machine-readable batch report (-json): one schema,
-// one file per run, so BENCH_*.json files accumulate a comparable
+// one file per run, so CI's uploaded artifacts accumulate a comparable
 // trajectory across commits and machines.
 type benchSummary struct {
 	SchemaVersion int    `json:"schema_version"`

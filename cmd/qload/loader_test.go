@@ -204,8 +204,8 @@ func TestRunPaced(t *testing.T) {
 	}
 }
 
-// TestReportJSONShape pins the committed-benchmark contract: the fields
-// BENCH_7.json consumers read must survive a marshal round trip.
+// TestReportJSONShape pins the report contract: the fields -json
+// consumers read must survive a marshal round trip.
 func TestReportJSONShape(t *testing.T) {
 	rep := &report{
 		Target:      "http://x",

@@ -1,7 +1,7 @@
 // Command qload is the HTTP load driver for qserve: it sustains a
 // configurable request mix against a running server and reports latency
-// quantiles from an HDR-style histogram — the harness behind the repo's
-// committed BENCH_7.json and the CI smoke burst. It drives the HTTP API
+// quantiles from an HDR-style histogram — the harness behind the CI
+// smoke burst. It drives the HTTP API
 // only, so it loads any qserve deployment shape the same way — a single
 // snapshot, a sharded pool, or a topology-backed fan-out coordinator
 // over qshard servers.

@@ -4,12 +4,12 @@
 //
 // # The Backend contract
 //
-// Every serving runtime — the single-snapshot *Client and the sharded
-// hot-reloadable *Pool — satisfies the one Backend interface, and
-// OpenBackend sniffs which artifact a path holds, so callers never branch
-// on deployment shape:
+// Every serving runtime — the single-snapshot *Client, the sharded
+// hot-reloadable *Pool and the *Remote coordinator of a qshard fleet —
+// satisfies the one Backend interface, and OpenBackend sniffs which
+// artifact a path holds, so callers never branch on deployment shape:
 //
-//	be, err := querygraph.OpenBackend(path)       // .qgs snapshot or shard manifest.json
+//	be, err := querygraph.OpenBackend(path)       // .qgs snapshot, shard manifest or fleet topology
 //	defer be.Close()                              // retire; later calls return ErrClosed
 //	results, err := be.Search(ctx, "venice #1(grand canal)", 15)
 //	exp, err := be.Expand(ctx, "doge palace venice")
@@ -22,8 +22,11 @@
 //
 // # The client
 //
-// A Client is one loaded knowledge base, document collection, search
-// engine and entity linker, safe for concurrent use:
+// Client and Pool are one local runtime: both embed the same
+// generation-pinned machinery — the Backend methods, the live-index write
+// path, hot swap and drain — over a set of partitions, and a Client is
+// the case of one. A Client is one loaded knowledge base, document
+// collection, search engine and entity linker, safe for concurrent use:
 //
 //	client, err := querygraph.Open("world.qgs")   // decode a snapshot: serve instantly
 //	client, err := querygraph.OpenReader(r)       // the same over any reader
@@ -64,12 +67,31 @@
 // replicated graph. Reload assembles the next generation off to the side
 // and swaps it in with zero downtime: in-flight requests finish on the
 // generation they started with, and a failed reload (ErrBadManifest)
-// leaves serving untouched. Close retires the pool the same way — the
-// live generation drains before Close returns.
+// leaves serving untouched. Close retires either handle the same way —
+// the live generation drains before Close returns.
+//
+// # The live index
+//
+// Ingest appends documents to an in-memory delta segment that is
+// searchable by the time the call returns — one more source of the same
+// scatter, scored under merged statistics, bit-identical to a cold
+// rebuild — and Compact folds the segment into a fresh generation and
+// hot-swaps it (in memory on a Client, through the manifest on a Pool):
+//
+//	st, err := be.Ingest(ctx, docs)               // atomic batch; ErrDeltaFull past WithDeltaCapacity
+//	cs, err := be.Compact(ctx)                    // results identical before and after
+//
+// # The remote coordinator
+//
+// OpenTopology connects to a fleet of cmd/qshard processes, one per shard
+// snapshot, and serves the Backend contract by two-phase fan-out over a
+// binary RPC protocol (plan, aggregate, top-k, merge) with retries,
+// replica failover, hedging and a fail/degrade policy (ErrPartialResult).
+// It is read-only: Ingest and Compact return ErrReadOnly.
 //
 // # Instrumentation
 //
-// WithObserver attaches hooks that fire on every request path of either
+// WithObserver attaches hooks that fire on every request path of every
 // runtime — duration, ranking depth, shard count, expansion cache outcome
 // (hit/miss/single-flight dedup/bypass) and error class. MetricsObserver
 // is the built-in counter implementation; its WritePrometheus renders the
@@ -89,10 +111,12 @@
 //
 // Failures are classified by sentinel, tested with errors.Is:
 // ErrBadSnapshot (undecodable snapshot bytes), ErrBadManifest (a sharded
-// generation that fails to assemble), ErrInvalidOptions (rejected option
-// values), ErrInvalidQuery (query-text parse failures), ErrNoBenchmark
-// (benchmark-driven calls on a benchmark-less snapshot) and ErrClosed
-// (requests after Close). Context failures surface as context.Canceled /
+// generation that fails to assemble), ErrBadTopology (a fleet that fails
+// to assemble), ErrInvalidOptions (rejected option values),
+// ErrInvalidQuery (query-text parse failures), ErrNoBenchmark
+// (benchmark-driven calls on a benchmark-less snapshot), ErrDeltaFull and
+// ErrReadOnly (rejected writes), ErrShardUnavailable and ErrPartialResult
+// (fleet failures) and ErrClosed (requests after Close). Context failures surface as context.Canceled /
 // context.DeadlineExceeded; file-system errors pass through unchanged.
 // ErrorClass maps any of them onto the stable instrumentation label set.
 //
@@ -107,9 +131,11 @@
 // # Command line and HTTP
 //
 // cmd/qserve serves Search and Expand over HTTP JSON (POST /v1/search,
-// POST /v1/expand, batch variants, GET /v1/healthz, GET /v1/stats) from a
-// snapshot loaded at boot, with per-request timeouts and graceful
-// shutdown. cmd/qgen generates worlds and snapshots, cmd/qbench
+// POST /v1/expand, batch variants, the ingest/compact/reload admin
+// endpoints, GET /v1/healthz, GET /v1/stats, GET /v1/metrics) from any
+// artifact OpenBackend opens, with per-request timeouts and graceful
+// shutdown; cmd/qshard serves one shard snapshot to a coordinator.
+// cmd/qgen generates worlds and snapshots, cmd/qbench
 // reproduces every table and figure of the paper next to the reported
 // values, and cmd/qgraph inspects one query's ground truth and graph.
 //
@@ -124,7 +150,9 @@
 // largest-substring entity linker (internal/linking), the evaluation and
 // ground-truth machinery of Section 2 (internal/eval, internal/groundtruth,
 // internal/querygraph), cycle mining and its structural metrics
-// (internal/cycles), the versioned binary snapshot store (internal/store)
-// and the assembled pipeline (internal/core). See DESIGN.md for the
+// (internal/cycles), the versioned binary snapshot store (internal/store),
+// partitioning and the loaded generation (internal/shard), the delta
+// segment (internal/live), the wire protocol (internal/rpc) and the
+// assembled pipeline (internal/core). See DESIGN.md for the
 // system inventory, hot paths and the per-experiment benchmark index.
 package querygraph

@@ -132,7 +132,7 @@ func (e *Expansion) Query(s *System) (search.Node, bool) {
 	for _, f := range e.Features {
 		arts = append(arts, f.Node)
 	}
-	return s.titleQuery(e.Keywords, arts)
+	return s.TitleQuery(e.Keywords, arts)
 }
 
 // Expand runs the online pipeline of the paper's conclusions: entity-link

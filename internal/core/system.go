@@ -174,11 +174,11 @@ func (s *System) LinkDocuments(docs []int32) ([]graph.NodeID, error) {
 	return out, nil
 }
 
-// titleQuery builds the INDRI-style query for a set of articles: one exact
+// TitleQuery builds the INDRI-style query for a set of articles: one exact
 // phrase per title, per the paper's Section 2.2. When no article has a
 // usable title the raw keywords back the query off so that the baseline of
 // an entity-less query is still defined.
-func (s *System) titleQuery(keywords string, articles []graph.NodeID) (search.Node, bool) {
+func (s *System) TitleQuery(keywords string, articles []graph.NodeID) (search.Node, bool) {
 	titles := make([]string, 0, len(articles))
 	for _, a := range articles {
 		titles = append(titles, s.Snapshot.Name(a))
@@ -194,7 +194,7 @@ func (s *System) titleQuery(keywords string, articles []graph.NodeID) (search.No
 // articles, retrieves the top-15 and averages precision over the paper's
 // rank cutoffs. It also returns the ranked documents for reuse.
 func (s *System) EvaluateArticles(keywords string, articles []graph.NodeID, relevant eval.Relevance) (float64, []int32, error) {
-	node, ok := s.titleQuery(keywords, articles)
+	node, ok := s.TitleQuery(keywords, articles)
 	if !ok {
 		return 0, nil, nil // nothing to search for: zero precision by definition
 	}

@@ -31,10 +31,11 @@ var Refpair = &Analyzer{
 }
 
 // refAcquireNames and refReleaseNames are the method-name conventions
-// the analyzer binds to. retire() counts as a release: it drops the
-// owner reference by definition (pool.go).
+// the analyzer binds to. pin is acquire behind the request gate
+// (runtime.go); retire() counts as a release: it drops the owner
+// reference by definition.
 var (
-	refAcquireNames = []string{"acquire", "Acquire"}
+	refAcquireNames = []string{"acquire", "Acquire", "pin"}
 	refReleaseNames = []string{"release", "Release", "retire", "Retire"}
 )
 

@@ -1,8 +1,8 @@
 // Package live implements the in-memory delta segment of the live index:
 // an append-only mini-index over the documents ingested since the serving
-// snapshot was built, searched on every request alongside the base index
-// (search.SearchSources) and folded into the next snapshot generation by
-// compaction (shard.Fold, querygraph.Client.Compact).
+// snapshot was built, searched on every request as one more source of
+// the scatter (search.SearchSourcesLeaves, via shard.Set.WithDelta) and
+// folded into the next snapshot generation by compaction (shard.Fold).
 //
 // A Delta is immutable: Append returns a new value sharing the previous
 // segment's postings (index.Merge), so readers pinned to an old delta —
@@ -12,7 +12,7 @@
 // Doc-id layout: delta documents occupy the global id range
 // [BaseDocs, BaseDocs+NumDocs) in ingest order, exactly the ids a cold
 // rebuild appending the same documents would assign. That alignment is
-// what makes the two-source merge and the compaction fold bit-identical
+// what makes the multi-source merge and the compaction fold bit-identical
 // to the rebuilt index.
 package live
 
@@ -184,7 +184,7 @@ func (d *Delta) HasExternalID(ext string) bool {
 	return ok
 }
 
-// Source is the segment's slot in a two-source search: its engine with
+// Source is the segment's slot in the multi-source search: its engine with
 // local ids shifted into the global range above the base.
 func (d *Delta) Source() search.Source {
 	return search.Source{Engine: d.Engine(), Offset: int32(d.BaseDocs())}

@@ -336,7 +336,7 @@ func (s *Server) handlePlan(r *Reader) ([]byte, *RemoteError) {
 	if !ok {
 		return append(b, 0), nil
 	}
-	plan := s.sys.Engine.PlanLeaves(leaves)
+	plan := s.sys.Engine.PlanLeavesInto(nil, leaves)
 	b = append(b, 1)
 	b = AppendUvarint(b, uint64(plan.NumLeaves()))
 	for i := 0; i < plan.NumLeaves(); i++ {
@@ -376,8 +376,8 @@ func (s *Server) handleTopK(r *Reader) ([]byte, *RemoteError) {
 		return nil, &RemoteError{Class: ClassInternal,
 			Msg: fmt.Sprintf("query plans %d leaves on this shard, request carries %d collection frequencies", len(leaves), n)}
 	}
-	plan := s.sys.Engine.PlanLeaves(leaves)
-	rs, err := s.sys.Engine.SearchPlan(plan, k, &search.Stats{TotalTokens: totalTokens, LeafCF: leafCF})
+	plan := s.sys.Engine.PlanLeavesInto(nil, leaves)
+	rs, err := s.sys.Engine.SearchPlanInto(plan, k, &search.Stats{TotalTokens: totalTokens, LeafCF: leafCF}, nil)
 	if err != nil {
 		return nil, remoteErr(err)
 	}

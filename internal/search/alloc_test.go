@@ -29,3 +29,30 @@ func TestSearchTextSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SearchText steady state allocates %v per op, want 0", allocs)
 	}
 }
+
+// TestSearchSourcesSteadyStateAllocs pins the multi-source scorer's
+// contract: two sources visited sequentially — a batch worker over two
+// shards, or a base and its live delta — with a recycled dst allocate
+// nothing once the pooled plans, leaf frequencies, local rankings and
+// merge cursors have grown to the request's shape.
+func TestSearchSourcesSteadyStateAllocs(t *testing.T) {
+	c := splitSources(t, [][]string{
+		{"venice", "grand", "canal", "gondola"},
+		{"venice", "carnival", "mask"},
+		{"canal", "water", "transport", "venice"},
+	}, 1, 2, false, DefaultMu)
+	leaves := []Leaf{{Terms: []string{"venice"}, Weight: 0.5}, {Terms: []string{"canal"}, Weight: 0.5}}
+	dst := make([]Result, 0, 16)
+	if _, err := SearchSourcesLeaves(c.sources, c.total, leaves, 2, dst); err != nil { // warm
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		rs, err := SearchSourcesLeaves(c.sources, c.total, leaves, 2, dst)
+		if err != nil || len(rs) != 2 {
+			t.Fatal("unexpected result", rs, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SearchSourcesLeaves steady state allocates %v per op, want 0", allocs)
+	}
+}

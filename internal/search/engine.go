@@ -100,8 +100,8 @@ type Leaf struct {
 // Flatten converts the AST into weighted scoring leaves, in the
 // deterministic left-to-right order the scorer folds them. Distributed
 // callers flatten once, plan the leaves against every partition
-// (PlanLeaves) and aggregate per-leaf collection statistics before scoring
-// (SearchPlan).
+// (PlanLeavesInto) and aggregate per-leaf collection statistics before
+// scoring (SearchPlanInto).
 func Flatten(n Node) ([]Leaf, error) { return flatten(n, 1, nil) }
 
 // flatten converts the AST into weighted leaves. #combine is an unweighted
@@ -216,16 +216,12 @@ func (p *Plan) NumLeaves() int { return len(p.leaves) }
 // phrase leaf, the occurrence count of the exact phrase in this index).
 func (p *Plan) LocalCF(i int) int64 { return p.localCF[i] }
 
-// PlanLeaves fetches the postings and local collection frequency of every
-// leaf against this engine's index. A term or phrase absent from the index
-// plans as empty postings with zero frequency.
-func (e *Engine) PlanLeaves(leaves []Leaf) *Plan {
-	return e.PlanLeavesInto(nil, leaves)
-}
-
-// PlanLeavesInto is PlanLeaves reusing dst's storage (dst may be nil) —
-// the allocation-free re-planning path a scatter caller takes when it
-// plans the same leaves against many partition indexes per query.
+// PlanLeavesInto fetches the postings and local collection frequency of
+// every leaf against this engine's index, reusing dst's storage (dst may
+// be nil) — the allocation-free re-planning path a scatter caller takes
+// when it plans the same leaves against many partition indexes per query.
+// A term or phrase absent from the index plans as empty postings with
+// zero frequency.
 func (e *Engine) PlanLeavesInto(dst *Plan, leaves []Leaf) *Plan {
 	p := dst
 	if p == nil {
@@ -318,9 +314,12 @@ func (e *Engine) SearchLeaves(leaves []Leaf, k int, dst []Result) ([]Result, err
 	return rs, err
 }
 
-// SearchPlan scores a planned query under the given collection statistics
-// (nil = this index's own) and returns the top k under the Search
-// contract.
+// SearchPlanInto scores a planned query under the given collection
+// statistics (nil = this index's own) and returns the top k under the
+// Search contract, reusing dst's storage for the ranking (dst may be nil,
+// in which case a fresh slice is allocated). The top-k heap itself lives
+// in the engine's pooled scratch, so a caller that recycles dst completes
+// the whole scoring pass without allocating.
 //
 // The scorer is a doc-ordered accumulator merge: each leaf's postings are
 // walked once, folding that leaf's contribution into a dense per-document
@@ -332,14 +331,6 @@ func (e *Engine) SearchLeaves(leaves []Leaf, k int, dst []Result) ([]Result, err
 // carries the tf = 0 baseline) and applies the length normalization once
 // per candidate. Ranking uses a bounded top-k heap instead of sorting every
 // candidate.
-func (e *Engine) SearchPlan(p *Plan, k int, stats *Stats) ([]Result, error) {
-	return e.SearchPlanInto(p, k, stats, nil)
-}
-
-// SearchPlanInto is SearchPlan reusing dst's storage for the returned
-// ranking (dst may be nil, in which case a fresh slice is allocated). The
-// top-k heap itself lives in the engine's pooled scratch, so a caller that
-// recycles dst completes the whole scoring pass without allocating.
 func (e *Engine) SearchPlanInto(p *Plan, k int, stats *Stats, dst []Result) ([]Result, error) {
 	totalTokens := e.ix.TotalTokens()
 	leafCF := p.localCF

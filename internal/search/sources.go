@@ -1,12 +1,14 @@
 package search
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Source is one index of a logically concatenated collection: its engine
-// plus the local→global doc-id translation. The live runtime searches two
-// sources per request — the base snapshot and the in-memory delta segment
-// (internal/live) — but the algorithm is the same scatter the sharded
-// runtime runs over N partitions.
+// plus the local→global doc-id translation. A hash partition is N sources
+// with doc maps, the live delta segment (internal/live) is one more with
+// an offset, and an unsharded snapshot is the lone identity source.
 type Source struct {
 	// Engine scores this source's slice of the collection.
 	Engine *Engine
@@ -18,77 +20,152 @@ type Source struct {
 	Offset int32
 }
 
-// SearchSources evaluates a query across multiple sources as if their
-// documents lived in one index: plan the flattened leaves against every
-// source, sum each leaf's collection frequency (exact integer addition),
-// score every source under the same merged statistics, translate doc
-// ids, and merge by (score desc, global doc asc). Because a document's
-// Dirichlet score depends only on its own term frequencies and lengths
-// plus the merged collection statistics, the ranking is bit-identical to
-// a cold rebuild holding the same documents — the same argument (and the
-// same Plan/SearchPlan machinery) that makes the sharded runtime exact.
-//
-// totalTokens is the merged collection length (the sum of the sources'
-// TotalTokens). k <= 0 ranks every candidate. A query with no matching
-// documents returns an empty, non-nil slice.
-func SearchSources(sources []Source, totalTokens int64, q Node, k int) ([]Result, error) {
-	leaves, err := Flatten(q)
-	if err != nil {
-		return nil, err
-	}
-	return SearchSourcesLeaves(sources, totalTokens, leaves, k, nil)
+// scatter is the pooled state of one multi-source search: the request,
+// one plan and one local ranking per source, the summed leaf frequencies
+// and the merge cursors. Pooling it (and everything it grows) is what
+// makes a sequential search with a recycled dst allocate nothing.
+type scatter struct {
+	sources []Source
+	leaves  []Leaf
+	k       int
+	stats   Stats
+	plans   []*Plan
+	locals  [][]Result
+	errs    []error
+	cursors []int
+	wg      sync.WaitGroup
 }
 
-// SearchSourcesLeaves is SearchSources on pre-flattened leaves, reusing
-// dst's storage for the returned ranking (dst may be nil). Callers with
-// a warm leaves cache (Engine.LeavesForQuery) use this form to skip the
-// parse.
+var scatterPool = sync.Pool{New: func() any { return new(scatter) }}
+
+// SearchSourcesLeaves evaluates flattened query leaves across the sources
+// as if their documents lived in one index: plan the leaves against every
+// source, sum each leaf's collection frequency (exact integer addition,
+// so order cannot perturb it), score every source under the same merged
+// statistics, translate doc ids, and merge by (score desc, global doc
+// asc). Because a document's Dirichlet score depends only on its own term
+// frequencies and length plus the merged collection statistics, the
+// ranking is bit-identical to a cold rebuild holding the same documents.
+//
+// totalTokens is the merged collection length (the sum of the sources'
+// TotalTokens). The ranking is written into dst (nil allocates; neither
+// leaves nor dst is retained). k <= 0 ranks every candidate; a query with
+// no matching documents returns an empty, non-nil slice. A lone identity
+// source that is the whole collection is Engine.SearchLeaves itself.
+//
+// The sources are visited one after another on the calling goroutine —
+// the form for a batch worker, whose siblings already occupy the cores.
 func SearchSourcesLeaves(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result) ([]Result, error) {
-	if len(sources) == 0 {
+	return searchSources(sources, totalTokens, leaves, k, dst, false)
+}
+
+// SearchSourcesLeavesParallel is SearchSourcesLeaves with the plan and
+// score phases fanned out — the caller's goroutine takes source 0, one
+// more goroutine each of the others — the form for a single request over
+// several partitions. Same ranking, bit for bit.
+func SearchSourcesLeavesParallel(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result) ([]Result, error) {
+	return searchSources(sources, totalTokens, leaves, k, dst, true)
+}
+
+func searchSources(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result, parallel bool) ([]Result, error) {
+	n := len(sources)
+	if n == 0 {
 		return nil, fmt.Errorf("search: no sources")
 	}
-	plans := make([]*Plan, len(sources))
-	leafCF := make([]int64, len(leaves))
-	for i := range sources {
-		plans[i] = sources[i].Engine.PlanLeaves(leaves)
-		for j := range leafCF {
-			leafCF[j] += plans[i].LocalCF(j)
+	if s := sources[0]; n == 1 && s.DocMap == nil && s.Offset == 0 && totalTokens == s.Engine.ix.TotalTokens() {
+		return s.Engine.SearchLeaves(leaves, k, dst)
+	}
+	sc := scatterPool.Get().(*scatter)
+	defer sc.release()
+	sc.sources, sc.leaves, sc.k = sources, leaves, k
+	for len(sc.plans) < n {
+		sc.plans = append(sc.plans, &Plan{})
+		sc.locals = append(sc.locals, []Result{})
+		sc.errs = append(sc.errs, nil)
+		sc.cursors = append(sc.cursors, 0)
+	}
+
+	sc.each(parallel, (*scatter).plan)
+	leafCF := append(sc.stats.LeafCF[:0], make([]int64, len(leaves))...)
+	for _, p := range sc.plans[:n] {
+		for j, cf := range p.localCF {
+			leafCF[j] += cf
 		}
 	}
-	stats := &Stats{TotalTokens: totalTokens, LeafCF: leafCF}
-	locals := make([][]Result, len(sources))
-	for i := range sources {
-		rs, err := sources[i].Engine.SearchPlan(plans[i], k, stats)
+	sc.stats = Stats{TotalTokens: totalTokens, LeafCF: leafCF}
+	sc.each(parallel, (*scatter).score)
+	for _, err := range sc.errs[:n] {
 		if err != nil {
 			return nil, err
 		}
-		if dm := sources[i].DocMap; dm != nil {
-			for j := range rs {
-				rs[j].Doc = dm[rs[j].Doc]
-			}
-		} else if off := sources[i].Offset; off != 0 {
-			for j := range rs {
-				rs[j].Doc += off
-			}
-		}
-		locals[i] = rs
 	}
-	return MergeRankedScratch(dst, locals, k, make([]int, len(locals))), nil
+	return MergeRankedScratch(dst, sc.locals[:n], k, sc.cursors), nil
 }
 
-// MergeRanked merges per-source rankings — each ordered by (score desc,
-// global doc asc), the engine's determinism contract — into the global
-// top k. (score, doc) is a total order, so the merged prefix is exactly
-// the single-index ranking; k <= 0 keeps every candidate.
-func MergeRanked(locals [][]Result, k int) []Result {
-	return MergeRankedScratch(nil, locals, k, make([]int, len(locals)))
+// each runs one phase over every source: inline, or with the calling
+// goroutine taking source 0 and one goroutine for each of the others.
+func (sc *scatter) each(parallel bool, phase func(*scatter, int)) {
+	n := len(sc.sources)
+	if !parallel {
+		for i := 0; i < n; i++ {
+			phase(sc, i)
+		}
+		return
+	}
+	sc.wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() { // captures i: this one closure is all a fan-out goroutine allocates
+			defer sc.wg.Done()
+			phase(sc, i)
+		}()
+	}
+	phase(sc, 0)
+	sc.wg.Wait()
 }
 
-// MergeRankedScratch is MergeRanked with caller-owned storage: the
-// ranking is appended into dst (nil allocates fresh, and the result is
-// always non-nil), and cursors is scratch of at least len(locals). The
-// sharded runtime's hot path supplies both so a scatter merge allocates
-// nothing.
+func (sc *scatter) plan(i int) {
+	sc.plans[i] = sc.sources[i].Engine.PlanLeavesInto(sc.plans[i], sc.leaves)
+}
+
+// score ranks source i under the merged statistics into its pooled local
+// ranking and translates the doc ids into the global space.
+func (sc *scatter) score(i int) {
+	src := sc.sources[i]
+	rs, err := src.Engine.SearchPlanInto(sc.plans[i], sc.k, &sc.stats, sc.locals[i])
+	sc.errs[i] = err
+	if err != nil {
+		return
+	}
+	if dm := src.DocMap; dm != nil {
+		for j := range rs {
+			rs[j].Doc = dm[rs[j].Doc]
+		}
+	} else if off := src.Offset; off != 0 {
+		for j := range rs {
+			rs[j].Doc += off
+		}
+	}
+	sc.locals[i] = rs
+}
+
+// release returns the scratch to the pool without pinning the caller's
+// leaves, sources or any index's postings behind it.
+func (sc *scatter) release() {
+	for _, p := range sc.plans[:len(sc.sources)] {
+		p.leaves = nil
+		clear(p.postings)
+	}
+	sc.sources, sc.leaves = nil, nil
+	scatterPool.Put(sc)
+}
+
+// MergeRankedScratch merges per-source rankings — each ordered by (score
+// desc, global doc asc), the engine's determinism contract — into the
+// global top k. (score, doc) is a total order, so the merged prefix is
+// exactly the single-index ranking; k <= 0 keeps every candidate. Storage
+// is the caller's: the ranking is appended into dst (nil allocates fresh,
+// and the result is always non-nil), and cursors is scratch of at least
+// len(locals), so a scatter merge allocates nothing.
 func MergeRankedScratch(dst []Result, locals [][]Result, k int, cursors []int) []Result {
 	total := 0
 	for i, rs := range locals {

@@ -9,10 +9,6 @@ type topK struct {
 	h []Result
 }
 
-func newTopK(k int) *topK {
-	return &topK{k: k, h: make([]Result, 0, k)}
-}
-
 // worse reports whether a ranks strictly below b: lower score, ties broken
 // by higher document ID (so ascending doc IDs win ties, matching the
 // engine's determinism contract).

@@ -15,7 +15,7 @@ import (
 // Fold distributes a delta segment's documents over a loaded generation
 // and returns the per-shard archives of the next generation — the
 // compaction output, ready for WriteArchives. Delta document j takes
-// global id GlobalDocs()+j, exactly the id the two-source serving path
+// global id GlobalDocs()+j, exactly the id the serving scatter
 // already exposed for it, and is hashed to its owning shard by ShardOf
 // like any other document. Because delta global ids sort above every
 // base id, each shard's new locals append at the tail of its dense local
@@ -23,7 +23,9 @@ import (
 // not copied) and the merged per-shard index is index.Merge of the base
 // and a mini-index over the shard's new documents — bit-identical to
 // Partition of a monolithic rebuild holding the same documents, which
-// TestFoldMatchesPartition pins.
+// TestFoldMatchesPartition pins. An unsharded Set (Single) folds to one
+// complete archive with no partition identity: the snapshot a cold
+// rebuild over base plus delta would save.
 func Fold(s *Set, delta *live.Delta) ([]*store.Archive, error) {
 	if s == nil || len(s.systems) == 0 {
 		return nil, fmt.Errorf("shard: fold into an empty set")
@@ -69,18 +71,20 @@ func Fold(s *Set, delta *live.Delta) ([]*store.Archive, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: fold shard %d: %w", sh, err)
 		}
-		docGlobal := make([]int32, 0, len(s.docMaps[sh])+len(newGlobals[sh]))
-		docGlobal = append(docGlobal, s.docMaps[sh]...)
-		docGlobal = append(docGlobal, newGlobals[sh]...)
 		arch := sys.Archive(s.queries)
 		arch.Collection = coll
 		arch.Index = index.Merge(sys.Engine.Index(), minis[sh])
-		arch.Shard = &store.ShardInfo{
-			ShardID:      sh,
-			ShardCount:   n,
-			GlobalDocs:   s.globalDocs + len(newDocs),
-			GlobalTokens: s.globalTokens + deltaTokens,
-			DocGlobal:    docGlobal,
+		if s.docMaps != nil {
+			docGlobal := make([]int32, 0, len(s.docMaps[sh])+len(newGlobals[sh]))
+			docGlobal = append(docGlobal, s.docMaps[sh]...)
+			docGlobal = append(docGlobal, newGlobals[sh]...)
+			arch.Shard = &store.ShardInfo{
+				ShardID:      sh,
+				ShardCount:   n,
+				GlobalDocs:   s.globalDocs + len(newDocs),
+				GlobalTokens: s.globalTokens + deltaTokens,
+				DocGlobal:    docGlobal,
+			}
 		}
 		out[sh] = arch
 	}

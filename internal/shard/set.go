@@ -7,60 +7,68 @@ import (
 	"sync"
 
 	"github.com/querygraph/querygraph/internal/core"
+	"github.com/querygraph/querygraph/internal/live"
 	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/store"
 )
 
-// Set is one loaded generation of a sharded snapshot: every shard wrapped
+// Set is one loaded generation of a serving snapshot: every shard wrapped
 // in its own serving System, plus the cross-shard identity needed for
-// scatter-gather. A Set is immutable after Load and safe for concurrent
-// use; hot reload (querygraph.Pool) swaps whole Sets.
+// scatter-gather, plus — on the view WithDelta returns — the live delta
+// segment searched above it. An unsharded snapshot is the Set of one
+// (Single). A Set is immutable and safe for concurrent use; hot reload,
+// ingest and compaction (querygraph's local runtime) swap whole Sets.
 //
-// Division of labor: retrieval scatters to every shard and merges;
-// expansion runs once on shard 0's replicated graph (the expansion cache
-// therefore lives on shard 0's System).
+// Division of labor: retrieval scatters to every source and merges
+// (search.SearchSourcesLeaves, the one multi-source scorer); expansion
+// runs once on shard 0's replicated graph (the expansion cache therefore
+// lives on shard 0's System).
 type Set struct {
 	systems []*core.System
 	queries []core.Query
-	// docMaps[s] maps shard s's dense local doc ids to global ids.
+	// docMaps[s] maps shard s's dense local doc ids to global ids; the
+	// whole table is nil on an unsharded Set, whose ids already are global.
 	docMaps      [][]int32
 	globalDocs   int
 	globalTokens int64
 
-	// union is the fused in-process scorer over all shards (one global
-	// accumulator, one heap) — the batch hot path. The per-shard
-	// scatter-gather path (searchNode) remains the distributable
-	// architecture and serves concurrent single-query fan-out.
-	union *search.Union
-
-	// scratch pools the per-query scatter state (plans, aggregated leaf
-	// frequencies, per-shard rankings, merge cursors) so the hot path does
-	// not reallocate it per query.
-	scratch sync.Pool
+	// delta is the live segment above the base (nil = empty). sources and
+	// tokens are what every search runs over: one source per shard plus
+	// the delta's, and the merged collection length.
+	delta   *live.Delta
+	sources []search.Source
+	tokens  int64
 }
 
-// setScratch is the pooled per-query scatter state.
-type setScratch struct {
-	plans   []*search.Plan
-	leafCF  []int64
-	locals  [][]search.Result
-	cursors []int
+// Single wraps one unsharded system as the Set of one: a lone identity
+// source, which the scorer short-circuits to the engine's own search.
+func Single(sys *core.System, queries []core.Query) *Set {
+	s := &Set{
+		systems:      []*core.System{sys},
+		queries:      queries,
+		globalDocs:   sys.Collection.Len(),
+		globalTokens: sys.Engine.Index().TotalTokens(),
+	}
+	return s.WithDelta(nil)
 }
 
-func (s *Set) getScratch() *setScratch {
-	sc, _ := s.scratch.Get().(*setScratch)
-	n := len(s.systems)
-	if sc == nil {
-		sc = &setScratch{
-			plans:   make([]*search.Plan, n),
-			locals:  make([][]search.Result, n),
-			cursors: make([]int, n),
-		}
-		for i := range sc.plans {
-			sc.plans[i] = &search.Plan{}
+// WithDelta returns the view of this generation with d as its live delta
+// segment (nil or empty = none); the base is shared, not copied. d must
+// have been appended above this Set's GlobalDocs.
+func (s *Set) WithDelta(d *live.Delta) *Set {
+	v := *s
+	v.delta, v.tokens = d, s.globalTokens+d.TotalTokens()
+	v.sources = make([]search.Source, len(s.systems), len(s.systems)+1)
+	for i, sys := range s.systems {
+		v.sources[i].Engine = sys.Engine
+		if s.docMaps != nil {
+			v.sources[i].DocMap = s.docMaps[i]
 		}
 	}
-	return sc
+	if d.NumDocs() > 0 {
+		v.sources = append(v.sources, d.Source())
+	}
+	return &v
 }
 
 // Load opens every shard named by the manifest (concurrently — decode
@@ -151,16 +159,7 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 	if covered != set.globalDocs {
 		return nil, fmt.Errorf("shards cover %d of %d global documents", covered, set.globalDocs)
 	}
-	engines := make([]*search.Engine, n)
-	for i, sys := range set.systems {
-		engines[i] = sys.Engine
-	}
-	union, err := search.NewUnion(engines, set.docMaps, set.globalDocs, set.globalTokens)
-	if err != nil {
-		return nil, err
-	}
-	set.union = union
-	return set, nil
+	return set.WithDelta(nil), nil
 }
 
 func readArchiveFile(path string) (*store.Archive, error) {
@@ -182,11 +181,9 @@ func (s *Set) Systems() []*core.System { return s.systems }
 // Queries returns the replicated benchmark. Treat as read-only.
 func (s *Set) Queries() []core.Query { return s.queries }
 
-// GlobalDocs returns the whole collection's document count.
+// GlobalDocs returns the base collection's document count across all
+// shards (delta documents sit above it and are not included).
 func (s *Set) GlobalDocs() int { return s.globalDocs }
-
-// GlobalTokens returns the whole collection's token count.
-func (s *Set) GlobalTokens() int64 { return s.globalTokens }
 
 // Parse parses query text with the replicated analyzer configuration.
 func (s *Set) Parse(query string) (search.Node, error) {
@@ -199,177 +196,59 @@ func (s *Set) ExpansionQuery(exp *core.Expansion) (search.Node, bool) {
 	return exp.Query(s.systems[0])
 }
 
-// Search evaluates one parsed query across all shards with the scatter
-// phases run concurrently, and merges the per-shard top k into the global
-// top k (descending score, ties by ascending global doc id) — exactly the
-// single-system ranking, because every shard scores under the globally
-// aggregated statistics.
+// Delta returns the live segment this view searches above the base (nil
+// = none).
+func (s *Set) Delta() *live.Delta { return s.delta }
+
+// LeavesForQuery parses and flattens query text through shard 0's
+// memoized plan cache (the analyzer configuration is replicated, so any
+// shard's cache would do). The leaves are shared: read-only.
+func (s *Set) LeavesForQuery(query string) ([]search.Leaf, error) {
+	return s.systems[0].Engine.LeavesForQuery(query)
+}
+
+// SearchLeaves ranks one request's flattened leaves over every source
+// into dst: exactly the single-system ranking, because every source
+// scores under the merged statistics. Several shards fan out concurrently
+// — a lone request has the cores to itself; one shard (with or without a
+// delta) is scored inline.
+func (s *Set) SearchLeaves(leaves []search.Leaf, k int, dst []search.Result) ([]search.Result, error) {
+	if len(s.systems) > 1 {
+		return search.SearchSourcesLeavesParallel(s.sources, s.tokens, leaves, k, dst)
+	}
+	return search.SearchSourcesLeaves(s.sources, s.tokens, leaves, k, dst)
+}
+
+// Search is SearchLeaves for one parsed query.
 func (s *Set) Search(ctx context.Context, node search.Node, k int) ([]search.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.searchNode(node, k, len(s.systems) > 1)
-}
-
-// SearchExtra is Search with one extra in-memory source appended to the
-// shard fan-out — the live delta segment sitting above this generation.
-// Every source (shards and extra alike) scores under the summed collection
-// statistics (globalTokens + extraTokens, per-leaf collection frequencies
-// aggregated across all sources), so the merged ranking is bit-identical
-// to a monolithic index containing the base and extra documents together.
-func (s *Set) SearchExtra(ctx context.Context, node search.Node, k int, extra search.Source, extraTokens int64) ([]search.Result, error) {
-	if err := ctx.Err(); err != nil {
+	leaves, err := search.Flatten(node)
+	if err != nil {
 		return nil, err
 	}
-	sources := make([]search.Source, 0, len(s.systems)+1)
-	for i, sys := range s.systems {
-		sources = append(sources, search.Source{Engine: sys.Engine, DocMap: s.docMaps[i]})
-	}
-	sources = append(sources, extra)
-	return search.SearchSources(sources, s.globalTokens+extraTokens, node, k)
+	return s.SearchLeaves(leaves, k, nil)
 }
 
 // SearchAll evaluates a batch of parsed queries on a bounded worker pool
-// (input order preserved, fail-fast, cancel-aware — the batch contract of
-// core.System.SearchAll). The batch already saturates the cores with one
-// worker per query, so each query takes the fused union scorer — one
-// global accumulator over all shards, no per-shard heaps or merge — which
-// runs the single-system instruction stream over the partitioned
-// postings.
+// (input order preserved, fail-fast, cancel-aware). The batch already
+// occupies the cores with one worker per query, so each worker visits its
+// query's sources sequentially.
 func (s *Set) SearchAll(ctx context.Context, nodes []search.Node, k int, opts core.BatchOptions) ([][]search.Result, error) {
 	out := make([][]search.Result, len(nodes))
 	err := core.ForEach(ctx, len(nodes), opts.Workers, func(i int) error {
-		rs, err := s.union.Search(nodes[i], k)
+		leaves, err := search.Flatten(nodes[i])
+		if err == nil {
+			out[i], err = search.SearchSourcesLeaves(s.sources, s.tokens, leaves, k, nil)
+		}
 		if err != nil {
 			return fmt.Errorf("shard: search %d: %w", i, err)
 		}
-		out[i] = rs
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// searchNode is the scatter-gather core: plan the flattened leaves on
-// every shard, sum the per-leaf collection frequencies into the global
-// statistics (exact integer addition — aggregation order cannot perturb
-// scores), score every shard under those statistics, map local doc ids to
-// global, and merge.
-func (s *Set) searchNode(node search.Node, k int, concurrent bool) ([]search.Result, error) {
-	leaves, err := search.Flatten(node)
-	if err != nil {
-		return nil, err
-	}
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-	plans := sc.plans
-	s.eachShard(concurrent, func(i int) error {
-		plans[i] = s.systems[i].Engine.PlanLeavesInto(plans[i], leaves)
-		return nil
-	})
-
-	if cap(sc.leafCF) < len(leaves) {
-		sc.leafCF = make([]int64, len(leaves))
-	}
-	leafCF := sc.leafCF[:len(leaves)]
-	for j := range leafCF {
-		leafCF[j] = 0
-	}
-	for _, plan := range plans {
-		for j := range leafCF {
-			leafCF[j] += plan.LocalCF(j)
-		}
-	}
-	stats := &search.Stats{TotalTokens: s.globalTokens, LeafCF: leafCF}
-
-	locals := sc.locals
-	if err := s.eachShard(concurrent, func(i int) error {
-		rs, err := s.systems[i].Engine.SearchPlan(plans[i], k, stats)
-		if err != nil {
-			return err
-		}
-		if dm := s.docMaps[i]; dm != nil {
-			for j := range rs {
-				rs[j].Doc = dm[rs[j].Doc]
-			}
-		}
-		locals[i] = rs
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return mergeRanked(locals, k, sc.cursors), nil
-}
-
-// eachShard runs fn over every shard index, concurrently when asked, and
-// returns the first error in shard order.
-func (s *Set) eachShard(concurrent bool, fn func(i int) error) error {
-	n := len(s.systems)
-	if !concurrent || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergeRanked merges the per-shard rankings into the global top k.
-// The algorithm lives in search.MergeRankedScratch, shared with the
-// live runtime's base+delta merge; cursors is caller-provided scratch
-// of at least len(locals).
-func mergeRanked(locals [][]search.Result, k int, cursors []int) []search.Result {
-	return search.MergeRankedScratch(nil, locals, k, cursors)
-}
-
-// MergeRanked merges per-shard rankings — each ordered by (score desc,
-// global doc asc) — into the global top k, exactly like the in-process
-// scatter-gather path. Exported for the network coordinator
-// (querygraph.Remote), whose remote shards return rankings of the same
-// shape; sharing the merge is what keeps the two runtimes bit-identical.
-func MergeRanked(locals [][]search.Result, k int) []search.Result {
-	return search.MergeRanked(locals, k)
-}
-
-// Expand runs the online expansion pipeline once on the replicated graph
-// (shard 0), through shard 0's memoizing single-flight cache. The graph
-// is identical in every shard, so this is bit-identical to the
-// single-system expansion.
-func (s *Set) Expand(ctx context.Context, keywords string, opts core.ExpanderOptions) (*core.Expansion, error) {
-	return s.systems[0].Expand(ctx, keywords, opts)
-}
-
-// ExpandOutcome is Expand plus the per-request cache outcome, for the
-// instrumented public facade.
-func (s *Set) ExpandOutcome(ctx context.Context, keywords string, opts core.ExpanderOptions) (*core.Expansion, core.CacheOutcome, error) {
-	return s.systems[0].ExpandOutcome(ctx, keywords, opts)
-}
-
-// ExpandAll is the batch form of Expand, on shard 0's batch layer.
-func (s *Set) ExpandAll(ctx context.Context, keywords []string, eopts core.ExpanderOptions, opts core.BatchOptions) ([]*core.Expansion, error) {
-	return s.systems[0].ExpandAll(ctx, keywords, eopts, opts)
-}
-
-// ExpandCacheStats reports shard 0's expansion cache counters.
-func (s *Set) ExpandCacheStats() core.CacheStats {
-	return s.systems[0].ExpandCacheStats()
 }

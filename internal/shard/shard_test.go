@@ -194,7 +194,7 @@ func TestWriteShardsLoadSearchEquivalence(t *testing.T) {
 			t.Fatalf("query %q: sharded ranking diverged\ngot  %+v\nwant %+v", q.Keywords, got, want)
 		}
 
-		exp, err := set.Expand(ctx, q.Keywords, core.DefaultExpanderOptions())
+		exp, err := set.Systems()[0].Expand(ctx, q.Keywords, core.DefaultExpanderOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"github.com/querygraph/querygraph/internal/core"
-	"github.com/querygraph/querygraph/internal/corpus"
-	"github.com/querygraph/querygraph/internal/index"
 	"github.com/querygraph/querygraph/internal/live"
-	"github.com/querygraph/querygraph/internal/store"
+	"github.com/querygraph/querygraph/internal/shard"
 )
 
 // IngestStats reports the outcome of one Backend.Ingest call.
@@ -61,162 +59,150 @@ func liveConfigOf(sys *core.System) live.Config {
 	}
 }
 
-// mergedArchive is the cold-rebuild form of a client state with a
-// non-empty delta: the base collection extended by the delta documents
-// (renumbered into the global id space they already occupy when served)
-// and the merged positional index. Compact, Save and SaveShards all feed
-// from it, so the compacted artifact is the one a from-scratch build over
-// the same documents would produce.
-func mergedArchive(st *clientState, queries []Query) (*store.Archive, error) {
-	base := st.sys.Collection.Docs()
-	docs := make([]corpus.Document, 0, len(base)+st.delta.NumDocs())
-	docs = append(docs, base...)
-	for _, d := range st.delta.Docs() {
-		d.ID = corpus.DocID(len(docs))
-		docs = append(docs, d)
-	}
-	coll, err := corpus.LoadCollection(docs)
-	if err != nil {
-		return nil, err
-	}
-	arch := st.sys.Archive(queries)
-	arch.Collection = coll
-	arch.Index = index.Merge(st.sys.Engine.Index(), st.delta.Index())
-	return arch, nil
-}
-
-// Ingest appends documents to the client's in-memory delta segment; they
-// are searchable by the time the call returns — scored under merged
-// base+delta collection statistics, bit-identical to a rebuilt index —
-// and survive into the next compaction. The batch is atomic: a duplicate
-// external id (against base and delta alike) or a segment past its
-// capacity (WithDeltaCapacity) admits nothing. docs is not retained.
-func (c *Client) Ingest(ctx context.Context, docs []Document) (IngestStats, error) {
+// Ingest appends documents to the in-memory delta segment; they are
+// searchable by the time the call returns — one more source of the
+// scatter, scored under merged base+delta collection statistics,
+// bit-identical to a rebuilt (and, on a Pool, re-partitioned) index — and
+// survive into the next compaction. The batch is atomic: a duplicate
+// external id (against every shard and the segment itself) or a segment
+// past its capacity (WithDeltaCapacity) admits nothing. docs is not
+// retained.
+func (rt *localRuntime) Ingest(ctx context.Context, docs []Document) (IngestStats, error) {
 	start := time.Now()
-	st, err := c.ingest(ctx, docs)
-	c.obs.ingest(start, len(docs), st.DeltaDocs, c.shardCount(), err)
+	st, shards, err := rt.ingest(ctx, docs)
+	rt.cfg.obs.ingest(start, len(docs), st.DeltaDocs, shards, err)
 	return st, err
 }
 
-func (c *Client) ingest(ctx context.Context, docs []Document) (IngestStats, error) {
-	if err := c.ready(ctx); err != nil {
-		return IngestStats{}, err
+func (rt *localRuntime) ingest(ctx context.Context, docs []Document) (IngestStats, int, error) {
+	if err := ctx.Err(); err != nil {
+		return IngestStats{}, 0, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return IngestStats{}, ErrClosed
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	g := rt.gen.Load()
+	if g == nil {
+		return IngestStats{}, 0, ErrClosed
 	}
-	cur := c.cur()
+	set, cur, shards := g.set, g.set.Delta(), g.set.NumShards()
 	out := IngestStats{
-		DeltaDocs:  cur.delta.NumDocs(),
-		DeltaBytes: cur.delta.Bytes(),
-		Generation: cur.gen,
+		DeltaDocs:  cur.NumDocs(),
+		DeltaBytes: cur.Bytes(),
+		Generation: g.seq,
 	}
 	if len(docs) == 0 {
-		return out, nil
+		return out, shards, nil
 	}
-	if held := cur.delta.NumDocs(); held+len(docs) > c.deltaCap {
-		return out, fmt.Errorf("%w: %d held + %d submitted exceeds capacity %d",
-			ErrDeltaFull, held, len(docs), c.deltaCap)
+	if held, limit := cur.NumDocs(), rt.cfg.deltaCapacity(); held+len(docs) > limit {
+		return out, shards, fmt.Errorf("%w: %d held + %d submitted exceeds capacity %d",
+			ErrDeltaFull, held, len(docs), limit)
 	}
 	for _, d := range docs {
 		if d.ID == "" {
 			continue
 		}
-		if _, ok := cur.sys.Collection.ByExternalID(d.ID); ok {
-			return out, fmt.Errorf("%w: duplicate external id %q", ErrInvalidOptions, d.ID)
+		for _, sys := range set.Systems() {
+			if _, ok := sys.Collection.ByExternalID(d.ID); ok {
+				return out, shards, fmt.Errorf("%w: duplicate external id %q", ErrInvalidOptions, d.ID)
+			}
 		}
 	}
-	next, err := live.Append(cur.delta, liveConfigOf(cur.sys), cur.sys.Collection.Len(), docs)
+	next, err := live.Append(cur, liveConfigOf(g.sys()), set.GlobalDocs(), docs)
 	if err != nil {
-		return out, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		return out, shards, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
-	c.st.Store(&clientState{sys: cur.sys, delta: next, gen: cur.gen})
-	c.maybeAutoCompactLocked(next.NumDocs())
+	rt.swapLocked(newPoolGeneration(set.WithDelta(next), g.seq))
+	rt.maybeAutoCompactLocked(next.NumDocs())
 	return IngestStats{
 		Ingested:   len(docs),
 		DeltaDocs:  next.NumDocs(),
 		DeltaBytes: next.Bytes(),
-		Generation: cur.gen,
-	}, nil
+		Generation: g.seq,
+	}, shards, nil
 }
 
 // Compact folds the delta segment into a fresh base generation — the
-// merged collection and index a cold rebuild would produce — and swaps it
-// in with zero downtime: requests that pinned the old state finish on it,
-// new requests see the compacted one, and search results are identical
-// before and after. An empty delta is a successful no-op with the
-// generation unchanged; a real compaction advances it and starts the
-// expansion cache cold (the knowledge graph is untouched, so cached
-// expansions are merely recomputed, never wrong).
-func (c *Client) Compact(ctx context.Context) (CompactStats, error) {
+// collection and index a cold rebuild would produce; on a Pool, each
+// shard's snapshot extended with its hash-share of the delta documents,
+// exactly the partition a full re-shard of the merged corpus produces,
+// republished through the manifest — and swaps it in with zero downtime:
+// requests pinned to the old generation finish on it, new requests see
+// the compacted one, and search results are identical before and after.
+// An empty delta is a successful no-op with the generation unchanged; a
+// real compaction advances it and starts the expansion cache cold (the
+// knowledge graph is untouched, so cached expansions are merely
+// recomputed, never wrong).
+func (rt *localRuntime) Compact(ctx context.Context) (CompactStats, error) {
 	start := time.Now()
-	cs, err := c.compactState(ctx)
-	c.obs.compact(start, cs.Compacted, cs.Generation, c.shardCount(), err)
+	cs, shards, err := rt.compact(ctx)
+	rt.cfg.obs.compact(start, cs.Compacted, cs.Generation, shards, err)
 	return cs, err
 }
 
-func (c *Client) compactState(ctx context.Context) (CompactStats, error) {
-	if err := c.ready(ctx); err != nil {
-		return CompactStats{}, err
+func (rt *localRuntime) compact(ctx context.Context) (CompactStats, int, error) {
+	if err := ctx.Err(); err != nil {
+		return CompactStats{}, 0, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.compactLocked()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.compactLocked()
 }
 
-// compactLocked does the fold-and-swap; callers hold mu.
+// compactLocked does the fold, republish (see republish) and swap;
+// callers hold mu. Any failure leaves the old generation, and its delta,
+// serving untouched.
 //
 //qlint:locked mu
-func (c *Client) compactLocked() (CompactStats, error) {
-	if c.closed.Load() {
-		return CompactStats{}, ErrClosed
+func (rt *localRuntime) compactLocked() (CompactStats, int, error) {
+	g := rt.gen.Load()
+	if g == nil {
+		return CompactStats{}, 0, ErrClosed
 	}
-	cur := c.cur()
-	if cur.delta.NumDocs() == 0 {
-		return CompactStats{Documents: cur.sys.Collection.Len(), Generation: cur.gen}, nil
+	shards, delta := g.set.NumShards(), g.set.Delta()
+	if delta.NumDocs() == 0 {
+		return CompactStats{Documents: g.set.GlobalDocs(), Generation: g.seq}, shards, nil
 	}
-	arch, err := mergedArchive(cur, c.queries)
+	var set *shard.Set
+	archives, err := shard.Fold(g.set, delta)
+	if err == nil {
+		set, err = rt.republish(archives)
+	}
 	if err != nil {
-		return CompactStats{Generation: cur.gen}, err
+		return CompactStats{Generation: g.seq}, shards, err
 	}
-	sys, _, err := core.SystemFromArchive(arch, c.sysOpts...)
-	if err != nil {
-		return CompactStats{Generation: cur.gen}, err
-	}
-	next := &clientState{sys: sys, gen: cur.gen + 1}
-	c.st.Store(next)
-	c.compactions.Add(1)
+	rt.swapLocked(newPoolGeneration(set, g.seq+1))
+	rt.compactions.Add(1)
 	return CompactStats{
-		Compacted:  cur.delta.NumDocs(),
-		Documents:  sys.Collection.Len(),
-		Generation: next.gen,
-	}, nil
+		Compacted:  delta.NumDocs(),
+		Documents:  set.GlobalDocs(),
+		Generation: g.seq + 1,
+	}, set.NumShards(), nil
 }
 
 // maybeAutoCompactLocked launches one background compaction when the
 // segment has reached the WithAutoCompact threshold; at most one runs at
-// a time and the triggering Ingest returns immediately. Callers hold mu.
+// a time and the triggering Ingest returns immediately — searches keep
+// being served from base+delta until the new generation swaps in.
+// Callers hold mu.
 //
 //qlint:locked mu
-func (c *Client) maybeAutoCompactLocked(deltaDocs int) {
-	if c.autoCompact <= 0 || deltaDocs < c.autoCompact {
+func (rt *localRuntime) maybeAutoCompactLocked(deltaDocs int) {
+	if rt.cfg.autoCompact <= 0 || deltaDocs < rt.cfg.autoCompact {
 		return
 	}
-	if !c.compacting.CompareAndSwap(false, true) {
+	if !rt.compacting.CompareAndSwap(false, true) {
 		return
 	}
-	c.bg.Add(1)
+	rt.bg.Add(1)
 	go func() {
-		defer c.bg.Done()
-		defer c.compacting.Store(false)
+		defer rt.bg.Done()
+		defer rt.compacting.Store(false)
 		start := time.Now()
-		cs, err := func() (CompactStats, error) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return c.compactLocked()
+		cs, shards, err := func() (CompactStats, int, error) {
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			return rt.compactLocked()
 		}()
-		c.obs.compact(start, cs.Compacted, cs.Generation, c.shardCount(), err)
+		rt.cfg.obs.compact(start, cs.Compacted, cs.Generation, shards, err)
 	}()
 }

@@ -174,6 +174,80 @@ func TestLiveIngestMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestEvaluateSearchesDelta pins that Client.Evaluate retrieves through
+// the pinned serving generation like every other method: after ingesting
+// documents that match an article title, its ranked ids are exactly
+// Search's for the same title query — delta documents included — and a
+// Compact moves neither.
+func TestEvaluateSearchesDelta(t *testing.T) {
+	ctx := context.Background()
+	_, base, _ := liveSplit(t, 3, 0.6)
+	client, err := Build(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	q := client.Queries()[0]
+	entities := client.Link(q.Keywords)
+	if len(entities) == 0 {
+		t.Fatalf("query %q links no article", q.Keywords)
+	}
+	articles := make([]NodeID, len(entities))
+	titleQuery := "#combine("
+	for i, e := range entities {
+		articles[i] = e.ID
+		titleQuery += " #1(" + e.Title + ")"
+	}
+	titleQuery += " )"
+
+	baseDocs := client.Stats().Documents
+	docs := make([]Document, 3)
+	for i := range docs {
+		docs[i] = Document{
+			Name:  fmt.Sprintf("evaluate-%d.jpg", i),
+			Texts: []DocumentText{{Lang: "en", Description: entities[0].Title + " " + entities[0].Title}},
+		}
+	}
+	if _, err := client.Ingest(ctx, docs); err != nil {
+		t.Fatal(err)
+	}
+
+	var before []int32
+	for _, stage := range []string{"with delta", "after compact"} {
+		rs, err := client.Search(ctx, titleQuery, MaxRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int32, len(rs))
+		ingested := 0
+		for i, r := range rs {
+			want[i] = r.Doc
+			if int(r.Doc) >= baseDocs {
+				ingested++
+			}
+		}
+		if ingested == 0 {
+			t.Fatalf("%s: no ingested document in the top %d of %q; the test has no teeth", stage, MaxRank, titleQuery)
+		}
+		_, ranked, err := client.Evaluate(ctx, q.Keywords, articles, q.Relevant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ranked, want) {
+			t.Fatalf("%s: Evaluate ranked %v, Search of the same title query %v", stage, ranked, want)
+		}
+		if before != nil && !reflect.DeepEqual(ranked, before) {
+			t.Fatalf("Evaluate moved at Compact: %v, then %v", before, ranked)
+		}
+		before = ranked
+		if cs, err := client.Compact(ctx); err != nil {
+			t.Fatal(err)
+		} else if stage == "with delta" && cs.Compacted != len(docs) {
+			t.Fatalf("compacted %d documents, want %d", cs.Compacted, len(docs))
+		}
+	}
+}
+
 // TestLiveIngestBatchAtomic pins the all-or-nothing batch contract: a
 // batch with a duplicate external id admits nothing, and a batch past
 // the capacity answers ErrDeltaFull with the segment unchanged.

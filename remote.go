@@ -12,7 +12,7 @@ import (
 
 	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/rpc"
-	"github.com/querygraph/querygraph/internal/shard"
+	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/trace"
 )
 
@@ -597,7 +597,7 @@ func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int) (rs []Res
 			merged = append(merged, locals[i])
 		}
 	}
-	rs = shard.MergeRanked(merged, k)
+	rs = search.MergeRankedScratch(nil, merged, k, make([]int, len(merged)))
 	tr.Span("merge", mergeStart, "")
 	return rs, true, dropped, nil
 }

@@ -1,0 +1,515 @@
+package querygraph
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/querygraph/querygraph/internal/core"
+	"github.com/querygraph/querygraph/internal/search"
+	"github.com/querygraph/querygraph/internal/shard"
+	"github.com/querygraph/querygraph/internal/store"
+	"github.com/querygraph/querygraph/internal/trace"
+)
+
+// localRuntime is the one in-process serving runtime, embedded by both
+// exported handles: a generation-pinned *shard.Set — N hash partitions
+// for a Pool, the Set of one unsharded system for a Client — with the
+// live delta riding inside the Set, so every Backend method, the write
+// path (live.go) and the ctx/closed/observe/trace wrappers exist once.
+// Readers pin one immutable generation per request, lock-free; writers
+// (Ingest, Compact, Reload, Close) serialize on mu and swap whole
+// generations, so a request never observes a half-applied write, and a
+// retired generation drains before it is released to the collector.
+//
+//qlint:serving
+//qlint:observed
+type localRuntime struct {
+	// gen is the serving generation; nil once closed. The serving path
+	// loads it lock-free; every store happens under mu (enforced by the
+	// atomicguard analyzer).
+	//
+	//qlint:guarded-by mu
+	gen atomic.Pointer[poolGeneration]
+
+	// mu serializes the write path; the serving path never takes it.
+	mu  sync.Mutex
+	cfg clientConfig
+	// manifestPath is the shard manifest the runtime was opened from and
+	// republishes compacted generations through (Reload may repoint it);
+	// "" means the artifact lives in memory — a Client.
+	manifestPath string
+	// final is the last generation an in-memory runtime served, kept at
+	// Close so a Client's accessors keep answering (see view).
+	final atomic.Pointer[poolGeneration]
+
+	// Live-index lifecycle: completed-compaction count, the single-flight
+	// guard of the background compactor, and the wait group Close blocks
+	// on so no compaction goroutine outlives the handle.
+	compactions atomic.Uint64
+	compacting  atomic.Bool
+	bg          sync.WaitGroup
+}
+
+// poolGeneration is one immutable serving state — a base Set plus the
+// delta segment above it — and its lifecycle. seq is the compaction/
+// reload generation (an Ingest republishes the same seq with a longer
+// delta). refs starts at 1 — the runtime's own reference, dropped when
+// the generation is retired — so the count can only reach zero after
+// retirement, at which point drained closes exactly once.
+type poolGeneration struct {
+	set *shard.Set
+	seq uint64
+
+	refs      atomic.Int64
+	retired   atomic.Bool
+	drained   chan struct{}
+	drainOnce sync.Once
+}
+
+func newPoolGeneration(set *shard.Set, seq uint64) *poolGeneration {
+	g := &poolGeneration{set: set, seq: seq, drained: make(chan struct{})}
+	g.refs.Store(1)
+	return g
+}
+
+func (g *poolGeneration) release() {
+	if g.refs.Add(-1) == 0 && g.retired.Load() {
+		g.drainOnce.Do(func() { close(g.drained) })
+	}
+}
+
+// retire marks the generation as superseded and drops the runtime's own
+// reference; drained closes once the last in-flight request releases.
+func (g *poolGeneration) retire() {
+	g.retired.Store(true)
+	g.release()
+}
+
+// sys is the system expansion, linking and titles run on: shard 0, whose
+// knowledge graph is replicated into every shard.
+func (g *poolGeneration) sys() *core.System { return g.set.Systems()[0] }
+
+// start publishes the first generation of a freshly constructed handle.
+func (rt *localRuntime) start(set *shard.Set, cfg clientConfig, manifestPath string) {
+	rt.cfg, rt.manifestPath = cfg, manifestPath
+	rt.gen.Store(newPoolGeneration(set, 1)) //qlint:ignore atomicguard constructor: rt has not escaped, no concurrent writer exists yet
+}
+
+// swapLocked publishes next and retires the generation it supersedes.
+//
+//qlint:locked mu
+func (rt *localRuntime) swapLocked(next *poolGeneration) {
+	rt.gen.Swap(next).retire()
+}
+
+// Close retires the handle: in-flight requests drain (Close blocks until
+// the last one releases), and every later query-path call returns
+// ErrClosed. Close is idempotent — a second call returns nil immediately
+// — and safe concurrently with the serving and write paths. Afterwards a
+// Pool's accessors (NumShards, Generation, Queries, Title, Link, Stats,
+// CacheStats) return zero values, while a Client's cheap in-memory
+// accessors keep answering from the last state it served, minus the
+// expansion cache's entries, which Close releases.
+func (rt *localRuntime) Close() error {
+	rt.mu.Lock()
+	old := rt.gen.Load()
+	if old != nil && rt.manifestPath == "" {
+		rt.final.Store(old) // before the swap: view must never see neither
+	}
+	rt.gen.Swap(nil)
+	rt.mu.Unlock()
+	if old == nil {
+		return nil
+	}
+	// An in-flight background compaction finds the nil generation under
+	// mu and bails; wait it out so Close leaves no goroutine behind.
+	rt.bg.Wait()
+	old.retire()
+	<-old.drained
+	old.sys().PurgeExpandCache()
+	return nil
+}
+
+// acquire pins the current generation for one request; it fails with
+// ErrClosed once Close has swapped the generation out. The retry loop
+// closes the swap race: after incrementing refs we re-check that the
+// generation is still current — if it is, the runtime's own reference had
+// not been dropped when we incremented (atomic operations are totally
+// ordered), so the count can not have touched zero and the generation is
+// safely pinned; if it is not (a writer swapped in a newer generation, or
+// Close swapped in nil), we release and retry on whatever is current.
+func (rt *localRuntime) acquire() (*poolGeneration, error) {
+	for {
+		g := rt.gen.Load()
+		if g == nil {
+			return nil, ErrClosed
+		}
+		g.refs.Add(1)
+		if rt.gen.Load() == g {
+			return g, nil
+		}
+		g.release()
+	}
+}
+
+// pin gates every request: a dead context fails with ctx.Err() and a
+// closed handle with ErrClosed before any pipeline work; otherwise the
+// current generation is pinned until the caller's deferred release.
+func (rt *localRuntime) pin(ctx context.Context) (*poolGeneration, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return rt.acquire()
+}
+
+// view is the generation the non-erroring accessors answer from: the
+// serving one, else the one a Client kept at Close, else nil (a closed
+// Pool). Generations are immutable, so accessors read without pinning.
+func (rt *localRuntime) view() *poolGeneration {
+	if g := rt.gen.Load(); g != nil {
+		return g
+	}
+	return rt.final.Load()
+}
+
+// republish turns a compaction's folded archives into the next serving
+// Set, the one policy the opened artifact fixes: a manifest-backed
+// runtime writes the shards, republishes the manifest atomically and
+// loads the generation back from the bytes just written — the read path
+// Reload exercises, so a compacted snapshot that would not serve is
+// rejected with the old generation still serving — while an in-memory
+// runtime assembles the system straight from the one folded archive.
+func (rt *localRuntime) republish(archives []*store.Archive) (*shard.Set, error) {
+	if rt.manifestPath == "" {
+		sys, queries, err := core.SystemFromArchive(archives[0], rt.cfg.sys...)
+		if err != nil {
+			return nil, err
+		}
+		return shard.Single(sys, queries), nil
+	}
+	if _, err := shard.WriteArchives(rt.manifestPath, archives); err != nil {
+		return nil, err
+	}
+	set, err := shard.Load(rt.manifestPath, rt.cfg.sys...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
+	}
+	return set, nil
+}
+
+// Search parses the INDRI-style query text (bare keywords, #combine,
+// #weight, #1 exact phrases) and returns the top k documents by descending
+// Dirichlet-smoothed query likelihood (ties broken by ascending doc id;
+// k <= 0 ranks every candidate; no match returns an empty non-nil slice).
+// On a Pool the query scatters to every shard, scores under global
+// statistics and merges to the global top k — the same ranking, bit for
+// bit. A done ctx returns ctx.Err() without searching.
+func (rt *localRuntime) Search(ctx context.Context, query string, k int) ([]Result, error) {
+	start := time.Now()
+	rs, shards, err := rt.searchText(ctx, query, k, nil)
+	rt.cfg.obs.search(start, k, shards, false, err)
+	return rs, err
+}
+
+// SearchInto is Search scoring straight into dst's storage (dst may be
+// nil). At steady state — the query's parsed plan already in the engine's
+// memoized cache, dst recycled by the caller — a Client allocates
+// nothing: parse, postings planning, scoring scratch and the top-k heap
+// all come from pools. A multi-shard Pool pays only what its concurrent
+// fan-out costs, independent of k and of the query's length. Neither
+// query nor dst is retained beyond the call.
+func (rt *localRuntime) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
+	start := time.Now()
+	rs, shards, err := rt.searchText(ctx, query, k, dst)
+	rt.cfg.obs.search(start, k, shards, false, err)
+	return rs, err
+}
+
+func (rt *localRuntime) searchText(ctx context.Context, query string, k int, dst []Result) ([]Result, int, error) {
+	g, err := rt.pin(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer g.release()
+	shards := g.set.NumShards()
+	// Untraced requests — the pinned 0 allocs/op path — skip the clock
+	// reads; Span on a nil trace is a no-op.
+	tr := trace.FromContext(ctx)
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	leaves, err := g.set.LeavesForQuery(query)
+	if err != nil {
+		tr.Span("parse", t0, "invalid_query")
+		return nil, shards, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+	}
+	tr.Span("parse", t0, "")
+	if tr != nil {
+		t0 = time.Now()
+	}
+	rs, err := g.set.SearchLeaves(leaves, k, dst)
+	tr.Span("search", t0, ErrorClass(err))
+	return rs, shards, err
+}
+
+// SearchAll evaluates a batch of query texts on a bounded worker pool and
+// returns the per-query rankings in input order. All queries are parsed up
+// front (the first syntax error aborts the batch with ErrInvalidQuery);
+// cancelling ctx stops scheduling the remaining queries and returns
+// ctx.Err(). The whole batch runs on the generation current at call time,
+// even if an ingest, compaction or reload lands mid-batch.
+func (rt *localRuntime) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
+	start := time.Now()
+	rss, shards, err := rt.searchAll(ctx, queries, k, opts)
+	rt.cfg.obs.batch(start, BatchSearch, len(queries), k, shards, err)
+	return rss, err
+}
+
+func (rt *localRuntime) searchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, int, error) {
+	g, err := rt.pin(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer g.release()
+	nodes := make([]search.Node, len(queries))
+	for i, q := range queries {
+		if nodes[i], err = g.set.Parse(q); err != nil {
+			return nil, g.set.NumShards(), fmt.Errorf("query %d: %w: %v", i, ErrInvalidQuery, err)
+		}
+	}
+	rss, err := g.set.SearchAll(ctx, nodes, k, opts)
+	return rss, g.set.NumShards(), err
+}
+
+// Expand runs the online cycle-based expansion pipeline of the paper's
+// conclusions for one keyword query: entity-link the keywords, induce the
+// Wikipedia neighborhood, mine cycles, keep the structurally promising
+// ones (dense, category ratio around 30% by default) and rank the articles
+// they introduce. Options override the paper-tuned defaults; invalid
+// values return an error wrapping ErrInvalidOptions. On a Pool the
+// pipeline runs once, on the replicated graph, not per shard.
+//
+// Results are memoized in a sharded single-flight LRU cache that lives
+// with the serving generation; the returned Expansion may be shared with
+// other callers and must be treated as read-only. A done ctx returns
+// ctx.Err() without touching pipeline or cache; a ctx that dies while
+// another caller's identical call is in flight abandons the wait (that
+// caller still completes and populates the cache).
+func (rt *localRuntime) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
+	start := time.Now()
+	exp, outcome, shards, err := rt.expand(ctx, keywords, opts)
+	rt.cfg.obs.expand(start, outcome, exp, shards, err)
+	return exp, err
+}
+
+func (rt *localRuntime) expand(ctx context.Context, keywords string, opts []ExpandOption) (*Expansion, CacheOutcome, int, error) {
+	g, err := rt.pin(ctx)
+	if err != nil {
+		return nil, CacheBypass, 0, err
+	}
+	defer g.release()
+	shards := g.set.NumShards()
+	eopts, err := normalizeExpandOptions(opts)
+	if err != nil {
+		return nil, CacheBypass, shards, err
+	}
+	start := time.Now()
+	exp, outcome, err := g.sys().ExpandOutcome(ctx, keywords, eopts)
+	if tr := trace.FromContext(ctx); tr != nil {
+		// The cache outcome of the expand lookup rides in the span detail.
+		tr.Add("expand", start, -1, 0, false, ErrorClass(err), outcome.String())
+	}
+	return exp, outcome, shards, err
+}
+
+// ExpandAll runs Expand for every keyword query on a bounded worker pool
+// and returns the expansions in input order. Repeated keywords are served
+// from the expansion cache and concurrent duplicates are single-flighted.
+// Cancelling ctx stops scheduling and returns ctx.Err().
+func (rt *localRuntime) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
+	start := time.Now()
+	exps, shards, err := rt.expandAll(ctx, keywords, bopts, opts)
+	rt.cfg.obs.batch(start, BatchExpand, len(keywords), 0, shards, err)
+	return exps, err
+}
+
+func (rt *localRuntime) expandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts []ExpandOption) ([]*Expansion, int, error) {
+	g, err := rt.pin(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer g.release()
+	eopts, err := normalizeExpandOptions(opts)
+	if err != nil {
+		return nil, g.set.NumShards(), err
+	}
+	exps, err := g.sys().ExpandAll(ctx, keywords, eopts, bopts)
+	return exps, g.set.NumShards(), err
+}
+
+// SearchExpansion evaluates an expansion end to end: it writes the
+// expanded title query (exact phrases for the query entities and every
+// feature) once, on the replicated graph, and returns the top k
+// documents. ok reports whether the expansion had anything to search for
+// (entities, features or keywords); it stays true when the search itself
+// fails, so err alone signals failure.
+func (rt *localRuntime) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
+	start := time.Now()
+	rs, ok, shards, err := rt.searchExpansion(ctx, exp, k)
+	rt.cfg.obs.search(start, k, shards, true, err)
+	return rs, ok, err
+}
+
+func (rt *localRuntime) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]Result, bool, int, error) {
+	g, err := rt.pin(ctx)
+	if err != nil {
+		return nil, false, 0, err
+	}
+	defer g.release()
+	node, ok := g.set.ExpansionQuery(exp)
+	if !ok {
+		return nil, false, g.set.NumShards(), nil
+	}
+	rs, err := g.set.Search(ctx, node, k)
+	return rs, true, g.set.NumShards(), err
+}
+
+// SearchExpansions evaluates a batch of expansions on a bounded worker
+// pool, returning the per-expansion rankings in input order. Expansions
+// with nothing to search for yield a nil ranking. Cancelling ctx stops
+// scheduling and returns ctx.Err().
+func (rt *localRuntime) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
+	start := time.Now()
+	rss, shards, err := rt.searchExpansions(ctx, exps, k, opts)
+	rt.cfg.obs.batch(start, BatchSearchExpansions, len(exps), k, shards, err)
+	return rss, err
+}
+
+func (rt *localRuntime) searchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, int, error) {
+	g, err := rt.pin(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer g.release()
+	at := make([]int, 0, len(exps)) // at[j] = input index of searchable expansion j
+	nodes := make([]search.Node, 0, len(exps))
+	for i, exp := range exps {
+		if node, ok := g.set.ExpansionQuery(exp); ok {
+			at, nodes = append(at, i), append(nodes, node)
+		}
+	}
+	rss, err := g.set.SearchAll(ctx, nodes, k, opts)
+	if err != nil {
+		return nil, g.set.NumShards(), err
+	}
+	out := make([][]Result, len(exps))
+	for j, i := range at {
+		out[i] = rss[j]
+	}
+	return out, g.set.NumShards(), nil
+}
+
+// Entity is one knowledge-base article a query mentions.
+type Entity struct {
+	ID    NodeID `json:"id"`
+	Title string `json:"title"`
+}
+
+// Link computes L(q.k): the main articles the keywords mention, by
+// largest-substring entity linking with redirect synonyms (nil on a
+// closed Pool).
+func (rt *localRuntime) Link(keywords string) []Entity {
+	g := rt.view()
+	if g == nil {
+		return nil
+	}
+	sys := g.sys()
+	ids := sys.LinkKeywords(keywords)
+	out := make([]Entity, len(ids))
+	for i, id := range ids {
+		out[i] = Entity{ID: id, Title: sys.Snapshot.Name(id)}
+	}
+	return out
+}
+
+// Title returns the display title of a knowledge-base node ("" on a
+// closed Pool).
+func (rt *localRuntime) Title(id NodeID) string {
+	g := rt.view()
+	if g == nil {
+		return ""
+	}
+	return g.sys().Snapshot.Name(id)
+}
+
+// Queries returns the loaded query benchmark (empty when the snapshot
+// carried none; nil on a closed Pool).
+func (rt *localRuntime) Queries() []Query {
+	g := rt.view()
+	if g == nil {
+		return nil
+	}
+	return append([]Query{}, g.set.Queries()...)
+}
+
+// Stats summarizes the serving state: knowledge-base shape, corpus size
+// (the base generation, global across shards; delta documents are
+// reported separately), benchmark size, the live delta segment and the
+// expansion cache counters.
+type Stats struct {
+	Articles   int `json:"articles"`
+	Redirects  int `json:"redirects"`
+	Categories int `json:"categories"`
+	Links      int `json:"links"`
+
+	Documents        int `json:"documents"`
+	BenchmarkQueries int `json:"benchmark_queries"`
+
+	Delta DeltaStats `json:"delta"`
+
+	Cache CacheStats `json:"cache"`
+}
+
+// Stats reports the serving-state summary of the current generation
+// (zero on a closed Pool).
+func (rt *localRuntime) Stats() Stats {
+	if g := rt.view(); g != nil {
+		return rt.statsOf(g)
+	}
+	return Stats{}
+}
+
+func (rt *localRuntime) statsOf(g *poolGeneration) Stats {
+	kb, delta := g.sys().Snapshot.Stats(), g.set.Delta()
+	return Stats{
+		Articles:         kb.Articles,
+		Redirects:        kb.Redirects,
+		Categories:       kb.Categories,
+		Links:            kb.Links,
+		Documents:        g.set.GlobalDocs(),
+		BenchmarkQueries: len(g.set.Queries()),
+		Delta: DeltaStats{
+			Documents:    delta.NumDocs(),
+			PendingBytes: delta.Bytes(),
+			Generation:   g.seq,
+			Compactions:  rt.compactions.Load(),
+		},
+		Cache: g.sys().ExpandCacheStats(),
+	}
+}
+
+// CacheStats reports the expansion cache's hit/miss/single-flight
+// counters and occupancy (all zero when the cache is disabled, or on a
+// closed Pool). The cache lives with the generation, so a compaction or
+// reload starts it cold.
+func (rt *localRuntime) CacheStats() CacheStats {
+	g := rt.view()
+	if g == nil {
+		return CacheStats{}
+	}
+	return g.sys().ExpandCacheStats()
+}

@@ -48,6 +48,11 @@ fi
 step "go test"
 go test -shuffle=on ./...
 
+# bench/ is a nested module root ./... skips; it imports internal/... by
+# path, so a pruned symbol the harness uses has to fail here.
+step "bench harness (nested module: vet + test)"
+(cd bench && go vet . && go test .)
+
 step "flake smoke (close/reload lifecycle, -count=2)"
 go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
 
