@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"github.com/querygraph/querygraph/internal/core"
-	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/groundtruth"
 )
@@ -169,37 +168,23 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([
 	if maxLen <= 0 {
 		maxLen = 5
 	}
-	snap := g.sys().Snapshot
-	sub := gt.Graph.Sub
-	var seeds []NodeID
-	for _, qa := range gt.QueryArticles {
-		if sid, ok := sub.ToSub[qa]; ok {
-			seeds = append(seeds, sid)
-		}
-	}
-	cs, err := cycles.Enumerate(sub.Graph, seeds, maxLen, graph.ExcludeRedirects)
-	if err != nil {
-		return nil, fmt.Errorf("querygraph: mine cycles: %w", err)
-	}
-	out := make([]Cycle, 0, len(cs))
-	for _, cy := range cs {
-		m, err := cycles.Measure(sub.Graph, cy, graph.ExcludeRedirects)
+	snap, sub := g.sys().Snapshot, gt.Graph.Sub
+	out := []Cycle{}
+	for mc, err := range core.MineCycles(sub, gt.QueryArticles, maxLen) {
 		if err != nil {
 			return nil, fmt.Errorf("querygraph: mine cycles: %w", err)
 		}
 		info := Cycle{
-			Length:           m.Length,
-			Titles:           make([]string, len(cy.Nodes)),
-			IsCategory:       make([]bool, len(cy.Nodes)),
-			CategoryRatio:    m.CategoryRatio,
-			ExtraEdgeDensity: m.ExtraEdgeDensity,
+			Length:           mc.Metrics.Length,
+			Titles:           make([]string, len(mc.Cycle.Nodes)),
+			IsCategory:       make([]bool, len(mc.Cycle.Nodes)),
+			Articles:         mc.Articles,
+			CategoryRatio:    mc.Metrics.CategoryRatio,
+			ExtraEdgeDensity: mc.Metrics.ExtraEdgeDensity,
 		}
-		for i, n := range cy.Nodes {
-			info.Titles[i] = snap.Name(sub.ToParent[n])
-			info.IsCategory[i] = sub.Kind(n) == graph.Category
-		}
-		for _, n := range cycles.ArticlesOf(sub.Graph, cy) {
-			info.Articles = append(info.Articles, sub.ToParent[n])
+		for j, n := range mc.Cycle.Nodes {
+			info.Titles[j] = snap.Name(sub.ToParent[n])
+			info.IsCategory[j] = sub.Kind(n) == graph.Category
 		}
 		out = append(out, info)
 	}

@@ -28,12 +28,15 @@ import (
 // ExpandRequest and batch variants) execute against any Backend via their
 // Do methods.
 //
-// All methods are safe for concurrent use. Every query-path method takes a
-// context and honors the package's context contract (a done ctx returns
-// ctx.Err() without running a pipeline); after Close they return ErrClosed
-// instead. The non-erroring accessors stay harmless after Close: a closed
-// Client keeps answering from its in-memory state, a closed Pool returns
-// zero values.
+// All methods are safe for concurrent use. Every query- and write-path
+// method takes a context and enters its runtime through one request
+// envelope, so the three runtimes agree on what a call does before any
+// work: a done ctx returns ctx.Err(), then a closed backend returns
+// ErrClosed, then the method validates its own arguments; whichever way it
+// ends, the call reports exactly one Event to the attached observers (see
+// Observer). The non-erroring accessors stay harmless after Close: a
+// closed Client keeps answering from its in-memory state, a closed Pool
+// or Remote returns zero values.
 //
 //qlint:serving
 type Backend interface {

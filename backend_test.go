@@ -545,173 +545,120 @@ func TestCloseConcurrentWithRequests(t *testing.T) {
 	}
 }
 
-// recordingObserver counts hook firings and remembers the last
-// observation of each kind.
+// recordingObserver keeps every request-level Event it is handed (shard
+// RPC attempts are counted apart: they are per attempt, not per request).
 type recordingObserver struct {
-	mu                                  sync.Mutex
-	searches, expands, batches, reloads int
-	ingests, compacts                   int
-	lastSearch                          SearchObservation
-	lastExpand                          ExpandObservation
-	lastBatch                           BatchObservation
-	lastReload                          ReloadObservation
-	lastIngest                          IngestObservation
-	lastCompact                         CompactObservation
-	searchDur, expandDur                time.Duration
+	mu     sync.Mutex
+	events []Event
+	rpcs   int
 }
 
-func (r *recordingObserver) ObserveSearch(o SearchObservation) {
+func (r *recordingObserver) Observe(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.searches++
-	r.lastSearch = o
-	r.searchDur += o.Duration
-}
-
-func (r *recordingObserver) ObserveExpand(o ExpandObservation) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.expands++
-	r.lastExpand = o
-	r.expandDur += o.Duration
-}
-
-func (r *recordingObserver) ObserveBatch(o BatchObservation) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.batches++
-	r.lastBatch = o
-}
-
-func (r *recordingObserver) ObserveReload(o ReloadObservation) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reloads++
-	r.lastReload = o
-}
-
-func (r *recordingObserver) ObserveIngest(o IngestObservation) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ingests++
-	r.lastIngest = o
-}
-
-func (r *recordingObserver) ObserveCompact(o CompactObservation) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.compacts++
-	r.lastCompact = o
-}
-
-func (r *recordingObserver) snapshot() recordingObserver {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return recordingObserver{
-		searches: r.searches, expands: r.expands, batches: r.batches, reloads: r.reloads,
-		ingests: r.ingests, compacts: r.compacts,
-		lastSearch: r.lastSearch, lastExpand: r.lastExpand,
-		lastBatch: r.lastBatch, lastReload: r.lastReload,
-		lastIngest: r.lastIngest, lastCompact: r.lastCompact,
-		searchDur: r.searchDur, expandDur: r.expandDur,
+	if e.Op == OpRPC {
+		r.rpcs++
+		return
 	}
+	r.events = append(r.events, e)
 }
 
-// TestObserverHooks drives single, batch, cached, error, closed and
-// reload paths on both runtimes and asserts the hook counts, labels and
+// of returns how many events of op were recorded, and the last of them.
+func (r *recordingObserver) of(op Op) (n int, last Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.events {
+		if e.Op == op {
+			n, last = n+1, e
+		}
+	}
+	return n, last
+}
+
+// drain returns the events recorded since the previous drain and starts
+// over. The tests below attach one recorder to every runtime and drive the
+// runtimes one at a time, draining in between.
+func (r *recordingObserver) drain() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := r.events
+	r.events, r.rpcs = nil, 0
+	return out
+}
+
+// conformanceShards is the shard count each conformanceBackends runtime
+// serves, by name.
+var conformanceShards = map[string]int{"client": 1, "pool-1": 1, "pool-4": 4, "remote-2": 2}
+
+// TestObserverEvents drives single, batch, cached, error, closed and
+// reload paths on every runtime and asserts the event counts, labels and
 // durations.
-func TestObserverHooks(t *testing.T) {
+func TestObserverEvents(t *testing.T) {
 	ctx := context.Background()
-	obs := map[string]*recordingObserver{"client": {}, "pool-1": {}, "pool-4": {}}
-	mkOpt := func(name string) []Option { return []Option{WithObserver(obs[name])} }
-
-	ref := conformanceWorld(t)
-	defer ref.Close()
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "world.qgs")
-	f, err := os.Create(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := ref.SaveShards(filepath.Join(dir, "sh1"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SaveShards(filepath.Join(dir, "sh4"), 4); err != nil {
-		t.Fatal(err)
-	}
-	backends := map[string]Backend{}
-	if backends["client"], err = OpenBackend(snap, mkOpt("client")...); err != nil {
-		t.Fatal(err)
-	}
-	if backends["pool-1"], err = OpenBackend(filepath.Join(dir, "sh1", "manifest.json"), mkOpt("pool-1")...); err != nil {
-		t.Fatal(err)
-	}
-	if backends["pool-4"], err = OpenBackend(filepath.Join(dir, "sh4", "manifest.json"), mkOpt("pool-4")...); err != nil {
-		t.Fatal(err)
-	}
+	rec, wantShards := &recordingObserver{}, conformanceShards
+	ref, backends := conformanceBackends(t, WithObserver(rec))
 	kw := ref.Queries()[0].Keywords
-	wantShards := map[string]int{"client": 1, "pool-1": 1, "pool-4": 4}
 
 	for name, be := range backends {
 		t.Run(name, func(t *testing.T) {
-			rec := obs[name]
+			_, remote := be.(*Remote)
+			rec.drain()
 
 			if _, err := be.Search(ctx, kw, 7); err != nil {
 				t.Fatal(err)
 			}
-			s := rec.snapshot()
-			if s.searches != 1 {
-				t.Fatalf("searches = %d after one Search, want 1", s.searches)
+			n, e := rec.of(OpSearch)
+			if n != 1 {
+				t.Fatalf("searches = %d after one Search, want 1", n)
 			}
-			if s.lastSearch.K != 7 || s.lastSearch.Err != "" || s.lastSearch.Expanded ||
-				s.lastSearch.Shards != wantShards[name] {
-				t.Errorf("search observation = %+v", s.lastSearch)
+			if e.K != 7 || e.Err != "" || e.Expanded || e.Shards != wantShards[name] {
+				t.Errorf("search event = %+v", e)
 			}
-			if s.lastSearch.Duration <= 0 {
-				t.Errorf("search duration = %v, want > 0", s.lastSearch.Duration)
+			if e.Duration <= 0 {
+				t.Errorf("search duration = %v, want > 0", e.Duration)
+			}
+			if remote && rec.rpcs == 0 {
+				t.Errorf("a remote search reported no OpRPC attempt")
 			}
 
-			// Error path: the class label rides in the observation.
+			// Error path: the class label rides in the event.
 			if _, err := be.Search(ctx, "#combine(", 5); !errors.Is(err, ErrInvalidQuery) {
 				t.Fatalf("err = %v, want ErrInvalidQuery", err)
 			}
-			if s = rec.snapshot(); s.lastSearch.Err != "invalid_query" {
-				t.Errorf("error search observation = %+v, want class invalid_query", s.lastSearch)
+			if _, e = rec.of(OpSearch); e.Err != "invalid_query" {
+				t.Errorf("error search event = %+v, want class invalid_query", e)
 			}
 
 			// Cold expand misses, warm expand hits; both observed.
 			if _, err := be.Expand(ctx, kw); err != nil {
 				t.Fatal(err)
 			}
-			if s = rec.snapshot(); s.expands != 1 || s.lastExpand.Cache != CacheMiss {
-				t.Fatalf("cold expand observation = %+v (expands=%d), want CacheMiss", s.lastExpand, s.expands)
+			if n, e = rec.of(OpExpand); n != 1 || e.Cache != CacheMiss || e.Size == 0 {
+				t.Fatalf("cold expand event = %+v (expands=%d), want CacheMiss and the feature count", e, n)
 			}
+			cold := e.Duration
 			if _, err := be.Expand(ctx, kw); err != nil {
 				t.Fatal(err)
 			}
-			if s = rec.snapshot(); s.expands != 2 || s.lastExpand.Cache != CacheHit {
-				t.Fatalf("warm expand observation = %+v (expands=%d), want CacheHit", s.lastExpand, s.expands)
+			if n, e = rec.of(OpExpand); n != 2 || e.Cache != CacheHit {
+				t.Fatalf("warm expand event = %+v (expands=%d), want CacheHit", e, n)
 			}
-			if s.expandDur <= 0 {
-				t.Errorf("accumulated expand duration = %v, want > 0", s.expandDur)
+			if cold+e.Duration <= 0 {
+				t.Errorf("accumulated expand duration = %v, want > 0", cold+e.Duration)
 			}
 
-			// Batch paths: one ObserveBatch per entry point, sized.
+			// Batch paths: one OpBatch per entry point, sized.
 			if _, err := be.SearchAll(ctx, []string{kw, kw}, 5, BatchOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if s = rec.snapshot(); s.batches != 1 || s.lastBatch.Kind != BatchSearch || s.lastBatch.Size != 2 {
-				t.Fatalf("batch observation = %+v (batches=%d)", s.lastBatch, s.batches)
+			if n, e = rec.of(OpBatch); n != 1 || e.Kind != BatchSearch || e.Size != 2 {
+				t.Fatalf("batch event = %+v (batches=%d)", e, n)
 			}
 			if _, err := be.ExpandAll(ctx, []string{kw}, BatchOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if s = rec.snapshot(); s.batches != 2 || s.lastBatch.Kind != BatchExpand || s.lastBatch.Size != 1 {
-				t.Fatalf("expand batch observation = %+v", s.lastBatch)
+			if n, e = rec.of(OpBatch); n != 2 || e.Kind != BatchExpand || e.Size != 1 {
+				t.Fatalf("expand batch event = %+v", e)
 			}
 
 			// SearchExpansion reports Expanded.
@@ -722,48 +669,57 @@ func TestObserverHooks(t *testing.T) {
 			if _, _, err := be.SearchExpansion(ctx, exp, 5); err != nil {
 				t.Fatal(err)
 			}
-			if s = rec.snapshot(); !s.lastSearch.Expanded {
-				t.Errorf("SearchExpansion observation = %+v, want Expanded", s.lastSearch)
+			searchesBeforeClose, e := rec.of(OpSearch)
+			if !e.Expanded {
+				t.Errorf("SearchExpansion event = %+v, want Expanded", e)
 			}
-			searchesBeforeClose := s.searches
 
-			// Ingest and Compact fire the live-observer hooks, error paths
-			// included.
-			if _, err := be.Ingest(ctx, []Document{{
+			// Ingest and Compact report too, error paths included; the
+			// read-only coordinator reports its typed refusal.
+			doc := []Document{{
 				Name:  "observed.jpg",
 				Texts: []DocumentText{{Lang: "en", Description: "an observed ingest"}},
-			}}); err != nil {
-				t.Fatal(err)
-			}
-			if s = rec.snapshot(); s.ingests != 1 || s.lastIngest.Docs != 1 ||
-				s.lastIngest.DeltaDocs != 1 || s.lastIngest.Err != "" ||
-				s.lastIngest.Shards != wantShards[name] {
-				t.Fatalf("ingest observation = %+v (ingests=%d)", s.lastIngest, s.ingests)
-			}
-			if _, err := be.Compact(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if s = rec.snapshot(); s.compacts != 1 || s.lastCompact.Compacted != 1 ||
-				s.lastCompact.Generation != 2 || s.lastCompact.Err != "" {
-				t.Fatalf("compact observation = %+v (compacts=%d)", s.lastCompact, s.compacts)
+			}}
+			if remote {
+				if _, err := be.Ingest(ctx, doc); !errors.Is(err, ErrReadOnly) {
+					t.Fatalf("remote ingest err = %v, want ErrReadOnly", err)
+				}
+				if n, e = rec.of(OpIngest); n != 1 || e.Size != 1 || e.Err != "read_only" || e.Shards != 2 {
+					t.Fatalf("remote ingest event = %+v (ingests=%d)", e, n)
+				}
+			} else {
+				if _, err := be.Ingest(ctx, doc); err != nil {
+					t.Fatal(err)
+				}
+				if n, e = rec.of(OpIngest); n != 1 || e.Size != 1 || e.DeltaDocs != 1 || e.Err != "" ||
+					e.Generation != 1 || e.Shards != wantShards[name] {
+					t.Fatalf("ingest event = %+v (ingests=%d)", e, n)
+				}
+				if _, err := be.Compact(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if n, e = rec.of(OpCompact); n != 1 || e.Size != 1 || e.DeltaDocs != 0 ||
+					e.Generation != 2 || e.Err != "" {
+					t.Fatalf("compact event = %+v (compacts=%d)", e, n)
+				}
 			}
 
-			// Reload fires ObserveReload on pools. The compaction above
-			// already advanced the pool to generation 2, so the reload
-			// publishes generation 3.
+			// Reload reports on pools. The compaction above already
+			// advanced the pool to generation 2, so the reload publishes
+			// generation 3.
 			if pool, ok := be.(*Pool); ok {
 				if err := pool.Reload(""); err != nil {
 					t.Fatal(err)
 				}
-				if s = rec.snapshot(); s.reloads != 1 || s.lastReload.Generation != 3 ||
-					s.lastReload.Shards != wantShards[name] || s.lastReload.Err != "" {
-					t.Fatalf("reload observation = %+v (reloads=%d)", s.lastReload, s.reloads)
+				if n, e = rec.of(OpReload); n != 1 || e.Generation != 3 ||
+					e.Shards != wantShards[name] || e.Err != "" {
+					t.Fatalf("reload event = %+v (reloads=%d)", e, n)
 				}
 				if err := pool.Reload("/nonexistent/manifest.json"); err == nil {
 					t.Fatal("bad reload succeeded")
 				}
-				if s = rec.snapshot(); s.reloads != 2 || s.lastReload.Err != "bad_manifest" {
-					t.Fatalf("failed reload observation = %+v", s.lastReload)
+				if n, e = rec.of(OpReload); n != 2 || e.Err != "bad_manifest" || e.Generation != 3 {
+					t.Fatalf("failed reload event = %+v, want bad_manifest with generation 3 still serving", e)
 				}
 			}
 
@@ -774,13 +730,112 @@ func TestObserverHooks(t *testing.T) {
 			if _, err := be.Search(ctx, kw, 5); !errors.Is(err, ErrClosed) {
 				t.Fatalf("err = %v, want ErrClosed", err)
 			}
-			if s = rec.snapshot(); s.searches != searchesBeforeClose+1 || s.lastSearch.Err != "closed" {
-				t.Errorf("closed search observation = %+v (searches=%d)", s.lastSearch, s.searches)
+			if n, e = rec.of(OpSearch); n != searchesBeforeClose+1 || e.Err != "closed" {
+				t.Errorf("closed search event = %+v (searches=%d)", e, n)
 			}
-			if s.lastSearch.Shards != 0 {
-				t.Errorf("closed observation Shards = %d, want 0 on both runtimes", s.lastSearch.Shards)
+			if e.Shards != 0 {
+				t.Errorf("closed event Shards = %d, want 0 on every runtime", e.Shards)
 			}
 		})
+	}
+}
+
+// TestEnvelopeGates pins the request envelope on every runtime: each
+// Backend method, called live, on a cancelled ctx, on a closed backend and
+// on both at once, returns the gate's error in the documented precedence
+// (dead ctx, then ErrClosed, then the method's own validation) and emits
+// exactly one event carrying the method's Op, the error's class and the
+// shard count — 0 whenever the gate failed, because no generation was
+// reached. Remote used to check the gates in the other order on six of
+// its nine methods.
+func TestEnvelopeGates(t *testing.T) {
+	live := context.Background()
+	cancelled, cancel := context.WithCancel(live)
+	cancel()
+
+	rec := &recordingObserver{}
+	ref, backends := conformanceBackends(t, WithObserver(rec))
+	kw := ref.Queries()[0].Keywords
+	exp, err := ref.Expand(live, kw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []Document{{Name: "gate.jpg", Texts: []DocumentText{{Lang: "en", Description: "gated"}}}}
+	methods := []struct {
+		name string
+		op   Op
+		// write marks the methods a Remote refuses with ErrReadOnly.
+		write bool
+		call  func(ctx context.Context, be Backend) error
+	}{
+		{"Search", OpSearch, false, func(ctx context.Context, be Backend) error { _, err := be.Search(ctx, kw, 5); return err }},
+		{"SearchInto", OpSearch, false, func(ctx context.Context, be Backend) error { _, err := be.SearchInto(ctx, kw, 5, nil); return err }},
+		{"SearchAll", OpBatch, false, func(ctx context.Context, be Backend) error {
+			_, err := be.SearchAll(ctx, []string{kw}, 5, BatchOptions{})
+			return err
+		}},
+		{"Expand", OpExpand, false, func(ctx context.Context, be Backend) error { _, err := be.Expand(ctx, kw); return err }},
+		{"ExpandAll", OpBatch, false, func(ctx context.Context, be Backend) error {
+			_, err := be.ExpandAll(ctx, []string{kw}, BatchOptions{})
+			return err
+		}},
+		{"SearchExpansion", OpSearch, false, func(ctx context.Context, be Backend) error {
+			_, _, err := be.SearchExpansion(ctx, exp, 5)
+			return err
+		}},
+		{"SearchExpansions", OpBatch, false, func(ctx context.Context, be Backend) error {
+			_, err := be.SearchExpansions(ctx, []*Expansion{exp}, 5, BatchOptions{})
+			return err
+		}},
+		{"Ingest", OpIngest, true, func(ctx context.Context, be Backend) error { _, err := be.Ingest(ctx, doc); return err }},
+		{"Compact", OpCompact, true, func(ctx context.Context, be Backend) error { _, err := be.Compact(ctx); return err }},
+	}
+	// The open states run first: Close is one-way.
+	states := []struct {
+		name   string
+		ctx    context.Context
+		closed bool
+		want   error
+	}{
+		{"live", live, false, nil},
+		{"cancelled", cancelled, false, context.Canceled},
+		{"closed", live, true, ErrClosed},
+		{"cancelled+closed", cancelled, true, context.Canceled},
+	}
+	for name, be := range backends {
+		if name == "pool-1" {
+			continue // pool-4 is the Pool under test
+		}
+		_, remote := be.(*Remote)
+		for _, st := range states {
+			if st.closed {
+				if err := be.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, m := range methods {
+				t.Run(name+"/"+st.name+"/"+m.name, func(t *testing.T) {
+					want, wantShards := st.want, conformanceShards[name]
+					switch {
+					case want != nil:
+						wantShards = 0
+					case remote && m.write:
+						want = ErrReadOnly
+					}
+					rec.drain()
+					if err := m.call(st.ctx, be); !errors.Is(err, want) {
+						t.Fatalf("err = %v, want %v", err, want)
+					}
+					events := rec.drain()
+					if len(events) != 1 {
+						t.Fatalf("emitted %d events, want exactly one: %+v", len(events), events)
+					}
+					if e := events[0]; e.Op != m.op || e.Shards != wantShards || e.Err != ErrorClass(want) {
+						t.Errorf("event = %+v, want Op %v, Shards %d, Err %q", e, m.op, wantShards, ErrorClass(want))
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -862,8 +917,8 @@ func TestMetricsObserver(t *testing.T) {
 // from hist.DefaultExposition.
 func TestMetricsHistogramBuckets(t *testing.T) {
 	m := NewMetricsObserver()
-	m.ObserveSearch(SearchObservation{Duration: 30 * time.Microsecond})
-	m.ObserveSearch(SearchObservation{Duration: 40 * time.Millisecond})
+	m.Observe(Event{Op: OpSearch, Duration: 30 * time.Microsecond})
+	m.Observe(Event{Op: OpSearch, Duration: 40 * time.Millisecond})
 
 	var sb strings.Builder
 	if err := m.WritePrometheus(&sb); err != nil {

@@ -272,7 +272,7 @@ func BenchmarkAblationCategoryRatioFilter(b *testing.B) {
 	noFilter := core.DefaultExpanderOptions()
 	noFilter.MinCategoryRatio = 0
 	noFilter.MaxCategoryRatio = 1
-	noFilter.MinDensity = -1
+	noFilter.MinDensity = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := e.queries[i%len(e.queries)]

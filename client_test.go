@@ -185,9 +185,8 @@ func TestExplicitBandSurvivesNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MinCategoryRatio != 0 || got.MaxCategoryRatio != 0 || !got.ExplicitBand {
-		t.Fatalf("band = [%g, %g] (explicit=%v), want explicit [0, 0]",
-			got.MinCategoryRatio, got.MaxCategoryRatio, got.ExplicitBand)
+	if got.MinCategoryRatio != 0 || got.MaxCategoryRatio != 0 {
+		t.Fatalf("band = [%g, %g], want explicit [0, 0]", got.MinCategoryRatio, got.MaxCategoryRatio)
 	}
 	// [0, 0.5] — the half-explicit case — also survives.
 	got, err = normalizeExpandOptions([]ExpandOption{WithCategoryRatioBand(0, 0.5)})
@@ -206,7 +205,7 @@ func TestExplicitBandSurvivesNormalization(t *testing.T) {
 		t.Fatalf("defaults = %+v, want the paper band [0.2, 0.5] with two-cycles kept", got)
 	}
 	// WithMinDensity(0) disables the filter rather than re-enabling the
-	// internal 0.25 default.
+	// 0.25 default.
 	got, err = normalizeExpandOptions([]ExpandOption{WithMinDensity(0)})
 	if err != nil {
 		t.Fatal(err)

@@ -185,7 +185,7 @@ func TestReloadLoopDrains(t *testing.T) {
 // endpoints and the flight recorder answer on the admin mux, and the
 // serving mux exposes none of them.
 func TestAdminServerServesPprof(t *testing.T) {
-	srv := newAdminServer("127.0.0.1:0", trace.NewRecorder(8))
+	srv := trace.NewAdminServer("127.0.0.1:0", trace.NewRecorder(8))
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap?debug=1", "/debug/pprof/symbol", "/v1/debug/requests", "/v1/debug/requests?min_ms=5"} {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		rec := httptest.NewRecorder()

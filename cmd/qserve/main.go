@@ -81,7 +81,6 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -158,7 +157,7 @@ func main() {
 
 	var adminSrv *http.Server
 	if *admin != "" {
-		adminSrv = newAdminServer(*admin, recorder)
+		adminSrv = trace.NewAdminServer(*admin, recorder)
 		go func() {
 			if err := adminSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("admin server: %v", err)
@@ -241,25 +240,6 @@ var (
 	readTimeoutPad    = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
-
-// newAdminServer builds the private admin listener: Go's pprof handlers
-// and the flight-recorder endpoint on an explicit mux (never the default
-// mux, so nothing else leaks onto this port, and neither pprof nor
-// request traces leak onto the serving port).
-func newAdminServer(addr string, rec *trace.Recorder) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /v1/debug/requests", trace.Handler(rec))
-	return &http.Server{
-		Addr:              addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-}
 
 // reloadLoop services SIGHUP hot reloads until its channel closes. Main
 // retires it during shutdown — signal.Stop, close(hup), wait — so a

@@ -129,27 +129,12 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		errClass = "http_" + strconv.Itoa(status)
 	}
 	rec := tr.Finish(r.Method+" "+r.URL.Path, errClass)
-	s.recorder.Store(rec)
-	if s.logger == nil {
-		return
-	}
-	if s.accessLog {
-		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request",
-			slog.String("trace_id", rec.TraceID),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", status),
-			slog.Float64("dur_ms", rec.DurMS),
-			slog.Int("spans", len(rec.Spans)))
-	}
-	if s.slowlogMS > 0 && rec.DurMS >= s.slowlogMS {
-		spans, _ := json.Marshal(rec.Spans)
-		s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
-			slog.String("trace_id", rec.TraceID),
-			slog.String("op", rec.Op),
-			slog.Float64("dur_ms", rec.DurMS),
-			slog.String("spans", string(spans)))
-	}
+	trace.Sink{Recorder: s.recorder, Logger: s.logger, AccessLog: s.accessLog, SlowlogMS: s.slowlogMS}.Emit(context.Background(), "request", rec,
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", status),
+		slog.Float64("dur_ms", rec.DurMS),
+		slog.Int("spans", len(rec.Spans)))
 }
 
 // statusWriter captures the response status for the access log and the

@@ -3,32 +3,11 @@ package main
 import (
 	"context"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"time"
 
 	"github.com/querygraph/querygraph/internal/rpc"
 	"github.com/querygraph/querygraph/internal/trace"
 )
-
-// newAdminServer builds the private admin listener, mirroring qserve's:
-// Go's pprof handlers plus the shard's flight recorder on an explicit
-// mux — never the default mux, and never the RPC serving port, which
-// speaks only the binary shard protocol.
-func newAdminServer(addr string, rec *trace.Recorder) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /v1/debug/requests", trace.Handler(rec))
-	return &http.Server{
-		Addr:              addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-}
 
 // requestHook builds the rpc.Server hook that attributes shard-side
 // work to the originating coordinator request: requests carrying a v2
@@ -41,34 +20,21 @@ func newAdminServer(addr string, rec *trace.Recorder) *http.Server {
 // "untraced" ID.
 func requestHook(rec *trace.Recorder, logger *slog.Logger, accessLog bool, slowlogMS float64) rpc.RequestHook {
 	return func(op rpc.Op, traceID uint64, start time.Time, dur time.Duration, errClass string) {
-		durMS := float64(dur) / 1e6
-		id := trace.ID(traceID)
+		sink := trace.Sink{Logger: logger, AccessLog: accessLog, SlowlogMS: slowlogMS}
 		if traceID != 0 {
-			rec.Store(&trace.Record{
-				TraceID: id.String(),
-				Op:      op.String(),
-				Time:    start,
-				DurMS:   durMS,
-				Err:     errClass,
-				Spans:   []trace.Span{},
-			})
+			sink.Recorder = rec
 		}
-		if logger == nil {
-			return
+		r := &trace.Record{
+			TraceID: trace.ID(traceID).String(),
+			Op:      op.String(),
+			Time:    start,
+			DurMS:   float64(dur) / 1e6,
+			Err:     errClass,
+			Spans:   []trace.Span{},
 		}
-		if accessLog {
-			logger.LogAttrs(context.Background(), slog.LevelInfo, "rpc",
-				slog.String("trace_id", id.String()),
-				slog.String("op", op.String()),
-				slog.Float64("dur_ms", durMS),
-				slog.String("err", errClass))
-		}
-		if slowlogMS > 0 && durMS >= slowlogMS {
-			logger.LogAttrs(context.Background(), slog.LevelWarn, "slow rpc",
-				slog.String("trace_id", id.String()),
-				slog.String("op", op.String()),
-				slog.Float64("dur_ms", durMS),
-				slog.String("err", errClass))
-		}
+		sink.Emit(context.Background(), "rpc", r,
+			slog.String("op", r.Op),
+			slog.Float64("dur_ms", r.DurMS),
+			slog.String("err", r.Err))
 	}
 }

@@ -20,7 +20,7 @@ import (
 // HTTP surface there to leak onto — the admin listener is the only
 // place these endpoints exist.)
 func TestAdminServerEndpoints(t *testing.T) {
-	srv := newAdminServer("127.0.0.1:0", trace.NewRecorder(8))
+	srv := trace.NewAdminServer("127.0.0.1:0", trace.NewRecorder(8))
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol", "/v1/debug/requests", "/v1/debug/requests?min_ms=2.5"} {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		rec := httptest.NewRecorder()

@@ -86,7 +86,7 @@ func main() {
 		slog.New(slog.NewTextHandler(os.Stderr, nil)), *accessLog, *slowlogMS))
 	var adminSrv *http.Server
 	if *admin != "" {
-		adminSrv = newAdminServer(*admin, recorder)
+		adminSrv = trace.NewAdminServer(*admin, recorder)
 		go func() {
 			if err := adminSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("admin server: %v", err)

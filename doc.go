@@ -91,16 +91,25 @@
 //
 // # Instrumentation
 //
-// WithObserver attaches hooks that fire on every request path of every
-// runtime — duration, ranking depth, shard count, expansion cache outcome
-// (hit/miss/single-flight dedup/bypass) and error class. MetricsObserver
+// WithObserver attaches an Observer — one method, Observe(Event) — that
+// receives one flat Event per completed operation of every runtime: its
+// Op (search, expand, batch, reload, ingest, compact, or one shard RPC
+// attempt of a Remote), duration, error class and shard count, plus the
+// fields that mean something for that Op — ranking depth, expansion cache
+// outcome (hit/miss/single-flight dedup/bypass), batch size, served
+// generation, delta size, shard address and attempt number. Success and
+// failure are reported alike, the fast failures included. MetricsObserver
 // is the built-in counter implementation; its WritePrometheus renders the
 // Prometheus text format cmd/qserve serves at GET /v1/metrics.
 //
-// # Contexts and cancellation
+// # Contexts, Close and the order of errors
 //
-// Every query-path method takes a context.Context. A context that is
-// already done returns ctx.Err() without running any pipeline. Cancelling
+// Every Backend method reaches its runtime through one request envelope,
+// so all three runtimes check the same gates in the same order: a context
+// that is already done returns ctx.Err(), then a closed backend returns
+// ErrClosed, and only then does the method look at its arguments
+// (ErrInvalidQuery, ErrInvalidOptions, ErrReadOnly, ...). Neither gate
+// runs any pipeline, and both still emit the operation's Event. Cancelling
 // mid-call stops batch fan-out from scheduling further queries, and a
 // caller waiting on another caller's identical in-flight expansion
 // abandons the wait (the in-flight run still completes and populates the

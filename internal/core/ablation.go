@@ -52,7 +52,7 @@ func (s *System) CompareExpanders(ctx context.Context, queries []Query, cfg Abla
 	noFilter := DefaultExpanderOptions()
 	noFilter.MinCategoryRatio = 0
 	noFilter.MaxCategoryRatio = 1
-	noFilter.MinDensity = -1 // accept everything
+	noFilter.MinDensity = 0
 	noFilter.MaxFeatures = cfg.MaxFeatures
 	tuned := DefaultExpanderOptions()
 	tuned.MaxFeatures = cfg.MaxFeatures

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/eval"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/querygraph"
@@ -131,17 +130,6 @@ type queryCycles struct {
 // analyzeQueryCycles enumerates and measures the cycles of one query graph,
 // evaluating each cycle's contribution against the query's baseline.
 func (s *System) analyzeQueryCycles(gt *GroundTruth, maxLen int) (*queryCycles, error) {
-	sub := gt.Graph.Sub
-	var seeds []graph.NodeID
-	for _, qa := range gt.QueryArticles {
-		if sid, ok := sub.ToSub[qa]; ok {
-			seeds = append(seeds, sid)
-		}
-	}
-	cs, err := cycles.Enumerate(sub.Graph, seeds, maxLen, graph.ExcludeRedirects)
-	if err != nil {
-		return nil, fmt.Errorf("core: query %d cycles: %w", gt.Query.ID, err)
-	}
 	qc := &queryCycles{
 		countByLen:    make(map[int]int),
 		contribByLen:  make(map[int][]float64),
@@ -150,17 +138,13 @@ func (s *System) analyzeQueryCycles(gt *GroundTruth, maxLen int) (*queryCycles, 
 		articlesByLen: make(map[int]map[graph.NodeID]struct{}),
 	}
 	relevant := eval.NewRelevance(gt.Query.Relevant)
-	for _, c := range cs {
-		m, err := cycles.Measure(sub.Graph, c, graph.ExcludeRedirects)
+	for mc, err := range MineCycles(gt.Graph.Sub, gt.QueryArticles, maxLen) {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: query %d cycles: %w", gt.Query.ID, err)
 		}
-		// Cycle articles in parent IDs, excluding the query articles
-		// themselves (they are already in L(q.k)).
-		var arts []graph.NodeID
-		for _, n := range cycles.ArticlesOf(sub.Graph, c) {
-			arts = append(arts, sub.ToParent[n])
-		}
+		// The cycle's articles are candidates on top of the query articles,
+		// which are already in L(q.k).
+		m, arts := mc.Metrics, mc.Articles
 		set := qc.articlesByLen[m.Length]
 		if set == nil {
 			set = make(map[graph.NodeID]struct{})

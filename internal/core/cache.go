@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
+
+	"github.com/querygraph/querygraph/internal/lru"
 )
 
 // expandKey identifies one cached expansion: the raw keywords plus the
@@ -15,33 +16,20 @@ type expandKey struct {
 	opts     ExpanderOptions
 }
 
-// expandCacheShards is the shard count (a power of two, so the shard pick
-// is a mask). Sharding keeps the cache off the batch layer's critical path:
-// concurrent workers lock distinct shards instead of one global mutex.
-const expandCacheShards = 16
-
 // expandCache is a sharded LRU over Expand results with single-flight
 // deduplication of concurrent cold misses. Entries are shared pointers —
 // callers must treat cached Expansions as read-only.
 type expandCache struct {
-	shards   [expandCacheShards]cacheShard
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	deduped  atomic.Uint64
-	capacity int
-}
-
-type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	items map[expandKey]*lruEntry
-	// flight tracks keys whose pipeline run is in progress, so concurrent
-	// cold misses on the same key wait for the leader instead of running
-	// the pipeline again (single-flight).
-	flight map[expandKey]*flightCall
-	// Intrusive doubly-linked list in recency order; head is the most
-	// recently used entry, tail the eviction victim.
-	head, tail *lruEntry
+	// lru is sharded by the keywords: the options rarely vary within one
+	// workload, so the keywords carry the entropy.
+	lru *lru.Cache[expandKey, *Expansion]
+	// flight[i] tracks, under shard i's lock, the keys whose pipeline run
+	// is in progress, so concurrent cold misses on the same key wait for
+	// the leader instead of running the pipeline again (single-flight).
+	flight  [lru.Shards]map[expandKey]*flightCall
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	deduped atomic.Uint64
 }
 
 // flightCall is one in-progress pipeline run; followers block on done and
@@ -57,70 +45,15 @@ type flightCall struct {
 // defer, so waiters unblock with a real error rather than a nil result.
 var errExpandAborted = errors.New("core: expansion aborted: in-flight pipeline panicked")
 
-type lruEntry struct {
-	key        expandKey
-	exp        *Expansion
-	prev, next *lruEntry
-}
-
-// newExpandCache sizes a cache for roughly capacity entries spread over the
-// shards; the per-shard capacity rounds up, and the effective total
-// (per-shard cap × shard count, what CacheStats reports as Capacity) is
-// what the cache actually enforces. capacity <= 0 disables caching
-// (returns nil, and the nil methods below make that a cheap no-op).
+// newExpandCache sizes a cache for roughly capacity entries (the enforced
+// total, what CacheStats reports as Capacity, rounds up to a multiple of
+// the shard count). capacity <= 0 disables caching (returns nil, and the
+// nil methods below make that a cheap no-op).
 func newExpandCache(capacity int) *expandCache {
 	if capacity <= 0 {
 		return nil
 	}
-	per := (capacity + expandCacheShards - 1) / expandCacheShards
-	c := &expandCache{capacity: per * expandCacheShards}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{cap: per, items: make(map[expandKey]*lruEntry, per)}
-	}
-	return c
-}
-
-// shardFor picks the shard by an FNV-1a hash of the keywords (the options
-// rarely vary within one workload, so the keywords carry the entropy).
-func (c *expandCache) shardFor(k expandKey) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.keywords); i++ {
-		h ^= uint32(k.keywords[i])
-		h *= 16777619
-	}
-	return &c.shards[h&(expandCacheShards-1)]
-}
-
-func (c *expandCache) get(k expandKey) (*Expansion, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
-	var exp *Expansion
-	if ok {
-		s.moveToFront(e)
-		// Copy under the lock: a concurrent put may update e.exp in place.
-		exp = e.exp
-	}
-	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return exp, true
-}
-
-func (c *expandCache) put(k expandKey, exp *Expansion) {
-	if c == nil {
-		return
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	s.insert(k, exp)
-	s.mu.Unlock()
+	return &expandCache{lru: lru.New[expandKey, *Expansion](capacity)}
 }
 
 // CacheOutcome classifies how one Expand lookup was served by the cache —
@@ -175,17 +108,16 @@ func (c *expandCache) getOrDo(ctx context.Context, k expandKey, fn func() (*Expa
 		exp, err := fn()
 		return exp, CacheBypass, err
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if e, ok := s.items[k]; ok {
-		s.moveToFront(e)
-		exp := e.exp
-		s.mu.Unlock()
+	i := lru.Index(k.keywords)
+	s := &c.lru[i]
+	s.Lock()
+	if exp, ok := s.Get(k); ok {
+		s.Unlock()
 		c.hits.Add(1)
 		return exp, CacheHit, nil
 	}
-	if fl, ok := s.flight[k]; ok {
-		s.mu.Unlock()
+	if fl, ok := c.flight[i][k]; ok {
+		s.Unlock()
 		c.deduped.Add(1)
 		select {
 		case <-fl.done:
@@ -195,11 +127,11 @@ func (c *expandCache) getOrDo(ctx context.Context, k expandKey, fn func() (*Expa
 		}
 	}
 	fl := &flightCall{done: make(chan struct{})}
-	if s.flight == nil {
-		s.flight = make(map[expandKey]*flightCall)
+	if c.flight[i] == nil {
+		c.flight[i] = make(map[expandKey]*flightCall)
 	}
-	s.flight[k] = fl
-	s.mu.Unlock()
+	c.flight[i][k] = fl
+	s.Unlock()
 	c.misses.Add(1)
 
 	completed := false
@@ -207,12 +139,12 @@ func (c *expandCache) getOrDo(ctx context.Context, k expandKey, fn func() (*Expa
 		if !completed { // fn panicked: fail the waiters, then re-panic
 			fl.exp, fl.err = nil, errExpandAborted
 		}
-		s.mu.Lock()
-		delete(s.flight, k)
+		s.Lock()
+		delete(c.flight[i], k)
 		if fl.err == nil {
-			s.insert(k, fl.exp)
+			s.Put(k, fl.exp)
 		}
-		s.mu.Unlock()
+		s.Unlock()
 		close(fl.done)
 	}()
 	fl.exp, fl.err = fn()
@@ -227,63 +159,12 @@ func (c *expandCache) purge() {
 	if c == nil {
 		return
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[expandKey]*lruEntry)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
+	for i := range c.lru {
+		s := &c.lru[i]
+		s.Lock()
+		s.Clear()
+		s.Unlock()
 	}
-}
-
-// insert adds or refreshes an entry; the caller holds s.mu.
-func (s *cacheShard) insert(k expandKey, exp *Expansion) {
-	if e, ok := s.items[k]; ok {
-		e.exp = exp
-		s.moveToFront(e)
-		return
-	}
-	if len(s.items) >= s.cap {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.items, victim.key)
-	}
-	e := &lruEntry{key: k, exp: exp}
-	s.items[k] = e
-	s.pushFront(e)
-}
-
-func (s *cacheShard) pushFront(e *lruEntry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *cacheShard) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *cacheShard) moveToFront(e *lruEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
 }
 
 // CacheStats reports the expansion cache's counters since construction.
@@ -319,13 +200,13 @@ func (c *expandCache) stats() CacheStats {
 		Hits:     c.hits.Load(),
 		Misses:   c.misses.Load(),
 		Deduped:  c.deduped.Load(),
-		Capacity: c.capacity,
+		Capacity: c.lru.Cap(),
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		cs.Entries += len(s.items)
-		s.mu.Unlock()
+	for i := range c.lru {
+		s := &c.lru[i]
+		s.Lock()
+		cs.Entries += s.Len()
+		s.Unlock()
 	}
 	return cs
 }

@@ -8,17 +8,35 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/querygraph/querygraph/internal/lru"
 )
+
+// get and put are the tests' white-box handle on the cache's LRU: what
+// getOrDo does to a shard, minus the single-flight and the counters.
+func (c *expandCache) get(k expandKey) (*Expansion, bool) {
+	s := &c.lru[lru.Index(k.keywords)]
+	s.Lock()
+	defer s.Unlock()
+	return s.Get(k)
+}
+
+func (c *expandCache) put(k expandKey, exp *Expansion) {
+	s := &c.lru[lru.Index(k.keywords)]
+	s.Lock()
+	defer s.Unlock()
+	s.Put(k, exp)
+}
 
 // sameShardKeys generates n distinct keys that all hash to the same cache
 // shard, so eviction-order tests exercise one deterministic LRU list.
 func sameShardKeys(t *testing.T, c *expandCache, n int) []expandKey {
 	t.Helper()
-	target := c.shardFor(expandKey{keywords: "anchor"})
+	target := lru.Index("anchor")
 	out := []expandKey{{keywords: "anchor"}}
 	for i := 0; len(out) < n; i++ {
 		k := expandKey{keywords: fmt.Sprintf("key-%d", i)}
-		if c.shardFor(k) == target {
+		if lru.Index(k.keywords) == target {
 			out = append(out, k)
 		}
 		if i > 1<<16 {
@@ -54,7 +72,7 @@ func TestCacheCapacityOneEviction(t *testing.T) {
 // TestCacheEvictionIsLRUNotFIFO: a get refreshes recency, so the eviction
 // victim is the least recently *used* entry, not the oldest inserted.
 func TestCacheEvictionIsLRUNotFIFO(t *testing.T) {
-	c := newExpandCache(2 * expandCacheShards) // per-shard cap 2
+	c := newExpandCache(2 * lru.Shards) // per-shard cap 2
 	ks := sameShardKeys(t, c, 3)
 	a, b, d := &Expansion{Keywords: "a"}, &Expansion{Keywords: "b"}, &Expansion{Keywords: "c"}
 
@@ -285,7 +303,7 @@ func TestExpandAllSingleFlightAcrossWorkers(t *testing.T) {
 // checks the counters add up exactly — run under -race this also proves
 // the locking discipline of the sharded LRU plus flight table.
 func TestCacheStatsConcurrent(t *testing.T) {
-	c := newExpandCache(8 * expandCacheShards)
+	c := newExpandCache(8 * lru.Shards)
 	const (
 		workers = 8
 		rounds  = 500

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/querygraph/querygraph/internal/lru"
 )
 
 // TestParallelismUsesGOMAXPROCS pins the documented BatchOptions.Workers
@@ -153,10 +155,10 @@ func TestSingleFlightWaiterAbandonsOnCancel(t *testing.T) {
 	// Wait until the leader holds the flight entry, then join as follower.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s := c.shardFor(k)
-		s.mu.Lock()
-		_, inFlight := s.flight[k]
-		s.mu.Unlock()
+		i := lru.Index(k.keywords)
+		c.lru[i].Lock()
+		_, inFlight := c.flight[i][k]
+		c.lru[i].Unlock()
 		if inFlight {
 			break
 		}

@@ -335,6 +335,11 @@ func TestExpandInvalidOptions(t *testing.T) {
 	if _, err := s.Expand(context.Background(), w.Queries[0].Keywords, opts); err == nil {
 		t.Error("inverted ratio band should fail")
 	}
+	// Nothing is defaulted: the zero value is an invalid configuration, not
+	// a spelling of DefaultExpanderOptions.
+	if _, err := s.Expand(context.Background(), w.Queries[0].Keywords, ExpanderOptions{}); err == nil {
+		t.Error("zero-value options should fail, not be silently defaulted")
+	}
 }
 
 func TestExpandImprovesRetrieval(t *testing.T) {

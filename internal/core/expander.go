@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"iter"
 	"sort"
 
 	"github.com/querygraph/querygraph/internal/cycles"
@@ -29,20 +30,11 @@ type ExpanderOptions struct {
 	// accepted cycles of length >= 3 (defaults 0.2 and 0.5: "around the
 	// 30%"). Category-free cycles such as the paper's sheep–quarantine–
 	// anthrax triangle are rejected by the lower bound.
-	//
-	// Historical footgun: when both are zero AND ExplicitBand is false,
-	// withDefaults treats the pair as "unset" and substitutes the paper
-	// band, which makes an explicit all-zero band unexpressible. The
-	// public querygraph package always normalizes options itself and sets
-	// ExplicitBand, so the sentinel only ever fires for legacy zero-value
-	// callers inside this module.
 	MinCategoryRatio, MaxCategoryRatio float64
-	// ExplicitBand marks the category-ratio band as deliberately set,
-	// disabling the dual-zero default substitution above.
-	ExplicitBand bool
 	// MinDensity is the minimum density of extra edges for cycles of
 	// length >= 4 (default 0.25; length-3 cycles have little room for
-	// extra edges, so the category-ratio filter does the work there).
+	// extra edges, so the category-ratio filter does the work there). 0
+	// disables the filter.
 	MinDensity float64
 	// MaxFeatures caps the returned expansion features (default 10).
 	MaxFeatures int
@@ -64,35 +56,37 @@ type ExpanderOptions struct {
 	IncludeRedirectAliases bool
 }
 
-func (o ExpanderOptions) withDefaults() ExpanderOptions {
-	if o.MaxCycleLen <= 0 {
-		o.MaxCycleLen = 5
+// DefaultExpanderOptions returns the paper-tuned defaults — the only
+// source of defaults there is: the zero value of ExpanderOptions is not a
+// usable configuration, and Expand rejects it.
+func DefaultExpanderOptions() ExpanderOptions {
+	return ExpanderOptions{
+		MaxCycleLen:      5,
+		Radius:           2,
+		MaxNeighborhood:  400,
+		MinCategoryRatio: 0.2,
+		MaxCategoryRatio: 0.5,
+		MinDensity:       0.25,
+		MaxFeatures:      10,
+		KeepTwoCycles:    true,
 	}
-	if o.Radius <= 0 {
-		o.Radius = 2
-	}
-	if o.MaxNeighborhood <= 0 {
-		o.MaxNeighborhood = 400
-	}
-	if !o.ExplicitBand && o.MinCategoryRatio == 0 && o.MaxCategoryRatio == 0 {
-		o.MinCategoryRatio, o.MaxCategoryRatio = 0.2, 0.5
-	}
-	o.ExplicitBand = true
-	if o.MinDensity == 0 {
-		o.MinDensity = 0.25
-	}
-	if o.MaxFeatures <= 0 {
-		o.MaxFeatures = 10
-	}
-	return o
 }
 
-// DefaultExpanderOptions returns the paper-tuned defaults. The zero value
-// of ExpanderOptions behaves identically except KeepTwoCycles, which the
-// zero value disables; DefaultExpanderOptions enables it.
-func DefaultExpanderOptions() ExpanderOptions {
-	o := ExpanderOptions{KeepTwoCycles: true}.withDefaults()
-	return o
+// validate rejects values no expansion can run under. Nothing is
+// substituted: every field means what it says, zero included.
+func (o ExpanderOptions) validate() error {
+	switch {
+	case o.MaxCycleLen < 2 || o.MaxCycleLen > cycles.MaxSupportedLength:
+		return fmt.Errorf("core: max cycle length %d outside [2, %d]", o.MaxCycleLen, cycles.MaxSupportedLength)
+	case o.Radius < 1 || o.MaxNeighborhood < 1 || o.MaxFeatures < 1:
+		return fmt.Errorf("core: radius %d, max neighborhood %d and max features %d must all be >= 1",
+			o.Radius, o.MaxNeighborhood, o.MaxFeatures)
+	case o.MinCategoryRatio < 0 || o.MaxCategoryRatio > 1 || o.MinCategoryRatio > o.MaxCategoryRatio:
+		return fmt.Errorf("core: invalid category ratio band [%g, %g]", o.MinCategoryRatio, o.MaxCategoryRatio)
+	case o.MinDensity < 0 || o.MinDensity > 1:
+		return fmt.Errorf("core: min density %g outside [0, 1]", o.MinDensity)
+	}
+	return nil
 }
 
 // Feature is one proposed expansion feature with its provenance.
@@ -135,6 +129,60 @@ func (e *Expansion) Query(s *System) (search.Node, bool) {
 	return s.TitleQuery(e.Keywords, arts)
 }
 
+// MinedCycle is one cycle of a query's subgraph with the Section 3
+// measurements taken on it — the unit both the offline analysis and the
+// online expander reason about.
+type MinedCycle struct {
+	// Cycle holds the cycle's nodes as ids of the subgraph it was mined in.
+	Cycle   cycles.Cycle
+	Metrics cycles.Metrics
+	// Articles are the cycle's article nodes as ids of the parent graph,
+	// in ascending subgraph order: the expansion features it proposes.
+	Articles []graph.NodeID
+}
+
+// MineCycles enumerates the cycles of sub, up to maxLen edges, that pass
+// through one of the query articles (parent-graph ids; those outside sub
+// are ignored), and measures each, in enumeration order. Redirect edges
+// never take part: a redirect cannot close a cycle. A failure is yielded
+// once, as the last pair. It is an iterator because a neighborhood holds
+// thousands of cycles and the expander keeps a handful.
+func MineCycles(sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) iter.Seq2[MinedCycle, error] {
+	return func(yield func(MinedCycle, error) bool) {
+		var seeds []graph.NodeID
+		for _, qa := range queryArticles {
+			if sid, ok := sub.ToSub[qa]; ok {
+				seeds = append(seeds, sid)
+			}
+		}
+		cs, err := cycles.Enumerate(sub.Graph, seeds, maxLen, graph.ExcludeRedirects)
+		if err != nil {
+			yield(MinedCycle{}, err)
+			return
+		}
+		nodes := 0
+		for _, c := range cs {
+			nodes += len(c.Nodes)
+		}
+		arts := make([]graph.NodeID, 0, nodes) // every cycle's Articles, back to back
+		for _, c := range cs {
+			m, err := cycles.Measure(sub.Graph, c, graph.ExcludeRedirects)
+			if err != nil {
+				yield(MinedCycle{}, err)
+				return
+			}
+			start := len(arts)
+			arts = cycles.AppendArticles(arts, sub.Graph, c)
+			for j := start; j < len(arts); j++ {
+				arts[j] = sub.ToParent[arts[j]]
+			}
+			if !yield(MinedCycle{Cycle: c, Metrics: m, Articles: arts[start:len(arts):len(arts)]}, nil) {
+				return
+			}
+		}
+	}
+}
+
 // Expand runs the online pipeline of the paper's conclusions: entity-link
 // the keywords, induce the Wikipedia neighborhood of the entities, mine
 // cycles containing an entity, keep the structurally promising cycles
@@ -163,10 +211,8 @@ func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts Expand
 	if err := ctx.Err(); err != nil {
 		return nil, CacheBypass, err
 	}
-	opts = opts.withDefaults()
-	if opts.MinCategoryRatio > opts.MaxCategoryRatio {
-		return nil, CacheBypass, fmt.Errorf("core: invalid category ratio band [%g, %g]",
-			opts.MinCategoryRatio, opts.MaxCategoryRatio)
+	if err := opts.validate(); err != nil {
+		return nil, CacheBypass, err
 	}
 	key := expandKey{keywords: keywords, opts: opts}
 	return s.expandCache.getOrDo(ctx, key, func() (*Expansion, error) {
@@ -175,7 +221,7 @@ func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts Expand
 }
 
 // expand is the uncached expansion pipeline behind Expand; opts have
-// already been defaulted and validated.
+// already been validated.
 func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, error) {
 	s.expandCalls.Add(1)
 	queryArts := s.LinkKeywords(keywords)
@@ -213,29 +259,13 @@ func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, erro
 	}
 	sub := g.Induce(nodes)
 
-	var seeds []graph.NodeID
-	for _, qa := range queryArts {
-		if sid, ok := sub.ToSub[qa]; ok {
-			seeds = append(seeds, sid)
-		}
-	}
-	cs, err := cycles.Enumerate(sub.Graph, seeds, opts.MaxCycleLen, graph.ExcludeRedirects)
-	if err != nil {
-		return nil, fmt.Errorf("core: expand: %w", err)
-	}
-	exp.CyclesConsidered = len(cs)
-
-	type accepted struct {
-		m cycles.Metrics
-		c cycles.Cycle
-	}
-	var kept []accepted
-	for _, c := range cs {
-		m, err := cycles.Measure(sub.Graph, c, graph.ExcludeRedirects)
+	var kept []MinedCycle
+	for mc, err := range MineCycles(sub, queryArts, opts.MaxCycleLen) {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: expand: %w", err)
 		}
-		switch {
+		exp.CyclesConsidered++
+		switch m := mc.Metrics; {
 		case m.Length == 2:
 			if !opts.KeepTwoCycles {
 				continue
@@ -245,20 +275,21 @@ func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, erro
 		case m.Length >= 4 && m.ExtraEdgeDensity < opts.MinDensity:
 			continue
 		}
-		kept = append(kept, accepted{m: m, c: c})
+		kept = append(kept, mc)
 	}
 	exp.CyclesAccepted = len(kept)
 
 	// Rank: shorter cycles first (they define the user need best), then
 	// denser cycles.
 	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].m.Length != kept[j].m.Length {
-			return kept[i].m.Length < kept[j].m.Length
+		a, b := kept[i].Metrics, kept[j].Metrics
+		if a.Length != b.Length {
+			return a.Length < b.Length
 		}
-		if kept[i].m.ExtraEdgeDensity != kept[j].m.ExtraEdgeDensity {
-			return kept[i].m.ExtraEdgeDensity > kept[j].m.ExtraEdgeDensity
+		if a.ExtraEdgeDensity != b.ExtraEdgeDensity {
+			return a.ExtraEdgeDensity > b.ExtraEdgeDensity
 		}
-		return less(kept[i].c.Nodes, kept[j].c.Nodes)
+		return less(kept[i].Cycle.Nodes, kept[j].Cycle.Nodes)
 	})
 
 	inQuery := make(map[graph.NodeID]struct{}, len(queryArts))
@@ -275,8 +306,7 @@ func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, erro
 	byNode := make(map[graph.NodeID]*candidate)
 	var ordered []*candidate
 	for _, k := range kept {
-		for _, n := range cycles.ArticlesOf(sub.Graph, k.c) {
-			parent := sub.ToParent[n]
+		for _, parent := range k.Articles {
 			if _, isQ := inQuery[parent]; isQ {
 				continue
 			}
@@ -288,9 +318,9 @@ func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, erro
 				feature: Feature{
 					Node:          parent,
 					Title:         s.Snapshot.Name(parent),
-					CycleLen:      k.m.Length,
-					Density:       k.m.ExtraEdgeDensity,
-					CategoryRatio: k.m.CategoryRatio,
+					CycleLen:      k.Metrics.Length,
+					Density:       k.Metrics.ExtraEdgeDensity,
+					CategoryRatio: k.Metrics.CategoryRatio,
 				},
 				order:     len(ordered),
 				frequency: 1,

@@ -17,6 +17,7 @@ package cycles
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/querygraph/querygraph/internal/graph"
@@ -157,18 +158,19 @@ func Enumerate(g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(gr
 	return out, nil
 }
 
-// ArticlesOf returns the article nodes of the cycle, ascending. This is the
-// set used as expansion features: "in L(q.k) ∪ C we only consider the
-// articles in C but ignore the categories".
-func ArticlesOf(g *graph.Graph, c Cycle) []graph.NodeID {
-	var out []graph.NodeID
+// AppendArticles appends the article nodes of the cycle to dst, ascending.
+// This is the set used as expansion features: "in L(q.k) ∪ C we only
+// consider the articles in C but ignore the categories". Appending lets a
+// caller measuring thousands of cycles keep them all in one allocation.
+func AppendArticles(dst []graph.NodeID, g *graph.Graph, c Cycle) []graph.NodeID {
+	start := len(dst)
 	for _, n := range c.Nodes {
 		if g.Kind(n) == graph.Article {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Metrics are the per-cycle measurements of the paper's Section 3.
@@ -235,39 +237,4 @@ func pairCapacity(a, b graph.NodeKind) int {
 		return 2
 	}
 	return 1
-}
-
-// LengthSummary aggregates cycles of one length (Figures 6, 7a, 7b).
-type LengthSummary struct {
-	Length            int
-	Count             int
-	MeanCategoryRatio float64
-	MeanDensity       float64
-}
-
-// SummarizeByLength measures every cycle and groups the means by length.
-// The result maps length -> summary; lengths with no cycles are absent.
-func SummarizeByLength(g *graph.Graph, cs []Cycle, exclude func(graph.EdgeKind) bool) (map[int]LengthSummary, error) {
-	acc := make(map[int]*LengthSummary)
-	for _, c := range cs {
-		m, err := Measure(g, c, exclude)
-		if err != nil {
-			return nil, err
-		}
-		s := acc[m.Length]
-		if s == nil {
-			s = &LengthSummary{Length: m.Length}
-			acc[m.Length] = s
-		}
-		s.Count++
-		s.MeanCategoryRatio += m.CategoryRatio
-		s.MeanDensity += m.ExtraEdgeDensity
-	}
-	out := make(map[int]LengthSummary, len(acc))
-	for l, s := range acc {
-		s.MeanCategoryRatio /= float64(s.Count)
-		s.MeanDensity /= float64(s.Count)
-		out[l] = *s
-	}
-	return out, nil
 }

@@ -167,7 +167,7 @@ func TestRedirectsNeverCloseCycles(t *testing.T) {
 	}
 }
 
-func TestArticlesOf(t *testing.T) {
+func TestAppendArticles(t *testing.T) {
 	g := paperGraph(t)
 	cs, err := Enumerate(g, []graph.NodeID{0}, 5, nil)
 	if err != nil {
@@ -177,9 +177,9 @@ func TestArticlesOf(t *testing.T) {
 	var found bool
 	for _, c := range cs {
 		if reflect.DeepEqual(c.Nodes, []graph.NodeID{0, 4, 5}) {
-			arts := ArticlesOf(g, c)
+			arts := AppendArticles(nil, g, c)
 			if !reflect.DeepEqual(arts, []graph.NodeID{0, 5}) {
-				t.Errorf("ArticlesOf = %v", arts)
+				t.Errorf("AppendArticles = %v", arts)
 			}
 			found = true
 		}
@@ -258,25 +258,6 @@ func TestMeasureErrors(t *testing.T) {
 	}
 	if _, err := Measure(g, Cycle{Nodes: []graph.NodeID{0, 99}}, nil); err == nil {
 		t.Error("unknown node should fail")
-	}
-}
-
-func TestSummarizeByLength(t *testing.T) {
-	g := paperGraph(t)
-	cs, err := Enumerate(g, nil, 5, graph.ExcludeRedirects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := SummarizeByLength(g, cs, graph.ExcludeRedirects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum[2].Count != 1 || sum[3].Count != 2 {
-		t.Errorf("summary = %+v", sum)
-	}
-	// Mean category ratio at length 3: cycles {0,2,3} (0) and {0,4,5} (1/3).
-	if math.Abs(sum[3].MeanCategoryRatio-1.0/6.0) > 1e-12 {
-		t.Errorf("mean category ratio = %g", sum[3].MeanCategoryRatio)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 //
 // must happen with mu held: either the function itself calls
 // <recv>.mu.Lock(), or it is annotated //qlint:locked mu declaring that
-// its callers hold the mutex (reloadLocked-style helpers). An unguarded
+// its callers hold the mutex (swapLocked-style helpers). An unguarded
 // store races the Reload/Close serialization and can resurrect a
 // retired generation or lose a close.
 //

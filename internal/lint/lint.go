@@ -22,8 +22,8 @@
 //
 //	//qlint:serving            on a type: exported Search*/Expand* methods
 //	                           must take ctx context.Context first (ctxflow)
-//	//qlint:observed           on a type: its query-path methods must fire
-//	                           exactly one Observe* hook (observehook)
+//	//qlint:observed           on a type: its query-path methods must enter
+//	                           the request envelope exactly once (observehook)
 //	//qlint:guarded-by mu      on a struct field: Store/Swap/CompareAndSwap
 //	                           on the field require mu to be held (atomicguard)
 //	//qlint:locked mu          on a function: declares the caller holds mu

@@ -1,67 +1,66 @@
-// Package observehook is the observehook analyzer's fixture: Observer
-// hook coverage on the query-path methods of an observed runtime.
+// Package observehook is the observehook analyzer's fixture: request-
+// envelope coverage on the query-path methods of an observed runtime.
 package observehook
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
-type observers struct{}
-
-func (observers) search(start time.Time, k, shards int, expanded bool, err error) {}
-func (observers) batch(start time.Time, kind string, size, k, shards int, err error) {
-}
-func (observers) expand(start time.Time, features, shards int, err error) {}
-func (observers) reload(start time.Time, generation uint64, shards int, err error) {
-}
+type event struct{ op string }
 
 // Runtime is a serving runtime whose request paths must be observed.
 //
 //qlint:observed
-type Runtime struct {
-	obs observers
+type Runtime struct{}
+
+// read is the envelope: gates, work, one event on every path out.
+func (r *Runtime) read(ctx context.Context, ev *event, work func() error) error { return work() }
+
+// SearchInto is the enforced shape: one envelope call, top level, with
+// every early return inside the work it is handed.
+func (r *Runtime) SearchInto(ctx context.Context, q string, k int) (err error) {
+	ev := event{op: "search"}
+	err = r.read(ctx, &ev, func() error { return nil })
+	return err
 }
 
-func (r *Runtime) searchText(ctx context.Context, q string, k int) error { return nil }
-
-// Search is the enforced wrapper shape: one hook, top level, after the
-// inner call that contains every early return.
+// Search delegates to another observed method: that is its envelope call.
 func (r *Runtime) Search(ctx context.Context, q string, k int) error {
-	start := time.Now()
-	err := r.searchText(ctx, q, k)
-	r.obs.search(start, k, 1, false, err)
-	return err
+	return r.SearchInto(ctx, q, k)
 }
 
-func (r *Runtime) SearchAll(ctx context.Context, qs []string, k int) error { // want `fires no Observe\* hook`
-	return r.searchText(ctx, "", k)
+// Reload returns the envelope's error directly.
+func (r *Runtime) Reload(path string) error {
+	return r.read(context.TODO(), &event{op: "reload"}, func() error { return nil })
 }
 
-func (r *Runtime) Expand(ctx context.Context, kw string) error { // want `fires 2 Observe\* hooks`
-	start := time.Now()
-	err := r.searchText(ctx, kw, 0)
-	r.obs.expand(start, 0, 1, err)
-	r.obs.expand(start, 0, 1, err)
-	return err
+func (r *Runtime) SearchAll(ctx context.Context, qs []string, k int) error { // want `never enters the request envelope`
+	return nil
+}
+
+func (r *Runtime) Expand(ctx context.Context, kw string) error { // want `enters the request envelope 2 times`
+	ev := event{op: "expand"}
+	_ = r.read(ctx, &ev, func() error { return nil })
+	return r.read(ctx, &ev, func() error { return nil })
 }
 
 func (r *Runtime) ExpandAll(ctx context.Context, kws []string) error { // want `nested inside a conditional`
-	start := time.Now()
-	err := r.searchText(ctx, "", 0)
-	if err == nil {
-		// The error path skips the hook: exactly the bug class the
+	if len(kws) > 0 {
+		// The empty batch skips the envelope: exactly the bug class the
 		// analyzer exists for.
-		r.obs.batch(start, "expand", len(kws), 0, 1, err)
+		return r.read(ctx, &event{op: "batch"}, func() error { return nil })
 	}
-	return err
+	return nil
 }
 
-// Reload with the method-value form p.obs().reload(...) is recognized
-// too.
-func (r *Runtime) obsList() observers { return r.obs }
+// Ingest re-enters the envelope from inside its own work.
+func (r *Runtime) Ingest(ctx context.Context) error { // want `enters the request envelope 2 times`
+	return r.read(ctx, &event{op: "ingest"}, func() error { return r.Compact(ctx) })
+}
+
+func (r *Runtime) Compact(ctx context.Context) error {
+	return r.read(ctx, &event{op: "compact"}, func() error { return nil })
+}
 
 // Unobserved types are unconstrained.
-type Plain struct{ obs observers }
+type Plain struct{}
 
 func (p *Plain) Search(ctx context.Context, q string, k int) error { return nil }

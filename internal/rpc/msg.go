@@ -157,10 +157,9 @@ func AppendExpanderOptions(b []byte, o core.ExpanderOptions) []byte {
 	b = AppendF64(b, o.MinCategoryRatio)
 	b = AppendF64(b, o.MaxCategoryRatio)
 	b = AppendF64(b, o.MinDensity)
-	var flags byte
-	if o.ExplicitBand {
-		flags |= 1
-	}
+	// Bit 1 is reserved: it once marked the band as explicitly set, every
+	// coordinator has always set it, and writing it keeps the bytes fixed.
+	flags := byte(1)
 	if o.KeepTwoCycles {
 		flags |= 2
 	}
@@ -185,7 +184,6 @@ func ReadExpanderOptions(r *Reader) core.ExpanderOptions {
 		MinDensity:       r.F64(),
 	}
 	flags := r.Byte()
-	o.ExplicitBand = flags&1 != 0
 	o.KeepTwoCycles = flags&2 != 0
 	o.RankByFrequency = flags&4 != 0
 	o.IncludeRedirectAliases = flags&8 != 0

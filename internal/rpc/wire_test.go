@@ -180,7 +180,7 @@ func TestExpanderOptionsRoundTrip(t *testing.T) {
 	o := core.ExpanderOptions{
 		MaxCycleLen: 4, Radius: 2, MaxNeighborhood: 500, MaxFeatures: 15,
 		MinCategoryRatio: 0.25, MaxCategoryRatio: 0.75, MinDensity: 0.5,
-		ExplicitBand: true, KeepTwoCycles: true, RankByFrequency: false,
+		KeepTwoCycles: true, RankByFrequency: false,
 		IncludeRedirectAliases: true,
 	}
 	r := NewReader(AppendExpanderOptions(nil, o))

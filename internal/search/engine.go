@@ -56,7 +56,7 @@ func NewEngine(ix *index.Index, an *text.Analyzer, opts ...Option) (*Engine, err
 	if ix == nil {
 		return nil, fmt.Errorf("search: nil index")
 	}
-	e := &Engine{ix: ix, an: an, mu: DefaultMu}
+	e := &Engine{ix: ix, an: an, mu: DefaultMu, leaves: newLeafCache()}
 	for _, opt := range opts {
 		opt(e)
 	}

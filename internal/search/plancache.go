@@ -2,25 +2,22 @@ package search
 
 import (
 	"strings"
-	"sync"
+
+	"github.com/querygraph/querygraph/internal/lru"
 )
 
 // The leaf cache memoizes LeavesForQuery: parsing and flattening raw query
 // text is the only per-request work of the text search path that cannot
 // reuse pooled storage, so serving traffic — which repeats query strings —
 // would otherwise pay an AST's worth of garbage on every request. The
-// cache is sharded like the expansion cache to keep lock contention off
-// the hot path, and a hit costs a hash, one shard lock and two pointer
-// swaps: no allocation.
+// cache is the same sharded LRU the expansion cache sits on (internal/lru),
+// so a hit costs a hash, one shard lock and two pointer swaps: no
+// allocation.
 //
 // Entries are immutable once inserted: leaves are deep-copied on insert
 // (slice, terms and strings), so a cached entry never aliases caller
 // memory — in particular the reusable request buffers cmd/qserve parses
 // query text out of.
-
-// leafCacheShards must be a power of two (the hash is masked, not
-// modulo'd).
-const leafCacheShards = 16
 
 // leafCacheCapacity bounds the total number of cached query strings
 // across all shards; beyond it the least recently used entry of the
@@ -32,81 +29,32 @@ const leafCacheCapacity = 4096
 // working set.
 const leafCacheMaxKey = 1024
 
-type leafEntry struct {
-	key        string
-	leaves     []Leaf
-	prev, next *leafEntry
-}
+type leafCache struct{ *lru.Cache[string, []Leaf] }
 
-type leafShard struct {
-	mu      sync.Mutex
-	entries map[string]*leafEntry
-	// head is the most recently used entry, tail the eviction candidate.
-	head, tail *leafEntry
-}
-
-type leafCache struct {
-	shards [leafCacheShards]leafShard
-}
-
-// fnv1a hashes the query to a shard without allocating.
-func fnv1a(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
-}
-
-func (c *leafCache) shard(query string) *leafShard {
-	return &c.shards[fnv1a(query)&(leafCacheShards-1)]
-}
+func newLeafCache() leafCache { return leafCache{lru.New[string, []Leaf](leafCacheCapacity)} }
 
 // get returns the cached leaves for query, refreshing its recency.
-func (c *leafCache) get(query string) ([]Leaf, bool) {
+func (c leafCache) get(query string) ([]Leaf, bool) {
 	if len(query) > leafCacheMaxKey {
 		return nil, false
 	}
-	s := c.shard(query)
-	s.mu.Lock()
-	e, ok := s.entries[query]
-	if ok {
-		s.moveToFront(e)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return e.leaves, true
+	s := &c.Cache[lru.Index(query)]
+	s.Lock()
+	defer s.Unlock()
+	return s.Get(query)
 }
 
-// put inserts a deep copy of leaves under a cloned key, evicting the
-// shard's least recently used entry at capacity. Concurrent duplicate
-// inserts keep the first entry.
-func (c *leafCache) put(query string, leaves []Leaf) {
+// put inserts a deep copy of leaves under a cloned key (a concurrent
+// duplicate insert replaces the entry with an equal one).
+func (c leafCache) put(query string, leaves []Leaf) {
 	if len(query) > leafCacheMaxKey {
 		return
 	}
-	e := &leafEntry{key: strings.Clone(query), leaves: cloneLeaves(leaves)}
-	s := c.shard(query)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.entries == nil {
-		s.entries = make(map[string]*leafEntry)
-	}
-	if _, dup := s.entries[e.key]; dup {
-		return
-	}
-	if len(s.entries) >= leafCacheCapacity/leafCacheShards {
-		s.evictTail()
-	}
-	s.entries[e.key] = e
-	s.pushFront(e)
+	key, leaves := strings.Clone(query), cloneLeaves(leaves)
+	s := &c.Cache[lru.Index(key)]
+	s.Lock()
+	defer s.Unlock()
+	s.Put(key, leaves)
 }
 
 // cloneLeaves deep-copies leaves so the cache shares no memory with the
@@ -121,47 +69,4 @@ func cloneLeaves(leaves []Leaf) []Leaf {
 		out[i] = Leaf{Terms: terms, Weight: lf.Weight}
 	}
 	return out
-}
-
-func (s *leafShard) pushFront(e *leafEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *leafShard) unlink(e *leafEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *leafShard) moveToFront(e *leafEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-func (s *leafShard) evictTail() {
-	e := s.tail
-	if e == nil {
-		return
-	}
-	s.unlink(e)
-	delete(s.entries, e.key)
 }

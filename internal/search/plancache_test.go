@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/querygraph/querygraph/internal/lru"
 )
 
 // TestSearchTextMatchesSearch proves the cached text path returns exactly
@@ -62,14 +64,14 @@ func TestSearchTextParseErrorsNotCached(t *testing.T) {
 }
 
 func TestLeafCacheEvictsLRU(t *testing.T) {
-	var c leafCache
-	perShard := leafCacheCapacity / leafCacheShards
+	c := newLeafCache()
+	perShard := leafCacheCapacity / lru.Shards
 	// Find enough distinct keys landing in one shard to overflow it.
-	target := c.shard("probe")
+	target := lru.Index("probe")
 	var keys []string
 	for i := 0; len(keys) < perShard+1; i++ {
 		k := fmt.Sprintf("query %d", i)
-		if c.shard(k) == target {
+		if lru.Index(k) == target {
 			keys = append(keys, k)
 		}
 	}
@@ -93,7 +95,7 @@ func TestLeafCacheEvictsLRU(t *testing.T) {
 }
 
 func TestLeafCacheSkipsOversizedKeys(t *testing.T) {
-	var c leafCache
+	c := newLeafCache()
 	big := make([]byte, leafCacheMaxKey+1)
 	for i := range big {
 		big[i] = 'a'
@@ -108,7 +110,7 @@ func TestLeafCacheSkipsOversizedKeys(t *testing.T) {
 // insert's arguments: mutating the caller's slices after put must not be
 // visible through get.
 func TestLeafCacheClones(t *testing.T) {
-	var c leafCache
+	c := newLeafCache()
 	terms := []string{"venice"}
 	leaves := []Leaf{{Terms: terms, Weight: 1}}
 	c.put("q", leaves)

@@ -59,6 +59,34 @@ func liveConfigOf(sys *core.System) live.Config {
 	}
 }
 
+// write is the write-path envelope, shared by Ingest, Compact, the
+// auto-compactor and Pool.Reload: same gate order as read (dead ctx, then
+// ErrClosed), then work runs under mu on the serving generation and may
+// swap in its successor. Whatever happened, the event reports the state
+// being served once the operation is over — shard count, generation and
+// delta size stay the old generation's when work failed. It is emitted
+// under mu, so write events reach observers in commit order and a
+// generation or delta gauge never goes stale behind a racing write;
+// observers must not call back into the write path. The writers no
+// caller's context reaches (Reload, the auto-compactor) pass a nil ctx.
+func (rt *localRuntime) write(ctx context.Context, ev *Event, work func(g *poolGeneration) error) error {
+	start := time.Now()
+	err := ctxErr(ctx)
+	if err == nil {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		if g := rt.gen.Load(); g == nil {
+			err = ErrClosed
+		} else {
+			err = work(g)
+			g = rt.gen.Load()
+			ev.Shards, ev.Generation, ev.DeltaDocs = g.set.NumShards(), g.seq, g.set.Delta().NumDocs()
+		}
+	}
+	rt.cfg.obs.emit(ev, start, err)
+	return err
+}
+
 // Ingest appends documents to the in-memory delta segment; they are
 // searchable by the time the call returns — one more source of the
 // scatter, scored under merged base+delta collection statistics,
@@ -68,57 +96,38 @@ func liveConfigOf(sys *core.System) live.Config {
 // past its capacity (WithDeltaCapacity) admits nothing. docs is not
 // retained.
 func (rt *localRuntime) Ingest(ctx context.Context, docs []Document) (IngestStats, error) {
-	start := time.Now()
-	st, shards, err := rt.ingest(ctx, docs)
-	rt.cfg.obs.ingest(start, len(docs), st.DeltaDocs, shards, err)
-	return st, err
-}
-
-func (rt *localRuntime) ingest(ctx context.Context, docs []Document) (IngestStats, int, error) {
-	if err := ctx.Err(); err != nil {
-		return IngestStats{}, 0, err
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	g := rt.gen.Load()
-	if g == nil {
-		return IngestStats{}, 0, ErrClosed
-	}
-	set, cur, shards := g.set, g.set.Delta(), g.set.NumShards()
-	out := IngestStats{
-		DeltaDocs:  cur.NumDocs(),
-		DeltaBytes: cur.Bytes(),
-		Generation: g.seq,
-	}
-	if len(docs) == 0 {
-		return out, shards, nil
-	}
-	if held, limit := cur.NumDocs(), rt.cfg.deltaCapacity(); held+len(docs) > limit {
-		return out, shards, fmt.Errorf("%w: %d held + %d submitted exceeds capacity %d",
-			ErrDeltaFull, held, len(docs), limit)
-	}
-	for _, d := range docs {
-		if d.ID == "" {
-			continue
+	var st IngestStats
+	ev := Event{Op: OpIngest, Size: len(docs)}
+	err := rt.write(ctx, &ev, func(g *poolGeneration) error {
+		set, cur := g.set, g.set.Delta()
+		st = IngestStats{DeltaDocs: cur.NumDocs(), DeltaBytes: cur.Bytes(), Generation: g.seq}
+		if len(docs) == 0 {
+			return nil
 		}
-		for _, sys := range set.Systems() {
-			if _, ok := sys.Collection.ByExternalID(d.ID); ok {
-				return out, shards, fmt.Errorf("%w: duplicate external id %q", ErrInvalidOptions, d.ID)
+		if held, limit := cur.NumDocs(), rt.cfg.deltaCapacity(); held+len(docs) > limit {
+			return fmt.Errorf("%w: %d held + %d submitted exceeds capacity %d",
+				ErrDeltaFull, held, len(docs), limit)
+		}
+		for _, d := range docs {
+			if d.ID == "" {
+				continue
+			}
+			for _, sys := range set.Systems() {
+				if _, ok := sys.Collection.ByExternalID(d.ID); ok {
+					return fmt.Errorf("%w: duplicate external id %q", ErrInvalidOptions, d.ID)
+				}
 			}
 		}
-	}
-	next, err := live.Append(cur, liveConfigOf(g.sys()), set.GlobalDocs(), docs)
-	if err != nil {
-		return out, shards, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-	}
-	rt.swapLocked(newPoolGeneration(set.WithDelta(next), g.seq))
-	rt.maybeAutoCompactLocked(next.NumDocs())
-	return IngestStats{
-		Ingested:   len(docs),
-		DeltaDocs:  next.NumDocs(),
-		DeltaBytes: next.Bytes(),
-		Generation: g.seq,
-	}, shards, nil
+		next, err := live.Append(cur, liveConfigOf(g.sys()), set.GlobalDocs(), docs)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		}
+		rt.swapLocked(newPoolGeneration(set.WithDelta(next), g.seq))
+		rt.maybeAutoCompactLocked(next.NumDocs())
+		st.Ingested, st.DeltaDocs, st.DeltaBytes = len(docs), next.NumDocs(), next.Bytes()
+		return nil
+	})
+	return st, err
 }
 
 // Compact folds the delta segment into a fresh base generation — the
@@ -131,52 +140,33 @@ func (rt *localRuntime) ingest(ctx context.Context, docs []Document) (IngestStat
 // An empty delta is a successful no-op with the generation unchanged; a
 // real compaction advances it and starts the expansion cache cold (the
 // knowledge graph is untouched, so cached expansions are merely
-// recomputed, never wrong).
+// recomputed, never wrong). Any failure leaves the old generation, and
+// its delta, serving untouched.
 func (rt *localRuntime) Compact(ctx context.Context) (CompactStats, error) {
-	start := time.Now()
-	cs, shards, err := rt.compact(ctx)
-	rt.cfg.obs.compact(start, cs.Compacted, cs.Generation, shards, err)
+	var cs CompactStats
+	ev := Event{Op: OpCompact}
+	err := rt.write(ctx, &ev, func(g *poolGeneration) error {
+		cs = CompactStats{Generation: g.seq}
+		delta := g.set.Delta()
+		if delta.NumDocs() == 0 {
+			cs.Documents = g.set.GlobalDocs()
+			return nil
+		}
+		archives, err := shard.Fold(g.set, delta)
+		if err != nil {
+			return err
+		}
+		set, err := rt.republish(archives)
+		if err != nil {
+			return err
+		}
+		rt.swapLocked(newPoolGeneration(set, g.seq+1))
+		rt.compactions.Add(1)
+		ev.Size = delta.NumDocs()
+		cs = CompactStats{Compacted: ev.Size, Documents: set.GlobalDocs(), Generation: g.seq + 1}
+		return nil
+	})
 	return cs, err
-}
-
-func (rt *localRuntime) compact(ctx context.Context) (CompactStats, int, error) {
-	if err := ctx.Err(); err != nil {
-		return CompactStats{}, 0, err
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.compactLocked()
-}
-
-// compactLocked does the fold, republish (see republish) and swap;
-// callers hold mu. Any failure leaves the old generation, and its delta,
-// serving untouched.
-//
-//qlint:locked mu
-func (rt *localRuntime) compactLocked() (CompactStats, int, error) {
-	g := rt.gen.Load()
-	if g == nil {
-		return CompactStats{}, 0, ErrClosed
-	}
-	shards, delta := g.set.NumShards(), g.set.Delta()
-	if delta.NumDocs() == 0 {
-		return CompactStats{Documents: g.set.GlobalDocs(), Generation: g.seq}, shards, nil
-	}
-	var set *shard.Set
-	archives, err := shard.Fold(g.set, delta)
-	if err == nil {
-		set, err = rt.republish(archives)
-	}
-	if err != nil {
-		return CompactStats{Generation: g.seq}, shards, err
-	}
-	rt.swapLocked(newPoolGeneration(set, g.seq+1))
-	rt.compactions.Add(1)
-	return CompactStats{
-		Compacted:  delta.NumDocs(),
-		Documents:  set.GlobalDocs(),
-		Generation: g.seq + 1,
-	}, set.NumShards(), nil
 }
 
 // maybeAutoCompactLocked launches one background compaction when the
@@ -197,12 +187,8 @@ func (rt *localRuntime) maybeAutoCompactLocked(deltaDocs int) {
 	go func() {
 		defer rt.bg.Done()
 		defer rt.compacting.Store(false)
-		start := time.Now()
-		cs, shards, err := func() (CompactStats, int, error) {
-			rt.mu.Lock()
-			defer rt.mu.Unlock()
-			return rt.compactLocked()
-		}()
-		rt.cfg.obs.compact(start, cs.Compacted, cs.Generation, shards, err)
+		// Nobody waits for the outcome: it reaches observers through the
+		// compaction's event, and a failure leaves the delta serving.
+		_, _ = rt.Compact(nil)
 	}()
 }

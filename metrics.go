@@ -41,22 +41,38 @@ type opCounters struct {
 	errsTotal atomic.Uint64
 }
 
-func (c *opCounters) observe(durNanos int64, errClass string) {
+func (c *opCounters) observe(e Event) {
 	c.total.Add(1)
-	c.durNanos.Add(durNanos)
-	if errClass != "" {
-		c.errors[classIndex(errClass)].Add(1)
+	c.durNanos.Add(int64(e.Duration))
+	if e.Err != "" {
+		c.errors[classIndex(e.Err)].Add(1)
 		c.errsTotal.Add(1)
 	}
 }
 
 // MetricsObserver is the built-in Observer: lock-free counters over every
-// hook, rendered in Prometheus text exposition format by WritePrometheus
+// Event, rendered in Prometheus text exposition format by WritePrometheus
 // (cmd/qserve serves it at GET /v1/metrics). One instance may be attached
 // to several backends; the counters then aggregate across them. The zero
 // value is ready to use.
 type MetricsObserver struct {
-	search, expand, batch, reload, ingest, compact opCounters
+	// ops[Op] counts every operation; rpc breaks ops[OpRPC], the shard RPC
+	// attempts, down by protocol op, which is how the exposition shows them.
+	ops [numOps]opCounters
+	rpc [numRPCOps]opCounters
+
+	// cache[CacheOutcome] counts successful single-query expansions by
+	// how the expansion cache served them. Failed requests are excluded:
+	// a fast failure (dead context, closed backend, invalid options)
+	// never reaches the cache but carries the CacheBypass zero value,
+	// which would otherwise masquerade as "caching disabled".
+	cache [4]atomic.Uint64
+
+	// batchItems sums the batches' Size, so items/batch ratios fall out of
+	// two counters. generation gauges the most recently reported serving
+	// generation (0 until the first reload or compaction).
+	batchItems atomic.Uint64
+	generation atomic.Uint64
 
 	// ingestedDocs counts documents accepted by successful Ingest calls;
 	// deltaDocs gauges the delta segment's current document count (set by
@@ -66,39 +82,20 @@ type MetricsObserver struct {
 	deltaDocs     atomic.Uint64
 	compactedDocs atomic.Uint64
 
-	// cache[CacheOutcome] counts successful single-query expansions by
-	// how the expansion cache served them. Failed requests are excluded:
-	// a fast failure (dead context, closed backend, invalid options)
-	// never reaches the cache but carries the CacheBypass zero value,
-	// which would otherwise masquerade as "caching disabled".
-	cache [4]atomic.Uint64
-
-	// batchItems sums BatchObservation.Size across batches, so
-	// items/batch ratios fall out of two counters.
-	batchItems atomic.Uint64
-
-	// generation tracks the most recently observed reload generation
-	// (a gauge; 0 until the first reload).
-	generation atomic.Uint64
-
-	// rpc[rpcOpIndex] counts the remote coordinator's per-shard RPC
-	// attempts by protocol op; retries, hedges and deadline hits are the
-	// fleet-health counters of the distributed serving path. Partials
-	// counts requests answered degraded (class "partial_result" on the
-	// search/batch hooks).
-	rpc          [numRPCOps]opCounters
+	// Retries, hedges and deadline hits are the fleet-health counters of
+	// the distributed serving path; partials counts requests answered
+	// degraded (class "partial_result" on a search or batch).
 	rpcRetries   atomic.Uint64
 	rpcHedges    atomic.Uint64
 	rpcDeadlines atomic.Uint64
 	partials     atomic.Uint64
 
-	// Latency histograms for the three hot paths. The summary families
-	// above give sums and counts; these give the full distribution as
-	// Prometheus cumulative buckets, backed by internal/hist's log-linear
-	// layout so recording stays a couple of atomic adds. rpcHist pools all
-	// protocol ops into one family: per-op attempt counts already exist
-	// above, and the attempt-latency distribution is dominated by plan/topk
-	// fan-out anyway.
+	// Latency histograms for the hot paths. The summary families give
+	// sums and counts; these give the full distribution as Prometheus
+	// cumulative buckets, backed by internal/hist's log-linear layout so
+	// recording stays a couple of atomic adds. rpcHist pools all protocol
+	// ops into one family: per-op attempt counts already exist, and the
+	// attempt-latency distribution is dominated by plan/topk fan-out.
 	searchHist, expandHist, rpcHist, compactHist hist.Atomic
 }
 
@@ -124,80 +121,61 @@ func rpcOpIndex(op string) int {
 // NewMetricsObserver returns a fresh, zeroed metrics observer.
 func NewMetricsObserver() *MetricsObserver { return &MetricsObserver{} }
 
-var (
-	_ Observer     = (*MetricsObserver)(nil)
-	_ RPCObserver  = (*MetricsObserver)(nil)
-	_ LiveObserver = (*MetricsObserver)(nil)
-)
+var _ Observer = (*MetricsObserver)(nil)
 
-// ObserveSearch implements Observer.
-func (m *MetricsObserver) ObserveSearch(o SearchObservation) {
-	m.search.observe(int64(o.Duration), o.Err)
-	m.searchHist.Record(o.Duration)
-	if o.Err == "partial_result" {
+// Observe implements Observer: atomic adds only, so it is safe and cheap
+// on every request path. An Op outside the declared set is dropped.
+func (m *MetricsObserver) Observe(e Event) {
+	if e.Op >= numOps {
+		return
+	}
+	m.ops[e.Op].observe(e)
+	switch ok := e.Err == ""; e.Op {
+	case OpSearch:
+		m.searchHist.Record(e.Duration)
+		m.countPartial(e)
+	case OpExpand:
+		m.expandHist.Record(e.Duration)
+		if ok && e.Cache <= CacheDeduped {
+			m.cache[e.Cache].Add(1)
+		}
+	case OpBatch:
+		m.batchItems.Add(uint64(e.Size))
+		m.countPartial(e)
+	case OpReload:
+		m.generation.Store(e.Generation)
+	case OpIngest:
+		if ok {
+			m.ingestedDocs.Add(uint64(e.Size))
+		}
+		m.deltaDocs.Store(uint64(e.DeltaDocs))
+	case OpCompact:
+		// A successful compaction empties the delta segment and advances
+		// the serving generation, so both gauges follow it.
+		m.compactHist.Record(e.Duration)
+		if ok {
+			m.compactedDocs.Add(uint64(e.Size))
+			m.deltaDocs.Store(0)
+			m.generation.Store(e.Generation)
+		}
+	case OpRPC:
+		m.rpc[rpcOpIndex(e.Kind)].observe(e)
+		m.rpcHist.Record(e.Duration)
+		if e.Attempt > 0 {
+			m.rpcRetries.Add(1)
+		}
+		if e.Hedged {
+			m.rpcHedges.Add(1)
+		}
+		if e.DeadlineHit {
+			m.rpcDeadlines.Add(1)
+		}
+	}
+}
+
+func (m *MetricsObserver) countPartial(e Event) {
+	if e.Err == "partial_result" {
 		m.partials.Add(1)
-	}
-}
-
-// ObserveExpand implements Observer.
-func (m *MetricsObserver) ObserveExpand(o ExpandObservation) {
-	m.expand.observe(int64(o.Duration), o.Err)
-	m.expandHist.Record(o.Duration)
-	if o.Err == "" && o.Cache <= CacheDeduped {
-		m.cache[o.Cache].Add(1)
-	}
-}
-
-// ObserveBatch implements Observer.
-func (m *MetricsObserver) ObserveBatch(o BatchObservation) {
-	m.batch.observe(int64(o.Duration), o.Err)
-	m.batchItems.Add(uint64(o.Size))
-	if o.Err == "partial_result" {
-		m.partials.Add(1)
-	}
-}
-
-// ObserveRPC implements RPCObserver: per-shard RPC attempts from the
-// remote coordinator.
-func (m *MetricsObserver) ObserveRPC(o RPCObservation) {
-	m.rpc[rpcOpIndex(o.Op)].observe(int64(o.Duration), o.Err)
-	m.rpcHist.Record(o.Duration)
-	if o.Attempt > 0 {
-		m.rpcRetries.Add(1)
-	}
-	if o.Hedged {
-		m.rpcHedges.Add(1)
-	}
-	if o.DeadlineHit {
-		m.rpcDeadlines.Add(1)
-	}
-}
-
-// ObserveReload implements Observer.
-func (m *MetricsObserver) ObserveReload(o ReloadObservation) {
-	m.reload.observe(int64(o.Duration), o.Err)
-	m.generation.Store(o.Generation)
-}
-
-// ObserveIngest implements LiveObserver: Backend.Ingest calls.
-func (m *MetricsObserver) ObserveIngest(o IngestObservation) {
-	m.ingest.observe(int64(o.Duration), o.Err)
-	if o.Err == "" {
-		m.ingestedDocs.Add(uint64(o.Docs))
-	}
-	m.deltaDocs.Store(uint64(o.DeltaDocs))
-}
-
-// ObserveCompact implements LiveObserver: admin- and threshold-triggered
-// compactions. A successful compaction empties the delta segment and
-// advances the serving generation, so both gauges follow it.
-func (m *MetricsObserver) ObserveCompact(o CompactObservation) {
-	m.compact.observe(int64(o.Duration), o.Err)
-	m.compactHist.Record(o.Duration)
-	if o.Err == "" {
-		m.compactedDocs.Add(uint64(o.Compacted))
-		m.deltaDocs.Store(0)
-		m.generation.Store(o.Generation)
 	}
 }
 
@@ -231,31 +209,101 @@ type MetricsSnapshot struct {
 
 // Snapshot reads the current counter values.
 func (m *MetricsObserver) Snapshot() MetricsSnapshot {
+	of := func(op Op) (total, errs uint64) { return m.ops[op].total.Load(), m.ops[op].errsTotal.Load() }
 	s := MetricsSnapshot{
-		Searches: m.search.total.Load(), SearchErrors: m.search.errsTotal.Load(),
-		Expands: m.expand.total.Load(), ExpandErrors: m.expand.errsTotal.Load(),
-		Batches: m.batch.total.Load(), BatchErrors: m.batch.errsTotal.Load(),
-		Reloads: m.reload.total.Load(), ReloadErrors: m.reload.errsTotal.Load(),
-		Ingests: m.ingest.total.Load(), IngestErrors: m.ingest.errsTotal.Load(),
-		Compacts: m.compact.total.Load(), CompactErrors: m.compact.errsTotal.Load(),
-		IngestedDocs:  m.ingestedDocs.Load(),
-		DeltaDocs:     m.deltaDocs.Load(),
-		CompactedDocs: m.compactedDocs.Load(),
-		BatchItems:    m.batchItems.Load(),
-		Generation:    m.generation.Load(),
+		BatchItems:     m.batchItems.Load(),
+		Generation:     m.generation.Load(),
+		RPCRetries:     m.rpcRetries.Load(),
+		RPCHedges:      m.rpcHedges.Load(),
+		RPCDeadlines:   m.rpcDeadlines.Load(),
+		PartialResults: m.partials.Load(),
+		IngestedDocs:   m.ingestedDocs.Load(),
+		DeltaDocs:      m.deltaDocs.Load(),
+		CompactedDocs:  m.compactedDocs.Load(),
 	}
+	s.Searches, s.SearchErrors = of(OpSearch)
+	s.Expands, s.ExpandErrors = of(OpExpand)
+	s.Batches, s.BatchErrors = of(OpBatch)
+	s.Reloads, s.ReloadErrors = of(OpReload)
+	s.Ingests, s.IngestErrors = of(OpIngest)
+	s.Compacts, s.CompactErrors = of(OpCompact)
+	s.RPCs, s.RPCErrors = of(OpRPC)
 	for i := range s.Cache {
 		s.Cache[i] = m.cache[i].Load()
 	}
-	for i := range m.rpc {
-		s.RPCs += m.rpc[i].total.Load()
-		s.RPCErrors += m.rpc[i].errsTotal.Load()
-	}
-	s.RPCRetries = m.rpcRetries.Load()
-	s.RPCHedges = m.rpcHedges.Load()
-	s.RPCDeadlines = m.rpcDeadlines.Load()
-	s.PartialResults = m.partials.Load()
 	return s
+}
+
+// promWriter renders exposition lines through a sticky error: after the
+// first failed write every later line is a no-op, so the family code
+// below never checks, and WritePrometheus returns the one error.
+type promWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (p *promWriter) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
+	}
+}
+
+func (p *promWriter) family(name, typ, help string) {
+	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// opFamilies renders the three families one set of per-op counters
+// exposes — a total counter, an errors counter by class and a duration
+// summary — under the names given. sparse skips ops never seen: the RPC
+// families list only the protocol ops this coordinator used.
+func (p *promWriter) opFamilies(total, errs, dur string, help [3]string, labels []string, cs []opCounters, sparse bool) {
+	seen := func(i int) bool { return !sparse || cs[i].total.Load() > 0 }
+	p.family(total, "counter", help[0])
+	for i, op := range labels {
+		if seen(i) {
+			p.printf("%s{op=%q} %d\n", total, op, cs[i].total.Load())
+		}
+	}
+	p.family(errs, "counter", help[1])
+	for i, op := range labels {
+		for j, class := range metricClasses {
+			if n := cs[i].errors[j].Load(); n > 0 {
+				p.printf("%s{op=%q,class=%q} %d\n", errs, op, class, n)
+			}
+		}
+	}
+	p.family(dur, "summary", help[2])
+	for i, op := range labels {
+		if seen(i) {
+			p.printf("%s_sum{op=%q} %g\n", dur, op, float64(cs[i].durNanos.Load())/1e9)
+			p.printf("%s_count{op=%q} %d\n", dur, op, cs[i].total.Load())
+		}
+	}
+}
+
+// histogram renders one snapshot as a Prometheus histogram family:
+// cumulative _bucket series at the DefaultExposition boundaries (each le
+// is an exact internal bucket upper, so cumulative counts are exact whole-
+// bucket sums, never interpolated), a +Inf bucket, _sum in seconds and
+// _count.
+func (p *promWriter) histogram(name, help string, h hist.Hist) {
+	p.family(name, "histogram", help)
+	var cum uint64
+	next := 0
+	for _, idx := range hist.DefaultExposition {
+		for ; next <= idx; next++ {
+			cum += h.Counts[next]
+		}
+		p.printf("%s_bucket{le=\"%g\"} %d\n", name, float64(hist.BucketUpper(idx))/1e9, cum)
+	}
+	p.printf("%s_bucket{le=\"+Inf\"} %d\n", name, h.N)
+	p.printf("%s_sum %g\n%s_count %d\n", name, float64(h.Sum)/1e9, name, h.N)
+}
+
+// scalar is one unlabelled counter or gauge family of the exposition.
+type scalar struct {
+	name, typ, help string
+	v               *atomic.Uint64
 }
 
 // WritePrometheus renders the counters in the Prometheus text exposition
@@ -263,175 +311,50 @@ func (m *MetricsObserver) Snapshot() MetricsSnapshot {
 // querygraph_request_errors_total by {op, class},
 // querygraph_request_duration_seconds_{sum,count} by {op},
 // querygraph_expand_cache_total by {outcome}, querygraph_batch_items_total,
+// the same three per-op families for shard RPC attempts (querygraph_rpc_*),
 // full latency histograms (querygraph_search_duration_seconds,
 // querygraph_expand_duration_seconds,
 // querygraph_rpc_attempt_duration_seconds,
-// querygraph_compact_duration_seconds), the live-index write-path
-// counters (querygraph_ingest_total, querygraph_ingested_documents_total,
-// querygraph_compactions_total, querygraph_compacted_documents_total,
-// the querygraph_delta_documents gauge) and the
-// querygraph_pool_generation gauge.
+// querygraph_compact_duration_seconds), the fleet-health counters, the
+// live-index write-path counters (querygraph_ingest_total,
+// querygraph_ingested_documents_total, querygraph_compactions_total,
+// querygraph_compacted_documents_total, the querygraph_delta_documents
+// gauge) and the querygraph_pool_generation gauge. A new family is one
+// row in the tables below.
 func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
-	ops := []struct {
-		name string
-		c    *opCounters
-	}{
-		{"search", &m.search},
-		{"expand", &m.expand},
-		{"batch", &m.batch},
-		{"reload", &m.reload},
-		{"ingest", &m.ingest},
-		{"compact", &m.compact},
-	}
-
-	p := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	if err := p("# HELP querygraph_requests_total Requests observed, by operation.\n# TYPE querygraph_requests_total counter\n"); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := p("querygraph_requests_total{op=%q} %d\n", op.name, op.c.total.Load()); err != nil {
-			return err
-		}
-	}
-	if err := p("# HELP querygraph_request_errors_total Failed requests, by operation and error class.\n# TYPE querygraph_request_errors_total counter\n"); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		for i, class := range metricClasses {
-			if n := op.c.errors[i].Load(); n > 0 {
-				if err := p("querygraph_request_errors_total{op=%q,class=%q} %d\n", op.name, class, n); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := p("# HELP querygraph_request_duration_seconds Wall time inside the backend, by operation.\n# TYPE querygraph_request_duration_seconds summary\n"); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := p("querygraph_request_duration_seconds_sum{op=%q} %g\n", op.name, float64(op.c.durNanos.Load())/1e9); err != nil {
-			return err
-		}
-		if err := p("querygraph_request_duration_seconds_count{op=%q} %d\n", op.name, op.c.total.Load()); err != nil {
-			return err
-		}
-	}
-	if err := p("# HELP querygraph_expand_cache_total Successful single-query expansions, by cache outcome.\n# TYPE querygraph_expand_cache_total counter\n"); err != nil {
-		return err
-	}
+	p := &promWriter{w: w}
+	p.opFamilies("querygraph_requests_total", "querygraph_request_errors_total", "querygraph_request_duration_seconds",
+		[3]string{"Requests observed, by operation.", "Failed requests, by operation and error class.", "Wall time inside the backend, by operation."},
+		opNames[:OpRPC], m.ops[:OpRPC], false)
+	p.family("querygraph_expand_cache_total", "counter", "Successful single-query expansions, by cache outcome.")
 	for outcome := CacheBypass; outcome <= CacheDeduped; outcome++ {
-		if err := p("querygraph_expand_cache_total{outcome=%q} %d\n", outcome.String(), m.cache[outcome].Load()); err != nil {
-			return err
+		p.printf("querygraph_expand_cache_total{outcome=%q} %d\n", outcome.String(), m.cache[outcome].Load())
+	}
+	scalars := func(rows ...scalar) {
+		for _, s := range rows {
+			p.family(s.name, s.typ, s.help)
+			p.printf("%s %d\n", s.name, s.v.Load())
 		}
 	}
-	if err := p("# HELP querygraph_batch_items_total Items submitted across all batches.\n# TYPE querygraph_batch_items_total counter\nquerygraph_batch_items_total %d\n", m.batchItems.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_rpc_total Shard RPC attempts from the remote coordinator, by protocol op.\n# TYPE querygraph_rpc_total counter\n"); err != nil {
-		return err
-	}
-	for i, op := range rpcOpNames {
-		if n := m.rpc[i].total.Load(); n > 0 {
-			if err := p("querygraph_rpc_total{op=%q} %d\n", op, n); err != nil {
-				return err
-			}
-		}
-	}
-	if err := p("# HELP querygraph_rpc_errors_total Failed shard RPC attempts, by protocol op and error class.\n# TYPE querygraph_rpc_errors_total counter\n"); err != nil {
-		return err
-	}
-	for i, op := range rpcOpNames {
-		for j, class := range metricClasses {
-			if n := m.rpc[i].errors[j].Load(); n > 0 {
-				if err := p("querygraph_rpc_errors_total{op=%q,class=%q} %d\n", op, class, n); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := p("# HELP querygraph_rpc_duration_seconds Wall time of shard RPC attempts, by protocol op.\n# TYPE querygraph_rpc_duration_seconds summary\n"); err != nil {
-		return err
-	}
-	for i, op := range rpcOpNames {
-		if n := m.rpc[i].total.Load(); n > 0 {
-			if err := p("querygraph_rpc_duration_seconds_sum{op=%q} %g\n", op, float64(m.rpc[i].durNanos.Load())/1e9); err != nil {
-				return err
-			}
-			if err := p("querygraph_rpc_duration_seconds_count{op=%q} %d\n", op, n); err != nil {
-				return err
-			}
-		}
-	}
-	hists := []struct {
-		name, help string
-		a          *hist.Atomic
-	}{
-		{"querygraph_search_duration_seconds", "Search latency distribution.", &m.searchHist},
-		{"querygraph_expand_duration_seconds", "Single-query expansion latency distribution.", &m.expandHist},
-		{"querygraph_rpc_attempt_duration_seconds", "Shard RPC attempt latency distribution, all protocol ops.", &m.rpcHist},
-		{"querygraph_compact_duration_seconds", "Compaction latency distribution.", &m.compactHist},
-	}
-	for _, hm := range hists {
-		if err := writeHistogram(w, hm.name, hm.help, hm.a.Snapshot()); err != nil {
-			return err
-		}
-	}
-	if err := p("# HELP querygraph_rpc_retries_total Shard RPC retry attempts (attempt > 0).\n# TYPE querygraph_rpc_retries_total counter\nquerygraph_rpc_retries_total %d\n", m.rpcRetries.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_rpc_hedges_total Speculative hedged shard RPCs to replicas.\n# TYPE querygraph_rpc_hedges_total counter\nquerygraph_rpc_hedges_total %d\n", m.rpcHedges.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_rpc_deadline_hits_total Shard RPC attempts that died on their per-shard deadline.\n# TYPE querygraph_rpc_deadline_hits_total counter\nquerygraph_rpc_deadline_hits_total %d\n", m.rpcDeadlines.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_partial_results_total Requests answered degraded under the partial-failure policy.\n# TYPE querygraph_partial_results_total counter\nquerygraph_partial_results_total %d\n", m.partials.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_ingest_total Ingest calls observed.\n# TYPE querygraph_ingest_total counter\nquerygraph_ingest_total %d\n", m.ingest.total.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_ingested_documents_total Documents accepted by successful ingests.\n# TYPE querygraph_ingested_documents_total counter\nquerygraph_ingested_documents_total %d\n", m.ingestedDocs.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_delta_documents Documents currently held in the in-memory delta segment.\n# TYPE querygraph_delta_documents gauge\nquerygraph_delta_documents %d\n", m.deltaDocs.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_compactions_total Compactions observed.\n# TYPE querygraph_compactions_total counter\nquerygraph_compactions_total %d\n", m.compact.total.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP querygraph_compacted_documents_total Delta documents folded into new generations by successful compactions.\n# TYPE querygraph_compacted_documents_total counter\nquerygraph_compacted_documents_total %d\n", m.compactedDocs.Load()); err != nil {
-		return err
-	}
-	return p("# HELP querygraph_pool_generation Most recently observed reload generation (0 before any reload).\n# TYPE querygraph_pool_generation gauge\nquerygraph_pool_generation %d\n", m.generation.Load())
-}
-
-// writeHistogram renders one snapshot as a Prometheus histogram family:
-// cumulative _bucket series at the DefaultExposition boundaries (each le
-// is an exact internal bucket upper, so cumulative counts are exact whole-
-// bucket sums, never interpolated), a +Inf bucket, _sum in seconds and
-// _count.
-func writeHistogram(w io.Writer, name, help string, h hist.Hist) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
-	var cum uint64
-	next := 0
-	for _, idx := range hist.DefaultExposition {
-		for ; next <= idx; next++ {
-			cum += h.Counts[next]
-		}
-		le := float64(hist.BucketUpper(idx)) / 1e9
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, le, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.N); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, float64(h.Sum)/1e9, name, h.N)
-	return err
+	scalars(scalar{"querygraph_batch_items_total", "counter", "Items submitted across all batches.", &m.batchItems})
+	p.opFamilies("querygraph_rpc_total", "querygraph_rpc_errors_total", "querygraph_rpc_duration_seconds",
+		[3]string{"Shard RPC attempts from the remote coordinator, by protocol op.", "Failed shard RPC attempts, by protocol op and error class.", "Wall time of shard RPC attempts, by protocol op."},
+		rpcOpNames[:], m.rpc[:], true)
+	p.histogram("querygraph_search_duration_seconds", "Search latency distribution.", m.searchHist.Snapshot())
+	p.histogram("querygraph_expand_duration_seconds", "Single-query expansion latency distribution.", m.expandHist.Snapshot())
+	p.histogram("querygraph_rpc_attempt_duration_seconds", "Shard RPC attempt latency distribution, all protocol ops.", m.rpcHist.Snapshot())
+	p.histogram("querygraph_compact_duration_seconds", "Compaction latency distribution.", m.compactHist.Snapshot())
+	scalars(
+		scalar{"querygraph_rpc_retries_total", "counter", "Shard RPC retry attempts (attempt > 0).", &m.rpcRetries},
+		scalar{"querygraph_rpc_hedges_total", "counter", "Speculative hedged shard RPCs to replicas.", &m.rpcHedges},
+		scalar{"querygraph_rpc_deadline_hits_total", "counter", "Shard RPC attempts that died on their per-shard deadline.", &m.rpcDeadlines},
+		scalar{"querygraph_partial_results_total", "counter", "Requests answered degraded under the partial-failure policy.", &m.partials},
+		scalar{"querygraph_ingest_total", "counter", "Ingest calls observed.", &m.ops[OpIngest].total},
+		scalar{"querygraph_ingested_documents_total", "counter", "Documents accepted by successful ingests.", &m.ingestedDocs},
+		scalar{"querygraph_delta_documents", "gauge", "Documents currently held in the in-memory delta segment.", &m.deltaDocs},
+		scalar{"querygraph_compactions_total", "counter", "Compactions observed.", &m.ops[OpCompact].total},
+		scalar{"querygraph_compacted_documents_total", "counter", "Delta documents folded into new generations by successful compactions.", &m.compactedDocs},
+		scalar{"querygraph_pool_generation", "gauge", "Most recently observed reload generation (0 before any reload).", &m.generation},
+	)
+	return p.err
 }

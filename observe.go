@@ -7,223 +7,144 @@ import (
 )
 
 // Observer is the instrumentation seam of the serving runtimes: attach one
-// with WithObserver and its hooks fire on every request path of a Client
-// or Pool — single and batch, cached and uncached, success and failure —
-// plus every Pool reload. Hooks are called synchronously on the request
-// goroutine after the work completes (including the fast-failure paths:
-// dead context, closed backend, invalid options), so implementations must
-// be cheap and safe for concurrent use. MetricsObserver is the built-in
-// counter implementation.
+// with WithObserver and it receives one Event per completed operation of a
+// Client, Pool or Remote — single and batch, cached and uncached, success
+// and failure, including the fast-failure paths (dead context, closed
+// backend, invalid options) — plus one per shard RPC attempt of a Remote.
+// Observe is called synchronously on the goroutine that did the work, so
+// implementations must be cheap and safe for concurrent use.
+// MetricsObserver is the built-in counter implementation.
 type Observer interface {
-	// ObserveSearch fires after every single-query retrieval:
-	// Search and SearchExpansion on both runtimes.
-	ObserveSearch(SearchObservation)
-	// ObserveExpand fires after every single-query expansion: Expand on
-	// both runtimes (per-item expansions inside ExpandAll surface through
-	// ObserveBatch, not here).
-	ObserveExpand(ExpandObservation)
-	// ObserveBatch fires after every batch entry point: SearchAll,
-	// ExpandAll and SearchExpansions on both runtimes.
-	ObserveBatch(BatchObservation)
-	// ObserveReload fires after every Pool.Reload, successful or not
-	// (a Client never emits it).
-	ObserveReload(ReloadObservation)
+	Observe(Event)
 }
 
-// SearchObservation describes one completed single-query retrieval.
-type SearchObservation struct {
-	// Duration is the request's wall time inside the backend.
-	Duration time.Duration
-	// K is the requested ranking depth (<= 0 ranks every candidate).
-	K int
-	// Shards is the serving generation's shard count (1 on a Client,
-	// 0 when the backend was already closed).
-	Shards int
-	// Expanded is true when the request evaluated an expansion
-	// (SearchExpansion) rather than raw query text (Search).
-	Expanded bool
-	// Err is the request's error class ("" on success); see ErrorClass.
-	Err string
+// Op names the operation an Event reports.
+type Op uint8
+
+const (
+	// OpSearch is one single-query retrieval: Search, SearchInto and
+	// SearchExpansion (Expanded tells them apart).
+	OpSearch Op = iota
+	// OpExpand is one single-query expansion: Expand. Per-item expansions
+	// inside ExpandAll surface through the batch's one OpBatch event.
+	OpExpand
+	// OpBatch is one batch entry point: SearchAll, ExpandAll or
+	// SearchExpansions (Kind tells them apart).
+	OpBatch
+	// OpReload is one Pool.Reload attempt (a Client or Remote never emits
+	// it).
+	OpReload
+	// OpIngest is one Backend.Ingest call.
+	OpIngest
+	// OpCompact is one compaction — admin-triggered (Backend.Compact) or
+	// fired by the auto-compactor (WithAutoCompact).
+	OpCompact
+	// OpRPC is one shard RPC attempt of the remote coordinator: every
+	// attempt is reported individually — first tries, retries and hedges
+	// alike — so per-shard latency and failure structure are visible even
+	// when the request as a whole succeeds. It is per attempt, not per
+	// request: the request that caused it still emits its own event.
+	OpRPC
+
+	numOps
+)
+
+var opNames = [numOps]string{"search", "expand", "batch", "reload", "ingest", "compact", "rpc"}
+
+// String returns the op's instrumentation label.
+func (o Op) String() string {
+	if o < numOps {
+		return opNames[o]
+	}
+	return "unknown"
 }
 
-// ExpandObservation describes one completed single-query expansion.
-type ExpandObservation struct {
-	Duration time.Duration
-	// Cache is how the expansion cache served the request: hit, miss,
-	// single-flight dedup, or bypass when caching is disabled.
-	Cache CacheOutcome
-	// Features is the number of expansion features returned (0 on error).
-	Features int
-	Shards   int
-	Err      string
-}
-
-// Batch kinds reported in BatchObservation.Kind.
+// Batch kinds reported in Event.Kind by OpBatch.
 const (
 	BatchSearch           = "search"
 	BatchExpand           = "expand"
 	BatchSearchExpansions = "search_expansions"
 )
 
-// BatchObservation describes one completed batch entry point.
-type BatchObservation struct {
-	// Kind is the batch's operation: BatchSearch (SearchAll), BatchExpand
-	// (ExpandAll) or BatchSearchExpansions (SearchExpansions).
-	Kind string
-	// Size is the number of items submitted in the batch.
-	Size int
-	// K is the ranking depth for retrieval batches (0 for ExpandAll).
-	K        int
-	Shards   int
+// Event describes one completed operation. It is one flat shape for every
+// Op — the same idea as a trace span — and each Op fills in the fields
+// that mean something for it, leaving the rest zero:
+//
+//	OpSearch   K, Expanded
+//	OpExpand   Cache, Size (features returned)
+//	OpBatch    Kind, Size (items submitted), K (0 for ExpandAll)
+//	OpReload   Generation, DeltaDocs
+//	OpIngest   Size (documents submitted), DeltaDocs, Generation
+//	OpCompact  Size (documents folded), DeltaDocs, Generation
+//	OpRPC      Kind (protocol op), Shard, Addr, Attempt, Hedged
+//
+// Duration, Err and DeadlineHit are always set; Shards on every Op but
+// OpRPC.
+type Event struct {
+	Op Op
+	// Duration is the operation's wall time inside the backend (for OpRPC,
+	// the attempt's, including connection checkout).
 	Duration time.Duration
-	Err      string
-}
-
-// ReloadObservation describes one Pool.Reload attempt.
-type ReloadObservation struct {
-	Duration time.Duration
-	// Generation is the sequence number now being served — the new
-	// generation's on success, the untouched old one's on failure.
-	Generation uint64
-	// Shards is the shard count now being served.
+	// Err is the operation's error class ("" on success); see ErrorClass.
+	Err string
+	// Shards is the serving generation's shard count: 1 on a Client, 0
+	// when the request failed its gate (dead context, closed backend)
+	// before reaching a generation. The write-path ops report the count
+	// being served once the operation is over.
 	Shards int
-	Err    string
-}
-
-// RPCObservation describes one completed shard RPC attempt of the remote
-// coordinator (*Remote): every attempt is observed individually — first
-// tries, retries and hedges alike — so per-shard latency and failure
-// structure are visible even when the request as a whole succeeds.
-type RPCObservation struct {
-	// Shard is the target shard's id; Addr the address this attempt hit.
+	// K is the requested ranking depth (<= 0 ranks every candidate).
+	K int
+	// Kind is the batch kind (BatchSearch, BatchExpand,
+	// BatchSearchExpansions) or the shard protocol op ("plan", "topk",
+	// "expand", ...).
+	Kind string
+	// Size counts what the operation handled: expansion features returned
+	// (0 on error), batch items or documents submitted, delta documents
+	// folded into the new generation (0 for the empty-delta no-op).
+	Size int
+	// Expanded is true when a search evaluated an expansion
+	// (SearchExpansion) rather than raw query text.
+	Expanded bool
+	// Cache is how the expansion cache served an Expand: hit, miss,
+	// single-flight dedup, or bypass when caching is disabled (and on the
+	// fast-failure paths, which never reach the cache).
+	Cache CacheOutcome
+	// Generation is the sequence number being served once a write-path
+	// operation is over — the new generation's after a reload or a real
+	// compaction, the untouched old one's on failure, 0 when the gate
+	// failed.
+	Generation uint64
+	// DeltaDocs is the delta segment's document count once a write-path
+	// operation is over (a rejected batch leaves it unchanged).
+	DeltaDocs int
+	// Shard is the target shard's id, Addr the address this attempt hit.
 	Shard int
 	Addr  string
-	// Op is the protocol operation ("plan", "topk", "expand", ...).
-	Op string
-	// Duration is the attempt's wall time including connection checkout.
-	Duration time.Duration
-	// Attempt numbers the tries within one logical call (0 = first).
+	// Attempt numbers the tries within one logical shard call (0 = first).
 	Attempt int
 	// Hedged is true for a speculative replica request launched because
 	// the primary exceeded the hedge threshold.
 	Hedged bool
-	// DeadlineHit is true when the attempt failed on its per-shard
-	// deadline (the hanging-shard signal).
+	// DeadlineHit is true when the operation died on a deadline (Err is
+	// "timeout") — for an RPC attempt its per-shard deadline, the
+	// hanging-shard signal.
 	DeadlineHit bool
-	// Err is the attempt's error class ("" on success); see ErrorClass.
-	Err string
 }
 
-// RPCObserver is an optional extension of Observer: implementations that
-// also want per-shard RPC attempts (latency, retries, hedges, deadline
-// hits) implement it and are fed by the remote coordinator. Plain
-// Observers are untouched — the coordinator type-asserts per observer.
-type RPCObserver interface {
-	ObserveRPC(RPCObservation)
-}
+// observers is the fan-out list a runtime carries.
+type observers []Observer
 
-// IngestObservation describes one completed Backend.Ingest call,
-// successful or not (a rejected batch — duplicate external id, full
-// delta, closed backend — observes with Docs = the submitted size and
-// DeltaDocs unchanged).
-type IngestObservation struct {
-	Duration time.Duration
-	// Docs is the number of documents submitted in this call.
-	Docs int
-	// DeltaDocs is the delta segment's document count after the call.
-	DeltaDocs int
-	Shards    int
-	Err       string
-}
-
-// CompactObservation describes one completed compaction — admin-
-// triggered (Backend.Compact) or fired by the auto-compactor
-// (WithAutoCompact). An empty delta compacts as a successful no-op with
-// Compacted = 0 and the generation unchanged.
-type CompactObservation struct {
-	Duration time.Duration
-	// Compacted is the number of delta documents folded into the new
-	// generation.
-	Compacted int
-	// Generation is the sequence number now being served — the new
-	// generation's on success, the untouched old one's on failure.
-	Generation uint64
-	Shards     int
-	Err        string
-}
-
-// LiveObserver is an optional extension of Observer for the live-index
-// write path: implementations that also want ingest and compaction
-// telemetry implement it and are fed by Client and Pool. Plain Observers
-// are untouched — the runtimes type-assert per observer, like
-// RPCObserver.
-type LiveObserver interface {
-	ObserveIngest(IngestObservation)
-	ObserveCompact(CompactObservation)
-}
-
-// ingest feeds one Ingest call to every attached observer that opted
-// into LiveObserver.
-func (os observers) ingest(start time.Time, docs, deltaDocs, shards int, err error) {
+// emit completes ev — the duration since start, err's class — and hands it
+// to every observer. An uninstrumented backend returns before classifying
+// the error, so it pays only the envelope's time.Now per request.
+func (os observers) emit(ev *Event, start time.Time, err error) {
 	if len(os) == 0 {
 		return
 	}
-	obs := IngestObservation{
-		Duration:  time.Since(start),
-		Docs:      docs,
-		DeltaDocs: deltaDocs,
-		Shards:    shards,
-		Err:       ErrorClass(err),
-	}
+	ev.Duration, ev.Err = time.Since(start), ErrorClass(err)
+	ev.DeadlineHit = ev.Err == "timeout"
 	for _, o := range os {
-		if lo, ok := o.(LiveObserver); ok {
-			lo.ObserveIngest(obs)
-		}
-	}
-}
-
-// compact feeds one compaction to every attached observer that opted
-// into LiveObserver.
-func (os observers) compact(start time.Time, compacted int, generation uint64, shards int, err error) {
-	if len(os) == 0 {
-		return
-	}
-	obs := CompactObservation{
-		Duration:   time.Since(start),
-		Compacted:  compacted,
-		Generation: generation,
-		Shards:     shards,
-		Err:        ErrorClass(err),
-	}
-	for _, o := range os {
-		if lo, ok := o.(LiveObserver); ok {
-			lo.ObserveCompact(obs)
-		}
-	}
-}
-
-// rpc feeds one RPC attempt to every attached observer that opted into
-// RPCObserver. Unlike the Observe* hooks this is per attempt, not per
-// request — it deliberately does not count toward the one-hook contract
-// of the query-path methods.
-func (os observers) rpc(start time.Time, shardID int, addr, op string, attempt int, hedged bool, err error) {
-	if len(os) == 0 {
-		return
-	}
-	obs := RPCObservation{
-		Shard:       shardID,
-		Addr:        addr,
-		Op:          op,
-		Duration:    time.Since(start),
-		Attempt:     attempt,
-		Hedged:      hedged,
-		DeadlineHit: errors.Is(err, context.DeadlineExceeded),
-		Err:         ErrorClass(err),
-	}
-	for _, o := range os {
-		if ro, ok := o.(RPCObserver); ok {
-			ro.ObserveRPC(obs)
-		}
+		o.Observe(*ev)
 	}
 }
 
@@ -268,76 +189,5 @@ func ErrorClass(err error) string {
 		return "delta_full"
 	default:
 		return "internal"
-	}
-}
-
-// observers is the fan-out list a runtime carries; every hook helper is a
-// no-op on an empty list, so an uninstrumented backend pays only a
-// time.Now per request.
-type observers []Observer
-
-func (os observers) search(start time.Time, k, shards int, expanded bool, err error) {
-	if len(os) == 0 {
-		return
-	}
-	obs := SearchObservation{
-		Duration: time.Since(start),
-		K:        k,
-		Shards:   shards,
-		Expanded: expanded,
-		Err:      ErrorClass(err),
-	}
-	for _, o := range os {
-		o.ObserveSearch(obs)
-	}
-}
-
-func (os observers) expand(start time.Time, outcome CacheOutcome, exp *Expansion, shards int, err error) {
-	if len(os) == 0 {
-		return
-	}
-	obs := ExpandObservation{
-		Duration: time.Since(start),
-		Cache:    outcome,
-		Shards:   shards,
-		Err:      ErrorClass(err),
-	}
-	if exp != nil {
-		obs.Features = len(exp.Features)
-	}
-	for _, o := range os {
-		o.ObserveExpand(obs)
-	}
-}
-
-func (os observers) batch(start time.Time, kind string, size, k, shards int, err error) {
-	if len(os) == 0 {
-		return
-	}
-	obs := BatchObservation{
-		Kind:     kind,
-		Size:     size,
-		K:        k,
-		Shards:   shards,
-		Duration: time.Since(start),
-		Err:      ErrorClass(err),
-	}
-	for _, o := range os {
-		o.ObserveBatch(obs)
-	}
-}
-
-func (os observers) reload(start time.Time, generation uint64, shards int, err error) {
-	if len(os) == 0 {
-		return
-	}
-	obs := ReloadObservation{
-		Duration:   time.Since(start),
-		Generation: generation,
-		Shards:     shards,
-		Err:        ErrorClass(err),
-	}
-	for _, o := range os {
-		o.ObserveReload(obs)
 	}
 }

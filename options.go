@@ -143,8 +143,7 @@ func DefaultExpandOptions() []ExpandOption {
 }
 
 // normalizeExpandOptions resolves the option list against the defaults and
-// validates the result — the single place expansion options are normalized,
-// so the internal zero-value sentinels can never fire on the public path.
+// validates the result — the single place expansion options are normalized.
 func normalizeExpandOptions(opts []ExpandOption) (core.ExpanderOptions, error) {
 	cfg := expandConfig{opts: core.DefaultExpanderOptions()}
 	for _, opt := range opts {
@@ -205,7 +204,6 @@ func WithCategoryRatioBand(min, max float64) ExpandOption {
 			return
 		}
 		c.opts.MinCategoryRatio, c.opts.MaxCategoryRatio = min, max
-		c.opts.ExplicitBand = true
 	}
 }
 
@@ -216,12 +214,6 @@ func WithMinDensity(d float64) ExpandOption {
 		if d < 0 || d > 1 {
 			c.fail(fmt.Errorf("min density %g outside [0, 1]", d))
 			return
-		}
-		if d == 0 {
-			// Store the internal "accept everything" form: the density of
-			// extra edges is never negative, so -1 and 0 admit the same
-			// cycles, and -1 is inert to the internal zero-value default.
-			d = -1
 		}
 		c.opts.MinDensity = d
 	}

@@ -3,7 +3,6 @@ package querygraph
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/querygraph/querygraph/internal/shard"
 )
@@ -62,45 +61,29 @@ func OpenPool(manifestPath string, opts ...Option) (*Pool, error) {
 // returns ErrClosed. Reloads are serialized; the expansion cache starts
 // cold on the new generation.
 func (p *Pool) Reload(manifestPath string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	start := time.Now()
-	gen, shards, err := p.reloadLocked(manifestPath)
-	// Observed under mu: serialized reloads report in order, so a
-	// generation gauge never goes stale behind a racing reload.
-	p.cfg.obs.reload(start, gen, shards, err)
-	return err
-}
-
-// reloadLocked does the load-and-swap; Reload holds mu across it.
-//
-//qlint:locked mu
-func (p *Pool) reloadLocked(manifestPath string) (generation uint64, shards int, err error) {
-	cur := p.gen.Load()
-	if cur == nil {
-		return 0, 0, ErrClosed
-	}
-	if manifestPath == "" {
-		manifestPath = p.manifestPath
-	}
-	set, err := shard.Load(manifestPath, p.cfg.sys...)
-	if err != nil {
-		// The old generation keeps serving; report its coordinates.
-		return cur.seq, cur.set.NumShards(), fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	// Carry a pending delta segment into the new generation when it still
-	// fits: same base document count, same engine configuration — i.e. the
-	// reloaded manifest is the same corpus the segment was ingested above
-	// (a reload after Compact lands here with an already-empty delta). A
-	// manifest with different shape supersedes the segment and drops it.
-	if d := cur.set.Delta(); d.NumDocs() > 0 &&
-		d.BaseDocs() == set.GlobalDocs() && d.Config() == liveConfigOf(set.Systems()[0]) {
-		set = set.WithDelta(d)
-	}
-	p.swapLocked(newPoolGeneration(set, cur.seq+1))
-	p.manifestPath = manifestPath
-	p.reloads.Add(1)
-	return cur.seq + 1, set.NumShards(), nil
+	ev := Event{Op: OpReload}
+	return p.write(nil, &ev, func(cur *poolGeneration) error {
+		if manifestPath == "" {
+			manifestPath = p.manifestPath
+		}
+		set, err := shard.Load(manifestPath, p.cfg.sys...)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrBadManifest, err)
+		}
+		// Carry a pending delta segment into the new generation when it still
+		// fits: same base document count, same engine configuration — i.e. the
+		// reloaded manifest is the same corpus the segment was ingested above
+		// (a reload after Compact lands here with an already-empty delta). A
+		// manifest with different shape supersedes the segment and drops it.
+		if d := cur.set.Delta(); d.NumDocs() > 0 &&
+			d.BaseDocs() == set.GlobalDocs() && d.Config() == liveConfigOf(set.Systems()[0]) {
+			set = set.WithDelta(d)
+		}
+		p.swapLocked(newPoolGeneration(set, cur.seq+1))
+		p.manifestPath = manifestPath
+		p.reloads.Add(1)
+		return nil
+	})
 }
 
 // NumShards returns the current generation's shard count (0 once closed).

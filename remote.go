@@ -180,8 +180,6 @@ type Remote struct {
 	inflight sync.WaitGroup
 }
 
-func (c *Remote) obs() observers { return c.cfg.obs }
-
 // OpenTopology reads a topology file, dials and handshakes every shard
 // (partition identity, global statistics and engine configuration must
 // agree — the network analogue of the manifest cross-validation), and
@@ -267,10 +265,6 @@ func (c *Remote) NumShards() int {
 	return len(c.topo.Shards)
 }
 
-// shardCount is the Shards coordinate of observations, mirroring the
-// other runtimes (0 once closed).
-func (c *Remote) shardCount() int { return c.NumShards() }
-
 // Close retires the coordinator: query-path methods start failing with
 // ErrClosed, in-flight fan-outs (including hedges) drain, then every
 // pooled connection is closed. Idempotent.
@@ -302,8 +296,9 @@ func (c *Remote) begin() (func(), error) {
 
 // --- the RPC core ------------------------------------------------------
 
-// ctxErr is ctx.Err() tolerating the nil ctx of the ctx-less accessors
-// (Link, Title, Stats — the Backend contract carries no context there).
+// ctxErr is ctx.Err() tolerating the nil ctx of the paths no caller's
+// context reaches: the ctx-less accessors (Link, Title, Stats — the Backend
+// contract carries none there), Pool.Reload and the auto-compactor.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -332,7 +327,7 @@ func (c *Remote) doRPC(ctx context.Context, shardID int, addr string, op rpc.Op,
 	tr := trace.FromContext(ctx)
 	start := time.Now()
 	payload, err := c.rawRPC(addr, op, body, deadline, uint64(tr.ID()))
-	c.obs().rpc(start, shardID, addr, op.String(), attempt, hedged, err)
+	c.cfg.obs.emit(&Event{Op: OpRPC, Kind: op.String(), Shard: shardID, Addr: addr, Attempt: attempt, Hedged: hedged}, start, err)
 	if tr != nil {
 		tr.Add("rpc:"+op.String(), start, shardID, attempt, hedged, ErrorClass(err), addr)
 	}
@@ -652,20 +647,54 @@ func (c *Remote) eachShard(fn func(i int)) {
 	wg.Wait()
 }
 
-// partialErr builds the degraded-response error (results stay attached).
+// partialErr is the degraded-response error (results stay attached); nil
+// when no shard was dropped.
 func (c *Remote) partialErr(dropped int) error {
+	if dropped == 0 {
+		return nil
+	}
 	return fmt.Errorf("%w: served by %d of %d shards", ErrPartialResult, len(c.topo.Shards)-dropped, len(c.topo.Shards))
 }
 
 // --- the Backend surface -----------------------------------------------
 
+// call is the coordinator's request envelope, the network analogue of the
+// local runtime's read: a dead ctx fails with ctx.Err(), a closed
+// coordinator with ErrClosed (in that order, before any validation or
+// fan-out), otherwise work runs registered with the in-flight drain Close
+// waits on. One event per call, emitted after the drain registration is
+// released.
+func (c *Remote) call(ctx context.Context, ev *Event, work func() error) error {
+	start := time.Now()
+	err := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		done, err := c.begin()
+		if err != nil {
+			return err
+		}
+		defer done()
+		ev.Shards = len(c.topo.Shards)
+		return work()
+	}()
+	c.cfg.obs.emit(ev, start, err)
+	return err
+}
+
 // Search is Client.Search served by the fleet: same contract, same
 // ranking. Under the "degrade" policy a response missing shards returns
 // the surviving ranking AND an error wrapping ErrPartialResult.
 func (c *Remote) Search(ctx context.Context, query string, k int) ([]Result, error) {
-	start := time.Now()
-	rs, shards, err := c.searchText(ctx, query, k)
-	c.obs().search(start, k, shards, false, err)
+	var rs []Result
+	ev := Event{Op: OpSearch, K: k}
+	err := c.call(ctx, &ev, func() (err error) {
+		var dropped int
+		if rs, _, dropped, err = c.scatter(ctx, rpc.AppendTextQuery(nil, query), k); err != nil {
+			return err
+		}
+		return c.partialErr(dropped)
+	})
 	return rs, err
 }
 
@@ -674,139 +703,90 @@ func (c *Remote) Search(ctx context.Context, query string, k int) ([]Result, err
 // buffers — the zero-allocation steady state is a *Client property — but
 // the contract (results copied into dst, nothing retained) is identical.
 func (c *Remote) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
-	start := time.Now()
-	rs, shards, err := c.searchText(ctx, query, k)
-	if err == nil || errors.Is(err, ErrPartialResult) {
-		if dst != nil || rs == nil {
-			rs = append(dst[:0], rs...)
-		}
+	rs, err := c.Search(ctx, query, k)
+	if dst != nil && (err == nil || errors.Is(err, ErrPartialResult)) {
+		rs = append(dst[:0], rs...)
 	}
-	c.obs().search(start, k, shards, false, err)
 	return rs, err
 }
 
-// Ingest implements Backend. The remote coordinator is read-only: the
-// shard servers own their snapshots, so ingest against a fleet goes to
-// the shards themselves. Every call fails with a typed ErrReadOnly
-// (ErrClosed once closed, ctx.Err() on a dead context).
+// readOnly is the work of the write-path stubs. The remote coordinator is
+// read-only: the shard servers own their snapshots, so ingest and
+// compaction against a fleet go to the shards themselves.
+func readOnly() error { return ErrReadOnly }
+
+// Ingest implements Backend: every call fails with a typed ErrReadOnly
+// (ctx.Err() on a dead context, ErrClosed once closed).
 func (c *Remote) Ingest(ctx context.Context, docs []Document) (IngestStats, error) {
-	start := time.Now()
-	shards, err := c.readOnlyCall(ctx)
-	c.obs().ingest(start, len(docs), 0, shards, err)
-	return IngestStats{}, err
+	return IngestStats{}, c.call(ctx, &Event{Op: OpIngest, Size: len(docs)}, readOnly)
 }
 
 // Compact implements Backend; read-only like Ingest — compaction is a
 // per-shard-server operation, not a coordinator one.
 func (c *Remote) Compact(ctx context.Context) (CompactStats, error) {
-	start := time.Now()
-	shards, err := c.readOnlyCall(ctx)
-	c.obs().compact(start, 0, 0, shards, err)
-	return CompactStats{}, err
-}
-
-// readOnlyCall is the shared gate of the write-path stubs: dead context,
-// then closed coordinator, then the typed read-only refusal.
-func (c *Remote) readOnlyCall(ctx context.Context) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	done, err := c.begin()
-	if err != nil {
-		return 0, err
-	}
-	defer done()
-	return len(c.topo.Shards), ErrReadOnly
-}
-
-func (c *Remote) searchText(ctx context.Context, query string, k int) ([]Result, int, error) {
-	done, err := c.begin()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer done()
-	shards := len(c.topo.Shards)
-	if err := ctx.Err(); err != nil {
-		return nil, shards, err
-	}
-	rs, _, dropped, err := c.scatter(ctx, rpc.AppendTextQuery(nil, query), k)
-	if err != nil {
-		return nil, shards, err
-	}
-	if dropped > 0 {
-		return rs, shards, c.partialErr(dropped)
-	}
-	return rs, shards, nil
+	return CompactStats{}, c.call(ctx, &Event{Op: OpCompact}, readOnly)
 }
 
 // SearchAll is Client.SearchAll served by the fleet: every query in the
 // batch runs its own scatter on a bounded worker pool. A degraded item
 // degrades the whole batch (results kept, error wraps ErrPartialResult).
 func (c *Remote) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
-	start := time.Now()
-	rss, shards, err := c.searchAll(ctx, queries, k, opts)
-	c.obs().batch(start, BatchSearch, len(queries), k, shards, err)
-	return rss, err
+	var out [][]Result
+	ev := Event{Op: OpBatch, Kind: BatchSearch, Size: len(queries), K: k}
+	err := c.call(ctx, &ev, func() (err error) {
+		out, err = c.scatterAll(ctx, len(queries), k, opts, "query", func(i int) []byte {
+			return rpc.AppendTextQuery(nil, queries[i])
+		})
+		return err
+	})
+	return out, err
 }
 
-func (c *Remote) searchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, int, error) {
-	done, err := c.begin()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer done()
-	shards := len(c.topo.Shards)
-	if err := ctx.Err(); err != nil {
-		return nil, shards, err
-	}
-	out := make([][]Result, len(queries))
+// scatterAll runs n scatters on a bounded worker pool, keeping each
+// searchable item's ranking at its input index (an item with nothing to
+// search for keeps nil). What names an item in error messages.
+func (c *Remote) scatterAll(ctx context.Context, n, k int, opts BatchOptions, what string, body func(i int) []byte) ([][]Result, error) {
+	out := make([][]Result, n)
 	var partial atomic.Bool
-	err = core.ForEach(ctx, len(queries), opts.Workers, func(i int) error {
-		rs, _, dropped, err := c.scatter(ctx, rpc.AppendTextQuery(nil, queries[i]), k)
+	err := core.ForEach(ctx, n, opts.Workers, func(i int) error {
+		rs, ok, dropped, err := c.scatter(ctx, body(i), k)
 		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
+			return fmt.Errorf("%s %d: %w", what, i, err)
 		}
 		if dropped > 0 {
 			partial.Store(true)
 		}
-		out[i] = rs
+		if ok {
+			out[i] = rs
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, shards, err
+		return nil, err
 	}
 	if partial.Load() {
-		return out, shards, fmt.Errorf("%w: batch served degraded", ErrPartialResult)
+		return out, fmt.Errorf("%w: batch served degraded", ErrPartialResult)
 	}
-	return out, shards, nil
+	return out, nil
 }
 
 // Expand is Client.Expand served by the fleet: the pipeline runs on one
 // shard's replicated graph (shard 0, failing over through the rest),
 // memoized in that shard's expansion cache.
 func (c *Remote) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
-	start := time.Now()
-	exp, outcome, shards, err := c.expand(ctx, keywords, opts)
-	c.obs().expand(start, outcome, exp, shards, err)
+	var exp *Expansion
+	ev := Event{Op: OpExpand}
+	err := c.call(ctx, &ev, func() error {
+		eopts, err := normalizeExpandOptions(opts)
+		if err != nil {
+			return err
+		}
+		if exp, ev.Cache, err = c.expandRemote(ctx, keywords, eopts); err == nil {
+			ev.Size = len(exp.Features)
+		}
+		return err
+	})
 	return exp, err
-}
-
-func (c *Remote) expand(ctx context.Context, keywords string, opts []ExpandOption) (*Expansion, CacheOutcome, int, error) {
-	done, err := c.begin()
-	if err != nil {
-		return nil, CacheBypass, 0, err
-	}
-	defer done()
-	shards := len(c.topo.Shards)
-	if err := ctx.Err(); err != nil {
-		return nil, CacheBypass, shards, err
-	}
-	eopts, err := normalizeExpandOptions(opts)
-	if err != nil {
-		return nil, CacheBypass, shards, err
-	}
-	exp, outcome, err := c.expandRemote(ctx, keywords, eopts)
-	return exp, outcome, shards, err
 }
 
 func (c *Remote) expandRemote(ctx context.Context, keywords string, eopts core.ExpanderOptions) (*Expansion, CacheOutcome, error) {
@@ -839,39 +819,28 @@ func (c *Remote) expandRemote(ctx context.Context, keywords string, eopts core.E
 // expansions on a bounded worker pool, deduplicated by the serving
 // shard's single-flight cache.
 func (c *Remote) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
-	start := time.Now()
-	exps, shards, err := c.expandAll(ctx, keywords, bopts, opts)
-	c.obs().batch(start, BatchExpand, len(keywords), 0, shards, err)
-	return exps, err
-}
-
-func (c *Remote) expandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts []ExpandOption) ([]*Expansion, int, error) {
-	done, err := c.begin()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer done()
-	shards := len(c.topo.Shards)
-	if err := ctx.Err(); err != nil {
-		return nil, shards, err
-	}
-	eopts, err := normalizeExpandOptions(opts)
-	if err != nil {
-		return nil, shards, err
-	}
-	out := make([]*Expansion, len(keywords))
-	err = core.ForEach(ctx, len(keywords), bopts.Workers, func(i int) error {
-		exp, _, err := c.expandRemote(ctx, keywords[i], eopts)
+	var out []*Expansion
+	ev := Event{Op: OpBatch, Kind: BatchExpand, Size: len(keywords)}
+	err := c.call(ctx, &ev, func() error {
+		eopts, err := normalizeExpandOptions(opts)
 		if err != nil {
-			return fmt.Errorf("keywords %d: %w", i, err)
+			return err
 		}
-		out[i] = exp
-		return nil
+		exps := make([]*Expansion, len(keywords))
+		err = core.ForEach(ctx, len(keywords), bopts.Workers, func(i int) error {
+			exp, _, err := c.expandRemote(ctx, keywords[i], eopts)
+			if err != nil {
+				return fmt.Errorf("keywords %d: %w", i, err)
+			}
+			exps[i] = exp
+			return nil
+		})
+		if err == nil {
+			out = exps
+		}
+		return err
 	})
-	if err != nil {
-		return nil, shards, err
-	}
-	return out, shards, nil
+	return out, err
 }
 
 // SearchExpansion is Client.SearchExpansion served by the fleet: the
@@ -879,76 +848,29 @@ func (c *Remote) expandAll(ctx context.Context, keywords []string, bopts BatchOp
 // rebuilds the expanded title query on its replicated graph and scores
 // its slice. ok=false means the expansion had nothing to search for.
 func (c *Remote) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
-	start := time.Now()
-	rs, ok, shards, err := c.searchExpansion(ctx, exp, k)
-	c.obs().search(start, k, shards, true, err)
-	return rs, ok, err
-}
-
-func (c *Remote) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]Result, bool, int, error) {
-	done, err := c.begin()
-	if err != nil {
-		return nil, false, 0, err
-	}
-	defer done()
-	shards := len(c.topo.Shards)
-	if err := ctx.Err(); err != nil {
-		return nil, false, shards, err
-	}
-	rs, ok, dropped, err := c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k)
-	if err != nil {
-		return nil, false, shards, err
-	}
-	if !ok {
-		return nil, false, shards, nil
-	}
-	if dropped > 0 {
-		return rs, true, shards, c.partialErr(dropped)
-	}
-	return rs, true, shards, nil
+	ev := Event{Op: OpSearch, K: k, Expanded: true}
+	err = c.call(ctx, &ev, func() (err error) {
+		var dropped int
+		if results, ok, dropped, err = c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k); err != nil || !ok {
+			return err
+		}
+		return c.partialErr(dropped)
+	})
+	return results, ok, err
 }
 
 // SearchExpansions is Client.SearchExpansions served by the fleet;
 // expansions with nothing to search for keep a nil ranking.
 func (c *Remote) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
-	start := time.Now()
-	rss, shards, err := c.searchExpansions(ctx, exps, k, opts)
-	c.obs().batch(start, BatchSearchExpansions, len(exps), k, shards, err)
-	return rss, err
-}
-
-func (c *Remote) searchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, int, error) {
-	done, err := c.begin()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer done()
-	shards := len(c.topo.Shards)
-	if err := ctx.Err(); err != nil {
-		return nil, shards, err
-	}
-	out := make([][]Result, len(exps))
-	var partial atomic.Bool
-	err = core.ForEach(ctx, len(exps), opts.Workers, func(i int) error {
-		rs, ok, dropped, err := c.scatter(ctx, rpc.AppendExpansionQuery(nil, exps[i]), k)
-		if err != nil {
-			return fmt.Errorf("expansion %d: %w", i, err)
-		}
-		if dropped > 0 {
-			partial.Store(true)
-		}
-		if ok {
-			out[i] = rs
-		}
-		return nil
+	var out [][]Result
+	ev := Event{Op: OpBatch, Kind: BatchSearchExpansions, Size: len(exps), K: k}
+	err := c.call(ctx, &ev, func() (err error) {
+		out, err = c.scatterAll(ctx, len(exps), k, opts, "expansion", func(i int) []byte {
+			return rpc.AppendExpansionQuery(nil, exps[i])
+		})
+		return err
 	})
-	if err != nil {
-		return nil, shards, err
-	}
-	if partial.Load() {
-		return out, shards, fmt.Errorf("%w: batch served degraded", ErrPartialResult)
-	}
-	return out, shards, nil
+	return out, err
 }
 
 // Link computes L(q.k) against any shard's replicated graph (nil on

@@ -17,8 +17,9 @@ import (
 // localRuntime is the one in-process serving runtime, embedded by both
 // exported handles: a generation-pinned *shard.Set — N hash partitions
 // for a Pool, the Set of one unsharded system for a Client — with the
-// live delta riding inside the Set, so every Backend method, the write
-// path (live.go) and the ctx/closed/observe/trace wrappers exist once.
+// live delta riding inside the Set, so every Backend method exists once,
+// as the work it hands to one of two request envelopes: read (below) and
+// write (live.go), which own the ctx and closed gates and the one Event.
 // Readers pin one immutable generation per request, lock-free; writers
 // (Ingest, Compact, Reload, Close) serialize on mu and swap whole
 // generations, so a request never observes a half-applied write, and a
@@ -200,6 +201,29 @@ func (rt *localRuntime) republish(archives []*store.Archive) (*shard.Set, error)
 	return set, nil
 }
 
+// read is the read-path envelope, the one place a request meets the
+// runtime: a dead ctx fails with ctx.Err(), a closed handle with ErrClosed
+// (in that order, before any pipeline work — validation errors come from
+// work, so they rank third), otherwise work runs on the generation pinned
+// for it and current at call time, even if an ingest, compaction or reload
+// lands meanwhile. ev arrives carrying what the caller knows up front;
+// read adds Shards once a generation is pinned and emits after the release,
+// so a slow observer never holds a retired generation back from draining.
+func (rt *localRuntime) read(ctx context.Context, ev *Event, work func(g *poolGeneration) error) error {
+	start := time.Now()
+	err := func() error {
+		g, err := rt.pin(ctx)
+		if err != nil {
+			return err
+		}
+		defer g.release()
+		ev.Shards = g.set.NumShards()
+		return work(g)
+	}()
+	rt.cfg.obs.emit(ev, start, err)
+	return err
+}
+
 // Search parses the INDRI-style query text (bare keywords, #combine,
 // #weight, #1 exact phrases) and returns the top k documents by descending
 // Dirichlet-smoothed query likelihood (ties broken by ascending doc id;
@@ -208,10 +232,7 @@ func (rt *localRuntime) republish(archives []*store.Archive) (*shard.Set, error)
 // statistics and merges to the global top k — the same ranking, bit for
 // bit. A done ctx returns ctx.Err() without searching.
 func (rt *localRuntime) Search(ctx context.Context, query string, k int) ([]Result, error) {
-	start := time.Now()
-	rs, shards, err := rt.searchText(ctx, query, k, nil)
-	rt.cfg.obs.search(start, k, shards, false, err)
-	return rs, err
+	return rt.SearchInto(ctx, query, k, nil)
 }
 
 // SearchInto is Search scoring straight into dst's storage (dst may be
@@ -222,38 +243,30 @@ func (rt *localRuntime) Search(ctx context.Context, query string, k int) ([]Resu
 // fan-out costs, independent of k and of the query's length. Neither
 // query nor dst is retained beyond the call.
 func (rt *localRuntime) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
-	start := time.Now()
-	rs, shards, err := rt.searchText(ctx, query, k, dst)
-	rt.cfg.obs.search(start, k, shards, false, err)
+	var rs []Result
+	ev := Event{Op: OpSearch, K: k}
+	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
+		// Untraced requests — the pinned 0 allocs/op path — skip the clock
+		// reads; Span on a nil trace is a no-op.
+		tr := trace.FromContext(ctx)
+		var t0 time.Time
+		if tr != nil {
+			t0 = time.Now()
+		}
+		leaves, err := g.set.LeavesForQuery(query)
+		if err != nil {
+			tr.Span("parse", t0, "invalid_query")
+			return fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+		}
+		tr.Span("parse", t0, "")
+		if tr != nil {
+			t0 = time.Now()
+		}
+		rs, err = g.set.SearchLeaves(leaves, k, dst)
+		tr.Span("search", t0, ErrorClass(err))
+		return err
+	})
 	return rs, err
-}
-
-func (rt *localRuntime) searchText(ctx context.Context, query string, k int, dst []Result) ([]Result, int, error) {
-	g, err := rt.pin(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer g.release()
-	shards := g.set.NumShards()
-	// Untraced requests — the pinned 0 allocs/op path — skip the clock
-	// reads; Span on a nil trace is a no-op.
-	tr := trace.FromContext(ctx)
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	leaves, err := g.set.LeavesForQuery(query)
-	if err != nil {
-		tr.Span("parse", t0, "invalid_query")
-		return nil, shards, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
-	}
-	tr.Span("parse", t0, "")
-	if tr != nil {
-		t0 = time.Now()
-	}
-	rs, err := g.set.SearchLeaves(leaves, k, dst)
-	tr.Span("search", t0, ErrorClass(err))
-	return rs, shards, err
 }
 
 // SearchAll evaluates a batch of query texts on a bounded worker pool and
@@ -263,26 +276,19 @@ func (rt *localRuntime) searchText(ctx context.Context, query string, k int, dst
 // ctx.Err(). The whole batch runs on the generation current at call time,
 // even if an ingest, compaction or reload lands mid-batch.
 func (rt *localRuntime) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
-	start := time.Now()
-	rss, shards, err := rt.searchAll(ctx, queries, k, opts)
-	rt.cfg.obs.batch(start, BatchSearch, len(queries), k, shards, err)
-	return rss, err
-}
-
-func (rt *localRuntime) searchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, int, error) {
-	g, err := rt.pin(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer g.release()
-	nodes := make([]search.Node, len(queries))
-	for i, q := range queries {
-		if nodes[i], err = g.set.Parse(q); err != nil {
-			return nil, g.set.NumShards(), fmt.Errorf("query %d: %w: %v", i, ErrInvalidQuery, err)
+	var rss [][]Result
+	ev := Event{Op: OpBatch, Kind: BatchSearch, Size: len(queries), K: k}
+	err := rt.read(ctx, &ev, func(g *poolGeneration) (err error) {
+		nodes := make([]search.Node, len(queries))
+		for i, q := range queries {
+			if nodes[i], err = g.set.Parse(q); err != nil {
+				return fmt.Errorf("query %d: %w: %v", i, ErrInvalidQuery, err)
+			}
 		}
-	}
-	rss, err := g.set.SearchAll(ctx, nodes, k, opts)
-	return rss, g.set.NumShards(), err
+		rss, err = g.set.SearchAll(ctx, nodes, k, opts)
+		return err
+	})
+	return rss, err
 }
 
 // Expand runs the online cycle-based expansion pipeline of the paper's
@@ -300,30 +306,25 @@ func (rt *localRuntime) searchAll(ctx context.Context, queries []string, k int, 
 // another caller's identical call is in flight abandons the wait (that
 // caller still completes and populates the cache).
 func (rt *localRuntime) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
-	start := time.Now()
-	exp, outcome, shards, err := rt.expand(ctx, keywords, opts)
-	rt.cfg.obs.expand(start, outcome, exp, shards, err)
+	var exp *Expansion
+	ev := Event{Op: OpExpand}
+	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
+		eopts, err := normalizeExpandOptions(opts)
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		exp, ev.Cache, err = g.sys().ExpandOutcome(ctx, keywords, eopts)
+		if exp != nil {
+			ev.Size = len(exp.Features)
+		}
+		if tr := trace.FromContext(ctx); tr != nil {
+			// The cache outcome of the expand lookup rides in the span detail.
+			tr.Add("expand", start, -1, 0, false, ErrorClass(err), ev.Cache.String())
+		}
+		return err
+	})
 	return exp, err
-}
-
-func (rt *localRuntime) expand(ctx context.Context, keywords string, opts []ExpandOption) (*Expansion, CacheOutcome, int, error) {
-	g, err := rt.pin(ctx)
-	if err != nil {
-		return nil, CacheBypass, 0, err
-	}
-	defer g.release()
-	shards := g.set.NumShards()
-	eopts, err := normalizeExpandOptions(opts)
-	if err != nil {
-		return nil, CacheBypass, shards, err
-	}
-	start := time.Now()
-	exp, outcome, err := g.sys().ExpandOutcome(ctx, keywords, eopts)
-	if tr := trace.FromContext(ctx); tr != nil {
-		// The cache outcome of the expand lookup rides in the span detail.
-		tr.Add("expand", start, -1, 0, false, ErrorClass(err), outcome.String())
-	}
-	return exp, outcome, shards, err
 }
 
 // ExpandAll runs Expand for every keyword query on a bounded worker pool
@@ -331,24 +332,17 @@ func (rt *localRuntime) expand(ctx context.Context, keywords string, opts []Expa
 // from the expansion cache and concurrent duplicates are single-flighted.
 // Cancelling ctx stops scheduling and returns ctx.Err().
 func (rt *localRuntime) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
-	start := time.Now()
-	exps, shards, err := rt.expandAll(ctx, keywords, bopts, opts)
-	rt.cfg.obs.batch(start, BatchExpand, len(keywords), 0, shards, err)
+	var exps []*Expansion
+	ev := Event{Op: OpBatch, Kind: BatchExpand, Size: len(keywords)}
+	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
+		eopts, err := normalizeExpandOptions(opts)
+		if err != nil {
+			return err
+		}
+		exps, err = g.sys().ExpandAll(ctx, keywords, eopts, bopts)
+		return err
+	})
 	return exps, err
-}
-
-func (rt *localRuntime) expandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts []ExpandOption) ([]*Expansion, int, error) {
-	g, err := rt.pin(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer g.release()
-	eopts, err := normalizeExpandOptions(opts)
-	if err != nil {
-		return nil, g.set.NumShards(), err
-	}
-	exps, err := g.sys().ExpandAll(ctx, keywords, eopts, bopts)
-	return exps, g.set.NumShards(), err
 }
 
 // SearchExpansion evaluates an expansion end to end: it writes the
@@ -358,24 +352,16 @@ func (rt *localRuntime) expandAll(ctx context.Context, keywords []string, bopts 
 // (entities, features or keywords); it stays true when the search itself
 // fails, so err alone signals failure.
 func (rt *localRuntime) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
-	start := time.Now()
-	rs, ok, shards, err := rt.searchExpansion(ctx, exp, k)
-	rt.cfg.obs.search(start, k, shards, true, err)
-	return rs, ok, err
-}
-
-func (rt *localRuntime) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]Result, bool, int, error) {
-	g, err := rt.pin(ctx)
-	if err != nil {
-		return nil, false, 0, err
-	}
-	defer g.release()
-	node, ok := g.set.ExpansionQuery(exp)
-	if !ok {
-		return nil, false, g.set.NumShards(), nil
-	}
-	rs, err := g.set.Search(ctx, node, k)
-	return rs, true, g.set.NumShards(), err
+	ev := Event{Op: OpSearch, K: k, Expanded: true}
+	err = rt.read(ctx, &ev, func(g *poolGeneration) error {
+		var node search.Node
+		if node, ok = g.set.ExpansionQuery(exp); !ok {
+			return nil
+		}
+		results, err = g.set.Search(ctx, node, k)
+		return err
+	})
+	return results, ok, err
 }
 
 // SearchExpansions evaluates a batch of expansions on a bounded worker
@@ -383,34 +369,27 @@ func (rt *localRuntime) searchExpansion(ctx context.Context, exp *Expansion, k i
 // with nothing to search for yield a nil ranking. Cancelling ctx stops
 // scheduling and returns ctx.Err().
 func (rt *localRuntime) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
-	start := time.Now()
-	rss, shards, err := rt.searchExpansions(ctx, exps, k, opts)
-	rt.cfg.obs.batch(start, BatchSearchExpansions, len(exps), k, shards, err)
-	return rss, err
-}
-
-func (rt *localRuntime) searchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, int, error) {
-	g, err := rt.pin(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer g.release()
-	at := make([]int, 0, len(exps)) // at[j] = input index of searchable expansion j
-	nodes := make([]search.Node, 0, len(exps))
-	for i, exp := range exps {
-		if node, ok := g.set.ExpansionQuery(exp); ok {
-			at, nodes = append(at, i), append(nodes, node)
+	var out [][]Result
+	ev := Event{Op: OpBatch, Kind: BatchSearchExpansions, Size: len(exps), K: k}
+	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
+		at := make([]int, 0, len(exps)) // at[j] = input index of searchable expansion j
+		nodes := make([]search.Node, 0, len(exps))
+		for i, exp := range exps {
+			if node, ok := g.set.ExpansionQuery(exp); ok {
+				at, nodes = append(at, i), append(nodes, node)
+			}
 		}
-	}
-	rss, err := g.set.SearchAll(ctx, nodes, k, opts)
-	if err != nil {
-		return nil, g.set.NumShards(), err
-	}
-	out := make([][]Result, len(exps))
-	for j, i := range at {
-		out[i] = rss[j]
-	}
-	return out, g.set.NumShards(), nil
+		rss, err := g.set.SearchAll(ctx, nodes, k, opts)
+		if err != nil {
+			return err
+		}
+		out = make([][]Result, len(exps))
+		for j, i := range at {
+			out[i] = rss[j]
+		}
+		return nil
+	})
+	return out, err
 }
 
 // Entity is one knowledge-base article a query mentions.

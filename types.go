@@ -49,7 +49,7 @@ type (
 
 	// CacheOutcome classifies how one Expand request was served by the
 	// expansion cache (hit, miss, single-flight dedup, or bypass when
-	// caching is disabled); see ExpandObservation.
+	// caching is disabled); see Event.Cache.
 	CacheOutcome = core.CacheOutcome
 
 	// BatchOptions bounds the concurrency of SearchAll / ExpandAll;
@@ -84,7 +84,7 @@ type (
 // MaxRank is the deepest rank cutoff the paper evaluates (top-15).
 const MaxRank = core.MaxRank
 
-// The per-request cache outcomes of ExpandObservation.Cache.
+// The per-request cache outcomes of Event.Cache.
 const (
 	CacheBypass  = core.CacheBypass
 	CacheHit     = core.CacheHit
