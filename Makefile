@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test qlint lint check fmt
+.PHONY: build test qlint lint check fmt bench-compare
 
 build:
 	$(GO) build ./...
@@ -25,3 +25,9 @@ fmt:
 # check mirrors the CI gates locally (see scripts/check.sh).
 check:
 	./scripts/check.sh
+
+# bench-compare is the benchmark regression gate: BASE and the working
+# tree measured back to back on this host, judged by BENCHMARK.json's
+# bounds (see scripts/bench-compare.sh). make bench-compare BASE=origin/main
+bench-compare:
+	./scripts/bench-compare.sh $(BASE)

@@ -45,91 +45,86 @@ func (b *replayBody) Read(p []byte) (int, error) {
 
 func (b *replayBody) Close() error { return nil }
 
-// TestSearchHandlerZeroAlloc pins the tentpole number of the load-test
-// round: at steady state — warm scratch pool, interned query, warm
-// query-plan cache — the /v1/search handler performs zero heap
-// allocations per request, with the metrics observer attached (its hooks
-// are atomic-only by design). The handler is invoked directly rather
-// than through the mux so the number is the handler's own, independent of
-// routing internals. Excluded under -race because the race runtime
-// instruments allocation.
-func TestSearchHandlerZeroAlloc(t *testing.T) {
+// searchFixture is a server over the given world with the metrics
+// observer attached (its hooks are atomic-only by design), one replayable
+// /v1/search request carrying its own valid X-Request-ID — as a traced
+// caller would, so no ID string is minted — and a reusable writer.
+func searchFixture(tb testing.TB, cfg querygraph.WorldConfig) (*server, *http.Request, *replayBody, *nullWriter) {
+	tb.Helper()
+	w, err := querygraph.GenerateWorld(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	metrics := querygraph.NewMetricsObserver()
+	c, err := querygraph.Build(w, querygraph.WithObserver(metrics))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = c.Close() })
+	raw, err := json.Marshal(searchRequest{Query: c.Queries()[0].Keywords, K: 10})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := &replayBody{data: raw}
+	req := &http.Request{
+		Method: http.MethodPost,
+		URL:    &url.URL{Path: "/v1/search"},
+		Header: http.Header{"Content-Type": {"application/json"}, "X-Request-Id": {"00000000deadbeef"}},
+		Body:   body,
+	}
+	return newServer(c, 5*time.Second, metrics), req, body, &nullWriter{header: make(http.Header)}
+}
+
+// TestMiddlewareAllocOverhead pins what ServeHTTP may add to a request
+// whose trace is sampled out: at most one allocation over the bare mux,
+// the X-Request-ID echo (http.Header.Set stores a fresh one-element
+// slice). The pooled statusWriter, the sampling counter and the deferred
+// panic containment must stay free. Excluded under -race because the race
+// runtime instruments allocation.
+func TestMiddlewareAllocOverhead(t *testing.T) {
 	cfg := querygraph.DefaultWorldConfig()
 	cfg.Topics = 6
 	cfg.ArticlesPerTopic = 10
 	cfg.DocsPerTopic = 16
 	cfg.Queries = 6
 	cfg.NoiseVocab = 60
-	w, err := querygraph.GenerateWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := querygraph.NewMetricsObserver()
-	c, err := querygraph.Build(w, querygraph.WithObserver(metrics))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	s := newServer(c, 5*time.Second, metrics)
-
-	raw, err := json.Marshal(searchRequest{Query: c.Queries()[0].Keywords, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := &replayBody{data: raw}
-	req := &http.Request{
-		Method: http.MethodPost,
-		URL:    &url.URL{Path: "/v1/search"},
-		Header: http.Header{"Content-Type": {"application/json"}},
-		Body:   body,
-	}
-	rw := &nullWriter{header: make(http.Header)}
-
-	run := func() {
-		body.off = 0
-		rw.status = 0
-		s.handleSearch(rw, req)
-		if rw.status != http.StatusOK {
-			t.Fatalf("status = %d, body %s", rw.status, rw.body)
-		}
-	}
-	// Warm every pooled resource the steady state relies on: the scratch
-	// pool, the intern map, the engine's query-plan cache and the response
-	// buffer.
-	for i := 0; i < 64; i++ {
-		run()
-	}
-	var resp searchResponse
-	if err := json.Unmarshal(rw.body, &resp); err != nil {
-		t.Fatalf("bad response %q: %v", rw.body, err)
-	}
-	if len(resp.Results) == 0 {
-		t.Fatal("warmed search returned no results; the measurement below would be vacuous")
-	}
-
-	if avg := testing.AllocsPerRun(1000, run); avg != 0 {
-		t.Fatalf("search handler allocs/op = %v, want 0", avg)
-	}
-
-	// Through the full middleware with tracing sampled out, the handler
-	// itself still allocates nothing: the only per-request garbage is the
-	// X-Request-ID echo (http.Header.Set stores a fresh one-element
-	// slice). The request supplies its own valid ID, as a traced caller
-	// would, so no ID string is minted.
+	s, req, body, rw := searchFixture(t, cfg)
 	s.sample = 0
-	req.Header.Set("X-Request-Id", "00000000deadbeef")
-	runMux := func() {
-		body.off = 0
-		rw.status = 0
-		s.ServeHTTP(rw, req)
-		if rw.status != http.StatusOK {
-			t.Fatalf("status = %d, body %s", rw.status, rw.body)
+
+	measure := func(h http.Handler) float64 {
+		run := func() {
+			body.off, req.Body, rw.status = 0, body, 0
+			h.ServeHTTP(rw, req)
+			if rw.status != http.StatusOK {
+				t.Fatalf("status = %d, body %s", rw.status, rw.body)
+			}
 		}
+		for i := 0; i < 64; i++ { // warm the pools and the query-plan cache
+			run()
+		}
+		return testing.AllocsPerRun(1000, run)
 	}
-	for i := 0; i < 64; i++ {
-		runMux()
+	bare, wrapped := measure(s.mux), measure(s)
+	var resp searchResponse
+	if err := json.Unmarshal(rw.body, &resp); err != nil || len(resp.Results) == 0 {
+		t.Fatalf("search returned no results (%q, %v); the measurement would be vacuous", rw.body, err)
 	}
-	if avg := testing.AllocsPerRun(1000, runMux); avg > 1 {
-		t.Fatalf("sampled-out middleware allocs/op = %v, want at most 1 (the header echo)", avg)
+	if wrapped > bare+1 {
+		t.Fatalf("sampled-out ServeHTTP allocs/op = %v over a bare mux's %v, want at most 1 more (the header echo)", wrapped, bare)
+	}
+}
+
+// BenchmarkSearchHandler is the cost of one /v1/search request inside the
+// handler — decode, typed request, encode — on the default world, without
+// net/http around it; DESIGN.md's fast-path decision quotes it.
+func BenchmarkSearchHandler(b *testing.B) {
+	s, req, body, rw := searchFixture(b, querygraph.DefaultWorldConfig())
+	b.ReportAllocs()
+	for b.Loop() {
+		body.off, req.Body = 0, body
+		s.handleSearch(rw, req)
+	}
+	if rw.status != http.StatusOK {
+		b.Fatalf("status = %d, body %s", rw.status, rw.body)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,81 @@ var fuzzPaths = []string{
 	"/v1/admin/reload",
 }
 
+// searchBodies are the /v1/search request bodies that used to pin the
+// hand-rolled parser against encoding/json — nulls, duplicate keys,
+// escapes, surrogate pairs, leading zeros, non-integer k, trailing bytes.
+// The endpoint now decodes through encoding/json itself; the bodies stay
+// as fuzz seeds and as a status table: each is answered 200 (code "") or
+// 400 with the given error code, never a 500. invalid_query means the
+// body decoded and the engine refused its empty query.
+var searchBodies = []struct {
+	body string
+	code string
+}{
+	{`{}`, "invalid_query"},
+	{`null`, "invalid_query"},
+	{`  null  `, "invalid_query"},
+	{`{"query":"graph databases","k":15,"timeout_ms":250}`, ""},
+	{`{"timeout_ms":250,"k":15,"query":"order independent"}`, ""},
+	{`{"query":"dup","query":"last wins"}`, ""},
+	{`{"query":null,"k":null,"timeout_ms":null}`, "invalid_query"},
+	{`{"query":"esc \" \\ \/ \b \f \n \r \t"}`, ""},
+	{`{"query":"\u0041\u00e9\u4e2d"}`, ""},
+	{`{"query":"\ud83d\ude00 pair"}`, ""},
+	{`{"query":"lone \ud800 high"}`, ""},
+	{`{"query":"low first \udc00\ud800"}`, ""},
+	{`{"k":-7}`, "invalid_query"},
+	{`{"k":0}`, "invalid_query"},
+	{`{"timeout_ms":0}`, "invalid_query"},
+	{`{"k":9223372036854775807}`, "invalid_query"},
+	{"\t {\n\"query\" : \"ws\" ,\n\"k\" : 2 }", ""},
+	{`{"query":"trailing"} garbage after`, ""},
+	{`{"query":"trailing"}{"k":1}`, ""},
+
+	{``, "invalid_body"},
+	{`   `, "invalid_body"},
+	{`[]`, "invalid_body"},
+	{`"just a string"`, "invalid_body"},
+	{`42`, "invalid_body"},
+	{`true`, "invalid_body"},
+	{`{`, "invalid_body"},
+	{`{"query"}`, "invalid_body"},
+	{`{"query":}`, "invalid_body"},
+	{`{"query":"unterminated`, "invalid_body"},
+	{`{"query":"bad \x escape"}`, "invalid_body"},
+	{`{"query":"trunc \u12"}`, "invalid_body"},
+	{`{"unknown_field":1}`, "invalid_body"},
+	{`{"query":"a","extra":true}`, "invalid_body"},
+	{`{"k":1.5}`, "invalid_body"},
+	{`{"k":1e3}`, "invalid_body"},
+	{`{"k":01}`, "invalid_body"},
+	{`{"k":"5"}`, "invalid_body"},
+	{`{"k":9223372036854775808}`, "invalid_body"},
+	{`{"query":7}`, "invalid_body"},
+	{`{"query":"a",}`, "invalid_body"},
+	{`{"query":"a" "k":1}`, "invalid_body"},
+	{`{"timeout_ms":true}`, "invalid_body"},
+	{`{"timeout_ms":-1}`, "invalid_timeout"},
+	{"{\"query\":\"raw ctrl \x01\"}", "invalid_body"},
+}
+
+func TestSearchBodyStatus(t *testing.T) {
+	s := testServer(t)
+	for _, c := range searchBodies {
+		req := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(c.body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		want := http.StatusOK
+		if c.code != "" {
+			want = http.StatusBadRequest
+		}
+		if rec.Code != want || (c.code != "" && errorCode(t, rec) != c.code) {
+			t.Errorf("%q: answered %d %s, want %d %s", c.body, rec.Code, rec.Body.String(), want, c.code)
+		}
+	}
+}
+
 // FuzzServerRequests throws arbitrary bodies at every POST endpoint: the
 // server must never panic, must always answer JSON, must keep the error
 // envelope on failures, and must stay inside the documented status set —
@@ -73,6 +149,9 @@ func FuzzServerRequests(f *testing.F) {
 	f.Add(2, []byte("{\"keywords\":\"\\u0000\\uffff\",\"radius\":-1}"))
 	f.Add(0, []byte(`null`))
 	f.Add(0, []byte(`[]`))
+	for _, c := range searchBodies {
+		f.Add(0, []byte(c.body))
+	}
 
 	allowed := map[int]bool{
 		http.StatusOK:                    true,

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -31,6 +35,24 @@ func TestHTTPServerTimeoutsConfigured(t *testing.T) {
 	}
 	if srv.IdleTimeout <= 0 {
 		t.Error("IdleTimeout unset: idle keep-alive connections would be held forever")
+	}
+}
+
+// TestTimeoutFlagChecked pins the startup check on -timeout: zero or
+// negative used to start fine and then answer every request 408.
+func TestTimeoutFlagChecked(t *testing.T) {
+	for _, tc := range []struct {
+		d  time.Duration
+		ok bool
+	}{
+		{5 * time.Second, true},
+		{time.Nanosecond, true},
+		{0, false},
+		{-time.Second, false},
+	} {
+		if err := checkTimeout(tc.d); (err == nil) != tc.ok {
+			t.Errorf("checkTimeout(%v) = %v, want ok=%v", tc.d, err, tc.ok)
+		}
 	}
 }
 
@@ -145,6 +167,80 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 	}
 }
 
+// TestPanicContained pins panic containment: a panic under a handler is
+// answered 500 internal on the same connection (net/http's own recover
+// would drop it without a response), its stack goes to the logger, a
+// sampled-in request still lands in the flight recorder as http_500, and
+// the server keeps serving. http.ErrAbortHandler keeps its meaning.
+func TestPanicContained(t *testing.T) {
+	real := serveClient(t)
+	query := real.Queries()[0].Keywords
+	s := newServer(&stubBackend{Backend: real, search: func(ctx context.Context, q string, k int) ([]querygraph.Result, error) {
+		switch q {
+		case "boom":
+			panic("kaboom")
+		case "abort":
+			panic(http.ErrAbortHandler)
+		}
+		return real.Search(ctx, q, k)
+	}}, 5*time.Second, nil)
+	s.recorder = trace.NewRecorder(8)
+	var logged bytes.Buffer
+	s.logger = slog.New(slog.NewTextHandler(&logged, nil))
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	post := func(query string) (int, string) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/v1/search", "application/json", strings.NewReader(`{"query":"`+query+`"}`))
+		if err != nil {
+			t.Fatalf("search %q: %v", query, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	for _, sample := range []int{1, 0} {
+		s.sample = sample
+		code, body := post("boom")
+		if code != http.StatusInternalServerError || !strings.Contains(body, `"code":"internal"`) {
+			t.Fatalf("sample %d: panicking search answered %d %s, want 500 internal", sample, code, body)
+		}
+		if strings.Contains(body, "kaboom") {
+			t.Errorf("sample %d: the panic value leaked to the client: %s", sample, body)
+		}
+		if code, body := post(query); code != http.StatusOK {
+			t.Fatalf("sample %d: request after the panic answered %d %s, want 200", sample, code, body)
+		}
+	}
+	recs := s.recorder.Snapshot(0)
+	if len(recs) != 2 || recs[0].Err+recs[1].Err != "http_500" {
+		t.Errorf("flight recorder = %+v, want the sampled-in panic as http_500 and the request after it", recs)
+	}
+
+	if _, err := srv.Client().Post(srv.URL+"/v1/search", "application/json", strings.NewReader(`{"query":"abort"}`)); err == nil {
+		t.Error("http.ErrAbortHandler was answered instead of aborting the connection")
+	}
+	// Once a header has gone out there is nothing left to answer with: the
+	// panic is logged and the connection aborted.
+	s.mux.HandleFunc("GET /late", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		panic("late")
+	})
+	if resp, err := srv.Client().Get(srv.URL + "/late"); err == nil {
+		t.Errorf("a panic after the header was answered %d instead of aborting the connection", resp.StatusCode)
+	}
+
+	srv.Close() // waits for the handlers, so the log is complete and safe to read
+	out := logged.String()
+	if strings.Count(out, "msg=panic") != 3 || strings.Count(out, "kaboom") < 2 || !strings.Contains(out, "panic=late") || !strings.Contains(out, "stubBackend") {
+		t.Errorf("log lacks the three panics with value and stack:\n%s", out)
+	}
+	if strings.Contains(out, http.ErrAbortHandler.Error()) {
+		t.Errorf("http.ErrAbortHandler was logged as a panic:\n%s", out)
+	}
+}
+
 // TestReloadLoopDrains pins the shutdown contract of the SIGHUP loop: it
 // services reloads while its channel is open and exits promptly when main
 // retires it (signal.Stop + close). The loop used to run forever,
@@ -205,8 +301,8 @@ func TestAdminServerServesPprof(t *testing.T) {
 // TestConcurrentMetricsScrapesUnderLoad drives live search traffic,
 // /v1/metrics scrapes and manifest hot reloads through one pool-backed
 // server at once; under -race this pins that the metrics observer, the
-// fast path's pooled scratch and the pool's generation swap are safe
-// against each other.
+// pooled statusWriters and the pool's generation swap are safe against
+// each other.
 func TestConcurrentMetricsScrapesUnderLoad(t *testing.T) {
 	manifestA := buildManifest(t, 3, 2)
 	manifestB := buildManifest(t, 9, 3)

@@ -33,18 +33,18 @@ func liveServer(t *testing.T, opts ...querygraph.Option) *server {
 
 // liveDoc is a minimal ingestable record carrying one distinctive term
 // through the Section 2.1 extraction (the English description).
-func liveDoc(id, term string) ingestDoc {
-	return ingestDoc{
+func liveDoc(id, term string) querygraph.Document {
+	return querygraph.Document{
 		ID:   id,
 		Name: term + ".jpg",
-		Texts: []ingestText{{
+		Texts: []querygraph.DocumentText{{
 			Lang:        "en",
 			Description: "a " + term + " photographed in the wild",
 		}},
 	}
 }
 
-func searchDocs(t *testing.T, s *server, query string) []resultJSON {
+func searchDocs(t *testing.T, s *server, query string) []querygraph.Result {
 	t.Helper()
 	rec := do(t, s, http.MethodPost, "/v1/search", searchRequest{Query: query, K: 10})
 	if rec.Code != http.StatusOK {
@@ -64,7 +64,7 @@ func TestIngestSearchableThenCompact(t *testing.T) {
 	base := s.backend.Stats().Documents
 
 	rec := do(t, s, http.MethodPost, "/v1/admin/ingest", ingestRequest{
-		Documents: []ingestDoc{liveDoc("live-1", "zyzzogeton")},
+		Documents: []querygraph.Document{liveDoc("live-1", "zyzzogeton")},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest status = %d: %s", rec.Code, rec.Body.String())
@@ -107,12 +107,12 @@ func TestIngestSearchableThenCompact(t *testing.T) {
 func TestIngestDuplicateExternalID(t *testing.T) {
 	s := liveServer(t)
 	if rec := do(t, s, http.MethodPost, "/v1/admin/ingest", ingestRequest{
-		Documents: []ingestDoc{liveDoc("dup-1", "first")},
+		Documents: []querygraph.Document{liveDoc("dup-1", "first")},
 	}); rec.Code != http.StatusOK {
 		t.Fatalf("first ingest status = %d", rec.Code)
 	}
 	rec := do(t, s, http.MethodPost, "/v1/admin/ingest", ingestRequest{
-		Documents: []ingestDoc{liveDoc("dup-1", "second")},
+		Documents: []querygraph.Document{liveDoc("dup-1", "second")},
 	})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("duplicate ingest status = %d, want 400: %s", rec.Code, rec.Body.String())
@@ -129,12 +129,12 @@ func TestIngestDuplicateExternalID(t *testing.T) {
 func TestIngestDeltaFull(t *testing.T) {
 	s := liveServer(t, querygraph.WithDeltaCapacity(1))
 	if rec := do(t, s, http.MethodPost, "/v1/admin/ingest", ingestRequest{
-		Documents: []ingestDoc{liveDoc("", "filler")},
+		Documents: []querygraph.Document{liveDoc("", "filler")},
 	}); rec.Code != http.StatusOK {
 		t.Fatalf("first ingest status = %d", rec.Code)
 	}
 	rec := do(t, s, http.MethodPost, "/v1/admin/ingest", ingestRequest{
-		Documents: []ingestDoc{liveDoc("", "overflow")},
+		Documents: []querygraph.Document{liveDoc("", "overflow")},
 	})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow ingest status = %d, want 429: %s", rec.Code, rec.Body.String())
@@ -147,7 +147,7 @@ func TestIngestDeltaFull(t *testing.T) {
 		t.Fatalf("compact status = %d", rec.Code)
 	}
 	if rec := do(t, s, http.MethodPost, "/v1/admin/ingest", ingestRequest{
-		Documents: []ingestDoc{liveDoc("", "overflow")},
+		Documents: []querygraph.Document{liveDoc("", "overflow")},
 	}); rec.Code != http.StatusOK {
 		t.Fatalf("post-compaction ingest status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -169,7 +169,7 @@ func TestCompactEmptyDeltaNoop(t *testing.T) {
 func TestStatsAndHealthzReportDelta(t *testing.T) {
 	s := liveServer(t)
 	if rec := do(t, s, http.MethodPost, "/v1/admin/ingest", ingestRequest{
-		Documents: []ingestDoc{liveDoc("", "pending")},
+		Documents: []querygraph.Document{liveDoc("", "pending")},
 	}); rec.Code != http.StatusOK {
 		t.Fatalf("ingest status = %d", rec.Code)
 	}

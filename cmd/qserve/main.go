@@ -55,10 +55,14 @@
 // "partial": true; below quorum the coordinator's shard_unavailable
 // errors surface as 503.
 //
+// Every POST endpoint runs the same path: strict encoding/json decode
+// into a wire struct, a typed querygraph request, the public result types
+// encoded as they are (the wire schema is their json tags). A panic under
+// a handler is contained to its request: 500 internal, stack in the log.
+//
 // -admin ADDR starts a second listener serving Go's net/http/pprof
 // endpoints under /debug/pprof/ — CPU and heap profiles of the live
-// server, which is how the zero-allocation /v1/search fast path was
-// found and verified (see DESIGN.md, "Load testing & profiling") — and
+// server (see DESIGN.md, "Load testing & profiling") — and
 // the flight recorder at GET /v1/debug/requests: the last -trace-ring
 // completed request traces as span trees, ?min_ms=N keeping only the
 // slow ones. Keep the admin address off the public network; it is
@@ -78,6 +82,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -111,6 +116,9 @@ func main() {
 	flag.Parse()
 	if *load == "" {
 		log.Fatal("-load is required: a snapshot (qgen -out world.qgs), a shard manifest (qgen -shards 4 -out worlddir), or a shard-fleet topology json")
+	}
+	if err := checkTimeout(*timeout); err != nil {
+		log.Fatal(err)
 	}
 
 	metrics := querygraph.NewMetricsObserver()
@@ -213,6 +221,16 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Print("bye")
+}
+
+// checkTimeout rejects a non-positive -timeout at startup: every request's
+// context would be born expired (each one a 408) and ReadTimeout would
+// collapse to its pad.
+func checkTimeout(d time.Duration) error {
+	if d <= 0 {
+		return fmt.Errorf("-timeout must be positive, got %v", d)
+	}
+	return nil
 }
 
 // newHTTPServer builds the serving http.Server with its full timeout

@@ -79,7 +79,7 @@ func TestSearchPartialResult(t *testing.T) {
 	}
 
 	// A complete answer must not carry the flag — and must not even encode
-	// the field (omitempty keeps the fast path's output shape).
+	// the field.
 	healthy := do(t, testServer(t), http.MethodPost, "/v1/search", searchRequest{Query: query, K: 5})
 	if healthy.Code != http.StatusOK {
 		t.Fatalf("healthy search status = %d", healthy.Code)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"log/slog"
 	"mime"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -108,38 +108,64 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		reqID = id.String()
 	}
 	w.Header().Set("X-Request-Id", reqID)
-	if s.sample <= 0 || s.reqSeq.Add(1)%uint64(s.sample) != 0 {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-
-	tr := trace.Begin(id)
 	sw := statusWriterPool.Get().(*statusWriter)
 	sw.ResponseWriter, sw.status = w, 0
-	s.mux.ServeHTTP(sw, r.WithContext(trace.NewContext(r.Context(), tr)))
+	var tr *trace.Trace
+	if s.sample > 0 && s.reqSeq.Add(1)%uint64(s.sample) == 0 {
+		tr = trace.Begin(id)
+		r = r.WithContext(trace.NewContext(r.Context(), tr))
+	}
+	defer s.finish(sw, r, tr, reqID)
+	s.mux.ServeHTTP(sw, r)
+}
+
+// finish completes one request: it contains a handler panic to that
+// request — stack to the log, 500 internal unless a header already went
+// out (then the connection is aborted, as net/http would) — returns the
+// pooled statusWriter and seals a sampled-in request's trace, so a
+// panicking request shows in /v1/debug/requests as http_500.
+func (s *server) finish(sw *statusWriter, r *http.Request, tr *trace.Trace, reqID string) {
+	p := recover()
+	if err, ok := p.(error); ok && errors.Is(err, http.ErrAbortHandler) {
+		panic(p)
+	}
+	abort := p != nil && sw.status != 0
+	if p != nil {
+		if s.logger != nil {
+			s.logger.Error("panic", slog.String("trace_id", reqID), slog.String("method", r.Method),
+				slog.String("path", r.URL.Path), slog.Any("panic", p), slog.String("stack", string(debug.Stack())))
+		}
+		if !abort {
+			s.fail(sw, http.StatusInternalServerError, "internal", "internal server error; the server log has the stack under request "+reqID)
+		}
+	}
 	status := sw.status
 	if status == 0 {
 		status = http.StatusOK
 	}
 	sw.ResponseWriter = nil
 	statusWriterPool.Put(sw)
-
-	errClass := ""
-	if status >= 400 {
-		errClass = "http_" + strconv.Itoa(status)
+	if tr != nil {
+		errClass := ""
+		if status >= 400 {
+			errClass = "http_" + strconv.Itoa(status)
+		}
+		rec := tr.Finish(r.Method+" "+r.URL.Path, errClass)
+		trace.Sink{Recorder: s.recorder, Logger: s.logger, AccessLog: s.accessLog, SlowlogMS: s.slowlogMS}.Emit(context.Background(), "request", rec,
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", status),
+			slog.Float64("dur_ms", rec.DurMS),
+			slog.Int("spans", len(rec.Spans)))
 	}
-	rec := tr.Finish(r.Method+" "+r.URL.Path, errClass)
-	trace.Sink{Recorder: s.recorder, Logger: s.logger, AccessLog: s.accessLog, SlowlogMS: s.slowlogMS}.Emit(context.Background(), "request", rec,
-		slog.String("method", r.Method),
-		slog.String("path", r.URL.Path),
-		slog.Int("status", status),
-		slog.Float64("dur_ms", rec.DurMS),
-		slog.Int("spans", len(rec.Spans)))
+	if abort {
+		panic(http.ErrAbortHandler)
+	}
 }
 
-// statusWriter captures the response status for the access log and the
-// trace record; pooled so the traced path does not allocate a wrapper
-// per request.
+// statusWriter captures the response status for the access log, the
+// trace record and panic containment; pooled so no request allocates a
+// wrapper.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -154,38 +180,61 @@ func (w *statusWriter) WriteHeader(code int) {
 
 var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
-// requestContext bounds the request with the server's default timeout;
-// a request's own timeout_ms rides in the typed request's Timeout, which
-// can only lower the effective deadline (earliest wins).
-func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), s.timeout)
+// reply is the tail of every POST response: the wall time of the work
+// and the partial flag.
+type reply struct {
+	TookMS float64 `json:"took_ms"`
+	// Partial marks a degraded answer: a topology-backed coordinator lost
+	// shards but its policy allowed serving the survivors' merge. Absent
+	// (false) on every complete response; on the expansion endpoints only
+	// the retrieval leg can be partial, never the expansion itself.
+	Partial bool `json:"partial,omitempty"`
 }
 
-// requestTimeout converts a wire timeout_ms into the typed requests'
-// Timeout field (0 = inherit the server deadline unchanged). Negative
-// values never reach here: every endpoint rejects them first via
-// validTimeout.
-func requestTimeout(timeoutMS int64) time.Duration {
-	if timeoutMS <= 0 {
-		return 0
-	}
-	return time.Duration(timeoutMS) * time.Millisecond
+func (m *reply) done(took time.Duration, partial bool) {
+	m.TookMS, m.Partial = float64(took.Microseconds())/1000, partial
 }
 
-// validTimeout rejects a negative timeout_ms with 400 invalid_timeout.
-// Before this check existed, a negative value slid through requestTimeout's
-// "<= 0 means inherit" clamp and silently behaved like an absent field —
-// the opposite of what a client asking for a nonsensical deadline should
-// see.
-func (s *server) validTimeout(w http.ResponseWriter, timeoutMS int64) bool {
-	if timeoutMS >= 0 {
-		return true
+// response is a wire response struct that embeds reply.
+type response interface {
+	done(took time.Duration, partial bool)
+}
+
+// post is the envelope of every body-reading POST endpoint: content type,
+// body cap and strict decode into req, then the timeout_ms check (a
+// negative value is a 400, not a silent "absent"), then run.
+func (s *server) post(w http.ResponseWriter, r *http.Request, req any, timeoutMS *int64, work func(context.Context) (response, error)) {
+	if !s.decode(w, r, req) {
+		return
 	}
-	s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: errorBody{
-		Code:    "invalid_timeout",
-		Message: fmt.Sprintf("timeout_ms must be >= 0, got %d", timeoutMS),
-	}})
-	return false
+	if *timeoutMS < 0 {
+		s.fail(w, http.StatusBadRequest, "invalid_timeout", fmt.Sprintf("timeout_ms must be >= 0, got %d", *timeoutMS))
+		return
+	}
+	s.run(w, r, *timeoutMS, work)
+}
+
+// run does the work under the request's deadline — the server's -timeout,
+// which a positive timeoutMS can only lower — and answers through the
+// error model, or 200 with the response work built. ErrPartialResult is
+// the one error that arrives alongside a usable response: it is served
+// with the partial flag set.
+func (s *server) run(w http.ResponseWriter, r *http.Request, timeoutMS int64, work func(context.Context) (response, error)) {
+	timeout := s.timeout
+	if timeoutMS > 0 && timeoutMS <= int64(timeout/time.Millisecond) {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	start := time.Now()
+	resp, err := work(ctx)
+	partial := errors.Is(err, querygraph.ErrPartialResult)
+	if err != nil && !partial {
+		s.writeError(w, err)
+		return
+	}
+	resp.done(time.Since(start), partial)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // --- wire types --------------------------------------------------------
@@ -199,17 +248,13 @@ type errorResponse struct {
 	Error errorBody `json:"error"`
 }
 
-type resultJSON struct {
-	Doc   int32   `json:"doc"`
-	Score float64 `json:"score"`
-}
-
-func resultsJSON(rs []querygraph.Result) []resultJSON {
-	out := make([]resultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = resultJSON{Doc: r.Doc, Score: r.Score}
+// nonNil keeps an empty list on the wire as [] where encoding/json would
+// write a nil slice as null.
+func nonNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
 	}
-	return out
+	return s
 }
 
 type searchRequest struct {
@@ -220,13 +265,8 @@ type searchRequest struct {
 }
 
 type searchResponse struct {
-	Results []resultJSON `json:"results"`
-	TookMS  float64      `json:"took_ms"`
-	// Partial marks a degraded answer: a topology-backed coordinator lost
-	// shards but its policy allowed serving the survivors' merge. Absent
-	// (false) on every complete response, so the zero-allocation fast path
-	// never has to encode it.
-	Partial bool `json:"partial,omitempty"`
+	Results []querygraph.Result `json:"results"`
+	reply
 }
 
 type searchBatchRequest struct {
@@ -237,10 +277,8 @@ type searchBatchRequest struct {
 }
 
 type searchBatchResponse struct {
-	Results [][]resultJSON `json:"results"`
-	TookMS  float64        `json:"took_ms"`
-	// Partial marks a degraded answer (see searchResponse.Partial).
-	Partial bool `json:"partial,omitempty"`
+	Results [][]querygraph.Result `json:"results"`
+	reply
 }
 
 // expandParams are the optional expansion knobs; pointers distinguish
@@ -304,58 +342,33 @@ type expandRequest struct {
 	expandParams
 }
 
-type entityJSON struct {
-	ID    int64  `json:"id"`
-	Title string `json:"title"`
-}
-
-type featureJSON struct {
-	Title         string  `json:"title"`
-	CycleLen      int     `json:"cycle_len"`
-	Density       float64 `json:"density"`
-	CategoryRatio float64 `json:"category_ratio"`
-}
-
 type expansionJSON struct {
-	Keywords         string        `json:"keywords"`
-	Entities         []entityJSON  `json:"entities"`
-	Features         []featureJSON `json:"features"`
-	CyclesConsidered int           `json:"cycles_considered"`
-	CyclesAccepted   int           `json:"cycles_accepted"`
-	Results          []resultJSON  `json:"results,omitempty"`
+	Keywords         string               `json:"keywords"`
+	Entities         []querygraph.Entity  `json:"entities"`
+	Features         []querygraph.Feature `json:"features"`
+	CyclesConsidered int                  `json:"cycles_considered"`
+	CyclesAccepted   int                  `json:"cycles_accepted"`
+	Results          []querygraph.Result  `json:"results,omitempty"`
 }
 
 func (s *server) expansionJSON(exp *querygraph.Expansion, results []querygraph.Result) expansionJSON {
 	out := expansionJSON{
 		Keywords:         exp.Keywords,
-		Entities:         make([]entityJSON, len(exp.QueryArticles)),
-		Features:         make([]featureJSON, len(exp.Features)),
+		Entities:         make([]querygraph.Entity, len(exp.QueryArticles)),
+		Features:         nonNil(exp.Features),
 		CyclesConsidered: exp.CyclesConsidered,
 		CyclesAccepted:   exp.CyclesAccepted,
+		Results:          results,
 	}
 	for i, id := range exp.QueryArticles {
-		out.Entities[i] = entityJSON{ID: int64(id), Title: s.backend.Title(id)}
-	}
-	for i, f := range exp.Features {
-		out.Features[i] = featureJSON{
-			Title:         f.Title,
-			CycleLen:      f.CycleLen,
-			Density:       f.Density,
-			CategoryRatio: f.CategoryRatio,
-		}
-	}
-	if results != nil {
-		out.Results = resultsJSON(results)
+		out.Entities[i] = querygraph.Entity{ID: id, Title: s.backend.Title(id)}
 	}
 	return out
 }
 
 type expandResponse struct {
 	expansionJSON
-	TookMS float64 `json:"took_ms"`
-	// Partial marks a degraded retrieval leg (see searchResponse.Partial);
-	// the expansion itself is never partial.
-	Partial bool `json:"partial,omitempty"`
+	reply
 }
 
 type expandBatchRequest struct {
@@ -370,185 +383,70 @@ type expandBatchRequest struct {
 
 type expandBatchResponse struct {
 	Expansions []expansionJSON `json:"expansions"`
-	TookMS     float64         `json:"took_ms"`
-	// Partial marks a degraded retrieval leg (see searchResponse.Partial).
-	Partial bool `json:"partial,omitempty"`
+	reply
 }
 
 // --- handlers ----------------------------------------------------------
 
-// handleSearch is the zero-allocation fast path (see fastpath.go): pooled
-// body and encode buffers, a hand-rolled parser and encoder for the two
-// wire structs, an interned query string, a timer-free pooled deadline
-// context and Backend.SearchInto over pooled result storage. At steady
-// state the handler allocates nothing per request — pinned by
-// TestSearchHandlerZeroAlloc.
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if !s.requireJSONFast(w, r) {
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	body, ok := s.readBody(w, r, sc)
-	if !ok {
-		return
-	}
-	var req fastSearchReq
-	if err := parseSearchBody(body, sc, &req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: errorBody{
-			Code:    "invalid_body",
-			Message: "bad request body: " + err.Error(),
-		}})
-		return
-	}
-	if !s.validTimeout(w, req.timeoutMS) {
-		return
-	}
-	timeout := s.timeout
-	if t := requestTimeout(req.timeoutMS); t > 0 && t < timeout {
-		timeout = t
-	}
-	sc.dctx.reset(r.Context(), timeout)
-	start := time.Now()
-	rs, err := s.backend.SearchInto(&sc.dctx, sc.internQuery(req.query), s.rank(int(req.k)), sc.results[:0])
-	if err != nil {
-		// A degraded coordinator (ErrPartialResult) still delivered the
-		// survivors' ranking: serve it with the partial flag on the generic
-		// slow path. The fast path below stays reserved for complete
-		// answers, so its hand-rolled encoder never learns about the flag.
-		if errors.Is(err, querygraph.ErrPartialResult) {
-			sc.results = rs
-			s.writeJSON(w, http.StatusOK, searchResponse{
-				Results: resultsJSON(rs),
-				TookMS:  tookMS(time.Since(start)),
-				Partial: true,
-			})
-			return
-		}
-		s.writeError(w, err)
-		return
-	}
-	sc.results = rs
-	sc.out = appendSearchResponse(sc.out[:0], rs, time.Since(start))
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.out)
+	var req searchRequest
+	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
+		resp, err := querygraph.SearchRequest{Query: req.Query, K: s.rank(req.K)}.Do(ctx, s.backend)
+		return &searchResponse{Results: nonNil(resp.Results)}, err
+	})
 }
 
 func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req searchBatchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.validTimeout(w, req.TimeoutMS) {
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	resp, err := querygraph.SearchBatchRequest{
-		Queries: req.Queries,
-		K:       s.rank(req.K),
-		Workers: req.Workers,
-		Timeout: requestTimeout(req.TimeoutMS),
-	}.Do(ctx, s.backend)
-	if err != nil && !errors.Is(err, querygraph.ErrPartialResult) {
-		s.writeError(w, err)
-		return
-	}
-	out := make([][]resultJSON, len(resp.Results))
-	for i, rs := range resp.Results {
-		out[i] = resultsJSON(rs)
-	}
-	s.writeJSON(w, http.StatusOK, searchBatchResponse{
-		Results: out,
-		TookMS:  tookMS(resp.Took),
-		Partial: err != nil,
+	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
+		resp, err := querygraph.SearchBatchRequest{Queries: req.Queries, K: s.rank(req.K), Workers: req.Workers}.Do(ctx, s.backend)
+		for i, rs := range resp.Results {
+			resp.Results[i] = nonNil(rs)
+		}
+		return &searchBatchResponse{Results: nonNil(resp.Results)}, err
 	})
 }
 
 func (s *server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	var req expandRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.validTimeout(w, req.TimeoutMS) {
-		return
-	}
-	opts, err := req.options()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	treq := querygraph.ExpandRequest{
-		Keywords: req.Keywords,
-		Options:  opts,
-		Timeout:  requestTimeout(req.TimeoutMS),
-	}
-	if req.K > 0 {
-		treq.K = s.rank(req.K)
-	}
-	resp, err := treq.Do(ctx, s.backend)
-	if err != nil && !errors.Is(err, querygraph.ErrPartialResult) {
-		s.writeError(w, err)
-		return
-	}
-	var results []querygraph.Result
-	if req.K > 0 {
-		results = resp.Results
-		if !resp.Searched {
-			results = []querygraph.Result{}
+	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
+		opts, err := req.options()
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.writeJSON(w, http.StatusOK, expandResponse{
-		expansionJSON: s.expansionJSON(resp.Expansion, results),
-		TookMS:        tookMS(resp.Took),
-		Partial:       err != nil,
+		treq := querygraph.ExpandRequest{Keywords: req.Keywords, Options: opts}
+		if req.K > 0 {
+			treq.K = s.rank(req.K)
+		}
+		resp, err := treq.Do(ctx, s.backend)
+		if resp.Expansion == nil {
+			return nil, err // Do keeps the zero response on every error but ErrPartialResult
+		}
+		return &expandResponse{expansionJSON: s.expansionJSON(resp.Expansion, resp.Results)}, err
 	})
 }
 
 func (s *server) handleExpandBatch(w http.ResponseWriter, r *http.Request) {
 	var req expandBatchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.validTimeout(w, req.TimeoutMS) {
-		return
-	}
-	opts, err := req.options()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	treq := querygraph.ExpandBatchRequest{
-		Keywords: req.Keywords,
-		Options:  opts,
-		Workers:  req.Workers,
-		Timeout:  requestTimeout(req.TimeoutMS),
-	}
-	if req.K > 0 {
-		treq.K = s.rank(req.K)
-	}
-	resp, err := treq.Do(ctx, s.backend)
-	if err != nil && !errors.Is(err, querygraph.ErrPartialResult) {
-		s.writeError(w, err)
-		return
-	}
-	out := make([]expansionJSON, len(resp.Expansions))
-	for i, exp := range resp.Expansions {
-		var rs []querygraph.Result
-		if resp.Results != nil && resp.Results[i] != nil {
-			rs = resp.Results[i]
+	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
+		opts, err := req.options()
+		if err != nil {
+			return nil, err
 		}
-		out[i] = s.expansionJSON(exp, rs)
-	}
-	s.writeJSON(w, http.StatusOK, expandBatchResponse{
-		Expansions: out,
-		TookMS:     tookMS(resp.Took),
-		Partial:    err != nil,
+		treq := querygraph.ExpandBatchRequest{Keywords: req.Keywords, Options: opts, Workers: req.Workers}
+		if req.K > 0 {
+			treq.K = s.rank(req.K)
+		}
+		resp, err := treq.Do(ctx, s.backend)
+		out := make([]expansionJSON, len(resp.Expansions))
+		for i, exp := range resp.Expansions {
+			var rs []querygraph.Result
+			if resp.Results != nil {
+				rs = resp.Results[i]
+			}
+			out[i] = s.expansionJSON(exp, rs)
+		}
+		return &expandBatchResponse{Expansions: out}, err
 	})
 }
 
@@ -561,128 +459,55 @@ type reloadRequest struct {
 }
 
 type reloadResponse struct {
-	Status     string  `json:"status"`
-	Generation uint64  `json:"generation"`
-	Shards     int     `json:"shards"`
-	Documents  int     `json:"documents"`
-	TookMS     float64 `json:"took_ms"`
+	Status     string `json:"status"`
+	Generation uint64 `json:"generation"`
+	Shards     int    `json:"shards"`
+	Documents  int    `json:"documents"`
+	reply
 }
 
 // handleReload swaps in the next snapshot generation with zero downtime
 // (Pool.Reload): in-flight requests finish on the old generation. An
-// empty body re-reads the current manifest; {"manifest": "..."} switches
-// paths. Only a pool-backed server (qserve -load manifest.json) can
-// reload; a single-snapshot server answers 409.
+// empty body, Content-Type or not, re-reads the current manifest;
+// {"manifest": "..."} switches paths. Only a pool-backed server (qserve
+// -load manifest.json) can reload; a single-snapshot server answers 409.
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.pool == nil {
-		s.writeJSON(w, http.StatusConflict, errorResponse{Error: errorBody{
-			Code:    "not_reloadable",
-			Message: "server is backed by a single snapshot, not a sharded manifest; restart to change data",
-		}})
+		s.fail(w, http.StatusConflict, "not_reloadable", "server is backed by a single snapshot, not a sharded manifest; restart to change data")
 		return
 	}
 	var req reloadRequest
-	sc := getScratch()
-	defer putScratch(sc)
-	body, ok := s.readBody(w, r, sc)
-	if !ok {
+	if r.ContentLength != 0 && !s.decode(w, r, &req) {
 		return
-	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		if !s.requireJSON(w, r) {
-			return
-		}
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: errorBody{
-				Code:    "invalid_body",
-				Message: "bad request body: " + err.Error(),
-			}})
-			return
-		}
 	}
 	start := time.Now()
 	if err := s.pool.Reload(req.Manifest); err != nil {
-		s.writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: errorBody{
-			Code:    "invalid_manifest",
-			Message: err.Error(),
-		}})
+		s.fail(w, http.StatusUnprocessableEntity, "invalid_manifest", err.Error())
 		return
 	}
 	st := s.pool.PoolStats()
-	s.writeJSON(w, http.StatusOK, reloadResponse{
-		Status:     "ok",
-		Generation: st.Generation,
-		Shards:     len(st.Shards),
-		Documents:  st.Documents,
-		TookMS:     ms(start),
-	})
+	resp := reloadResponse{Status: "ok", Generation: st.Generation, Shards: len(st.Shards), Documents: st.Documents}
+	resp.done(time.Since(start), false)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // --- admin: live ingest and compaction ----------------------------------
 
-// ingestDoc is the wire shape of one document to ingest, mirroring the
-// ImageCLEF record the indexer understands (corpus.Image). Only the
-// English text section, the file name and the wiki-template comment feed
-// the index (the paper's Section 2.1 extraction); id is an optional
+// ingestRequest carries the documents in the wire shape of
+// querygraph.Document, the ImageCLEF record the indexer understands. Only
+// the English text section, the file name and the wiki-template comment
+// feed the index (the paper's Section 2.1 extraction); id is an optional
 // external identifier that must be unique across the base snapshot and
 // the delta segment.
-type ingestDoc struct {
-	ID      string       `json:"id,omitempty"`
-	File    string       `json:"file,omitempty"`
-	Name    string       `json:"name,omitempty"`
-	Texts   []ingestText `json:"texts,omitempty"`
-	Comment string       `json:"comment,omitempty"`
-	License string       `json:"license,omitempty"`
-}
-
-type ingestText struct {
-	Lang        string          `json:"lang,omitempty"`
-	Description string          `json:"description,omitempty"`
-	Comment     string          `json:"comment,omitempty"`
-	Captions    []ingestCaption `json:"captions,omitempty"`
-}
-
-type ingestCaption struct {
-	Article string `json:"article,omitempty"`
-	Value   string `json:"value"`
-}
-
-func (d ingestDoc) document() querygraph.Document {
-	doc := querygraph.Document{
-		ID:      d.ID,
-		File:    d.File,
-		Name:    d.Name,
-		Comment: d.Comment,
-		License: d.License,
-	}
-	for _, t := range d.Texts {
-		text := querygraph.DocumentText{
-			Lang:        t.Lang,
-			Description: t.Description,
-			Comment:     t.Comment,
-		}
-		for _, c := range t.Captions {
-			text.Captions = append(text.Captions, querygraph.Caption{Article: c.Article, Value: c.Value})
-		}
-		doc.Texts = append(doc.Texts, text)
-	}
-	return doc
-}
-
 type ingestRequest struct {
-	Documents []ingestDoc `json:"documents"`
-	TimeoutMS int64       `json:"timeout_ms"`
+	Documents []querygraph.Document `json:"documents"`
+	TimeoutMS int64                 `json:"timeout_ms"`
 }
 
 type ingestResponse struct {
-	Status     string  `json:"status"`
-	Ingested   int     `json:"ingested"`
-	DeltaDocs  int     `json:"delta_docs"`
-	DeltaBytes int64   `json:"delta_bytes"`
-	Generation uint64  `json:"generation"`
-	TookMS     float64 `json:"took_ms"`
+	Status string `json:"status"`
+	querygraph.IngestStats
+	reply
 }
 
 // handleIngest appends a batch of documents to the backend's in-memory
@@ -692,40 +517,16 @@ type ingestResponse struct {
 // read-only backend (a fan-out coordinator) answers 409.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.validTimeout(w, req.TimeoutMS) {
-		return
-	}
-	docs := make([]querygraph.Document, len(req.Documents))
-	for i, d := range req.Documents {
-		docs[i] = d.document()
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	start := time.Now()
-	st, err := s.backend.Ingest(ctx, docs)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ingestResponse{
-		Status:     "ok",
-		Ingested:   st.Ingested,
-		DeltaDocs:  st.DeltaDocs,
-		DeltaBytes: st.DeltaBytes,
-		Generation: st.Generation,
-		TookMS:     ms(start),
+	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
+		st, err := s.backend.Ingest(ctx, req.Documents)
+		return &ingestResponse{Status: "ok", IngestStats: st}, err
 	})
 }
 
 type compactResponse struct {
-	Status     string  `json:"status"`
-	Compacted  int     `json:"compacted"`
-	Documents  int     `json:"documents"`
-	Generation uint64  `json:"generation"`
-	TookMS     float64 `json:"took_ms"`
+	Status string `json:"status"`
+	querygraph.CompactStats
+	reply
 }
 
 // handleCompact folds the delta segment into a fresh snapshot generation
@@ -733,20 +534,9 @@ type compactResponse struct {
 // before and after, only the generation counter moves. An empty delta is
 // a successful no-op with the generation unchanged. The body is ignored.
 func (s *server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	start := time.Now()
-	st, err := s.backend.Compact(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, compactResponse{
-		Status:     "ok",
-		Compacted:  st.Compacted,
-		Documents:  st.Documents,
-		Generation: st.Generation,
-		TookMS:     ms(start),
+	s.run(w, r, 0, func(ctx context.Context) (response, error) {
+		st, err := s.backend.Compact(ctx)
+		return &compactResponse{Status: "ok", CompactStats: st}, err
 	})
 }
 
@@ -827,14 +617,7 @@ type statsResponse struct {
 	// Delta is the live-segment view: documents ingested since the last
 	// compaction, the bytes a compaction would fold, the compaction
 	// generation and the number of compactions run.
-	Delta deltaStatsJSON `json:"delta"`
-}
-
-type deltaStatsJSON struct {
-	Documents    int    `json:"documents"`
-	PendingBytes int64  `json:"pending_bytes"`
-	Generation   uint64 `json:"generation"`
-	Compactions  uint64 `json:"compactions"`
+	Delta querygraph.DeltaStats `json:"delta"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -858,12 +641,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Links = st.Links
 	resp.Documents = st.Documents
 	resp.BenchmarkQueries = st.BenchmarkQueries
-	resp.Delta = deltaStatsJSON{
-		Documents:    st.Delta.Documents,
-		PendingBytes: st.Delta.PendingBytes,
-		Generation:   st.Delta.Generation,
-		Compactions:  st.Delta.Compactions,
-	}
+	resp.Delta = st.Delta
 	resp.ExpandCache = cacheStatsJSON{
 		Hits:     st.Cache.Hits,
 		Misses:   st.Cache.Misses,
@@ -895,20 +673,24 @@ func (s *server) rank(k int) int {
 // requireJSON enforces the POST content type: the declared media type
 // must be application/json (parameters like charset are fine). Rejecting
 // everything else keeps browser-form cross-site posts and accidental
-// x-www-form-urlencoded clients out of the JSON decoder.
+// x-www-form-urlencoded clients out of the JSON decoder. The exact form
+// nearly every client sends skips the allocating media-type parser.
 func (s *server) requireJSON(w http.ResponseWriter, r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
-	mt, _, err := mime.ParseMediaType(ct)
-	if err != nil || mt != "application/json" {
-		s.writeJSON(w, http.StatusUnsupportedMediaType, errorResponse{Error: errorBody{
-			Code:    "unsupported_media_type",
-			Message: fmt.Sprintf("Content-Type %q is not application/json", ct),
-		}})
-		return false
+	if ct == "application/json" {
+		return true
 	}
-	return true
+	if mt, _, err := mime.ParseMediaType(ct); err == nil && mt == "application/json" {
+		return true
+	}
+	s.fail(w, http.StatusUnsupportedMediaType, "unsupported_media_type", fmt.Sprintf("Content-Type %q is not application/json", ct))
+	return false
 }
 
+// decode reads the one JSON value of a POST body into into, strictly: a
+// non-JSON content type is a 415, a body over maxRequestBody a 413, and a
+// malformed value or an unknown field a 400. On false the error response
+// has been written.
 func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if !s.requireJSON(w, r) {
 		return false
@@ -919,16 +701,10 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if err := dec.Decode(into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: errorBody{
-				Code:    "request_too_large",
-				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			}})
+			s.fail(w, http.StatusRequestEntityTooLarge, "request_too_large", fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: errorBody{
-			Code:    "invalid_body",
-			Message: "bad request body: " + err.Error(),
-		}})
+		s.fail(w, http.StatusBadRequest, "invalid_body", "bad request body: "+err.Error())
 		return false
 	}
 	return true
@@ -943,7 +719,7 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 // read-only backend, 429 for a delta segment at capacity, 500 for
 // everything else.
 // The body is always an errorResponse. ErrPartialResult never reaches
-// here: the handlers serve a degraded 200 with the partial flag instead.
+// here: run serves a degraded 200 with the partial flag instead.
 func (s *server) writeError(w http.ResponseWriter, err error) {
 	var status int
 	class := querygraph.ErrorClass(err)
@@ -973,28 +749,25 @@ func (s *server) writeError(w http.ResponseWriter, err error) {
 	default:
 		status, code = http.StatusInternalServerError, "internal"
 	}
-	s.writeJSON(w, status, errorResponse{Error: errorBody{Code: code, Message: err.Error()}})
+	s.fail(w, status, code, err.Error())
 }
 
-// encoderBufPool recycles the staging buffers writeJSON encodes into; the
-// per-response json.Encoder is unavoidable on this generic path, but the
-// buffer (the larger allocation) is not.
-var encoderBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// fail answers with the error envelope every non-2xx JSON response uses.
+func (s *server) fail(w http.ResponseWriter, status int, code, message string) {
+	s.writeJSON(w, status, errorResponse{Error: errorBody{Code: code, Message: message}})
+}
 
+// jsonContentType is assigned directly into the header map —
+// http.Header.Set allocates a fresh one-element slice per call; this
+// shared slice is read-only by contract (net/http only reads header
+// values when writing the response).
+var jsonContentType = []string{"application/json"}
+
+// writeJSON answers status with body as one JSON line. Encode marshals
+// the whole value before its single Write, so a body that cannot be
+// encoded sends nothing after the header rather than half a document.
 func (s *server) writeJSON(w http.ResponseWriter, status int, body any) {
-	buf := encoderBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	_ = json.NewEncoder(buf).Encode(body)
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-	encoderBufPool.Put(buf)
-}
-
-func ms(start time.Time) float64 {
-	return tookMS(time.Since(start))
-}
-
-func tookMS(d time.Duration) float64 {
-	return float64(d.Microseconds()) / 1000
+	_ = json.NewEncoder(w).Encode(body)
 }

@@ -91,13 +91,13 @@ func (o ExpanderOptions) validate() error {
 
 // Feature is one proposed expansion feature with its provenance.
 type Feature struct {
-	Node  graph.NodeID
-	Title string
+	Node  graph.NodeID `json:"-"`
+	Title string       `json:"title"`
 	// CycleLen, Density and CategoryRatio describe the best (densest)
 	// accepted cycle that introduced the feature.
-	CycleLen      int
-	Density       float64
-	CategoryRatio float64
+	CycleLen      int     `json:"cycle_len"`
+	Density       float64 `json:"density"`
+	CategoryRatio float64 `json:"category_ratio"`
 }
 
 // Expansion is the result of expanding one query.

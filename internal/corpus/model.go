@@ -14,26 +14,26 @@ import (
 // <text> sections (description, comment, captions), a general wiki-template
 // <comment> and a <license>.
 type Image struct {
-	ID      string `xml:"id,attr"`
-	File    string `xml:"file,attr"`
-	Name    string `xml:"name"`
-	Texts   []Text `xml:"text"`
-	Comment string `xml:"comment"`
-	License string `xml:"license"`
+	ID      string `xml:"id,attr" json:"id,omitempty"`
+	File    string `xml:"file,attr" json:"file,omitempty"`
+	Name    string `xml:"name" json:"name,omitempty"`
+	Texts   []Text `xml:"text" json:"texts,omitempty"`
+	Comment string `xml:"comment" json:"comment,omitempty"`
+	License string `xml:"license" json:"license,omitempty"`
 }
 
 // Text is one per-language metadata section.
 type Text struct {
-	Lang        string    `xml:"lang,attr"`
-	Description string    `xml:"description"`
-	Comment     string    `xml:"comment"`
-	Captions    []Caption `xml:"caption"`
+	Lang        string    `xml:"lang,attr" json:"lang,omitempty"`
+	Description string    `xml:"description" json:"description,omitempty"`
+	Comment     string    `xml:"comment" json:"comment,omitempty"`
+	Captions    []Caption `xml:"caption" json:"captions,omitempty"`
 }
 
 // Caption is a caption linked to the article it was extracted from.
 type Caption struct {
-	Article string `xml:"article,attr"`
-	Value   string `xml:",chardata"`
+	Article string `xml:"article,attr" json:"article,omitempty"`
+	Value   string `xml:",chardata" json:"value"`
 }
 
 // EnglishText returns the English-language section, if present.

@@ -21,8 +21,8 @@ const unseenFloor = 0.5
 
 // Result is one ranked document.
 type Result struct {
-	Doc   int32
-	Score float64
+	Doc   int32   `json:"doc"`
+	Score float64 `json:"score"`
 }
 
 // Engine scores queries against an index with Dirichlet-smoothed query
