@@ -49,3 +49,37 @@ func TestSearchIntoSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestColdExpandAllocBudget pins the cold expansion pipeline where a busy
+// host cannot blur it: in allocations. On the default world, with the
+// expansion cache off, an Expand averaged ~550 allocations when the bounded
+// ball and the seed-anchored miner landed, against 12 600 for the
+// whole-graph BFS and the enumerate-everything-then-filter before them; the
+// ceiling is twice the measured value.
+func TestColdExpandAllocBudget(t *testing.T) {
+	cfg := DefaultWorldConfig()
+	cfg.Queries = 30
+	w, err := GenerateWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Build(w, WithExpandCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, qs := context.Background(), c.Queries()
+	perRun := testing.AllocsPerRun(5, func() {
+		for _, q := range qs {
+			if _, err := c.Expand(ctx, q.Keywords); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	const ceiling = 1100
+	if got := perRun / float64(len(qs)); got > ceiling {
+		t.Errorf("a cold Expand allocates %.0f times on average, budget %d", got, ceiling)
+	} else {
+		t.Logf("cold Expand: %.0f allocations on average (budget %d)", got, ceiling)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/querygraph/querygraph"
 	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
@@ -497,6 +498,32 @@ func BenchmarkExpandOnline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkExpandCold is BenchmarkExpandOnline one layer up: the same cold
+// pipeline behind the public Client with its expansion cache off — what
+// the expand-cold-client workload of bench/ drives, less the retrieval —
+// with the allocations and the cycles mined per expansion, the two counts
+// that say whether the neighborhood walk and the miner still do only the
+// work the answer needs.
+func BenchmarkExpandCold(b *testing.B) {
+	e := benchSetup(b)
+	c, err := querygraph.Build(e.world, querygraph.WithExpandCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx, considered := context.Background(), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exp, err := c.Expand(ctx, e.queries[i%len(e.queries)].Keywords)
+		if err != nil {
+			b.Fatal(err)
+		}
+		considered += exp.CyclesConsidered
+	}
+	b.ReportMetric(float64(considered)/float64(b.N), "cycles/op")
 }
 
 // BenchmarkWorldGeneration measures deterministic world generation.

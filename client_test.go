@@ -344,6 +344,54 @@ func TestGroundTruthAndCycles(t *testing.T) {
 	}
 }
 
+// TestMineCyclesUnlinkableKeywords is the regression test of MineCycles
+// yielding every cycle of the query graph when the keywords link to no
+// article: a ground truth built from the relevant documents alone has a
+// query graph (the expansion articles and their categories) but no query
+// article, so no cycle contains one, for MineCycles and Analyze alike.
+func TestMineCyclesUnlinkableKeywords(t *testing.T) {
+	ctx := context.Background()
+	served := client(t)
+	unlinkable := make([]Query, len(served.Queries()))
+	for i, q := range served.Queries() {
+		q.Keywords = "qqqq zzzz"
+		unlinkable[i] = q
+	}
+	c := newClient(served.view().sys(), unlinkable, clientConfig{})
+	gtOpts := GroundTruthOptions{Seed: 1, MaxIterations: 8, MaxEvaluations: 800}
+
+	graphs := 0
+	for _, q := range unlinkable {
+		gt, err := c.GroundTruth(ctx, q, gtOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gt.QueryArticles) != 0 {
+			t.Fatalf("query %d: %q links to %v", q.ID, q.Keywords, gt.QueryArticles)
+		}
+		if gt.Graph.Size() > 0 {
+			graphs++
+		}
+		cs, err := c.MineCycles(ctx, gt, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cs) != 0 {
+			t.Errorf("query %d: %d cycles through a query article, and there is no query article", q.ID, len(cs))
+		}
+	}
+	if graphs == 0 {
+		t.Fatal("no ground truth has a query graph: the test would pass on any MineCycles")
+	}
+	a, err := c.Analyze(ctx, AnalyzeOptions{GroundTruth: gtOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.TotalCycles != 0 {
+		t.Errorf("Analyze counts %d cycles through query articles that do not exist", a.TotalCycles)
+	}
+}
+
 func TestLinkAndEvaluate(t *testing.T) {
 	c := client(t)
 	ctx := context.Background()

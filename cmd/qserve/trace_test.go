@@ -232,3 +232,44 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestFlightRecorderExpandPhases: /v1/debug/requests shows where a cold
+// /v1/expand spent its time — one span per phase of the pipeline beside
+// the envelope's own "expand" span — and shows no pipeline at all for the
+// same request served from the expansion cache.
+func TestFlightRecorderExpandPhases(t *testing.T) {
+	s, rec := tracedServer(t)
+	// Options no other test of the shared client uses: the first request is cold.
+	neighborhood := 397
+	body := expandRequest{Keywords: serveClient(t).Queries()[0].Keywords}
+	body.MaxNeighborhood = &neighborhood
+	for _, want := range []struct {
+		cache  string
+		phases []string
+	}{
+		{"miss", []string{"expand.link", "expand.ball", "expand.induce", "expand.mine", "expand.rank", "expand"}},
+		{"hit", []string{"expand"}},
+	} {
+		if w := do(t, s, http.MethodPost, "/v1/expand", body); w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+		}
+		dw := httptest.NewRecorder()
+		trace.Handler(rec)(dw, httptest.NewRequest(http.MethodGet, "/v1/debug/requests", nil))
+		var resp struct {
+			Requests []*trace.Record `json:"requests"`
+		}
+		if err := json.Unmarshal(dw.Body.Bytes(), &resp); err != nil || len(resp.Requests) == 0 {
+			t.Fatalf("GET /v1/debug/requests: %q: %v", dw.Body.String(), err)
+		}
+		var phases []string
+		for _, sp := range resp.Requests[0].Spans { // newest first
+			phases = append(phases, sp.Phase)
+			if sp.Phase == "expand" && sp.Detail != want.cache {
+				t.Errorf("expand span detail = %q, want cache %s", sp.Detail, want.cache)
+			}
+		}
+		if strings.Join(phases, " ") != strings.Join(want.phases, " ") {
+			t.Errorf("cache %s: spans = %v, want %v", want.cache, phases, want.phases)
+		}
+	}
+}

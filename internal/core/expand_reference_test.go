@@ -1,0 +1,353 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/querygraph/querygraph/internal/cycles"
+	"github.com/querygraph/querygraph/internal/graph"
+	"github.com/querygraph/querygraph/internal/synth"
+	"github.com/querygraph/querygraph/internal/trace"
+)
+
+// referenceExpand is the expansion pipeline as it stood before the bounded
+// ball and the seed-anchored miner, step for step: every distance in the
+// graph, filter by radius, sort by (distance, id), cap, induce, enumerate
+// every cycle of the neighborhood, drop those that miss the query articles,
+// measure each by adjacency scans, filter, rank, select. The graph and
+// cycles functions it calls are each tested against their own former
+// selves where they changed; none of them is on System.expand's path
+// except Induce.
+func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansion, error) {
+	queryArts := s.LinkKeywords(keywords)
+	exp := &Expansion{Keywords: keywords, QueryArticles: queryArts}
+	if len(queryArts) == 0 {
+		return exp, nil
+	}
+
+	g := s.Snapshot.Graph()
+	dist := g.BFSDistances(queryArts, graph.ExcludeRedirects)
+	type nd struct {
+		id graph.NodeID
+		d  int
+	}
+	ball := make([]nd, 0, len(dist))
+	for id, d := range dist {
+		if d <= opts.Radius {
+			ball = append(ball, nd{id, d})
+		}
+	}
+	sort.Slice(ball, func(i, j int) bool {
+		if ball[i].d != ball[j].d {
+			return ball[i].d < ball[j].d
+		}
+		return ball[i].id < ball[j].id
+	})
+	if len(ball) > opts.MaxNeighborhood {
+		ball = ball[:opts.MaxNeighborhood]
+	}
+	nodes := make([]graph.NodeID, len(ball))
+	for i, n := range ball {
+		nodes[i] = n.id
+	}
+	sub := g.Induce(nodes)
+
+	all, err := cycles.Enumerate(sub.Graph, nil, opts.MaxCycleLen, graph.ExcludeRedirects)
+	if err != nil {
+		return nil, err
+	}
+	type mined struct {
+		cycle    cycles.Cycle
+		metrics  cycles.Metrics
+		articles []graph.NodeID
+	}
+	var kept []mined
+	for _, c := range all {
+		seeded := false
+		for _, qa := range queryArts {
+			if sid, ok := sub.ToSub[qa]; ok && c.Contains(sid) {
+				seeded = true
+			}
+		}
+		if !seeded {
+			continue
+		}
+		m, err := cycles.Measure(sub.Graph, c, graph.ExcludeRedirects)
+		if err != nil {
+			return nil, err
+		}
+		exp.CyclesConsidered++
+		switch {
+		case m.Length == 2:
+			if !opts.KeepTwoCycles {
+				continue
+			}
+		case m.CategoryRatio < opts.MinCategoryRatio || m.CategoryRatio > opts.MaxCategoryRatio:
+			continue
+		case m.Length >= 4 && m.ExtraEdgeDensity < opts.MinDensity:
+			continue
+		}
+		var arts []graph.NodeID
+		for _, n := range cycles.AppendArticles(nil, sub.Graph, c) {
+			arts = append(arts, sub.ToParent[n])
+		}
+		kept = append(kept, mined{c, m, arts})
+	}
+	exp.CyclesAccepted = len(kept)
+
+	sort.Slice(kept, func(i, j int) bool {
+		a, b := kept[i].metrics, kept[j].metrics
+		if a.Length != b.Length {
+			return a.Length < b.Length
+		}
+		if a.ExtraEdgeDensity != b.ExtraEdgeDensity {
+			return a.ExtraEdgeDensity > b.ExtraEdgeDensity
+		}
+		x, y := kept[i].cycle.Nodes, kept[j].cycle.Nodes
+		for i := range x {
+			if x[i] != y[i] {
+				return x[i] < y[i]
+			}
+		}
+		return false
+	})
+
+	inQuery := make(map[graph.NodeID]struct{}, len(queryArts))
+	for _, qa := range queryArts {
+		inQuery[qa] = struct{}{}
+	}
+	type candidate struct {
+		feature   Feature
+		order     int
+		frequency int
+	}
+	byNode := make(map[graph.NodeID]*candidate)
+	var ordered []*candidate
+	for _, k := range kept {
+		for _, parent := range k.articles {
+			if _, isQ := inQuery[parent]; isQ {
+				continue
+			}
+			if cand, dup := byNode[parent]; dup {
+				cand.frequency++
+				continue
+			}
+			cand := &candidate{
+				feature: Feature{
+					Node:          parent,
+					Title:         s.Snapshot.Name(parent),
+					CycleLen:      k.metrics.Length,
+					Density:       k.metrics.ExtraEdgeDensity,
+					CategoryRatio: k.metrics.CategoryRatio,
+				},
+				order:     len(ordered),
+				frequency: 1,
+			}
+			byNode[parent] = cand
+			ordered = append(ordered, cand)
+		}
+	}
+	if opts.RankByFrequency {
+		sort.Slice(ordered, func(i, j int) bool {
+			if ordered[i].frequency != ordered[j].frequency {
+				return ordered[i].frequency > ordered[j].frequency
+			}
+			return ordered[i].order < ordered[j].order
+		})
+	}
+	for _, cand := range ordered {
+		if len(exp.Features) >= opts.MaxFeatures {
+			break
+		}
+		exp.Features = append(exp.Features, cand.feature)
+		if opts.IncludeRedirectAliases {
+			for _, r := range s.Snapshot.RedirectsTo(cand.feature.Node) {
+				if len(exp.Features) >= opts.MaxFeatures {
+					break
+				}
+				alias := cand.feature
+				alias.Node = r
+				alias.Title = s.Snapshot.Name(r)
+				exp.Features = append(exp.Features, alias)
+			}
+		}
+	}
+	return exp, nil
+}
+
+// randomWorld generates a small world whose shape varies with the seed.
+func randomWorld(t testing.TB, rng *rand.Rand) (*System, []string) {
+	cfg := synth.Default()
+	cfg.Seed = rng.Int63()
+	cfg.Topics = 2 + rng.Intn(5)
+	cfg.ArticlesPerTopic = 4 + rng.Intn(10)
+	cfg.DocsPerTopic = 2 + rng.Intn(3)
+	cfg.Queries = 4
+	cfg.NoiseVocab = 20
+	cfg.RedirectProb = rng.Float64()
+	cfg.IntraLinkProb *= 0.5 + 2*rng.Float64()
+	cfg.ReciprocalProb = rng.Float64()
+	cfg.CrossTopicLinks = rng.Intn(6)
+	w, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromWorld(w, WithExpandCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One-entity keywords, and keywords that link several query articles,
+	// so that a small MaxNeighborhood cuts the sources themselves.
+	var keywords []string
+	for i, q := range w.Queries {
+		keywords = append(keywords, q.Keywords, q.Keywords+" "+w.Queries[(i+1)%len(w.Queries)].Keywords)
+	}
+	return s, append(keywords, "no such entity anywhere")
+}
+
+// randomExpanderOptions draws options across the whole validated range:
+// radius 1-3, caps from one node (inside the sources) through mid-level
+// to beyond the ball, every cycle length, each switch both ways.
+func randomExpanderOptions(rng *rand.Rand, graphSize int) ExpanderOptions {
+	opts := DefaultExpanderOptions()
+	opts.Radius = 1 + rng.Intn(3)
+	opts.MaxCycleLen = 2 + rng.Intn(5)
+	switch rng.Intn(3) {
+	case 0:
+		opts.MaxNeighborhood = 1 + rng.Intn(4)
+	case 1:
+		opts.MaxNeighborhood = 1 + rng.Intn(graphSize)
+	}
+	opts.MaxFeatures = 1 + rng.Intn(12)
+	opts.KeepTwoCycles = rng.Intn(2) == 0
+	opts.RankByFrequency = rng.Intn(2) == 0
+	opts.IncludeRedirectAliases = rng.Intn(2) == 0
+	if rng.Intn(3) == 0 {
+		opts.MinDensity = 0
+	}
+	if rng.Intn(3) == 0 {
+		opts.MinCategoryRatio, opts.MaxCategoryRatio = 0, 1
+	}
+	return opts
+}
+
+// TestExpandMatchesReference is the byte-identical guarantee of the bounded
+// ball and the seed-anchored miner: over random worlds and random options,
+// the whole Expansion equals the former pipeline's.
+func TestExpandMatchesReference(t *testing.T) {
+	worlds, expansions, features := 200, 0, 0
+	if testing.Short() {
+		worlds = 40
+	}
+	ctx := context.Background()
+	for seed := 0; seed < worlds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		s, keywords := randomWorld(t, rng)
+		for _, kw := range keywords {
+			opts := randomExpanderOptions(rng, s.Snapshot.Graph().NumNodes())
+			want, err := referenceExpand(s, kw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Expand(ctx, kw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("world %d, %q, %+v:\n got %+v\nwant %+v", seed, kw, opts, got, want)
+			}
+			expansions++
+			features += len(got.Features)
+		}
+	}
+	if features < expansions { // the comparison must not be of empty answers
+		t.Errorf("%d expansions proposed only %d features", expansions, features)
+	}
+}
+
+// TestMineCyclesWithoutQueryArticle is the regression test of a nil seed
+// set reaching Enumerate, which reads nil as "every cycle": when none of
+// the query articles is inside sub, no cycle passes through one.
+func TestMineCyclesWithoutQueryArticle(t *testing.T) {
+	g := graph.New(4)
+	for i := 0; i < 4; i++ {
+		g.AddNode(graph.Article)
+	}
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 0}} {
+		if err := g.AddEdge(e[0], e[1], graph.Link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub := g.Induce([]graph.NodeID{0, 1, 2})
+	for _, tc := range []struct {
+		queryArticles []graph.NodeID
+		want          int
+	}{{[]graph.NodeID{3}, 0}, {nil, 0}, {[]graph.NodeID{}, 0}, {[]graph.NodeID{3, 1}, 1}} {
+		got := 0
+		for _, err := range MineCycles(sub, tc.queryArticles, 5) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got++
+		}
+		if got != tc.want {
+			t.Errorf("MineCycles(triangle, %v) yields %d cycles, want %d", tc.queryArticles, got, tc.want)
+		}
+	}
+}
+
+// TestExpandAllColdConcurrent runs cold expansions from many goroutines at
+// once (the walk and mining scratch is pooled per call, never per System)
+// and requires the answers a sequential reference run gives. It earns its
+// keep under -race.
+func TestExpandAllColdConcurrent(t *testing.T) {
+	s, keywords := randomWorld(t, rand.New(rand.NewSource(7)))
+	var batch []string
+	for i := 0; i < 12; i++ {
+		batch = append(batch, keywords...)
+	}
+	opts := DefaultExpanderOptions()
+	got, err := s.ExpandAll(context.Background(), batch, opts, BatchOptions{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, kw := range batch {
+		want, err := referenceExpand(s, kw, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("batch[%d] %q:\n got %+v\nwant %+v", i, kw, got[i], want)
+		}
+	}
+}
+
+// TestExpandPhaseSpans: a traced cold expansion records one span per phase
+// of the pipeline, in order, on the caller's trace.
+func TestExpandPhaseSpans(t *testing.T) {
+	s, w := testSystem(t)
+	tr := trace.Begin(trace.NewID())
+	ctx := trace.NewContext(context.Background(), tr)
+	if _, err := s.expand(ctx, w.Queries[0].Keywords, DefaultExpanderOptions()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sp := range tr.Finish("expand", "").Spans {
+		got = append(got, sp.Phase)
+	}
+	want := []string{"expand.link", "expand.ball", "expand.induce", "expand.mine", "expand.rank"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("spans = %v, want %v", got, want)
+	}
+	// Nothing to anchor on: the pipeline ends after linking, and so do the spans.
+	tr = trace.Begin(trace.NewID())
+	if _, err := s.expand(trace.NewContext(context.Background(), tr), "no such entity anywhere", DefaultExpanderOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if spans := tr.Finish("expand", "").Spans; len(spans) != 1 || spans[0].Phase != "expand.link" {
+		t.Errorf("unlinkable keywords: spans = %+v, want expand.link alone", spans)
+	}
+}

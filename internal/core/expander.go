@@ -1,14 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
+	"time"
 
 	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/search"
+	"github.com/querygraph/querygraph/internal/trace"
 )
 
 // ExpanderOptions tune the online cycle-based expansion engine. The
@@ -149,13 +153,17 @@ type MinedCycle struct {
 // thousands of cycles and the expander keeps a handful.
 func MineCycles(sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) iter.Seq2[MinedCycle, error] {
 	return func(yield func(MinedCycle, error) bool) {
-		var seeds []graph.NodeID
+		// Not nil, which Enumerate reads as "every cycle": with no query
+		// article inside sub there is no cycle through one.
+		seeds := []graph.NodeID{}
 		for _, qa := range queryArticles {
 			if sid, ok := sub.ToSub[qa]; ok {
 				seeds = append(seeds, sid)
 			}
 		}
-		cs, err := cycles.Enumerate(sub.Graph, seeds, maxLen, graph.ExcludeRedirects)
+		miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
+		defer miner.Release()
+		cs, err := miner.Enumerate(seeds, maxLen)
 		if err != nil {
 			yield(MinedCycle{}, err)
 			return
@@ -166,7 +174,7 @@ func MineCycles(sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) i
 		}
 		arts := make([]graph.NodeID, 0, nodes) // every cycle's Articles, back to back
 		for _, c := range cs {
-			m, err := cycles.Measure(sub.Graph, c, graph.ExcludeRedirects)
+			m, err := miner.Measure(c)
 			if err != nil {
 				yield(MinedCycle{}, err)
 				return
@@ -216,48 +224,43 @@ func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts Expand
 	}
 	key := expandKey{keywords: keywords, opts: opts}
 	return s.expandCache.getOrDo(ctx, key, func() (*Expansion, error) {
-		return s.expand(keywords, opts)
+		return s.expand(ctx, keywords, opts)
 	})
 }
 
 // expand is the uncached expansion pipeline behind Expand; opts have
-// already been validated.
-func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, error) {
+// already been validated. ctx is read for its trace only: a traced request
+// gets one span per phase, and the pipeline runs to completion either way,
+// because getOrDo's followers share what this call returns.
+func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptions) (*Expansion, error) {
 	s.expandCalls.Add(1)
+	// Untraced requests skip the clock reads; see localRuntime.SearchInto.
+	tr := trace.FromContext(ctx)
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	phase := func(name string) {
+		if tr != nil {
+			tr.Span(name, t0, "")
+			t0 = time.Now()
+		}
+	}
+
 	queryArts := s.LinkKeywords(keywords)
+	phase("expand.link")
 	exp := &Expansion{Keywords: keywords, QueryArticles: queryArts}
 	if len(queryArts) == 0 {
 		return exp, nil // nothing to anchor on; expansion is a no-op
 	}
 
-	// Bounded BFS ball around the query articles.
+	// The candidate graph: the nearest MaxNeighborhood nodes of the
+	// radius-bounded ball around the query articles.
 	g := s.Snapshot.Graph()
-	dist := g.BFSDistances(queryArts, graph.ExcludeRedirects)
-	type nd struct {
-		id graph.NodeID
-		d  int
-	}
-	ball := make([]nd, 0, len(dist))
-	for id, d := range dist {
-		if d <= opts.Radius {
-			ball = append(ball, nd{id, d})
-		}
-	}
-	// Nearest nodes first; cap the neighborhood deterministically.
-	sort.Slice(ball, func(i, j int) bool {
-		if ball[i].d != ball[j].d {
-			return ball[i].d < ball[j].d
-		}
-		return ball[i].id < ball[j].id
-	})
-	if len(ball) > opts.MaxNeighborhood {
-		ball = ball[:opts.MaxNeighborhood]
-	}
-	nodes := make([]graph.NodeID, len(ball))
-	for i, n := range ball {
-		nodes[i] = n.id
-	}
+	nodes := g.Ball(queryArts, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
+	phase("expand.ball")
 	sub := g.Induce(nodes)
+	phase("expand.induce")
 
 	var kept []MinedCycle
 	for mc, err := range MineCycles(sub, queryArts, opts.MaxCycleLen) {
@@ -278,18 +281,18 @@ func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, erro
 		kept = append(kept, mc)
 	}
 	exp.CyclesAccepted = len(kept)
+	phase("expand.mine")
 
 	// Rank: shorter cycles first (they define the user need best), then
 	// denser cycles.
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i].Metrics, kept[j].Metrics
-		if a.Length != b.Length {
-			return a.Length < b.Length
+	slices.SortFunc(kept, func(a, b MinedCycle) int {
+		if c := cmp.Compare(a.Metrics.Length, b.Metrics.Length); c != 0 {
+			return c
 		}
-		if a.ExtraEdgeDensity != b.ExtraEdgeDensity {
-			return a.ExtraEdgeDensity > b.ExtraEdgeDensity
+		if c := cmp.Compare(b.Metrics.ExtraEdgeDensity, a.Metrics.ExtraEdgeDensity); c != 0 {
+			return c
 		}
-		return less(kept[i].Cycle.Nodes, kept[j].Cycle.Nodes)
+		return slices.Compare(a.Cycle.Nodes, b.Cycle.Nodes)
 	})
 
 	inQuery := make(map[graph.NodeID]struct{}, len(queryArts))
@@ -354,6 +357,7 @@ func (s *System) expand(keywords string, opts ExpanderOptions) (*Expansion, erro
 			}
 		}
 	}
+	phase("expand.rank")
 	return exp, nil
 }
 
@@ -409,16 +413,4 @@ func (s *System) ExpandNaive(ctx context.Context, keywords string, maxFeatures i
 		}
 	}
 	return exp, nil
-}
-
-func less(a, b []graph.NodeID) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -1,6 +1,11 @@
 package graph
 
-import "sort"
+import (
+	"math"
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Components computes the connected components of the undirected view of g,
 // considering only edges whose kind passes the filter (nil keeps all). The
@@ -95,31 +100,100 @@ func (g *Graph) TriangleParticipation(nodes []NodeID, exclude func(EdgeKind) boo
 	return float64(len(inTriangle)) / float64(len(nodes))
 }
 
+// walkScratch is the dense state of one level-order walk. stamp[n] == epoch
+// marks n as reached by the current walk, so a walk pays for the nodes it
+// touches, never for clearing or hashing the whole graph. It comes from a
+// pool per call, so it may have served a graph of any size before.
+type walkScratch struct {
+	stamp []uint32
+	epoch uint32
+	// queue holds the reached nodes in discovery order; level[d] is where
+	// distance d starts in it, with one closing entry at the end.
+	queue []NodeID
+	level []int
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
+
+// walk runs the multi-source breadth-first walk of the undirected view of g
+// under the filter, one whole level at a time, and stops after the level
+// that reaches radius or brings the total to maxNodes. Invalid and repeated
+// sources are skipped.
+func (g *Graph) walk(w *walkScratch, sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) {
+	if len(w.stamp) < len(g.kinds) {
+		w.stamp, w.epoch = make([]uint32, len(g.kinds)), 0
+	}
+	if w.epoch++; w.epoch == 0 { // wrapped: a stale stamp could pass for this walk's
+		clear(w.stamp)
+		w.epoch = 1
+	}
+	w.queue, w.level = w.queue[:0], append(w.level[:0], 0)
+	reach := func(n NodeID) {
+		if w.stamp[n] != w.epoch {
+			w.stamp[n] = w.epoch
+			w.queue = append(w.queue, n)
+		}
+	}
+	for _, s := range sources {
+		if g.Valid(s) {
+			reach(s)
+		}
+	}
+	for start := 0; start < len(w.queue); {
+		end := len(w.queue)
+		w.level = append(w.level, end)
+		if len(w.level) > radius+1 || end >= maxNodes {
+			return
+		}
+		for _, cur := range w.queue[start:end] {
+			for _, a := range g.out[cur] {
+				if exclude == nil || !exclude(a.Kind) {
+					reach(a.To)
+				}
+			}
+			for _, a := range g.in[cur] {
+				if exclude == nil || !exclude(a.Kind) {
+					reach(a.To)
+				}
+			}
+		}
+		start = end
+	}
+}
+
+// Ball returns the nodes within radius undirected hops of the sources under
+// the filter, nearest first and by ascending id within one distance, cut to
+// the first maxNodes. It walks only as far as that answer needs: the level
+// that reaches the cap is completed, because the cut keeps its smallest ids,
+// and nothing beyond it is visited.
+func (g *Graph) Ball(sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) []NodeID {
+	w := walkPool.Get().(*walkScratch)
+	defer walkPool.Put(w)
+	return slices.Clone(g.ball(w, sources, radius, maxNodes, exclude))
+}
+
+// ball is Ball into w's storage.
+func (g *Graph) ball(w *walkScratch, sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) []NodeID {
+	g.walk(w, sources, radius, maxNodes, exclude)
+	for d := 1; d < len(w.level); d++ {
+		slices.Sort(w.queue[w.level[d-1]:w.level[d]])
+	}
+	return w.queue[:max(0, min(len(w.queue), maxNodes))]
+}
+
 // BFSDistances returns the undirected hop distance from each of the sources
 // to every reachable node under the filter. Unreachable nodes are absent
 // from the map. Multiple sources give the multi-source distance (minimum
 // over sources), which the analysis uses to measure how far expansion
 // features sit from the query articles.
 func (g *Graph) BFSDistances(sources []NodeID, exclude func(EdgeKind) bool) map[NodeID]int {
-	dist := make(map[NodeID]int, len(sources)*4)
-	queue := make([]NodeID, 0, len(sources))
-	for _, s := range sources {
-		if !g.Valid(s) {
-			continue
-		}
-		if _, ok := dist[s]; !ok {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.Neighbors(cur, exclude) {
-			if _, ok := dist[nb]; !ok {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
-			}
+	w := walkPool.Get().(*walkScratch)
+	defer walkPool.Put(w)
+	g.walk(w, sources, math.MaxInt-1, math.MaxInt, exclude)
+	dist := make(map[NodeID]int, len(w.queue))
+	for d := 1; d < len(w.level); d++ {
+		for _, n := range w.queue[w.level[d-1]:w.level[d]] {
+			dist[n] = d - 1
 		}
 	}
 	return dist
@@ -137,32 +211,31 @@ type Subgraph struct {
 
 // Induce builds the subgraph induced by the given parent nodes: all of the
 // nodes, and every edge of the parent whose endpoints are both in the set.
-// Duplicate input nodes are ignored. Edge kinds and node kinds carry over.
+// Duplicate input nodes are ignored. Edge kinds and node kinds carry over;
+// subgraph ids ascend with parent ids.
 func (g *Graph) Induce(nodes []NodeID) *Subgraph {
 	sub := &Subgraph{
 		Graph: New(len(nodes)),
 		ToSub: make(map[NodeID]NodeID, len(nodes)),
 	}
-	ordered := append([]NodeID(nil), nodes...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	for _, n := range ordered {
-		if !g.Valid(n) {
-			continue
-		}
-		if _, dup := sub.ToSub[n]; dup {
-			continue
-		}
-		id := sub.Graph.AddNode(g.Kind(n))
-		sub.ToSub[n] = id
-		sub.ToParent = append(sub.ToParent, n)
+	ordered := slices.Clone(nodes)
+	slices.Sort(ordered)
+	ordered = slices.Compact(ordered)
+	for len(ordered) > 0 && !g.Valid(ordered[len(ordered)-1]) {
+		ordered = ordered[:len(ordered)-1] // sorted: the invalid ids are the largest
 	}
-	for parent, sid := range sub.ToSub {
-		for _, a := range g.Out(parent) {
+	sub.ToParent = ordered
+	for _, n := range ordered {
+		sub.ToSub[n] = sub.Graph.AddNode(g.Kind(n))
+	}
+	// Parent edges are unique by (from, to, kind) and each is met once, from
+	// its source, so the arcs go in without AddEdge's duplicate scan.
+	for sid, parent := range sub.ToParent {
+		for _, a := range g.out[parent] {
 			if tid, ok := sub.ToSub[a.To]; ok {
-				// Parent edges are unique by (from,to,kind), so this cannot fail.
-				if err := sub.Graph.AddEdge(sid, tid, a.Kind); err != nil {
-					panic("graph: induce broke edge uniqueness: " + err.Error())
-				}
+				sub.out[sid] = append(sub.out[sid], Arc{To: tid, Kind: a.Kind})
+				sub.in[tid] = append(sub.in[tid], Arc{To: NodeID(sid), Kind: a.Kind})
+				sub.edges++
 			}
 		}
 	}

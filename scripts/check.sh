@@ -53,6 +53,21 @@ go test -shuffle=on ./...
 step "bench harness (nested module: vet + test)"
 (cd bench && go vet . && go test .)
 
+# One workload and the traced pass on the quick world, the way the
+# benchmark's driver invokes them: a harness that no longer builds, runs or
+# agrees with the program fails here, before submission.
+step "bench pre-flight (quick world, expand-cold-client, traced pass)"
+out="$(bash bench/run.sh -quick -workload expand-cold-client -seed 3 -seconds 1 -trace 1)"
+out="$(printf '%s\n' "$out" | tail -n 1)"
+case "$out" in
+*'"failed":0'[,}]*) ;;
+*) echo "bench pre-flight: operations failed: $out" >&2; exit 1 ;;
+esac
+case "$out" in
+*'"correct":true'*) ;;
+*) echo "bench pre-flight: results are not correct: $out" >&2; exit 1 ;;
+esac
+
 step "flake smoke (close/reload lifecycle, -count=2)"
 go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
 
