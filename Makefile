@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test qlint lint check fmt bench-compare
+.PHONY: build test qlint lint check fmt bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,11 @@ fmt:
 # check mirrors the CI gates locally (see scripts/check.sh).
 check:
 	./scripts/check.sh
+
+# loc prints non-test code lines per package by the rule every ROADMAP
+# figure uses (see scripts/loc.sh).
+loc:
+	./scripts/loc.sh
 
 # bench-compare is the benchmark regression gate: BASE and the working
 # tree measured back to back on this host, judged by BENCHMARK.json's

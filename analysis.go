@@ -170,7 +170,7 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([
 	}
 	snap, sub := g.sys().Snapshot, gt.Graph.Sub
 	out := []Cycle{}
-	for mc, err := range core.MineCycles(sub, gt.QueryArticles, maxLen) {
+	for mc, err := range core.MineCycles(ctx, sub, gt.QueryArticles, maxLen) {
 		if err != nil {
 			return nil, fmt.Errorf("querygraph: mine cycles: %w", err)
 		}

@@ -13,8 +13,11 @@ package querygraph_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/querygraph/querygraph"
 	"github.com/querygraph/querygraph/internal/core"
@@ -524,6 +527,55 @@ func BenchmarkExpandCold(b *testing.B) {
 		considered += exp.CyclesConsidered
 	}
 	b.ReportMetric(float64(considered)/float64(b.N), "cycles/op")
+}
+
+// BenchmarkExpandStampede is the experiment behind DESIGN.md's "The
+// expansion cache: single-flight measured, then deleted": N goroutines
+// released at once on one key of an emptied cache — what a generation swap
+// or a first burst does to a hot keyword — timed from the release to the
+// last answer. runs/stampede is how many of the N ran the pipeline (the
+// cache's misses): with nothing deduplicating them, as many as got onto a
+// core before the first one stored its entry.
+func BenchmarkExpandStampede(b *testing.B) {
+	e := benchSetup(b)
+	ctx, opts := context.Background(), core.DefaultExpanderOptions()
+	for _, n := range []int{2, 8, 64} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			s, err := core.FromWorld(e.world)
+			if err != nil {
+				b.Fatal(err)
+			}
+			walls := make([]time.Duration, b.N)
+			for i := range walls {
+				s.PurgeExpandCache()
+				kw := e.queries[i%len(e.queries)].Keywords
+				var wg sync.WaitGroup
+				release := make(chan struct{})
+				for g := 0; g < n; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-release
+						if _, err := s.Expand(ctx, kw, opts); err != nil {
+							b.Error(err)
+						}
+					}()
+				}
+				start := time.Now()
+				close(release)
+				wg.Wait()
+				walls[i] = time.Since(start)
+			}
+			var sum time.Duration
+			for _, w := range walls {
+				sum += w
+			}
+			slices.Sort(walls)
+			b.ReportMetric(float64(sum.Nanoseconds())/float64(b.N), "ns/stampede")
+			b.ReportMetric(float64(walls[b.N*99/100].Nanoseconds()), "p99-ns/stampede")
+			b.ReportMetric(float64(s.ExpandCacheStats().Misses)/float64(b.N), "runs/stampede")
+		})
+	}
 }
 
 // BenchmarkWorldGeneration measures deterministic world generation.

@@ -594,12 +594,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 type cacheStatsJSON struct {
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	Deduped  uint64  `json:"deduped"`
-	Entries  int     `json:"entries"`
-	Capacity int     `json:"capacity"`
-	HitRate  float64 `json:"hit_rate"`
+	querygraph.CacheStats
+	HitRate float64 `json:"hit_rate"`
 }
 
 type statsResponse struct {
@@ -642,14 +638,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Documents = st.Documents
 	resp.BenchmarkQueries = st.BenchmarkQueries
 	resp.Delta = st.Delta
-	resp.ExpandCache = cacheStatsJSON{
-		Hits:     st.Cache.Hits,
-		Misses:   st.Cache.Misses,
-		Deduped:  st.Cache.Deduped,
-		Entries:  st.Cache.Entries,
-		Capacity: st.Cache.Capacity,
-		HitRate:  st.Cache.HitRate(),
-	}
+	resp.ExpandCache = cacheStatsJSON{st.Cache, st.Cache.HitRate()}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

@@ -349,6 +349,34 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestExpandDeadlineReachesTheMiner: one request may ask for cycles of
+// length 8, whose enumeration costs tens of milliseconds even on the test
+// world, and its deadline must stop that enumeration instead of waiting it
+// out: the run used to finish regardless and answer 200 long after.
+func TestExpandDeadlineReachesTheMiner(t *testing.T) {
+	s, maxLen := testServer(t), 8
+	q := serveClient(t).Queries()[0]
+	long := expandRequest{Keywords: q.Keywords, expandParams: expandParams{MaxCycleLen: &maxLen}}
+
+	// The premise, as a count and not a clock: at about a microsecond per
+	// cycle this request is worth well over the 1 ms it is about to get.
+	var resp expandResponse
+	rec := do(t, s, http.MethodPost, "/v1/expand", long)
+	if decodeInto(t, rec, &resp); rec.Code != http.StatusOK || resp.CyclesConsidered < 20000 {
+		t.Fatalf("status %d, %d cycles: the world must make an 8-cycle enumeration long", rec.Code, resp.CyclesConsidered)
+	}
+
+	long.Keywords += " again" // the same entities under a cold cache key
+	long.TimeoutMS = 1
+	rec = do(t, s, http.MethodPost, "/v1/expand", long)
+	if rec.Code != http.StatusRequestTimeout {
+		t.Fatalf("status = %d (%s), want 408", rec.Code, rec.Body.String())
+	}
+	if code := errorCode(t, rec); code != "timeout" {
+		t.Errorf("code = %q, want timeout", code)
+	}
+}
+
 // TestClientClosedRequest pins the 499 contract: when the requester's own
 // context dies (the connection went away), the handler reports the
 // nginx-style 499 rather than a timeout.

@@ -46,9 +46,8 @@
 // entity-links the keywords, mines cycles of length <= 5 in the Wikipedia
 // neighborhood of the entities, keeps the structurally promising cycles
 // (dense, category ratio around 30%) and proposes the articles they
-// introduce as expansion features. Results are memoized in a sharded
-// single-flight LRU cache, so heavy traffic with repeated queries is
-// served from memory.
+// introduce as expansion features. Results are memoized in a sharded LRU
+// cache, so heavy traffic with repeated queries is served from memory.
 //
 // # The sharded pool
 //
@@ -96,7 +95,7 @@
 // Op (search, expand, batch, reload, ingest, compact, or one shard RPC
 // attempt of a Remote), duration, error class and shard count, plus the
 // fields that mean something for that Op — ranking depth, expansion cache
-// outcome (hit/miss/single-flight dedup/bypass), batch size, served
+// outcome (hit/miss/bypass), batch size, served
 // generation, delta size, shard address and attempt number. Success and
 // failure are reported alike, the fast failures included. MetricsObserver
 // is the built-in counter implementation; its WritePrometheus renders the
@@ -110,11 +109,11 @@
 // ErrClosed, and only then does the method look at its arguments
 // (ErrInvalidQuery, ErrInvalidOptions, ErrReadOnly, ...). Neither gate
 // runs any pipeline, and both still emit the operation's Event. Cancelling
-// mid-call stops batch fan-out from scheduling further queries, and a
-// caller waiting on another caller's identical in-flight expansion
-// abandons the wait (the in-flight run still completes and populates the
-// cache). Per-request deadlines therefore bound every call, which is what
-// cmd/qserve builds its HTTP timeouts on.
+// mid-call stops batch fan-out from scheduling further queries and stops
+// an expansion inside its pipeline — between phases and every few hundred
+// cycles of the enumeration — with nothing cached. Per-request deadlines
+// therefore bound every call, which is what cmd/qserve builds its HTTP
+// timeouts on.
 //
 // # Errors
 //

@@ -129,7 +129,7 @@ type queryCycles struct {
 
 // analyzeQueryCycles enumerates and measures the cycles of one query graph,
 // evaluating each cycle's contribution against the query's baseline.
-func (s *System) analyzeQueryCycles(gt *GroundTruth, maxLen int) (*queryCycles, error) {
+func (s *System) analyzeQueryCycles(ctx context.Context, gt *GroundTruth, maxLen int) (*queryCycles, error) {
 	qc := &queryCycles{
 		countByLen:    make(map[int]int),
 		contribByLen:  make(map[int][]float64),
@@ -138,7 +138,7 @@ func (s *System) analyzeQueryCycles(gt *GroundTruth, maxLen int) (*queryCycles, 
 		articlesByLen: make(map[int]map[graph.NodeID]struct{}),
 	}
 	relevant := eval.NewRelevance(gt.Query.Relevant)
-	for mc, err := range MineCycles(gt.Graph.Sub, gt.QueryArticles, maxLen) {
+	for mc, err := range MineCycles(ctx, gt.Graph.Sub, gt.QueryArticles, maxLen) {
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d cycles: %w", gt.Query.ID, err)
 		}
@@ -185,7 +185,7 @@ func (s *System) Analyze(ctx context.Context, gts []*GroundTruth, cfg AnalysisCo
 	perQuery := make([]*queryCycles, len(gts))
 	compStats := make([]querygraph.ComponentStats, len(gts))
 	err := forEachQuery(ctx, len(gts), cfg.Workers, func(i int) error {
-		qc, err := s.analyzeQueryCycles(gts[i], cfg.MaxCycleLen)
+		qc, err := s.analyzeQueryCycles(ctx, gts[i], cfg.MaxCycleLen)
 		if err != nil {
 			return err
 		}

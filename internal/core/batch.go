@@ -39,10 +39,12 @@ func (s *System) SearchAll(ctx context.Context, queries []search.Node, k int, op
 // ExpandAll runs the online expansion pipeline for every keyword query on
 // a bounded worker pool and returns the expansions in input order. Lookups
 // go through the system's expansion cache, so batches with repeated
-// keywords (the heavy-traffic case) are served from memory; returned
-// Expansions may be shared and must be treated as read-only. The first
-// error stops scheduling of the remaining queries and is returned;
-// cancelling ctx stops scheduling the same way and returns ctx.Err().
+// keywords (the heavy-traffic case) are served from memory once one worker
+// has expanded them — copies that miss at the same moment each run the
+// pipeline; returned Expansions may be shared and must be treated as
+// read-only. The first error stops scheduling of the remaining queries and
+// is returned; cancelling ctx stops scheduling the same way, stops the
+// expansions under way, and returns ctx.Err().
 func (s *System) ExpandAll(ctx context.Context, keywords []string, eopts ExpanderOptions, opts BatchOptions) ([]*Expansion, error) {
 	out := make([]*Expansion, len(keywords))
 	err := forEachQuery(ctx, len(keywords), opts.Workers, func(i int) error {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/querygraph/querygraph/internal/lru"
 	"github.com/querygraph/querygraph/internal/search"
 )
 
@@ -159,7 +158,7 @@ func TestExpandCacheLRU(t *testing.T) {
 	keyFor := func(i int) expandKey {
 		return expandKey{keywords: "same shard", opts: optsFor(i)}
 	}
-	c := newExpandCache(2 * lru.Shards) // per-shard capacity 2
+	c := newExpandCache(2 * lruShards) // per-shard capacity 2
 	a, b, d := keyFor(0), keyFor(1), keyFor(2)
 	c.put(a, &Expansion{Keywords: "a"})
 	c.put(b, &Expansion{Keywords: "b"})

@@ -4,39 +4,34 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"github.com/querygraph/querygraph/internal/lru"
 )
 
 // get and put are the tests' white-box handle on the cache's LRU: what
-// getOrDo does to a shard, minus the single-flight and the counters.
-func (c *expandCache) get(k expandKey) (*Expansion, bool) {
-	s := &c.lru[lru.Index(k.keywords)]
-	s.Lock()
-	defer s.Unlock()
-	return s.Get(k)
-}
+// getOrDo does to it, minus the counters.
+func (c *expandCache) get(k expandKey) (*Expansion, bool) { return c.lru.Get(k.keywords, k) }
 
-func (c *expandCache) put(k expandKey, exp *Expansion) {
-	s := &c.lru[lru.Index(k.keywords)]
-	s.Lock()
-	defer s.Unlock()
-	s.Put(k, exp)
-}
+func (c *expandCache) put(k expandKey, exp *Expansion) { c.lru.Put(k.keywords, k, exp) }
+
+// lruShards is the LRU's shard count, read off the smallest cache there
+// is: its capacity rounds up to one entry per shard.
+var lruShards = newExpandCache(1).stats().Capacity
 
 // sameShardKeys generates n distinct keys that all hash to the same cache
-// shard, so eviction-order tests exercise one deterministic LRU list.
-func sameShardKeys(t *testing.T, c *expandCache, n int) []expandKey {
+// shard, so eviction-order tests exercise one deterministic LRU list. The
+// LRU keeps its shard pick to itself, so the keys are found by what it
+// does: with one entry per shard, only a same-shard key evicts the anchor.
+func sameShardKeys(t *testing.T, n int) []expandKey {
 	t.Helper()
-	target := lru.Index("anchor")
-	out := []expandKey{{keywords: "anchor"}}
+	probe, anchor := newExpandCache(1), expandKey{keywords: "anchor"}
+	out := []expandKey{anchor}
 	for i := 0; len(out) < n; i++ {
 		k := expandKey{keywords: fmt.Sprintf("key-%d", i)}
-		if lru.Index(k.keywords) == target {
+		probe.put(anchor, nil)
+		probe.put(k, nil)
+		if _, ok := probe.get(anchor); !ok {
 			out = append(out, k)
 		}
 		if i > 1<<16 {
@@ -50,7 +45,7 @@ func sameShardKeys(t *testing.T, c *expandCache, n int) []expandKey {
 // second key into the same shard must evict the first, and only the first.
 func TestCacheCapacityOneEviction(t *testing.T) {
 	c := newExpandCache(1) // rounds up to per-shard cap 1
-	ks := sameShardKeys(t, c, 2)
+	ks := sameShardKeys(t, 2)
 	e1, e2 := &Expansion{Keywords: "1"}, &Expansion{Keywords: "2"}
 
 	c.put(ks[0], e1)
@@ -72,8 +67,8 @@ func TestCacheCapacityOneEviction(t *testing.T) {
 // TestCacheEvictionIsLRUNotFIFO: a get refreshes recency, so the eviction
 // victim is the least recently *used* entry, not the oldest inserted.
 func TestCacheEvictionIsLRUNotFIFO(t *testing.T) {
-	c := newExpandCache(2 * lru.Shards) // per-shard cap 2
-	ks := sameShardKeys(t, c, 3)
+	c := newExpandCache(2 * lruShards) // per-shard cap 2
+	ks := sameShardKeys(t, 3)
 	a, b, d := &Expansion{Keywords: "a"}, &Expansion{Keywords: "b"}, &Expansion{Keywords: "c"}
 
 	c.put(ks[0], a)
@@ -94,8 +89,8 @@ func TestCacheEvictionIsLRUNotFIFO(t *testing.T) {
 }
 
 // TestExpandCacheDisabledRunsPipelineEveryTime: WithExpandCache(0) must
-// bypass memoization and single-flight entirely — every Expand pays for
-// the pipeline and the stats stay zero.
+// bypass memoization entirely — every Expand pays for the pipeline and the
+// stats stay zero.
 func TestExpandCacheDisabledRunsPipelineEveryTime(t *testing.T) {
 	_, w := testSystem(t)
 	s, err := FromWorld(w, WithExpandCache(0))
@@ -161,149 +156,100 @@ func TestExpandOptionsKeyDiscrimination(t *testing.T) {
 	}
 }
 
-// TestSingleFlightDedupesConcurrentMisses is the deterministic
-// single-flight regression test: the leader's pipeline call blocks until
-// every follower has joined the in-flight entry, so all concurrency
-// interleavings collapse to exactly one invocation.
-func TestSingleFlightDedupesConcurrentMisses(t *testing.T) {
-	c := newExpandCache(64)
-	k := expandKey{keywords: "hot query"}
-	const followers = 7
-	want := &Expansion{Keywords: "hot query"}
-	var calls atomic.Int32
-
-	fn := func() (*Expansion, error) {
-		calls.Add(1)
-		deadline := time.Now().Add(5 * time.Second)
-		for c.deduped.Load() < followers {
-			if time.Now().After(deadline) {
-				return nil, errors.New("followers never joined the flight")
+// TestConcurrentMissesAgree is what replaces single-flight: nothing
+// deduplicates concurrent cold misses, so 64 callers of one cold key (then
+// of 8) may run the pipeline anywhere between once per key and once per
+// caller — and every one of them must still get the sequential answer, be
+// counted exactly once, and leave one entry per key. Run under -race.
+func TestConcurrentMissesAgree(t *testing.T) {
+	_, w := testSystem(t)
+	opts := DefaultExpanderOptions()
+	ref, err := FromWorld(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keys := range []int{1, 8} {
+		want := make([]*Expansion, keys)
+		for i := range want {
+			if want[i], err = ref.Expand(context.Background(), w.Queries[i].Keywords, opts); err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
 		}
-		return want, nil
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, followers+1)
-	exps := make([]*Expansion, followers+1)
-	for i := 0; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			exps[i], _, errs[i] = c.getOrDo(context.Background(), k, fn)
-		}(i)
-	}
-	wg.Wait()
-
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
+		s, err := FromWorld(w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if exps[i] != want {
-			t.Fatalf("caller %d got %+v, want the leader's result", i, exps[i])
+		const callers = 64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got, err := s.Expand(context.Background(), w.Queries[i].Keywords, opts)
+				if err != nil {
+					t.Error(err)
+				} else if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("caller of key %d got %+v, want the sequential %+v", i, got, want[i])
+				}
+			}(c % keys)
 		}
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("pipeline ran %d times for %d concurrent cold misses, want 1", got, followers+1)
-	}
-	st := c.stats()
-	if st.Misses != 1 || st.Deduped != followers {
-		t.Errorf("stats = %+v, want 1 miss and %d deduped", st, followers)
-	}
-	if _, ok := c.get(k); !ok {
-		t.Error("leader's result was not cached")
+		close(start)
+		wg.Wait()
+		st, runs := s.ExpandCacheStats(), s.expandCalls.Load()
+		if st.Hits+st.Misses != callers || st.Misses != runs {
+			t.Errorf("%d keys: %+v with %d pipeline runs, want hits+misses = %d and misses = runs", keys, st, runs, callers)
+		}
+		if st.Entries != keys || runs < uint64(keys) || runs > callers {
+			t.Errorf("%d keys: %d entries after %d pipeline runs, want %d entries and runs in [%d, %d]", keys, st.Entries, runs, keys, keys, callers)
+		}
 	}
 }
 
-// TestSingleFlightErrorsSharedNotCached: a failing leader propagates its
-// error to every waiter, and nothing is cached — the next lookup leads a
-// fresh pipeline run.
-func TestSingleFlightErrorsSharedNotCached(t *testing.T) {
+// TestGetOrDoFailuresStayWithTheirCaller: an error is returned to the
+// caller whose fn produced it and never stored, so the next caller runs fn
+// again; a panic likewise unwinds through its own caller only, and the
+// cache — which holds no lock and no record of the run — stays usable.
+func TestGetOrDoFailuresStayWithTheirCaller(t *testing.T) {
 	c := newExpandCache(64)
 	k := expandKey{keywords: "failing"}
 	boom := errors.New("pipeline exploded")
-	var calls atomic.Int32
-
-	const followers = 3
-	fn := func() (*Expansion, error) {
-		calls.Add(1)
-		deadline := time.Now().Add(5 * time.Second)
-		for c.deduped.Load() < followers {
-			if time.Now().After(deadline) {
-				break
+	calls := 0
+	fail := func() (*Expansion, error) { calls++; return nil, boom }
+	for i := 0; i < 2; i++ {
+		if _, outcome, err := c.getOrDo(k, fail); !errors.Is(err, boom) || outcome != CacheMiss {
+			t.Fatalf("lookup %d = %v, %v; want a miss with the pipeline's error", i, outcome, err)
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "pipeline panicked" {
+				t.Errorf("recovered %v, want the pipeline's own panic", r)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		return nil, boom
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, followers+1)
-	for i := 0; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = c.getOrDo(context.Background(), k, fn)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, boom) {
-			t.Fatalf("caller %d got %v, want the leader's error", i, err)
-		}
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("pipeline ran %d times, want 1", calls.Load())
-	}
+		}()
+		_, _, _ = c.getOrDo(k, func() (*Expansion, error) { calls++; panic("pipeline panicked") })
+	}()
 	if _, ok := c.get(k); ok {
-		t.Fatal("error result was cached")
+		t.Fatal("a failed run was cached")
 	}
-	// Errors are not cached: the next lookup runs the pipeline again.
-	if _, _, err := c.getOrDo(context.Background(), k, func() (*Expansion, error) { calls.Add(1); return &Expansion{}, nil }); err != nil {
-		t.Fatal(err)
+	want := &Expansion{Keywords: "failing"}
+	for i, outcome := range []CacheOutcome{CacheMiss, CacheHit} {
+		got, o, err := c.getOrDo(k, func() (*Expansion, error) { calls++; return want, nil })
+		if err != nil || got != want || o != outcome {
+			t.Fatalf("lookup %d after the failures = %v, %v, %v; want the fresh result as a %v", i, got, o, err, outcome)
+		}
 	}
-	if calls.Load() != 2 {
-		t.Errorf("retry after error did not lead a fresh run (%d calls)", calls.Load())
-	}
-}
-
-// TestExpandAllSingleFlightAcrossWorkers is the end-to-end regression for
-// the DESIGN.md limitation this PR removes: a cold batch containing the
-// same keywords N times must run the expansion pipeline once per unique
-// key, under any interleaving of the worker pool.
-func TestExpandAllSingleFlightAcrossWorkers(t *testing.T) {
-	_, w := testSystem(t)
-	s, err := FromWorld(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const copies = 32
-	unique := []string{w.Queries[0].Keywords, w.Queries[1].Keywords}
-	var batch []string
-	for i := 0; i < copies; i++ {
-		batch = append(batch, unique[i%len(unique)])
-	}
-	exps, err := s.ExpandAll(context.Background(), batch, DefaultExpanderOptions(), BatchOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exps) != len(batch) {
-		t.Fatalf("got %d expansions for %d queries", len(exps), len(batch))
-	}
-	if got := s.expandCalls.Load(); got != uint64(len(unique)) {
-		t.Errorf("pipeline ran %d times for %d unique keys (single-flight broken)", got, len(unique))
-	}
-	st := s.ExpandCacheStats()
-	if lookups := st.Hits + st.Misses + st.Deduped; lookups != uint64(len(batch)) {
-		t.Errorf("lookup accounting: %d, want %d (%+v)", lookups, len(batch), st)
+	if st := c.stats(); calls != 4 || st.Misses != 4 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("fn ran %d times, stats %+v; want 4 runs, 4 misses, 1 hit, 1 entry", calls, st)
 	}
 }
 
 // TestCacheStatsConcurrent hammers one cache from many goroutines and
 // checks the counters add up exactly — run under -race this also proves
-// the locking discipline of the sharded LRU plus flight table.
+// the cache's use of the sharded LRU.
 func TestCacheStatsConcurrent(t *testing.T) {
-	c := newExpandCache(8 * lru.Shards)
+	c := newExpandCache(8 * lruShards)
 	const (
 		workers = 8
 		rounds  = 500
@@ -316,7 +262,7 @@ func TestCacheStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				k := expandKey{keywords: fmt.Sprintf("key-%d", (w+i)%keys)}
-				if _, _, err := c.getOrDo(context.Background(), k, func() (*Expansion, error) {
+				if _, _, err := c.getOrDo(k, func() (*Expansion, error) {
 					return &Expansion{Keywords: k.keywords}, nil
 				}); err != nil {
 					t.Error(err)
@@ -327,7 +273,7 @@ func TestCacheStatsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.stats()
-	if total := st.Hits + st.Misses + st.Deduped; total != workers*rounds {
+	if total := st.Hits + st.Misses; total != workers*rounds {
 		t.Errorf("lookups = %d, want %d (%+v)", total, workers*rounds, st)
 	}
 	if st.Misses < keys {

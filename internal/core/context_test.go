@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/querygraph/querygraph/internal/lru"
 )
 
 // TestParallelismUsesGOMAXPROCS pins the documented BatchOptions.Workers
@@ -131,75 +131,76 @@ func TestExpandPreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestSingleFlightWaiterAbandonsOnCancel: a follower whose context dies
-// mid-wait returns ctx.Err() immediately, while the leader completes and
-// its result still lands in the cache for later lookups.
-func TestSingleFlightWaiterAbandonsOnCancel(t *testing.T) {
-	c := newExpandCache(64)
-	k := expandKey{keywords: "slow query"}
-	want := &Expansion{Keywords: "slow query"}
-	release := make(chan struct{})
+// countdownCtx is a context whose Err turns context.Canceled at one exact
+// call and stays so: cancellation placed at a chosen poll of a run, with no
+// clock involved.
+type countdownCtx struct {
+	context.Context
+	left int // calls of Err still answered nil
+}
 
-	leaderErr := make(chan error, 1)
-	go func() {
-		exp, _, err := c.getOrDo(context.Background(), k, func() (*Expansion, error) {
-			<-release
-			return want, nil
-		})
-		if err == nil && exp != want {
-			err = errors.New("leader got a foreign result")
-		}
-		leaderErr <- err
-	}()
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
 
-	// Wait until the leader holds the flight entry, then join as follower.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		i := lru.Index(k.keywords)
-		c.lru[i].Lock()
-		_, inFlight := c.flight[i][k]
-		c.lru[i].Unlock()
-		if inFlight {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never registered the flight")
-		}
-		time.Sleep(time.Millisecond)
+// TestExpandStopsAtThePollThatCancels: an expansion asks its ctx at the
+// gate, after each phase and once per 256 cycles the miner records, and
+// whichever poll first hears of cancellation is the last thing the run
+// does. Cancelling at every poll of a long enumeration in turn — most of
+// them inside the miner — each call returns context.Canceled having polled
+// no further, nothing is cached, every run is counted once, and the cache
+// then serves the answer a fresh system gives.
+func TestExpandStopsAtThePollThatCancels(t *testing.T) {
+	_, w := testSystem(t)
+	kw, opts := w.Queries[0].Keywords, DefaultExpanderOptions()
+	opts.MaxCycleLen, opts.MaxNeighborhood = 8, 20 // thousands of cycles among 20 nodes
+
+	// An uncancelled run on a system of its own: the answer, and how many
+	// polls a whole run makes.
+	ref, err := FromWorld(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := &countdownCtx{Context: context.Background(), left: math.MaxInt}
+	want, err := ref.Expand(whole, kw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls, inMiner := math.MaxInt-whole.left, want.CyclesConsidered/256
+	if inMiner < 4 || polls <= inMiner {
+		t.Fatalf("%d cycles and %d polls: the miner must poll, and often enough to be cancelled mid-enumeration", want.CyclesConsidered, polls)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	followerErr := make(chan error, 1)
-	go func() {
-		_, _, err := c.getOrDo(ctx, k, func() (*Expansion, error) {
-			return nil, errors.New("follower must never run the pipeline")
-		})
-		followerErr <- err
-	}()
-	// Let the follower actually join the flight before cancelling.
-	for c.deduped.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("follower never joined the flight")
+	s, err := FromWorld(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last poll ends the rank phase, when the answer is complete and
+	// is returned regardless; every earlier one aborts.
+	for n := 1; n < polls; n++ {
+		ctx := &countdownCtx{Context: context.Background(), left: n - 1}
+		if exp, err := s.Expand(ctx, kw, opts); exp != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: Expand = %v, %v; want context.Canceled", n, polls, exp, err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-followerErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("follower err = %v, want context.Canceled", err)
+		if ctx.left != -1 {
+			t.Fatalf("cancelled at poll %d of %d: the run polled %d more times", n, polls, -1-ctx.left)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled follower still waiting on the leader")
 	}
-
-	// The leader is unaffected and publishes its result.
-	close(release)
-	if err := <-leaderErr; err != nil {
-		t.Fatalf("leader: %v", err)
+	// The gate's poll comes before the cache; every other aborted run is
+	// one miss and one pipeline run.
+	aborted := uint64(polls - 1)
+	if st, runs := s.ExpandCacheStats(), s.expandCalls.Load(); st.Entries != 0 || st.Hits != 0 || st.Misses != aborted-1 || runs != aborted-1 {
+		t.Errorf("after %d aborted calls: %+v and %d pipeline runs, want no entry, no hit, %d misses and runs", aborted, st, runs, aborted-1)
 	}
-	if got, ok := c.get(k); !ok || got != want {
-		t.Fatalf("leader result not cached after follower abandoned (ok=%v)", ok)
+	got, err := s.Expand(context.Background(), kw, opts)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the aborted calls Expand = %+v, %v; want a fresh system's %+v", got, err, want)
+	}
+	if st := s.ExpandCacheStats(); st.Entries != 1 || st.Misses != aborted {
+		t.Errorf("the completed call left %+v, want 1 entry and %d misses", st, aborted)
 	}
 }
 

@@ -287,7 +287,7 @@ func TestMineCyclesWithoutQueryArticle(t *testing.T) {
 		want          int
 	}{{[]graph.NodeID{3}, 0}, {nil, 0}, {[]graph.NodeID{}, 0}, {[]graph.NodeID{3, 1}, 1}} {
 		got := 0
-		for _, err := range MineCycles(sub, tc.queryArticles, 5) {
+		for _, err := range MineCycles(context.Background(), sub, tc.queryArticles, 5) {
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -148,10 +148,11 @@ type MinedCycle struct {
 // MineCycles enumerates the cycles of sub, up to maxLen edges, that pass
 // through one of the query articles (parent-graph ids; those outside sub
 // are ignored), and measures each, in enumeration order. Redirect edges
-// never take part: a redirect cannot close a cycle. A failure is yielded
-// once, as the last pair. It is an iterator because a neighborhood holds
-// thousands of cycles and the expander keeps a handful.
-func MineCycles(sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) iter.Seq2[MinedCycle, error] {
+// never take part: a redirect cannot close a cycle. A failure — ctx.Err()
+// when ctx ends mid-enumeration — is yielded once, as the last pair. It is
+// an iterator because a neighborhood holds thousands of cycles and the
+// expander keeps a handful.
+func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) iter.Seq2[MinedCycle, error] {
 	return func(yield func(MinedCycle, error) bool) {
 		// Not nil, which Enumerate reads as "every cycle": with no query
 		// article inside sub there is no cycle through one.
@@ -163,6 +164,7 @@ func MineCycles(sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) i
 		}
 		miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
 		defer miner.Release()
+		miner.Poll = ctx.Err
 		cs, err := miner.Enumerate(seeds, maxLen)
 		if err != nil {
 			yield(MinedCycle{}, err)
@@ -197,24 +199,23 @@ func MineCycles(sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) i
 // (dense, category ratio around 30%), and rank the articles they introduce.
 //
 // Results are memoized per (keywords, options) in the system's sharded LRU
-// cache (see WithExpandCache), so repeated keywords hit memory, and
-// concurrent cold misses on the same key are single-flighted: one caller
-// runs the pipeline, the others wait and share its result. The returned
-// Expansion may be shared with the cache and other callers and must be
-// treated as read-only.
+// cache (see WithExpandCache), so repeated keywords hit memory; concurrent
+// cold misses on the same key may each run the pipeline and store equal
+// entries. The returned Expansion may be shared with the cache and other
+// callers and must be treated as read-only.
 //
 // A ctx that is already done returns ctx.Err() without touching the
-// pipeline or the cache; a ctx that dies while another caller's pipeline
-// run is in flight abandons the wait (the leader still completes and
-// populates the cache).
+// pipeline or the cache; a ctx that ends during the caller's own pipeline
+// run stops that run — between phases, and every few hundred cycles inside
+// the enumeration — and returns ctx.Err() with nothing cached.
 func (s *System) Expand(ctx context.Context, keywords string, opts ExpanderOptions) (*Expansion, error) {
 	exp, _, err := s.ExpandOutcome(ctx, keywords, opts)
 	return exp, err
 }
 
-// ExpandOutcome is Expand plus the per-request cache outcome (hit, miss,
-// single-flight dedup, or bypass when caching is disabled) — the form the
-// instrumented public facade calls so observers can label each request.
+// ExpandOutcome is Expand plus the per-request cache outcome (hit, miss, or
+// bypass when caching is disabled) — the form the instrumented public
+// facade calls so observers can label each request.
 func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts ExpanderOptions) (*Expansion, CacheOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, CacheBypass, err
@@ -223,15 +224,14 @@ func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts Expand
 		return nil, CacheBypass, err
 	}
 	key := expandKey{keywords: keywords, opts: opts}
-	return s.expandCache.getOrDo(ctx, key, func() (*Expansion, error) {
+	return s.expandCache.getOrDo(key, func() (*Expansion, error) {
 		return s.expand(ctx, keywords, opts)
 	})
 }
 
 // expand is the uncached expansion pipeline behind Expand; opts have
-// already been validated. ctx is read for its trace only: a traced request
-// gets one span per phase, and the pipeline runs to completion either way,
-// because getOrDo's followers share what this call returns.
+// already been validated. A traced request gets one span per phase, and a
+// ctx that ends stops the run at the next phase boundary or miner poll.
 func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptions) (*Expansion, error) {
 	s.expandCalls.Add(1)
 	// Untraced requests skip the clock reads; see localRuntime.SearchInto.
@@ -240,15 +240,20 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	if tr != nil {
 		t0 = time.Now()
 	}
-	phase := func(name string) {
+	// phase ends one phase: its span is recorded, and a ctx that has ended
+	// meanwhile ends the run.
+	phase := func(name string) error {
 		if tr != nil {
 			tr.Span(name, t0, "")
 			t0 = time.Now()
 		}
+		return ctx.Err()
 	}
 
 	queryArts := s.LinkKeywords(keywords)
-	phase("expand.link")
+	if err := phase("expand.link"); err != nil {
+		return nil, err
+	}
 	exp := &Expansion{Keywords: keywords, QueryArticles: queryArts}
 	if len(queryArts) == 0 {
 		return exp, nil // nothing to anchor on; expansion is a no-op
@@ -258,12 +263,16 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// radius-bounded ball around the query articles.
 	g := s.Snapshot.Graph()
 	nodes := g.Ball(queryArts, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
-	phase("expand.ball")
+	if err := phase("expand.ball"); err != nil {
+		return nil, err
+	}
 	sub := g.Induce(nodes)
-	phase("expand.induce")
+	if err := phase("expand.induce"); err != nil {
+		return nil, err
+	}
 
 	var kept []MinedCycle
-	for mc, err := range MineCycles(sub, queryArts, opts.MaxCycleLen) {
+	for mc, err := range MineCycles(ctx, sub, queryArts, opts.MaxCycleLen) {
 		if err != nil {
 			return nil, fmt.Errorf("core: expand: %w", err)
 		}
@@ -281,7 +290,9 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		kept = append(kept, mc)
 	}
 	exp.CyclesAccepted = len(kept)
-	phase("expand.mine")
+	if err := phase("expand.mine"); err != nil {
+		return nil, err
+	}
 
 	// Rank: shorter cycles first (they define the user need best), then
 	// denser cycles.
@@ -357,7 +368,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 			}
 		}
 	}
-	phase("expand.rank")
+	_ = phase("expand.rank") // the answer is complete: ctx no longer matters
 	return exp, nil
 }
 

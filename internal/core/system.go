@@ -47,7 +47,7 @@ type System struct {
 	// caching is disabled.
 	expandCache *expandCache
 	// expandCalls counts invocations of the uncached expansion pipeline —
-	// the observable the single-flight regression tests assert on.
+	// the observable the cache tests assert on.
 	expandCalls atomic.Uint64
 }
 

@@ -65,12 +65,17 @@ type Miner struct {
 	// pairs[a*n+b] is EdgesBetween(a, b), saturating; nil for a graph of
 	// more than maxTableNodes nodes, which falls back to the scans.
 	pairs []uint8
+	// Poll, when set, is asked once per pollEvery recorded cycles whether
+	// the enumeration may go on (a request sets it to its ctx.Err); the
+	// error it returns ends Enumerate, which returns it.
+	Poll func() error
 
 	// State of one Enumerate: blocked marks the nodes the walk may not
-	// enter (those on the path, and seeds whose cycles are all found), and
-	// the cycles found so far lie back to back in nodes, cycle i ending at
-	// ends[i].
+	// enter (those on the path, and seeds whose cycles are all found), the
+	// cycles found so far lie back to back in nodes, cycle i ending at
+	// ends[i], and err is what Poll said, once it says stop.
 	maxLen  int
+	err     error
 	blocked []bool
 	path    []graph.NodeID
 	nodes   []graph.NodeID
@@ -79,6 +84,11 @@ type Miner struct {
 
 // maxTableNodes bounds the pair table, n*n bytes, to 1 MiB.
 const maxTableNodes = 1024
+
+// pollEvery is how many cycles Enumerate records between two calls of
+// Poll: enumeration cost grows exponentially with length, so an abandoned
+// request must be able to stop its walk, and 256 cycles are microseconds.
+const pollEvery = 256
 
 var minerPool = sync.Pool{New: func() any { return new(Miner) }}
 
@@ -127,7 +137,7 @@ func NewMiner(g *graph.Graph, exclude func(graph.EdgeKind) bool) *Miner {
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.g, m.exclude = nil, nil
+	m.g, m.exclude, m.Poll = nil, nil, nil
 	minerPool.Put(m)
 }
 
@@ -174,7 +184,7 @@ func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
 		seeds = slices.Clone(seeds)
 		slices.Sort(seeds)
 	}
-	m.maxLen, m.nodes, m.ends = maxLen, m.nodes[:0], m.ends[:0]
+	m.maxLen, m.err, m.nodes, m.ends = maxLen, nil, m.nodes[:0], m.ends[:0]
 	m.blocked = slices.Grow(m.blocked[:0], n)[:n]
 	clear(m.blocked)
 	for _, s := range seeds {
@@ -183,6 +193,9 @@ func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
 			m.path = append(m.path[:0], s)
 			m.dfs(s)
 		}
+	}
+	if m.err != nil {
+		return nil, m.err
 	}
 
 	if len(m.ends) == 0 {
@@ -239,6 +252,13 @@ func (m *Miner) record() {
 		slices.Reverse(c[1:])
 	}
 	m.ends = append(m.ends, len(m.nodes))
+	if len(m.ends)%pollEvery == 0 && m.Poll != nil {
+		if m.err = m.Poll(); m.err != nil {
+			// No path may grow any more, so the walk unwinds by itself (a
+			// frame can still close one cycle) and dfs needs no stop test.
+			m.maxLen = 0
+		}
+	}
 }
 
 // edgesBetween is g.EdgesBetween under the Miner's filter.

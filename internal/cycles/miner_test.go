@@ -276,3 +276,34 @@ func TestEnumerateEmptySeedSet(t *testing.T) {
 		t.Errorf("nil seed set: %v, %v, want the graph's 3 cycles", cs, err)
 	}
 }
+
+// TestEnumeratePollStops: Poll is asked once per pollEvery recorded cycles,
+// the first error it returns ends the walk at once and is what Enumerate
+// returns, and the same Miner then enumerates as if nothing had happened.
+func TestEnumeratePollStops(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(1)), 14, 4)
+	m := NewMiner(g, nil)
+	defer m.Release()
+	want, err := m.Enumerate(nil, 7)
+	if err != nil || len(want) < 4*pollEvery {
+		t.Fatalf("%d cycles, %v: the graph must be worth several polls", len(want), err)
+	}
+	stop, asked := fmt.Errorf("stop"), 0
+	for n := 1; n <= len(want)/pollEvery; n++ {
+		asked = 0
+		m.Poll = func() error {
+			if asked++; asked == n {
+				return stop
+			}
+			return nil
+		}
+		if cs, err := m.Enumerate(nil, 7); cs != nil || err != stop || asked != n {
+			t.Fatalf("stopped at poll %d: %d cycles, err %v, %d polls", n, len(cs), err, asked)
+		}
+	}
+	asked = 0
+	m.Poll = func() error { asked++; return nil }
+	if got, err := m.Enumerate(nil, 7); err != nil || !reflect.DeepEqual(got, want) || asked != len(want)/pollEvery {
+		t.Fatalf("after the stopped walks: %d cycles, %v, %d polls; want %d cycles and %d polls", len(got), err, asked, len(want), len(want)/pollEvery)
+	}
+}

@@ -5,24 +5,21 @@
 // instead of one global mutex, and a hit costs a hash, one shard lock and
 // two pointer swaps — no allocation.
 //
-// The package is deliberately only the map and its recency order. Callers
-// pick the shard (Index), hold its lock around Get and Put, and keep
-// whatever else must change under the same lock — core's single-flight
-// table, search's deep copy on insert — on their side.
+// The package is only the map, its recency order and its locks: every
+// method is safe for concurrent use. What a caller stores is its own
+// business — search deep-copies on insert, core shares read-only pointers.
 package lru
 
 import "sync"
 
-// Shards is the shard count: a power of two, so the shard pick is a mask.
-const Shards = 16
+// numShards is the shard count: a power of two, so the shard pick is a mask.
+const numShards = 16
 
-// Cache is Shards independently locked LRU maps. Build one with New.
-type Cache[K comparable, V any] [Shards]Shard[K, V]
+// Cache is numShards independently locked LRU maps. Build one with New.
+type Cache[K comparable, V any] [numShards]shard[K, V]
 
-// Shard is one lock's worth of a Cache: lock it, then Get, Put, Len and
-// Clear freely.
-type Shard[K comparable, V any] struct {
-	sync.Mutex
+type shard[K comparable, V any] struct {
+	mu    sync.Mutex
 	cap   int
 	items map[K]*entry[K, V]
 	// Intrusive doubly-linked list in recency order: head is the most
@@ -38,10 +35,10 @@ type entry[K comparable, V any] struct {
 
 // New sizes a cache for capacity entries spread over the shards. The
 // per-shard capacity rounds up (and is at least one), so the enforced
-// total (Cap) is capacity rounded up to a multiple of Shards.
+// total (Cap) is capacity rounded up to a multiple of the shard count.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	c := new(Cache[K, V])
-	per := max((capacity+Shards-1)/Shards, 1)
+	per := max((capacity+numShards-1)/numShards, 1)
 	for i := range c {
 		c[i].cap, c[i].items = per, make(map[K]*entry[K, V], per)
 	}
@@ -49,38 +46,42 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 }
 
 // Cap is the total number of entries the cache holds before evicting.
-func (c *Cache[K, V]) Cap() int { return Shards * c[0].cap }
+func (c *Cache[K, V]) Cap() int { return numShards * c[0].cap }
 
-// Index picks the shard for a key by the FNV-1a hash of s, the string the
-// caller says carries the key's entropy (for a string key, the key).
-func Index(s string) int {
+// lock returns the shard for a key, locked, picked by the FNV-1a hash of
+// shardKey: the string the caller says carries the key's entropy (for a
+// string key, the key). A key must always travel with the same shardKey.
+func (c *Cache[K, V]) lock(shardKey string) *shard[K, V] {
 	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
+	for i := 0; i < len(shardKey); i++ {
+		h ^= uint32(shardKey[i])
 		h *= 16777619
 	}
-	return int(h & (Shards - 1))
+	s := &c[h&(numShards-1)]
+	s.mu.Lock()
+	return s
 }
 
 // Get returns the value under k, marking it most recently used.
-func (s *Shard[K, V]) Get(k K) (v V, ok bool) {
+func (c *Cache[K, V]) Get(shardKey string, k K) (v V, ok bool) {
+	s := c.lock(shardKey)
+	defer s.mu.Unlock()
 	e, ok := s.items[k]
 	if !ok {
 		return v, false
 	}
-	if s.head != e {
-		s.unlink(e)
-		s.pushFront(e)
-	}
+	s.touch(e)
 	return e.val, true
 }
 
 // Put inserts or replaces the value under k as the most recently used
 // entry, evicting the least recently used one when the shard is full.
-func (s *Shard[K, V]) Put(k K, v V) {
+func (c *Cache[K, V]) Put(shardKey string, k K, v V) {
+	s := c.lock(shardKey)
+	defer s.mu.Unlock()
 	if e, ok := s.items[k]; ok {
 		e.val = v
-		s.Get(k)
+		s.touch(e)
 		return
 	}
 	if len(s.items) >= s.cap {
@@ -93,16 +94,38 @@ func (s *Shard[K, V]) Put(k K, v V) {
 	s.pushFront(e)
 }
 
-// Len is the shard's entry count.
-func (s *Shard[K, V]) Len() int { return len(s.items) }
-
-// Clear drops every entry.
-func (s *Shard[K, V]) Clear() {
-	clear(s.items)
-	s.head, s.tail = nil, nil
+// Len is the cache's entry count.
+func (c *Cache[K, V]) Len() int {
+	n := 0
+	for i := range c {
+		s := &c[i]
+		s.mu.Lock()
+		n += len(s.items)
+		s.mu.Unlock()
+	}
+	return n
 }
 
-func (s *Shard[K, V]) pushFront(e *entry[K, V]) {
+// Clear drops every entry.
+func (c *Cache[K, V]) Clear() {
+	for i := range c {
+		s := &c[i]
+		s.mu.Lock()
+		clear(s.items)
+		s.head, s.tail = nil, nil
+		s.mu.Unlock()
+	}
+}
+
+// touch makes e the most recently used entry.
+func (s *shard[K, V]) touch(e *entry[K, V]) {
+	if s.head != e {
+		s.unlink(e)
+		s.pushFront(e)
+	}
+}
+
+func (s *shard[K, V]) pushFront(e *entry[K, V]) {
 	e.prev, e.next = nil, s.head
 	if s.head != nil {
 		s.head.prev = e
@@ -113,7 +136,7 @@ func (s *Shard[K, V]) pushFront(e *entry[K, V]) {
 	}
 }
 
-func (s *Shard[K, V]) unlink(e *entry[K, V]) {
+func (s *shard[K, V]) unlink(e *entry[K, V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {

@@ -7,9 +7,9 @@ import (
 )
 
 // This file holds the message bodies both endpoints speak: the shard
-// identity handshake, the plan/top-k query union, expansion payloads and
-// the replicated benchmark. Encoders and decoders live side by side so a
-// field added to one cannot be forgotten in the other.
+// identity handshake, the plan/top-k query union, expansion payloads, the
+// replicated benchmark and the stats summary. Encoders and decoders live
+// side by side so a field added to one cannot be forgotten in the other.
 //
 // Nil-ness of slices is preserved with a presence byte wherever the
 // public conformance contract compares decoded structs with
@@ -309,6 +309,52 @@ func ReadQueries(r *Reader) []core.Query {
 		qs = append(qs, q)
 	}
 	return qs
+}
+
+// --- stats -------------------------------------------------------------
+
+// Stats is an OpStats response body: the replicated knowledge-base shape,
+// the global document count, the benchmark size and the answering shard's
+// expansion-cache counters.
+type Stats struct {
+	Articles, Redirects, Categories, Links int
+	Documents, BenchmarkQueries            int
+	Cache                                  core.CacheStats
+}
+
+// AppendStats encodes an OpStats response body. The uvarint between the
+// cache's Misses and Entries is reserved: version-2 peers once sent a
+// counter there that no longer exists, and the slot stays, written as 0
+// and skipped on read, so that old and new builds decode each other's
+// reply without a protocol version of its own.
+func AppendStats(b []byte, st Stats) []byte {
+	b = AppendUvarint(b, uint64(st.Articles))
+	b = AppendUvarint(b, uint64(st.Redirects))
+	b = AppendUvarint(b, uint64(st.Categories))
+	b = AppendUvarint(b, uint64(st.Links))
+	b = AppendUvarint(b, uint64(st.Documents))
+	b = AppendUvarint(b, uint64(st.BenchmarkQueries))
+	b = AppendUvarint(b, st.Cache.Hits)
+	b = AppendUvarint(b, st.Cache.Misses)
+	b = AppendUvarint(b, 0)
+	b = AppendUvarint(b, uint64(st.Cache.Entries))
+	return AppendUvarint(b, uint64(st.Cache.Capacity))
+}
+
+// ReadStats decodes AppendStats.
+func ReadStats(r *Reader) Stats {
+	st := Stats{
+		Articles:         r.Int(),
+		Redirects:        r.Int(),
+		Categories:       r.Int(),
+		Links:            r.Int(),
+		Documents:        r.Int(),
+		BenchmarkQueries: r.Int(),
+		Cache:            core.CacheStats{Hits: r.Uvarint(), Misses: r.Uvarint()},
+	}
+	r.Uvarint() // the reserved slot
+	st.Cache.Entries, st.Cache.Capacity = r.Int(), r.Int()
+	return st
 }
 
 // --- results -----------------------------------------------------------

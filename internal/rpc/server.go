@@ -412,21 +412,16 @@ func (s *Server) handleExpand(ctx context.Context, r *Reader) ([]byte, *RemoteEr
 // knowledge-base shape, global document count, benchmark size and this
 // shard's expansion-cache counters.
 func (s *Server) handleStats() ([]byte, *RemoteError) {
-	st := s.sys.Snapshot.Stats()
-	cs := s.sys.ExpandCacheStats()
-	b := AppendOKHeader(nil)
-	b = AppendUvarint(b, uint64(st.Articles))
-	b = AppendUvarint(b, uint64(st.Redirects))
-	b = AppendUvarint(b, uint64(st.Categories))
-	b = AppendUvarint(b, uint64(st.Links))
-	b = AppendUvarint(b, uint64(s.ident.GlobalDocs))
-	b = AppendUvarint(b, uint64(len(s.queries)))
-	b = AppendUvarint(b, cs.Hits)
-	b = AppendUvarint(b, cs.Misses)
-	b = AppendUvarint(b, cs.Deduped)
-	b = AppendUvarint(b, uint64(cs.Entries))
-	b = AppendUvarint(b, uint64(cs.Capacity))
-	return b, nil
+	kb := s.sys.Snapshot.Stats()
+	return AppendStats(AppendOKHeader(nil), Stats{
+		Articles:         kb.Articles,
+		Redirects:        kb.Redirects,
+		Categories:       kb.Categories,
+		Links:            kb.Links,
+		Documents:        s.ident.GlobalDocs,
+		BenchmarkQueries: len(s.queries),
+		Cache:            s.sys.ExpandCacheStats(),
+	}), nil
 }
 
 // handleLink entity-links keywords against the replicated graph.

@@ -262,6 +262,42 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsWire pins the OpStats reply to the bytes a version-2 peer
+// speaks: eleven uvarints, of which the ninth is reserved — written as 0,
+// read and dropped — so that builds on either side of its retirement
+// decode each other. The expand reply's outcome byte is pinned with it.
+func TestStatsWire(t *testing.T) {
+	st := Stats{Articles: 1, Redirects: 2, Categories: 3, Links: 4, Documents: 300, BenchmarkQueries: 6,
+		Cache: core.CacheStats{Hits: 7, Misses: 8, Entries: 10, Capacity: 1024}}
+	golden := []byte{1, 2, 3, 4, 0xAC, 0x02, 6, 7, 8, 0, 10, 0x80, 0x08}
+	b := AppendStats(nil, st)
+	if !bytes.Equal(b, golden) {
+		t.Fatalf("AppendStats = % x, want % x", b, golden)
+	}
+	older := bytes.Clone(golden)
+	older[9] = 99 // a peer that still counts in the reserved slot
+	for _, body := range [][]byte{golden, older} {
+		r := NewReader(body)
+		if got := ReadStats(r); r.Done() != nil || got != st {
+			t.Errorf("ReadStats(% x) = %+v, %v; want %+v", body, got, r.Err(), st)
+		}
+	}
+	for n := range golden { // every truncation is an error, as is a trailing byte
+		r := NewReader(golden[:n])
+		if ReadStats(r); r.Done() == nil {
+			t.Errorf("stats truncated to %d bytes accepted", n)
+		}
+	}
+	r := NewReader(append(golden, 0))
+	if ReadStats(r); r.Done() == nil {
+		t.Error("trailing byte after stats not flagged")
+	}
+	if core.CacheBypass != 0 || core.CacheHit != 1 || core.CacheMiss != 2 {
+		t.Errorf("cache outcome bytes are %d/%d/%d, want 0/1/2: they ride the OpExpand reply",
+			core.CacheBypass, core.CacheHit, core.CacheMiss)
+	}
+}
+
 func TestOpString(t *testing.T) {
 	names := map[Op]string{
 		OpHealthz: "healthz", OpPlan: "plan", OpTopK: "topk", OpExpand: "expand",

@@ -38,10 +38,7 @@ func (c leafCache) get(query string) ([]Leaf, bool) {
 	if len(query) > leafCacheMaxKey {
 		return nil, false
 	}
-	s := &c.Cache[lru.Index(query)]
-	s.Lock()
-	defer s.Unlock()
-	return s.Get(query)
+	return c.Get(query, query)
 }
 
 // put inserts a deep copy of leaves under a cloned key (a concurrent
@@ -50,11 +47,8 @@ func (c leafCache) put(query string, leaves []Leaf) {
 	if len(query) > leafCacheMaxKey {
 		return
 	}
-	key, leaves := strings.Clone(query), cloneLeaves(leaves)
-	s := &c.Cache[lru.Index(key)]
-	s.Lock()
-	defer s.Unlock()
-	s.Put(key, leaves)
+	key := strings.Clone(query)
+	c.Put(key, key, cloneLeaves(leaves))
 }
 
 // cloneLeaves deep-copies leaves so the cache shares no memory with the

@@ -65,13 +65,16 @@ func TestSearchTextParseErrorsNotCached(t *testing.T) {
 
 func TestLeafCacheEvictsLRU(t *testing.T) {
 	c := newLeafCache()
-	perShard := leafCacheCapacity / lru.Shards
-	// Find enough distinct keys landing in one shard to overflow it.
-	target := lru.Index("probe")
+	// A probe cache of one entry per shard reads off the shard count and
+	// finds same-shard keys: only those evict the anchor.
+	probe := lru.New[string, bool](1)
+	perShard := leafCacheCapacity / probe.Cap()
 	var keys []string
 	for i := 0; len(keys) < perShard+1; i++ {
 		k := fmt.Sprintf("query %d", i)
-		if lru.Index(k) == target {
+		probe.Put("probe", "probe", true)
+		probe.Put(k, k, true)
+		if _, ok := probe.Get("probe", "probe"); !ok {
 			keys = append(keys, k)
 		}
 	}

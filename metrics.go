@@ -66,7 +66,7 @@ type MetricsObserver struct {
 	// a fast failure (dead context, closed backend, invalid options)
 	// never reaches the cache but carries the CacheBypass zero value,
 	// which would otherwise masquerade as "caching disabled".
-	cache [4]atomic.Uint64
+	cache [CacheMiss + 1]atomic.Uint64
 
 	// batchItems sums the batches' Size, so items/batch ratios fall out of
 	// two counters. generation gauges the most recently reported serving
@@ -136,7 +136,9 @@ func (m *MetricsObserver) Observe(e Event) {
 		m.countPartial(e)
 	case OpExpand:
 		m.expandHist.Record(e.Duration)
-		if ok && e.Cache <= CacheDeduped {
+		// The outcome of a Remote's expansion is a byte a shard sent: one
+		// past the last outcome this build knows is dropped, not indexed.
+		if ok && e.Cache <= CacheMiss {
 			m.cache[e.Cache].Add(1)
 		}
 	case OpBatch:
@@ -190,7 +192,7 @@ type MetricsSnapshot struct {
 	BatchItems             uint64
 	// Cache counts successful expansions by cache outcome, indexed by
 	// CacheOutcome (failed requests are excluded — see MetricsObserver).
-	Cache [4]uint64
+	Cache [CacheMiss + 1]uint64
 	// Generation is the most recently observed reload generation.
 	Generation uint64
 	// RPC counters of the remote coordinator's fan-out path.
@@ -327,7 +329,7 @@ func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
 		[3]string{"Requests observed, by operation.", "Failed requests, by operation and error class.", "Wall time inside the backend, by operation."},
 		opNames[:OpRPC], m.ops[:OpRPC], false)
 	p.family("querygraph_expand_cache_total", "counter", "Successful single-query expansions, by cache outcome.")
-	for outcome := CacheBypass; outcome <= CacheDeduped; outcome++ {
+	for outcome := CacheBypass; outcome <= CacheMiss; outcome++ {
 		p.printf("querygraph_expand_cache_total{outcome=%q} %d\n", outcome.String(), m.cache[outcome].Load())
 	}
 	scalars := func(rows ...scalar) {

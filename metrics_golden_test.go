@@ -10,7 +10,7 @@ import (
 
 // goldenMetricsScript is the scripted observer traffic behind the
 // /v1/metrics golden (testdata/metrics_golden.prom): every Op, every
-// error class, all four cache outcomes, first tries, retries, hedges and
+// error class, every cache outcome, first tries, retries, hedges and
 // a deadline hit, with fixed durations so the rendering is byte-stable.
 var goldenMetricsScript = []Event{
 	{Op: OpSearch, Duration: 30 * time.Microsecond, K: 10, Shards: 1},
@@ -25,10 +25,10 @@ var goldenMetricsScript = []Event{
 	{Op: OpExpand, Duration: 6 * time.Millisecond, Cache: CacheMiss, Size: 10, Shards: 1},
 	{Op: OpExpand, Duration: 400 * time.Nanosecond, Cache: CacheHit, Size: 10, Shards: 1},
 	{Op: OpExpand, Duration: 350 * time.Nanosecond, Cache: CacheHit, Size: 4, Shards: 4},
-	{Op: OpExpand, Duration: 5 * time.Millisecond, Cache: CacheDeduped, Size: 10, Shards: 1},
+	{Op: OpExpand, Duration: 5 * time.Millisecond, Cache: CacheMiss + 1, Size: 10, Shards: 1}, // an outcome this build does not know (an older shard's byte): a request, no cache outcome
 	{Op: OpExpand, Duration: 8 * time.Millisecond, Cache: CacheBypass, Size: 7, Shards: 1},
 	{Op: OpExpand, Duration: time.Microsecond, Shards: 1, Err: "invalid_options"}, // failures never count as a cache outcome
-	{Op: OpExpand, Duration: 12 * time.Millisecond, Cache: CacheDeduped, Shards: 1, Err: "canceled"},
+	{Op: OpExpand, Duration: 12 * time.Millisecond, Cache: CacheMiss, Shards: 1, Err: "canceled"},
 	{Op: OpExpand, Duration: 20 * time.Millisecond, Shards: 2, Err: "internal"},
 
 	{Op: OpBatch, Kind: BatchSearch, Duration: 2 * time.Millisecond, Size: 50, K: 15, Shards: 4},
@@ -102,6 +102,23 @@ func TestMetricsGolden(t *testing.T) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("WritePrometheus differs from %s:\n%s", file, got.Bytes())
+		}
+	}
+}
+
+// TestUnknownCacheOutcomeDropped: Event.Cache of a Remote's expansion is a
+// byte a shard sent, and it indexes the observer's counters. One past the
+// last outcome this build knows — 3 from a shard not yet upgraded, 255
+// from a hostile one — counts as a request and as no cache outcome.
+func TestUnknownCacheOutcomeDropped(t *testing.T) {
+	for _, outcome := range []CacheOutcome{CacheMiss + 1, 255} {
+		m := NewMetricsObserver()
+		m.Observe(Event{Op: OpExpand, Cache: outcome})
+		if s := m.Snapshot(); s.Expands != 1 || s.Cache != [CacheMiss + 1]uint64{} {
+			t.Errorf("outcome %d: %d expands, cache outcomes %v; want 1 and none counted", outcome, s.Expands, s.Cache)
+		}
+		if got := outcome.String(); got != "bypass" {
+			t.Errorf("CacheOutcome(%d).String() = %q, want the bypass label", outcome, got)
 		}
 	}
 }

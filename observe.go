@@ -105,9 +105,9 @@ type Event struct {
 	// Expanded is true when a search evaluated an expansion
 	// (SearchExpansion) rather than raw query text.
 	Expanded bool
-	// Cache is how the expansion cache served an Expand: hit, miss,
-	// single-flight dedup, or bypass when caching is disabled (and on the
-	// fast-failure paths, which never reach the cache).
+	// Cache is how the expansion cache served an Expand: hit, miss, or
+	// bypass when caching is disabled (and on the fast-failure paths,
+	// which never reach the cache).
 	Cache CacheOutcome
 	// Generation is the sequence number being served once a write-path
 	// operation is over — the new generation's after a reload or a real

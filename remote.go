@@ -816,8 +816,8 @@ func (c *Remote) expandRemote(ctx context.Context, keywords string, eopts core.E
 }
 
 // ExpandAll is Client.ExpandAll served by the fleet: per-keyword remote
-// expansions on a bounded worker pool, deduplicated by the serving
-// shard's single-flight cache.
+// expansions on a bounded worker pool, memoized by the serving shard's
+// expansion cache.
 func (c *Remote) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
 	var out []*Expansion
 	ev := Event{Op: OpBatch, Kind: BatchExpand, Size: len(keywords)}
@@ -939,25 +939,19 @@ func (c *Remote) Stats() Stats {
 		return Stats{}
 	}
 	r := rpc.NewReader(payload)
-	st := Stats{
-		Articles:         r.Int(),
-		Redirects:        r.Int(),
-		Categories:       r.Int(),
-		Links:            r.Int(),
-		Documents:        r.Int(),
-		BenchmarkQueries: r.Int(),
-		Cache: CacheStats{
-			Hits:     r.Uvarint(),
-			Misses:   r.Uvarint(),
-			Deduped:  r.Uvarint(),
-			Entries:  r.Int(),
-			Capacity: r.Int(),
-		},
-	}
+	st := rpc.ReadStats(r)
 	if r.Done() != nil {
 		return Stats{}
 	}
-	return st
+	return Stats{
+		Articles:         st.Articles,
+		Redirects:        st.Redirects,
+		Categories:       st.Categories,
+		Links:            st.Links,
+		Documents:        st.Documents,
+		BenchmarkQueries: st.BenchmarkQueries,
+		Cache:            st.Cache,
+	}
 }
 
 // CacheStats reports the expansion-cache counters of the shard currently

@@ -81,8 +81,20 @@ func shardedWorld(t *testing.T) (*Client, string) {
 
 // fakeShard is a protocol endpoint that answers OpHealthz with the given
 // identity and hangs forever on every other op — the canonical hanging
-// shard. Release the returned channel-closer to unblock its goroutines.
+// shard.
 func fakeShard(t *testing.T, ident rpc.Identity) string {
+	return scriptedShard(t, func(op rpc.Op) []byte {
+		if op == rpc.OpHealthz {
+			return rpc.AppendIdentity(rpc.AppendOKHeader(nil), ident)
+		}
+		return nil
+	})
+}
+
+// scriptedShard is a protocol endpoint that answers each request with
+// reply(op), header included, and hangs forever on the ops reply returns
+// nil for; its goroutines are released when the test ends.
+func scriptedShard(t *testing.T, reply func(rpc.Op) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -109,11 +121,12 @@ func fakeShard(t *testing.T, ident rpc.Identity) string {
 					}
 					r := rpc.NewReader(payload)
 					r.Byte() // version
-					if op := rpc.Op(r.Byte()); op != rpc.OpHealthz {
+					resp := reply(rpc.Op(r.Byte()))
+					if resp == nil {
 						<-hang // never answer: the caller's deadline must fire
 						return
 					}
-					if err := rpc.WriteFrame(c, rpc.AppendIdentity(rpc.AppendOKHeader(nil), ident)); err != nil {
+					if err := rpc.WriteFrame(c, resp); err != nil {
 						return
 					}
 				}
@@ -121,6 +134,50 @@ func fakeShard(t *testing.T, ident rpc.Identity) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// TestRemoteOlderShardReplies: a version-2 shard built before the
+// expansion cache lost its single-flight half answers OpExpand with the
+// outcome byte 3 ("deduped") and fills the OpStats slot that is reserved
+// now. A coordinator of this build must read both replies — fleets roll
+// forward shards-first, so it meets them — dropping what it no longer
+// knows: the outcome indexes no counter, the slot reaches no field.
+func TestRemoteOlderShardReplies(t *testing.T) {
+	exp := &Expansion{Keywords: "venice", QueryArticles: []NodeID{4}, Features: []Feature{{Node: 9, Title: "Grand Canal"}}}
+	addr := scriptedShard(t, func(op rpc.Op) []byte {
+		ok := rpc.AppendOKHeader(nil)
+		switch op {
+		case rpc.OpHealthz:
+			return rpc.AppendIdentity(ok, rpc.Identity{ShardCount: 1})
+		case rpc.OpQueries:
+			return rpc.AppendQueries(ok, nil)
+		case rpc.OpExpand:
+			return rpc.AppendExpansion(append(ok, 3), exp)
+		case rpc.OpStats:
+			return append(ok, 1, 2, 3, 4, 5, 6, 7, 8, 99, 10, 11) // 99 sits in the reserved slot
+		}
+		return nil
+	})
+	m := NewMetricsObserver()
+	path := writeTopology(t, t.TempDir(), Topology{Version: 1, Shards: []TopologyShard{{ID: 0, Addrs: []string{addr}}}})
+	be, err := OpenBackend(path, WithObserver(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+
+	got, err := be.Expand(context.Background(), "venice")
+	if err != nil || !reflect.DeepEqual(got, exp) {
+		t.Fatalf("Expand = %+v, %v; want the shard's %+v", got, err, exp)
+	}
+	if s := m.Snapshot(); s.Expands != 1 || s.ExpandErrors != 0 || s.Cache != [CacheMiss + 1]uint64{} {
+		t.Errorf("after an expansion with outcome byte 3: %d expands, %d errors, cache outcomes %v; want 1, 0 and none counted", s.Expands, s.ExpandErrors, s.Cache)
+	}
+	want := Stats{Articles: 1, Redirects: 2, Categories: 3, Links: 4, Documents: 5, BenchmarkQueries: 6,
+		Cache: CacheStats{Hits: 7, Misses: 8, Entries: 10, Capacity: 11}}
+	if st := be.Stats(); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
+	}
 }
 
 // TestReadTopologyValidation pins the topology schema errors onto

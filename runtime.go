@@ -46,7 +46,7 @@ type localRuntime struct {
 	// Close so a Client's accessors keep answering (see view).
 	final atomic.Pointer[poolGeneration]
 
-	// Live-index lifecycle: completed-compaction count, the single-flight
+	// Live-index lifecycle: completed-compaction count, the one-at-a-time
 	// guard of the background compactor, and the wait group Close blocks
 	// on so no compaction goroutine outlives the handle.
 	compactions atomic.Uint64
@@ -299,12 +299,12 @@ func (rt *localRuntime) SearchAll(ctx context.Context, queries []string, k int, 
 // values return an error wrapping ErrInvalidOptions. On a Pool the
 // pipeline runs once, on the replicated graph, not per shard.
 //
-// Results are memoized in a sharded single-flight LRU cache that lives
-// with the serving generation; the returned Expansion may be shared with
-// other callers and must be treated as read-only. A done ctx returns
-// ctx.Err() without touching pipeline or cache; a ctx that dies while
-// another caller's identical call is in flight abandons the wait (that
-// caller still completes and populates the cache).
+// Results are memoized in a sharded LRU cache that lives with the serving
+// generation; the returned Expansion may be shared with other callers and
+// must be treated as read-only, and concurrent identical misses may each
+// run the pipeline and store equal entries. A done ctx returns ctx.Err()
+// without touching pipeline or cache; a ctx that ends mid-call stops the
+// caller's own pipeline run and returns ctx.Err() with nothing cached.
 func (rt *localRuntime) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
 	var exp *Expansion
 	ev := Event{Op: OpExpand}
@@ -329,8 +329,9 @@ func (rt *localRuntime) Expand(ctx context.Context, keywords string, opts ...Exp
 
 // ExpandAll runs Expand for every keyword query on a bounded worker pool
 // and returns the expansions in input order. Repeated keywords are served
-// from the expansion cache and concurrent duplicates are single-flighted.
-// Cancelling ctx stops scheduling and returns ctx.Err().
+// from the expansion cache once one of them has been expanded. Cancelling
+// ctx stops scheduling, stops the expansions under way, and returns
+// ctx.Err().
 func (rt *localRuntime) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
 	var exps []*Expansion
 	ev := Event{Op: OpBatch, Kind: BatchExpand, Size: len(keywords)}
@@ -481,8 +482,8 @@ func (rt *localRuntime) statsOf(g *poolGeneration) Stats {
 	}
 }
 
-// CacheStats reports the expansion cache's hit/miss/single-flight
-// counters and occupancy (all zero when the cache is disabled, or on a
+// CacheStats reports the expansion cache's hit/miss counters and
+// occupancy (all zero when the cache is disabled, or on a
 // closed Pool). The cache lives with the generation, so a compaction or
 // reload starts it cold.
 func (rt *localRuntime) CacheStats() CacheStats {

@@ -48,6 +48,11 @@ fi
 step "go test"
 go test -shuffle=on ./...
 
+# CI's race job runs the whole module; here, the packages whose locking a
+# cache or miner change moves, which is a minute instead of ten.
+step "go test -race (lru, core, search, cycles, root)"
+go test -race ./internal/lru ./internal/core ./internal/search ./internal/cycles .
+
 # bench/ is a nested module root ./... skips; it imports internal/... by
 # path, so a pruned symbol the harness uses has to fail here.
 step "bench harness (nested module: vet + test)"

@@ -48,8 +48,8 @@ type (
 	CacheStats = core.CacheStats
 
 	// CacheOutcome classifies how one Expand request was served by the
-	// expansion cache (hit, miss, single-flight dedup, or bypass when
-	// caching is disabled); see Event.Cache.
+	// expansion cache (hit, miss, or bypass when caching is disabled); see
+	// Event.Cache.
 	CacheOutcome = core.CacheOutcome
 
 	// BatchOptions bounds the concurrency of SearchAll / ExpandAll;
@@ -86,10 +86,9 @@ const MaxRank = core.MaxRank
 
 // The per-request cache outcomes of Event.Cache.
 const (
-	CacheBypass  = core.CacheBypass
-	CacheHit     = core.CacheHit
-	CacheMiss    = core.CacheMiss
-	CacheDeduped = core.CacheDeduped
+	CacheBypass = core.CacheBypass
+	CacheHit    = core.CacheHit
+	CacheMiss   = core.CacheMiss
 )
 
 // DefaultRanks returns the paper's rank cutoffs R = {1, 5, 10, 15}.
