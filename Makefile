@@ -32,7 +32,8 @@ loc:
 	./scripts/loc.sh
 
 # bench-compare is the benchmark regression gate: BASE and the working
-# tree measured back to back on this host, judged by BENCHMARK.json's
-# bounds (see scripts/bench-compare.sh). make bench-compare BASE=origin/main
+# tree measured on this host in two pairs, the second with the working
+# tree first, each judged by BENCHMARK.json's bounds (see
+# scripts/bench-compare.sh). make bench-compare BASE=origin/main
 bench-compare:
 	./scripts/bench-compare.sh $(BASE)

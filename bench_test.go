@@ -506,9 +506,10 @@ func BenchmarkExpandOnline(b *testing.B) {
 // BenchmarkExpandCold is BenchmarkExpandOnline one layer up: the same cold
 // pipeline behind the public Client with its expansion cache off — what
 // the expand-cold-client workload of bench/ drives, less the retrieval —
-// with the allocations and the cycles mined per expansion, the two counts
-// that say whether the neighborhood walk and the miner still do only the
-// work the answer needs.
+// with the allocations and the cycles mined and accepted per expansion,
+// the counts that say whether the neighborhood walk and the miner still do
+// only the work the answer needs (and, unchanged from one commit to the
+// next, that they still give the same answer).
 func BenchmarkExpandCold(b *testing.B) {
 	e := benchSetup(b)
 	c, err := querygraph.Build(e.world, querygraph.WithExpandCache(0))
@@ -516,7 +517,7 @@ func BenchmarkExpandCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	ctx, considered := context.Background(), 0
+	ctx, considered, accepted := context.Background(), 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -524,9 +525,10 @@ func BenchmarkExpandCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		considered += exp.CyclesConsidered
+		considered, accepted = considered+exp.CyclesConsidered, accepted+exp.CyclesAccepted
 	}
 	b.ReportMetric(float64(considered)/float64(b.N), "cycles/op")
+	b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
 }
 
 // BenchmarkExpandStampede is the experiment behind DESIGN.md's "The

@@ -7,20 +7,28 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/querygraph/querygraph/internal/corpus"
 	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/synth"
 	"github.com/querygraph/querygraph/internal/trace"
+	"github.com/querygraph/querygraph/internal/wiki"
 )
 
 // referenceExpand is the expansion pipeline as it stood before the bounded
 // ball and the seed-anchored miner, step for step: every distance in the
 // graph, filter by radius, sort by (distance, id), cap, induce, enumerate
 // every cycle of the neighborhood, drop those that miss the query articles,
-// measure each by adjacency scans, filter, rank, select. The graph and
-// cycles functions it calls are each tested against their own former
-// selves where they changed; none of them is on System.expand's path
-// except Induce.
+// measure each by adjacency scans, filter, sort them all by rank, select.
+//
+// The proof chain has two links. System.expand equals referenceExpand
+// (TestExpandMatchesReference), which shares with it Induce and — through
+// cycles.Enumerate(sub, nil, …) — the miner's walk, but neither the seeds,
+// nor the visitor, the pair table, the buckets or the early stop. And
+// cycles.Enumerate equals cycles' own referenceEnumerate
+// (TestEnumerateMatchesReference there), which shares no code with the
+// miner. BFSDistances and the package-level Measure are each tested against
+// their own former selves where they changed.
 func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansion, error) {
 	queryArts := s.LinkKeywords(keywords)
 	exp := &Expansion{Keywords: keywords, QueryArticles: queryArts}
@@ -265,6 +273,123 @@ func TestExpandMatchesReference(t *testing.T) {
 	}
 	if features < expansions { // the comparison must not be of empty answers
 		t.Errorf("%d expansions proposed only %d features", expansions, features)
+	}
+}
+
+// TestExpandBeyondThePairTable crosses the miner's maxTableNodes (1 024)
+// from the expander's side: a neighborhood large enough that the subgraph
+// has no pair table, so the walk's two-edge test and the visitor's Measure
+// scan adjacency, still gives the reference's answer.
+func TestExpandBeyondThePairTable(t *testing.T) {
+	w, err := synth.Generate(synth.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromWorld(w, WithExpandCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultExpanderOptions()
+	opts.Radius, opts.MaxNeighborhood, opts.MaxCycleLen = 4, 1200, 4
+	g, crossed := s.Snapshot.Graph(), 0
+	for _, q := range w.Queries[:12] {
+		if len(g.Ball(s.LinkKeywords(q.Keywords), opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)) > 1024 {
+			crossed++
+		}
+		opts.RankByFrequency = !opts.RankByFrequency
+		want, err := referenceExpand(s, q.Keywords, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Expand(context.Background(), q.Keywords, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q, %+v:\n got %+v\nwant %+v", q.Keywords, opts, got, want)
+		}
+		if got.CyclesAccepted == 0 {
+			t.Errorf("%q: no cycle accepted of %d; nothing was compared", q.Keywords, got.CyclesConsidered)
+		}
+	}
+	if t.Logf("%d of 12 neighborhoods beyond the table", crossed); crossed == 0 {
+		t.Error("no neighborhood had more than 1024 nodes: the test never left the pair table")
+	}
+}
+
+// TestExpandStopsRankingEarlyOnlyWhenItMay is the lazy ranking by example.
+// Around the query article Venice:
+//
+//	Venice → Bridge, both in category Crossings      the first triangle
+//	Venice → Gondola, both in category Boats         the second triangle
+//	Gondola → Oar, Pole, Rowlock, each in category Rowing with Regatta,
+//	and Regatta → Venice                             three 5-cycles
+//
+// Five cycles, all accepted (MinDensity is 0 here: a plain 5-cycle has no
+// extra edge, and chords would add cycles of their own). In cycle order the
+// triangles propose Bridge, then Gondola, which fills MaxFeatures = 2
+// before the 5-cycles are looked at; but Gondola is also on all three of
+// those and Regatta with it, so ranked by frequency the answer is Gondola
+// (4 cycles), Regatta (3). Stopping early under RankByFrequency would give
+// Bridge, Gondola (1 each); counting only the lengths that were sorted
+// would give CyclesAccepted 2.
+func TestExpandStopsRankingEarlyOnlyWhenItMay(t *testing.T) {
+	b := wiki.NewBuilder(16)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := func(add func(string) (graph.NodeID, error), name string) graph.NodeID {
+		t.Helper()
+		id, err := add(name)
+		must(err)
+		return id
+	}
+	venice, bridge, gondola, regatta := node(b.AddArticle, "Venice"), node(b.AddArticle, "Bridge"), node(b.AddArticle, "Gondola"), node(b.AddArticle, "Regatta")
+	crossings, boats, rowing := node(b.AddCategory, "Crossings"), node(b.AddCategory, "Boats"), node(b.AddCategory, "Rowing")
+	must(b.AddLink(venice, bridge))
+	must(b.AddBelongs(venice, crossings))
+	must(b.AddBelongs(bridge, crossings))
+	must(b.AddLink(venice, gondola))
+	must(b.AddBelongs(venice, boats))
+	must(b.AddBelongs(gondola, boats))
+	for _, title := range []string{"Oar", "Pole", "Rowlock"} {
+		part := node(b.AddArticle, title)
+		must(b.AddLink(gondola, part))
+		must(b.AddBelongs(part, rowing))
+	}
+	must(b.AddBelongs(regatta, rowing))
+	must(b.AddLink(regatta, venice))
+	snap, err := b.Build()
+	must(err)
+	var coll corpus.Collection
+	_, err = coll.Add(corpus.Image{ID: "1", Name: "gondola in venice.jpg"})
+	must(err)
+	s, err := NewSystem(snap, &coll, WithExpandCache(0))
+	must(err)
+
+	opts := DefaultExpanderOptions()
+	opts.MinDensity, opts.MaxFeatures = 0, 2
+	for _, tc := range []struct {
+		byFrequency bool
+		want        []string
+	}{{false, []string{"Bridge", "Gondola"}}, {true, []string{"Gondola", "Regatta"}}} {
+		opts.RankByFrequency = tc.byFrequency
+		got, err := s.Expand(context.Background(), "venice", opts)
+		must(err)
+		if titles := got.FeatureTitles(); !reflect.DeepEqual(titles, tc.want) {
+			t.Errorf("RankByFrequency=%v: features %v, want %v", tc.byFrequency, titles, tc.want)
+		}
+		if got.CyclesConsidered != 5 || got.CyclesAccepted != 5 {
+			t.Errorf("RankByFrequency=%v: %d cycles considered, %d accepted; want 5 and 5 however few were ranked",
+				tc.byFrequency, got.CyclesConsidered, got.CyclesAccepted)
+		}
+		// The full ranking, selected from afterwards, says the same.
+		if want, err := referenceExpand(s, "venice", opts); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("RankByFrequency=%v:\n got %+v\nwant %+v, %v", tc.byFrequency, got, want, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"iter"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/querygraph/querygraph/internal/cycles"
@@ -145,27 +146,33 @@ type MinedCycle struct {
 	Articles []graph.NodeID
 }
 
+// seedsIn returns the query articles (parent-graph ids) that lie inside
+// sub, as its ids — never nil, which the miner reads as "every cycle":
+// with no query article inside sub there is no cycle through one.
+func seedsIn(sub *graph.Subgraph, queryArticles []graph.NodeID) []graph.NodeID {
+	seeds := []graph.NodeID{}
+	for _, qa := range queryArticles {
+		if sid, ok := sub.ToSub[qa]; ok {
+			seeds = append(seeds, sid)
+		}
+	}
+	return seeds
+}
+
 // MineCycles enumerates the cycles of sub, up to maxLen edges, that pass
 // through one of the query articles (parent-graph ids; those outside sub
 // are ignored), and measures each, in enumeration order. Redirect edges
 // never take part: a redirect cannot close a cycle. A failure — ctx.Err()
-// when ctx ends mid-enumeration — is yielded once, as the last pair. It is
-// an iterator because a neighborhood holds thousands of cycles and the
-// expander keeps a handful.
+// when ctx ends mid-enumeration — is yielded once, as the last pair. This
+// is the ordered, everything-measured form the offline analysis reads;
+// System.expand visits the same cycles through the Miner's Walk and keeps
+// only what its answer needs.
 func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) iter.Seq2[MinedCycle, error] {
 	return func(yield func(MinedCycle, error) bool) {
-		// Not nil, which Enumerate reads as "every cycle": with no query
-		// article inside sub there is no cycle through one.
-		seeds := []graph.NodeID{}
-		for _, qa := range queryArticles {
-			if sid, ok := sub.ToSub[qa]; ok {
-				seeds = append(seeds, sid)
-			}
-		}
 		miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
 		defer miner.Release()
 		miner.Poll = ctx.Err
-		cs, err := miner.Enumerate(seeds, maxLen)
+		cs, err := miner.Enumerate(seedsIn(sub, queryArticles), maxLen)
 		if err != nil {
 			yield(MinedCycle{}, err)
 			return
@@ -192,6 +199,23 @@ func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.
 		}
 	}
 }
+
+// accepted holds the cycles of one expansion that passed the filters:
+// their nodes (subgraph ids, canonical form) back to back, and one record
+// per cycle under its length. Pooled: an expansion accepts hundreds.
+type accepted struct {
+	nodes []graph.NodeID
+	byLen [cycles.MaxSupportedLength + 1][]acceptedCycle
+}
+
+// acceptedCycle is one accepted cycle: where its nodes start, and the two
+// measurements a feature it introduces reports.
+type acceptedCycle struct {
+	start          int
+	density, ratio float64
+}
+
+var acceptedPool = sync.Pool{New: func() any { return new(accepted) }}
 
 // Expand runs the online pipeline of the paper's conclusions: entity-link
 // the keywords, induce the Wikipedia neighborhood of the entities, mine
@@ -271,97 +295,97 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		return nil, err
 	}
 
-	var kept []MinedCycle
-	for mc, err := range MineCycles(ctx, sub, queryArts, opts.MaxCycleLen) {
+	// Mine: each cycle through a query article is measured and filtered as
+	// the walk closes it, and only the accepted ones are kept, by length.
+	miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
+	defer miner.Release()
+	miner.Poll = ctx.Err
+	acc := acceptedPool.Get().(*accepted)
+	defer acceptedPool.Put(acc)
+	acc.nodes = acc.nodes[:0]
+	for i := range acc.byLen {
+		acc.byLen[i] = acc.byLen[i][:0]
+	}
+	err := miner.Walk(seedsIn(sub, queryArts), opts.MaxCycleLen, func(c cycles.Cycle) error {
+		m, err := miner.Measure(c)
 		if err != nil {
-			return nil, fmt.Errorf("core: expand: %w", err)
+			return err
 		}
 		exp.CyclesConsidered++
-		switch m := mc.Metrics; {
+		switch {
 		case m.Length == 2:
 			if !opts.KeepTwoCycles {
-				continue
+				return nil
 			}
 		case m.CategoryRatio < opts.MinCategoryRatio || m.CategoryRatio > opts.MaxCategoryRatio:
-			continue
+			return nil
 		case m.Length >= 4 && m.ExtraEdgeDensity < opts.MinDensity:
-			continue
+			return nil
 		}
-		kept = append(kept, mc)
+		exp.CyclesAccepted++
+		acc.byLen[m.Length] = append(acc.byLen[m.Length], acceptedCycle{len(acc.nodes), m.ExtraEdgeDensity, m.CategoryRatio})
+		acc.nodes = append(acc.nodes, c.Nodes...)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: expand: %w", err)
 	}
-	exp.CyclesAccepted = len(kept)
 	if err := phase("expand.mine"); err != nil {
 		return nil, err
 	}
 
 	// Rank: shorter cycles first (they define the user need best), then
-	// denser cycles.
-	slices.SortFunc(kept, func(a, b MinedCycle) int {
-		if c := cmp.Compare(a.Metrics.Length, b.Metrics.Length); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(b.Metrics.ExtraEdgeDensity, a.Metrics.ExtraEdgeDensity); c != 0 {
-			return c
-		}
-		return slices.Compare(a.Cycle.Nodes, b.Cycle.Nodes)
-	})
-
-	inQuery := make(map[graph.NodeID]struct{}, len(queryArts))
-	for _, qa := range queryArts {
-		inQuery[qa] = struct{}{}
-	}
-	// Collect candidate features in cycle order, tracking how many
-	// accepted cycles contain each article.
-	type candidate struct {
-		feature   Feature
-		order     int // first appearance in cycle rank order
-		frequency int // number of accepted cycles containing the article
-	}
-	byNode := make(map[graph.NodeID]*candidate)
-	var ordered []*candidate
-	for _, k := range kept {
-		for _, parent := range k.Articles {
-			if _, isQ := inQuery[parent]; isQ {
-				continue
+	// denser cycles. Candidate features are collected in that order with
+	// the number of accepted cycles that contain each; a feature belongs to
+	// the first cycle that holds it, so a length is sorted only when the
+	// shorter ones left room for a candidate, or every cycle must be counted.
+	var ordered []Feature                   // by first appearance in cycle rank order
+	frequency := make(map[graph.NodeID]int) // per feature, the accepted cycles among those ranked that hold it
+	var arts [cycles.MaxSupportedLength]graph.NodeID
+	wanted := func() bool { return opts.RankByFrequency || len(ordered) < opts.MaxFeatures }
+	for length := 2; length <= opts.MaxCycleLen && wanted(); length++ {
+		nodesOf := func(a acceptedCycle) []graph.NodeID { return acc.nodes[a.start : a.start+length] }
+		slices.SortFunc(acc.byLen[length], func(a, b acceptedCycle) int {
+			if c := cmp.Compare(b.density, a.density); c != 0 {
+				return c
 			}
-			if cand, dup := byNode[parent]; dup {
-				cand.frequency++
-				continue
-			}
-			cand := &candidate{
-				feature: Feature{
+			return slices.Compare(nodesOf(a), nodesOf(b))
+		})
+		for i := 0; i < len(acc.byLen[length]) && wanted(); i++ {
+			k := acc.byLen[length][i]
+			for _, n := range cycles.AppendArticles(arts[:0], sub.Graph, cycles.Cycle{Nodes: nodesOf(k)}) {
+				parent := sub.ToParent[n]
+				if slices.Contains(queryArts, parent) {
+					continue // asked for, not proposed
+				}
+				if frequency[parent]++; frequency[parent] > 1 {
+					continue // proposed already
+				}
+				ordered = append(ordered, Feature{
 					Node:          parent,
 					Title:         s.Snapshot.Name(parent),
-					CycleLen:      k.Metrics.Length,
-					Density:       k.Metrics.ExtraEdgeDensity,
-					CategoryRatio: k.Metrics.CategoryRatio,
-				},
-				order:     len(ordered),
-				frequency: 1,
+					CycleLen:      length,
+					Density:       k.density,
+					CategoryRatio: k.ratio,
+				})
 			}
-			byNode[parent] = cand
-			ordered = append(ordered, cand)
 		}
 	}
 	if opts.RankByFrequency {
-		sort.Slice(ordered, func(i, j int) bool {
-			if ordered[i].frequency != ordered[j].frequency {
-				return ordered[i].frequency > ordered[j].frequency
-			}
-			return ordered[i].order < ordered[j].order
-		})
+		// Stable: ties keep the cycle-order rank.
+		slices.SortStableFunc(ordered, func(a, b Feature) int { return cmp.Compare(frequency[b.Node], frequency[a.Node]) })
 	}
-	for _, cand := range ordered {
+	for _, f := range ordered {
 		if len(exp.Features) >= opts.MaxFeatures {
 			break
 		}
-		exp.Features = append(exp.Features, cand.feature)
+		exp.Features = append(exp.Features, f)
 		if opts.IncludeRedirectAliases {
-			for _, r := range s.Snapshot.RedirectsTo(cand.feature.Node) {
+			for _, r := range s.Snapshot.RedirectsTo(f.Node) {
 				if len(exp.Features) >= opts.MaxFeatures {
 					break
 				}
-				alias := cand.feature
+				alias := f
 				alias.Node = r
 				alias.Title = s.Snapshot.Name(r)
 				exp.Features = append(exp.Features, alias)

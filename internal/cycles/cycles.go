@@ -65,30 +65,37 @@ type Miner struct {
 	// pairs[a*n+b] is EdgesBetween(a, b), saturating; nil for a graph of
 	// more than maxTableNodes nodes, which falls back to the scans.
 	pairs []uint8
-	// Poll, when set, is asked once per pollEvery recorded cycles whether
-	// the enumeration may go on (a request sets it to its ctx.Err); the
-	// error it returns ends Enumerate, which returns it.
+	// Poll, when set, is asked once per pollEvery cycles found whether the
+	// walk may go on (a request sets it to its ctx.Err); the error it
+	// returns ends Walk and Enumerate, which return it.
 	Poll func() error
 
-	// State of one Enumerate: blocked marks the nodes the walk may not
-	// enter (those on the path, and seeds whose cycles are all found), the
-	// cycles found so far lie back to back in nodes, cycle i ending at
-	// ends[i], and err is what Poll said, once it says stop.
+	// State of one Walk: dist is the distance from the current seed of the
+	// nodes in reached — but blocked for those the walk may not enter (the
+	// ones on the path, and seeds whose cycles are all found) — and far
+	// everywhere else; found counts the cycles handed to visit, and err is
+	// what visit or Poll said, once one says stop.
 	maxLen  int
 	err     error
-	blocked []bool
+	visit   func(Cycle) error
+	found   int
+	dist    []uint8
+	reached []graph.NodeID
 	path    []graph.NodeID
-	nodes   []graph.NodeID
-	ends    []int
+	canon   [MaxSupportedLength]graph.NodeID
 }
 
 // maxTableNodes bounds the pair table, n*n bytes, to 1 MiB.
 const maxTableNodes = 1024
 
-// pollEvery is how many cycles Enumerate records between two calls of
-// Poll: enumeration cost grows exponentially with length, so an abandoned
+// pollEvery is how many cycles the walk finds between two calls of Poll:
+// enumeration cost grows exponentially with length, so an abandoned
 // request must be able to stop its walk, and 256 cycles are microseconds.
 const pollEvery = 256
+
+// far is the dist of a node the current seed does not reach in time, and
+// blocked that of one the walk may not enter; both are beyond any maxLen.
+const far, blocked = math.MaxUint8, math.MaxUint8 - 1
 
 var minerPool = sync.Pool{New: func() any { return new(Miner) }}
 
@@ -137,7 +144,7 @@ func NewMiner(g *graph.Graph, exclude func(graph.EdgeKind) bool) *Miner {
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.g, m.exclude, m.Poll = nil, nil, nil
+	m.g, m.exclude, m.Poll, m.visit = nil, nil, nil, nil
 	minerPool.Put(m)
 }
 
@@ -155,54 +162,21 @@ func Enumerate(g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(gr
 	return m.Enumerate(seeds, maxLen)
 }
 
-// Enumerate is the package's Enumerate on the Miner's graph and filter.
-//
-// The walk is anchored at the seeds: in ascending order, a depth-first
-// search from each seed finds the cycles through it, and the seed is then
-// removed from the graph, so a cycle is found from its smallest seed and
-// from no other. With no seed filter every node is a seed, and the search
-// from s is the search for the cycles whose smallest node is s.
+// Enumerate is the package's Enumerate on the Miner's graph and filter:
+// Walk, collect the cycles back to back in one slab, order.
 func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
-	if maxLen < 2 {
-		return nil, fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
+	var flat []graph.NodeID
+	var ends []int
+	err := m.Walk(seeds, maxLen, func(c Cycle) error {
+		flat = append(flat, c.Nodes...)
+		ends = append(ends, len(flat))
+		return nil
+	})
+	if err != nil || len(ends) == 0 {
+		return nil, err
 	}
-	if maxLen > MaxSupportedLength {
-		return nil, fmt.Errorf("cycles: maxLen %d exceeds supported maximum %d", maxLen, MaxSupportedLength)
-	}
-	n := m.g.NumNodes()
-	if seeds == nil {
-		seeds = make([]graph.NodeID, n)
-		for i := range seeds {
-			seeds[i] = graph.NodeID(i)
-		}
-	} else {
-		for _, s := range seeds {
-			if !m.g.Valid(s) {
-				return nil, fmt.Errorf("cycles: unknown seed node %d", s)
-			}
-		}
-		seeds = slices.Clone(seeds)
-		slices.Sort(seeds)
-	}
-	m.maxLen, m.err, m.nodes, m.ends = maxLen, nil, m.nodes[:0], m.ends[:0]
-	m.blocked = slices.Grow(m.blocked[:0], n)[:n]
-	clear(m.blocked)
-	for _, s := range seeds {
-		if !m.blocked[s] { // a repeated seed is already removed
-			m.blocked[s] = true
-			m.path = append(m.path[:0], s)
-			m.dfs(s)
-		}
-	}
-	if m.err != nil {
-		return nil, m.err
-	}
-
-	if len(m.ends) == 0 {
-		return nil, nil
-	}
-	flat, out, start := slices.Clone(m.nodes), make([]Cycle, len(m.ends)), 0
-	for i, end := range m.ends {
+	out, start := make([]Cycle, len(ends)), 0
+	for i, end := range ends {
 		out[i].Nodes = flat[start:end:end]
 		start = end
 	}
@@ -215,30 +189,106 @@ func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
 	return out, nil
 }
 
-// dfs extends the path, which starts at a seed and ends at cur, through
-// every unblocked neighbour of cur, and records a cycle whenever the path
-// can close. Two nodes close a cycle when they share two edges (Figure 4a);
-// of the two directions a longer cycle can be walked in, the one with
-// path[1] < path[last] is kept.
-func (m *Miner) dfs(cur graph.NodeID) {
-	for _, next := range m.nbr[m.off[cur]:m.off[cur+1]] {
-		switch k := len(m.path); {
-		case next == m.path[0]:
-			if k >= 3 && m.path[1] < cur || k == 2 && m.edgesBetween(next, cur) >= 2 {
-				m.record()
+// Walk hands visit every cycle Enumerate would return, in canonical form,
+// each once and as it closes — in no stated order, and in a slice that is
+// the Miner's again when visit returns. An error from visit ends the walk
+// like one from Poll, and Walk returns it.
+//
+// The walk is anchored at the seeds: in ascending order, a depth-first
+// search from each seed finds the cycles through it, and the seed is then
+// removed from the graph, so a cycle is found from its smallest seed and
+// from no other. With no seed filter every node is a seed, and the search
+// from s is the search for the cycles whose smallest node is s.
+func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Cycle) error) error {
+	if maxLen < 2 {
+		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
+	}
+	if maxLen > MaxSupportedLength {
+		return fmt.Errorf("cycles: maxLen %d exceeds supported maximum %d", maxLen, MaxSupportedLength)
+	}
+	n := m.g.NumNodes()
+	if seeds == nil {
+		seeds = make([]graph.NodeID, n)
+		for i := range seeds {
+			seeds[i] = graph.NodeID(i)
+		}
+	} else {
+		for _, s := range seeds {
+			if !m.g.Valid(s) {
+				return fmt.Errorf("cycles: unknown seed node %d", s)
 			}
-		case !m.blocked[next] && k < m.maxLen:
-			m.blocked[next] = true
+		}
+		seeds = slices.Clone(seeds)
+		slices.Sort(seeds)
+	}
+	m.maxLen, m.err, m.visit, m.found = maxLen, nil, visit, 0
+	m.dist = slices.Grow(m.dist[:0], n)[:n]
+	for i := range m.dist {
+		m.dist[i] = far
+	}
+	for _, s := range seeds {
+		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
+			m.reach(s)
+			m.path = append(m.path[:0], s)
+			m.dfs(s, 0)
+			for _, v := range m.reached[1:] { // s leads it, and stays blocked
+				m.dist[v] = far
+			}
+		}
+	}
+	return m.err
+}
+
+// reach sets dist for the nodes within maxLen/2 steps of s, the seeds
+// already removed neither counted nor crossed, and blocks s. No other node
+// is on a cycle of maxLen nodes through s: it would be as many steps from
+// s both ways round.
+func (m *Miner) reach(s graph.NodeID) {
+	m.dist[s] = 0
+	m.reached = append(m.reached[:0], s)
+	for head := 0; head < len(m.reached); head++ {
+		v := m.reached[head]
+		d := m.dist[v] + 1
+		if int(d) > m.maxLen/2 {
+			break // reached is in order of distance
+		}
+		for _, w := range m.nbr[m.off[v]:m.off[v+1]] {
+			if m.dist[w] == far {
+				m.dist[w] = d
+				m.reached = append(m.reached, w)
+			}
+		}
+	}
+	m.dist[s] = blocked
+}
+
+// dfs records the path, which starts at a seed and ends at cur, d steps
+// from it, if it closes a cycle — cur is next to the seed — and extends it
+// through every neighbour of cur that is not blocked and can still get back
+// to the seed with the nodes maxLen leaves. Two nodes close a cycle when
+// they share two edges (Figure 4a); of the two directions a longer cycle
+// can be walked in, the one with path[1] < path[last] is kept.
+func (m *Miner) dfs(cur graph.NodeID, d uint8) {
+	k := len(m.path)
+	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.edgesBetween(m.path[0], cur) >= 2) {
+		m.record()
+	}
+	if k >= m.maxLen {
+		return // nothing below could be entered: spare the widest level its scan
+	}
+	for _, next := range m.nbr[m.off[cur]:m.off[cur+1]] {
+		if d := m.dist[next]; int(d) <= m.maxLen-k {
+			m.dist[next] = blocked
 			m.path = append(m.path, next)
-			m.dfs(next)
+			m.dfs(next, d)
 			m.path = m.path[:k]
-			m.blocked[next] = false
+			m.dist[next] = d
 		}
 	}
 }
 
-// record appends the path's cycle in canonical form: rotated so that its
-// smallest node leads, and turned so that Nodes[1] < Nodes[last].
+// record hands visit the path's cycle in canonical form: rotated so that
+// its smallest node leads, and turned so that Nodes[1] < Nodes[last].
 func (m *Miner) record() {
 	lo := 0
 	for i, v := range m.path {
@@ -246,18 +296,18 @@ func (m *Miner) record() {
 			lo = i
 		}
 	}
-	start := len(m.nodes)
-	m.nodes = append(append(m.nodes, m.path[lo:]...), m.path[:lo]...)
-	if c := m.nodes[start:]; c[1] > c[len(c)-1] {
+	c := append(append(m.canon[:0], m.path[lo:]...), m.path[:lo]...) // within canon's capacity
+	if c[1] > c[len(c)-1] {
 		slices.Reverse(c[1:])
 	}
-	m.ends = append(m.ends, len(m.nodes))
-	if len(m.ends)%pollEvery == 0 && m.Poll != nil {
-		if m.err = m.Poll(); m.err != nil {
-			// No path may grow any more, so the walk unwinds by itself (a
-			// frame can still close one cycle) and dfs needs no stop test.
-			m.maxLen = 0
-		}
+	m.found++
+	if m.err = m.visit(Cycle{Nodes: c}); m.err == nil && m.found%pollEvery == 0 && m.Poll != nil {
+		m.err = m.Poll()
+	}
+	if m.err != nil {
+		// No path may grow any more, so the walk unwinds by itself and dfs
+		// needs no stop test.
+		m.maxLen = 0
 	}
 }
 

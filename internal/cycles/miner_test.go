@@ -181,51 +181,109 @@ func randomFilter(rng *rand.Rand) func(graph.EdgeKind) bool {
 	return graph.ExcludeRedirects
 }
 
-// TestEnumerateMatchesReference requires the identical list in the
-// identical order, and every cycle's table-read metrics equal to the
-// scanned ones, on random graphs on both sides of maxTableNodes.
+// checkMinerAgainstReference holds one Miner to the references on one
+// input: Enumerate gives the identical list in the identical order; Walk
+// hands over the same cycles, each once, in canonical form whatever the
+// order, and asks Poll once per pollEvery of them; every cycle's metrics
+// equal the scanned ones. It returns how many cycles that was.
+func checkMinerAgainstReference(t *testing.T, seed int64, g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(graph.EdgeKind) bool) int {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("the failure above: seed %d", seed)
+		}
+	}()
+	given := slices.Clone(seeds)
+	want, err := referenceEnumerate(g, seeds, maxLen, exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMiner(g, exclude)
+	if n := g.NumNodes(); (m.pairs == nil) != (n > maxTableNodes) {
+		t.Fatalf("%d nodes, pair table %v", n, m.pairs != nil)
+	}
+	got, err := m.Enumerate(seeds, maxLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("n=%d seeds=%v maxLen=%d: %d cycles %v, want %d %v", g.NumNodes(), seeds, maxLen, len(got), got, len(want), want)
+	}
+	if !slices.Equal(seeds, given) {
+		t.Fatalf("Enumerate reordered its caller's seeds: %v, were %v", seeds, given)
+	}
+
+	var visited []Cycle
+	asked := 0
+	m.Poll = func() error { asked++; return nil }
+	err = m.Walk(seeds, maxLen, func(c Cycle) error {
+		if lo := slices.Min(c.Nodes); c.Nodes[0] != lo || len(c.Nodes) > 2 && c.Nodes[1] > c.Nodes[len(c.Nodes)-1] {
+			t.Fatalf("Walk visited %v, which is not in canonical form", c.Nodes)
+		}
+		visited = append(visited, Cycle{Nodes: slices.Clone(c.Nodes)}) // the slice is the Miner's again after the call
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Poll = nil
+	slices.SortFunc(visited, func(a, b Cycle) int {
+		if len(a.Nodes) != len(b.Nodes) {
+			return len(a.Nodes) - len(b.Nodes)
+		}
+		return slices.Compare(a.Nodes, b.Nodes)
+	})
+	if !reflect.DeepEqual(visited, want) {
+		t.Fatalf("n=%d seeds=%v maxLen=%d: Walk visited %v, want %v", g.NumNodes(), seeds, maxLen, visited, want)
+	}
+	if asked != len(want)/pollEvery {
+		t.Fatalf("Walk over %d cycles asked Poll %d times, want %d", len(want), asked, len(want)/pollEvery)
+	}
+
+	for _, c := range got {
+		want := referenceMeasure(g, c, exclude)
+		if got, err := m.Measure(c); err != nil || got != want {
+			t.Fatalf("Miner.Measure(%v) = %+v, %v, want %+v", c.Nodes, got, err, want)
+		}
+		if got, err := Measure(g, c, exclude); err != nil || got != want {
+			t.Fatalf("Measure(%v) = %+v, %v, want %+v", c.Nodes, got, err, want)
+		}
+	}
+	m.Release()
+	if again, _ := Enumerate(g, seeds, maxLen, exclude); !reflect.DeepEqual(again, want) {
+		t.Fatalf("a pooled Miner found %v, want %v", again, want)
+	}
+	return len(want)
+}
+
+// TestEnumerateMatchesReference is the Miner's half of the proof chain
+// (core's TestExpandMatchesReference is the other): on random graphs,
+// seeds, lengths and filters, Enumerate, Walk and Measure agree with
+// referenceEnumerate and referenceMeasure, which share no code with them.
 func TestEnumerateMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n, density := 1+rng.Intn(24), 1+2*rng.Float64()
-		if seed%100 == 99 {
-			n, density = maxTableNodes+1+rng.Intn(50), 1.2 // no pair table: the scans serve
-		}
-		g := randomGraph(rng, n, density)
-		seeds, maxLen, exclude := randomSeeds(rng, n, 5), 2+rng.Intn(5), randomFilter(rng)
-		given := slices.Clone(seeds)
+		n := 1 + rng.Intn(24)
+		g := randomGraph(rng, n, 1+2*rng.Float64())
+		checkMinerAgainstReference(t, seed, g, randomSeeds(rng, n, 5), 2+rng.Intn(7), randomFilter(rng))
+	}
+}
 
-		want, err := referenceEnumerate(g, seeds, maxLen, exclude)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewMiner(g, exclude)
-		if (m.pairs == nil) != (n > maxTableNodes) {
-			t.Fatalf("seed %d: %d nodes, pair table %v", seed, n, m.pairs != nil)
-		}
-		got, err := m.Enumerate(seeds, maxLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d (n=%d seeds=%v maxLen=%d): %d cycles %v, want %d %v", seed, n, seeds, maxLen, len(got), got, len(want), want)
-		}
-		if !slices.Equal(seeds, given) {
-			t.Fatalf("seed %d: Enumerate reordered its caller's seeds: %v, were %v", seed, seeds, given)
-		}
-		for _, c := range got {
-			want := referenceMeasure(g, c, exclude)
-			if got, err := m.Measure(c); err != nil || got != want {
-				t.Fatalf("seed %d: Miner.Measure(%v) = %+v, %v, want %+v", seed, c.Nodes, got, err, want)
-			}
-			if got, err := Measure(g, c, exclude); err != nil || got != want {
-				t.Fatalf("seed %d: Measure(%v) = %+v, %v, want %+v", seed, c.Nodes, got, err, want)
-			}
-		}
-		m.Release()
-		if again, _ := Enumerate(g, seeds, maxLen, exclude); !reflect.DeepEqual(again, want) {
-			t.Fatalf("seed %d: a pooled Miner found %v, want %v", seed, again, want)
-		}
+// TestEnumerateBeyondThePairTable crosses the one threshold the Miner has:
+// a graph of more than maxTableNodes nodes has no pair table, so the walk's
+// two-edge test and Measure fall back to adjacency scans. Sparse graphs, so
+// that the reference's search from every node stays short; they must still
+// hold cycles worth comparing.
+func TestEnumerateBeyondThePairTable(t *testing.T) {
+	cycles := 0
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := maxTableNodes + 1 + rng.Intn(50)
+		g := randomGraph(rng, n, 2)
+		cycles += checkMinerAgainstReference(t, seed, g, randomSeeds(rng, n, 40), 4+rng.Intn(3), randomFilter(rng))
+	}
+	if t.Logf("%d cycles compared", cycles); cycles < 100 {
+		t.Errorf("only %d cycles in all: the graphs are too sparse to test anything", cycles)
 	}
 }
 
@@ -277,9 +335,10 @@ func TestEnumerateEmptySeedSet(t *testing.T) {
 	}
 }
 
-// TestEnumeratePollStops: Poll is asked once per pollEvery recorded cycles,
-// the first error it returns ends the walk at once and is what Enumerate
-// returns, and the same Miner then enumerates as if nothing had happened.
+// TestEnumeratePollStops: Poll is asked once per pollEvery cycles found,
+// the first error it or the visitor returns ends the walk at once and is
+// what Enumerate or Walk returns, and the same Miner then enumerates as if
+// nothing had happened.
 func TestEnumeratePollStops(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 14, 4)
 	m := NewMiner(g, nil)
@@ -300,6 +359,18 @@ func TestEnumeratePollStops(t *testing.T) {
 		if cs, err := m.Enumerate(nil, 7); cs != nil || err != stop || asked != n {
 			t.Fatalf("stopped at poll %d: %d cycles, err %v, %d polls", n, len(cs), err, asked)
 		}
+	}
+	// The visitor's error ends a Walk the same way: it is the last call.
+	visits := 0
+	m.Poll = nil
+	err = m.Walk(nil, 7, func(Cycle) error {
+		if visits++; visits == pollEvery+3 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || visits != pollEvery+3 {
+		t.Fatalf("visitor stopped at cycle %d: err %v after %d visits", pollEvery+3, err, visits)
 	}
 	asked = 0
 	m.Poll = func() error { asked++; return nil }
