@@ -86,3 +86,24 @@ func TestColdExpandAllocBudget(t *testing.T) {
 		t.Logf("cold Expand: %.0f allocations on average (budget %d)", got, ceiling)
 	}
 }
+
+// TestPoolSummaryAllocatesNoShardRows pins what a health probe costs a
+// pool: Summary — all /v1/healthz reads — allocates what Stats allocates,
+// building no per-shard row it would not return, while PoolStats pays for
+// the rows it does return.
+func TestPoolSummaryAllocatesNoShardRows(t *testing.T) {
+	client := poolTestWorld(t, 0)
+	defer client.Close()
+	pool, _ := shardedPool(t, client, 4)
+	defer pool.Close()
+	stats := testing.AllocsPerRun(100, func() { pool.Stats() })
+	summary := testing.AllocsPerRun(100, func() {
+		if st, shards := pool.Summary(); shards != 4 || st.Documents == 0 || st.Delta.Generation != pool.Generation() {
+			t.Fatalf("Summary() = %+v, %d shards", st, shards)
+		}
+	})
+	rows := testing.AllocsPerRun(100, func() { pool.PoolStats() })
+	if summary != stats || rows <= summary {
+		t.Fatalf("allocations per call: Summary %v, Stats %v, PoolStats %v; want Summary == Stats < PoolStats", summary, stats, rows)
+	}
+}

@@ -14,6 +14,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -24,8 +26,10 @@ import (
 	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/groundtruth"
+	"github.com/querygraph/querygraph/internal/index"
 	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/shard"
+	"github.com/querygraph/querygraph/internal/store"
 	"github.com/querygraph/querygraph/internal/synth"
 	"github.com/querygraph/querygraph/internal/text"
 )
@@ -394,6 +398,126 @@ func BenchmarkPoolSearch(b *testing.B) {
 		if _, err := set.Search(ctx, nodes[i%len(nodes)], core.MaxRank); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSearchCommon measures the query class whose cost is the postings
+// walk itself: an entity title plus the collection's highest-df term (one
+// that occurs in every document, so every document is a candidate), through
+// SearchInto on a Client and on a 2-shard Pool. postings/op is the rows a
+// query walks — what a later pruning change must bring down, and what a
+// layout or scoring change must leave alone.
+func BenchmarkSearchCommon(b *testing.B) {
+	e := benchSetup(b)
+	ix := e.system.Engine.Index()
+	common := ""
+	for _, term := range ix.Terms() {
+		if ix.DocFreq(term) > ix.DocFreq(common) {
+			common = term
+		}
+	}
+	if ix.DocFreq(common) != ix.NumDocs() {
+		b.Fatalf("highest-df term %q is in %d of %d documents", common, ix.DocFreq(common), ix.NumDocs())
+	}
+	var queries []string
+	postings := 0
+	for _, gt := range e.gts {
+		for _, a := range gt.QueryArticles {
+			q := e.world.Snapshot.Name(a) + " " + common
+			leaves, err := e.system.Engine.LeavesForQuery(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, lf := range leaves {
+				if len(lf.Terms) == 1 {
+					postings += ix.DocFreq(lf.Terms[0])
+				}
+			}
+			queries = append(queries, q)
+		}
+	}
+	client, err := querygraph.Build(e.world)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	dir := b.TempDir()
+	if err := client.SaveShards(dir, 2); err != nil {
+		b.Fatal(err)
+	}
+	pool, err := querygraph.OpenPool(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	for _, tc := range []struct {
+		name string
+		be   querygraph.Backend
+	}{{"client", client}, {"pool-2", pool}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx, dst := context.Background(), make([]querygraph.Result, 0, core.MaxRank)
+			for i := 0; b.Loop(); i++ {
+				rs, err := tc.be.SearchInto(ctx, queries[i%len(queries)], core.MaxRank, dst)
+				if err != nil || len(rs) != core.MaxRank {
+					b.Fatalf("%d results, err %v", len(rs), err)
+				}
+			}
+			b.ReportMetric(float64(postings)/float64(len(queries)), "postings/op")
+		})
+	}
+}
+
+// TestIndexHeapPerPosting pins what a posting costs a loaded index on the
+// default world: the heap only the decoded index keeps alive, less the heap
+// of an index with the same vocabulary and documents but no postings (the
+// dictionary and per-term headers, which this small world spreads over only
+// 17 postings a term), divided by its postings. Flat 8-byte postings and
+// one positions slab per term measure 14.6 bytes — 12.5 of records and
+// offsets, the rest the tail of the last arena chunk on so small a world;
+// 32-byte postings each holding its own positions slice measured 39.6.
+func TestIndexHeapPerPosting(t *testing.T) {
+	w, err := synth.Generate(synth.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.FromWorld(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	w, sys = nil, nil
+	arch, err := store.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	ix := arch.Index
+	postings, terms := ix.NumPostings(), ix.Terms()
+	before := heap()
+	bare, err := index.Load(slices.Clone(ix.DocLens()), terms, make([][]index.Posting, len(terms)), make([][]uint32, len(terms)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms = nil
+	vocabulary := heap() - before
+	ix, arch.Index = nil, nil
+	loaded := before + vocabulary - heap()
+	runtime.KeepAlive(arch)
+	runtime.KeepAlive(bare)
+	perPosting := float64(loaded-vocabulary) / float64(postings)
+	t.Logf("%d postings: the index holds %d heap bytes (%.1f per posting), %d of them vocabulary: %.1f per posting for the postings themselves",
+		postings, loaded, float64(loaded)/float64(postings), vocabulary, perPosting)
+	if perPosting > 16 || perPosting < 8 {
+		t.Errorf("a posting of the loaded index costs %.1f heap bytes, want within (8, 16]", perPosting)
 	}
 }
 

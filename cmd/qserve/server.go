@@ -485,8 +485,8 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, "invalid_manifest", err.Error())
 		return
 	}
-	st := s.pool.PoolStats()
-	resp := reloadResponse{Status: "ok", Generation: st.Generation, Shards: len(st.Shards), Documents: st.Documents}
+	st, shards := s.pool.Summary()
+	resp := reloadResponse{Status: "ok", Generation: st.Delta.Generation, Shards: shards, Documents: st.Documents}
 	resp.done(time.Since(start), false)
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -557,30 +557,22 @@ type healthzResponse struct {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := healthzResponse{
-		Status:        "ok",
-		UptimeSeconds: time.Since(s.started).Seconds(),
-	}
 	// One stats snapshot per response: a reload landing mid-handler must
-	// not mix two generations' numbers.
+	// not mix two generations' numbers. A pool's comes without the
+	// per-shard rows /v1/stats serves, so the probe is O(1) in the index.
+	var st querygraph.Stats
+	resp := healthzResponse{Status: "ok", UptimeSeconds: time.Since(s.started).Seconds()}
 	if s.pool != nil {
-		ps := s.pool.PoolStats()
-		resp.Articles = ps.Articles
-		resp.Documents = ps.Documents
-		resp.Shards = len(ps.Shards)
-		resp.Generation = ps.Generation
-		resp.DeltaDocuments = ps.Delta.Documents
-		resp.PendingBytes = ps.Delta.PendingBytes
+		st, resp.Shards = s.pool.Summary()
+		resp.Generation = st.Delta.Generation
 	} else {
-		st := s.backend.Stats()
-		resp.Articles = st.Articles
-		resp.Documents = st.Documents
-		resp.DeltaDocuments = st.Delta.Documents
-		resp.PendingBytes = st.Delta.PendingBytes
+		st = s.backend.Stats()
 		if s.remote != nil {
 			resp.Shards = s.remote.NumShards()
 		}
 	}
+	resp.Articles, resp.Documents = st.Articles, st.Documents
+	resp.DeltaDocuments, resp.PendingBytes = st.Delta.Documents, st.Delta.PendingBytes
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

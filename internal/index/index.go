@@ -12,10 +12,13 @@ import (
 	"sort"
 )
 
-// Posting is the occurrences of one term in one document.
+// Posting is one term's occurrence count in one document: a flat,
+// pointer-free 8-byte record. The occurrences themselves live in the
+// term's positions slab (Index.Positions), which the term's postings
+// consume TF entries at a time, in order.
 type Posting struct {
-	Doc       int32
-	Positions []uint32 // ascending token offsets within the document
+	Doc int32
+	TF  uint32
 }
 
 // Index is a positional inverted index over dense document IDs. Documents
@@ -25,9 +28,13 @@ type Index struct {
 	dict     map[string]int32
 	terms    []string    // termID -> term
 	postings [][]Posting // termID -> postings sorted by doc
-	colFreq  []int64     // termID -> total occurrences
-	docLens  []int64
-	total    int64 // total token count across the collection
+	// positions[termID] is the term's slab: the ascending in-document token
+	// offsets of posting 0, then posting 1's, and so on. Its length is the
+	// term's collection frequency.
+	positions   [][]uint32
+	docLens     []int64
+	total       int64 // total token count across the collection
+	numPostings int64
 }
 
 // New returns an empty index.
@@ -49,39 +56,41 @@ func (ix *Index) AddDocument(tokens []string) int32 {
 			ix.dict[tok] = tid
 			ix.terms = append(ix.terms, tok)
 			ix.postings = append(ix.postings, nil)
-			ix.colFreq = append(ix.colFreq, 0)
+			ix.positions = append(ix.positions, nil)
 		}
 		plist := ix.postings[tid]
 		if n := len(plist); n > 0 && plist[n-1].Doc == doc {
-			plist[n-1].Positions = append(plist[n-1].Positions, uint32(pos))
+			plist[n-1].TF++
 		} else {
-			plist = append(plist, Posting{Doc: doc, Positions: []uint32{uint32(pos)}})
+			ix.postings[tid] = append(plist, Posting{Doc: doc, TF: 1})
+			ix.numPostings++
 		}
-		ix.postings[tid] = plist
-		ix.colFreq[tid]++
+		ix.positions[tid] = append(ix.positions[tid], uint32(pos))
 	}
 	return doc
 }
 
 // Load reconstructs an index directly from its decoded state — document
-// lengths, vocabulary and per-term postings — bypassing AddDocument: no
-// tokens are replayed and no postings are re-merged. This is the decode
-// path of the binary snapshot subsystem (internal/store). Collection
-// frequencies and the collection length are derived in one pass over the
-// input, which is validated for shape (doc bounds, ascending postings,
-// non-empty position lists) so a corrupted snapshot fails loudly instead
-// of silently corrupting scoring. The slices are owned by the index
-// afterwards.
-func Load(docLens []int64, terms []string, postings [][]Posting) (*Index, error) {
-	if len(terms) != len(postings) {
-		return nil, fmt.Errorf("index: load: %d terms but %d postings lists", len(terms), len(postings))
+// lengths, vocabulary, per-term postings and per-term positions slabs —
+// bypassing AddDocument: no tokens are replayed and no postings are
+// re-merged. This is the decode path of the binary snapshot subsystem
+// (internal/store). The collection length and the postings count are
+// derived in one pass over the input, which is validated for shape (doc
+// bounds, ascending postings, no empty posting, every slab exactly as long
+// as its postings' frequencies add up to) so a corrupted snapshot fails
+// loudly instead of silently corrupting scoring. The slices are owned by
+// the index afterwards.
+func Load(docLens []int64, terms []string, postings [][]Posting, positions [][]uint32) (*Index, error) {
+	if len(terms) != len(postings) || len(terms) != len(positions) {
+		return nil, fmt.Errorf("index: load: %d terms but %d postings lists and %d positions slabs",
+			len(terms), len(postings), len(positions))
 	}
 	ix := &Index{
-		dict:     make(map[string]int32, len(terms)),
-		terms:    terms,
-		postings: postings,
-		colFreq:  make([]int64, len(terms)),
-		docLens:  docLens,
+		dict:      make(map[string]int32, len(terms)),
+		terms:     terms,
+		postings:  postings,
+		positions: positions,
+		docLens:   docLens,
 	}
 	for doc, dl := range docLens {
 		if dl < 0 {
@@ -95,16 +104,21 @@ func Load(docLens []int64, terms []string, postings [][]Posting) (*Index, error)
 		}
 		ix.dict[term] = int32(tid)
 		prev := int32(-1)
+		var cf int64
 		for _, p := range postings[tid] {
 			if p.Doc <= prev || int(p.Doc) >= len(docLens) {
 				return nil, fmt.Errorf("index: load: term %q: doc %d out of order or out of range", term, p.Doc)
 			}
-			if len(p.Positions) == 0 {
+			if p.TF == 0 {
 				return nil, fmt.Errorf("index: load: term %q: empty posting for doc %d", term, p.Doc)
 			}
 			prev = p.Doc
-			ix.colFreq[tid] += int64(len(p.Positions))
+			cf += int64(p.TF)
 		}
+		if cf != int64(len(positions[tid])) {
+			return nil, fmt.Errorf("index: load: term %q: postings count %d occurrences, slab holds %d", term, cf, len(positions[tid]))
+		}
+		ix.numPostings += int64(len(postings[tid]))
 	}
 	return ix, nil
 }
@@ -120,6 +134,10 @@ func (ix *Index) DocLen(doc int32) (int64, error) {
 	return ix.docLens[doc], nil
 }
 
+// DocLens returns every document's token count, indexed by doc id. The
+// slice is owned by the index and must not be modified.
+func (ix *Index) DocLens() []int64 { return ix.docLens }
+
 // TotalTokens returns the collection length (sum of document lengths).
 func (ix *Index) TotalTokens() int64 { return ix.total }
 
@@ -127,15 +145,10 @@ func (ix *Index) TotalTokens() int64 { return ix.total }
 func (ix *Index) NumTerms() int { return len(ix.terms) }
 
 // NumPostings returns the total number of (term, document) pairs — the sum
-// of document frequencies over the vocabulary. Serving stats report it per
-// shard as a size measure of the partitioned index.
-func (ix *Index) NumPostings() int64 {
-	var n int64
-	for _, plist := range ix.postings {
-		n += int64(len(plist))
-	}
-	return n
-}
+// of document frequencies over the vocabulary, counted as the index is
+// built. Serving stats report it per shard as a size measure of the
+// partitioned index.
+func (ix *Index) NumPostings() int64 { return ix.numPostings }
 
 // Postings returns the postings list for term, or nil when absent. The
 // returned slice is owned by the index and must not be modified.
@@ -147,6 +160,18 @@ func (ix *Index) Postings(term string) []Posting {
 	return ix.postings[tid]
 }
 
+// Positions returns term's positions slab (nil when absent): for each of
+// Postings(term) in order, that posting's TF ascending token offsets. A
+// reader walks the two together, advancing an offset by TF per posting.
+// The returned slice is owned by the index and must not be modified.
+func (ix *Index) Positions(term string) []uint32 {
+	tid, ok := ix.dict[term]
+	if !ok {
+		return nil
+	}
+	return ix.positions[tid]
+}
+
 // Lookup returns the postings list and collection frequency of term in
 // one dictionary probe ((nil, 0) when absent) — the planner's fast path,
 // which otherwise pays two probes per term per partition.
@@ -155,16 +180,12 @@ func (ix *Index) Lookup(term string) ([]Posting, int64) {
 	if !ok {
 		return nil, 0
 	}
-	return ix.postings[tid], ix.colFreq[tid]
+	return ix.postings[tid], int64(len(ix.positions[tid]))
 }
 
 // CollectionFreq returns the total number of occurrences of term.
 func (ix *Index) CollectionFreq(term string) int64 {
-	tid, ok := ix.dict[term]
-	if !ok {
-		return 0
-	}
-	return ix.colFreq[tid]
+	return int64(len(ix.Positions(term)))
 }
 
 // DocFreq returns the number of documents containing term.
@@ -172,27 +193,37 @@ func (ix *Index) DocFreq(term string) int {
 	return len(ix.Postings(term))
 }
 
+// phraseCursor walks one phrase term's postings and slab together.
+type phraseCursor struct {
+	list []Posting
+	slab []uint32
+	i    int // next posting
+	off  int // slab offset of posting i's positions
+}
+
 // PhraseScratch holds the reusable per-caller working state of
-// PhrasePostingsScratch (the per-term list and cursor tables), so hot
-// planners do not reallocate it for every phrase.
+// PhrasePostingsScratch — the per-term cursors and the surviving start
+// positions of the document being intersected — so hot planners allocate
+// nothing per phrase but its result. The zero value is ready to use.
 type PhraseScratch struct {
-	lists   [][]Posting
-	cursors []int
+	cursors []phraseCursor
+	starts  []uint32
 }
 
 // PhrasePostings computes the postings of the exact phrase (terms adjacent
 // and in order), i.e. INDRI's #1 operator, by positional intersection. The
-// result lists each document containing the phrase with the start positions
-// of every occurrence. A single-term phrase returns that term's postings;
-// an empty phrase returns nil.
+// result lists each document containing the phrase with its number of
+// occurrences. A single-term phrase returns that term's postings; an empty
+// phrase returns nil.
 func (ix *Index) PhrasePostings(terms []string) []Posting {
 	var sc PhraseScratch
 	return ix.PhrasePostingsScratch(terms, &sc)
 }
 
 // PhrasePostingsScratch is PhrasePostings with caller-owned scratch: same
-// results, no per-call table allocations. The returned postings are fresh
-// (not part of the scratch) and stay valid across further calls.
+// results, and the result list is the only allocation. The returned
+// postings are fresh (not part of the scratch) and stay valid across
+// further calls.
 func (ix *Index) PhrasePostingsScratch(terms []string, sc *PhraseScratch) []Posting {
 	switch len(terms) {
 	case 0:
@@ -200,40 +231,20 @@ func (ix *Index) PhrasePostingsScratch(terms []string, sc *PhraseScratch) []Post
 	case 1:
 		return ix.Postings(terms[0])
 	}
-	if cap(sc.lists) < len(terms) {
-		sc.lists = make([][]Posting, len(terms))
+	if cap(sc.cursors) < len(terms) {
+		sc.cursors = make([]phraseCursor, len(terms))
 	}
-	lists := sc.lists[:len(terms)]
-	for i, term := range terms {
-		lists[i] = ix.Postings(term)
-		if lists[i] == nil {
-			return nil
-		}
-	}
-	return IntersectPhrase(lists, sc)
-}
-
-// IntersectPhrase computes exact-phrase postings from the constituent
-// postings lists (lists[i] holds the postings of the phrase's i-th term;
-// any empty list means no match). It backs PhrasePostingsScratch and the
-// cross-partition union scorer, which gathers the per-partition lists
-// itself. The returned postings are fresh and do not alias sc.
-func IntersectPhrase(lists [][]Posting, sc *PhraseScratch) []Posting {
-	if len(lists) == 0 {
-		return nil
-	}
-	if cap(sc.cursors) < len(lists) {
-		sc.cursors = make([]int, len(lists))
-	}
-	cursors := sc.cursors[:len(lists)]
+	cursors := sc.cursors[:len(terms)]
 	minDF := -1
-	for i, list := range lists {
-		if len(list) == 0 {
+	for i, term := range terms {
+		tid, ok := ix.dict[term]
+		if !ok {
+			clear(cursors[:i])
 			return nil
 		}
-		cursors[i] = 0
-		if minDF < 0 || len(list) < minDF {
-			minDF = len(list)
+		cursors[i] = phraseCursor{list: ix.postings[tid], slab: ix.positions[tid]}
+		if df := len(cursors[i].list); minDF < 0 || df < minDF {
+			minDF = df
 		}
 	}
 	// Galloping doc-level intersection seeded by the rarest list would be
@@ -241,42 +252,49 @@ func IntersectPhrase(lists [][]Posting, sc *PhraseScratch) []Posting {
 	// clearer and fast enough (see BenchmarkPhrasePostings). The output is
 	// sized by the tightest document frequency, the upper bound on matches.
 	out := make([]Posting, 0, minDF)
+	first, rest := &cursors[0], cursors[1:]
 docLoop:
-	for _, p0 := range lists[0] {
-		positions := p0.Positions
-		for i := 1; i < len(lists); i++ {
-			list := lists[i]
-			cur := cursors[i]
-			for cur < len(list) && list[cur].Doc < p0.Doc {
-				cur++
+	for _, p0 := range first.list {
+		starts := first.slab[first.off : first.off+int(p0.TF)]
+		first.off += int(p0.TF)
+		for i := range rest {
+			c := &rest[i]
+			for c.i < len(c.list) && c.list[c.i].Doc < p0.Doc {
+				c.off += int(c.list[c.i].TF)
+				c.i++
 			}
-			cursors[i] = cur
-			if cur >= len(list) || list[cur].Doc != p0.Doc {
+			if c.i >= len(c.list) {
+				break docLoop // no later document can hold the whole phrase
+			}
+			if c.list[c.i].Doc != p0.Doc {
 				continue docLoop
 			}
-			positions = shiftIntersect(positions, list[cur].Positions, uint32(i))
-			if len(positions) == 0 {
+			// Filtering in place is safe from the second term on: the
+			// output never runs ahead of the input it reads.
+			sc.starts = shiftIntersect(sc.starts[:0], starts, c.slab[c.off:c.off+int(c.list[c.i].TF)], uint32(i+1))
+			if starts = sc.starts; len(starts) == 0 {
 				continue docLoop
 			}
 		}
-		out = append(out, Posting{Doc: p0.Doc, Positions: positions})
+		out = append(out, Posting{Doc: p0.Doc, TF: uint32(len(starts))})
 	}
+	clear(cursors) // do not pin the index behind a pooled scratch
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
-// shiftIntersect keeps the start positions p such that p+offset occurs in
-// next. Both inputs are ascending; the output is ascending.
-func shiftIntersect(starts, next []uint32, offset uint32) []uint32 {
-	var out []uint32
+// shiftIntersect appends to dst the start positions p such that p+offset
+// occurs in next. Both inputs are ascending; the output is ascending. dst
+// may be starts[:0].
+func shiftIntersect(dst, starts, next []uint32, offset uint32) []uint32 {
 	i, j := 0, 0
 	for i < len(starts) && j < len(next) {
 		want := starts[i] + offset
 		switch {
 		case next[j] == want:
-			out = append(out, starts[i])
+			dst = append(dst, starts[i])
 			i++
 			j++
 		case next[j] < want:
@@ -285,7 +303,7 @@ func shiftIntersect(starts, next []uint32, offset uint32) []uint32 {
 			i++
 		}
 	}
-	return out
+	return dst
 }
 
 // PhraseCollectionFreq returns the total occurrences of the exact phrase in
@@ -301,7 +319,7 @@ func (ix *Index) PhraseCollectionFreq(terms []string) int64 {
 func PostingsCollectionFreq(postings []Posting) int64 {
 	var n int64
 	for _, p := range postings {
-		n += int64(len(p.Positions))
+		n += int64(p.TF)
 	}
 	return n
 }

@@ -55,11 +55,15 @@ func TestPostingsAndFreqs(t *testing.T) {
 	if len(p) != 3 {
 		t.Fatalf("venice postings = %+v", p)
 	}
-	if p[0].Doc != 0 || !reflect.DeepEqual(p[0].Positions, []uint32{2}) {
-		t.Errorf("doc0 venice = %+v", p[0])
+	if p[0] != (Posting{Doc: 0, TF: 1}) || p[2] != (Posting{Doc: 2, TF: 3}) {
+		t.Errorf("venice postings = %+v", p)
 	}
-	if p[2].Doc != 2 || len(p[2].Positions) != 3 {
-		t.Errorf("doc2 venice = %+v", p[2])
+	// One slab, consumed TF at a time: doc 0's offset, doc 1's, doc 2's three.
+	if slab := ix.Positions("venice"); !reflect.DeepEqual(slab, []uint32{2, 4, 0, 1, 2}) {
+		t.Errorf("venice positions slab = %v", slab)
+	}
+	if ix.NumPostings() != 15 {
+		t.Errorf("NumPostings = %d, want 15", ix.NumPostings())
 	}
 	if ix.CollectionFreq("venice") != 5 {
 		t.Errorf("cf(venice) = %d", ix.CollectionFreq("venice"))
@@ -67,7 +71,7 @@ func TestPostingsAndFreqs(t *testing.T) {
 	if ix.DocFreq("venice") != 3 {
 		t.Errorf("df(venice) = %d", ix.DocFreq("venice"))
 	}
-	if ix.Postings("missing") != nil || ix.CollectionFreq("missing") != 0 || ix.DocFreq("missing") != 0 {
+	if ix.Postings("missing") != nil || ix.Positions("missing") != nil || ix.CollectionFreq("missing") != 0 || ix.DocFreq("missing") != 0 {
 		t.Error("missing term should have empty stats")
 	}
 	// gondola in venice near the grand canal of = 8 distinct terms.
@@ -82,14 +86,8 @@ func TestPhrasePostings(t *testing.T) {
 	if len(p) != 3 {
 		t.Fatalf("phrase postings = %+v", p)
 	}
-	if p[0].Doc != 0 || !reflect.DeepEqual(p[0].Positions, []uint32{5}) {
-		t.Errorf("doc0 phrase = %+v", p[0])
-	}
-	if p[1].Doc != 1 || !reflect.DeepEqual(p[1].Positions, []uint32{1}) {
-		t.Errorf("doc1 phrase = %+v", p[1])
-	}
-	if p[2].Doc != 3 || !reflect.DeepEqual(p[2].Positions, []uint32{0, 2, 4}) {
-		t.Errorf("doc3 phrase = %+v", p[2])
+	if want := []Posting{{Doc: 0, TF: 1}, {Doc: 1, TF: 1}, {Doc: 3, TF: 3}}; !reflect.DeepEqual(p, want) {
+		t.Errorf("phrase postings = %+v, want %+v", p, want)
 	}
 	if ix.PhraseCollectionFreq(toks("grand canal")) != 5 {
 		t.Errorf("phrase cf = %d", ix.PhraseCollectionFreq(toks("grand canal")))
@@ -98,7 +96,7 @@ func TestPhrasePostings(t *testing.T) {
 
 func TestPhraseOrderMatters(t *testing.T) {
 	ix := buildSmall(t)
-	if p := ix.PhrasePostings(toks("canal grand")); len(p) != 1 || p[0].Doc != 3 {
+	if p := ix.PhrasePostings(toks("canal grand")); len(p) != 1 || p[0] != (Posting{Doc: 3, TF: 2}) {
 		// "grand canal grand canal grand canal": "canal grand" occurs at 1 and 3.
 		t.Errorf("reversed phrase = %+v", p)
 	}
@@ -123,14 +121,14 @@ func TestPhraseEdgeCases(t *testing.T) {
 	ix2 := New()
 	ix2.AddDocument(toks("a b c a b c"))
 	p := ix2.PhrasePostings(toks("a b c"))
-	if len(p) != 1 || !reflect.DeepEqual(p[0].Positions, []uint32{0, 3}) {
+	if len(p) != 1 || p[0].TF != 2 { // at 0 and 3
 		t.Errorf("triple phrase = %+v", p)
 	}
 	// Overlapping repeats: "a a a" contains "a a" at 0 and 1.
 	ix3 := New()
 	ix3.AddDocument(toks("a a a"))
 	p = ix3.PhrasePostings(toks("a a"))
-	if len(p) != 1 || !reflect.DeepEqual(p[0].Positions, []uint32{0, 1}) {
+	if len(p) != 1 || p[0].TF != 2 {
 		t.Errorf("overlapping phrase = %+v", p)
 	}
 }
@@ -168,9 +166,13 @@ func TestPhraseAgainstNaiveProperty(t *testing.T) {
 		for i := range phrase {
 			phrase[i] = vocab[rng.Intn(len(vocab))]
 		}
-		got := ix.PhrasePostings(phrase)
+		// One scratch across both calls: the second must not see the first's
+		// leftovers.
+		var sc PhraseScratch
+		ix.PhrasePostingsScratch(phrase, &sc)
+		got := ix.PhrasePostingsScratch(phrase, &sc)
 		// Naive scan.
-		want := map[int32][]uint32{}
+		want := map[int32]uint32{}
 		for d, tokens := range docs {
 			for i := 0; i+plen <= len(tokens); i++ {
 				match := true
@@ -181,17 +183,19 @@ func TestPhraseAgainstNaiveProperty(t *testing.T) {
 					}
 				}
 				if match {
-					want[int32(d)] = append(want[int32(d)], uint32(i))
+					want[int32(d)]++
 				}
 			}
 		}
 		if len(got) != len(want) {
 			return false
 		}
+		prev := int32(-1)
 		for _, p := range got {
-			if !reflect.DeepEqual(want[p.Doc], p.Positions) {
+			if p.Doc <= prev || p.TF == 0 || want[p.Doc] != p.TF {
 				return false
 			}
+			prev = p.Doc
 		}
 		return true
 	}
@@ -200,14 +204,17 @@ func TestPhraseAgainstNaiveProperty(t *testing.T) {
 	}
 }
 
-// Property: collection frequency equals the sum of posting positions, and
-// total tokens equal the sum of document lengths.
+// Property: collection frequency equals the sum of posting frequencies and
+// the length of the positions slab, each posting's share of the slab is the
+// ascending offsets of its term in its document, and total tokens equal the
+// sum of document lengths.
 func TestIndexAccountingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vocab := []string{"x", "y", "z", "w", "v"}
 		ix := New()
 		var total int64
+		var docs [][]string
 		for d := 0; d < 1+rng.Intn(10); d++ {
 			n := rng.Intn(40)
 			tokens := make([]string, n)
@@ -215,6 +222,7 @@ func TestIndexAccountingProperty(t *testing.T) {
 				tokens[i] = vocab[rng.Intn(len(vocab))]
 			}
 			ix.AddDocument(tokens)
+			docs = append(docs, tokens)
 			total += int64(n)
 		}
 		if ix.TotalTokens() != total {
@@ -223,11 +231,19 @@ func TestIndexAccountingProperty(t *testing.T) {
 		var sum int64
 		for _, term := range vocab {
 			cf := ix.CollectionFreq(term)
+			slab := ix.Positions(term)
 			var fromPostings int64
 			for _, p := range ix.Postings(term) {
-				fromPostings += int64(len(p.Positions))
+				prev := -1
+				for _, pos := range slab[fromPostings : fromPostings+int64(p.TF)] {
+					if int(pos) <= prev || docs[p.Doc][pos] != term {
+						return false
+					}
+					prev = int(pos)
+				}
+				fromPostings += int64(p.TF)
 			}
-			if cf != fromPostings {
+			if cf != fromPostings || cf != int64(len(slab)) {
 				return false
 			}
 			sum += cf

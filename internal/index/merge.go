@@ -4,29 +4,31 @@ package index
 // delta's documents keep their relative order but are renumbered above
 // base's doc-id space (delta doc j becomes base.NumDocs()+j). The result
 // is exactly the index AddDocument would produce replaying base's token
-// streams followed by delta's — same postings, same collection
-// frequencies, same vocabulary discovery order — which is what lets a
-// compaction fold a delta segment into a snapshot without re-analyzing
-// the base corpus (see internal/live and shard.Fold).
+// streams followed by delta's — same postings, same positions, same
+// vocabulary discovery order — which is what lets a compaction fold a
+// delta segment into a snapshot without re-analyzing the base corpus (see
+// internal/live and shard.Fold).
 //
-// Sharing discipline: postings lists of terms that appear only in base
-// are aliased from base, and every Positions slice is shared with its
-// source — postings are immutable after build, so aliasing is safe and
-// keeps the fold allocation cost proportional to the delta, not the
-// base. Terms present in both get a fresh concatenated list (the shifted
-// delta postings sort strictly after every base posting, so the merged
-// list stays ascending by construction). Neither input is modified, and
-// the merged index must never see AddDocument (it would append through
-// shared postings); compaction only reads and re-encodes it.
+// Sharing discipline: the postings list and positions slab of a term that
+// appears only in base are aliased from base, and a delta-only term
+// aliases delta's slab — both are immutable after build, so aliasing is
+// safe and keeps the fold allocation cost proportional to the delta, not
+// the base. A term present in both gets a fresh list and a fresh slab,
+// each plain concatenation: the shifted delta postings sort strictly
+// after every base posting, and a slab is consumed in posting order.
+// Neither input is modified, and the merged index must never see
+// AddDocument (it would append through shared slabs); compaction only
+// reads and re-encodes it.
 func Merge(base, delta *Index) *Index {
 	terms := len(base.terms) + len(delta.terms)
 	out := &Index{
-		dict:     make(map[string]int32, terms),
-		terms:    append(make([]string, 0, terms), base.terms...),
-		postings: append(make([][]Posting, 0, terms), base.postings...),
-		colFreq:  append(make([]int64, 0, terms), base.colFreq...),
-		docLens:  make([]int64, 0, len(base.docLens)+len(delta.docLens)),
-		total:    base.total + delta.total,
+		dict:        make(map[string]int32, terms),
+		terms:       append(make([]string, 0, terms), base.terms...),
+		postings:    append(make([][]Posting, 0, terms), base.postings...),
+		positions:   append(make([][]uint32, 0, terms), base.positions...),
+		docLens:     make([]int64, 0, len(base.docLens)+len(delta.docLens)),
+		total:       base.total + delta.total,
+		numPostings: base.numPostings + delta.numPostings,
 	}
 	out.docLens = append(out.docLens, base.docLens...)
 	out.docLens = append(out.docLens, delta.docLens...)
@@ -35,33 +37,25 @@ func Merge(base, delta *Index) *Index {
 	}
 	off := int32(len(base.docLens))
 	for dtid, term := range delta.terms {
-		shifted := shiftPostings(delta.postings[dtid], off)
+		dpost, dpos := delta.postings[dtid], delta.positions[dtid]
 		if btid, ok := out.dict[term]; ok {
-			merged := make([]Posting, 0, len(out.postings[btid])+len(shifted))
-			merged = append(merged, out.postings[btid]...)
-			merged = append(merged, shifted...)
-			out.postings[btid] = merged
-			out.colFreq[btid] += delta.colFreq[dtid]
+			bpost, bpos := out.postings[btid], out.positions[btid]
+			out.postings[btid] = appendShifted(append(make([]Posting, 0, len(bpost)+len(dpost)), bpost...), dpost, off)
+			out.positions[btid] = append(append(make([]uint32, 0, len(bpos)+len(dpos)), bpos...), dpos...)
 			continue
 		}
-		tid := int32(len(out.terms))
-		out.dict[term] = tid
+		out.dict[term] = int32(len(out.terms))
 		out.terms = append(out.terms, term)
-		out.postings = append(out.postings, shifted)
-		out.colFreq = append(out.colFreq, delta.colFreq[dtid])
+		out.postings = append(out.postings, appendShifted(make([]Posting, 0, len(dpost)), dpost, off))
+		out.positions = append(out.positions, dpos)
 	}
 	return out
 }
 
-// shiftPostings renumbers a postings list by off, sharing the Positions
-// slices (immutable after build).
-func shiftPostings(src []Posting, off int32) []Posting {
-	if len(src) == 0 {
-		return nil
+// appendShifted appends src to dst with every doc id raised by off.
+func appendShifted(dst, src []Posting, off int32) []Posting {
+	for _, p := range src {
+		dst = append(dst, Posting{Doc: p.Doc + off, TF: p.TF})
 	}
-	out := make([]Posting, len(src))
-	for i, p := range src {
-		out[i] = Posting{Doc: p.Doc + off, Positions: p.Positions}
-	}
-	return out
+	return dst
 }

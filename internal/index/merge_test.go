@@ -92,6 +92,9 @@ func assertSameIndex(t *testing.T, want, got *Index) {
 		if !reflect.DeepEqual(wp, gp) {
 			t.Fatalf("Postings(%q): want %v, got %v", term, wp, gp)
 		}
+		if ws, gs := want.Positions(term), got.Positions(term); !reflect.DeepEqual(ws, gs) {
+			t.Fatalf("Positions(%q): want %v, got %v", term, ws, gs)
+		}
 	}
 	// Phrase evaluation exercises the positional structure end to end.
 	for _, phrase := range [][]string{{"motif", "graph"}, {"graph", "query"}, {"cycle", "hub", "wiki"}} {

@@ -56,3 +56,26 @@ func TestSearchSourcesSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SearchSourcesLeaves steady state allocates %v per op, want 0", allocs)
 	}
 }
+
+// TestPhrasePlanSteadyStateAllocs pins what planning a phrase leaf costs:
+// with a recycled Plan, the matching documents' result list and nothing
+// else — the surviving start positions of each document live in the plan's
+// phrase scratch, however many documents match and however often.
+func TestPhrasePlanSteadyStateAllocs(t *testing.T) {
+	docs := make([]string, 50)
+	for i := range docs {
+		docs[i] = "grand canal venice grand canal venice grand canal"
+	}
+	e := buildEngine(t, docs...)
+	leaves := []Leaf{{Terms: []string{"grand", "canal", "venice"}, Weight: 1}}
+	plan := e.PlanLeavesInto(nil, leaves) // warm
+	allocs := testing.AllocsPerRun(200, func() {
+		plan = e.PlanLeavesInto(plan, leaves)
+		if plan.LocalCF(0) != 100 {
+			t.Fatal("unexpected phrase frequency", plan.LocalCF(0))
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("planning a phrase leaf allocates %v per op, want 1 (its result list)", allocs)
+	}
+}

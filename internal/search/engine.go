@@ -170,7 +170,19 @@ type scorerScratch struct {
 	cur   uint32
 	docs  []int32  // candidate docs in first-touch order
 	heap  []Result // top-k heap storage, reused across searches
+	// norm[dl] memoizes log(dl + µ), which depends on nothing but the
+	// engine, so it survives from search to search; 0 means not computed
+	// yet (and is recomputed every time where it is the true value).
+	norm [normTableSize]float64
 }
+
+// Sizes of the scorer's two logarithm tables. Term frequencies are almost
+// always 1–3 and a collection's documents take a few hundred distinct
+// lengths; whatever falls outside is computed directly.
+const (
+	tfTableSize   = 32 // one bit each in a uint32 of filled entries
+	normTableSize = 1024
+)
 
 func (e *Engine) getScratch() *scorerScratch {
 	sc, _ := e.scratch.Get().(*scorerScratch)
@@ -329,8 +341,10 @@ func (e *Engine) SearchLeaves(leaves []Leaf, k int, dst []Result) ([]Result, err
 //
 // so the merge accumulates the tf-dependent part only where tf > 0 (zeroSum
 // carries the tf = 0 baseline) and applies the length normalization once
-// per candidate. Ranking uses a bounded top-k heap instead of sorting every
-// candidate.
+// per candidate. Both logarithms range over a handful of inputs, so each
+// is computed once per distinct input and read from a table afterwards —
+// the same float64 a direct computation yields, hence the same scores.
+// Ranking uses a bounded top-k heap instead of sorting every candidate.
 func (e *Engine) SearchPlanInto(p *Plan, k int, stats *Stats, dst []Result) ([]Result, error) {
 	totalTokens := e.ix.TotalTokens()
 	leafCF := p.localCF
@@ -351,21 +365,41 @@ func (e *Engine) SearchPlanInto(p *Plan, k int, stats *Stats, dst []Result) ([]R
 
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
+	acc, epoch, cur := sc.acc, sc.epoch, sc.cur
 
-	var zeroSum, weightSum float64
+	var (
+		zeroSum, weightSum float64
+		// deltas[tf] is this leaf's w·(log(tf + µ·pc) − log µ·pc) once bit
+		// tf of filled is set.
+		deltas [tfTableSize]float64
+		filled uint32
+	)
 	for i, lf := range p.leaves {
 		muPc := e.mu * math.Max(float64(leafCF[i]), unseenFloor) / total
 		logMuPc := math.Log(muPc)
 		zeroSum += lf.Weight * logMuPc
 		weightSum += lf.Weight
+		filled = 0
 		for _, post := range p.postings[i] {
-			delta := lf.Weight * (math.Log(float64(len(post.Positions))+muPc) - logMuPc)
-			if sc.epoch[post.Doc] == sc.cur {
-				sc.acc[post.Doc] += delta
+			var delta float64
+			if tf := post.TF; tf < tfTableSize && filled&(1<<tf) != 0 {
+				delta = deltas[tf]
 			} else {
-				sc.epoch[post.Doc] = sc.cur
-				sc.acc[post.Doc] = delta
-				sc.docs = append(sc.docs, post.Doc)
+				// The conversion keeps a fusing compiler from folding the
+				// product into the accumulation below on the one path
+				// where it does not go through the table's memory.
+				delta = float64(lf.Weight * (math.Log(float64(tf)+muPc) - logMuPc))
+				if tf < tfTableSize {
+					filled |= 1 << tf
+					deltas[tf] = delta
+				}
+			}
+			if doc := post.Doc; epoch[doc] == cur {
+				acc[doc] += delta
+			} else {
+				epoch[doc] = cur
+				acc[doc] = delta
+				sc.docs = append(sc.docs, doc)
 			}
 		}
 	}
@@ -377,13 +411,22 @@ func (e *Engine) SearchPlanInto(p *Plan, k int, stats *Stats, dst []Result) ([]R
 		k = len(sc.docs)
 	}
 	top := topK{k: k, h: sc.heap[:0]}
+	docLens := e.ix.DocLens()
 	for _, doc := range sc.docs {
-		dl, err := e.ix.DocLen(doc)
-		if err != nil {
-			return nil, err
+		dl := docLens[doc]
+		var norm float64
+		if dl < normTableSize {
+			norm = sc.norm[dl]
 		}
-		score := zeroSum + sc.acc[doc] - weightSum*math.Log(float64(dl)+e.mu)
-		top.offer(Result{Doc: doc, Score: score})
+		if norm == 0 {
+			norm = math.Log(float64(dl) + e.mu)
+			if dl < normTableSize {
+				sc.norm[dl] = norm
+			}
+		}
+		if r := (Result{Doc: doc, Score: zeroSum + acc[doc] - weightSum*norm}); top.beats(r) {
+			top.keep(r)
+		}
 	}
 	out := top.ranked()
 	sc.heap = out[:0] // the drained heap's storage stays pooled

@@ -40,7 +40,7 @@ func referenceSearch(e *Engine, q Node, k int) ([]Result, error) {
 		} else {
 			postings = e.ix.PhrasePostings(lf.Terms)
 			for _, p := range postings {
-				cf += int64(len(p.Positions))
+				cf += int64(p.TF)
 			}
 		}
 		ls := leafStats{
@@ -49,7 +49,7 @@ func referenceSearch(e *Engine, q Node, k int) ([]Result, error) {
 			tf:     make(map[int32]float64, len(postings)),
 		}
 		for _, p := range postings {
-			ls.tf[p.Doc] = float64(len(p.Positions))
+			ls.tf[p.Doc] = float64(p.TF)
 			candidates[p.Doc] = struct{}{}
 		}
 		stats = append(stats, ls)
@@ -247,4 +247,109 @@ func TestSearchScratchReuse(t *testing.T) {
 			}
 		}
 	})
+}
+
+// straightLogSearch scores a plan the way SearchPlanInto does — the same
+// decomposition, each document's leaves folded in the same order — but
+// takes every logarithm straight from math.Log and every length through
+// DocLen, and sorts all candidates: what the table-driven scorer must equal
+// bit for bit.
+func straightLogSearch(t *testing.T, e *Engine, p *Plan, k int, stats *Stats) []Result {
+	t.Helper()
+	totalTokens, leafCF := e.ix.TotalTokens(), p.localCF
+	if stats != nil {
+		totalTokens, leafCF = stats.TotalTokens, stats.LeafCF
+	}
+	total := float64(totalTokens)
+	var zeroSum, weightSum float64
+	acc := make(map[int32]float64)
+	for i, lf := range p.leaves {
+		muPc := e.mu * math.Max(float64(leafCF[i]), unseenFloor) / total
+		logMuPc := math.Log(muPc)
+		zeroSum += lf.Weight * logMuPc
+		weightSum += lf.Weight
+		for _, post := range p.postings[i] {
+			acc[post.Doc] += float64(lf.Weight * (math.Log(float64(post.TF)+muPc) - logMuPc))
+		}
+	}
+	results := make([]Result, 0, len(acc))
+	for doc, a := range acc {
+		dl, err := e.ix.DocLen(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, Result{Doc: doc, Score: zeroSum + a - weightSum*math.Log(float64(dl)+e.mu)})
+	}
+	sort.Slice(results, func(i, j int) bool { return worse(results[j], results[i]) })
+	if k > 0 && len(results) > k {
+		results = results[:k]
+	}
+	return results
+}
+
+// TestScoreTablesMatchStraightLog reaches every branch of the scorer's two
+// logarithm tables and compares ids and scores with ==: term frequencies
+// and document lengths on both sides of the table sizes; a smoothing
+// parameter so small that |d| + µ rounds to 1, whose logarithm is the norm
+// table's "not computed" value; #weight and phrase leaves; the engine's own
+// statistics and statistics merged over three sources; and one pooled
+// scratch carried across queries of different leaf counts and across
+// sources (every engine here serves all its queries from one scratch).
+func TestScoreTablesMatchStraightLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const vocab = 6
+	docs := [][]string{{"t0"}, {"t1"}, {"t0"}} // |d| = 1
+	for _, n := range []int{normTableSize - 1, normTableSize, 1500, 40, 64} {
+		docs = append(docs, make([]string, n))
+	}
+	for len(docs) < 60 {
+		docs = append(docs, make([]string, rng.Intn(30)))
+	}
+	maxTF := 0
+	for _, tokens := range docs[3:] {
+		tfs := make(map[string]int)
+		for i := range tokens {
+			tokens[i] = fmt.Sprintf("t%d", rng.Intn(vocab))
+			tfs[tokens[i]]++
+			maxTF = max(maxTF, tfs[tokens[i]])
+		}
+	}
+	if maxTF < tfTableSize {
+		t.Fatalf("corpus tops out at tf %d, below the table's %d", maxTF, tfTableSize)
+	}
+	for _, mu := range []float64{1e-20, 0.5, 1, DefaultMu} {
+		if norm := math.Log(float64(len(docs[0])) + mu); (norm == 0) != (mu == 1e-20) {
+			t.Fatalf("mu %g: a one-token document normalizes by %g", mu, norm)
+		}
+		for _, n := range []int{1, 3} {
+			c := splitSources(t, docs, n, len(docs), false, mu)
+			for qi := 0; qi < 40; qi++ {
+				leaves, err := Flatten(randomQuery(rng, vocab))
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans := make([]*Plan, n)
+				stats := &Stats{TotalTokens: c.total, LeafCF: make([]int64, len(leaves))}
+				for i, src := range c.sources {
+					plans[i] = src.Engine.PlanLeavesInto(nil, leaves)
+					for j := range leaves {
+						stats.LeafCF[j] += plans[i].LocalCF(j)
+					}
+				}
+				if n == 1 {
+					stats = nil // the engine's own statistics
+				}
+				for i, src := range c.sources {
+					for _, k := range []int{0, 1, 7} {
+						got, err := src.Engine.SearchPlanInto(plans[i], k, stats, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("mu %g source %d/%d k=%d leaves %v", mu, i, n, k, leaves)
+						assertSameRanking(t, name, got, straightLogSearch(t, src.Engine, plans[i], k, stats))
+					}
+				}
+			}
+		}
+	}
 }

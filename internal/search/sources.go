@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Source is one index of a logically concatenated collection: its engine
@@ -33,6 +34,7 @@ type scatter struct {
 	locals  [][]Result
 	errs    []error
 	cursors []int
+	next    atomic.Int32 // the next source no worker has claimed
 	wg      sync.WaitGroup
 }
 
@@ -56,18 +58,20 @@ var scatterPool = sync.Pool{New: func() any { return new(scatter) }}
 // The sources are visited one after another on the calling goroutine —
 // the form for a batch worker, whose siblings already occupy the cores.
 func SearchSourcesLeaves(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result) ([]Result, error) {
-	return searchSources(sources, totalTokens, leaves, k, dst, false)
+	return searchSources(sources, totalTokens, leaves, k, dst, 0)
 }
 
 // SearchSourcesLeavesParallel is SearchSourcesLeaves with the plan and
-// score phases fanned out — the caller's goroutine takes source 0, one
-// more goroutine each of the others — the form for a single request over
-// several partitions. Same ranking, bit for bit.
-func SearchSourcesLeavesParallel(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result) ([]Result, error) {
-	return searchSources(sources, totalTokens, leaves, k, dst, true)
+// score phases shared between the caller's goroutine and helpers more —
+// the form for a single request over several partitions. helpers is the
+// caller's estimate of the cores it will find idle (0 = inline); whoever
+// is free takes the next source, so a helper that is late to a busy core
+// costs nothing but its own start. Same ranking, bit for bit.
+func SearchSourcesLeavesParallel(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result, helpers int) ([]Result, error) {
+	return searchSources(sources, totalTokens, leaves, k, dst, min(helpers, len(sources)-1))
 }
 
-func searchSources(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result, parallel bool) ([]Result, error) {
+func searchSources(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result, helpers int) ([]Result, error) {
 	n := len(sources)
 	if n == 0 {
 		return nil, fmt.Errorf("search: no sources")
@@ -85,7 +89,7 @@ func searchSources(sources []Source, totalTokens int64, leaves []Leaf, k int, ds
 		sc.cursors = append(sc.cursors, 0)
 	}
 
-	sc.each(parallel, (*scatter).plan)
+	sc.each(helpers, (*scatter).plan)
 	leafCF := append(sc.stats.LeafCF[:0], make([]int64, len(leaves))...)
 	for _, p := range sc.plans[:n] {
 		for j, cf := range p.localCF {
@@ -93,7 +97,7 @@ func searchSources(sources []Source, totalTokens int64, leaves []Leaf, k int, ds
 		}
 	}
 	sc.stats = Stats{TotalTokens: totalTokens, LeafCF: leafCF}
-	sc.each(parallel, (*scatter).score)
+	sc.each(helpers, (*scatter).score)
 	for _, err := range sc.errs[:n] {
 		if err != nil {
 			return nil, err
@@ -102,25 +106,33 @@ func searchSources(sources []Source, totalTokens int64, leaves []Leaf, k int, ds
 	return MergeRankedScratch(dst, sc.locals[:n], k, sc.cursors), nil
 }
 
-// each runs one phase over every source: inline, or with the calling
-// goroutine taking source 0 and one goroutine for each of the others.
-func (sc *scatter) each(parallel bool, phase func(*scatter, int)) {
-	n := len(sc.sources)
-	if !parallel {
-		for i := 0; i < n; i++ {
+// each runs one phase over every source: inline, or with helpers
+// goroutines beside the calling one, each taking the next unclaimed source
+// until none is left.
+func (sc *scatter) each(helpers int, phase func(*scatter, int)) {
+	if helpers <= 0 {
+		for i := range sc.sources {
 			phase(sc, i)
 		}
 		return
 	}
-	sc.wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		go func() { // captures i: this one closure is all a fan-out goroutine allocates
+	sc.next.Store(0)
+	sc.wg.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		go func() { // this one closure is all a helper allocates
 			defer sc.wg.Done()
-			phase(sc, i)
+			sc.drain(phase)
 		}()
 	}
-	phase(sc, 0)
+	sc.drain(phase)
 	sc.wg.Wait()
+}
+
+// drain runs phase on sources claimed one at a time until all are taken.
+func (sc *scatter) drain(phase func(*scatter, int)) {
+	for i := int(sc.next.Add(1)) - 1; i < len(sc.sources); i = int(sc.next.Add(1)) - 1 {
+		phase(sc, i)
+	}
 }
 
 func (sc *scatter) plan(i int) {

@@ -120,11 +120,15 @@ func TestSearchSourcesEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						assertSameRanking(t, name+" sequential", seq, want)
-						par, err := SearchSourcesLeavesParallel(c.sources, c.total, leaves, k, make([]Result, 0, 4))
-						if err != nil {
-							t.Fatal(err)
+						// One helper leaves sources to claim in turn; more
+						// helpers than sources is capped.
+						for _, helpers := range []int{1, len(c.sources) + 1} {
+							par, err := SearchSourcesLeavesParallel(c.sources, c.total, leaves, k, make([]Result, 0, 4), helpers)
+							if err != nil {
+								t.Fatal(err)
+							}
+							assertSameRanking(t, fmt.Sprintf("%s %d helpers", name, helpers), par, want)
 						}
-						assertSameRanking(t, name+" parallel", par, want)
 						assertSameRanking(t, name+" plan API", planAPISearch(t, c, leaves, k), want)
 					}
 				}
@@ -221,7 +225,9 @@ func TestSearchSourcesEmpty(t *testing.T) {
 	leaves := []Leaf{{Terms: []string{"absentterm"}, Weight: 1}}
 	for name, fn := range map[string]func([]Source, int64, []Leaf, int, []Result) ([]Result, error){
 		"sequential": SearchSourcesLeaves,
-		"parallel":   SearchSourcesLeavesParallel,
+		"parallel": func(sources []Source, total int64, leaves []Leaf, k int, dst []Result) ([]Result, error) {
+			return SearchSourcesLeavesParallel(sources, total, leaves, k, dst, 1)
+		},
 	} {
 		for _, dst := range [][]Result{nil, make([]Result, 3, 8)} {
 			rs, err := fn(c.sources, c.total, leaves, 5, dst)

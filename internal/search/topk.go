@@ -19,15 +19,19 @@ func worse(a, b Result) bool {
 	return a.Doc > b.Doc
 }
 
-// offer considers one candidate, keeping it only if it beats the current
-// worst of the best k.
-func (t *topK) offer(r Result) {
+// beats reports whether r belongs in the best k seen so far: there is
+// room, or it outranks the current worst. Once the heap is full almost
+// every candidate fails this, so the scoring loop asks (inlined) before it
+// calls keep. k must be positive.
+func (t *topK) beats(r Result) bool {
+	return len(t.h) < t.k || worse(t.h[0], r)
+}
+
+// keep admits a candidate that beats the current worst of the best k.
+func (t *topK) keep(r Result) {
 	if len(t.h) < t.k {
 		t.h = append(t.h, r)
 		t.siftUp(len(t.h) - 1)
-		return
-	}
-	if t.k == 0 || !worse(t.h[0], r) {
 		return
 	}
 	t.h[0] = r

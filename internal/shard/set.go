@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 
 	"github.com/querygraph/querygraph/internal/core"
@@ -38,6 +39,30 @@ type Set struct {
 	delta   *live.Delta
 	sources []search.Source
 	tokens  int64
+	// helpers is how many goroutines a lone search adds to its caller's
+	// (see fanOut).
+	helpers int
+}
+
+// fanOut is the number of goroutines a single request over shards shards
+// and, if live, a delta segment adds to its own on procs Ps: one for each
+// further source, but no more than the Ps it can expect to find idle. Its
+// own is taken; above a delta so is one more, by the writer that republishes
+// the segment batch after batch and the collector that runs behind it. On
+// two cores that leaves none: next to a 2 000 docs/s writer a reader found
+// the second core free for fewer than half of its searches, and scoring
+// inline it completed about as many a second at a cost per search that no
+// longer depended on which half it fell in (DESIGN.md, "When the fan-out
+// is concurrent"). One shard is always scored inline.
+func fanOut(shards int, live bool, procs int) int {
+	if shards < 2 {
+		return 0
+	}
+	sources, idle := shards, procs-1
+	if live {
+		sources, idle = sources+1, idle-1
+	}
+	return max(0, min(sources-1, idle))
 }
 
 // Single wraps one unsharded system as the Set of one: a lone identity
@@ -68,6 +93,7 @@ func (s *Set) WithDelta(d *live.Delta) *Set {
 	if d.NumDocs() > 0 {
 		v.sources = append(v.sources, d.Source())
 	}
+	v.helpers = fanOut(len(s.systems), d.NumDocs() > 0, runtime.GOMAXPROCS(0))
 	return &v
 }
 
@@ -209,14 +235,10 @@ func (s *Set) LeavesForQuery(query string) ([]search.Leaf, error) {
 
 // SearchLeaves ranks one request's flattened leaves over every source
 // into dst: exactly the single-system ranking, because every source
-// scores under the merged statistics. Several shards fan out concurrently
-// — a lone request has the cores to itself; one shard (with or without a
-// delta) is scored inline.
+// scores under the merged statistics. Several shards are shared with
+// fanOut's helpers — a lone request has the idle cores to itself.
 func (s *Set) SearchLeaves(leaves []search.Leaf, k int, dst []search.Result) ([]search.Result, error) {
-	if len(s.systems) > 1 {
-		return search.SearchSourcesLeavesParallel(s.sources, s.tokens, leaves, k, dst)
-	}
-	return search.SearchSourcesLeaves(s.sources, s.tokens, leaves, k, dst)
+	return search.SearchSourcesLeavesParallel(s.sources, s.tokens, leaves, k, dst, s.helpers)
 }
 
 // Search is SearchLeaves for one parsed query.

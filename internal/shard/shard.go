@@ -43,7 +43,7 @@ func ShardOf(doc int32, shards int) int {
 // ShardOf with local doc ids densely reassigned in ascending global
 // order. Every shard carries the global doc/token counts so its scorer
 // smooths against the whole collection. The shard archives share the
-// parent's strings, positions and graph; treat everything as read-only.
+// parent's strings and graph; treat everything as read-only.
 func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 	if a == nil || a.Index == nil || a.Collection == nil || a.Snapshot == nil {
 		return nil, fmt.Errorf("shard: partition of an incomplete archive")
@@ -71,6 +71,7 @@ func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 
 	// Partition the corpus and document lengths.
 	docs := a.Collection.Docs()
+	docLens := a.Index.DocLens()
 	partDocs := make([][]corpus.Document, n)
 	partLens := make([][]int64, n)
 	for s := 0; s < n; s++ {
@@ -82,31 +83,47 @@ func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 		doc := docs[d]
 		doc.ID = corpus.DocID(localID[d])
 		partDocs[s] = append(partDocs[s], doc)
-		dl, err := a.Index.DocLen(int32(d))
-		if err != nil {
-			return nil, fmt.Errorf("shard: partition: %w", err)
-		}
-		partLens[s] = append(partLens[s], dl)
+		partLens[s] = append(partLens[s], docLens[d])
 	}
 
-	// Partition the postings: one pass per term distributing its postings
-	// into per-shard lists (position slices shared with the parent), then
-	// keep the term only in shards where it occurs.
+	// Partition the postings in two passes over the vocabulary: size each
+	// shard's share, then deal every term's postings — and the stretch of
+	// its positions slab each one owns — into per-shard arenas of exactly
+	// that size, keeping the term only in shards where it occurs.
+	terms := a.Index.Terms()
+	numPost, numPos := make([]int, n), make([]int, n)
+	for _, term := range terms {
+		for _, post := range a.Index.Postings(term) {
+			numPost[owner[post.Doc]]++
+			numPos[owner[post.Doc]] += int(post.TF)
+		}
+	}
+	postArena := make([][]index.Posting, n)
+	posArena := make([][]uint32, n)
+	for s := 0; s < n; s++ {
+		postArena[s] = make([]index.Posting, 0, numPost[s])
+		posArena[s] = make([]uint32, 0, numPos[s])
+	}
 	partTerms := make([][]string, n)
 	partPostings := make([][][]index.Posting, n)
-	buckets := make([][]index.Posting, n)
-	for _, term := range a.Index.Terms() {
-		for s := range buckets {
-			buckets[s] = nil
+	partPositions := make([][][]uint32, n)
+	postStart, posStart := make([]int, n), make([]int, n) // where the term begins in each arena
+	for _, term := range terms {
+		for s := 0; s < n; s++ {
+			postStart[s], posStart[s] = len(postArena[s]), len(posArena[s])
 		}
+		slab := a.Index.Positions(term)
 		for _, post := range a.Index.Postings(term) {
 			s := owner[post.Doc]
-			buckets[s] = append(buckets[s], index.Posting{Doc: localID[post.Doc], Positions: post.Positions})
+			postArena[s] = append(postArena[s], index.Posting{Doc: localID[post.Doc], TF: post.TF})
+			posArena[s] = append(posArena[s], slab[:post.TF]...)
+			slab = slab[post.TF:]
 		}
-		for s, plist := range buckets {
-			if len(plist) > 0 {
+		for s := 0; s < n; s++ {
+			if end, posEnd := len(postArena[s]), len(posArena[s]); end > postStart[s] {
 				partTerms[s] = append(partTerms[s], term)
-				partPostings[s] = append(partPostings[s], plist)
+				partPostings[s] = append(partPostings[s], postArena[s][postStart[s]:end:end])
+				partPositions[s] = append(partPositions[s], posArena[s][posStart[s]:posEnd:posEnd])
 			}
 		}
 	}
@@ -117,7 +134,7 @@ func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: partition shard %d: %w", s, err)
 		}
-		ix, err := index.Load(partLens[s], partTerms[s], partPostings[s])
+		ix, err := index.Load(partLens[s], partTerms[s], partPostings[s], partPositions[s])
 		if err != nil {
 			return nil, fmt.Errorf("shard: partition shard %d: %w", s, err)
 		}

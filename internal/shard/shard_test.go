@@ -288,3 +288,25 @@ func TestLoadRejectsInvalidManifests(t *testing.T) {
 		})
 	}
 }
+
+// TestFanOutLeavesTheWriterACore pins how many goroutines a lone search
+// adds to its own: one per further source up to the Ps it can expect to
+// find idle, with one more P set aside above a live delta, and none for a
+// single shard.
+func TestFanOutLeavesTheWriterACore(t *testing.T) {
+	for _, c := range []struct {
+		shards int
+		live   bool
+		procs  int
+		want   int
+	}{
+		{1, false, 8, 0}, {1, true, 8, 0}, // one shard is scored inline
+		{2, false, 1, 0}, {2, false, 2, 1}, {2, false, 8, 1},
+		{2, true, 2, 0}, {2, true, 3, 1}, {2, true, 8, 2},
+		{8, false, 4, 3}, {8, true, 4, 2}, {8, true, 16, 8},
+	} {
+		if got := fanOut(c.shards, c.live, c.procs); got != c.want {
+			t.Errorf("fanOut(%d shards, live %v, %d procs) = %d, want %d", c.shards, c.live, c.procs, got, c.want)
+		}
+	}
+}

@@ -200,9 +200,25 @@ func readSection(br *bufio.Reader, want byte) ([]byte, error) {
 	if n > maxSectionLen {
 		return nil, fmt.Errorf("store: %s section: implausible length %d (corrupted length prefix?)", name, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("store: %s section: truncated payload (%d bytes declared): %w", name, n, unexpectedEOF(err))
+	// The declared length is believed only as far as the stream backs it:
+	// the buffer grows eightfold as bytes actually arrive, so a corrupt
+	// prefix costs a small multiple of what was read, not what it claims.
+	// The first size is n divided down by eights, so the growth lands on n
+	// exactly and an honest section is copied over a seventh of itself.
+	first := n
+	for first > 1<<16 {
+		first = (first + 7) / 8
+	}
+	body := make([]byte, 0, first)
+	for uint64(len(body)) < n {
+		if len(body) == cap(body) {
+			body = append(make([]byte, 0, min(n, 8*uint64(cap(body)))), body...)
+		}
+		m, err := io.ReadFull(br, body[len(body):cap(body)])
+		body = body[:len(body)+m]
+		if err != nil {
+			return nil, fmt.Errorf("store: %s section: truncated payload (%d bytes declared): %w", name, n, unexpectedEOF(err))
+		}
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(br, sum[:]); err != nil {
@@ -512,37 +528,14 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 	}
 	terms := make([]string, numTerms)
 	postings := make([][]index.Posting, numTerms)
-	// Chunked arenas for postings and positions: the index holds one short
-	// slice per term and per posting, and allocating each individually is
-	// the dominant decode cost. Full slice expressions cap every sub-slice
-	// at its own length, so a later append can never bleed into a
-	// neighbor's region.
+	positions := make([][]uint32, numTerms)
+	// Chunked arenas: the index holds one postings list and one positions
+	// slab per term, most of them short, and allocating each individually
+	// is the dominant decode cost. Full slice expressions cap every
+	// sub-slice at its own length, so a later append can never bleed into
+	// a neighbor's region.
 	var postArena []index.Posting
-	allocPostings := func(n int) []index.Posting {
-		if n > cap(postArena)-len(postArena) {
-			size := 1 << 13
-			if n > size {
-				size = n
-			}
-			postArena = make([]index.Posting, 0, size)
-		}
-		s := postArena[len(postArena) : len(postArena)+n : len(postArena)+n]
-		postArena = postArena[:len(postArena)+n]
-		return s
-	}
 	var posArena []uint32
-	allocPositions := func(n int) []uint32 {
-		if n > cap(posArena)-len(posArena) {
-			size := 1 << 15
-			if n > size {
-				size = n
-			}
-			posArena = make([]uint32, 0, size)
-		}
-		s := posArena[len(posArena) : len(posArena)+n : len(posArena)+n]
-		posArena = posArena[:len(posArena)+n]
-		return s
-	}
 	for t := range terms {
 		if terms[t], err = p.ref(strs); err != nil {
 			return nil, err
@@ -551,7 +544,14 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		plist := allocPostings(df)
+		if df > cap(postArena)-len(postArena) {
+			postArena = make([]index.Posting, 0, max(df, 1<<13))
+		}
+		plist := postArena[len(postArena) : len(postArena)+df : len(postArena)+df]
+		postArena = postArena[:len(postArena)+df]
+		// The slab's length is only known once the term is decoded, so it
+		// grows at the arena's tail from slabStart.
+		slabStart := len(posArena)
 		prevDoc := int64(-1)
 		for i := range plist {
 			gap, err := p.uvarint()
@@ -569,13 +569,19 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 				return nil, p.fail("term %q posting doc %d beyond %d documents", terms[t], doc, numDocs)
 			}
 			prevDoc = doc
-			numPos, err := p.count("position", 1)
+			tf, err := p.count("position", 1)
 			if err != nil {
 				return nil, err
 			}
-			positions := allocPositions(numPos)
+			if tf > cap(posArena)-len(posArena) {
+				// Move the slab so far to a chunk with room for the rest;
+				// doubling keeps a long term's copying linear.
+				grown := make([]uint32, 0, max(2*(len(posArena)-slabStart)+tf, 1<<15))
+				posArena = append(grown, posArena[slabStart:]...)
+				slabStart = 0
+			}
 			prevPos := int64(-1)
-			for j := range positions {
+			for j := 0; j < tf; j++ {
 				pgap, err := p.uvarint()
 				if err != nil {
 					return nil, err
@@ -588,16 +594,17 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 					return nil, p.fail("term %q position %d overflows", terms[t], pos)
 				}
 				prevPos = pos
-				positions[j] = uint32(pos)
+				posArena = append(posArena, uint32(pos))
 			}
-			plist[i] = index.Posting{Doc: int32(doc), Positions: positions}
+			plist[i] = index.Posting{Doc: int32(doc), TF: uint32(tf)}
 		}
 		postings[t] = plist
+		positions[t] = posArena[slabStart:len(posArena):len(posArena)]
 	}
 	if err := p.done(); err != nil {
 		return nil, err
 	}
-	ix, err := index.Load(docLens, terms, postings)
+	ix, err := index.Load(docLens, terms, postings, positions)
 	if err != nil {
 		return nil, fmt.Errorf("store: index section: %w", err)
 	}

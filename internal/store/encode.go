@@ -249,31 +249,31 @@ func encodeCorpus(in *interner, c *corpus.Collection) []byte {
 // encodeIndex writes doc lengths and the positional postings. Postings are
 // delta-compressed: within a term, document ids are strictly ascending, so
 // gaps (>= 1 after the first) fit small varints; the same holds for the
-// positions inside one posting.
+// positions inside one posting, which the term's slab yields TF at a time.
 func encodeIndex(in *interner, ix *index.Index) []byte {
 	var p payload
-	n := ix.NumDocs()
-	p.uvarint(uint64(n))
-	for doc := 0; doc < n; doc++ {
-		dl, _ := ix.DocLen(int32(doc)) // doc in range by construction
+	docLens := ix.DocLens()
+	p.uvarint(uint64(len(docLens)))
+	for _, dl := range docLens {
 		p.uvarint(uint64(dl))
 	}
 	terms := ix.Terms()
 	p.uvarint(uint64(len(terms)))
 	for _, term := range terms {
-		postings := ix.Postings(term)
+		postings, slab := ix.Postings(term), ix.Positions(term)
 		p.uvarint(in.ref(term))
 		p.uvarint(uint64(len(postings)))
 		prevDoc := int64(-1)
 		for _, post := range postings {
 			p.uvarint(uint64(int64(post.Doc) - prevDoc - 1))
 			prevDoc = int64(post.Doc)
-			p.uvarint(uint64(len(post.Positions)))
+			p.uvarint(uint64(post.TF))
 			prevPos := int64(-1)
-			for _, pos := range post.Positions {
+			for _, pos := range slab[:post.TF] {
 				p.uvarint(uint64(int64(pos) - prevPos - 1))
 				prevPos = int64(pos)
 			}
+			slab = slab[post.TF:]
 		}
 	}
 	return p.b

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 
 // testArchive hand-builds a small but fully featured archive: redirects,
 // multi-category articles, captions, phrase-bearing postings and queries.
-func testArchive(t *testing.T) *Archive {
+func testArchive(t testing.TB) *Archive {
 	t.Helper()
 	b := wiki.NewBuilder(8)
 	catA, err := b.AddCategory("waterways")
@@ -115,7 +116,7 @@ func testArchive(t *testing.T) *Archive {
 	}
 }
 
-func encodeArchive(t *testing.T, a *Archive) []byte {
+func encodeArchive(t testing.TB, a *Archive) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, a); err != nil {
@@ -167,11 +168,12 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Index.Postings(term), a.Index.Postings(term)) {
 			t.Errorf("postings for %q differ", term)
 		}
-		if got.Index.CollectionFreq(term) != a.Index.CollectionFreq(term) {
-			t.Errorf("colFreq for %q differs", term)
+		if !reflect.DeepEqual(got.Index.Positions(term), a.Index.Positions(term)) {
+			t.Errorf("positions for %q differ", term)
 		}
 	}
-	if got.Index.TotalTokens() != a.Index.TotalTokens() || got.Index.NumDocs() != a.Index.NumDocs() {
+	if got.Index.TotalTokens() != a.Index.TotalTokens() || got.Index.NumDocs() != a.Index.NumDocs() ||
+		got.Index.NumPostings() != a.Index.NumPostings() {
 		t.Error("index statistics differ")
 	}
 	if !reflect.DeepEqual(got.Queries, a.Queries) {
@@ -200,7 +202,7 @@ type section struct {
 
 // walkSections re-parses the framing so corruption tests can target exact
 // byte ranges.
-func walkSections(t *testing.T, data []byte) []section {
+func walkSections(t testing.TB, data []byte) []section {
 	t.Helper()
 	off := len(Magic) + 2
 	var out []section
@@ -218,23 +220,21 @@ func walkSections(t *testing.T, data []byte) []section {
 	return out
 }
 
-// TestDecodeFailurePaths drives every framing defense: wrong magic,
-// unsupported version, flipped payload and CRC bytes per section, wrong
-// section order, and truncation at every section boundary. Every case must
-// fail with an error naming the problem — never a panic, never a nil error.
-func TestDecodeFailurePaths(t *testing.T) {
-	pristine := encodeArchive(t, testArchive(t))
-	secs := walkSections(t, pristine)
-	if len(secs) != len(sectionOrder) {
-		t.Fatalf("expected %d sections, walked %d", len(sectionOrder), len(secs))
-	}
+// corruption is one way of damaging a pristine snapshot file and the error
+// Read must answer it with. The tables below are shared between the tests
+// that pin those errors and FuzzRead, which seeds from every case.
+type corruption struct {
+	name    string
+	mutate  func([]byte) []byte
+	wantErr string
+}
 
-	type tc struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantErr string
-	}
-	cases := []tc{
+// framingCorruptions lists every framing defense over the file whose
+// sections are secs: wrong magic, unsupported version, flipped payload and
+// CRC bytes per section, wrong section order, and truncation at every
+// section boundary.
+func framingCorruptions(secs []section) []corruption {
+	cases := []corruption{
 		{
 			name:    "wrong magic",
 			mutate:  func(d []byte) []byte { d[0] ^= 0xff; return d },
@@ -257,41 +257,52 @@ func TestDecodeFailurePaths(t *testing.T) {
 		},
 	}
 	for _, s := range secs {
-		s := s
 		name := sectionName(s.tag)
 		cases = append(cases,
-			tc{
+			corruption{
 				name:    fmt.Sprintf("%s: flipped payload byte", name),
 				mutate:  func(d []byte) []byte { d[s.payloadStart] ^= 0x01; return d },
 				wantErr: name + " section: checksum mismatch",
 			},
-			tc{
+			corruption{
 				name:    fmt.Sprintf("%s: flipped crc byte", name),
 				mutate:  func(d []byte) []byte { d[s.end-1] ^= 0x01; return d },
 				wantErr: name + " section: checksum mismatch",
 			},
-			tc{
+			corruption{
 				name:    fmt.Sprintf("%s: wrong section tag", name),
 				mutate:  func(d []byte) []byte { d[s.start] = 'Z'; return d },
 				wantErr: fmt.Sprintf("expected %s section", name),
 			},
-			tc{
+			corruption{
 				name:    fmt.Sprintf("%s: truncated before section", name),
 				mutate:  func(d []byte) []byte { return d[:s.start] },
 				wantErr: name + " section: truncated before section tag",
 			},
-			tc{
+			corruption{
 				name:    fmt.Sprintf("%s: truncated mid-payload", name),
 				mutate:  func(d []byte) []byte { return d[:s.payloadStart] },
 				wantErr: name + " section: truncated",
 			},
-			tc{
+			corruption{
 				name:    fmt.Sprintf("%s: truncated before checksum", name),
 				mutate:  func(d []byte) []byte { return d[:s.end-4] },
 				wantErr: name + " section: truncated checksum",
 			},
 		)
 	}
+	return cases
+}
+
+// TestDecodeFailurePaths drives every framing defense. Every case must
+// fail with an error naming the problem — never a panic, never a nil error.
+func TestDecodeFailurePaths(t *testing.T) {
+	pristine := encodeArchive(t, testArchive(t))
+	secs := walkSections(t, pristine)
+	if len(secs) != len(sectionOrder) {
+		t.Fatalf("expected %d sections, walked %d", len(sectionOrder), len(secs))
+	}
+	cases := framingCorruptions(secs)
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -397,20 +408,22 @@ func TestWriteRejectsBadShard(t *testing.T) {
 	}
 }
 
-// TestDecodeShardFailures hand-crafts malformed shard payloads: the
-// decoder must reject them with the shard section named, never wrap an
-// id into range or decode a partial map.
-func TestDecodeShardFailures(t *testing.T) {
+// payloadCorruption is one malformed section payload and the error its
+// decoder must answer it with.
+type payloadCorruption struct {
+	name    string
+	payload []byte
+	wantErr string
+}
+
+// shardCorruptions hand-crafts malformed shard payloads.
+func shardCorruptions() []payloadCorruption {
 	build := func(f func(p *payload)) []byte {
 		var p payload
 		f(&p)
 		return p.b
 	}
-	cases := []struct {
-		name    string
-		payload []byte
-		wantErr string
-	}{
+	return []payloadCorruption{
 		{
 			name: "invalid slot",
 			payload: build(func(p *payload) {
@@ -455,6 +468,13 @@ func TestDecodeShardFailures(t *testing.T) {
 			wantErr: "trailing bytes",
 		},
 	}
+}
+
+// TestDecodeShardFailures: the decoder must reject malformed shard
+// payloads with the shard section named, never wrap an id into range or
+// decode a partial map.
+func TestDecodeShardFailures(t *testing.T) {
+	cases := shardCorruptions()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := decodeShard(c.payload)
@@ -469,37 +489,32 @@ func TestDecodeShardFailures(t *testing.T) {
 // (or merely beyond the node count) must fail before the NodeID cast can
 // wrap it into some valid node.
 func TestDecodeGraphRejectsWideArcTarget(t *testing.T) {
-	for _, target := range []uint64{2, 1 << 33, (1 << 32) + 1} {
-		var p payload
-		p.uvarint(2)      // two nodes
-		p.byte(0)         // kinds: article, article
-		p.byte(0)         //
-		p.uvarint(1)      // node 0: one arc
-		p.uvarint(target) //   to an out-of-range node
-		p.byte(0)         //   link
-		p.uvarint(0)      // node 1: no arcs
-		if _, err := decodeGraph(p.b); err == nil || !strings.Contains(err.Error(), "beyond 2 nodes") {
+	for _, target := range wideArcTargets {
+		if _, err := decodeGraph(wideArcGraphPayload(target)); err == nil || !strings.Contains(err.Error(), "beyond 2 nodes") {
 			t.Errorf("arc target %d: got %v, want out-of-range error", target, err)
 		}
 	}
+}
+
+var wideArcTargets = []uint64{2, 1 << 33, (1 << 32) + 1}
+
+// wideArcGraphPayload is a two-node graph whose one arc points at target.
+func wideArcGraphPayload(target uint64) []byte {
+	var p payload
+	p.uvarint(2)      // two nodes
+	p.byte(0)         // kinds: article, article
+	p.byte(0)         //
+	p.uvarint(1)      // node 0: one arc
+	p.uvarint(target) //   to an out-of-range node
+	p.byte(0)         //   link
+	p.uvarint(0)      // node 1: no arcs
+	return p.b
 }
 
 // TestDecodeIndexRejectsOverflowingGaps: 64-bit doc and position gaps must
 // be rejected before delta arithmetic can overflow into plausible values.
 func TestDecodeIndexRejectsOverflowingGaps(t *testing.T) {
 	strs := []string{"term"}
-	indexPayload := func(docGap, posGap uint64) []byte {
-		var p payload
-		p.uvarint(1)      // one document
-		p.uvarint(5)      // its length
-		p.uvarint(1)      // one term
-		p.uvarint(0)      // term ref
-		p.uvarint(1)      // one posting
-		p.uvarint(docGap) // doc gap
-		p.uvarint(1)      // one position
-		p.uvarint(posGap) // position gap
-		return p.b
-	}
 	if _, err := decodeIndex(indexPayload(1<<40, 0), strs); err == nil ||
 		!strings.Contains(err.Error(), "doc gap") {
 		t.Errorf("huge doc gap: got %v, want overflow error", err)
@@ -513,10 +528,34 @@ func TestDecodeIndexRejectsOverflowingGaps(t *testing.T) {
 	}
 }
 
+// indexPayload is a one-document, one-term, one-posting index section with
+// the given doc and position gaps (string ref 0 names the term).
+func indexPayload(docGap, posGap uint64) []byte {
+	var p payload
+	p.uvarint(1)      // one document
+	p.uvarint(5)      // its length
+	p.uvarint(1)      // one term
+	p.uvarint(0)      // term ref
+	p.uvarint(1)      // one posting
+	p.uvarint(docGap) // doc gap
+	p.uvarint(1)      // one position
+	p.uvarint(posGap) // position gap
+	return p.b
+}
+
 // TestDecodeRejectsDanglingStringRef corrupts a names payload ref beyond
 // the string table and fixes up the CRC, proving the semantic validation
 // fires even when the checksum passes.
 func TestDecodeRejectsDanglingStringRef(t *testing.T) {
+	_, err := Read(bytes.NewReader(danglingStringRefFile(t)))
+	if err == nil || !strings.Contains(err.Error(), "string ref") {
+		t.Fatalf("dangling string ref not caught: %v", err)
+	}
+}
+
+// danglingStringRefFile is testArchive encoded with a string table cut to
+// one entry, every checksum valid.
+func danglingStringRefFile(t testing.TB) []byte {
 	a := testArchive(t)
 	in := newInterner()
 	in.ref("only one string")
@@ -546,8 +585,41 @@ func TestDecodeRejectsDanglingStringRef(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Read(bytes.NewReader(buf.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "string ref") {
-		t.Fatalf("dangling string ref not caught: %v", err)
+	return buf.Bytes()
+}
+
+// TestMergeMatchesReplayBytes: folding segments with index.Merge — once, or
+// chained the way live.Append grows a delta — and replaying every token
+// stream through AddDocument into one index are the same index as far as a
+// snapshot can tell: Write emits identical bytes for both.
+func TestMergeMatchesReplayBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		vocab := 1 + rng.Intn(12)
+		replay, merged := index.New(), index.New()
+		coll := &corpus.Collection{}
+		for seg := 1 + rng.Intn(3); seg > 0; seg-- {
+			part := index.New()
+			for d := rng.Intn(12); d > 0; d-- { // empty segments allowed
+				tokens := make([]string, rng.Intn(20)) // empty documents too
+				for i := range tokens {
+					tokens[i] = fmt.Sprintf("t%d", rng.Intn(vocab))
+				}
+				replay.AddDocument(tokens)
+				part.AddDocument(tokens)
+				if _, err := coll.Add(corpus.Image{ID: fmt.Sprint(coll.Len())}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged = index.Merge(merged, part)
+		}
+		a := testArchive(t)
+		a.Collection, a.Queries = coll, nil
+		a.Index = replay
+		want := encodeArchive(t, a)
+		a.Index = merged
+		if got := encodeArchive(t, a); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: merged index encodes to %d bytes that differ from the replayed index's %d", trial, len(got), len(want))
+		}
 	}
 }

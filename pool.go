@@ -104,6 +104,17 @@ func (p *Pool) Generation() uint64 {
 	return 0
 }
 
+// Summary is PoolStats without the per-shard rows: one generation's
+// aggregate stats (its sequence number is Delta.Generation) and its shard
+// count, which is all a health probe or a reload reply reads. Zero once
+// closed.
+func (p *Pool) Summary() (st Stats, shards int) {
+	if g := p.view(); g != nil {
+		st, shards = p.statsOf(g), g.set.NumShards()
+	}
+	return st, shards
+}
+
 // ShardStats is the size of one loaded shard.
 type ShardStats struct {
 	ID        int   `json:"id"`

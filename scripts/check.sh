@@ -48,6 +48,10 @@ fi
 step "go test"
 go test -shuffle=on ./...
 
+# One iteration, so the benchmark the postings walk is judged by cannot rot.
+step "BenchmarkSearchCommon (-benchtime 1x)"
+go test -run '^$' -bench '^BenchmarkSearchCommon$' -benchtime 1x .
+
 # CI's race job runs the whole module; here, the packages whose locking a
 # cache or miner change moves, which is a minute instead of ten.
 step "go test -race (lru, core, search, cycles, root)"
