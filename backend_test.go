@@ -160,6 +160,13 @@ func TestBackendConformance(t *testing.T) {
 				if !reflect.DeepEqual(rs, wantSearch[i]) {
 					t.Fatalf("Search %q diverges:\n got %v\nwant %v", q.Keywords, rs, wantSearch[i])
 				}
+				// Asked again, a Remote scores under the statistics it
+				// remembers while the plan replies verify them: one
+				// network round, the same answer.
+				again, err := be.Search(ctx, q.Keywords, MaxRank)
+				if err != nil || !reflect.DeepEqual(again, rs) {
+					t.Fatalf("Search %q asked twice:\n then %v, %v\nfirst %v", q.Keywords, again, err, rs)
+				}
 			}
 
 			// SearchInto matches Search bit for bit, with a nil dst, a

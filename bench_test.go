@@ -13,11 +13,16 @@ package querygraph_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +32,7 @@ import (
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/groundtruth"
 	"github.com/querygraph/querygraph/internal/index"
+	"github.com/querygraph/querygraph/internal/rpc"
 	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/shard"
 	"github.com/querygraph/querygraph/internal/store"
@@ -463,6 +469,98 @@ func BenchmarkSearchCommon(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(postings)/float64(len(queries)), "postings/op")
+		})
+	}
+}
+
+// BenchmarkRemoteSearch measures one search through the fan-out
+// coordinator over an in-process 2-shard fleet on loopback. What separates
+// the two cases is one property of the input, whether the coordinator has
+// scattered this query body before: warm replays a fixed set of entity
+// titles (as bench/'s serve-remote does — a 128-op lap, every body a repeat
+// after the first lap), cold asks a string never asked before, which the
+// shards' leaf cache has not seen either. requests/op counts what the shards
+// handle per search (4 either way: a plan and a top-k request per shard;
+// warm they travel together); allocs/op includes the in-process shards'
+// share. The file compiles against older checkouts, so the same benchmark
+// measures both sides of a change to the coordinator.
+func BenchmarkRemoteSearch(b *testing.B) {
+	e := benchSetup(b)
+	client, err := querygraph.Build(e.world)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	dir := b.TempDir()
+	if err := client.SaveShards(dir, 2); err != nil {
+		b.Fatal(err)
+	}
+	var requests atomic.Int64
+	topo := querygraph.Topology{Version: 1}
+	for i := 0; i < 2; i++ {
+		srv, err := rpc.LoadServerFile(filepath.Join(dir, fmt.Sprintf("shard-%03d.qgs", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv.SetRequestHook(func(rpc.Op, uint64, time.Time, time.Duration, string) { requests.Add(1) })
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = srv.Serve(context.Background(), ln)
+		}()
+		defer func() {
+			_ = srv.Close()
+			<-done
+		}()
+		topo.Shards = append(topo.Shards, querygraph.TopologyShard{ID: i, Addrs: []string{ln.Addr().String()}})
+	}
+	blob, err := json.Marshal(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(dir, "topology.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	remote, err := querygraph.OpenTopology(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer remote.Close()
+
+	var titles []string
+	for _, gt := range e.gts {
+		for _, a := range gt.QueryArticles {
+			titles = append(titles, e.world.Snapshot.Name(a))
+		}
+	}
+	ctx, dst := context.Background(), make([]querygraph.Result, 0, core.MaxRank)
+	for _, q := range titles {
+		if _, err := remote.SearchInto(ctx, q, core.MaxRank, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh := 0 // across b.Run's calls with growing b.N, so no cold string repeats
+	for _, tc := range []struct {
+		name  string
+		query func(i int) string
+	}{
+		{"cold", func(i int) string { fresh++; return titles[i%len(titles)] + " q" + strconv.Itoa(fresh) }},
+		{"warm", func(i int) string { return titles[i%len(titles)] }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			before, i := requests.Load(), 0
+			for ; b.Loop(); i++ {
+				if _, err := remote.SearchInto(ctx, tc.query(i), core.MaxRank, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(requests.Load()-before)/float64(i), "requests/op")
 		})
 	}
 }

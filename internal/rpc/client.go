@@ -50,36 +50,47 @@ func (c *Conn) Addr() string { return c.addr }
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// Do performs one request/response exchange: it frames
-// [version][op][deadline-millis][trace-id?][body], writes it under
-// deadline, reads the response frame and splits it. traceID attributes
-// the shard's work to the originating coordinator request; 0 means
-// untraced, and an untraced request is framed as protocol v1 — byte-
-// identical to the pre-trace wire format, so an untraced coordinator
-// interoperates with v1-only shards. A shard-reported failure surfaces
-// as *RemoteError (the conn stays healthy); any transport failure marks
-// the conn broken and a deadline expiry maps onto
-// context.DeadlineExceeded so callers classify timeouts uniformly.
+// Broken reports a transport failure: replies still owed on this
+// connection will not come, and the pool discards it.
+func (c *Conn) Broken() bool { return c.broken }
+
+// Do performs one request/response exchange: Queue, Flush, Receive. A
+// shard-reported failure surfaces as *RemoteError (the conn stays
+// healthy); any transport failure marks the conn broken and a deadline
+// expiry maps onto context.DeadlineExceeded so callers classify timeouts
+// uniformly.
 func (c *Conn) Do(op Op, body []byte, deadline time.Time, traceID uint64) ([]byte, error) {
+	if err := c.Queue(op, body, deadline, traceID); err != nil {
+		return nil, err
+	}
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
+	return c.Receive()
+}
+
+// Queue frames [version][op][deadline-millis][trace-id?][body] into the
+// write buffer under deadline, sending nothing until Flush: several
+// requests queued before one Flush travel together, and Receive returns
+// their replies in order. traceID attributes the shard's work to the
+// originating coordinator request; 0 means untraced, and an untraced
+// request is framed as protocol v1 — byte-identical to the pre-trace wire
+// format, so an untraced coordinator interoperates with v1-only shards.
+func (c *Conn) Queue(op Op, body []byte, deadline time.Time, traceID uint64) error {
 	var millis uint64
 	if !deadline.IsZero() {
 		left := time.Until(deadline)
 		if left <= 0 {
-			return nil, context.DeadlineExceeded
+			// A request queued ahead of this one will never be flushed.
+			c.broken = c.broken || c.bw.Buffered() > 0
+			return context.DeadlineExceeded
 		}
-		millis = uint64(left / time.Millisecond)
-		if millis == 0 {
-			millis = 1
-		}
-		if err := c.nc.SetDeadline(deadline); err != nil {
-			c.broken = true
-			return nil, err
-		}
-	} else if err := c.nc.SetDeadline(time.Time{}); err != nil {
-		c.broken = true
-		return nil, err
+		millis = max(uint64(left/time.Millisecond), 1)
 	}
-
+	if err := c.nc.SetDeadline(deadline); err != nil {
+		c.broken = true
+		return err
+	}
 	c.req = c.req[:0]
 	if traceID == 0 {
 		c.req = append(c.req, VersionMin, byte(op))
@@ -92,12 +103,22 @@ func (c *Conn) Do(op Op, body []byte, deadline time.Time, traceID uint64) ([]byt
 	c.req = append(c.req, body...)
 	if err := WriteFrame(c.bw, c.req); err != nil {
 		c.broken = true
-		return nil, c.transportErr("write", err)
+		return c.transportErr("write", err)
 	}
+	return nil
+}
+
+// Flush sends every queued request.
+func (c *Conn) Flush() error {
 	if err := c.bw.Flush(); err != nil {
 		c.broken = true
-		return nil, c.transportErr("write", err)
+		return c.transportErr("write", err)
 	}
+	return nil
+}
+
+// Receive reads the reply to the oldest unanswered request and splits it.
+func (c *Conn) Receive() ([]byte, error) {
 	payload, err := ReadFrame(c.br)
 	if err != nil {
 		c.broken = true

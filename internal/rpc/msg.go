@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"slices"
+
 	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/search"
@@ -118,16 +120,16 @@ func ReadQueryLeaves(r *Reader, sys *core.System) (leaves []search.Leaf, ok bool
 		return leaves, true, nil
 	case QueryExpansion:
 		keywords := r.String()
-		n := r.Int()
-		if r.Err() == nil && n > len(r.Rest()) {
-			r.fail("article count beyond body")
-		}
+		n := r.Count(1)
 		arts := make([]graph.NodeID, 0, n)
 		for i := 0; i < n; i++ {
 			arts = append(arts, graph.NodeID(r.Uvarint()))
 		}
 		if err := r.Err(); err != nil {
 			return nil, false, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+		}
+		if slices.ContainsFunc(arts, func(a graph.NodeID) bool { return int(a) >= sys.Snapshot.Graph().NumNodes() }) {
+			return nil, false, &RemoteError{Class: ClassInvalidQuery, Msg: "expansion names an article this graph does not have"}
 		}
 		exp := &core.Expansion{Keywords: keywords, QueryArticles: arts}
 		node, searchable := exp.Query(sys)
@@ -142,6 +144,97 @@ func ReadQueryLeaves(r *Reader, sys *core.System) (leaves []search.Leaf, ok bool
 	default:
 		return nil, false, &RemoteError{Class: ClassInternal, Msg: "unknown query kind"}
 	}
+}
+
+// ReadQueryBytes consumes the query union r is positioned at without
+// deriving anything from it and returns its bytes — what a connection's
+// plan memo is keyed by.
+func ReadQueryBytes(r *Reader) []byte {
+	start := r.i
+	switch r.Byte() {
+	case QueryText:
+		r.i += r.Len()
+	case QueryExpansion:
+		r.i += r.Len()
+		for n := r.Count(1); n > 0; n-- {
+			r.Uvarint()
+		}
+	default:
+		r.fail("query kind")
+	}
+	return r.b[start:r.i]
+}
+
+// --- scatter phases ----------------------------------------------------
+
+// AppendPlanReply encodes an OpPlan response body: [searchable byte]
+// [uvarint numLeaves][uvarint local cf]... — a nil plan is searchable 0,
+// an empty expansion with nothing to search for.
+func AppendPlanReply(b []byte, plan *search.Plan) []byte {
+	if plan == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = AppendUvarint(b, uint64(plan.NumLeaves()))
+	for i := 0; i < plan.NumLeaves(); i++ {
+		b = AppendUvarint(b, uint64(plan.LocalCF(i)))
+	}
+	return b
+}
+
+// ReadPlanReply decodes AppendPlanReply, the frequencies into dst's
+// storage.
+func ReadPlanReply(r *Reader, dst []int64) (localCF []int64, searchable bool) {
+	if r.Byte() == 0 {
+		return dst[:0], false
+	}
+	return readCFs(r, dst), true
+}
+
+// AppendTopKRequest encodes an OpTopK request body: the query union's
+// bytes, zigzag k, uvarint global tokens, then the global per-leaf
+// collection frequencies as [uvarint numLeaves][uvarint cf]...
+func AppendTopKRequest(b, query []byte, k int, totalTokens int64, leafCF []int64) []byte {
+	b = append(b, query...)
+	b = AppendVarint(b, int64(k))
+	b = AppendUvarint(b, uint64(totalTokens))
+	b = AppendUvarint(b, uint64(len(leafCF)))
+	for _, cf := range leafCF {
+		b = AppendUvarint(b, uint64(cf))
+	}
+	return b
+}
+
+// ReadTopKRequest decodes what follows the query union in an OpTopK
+// request body.
+func ReadTopKRequest(r *Reader) (k int, totalTokens int64, leafCF []int64) {
+	return int(r.Varint()), int64(r.Uvarint()), readCFs(r, nil)
+}
+
+func readCFs(r *Reader, dst []int64) []int64 {
+	n := r.Count(1)
+	dst = slices.Grow(dst[:0], n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, int64(r.Uvarint()))
+	}
+	return dst
+}
+
+// AppendTopKReply encodes an OpTopK response body: [searchable byte]
+// [results], the results only when searchable.
+func AppendTopKReply(b []byte, rs []search.Result, searchable bool) []byte {
+	if !searchable {
+		return append(b, 0)
+	}
+	return AppendResults(append(b, 1), rs)
+}
+
+// ReadTopKReply decodes AppendTopKReply.
+func ReadTopKReply(r *Reader) (rs []search.Result, searchable bool) {
+	if r.Byte() == 0 {
+		return nil, false
+	}
+	return ReadResults(r), true
 }
 
 // --- expander options --------------------------------------------------
@@ -219,10 +312,7 @@ func ReadExpansion(r *Reader) *core.Expansion {
 	exp := &core.Expansion{Keywords: r.String()}
 	exp.QueryArticles = readNodeList(r)
 	if r.Byte() == 1 {
-		n := r.Int()
-		if r.Err() == nil && n > len(r.Rest()) {
-			r.fail("feature count beyond body")
-		}
+		n := r.Count(1)
 		exp.Features = make([]core.Feature, 0, n)
 		for i := 0; i < n; i++ {
 			exp.Features = append(exp.Features, core.Feature{
@@ -255,10 +345,7 @@ func readNodeList(r *Reader) []graph.NodeID {
 	if r.Byte() == 0 {
 		return nil
 	}
-	n := r.Int()
-	if r.Err() == nil && n > len(r.Rest()) {
-		r.fail("node count beyond body")
-	}
+	n := r.Count(1)
 	ids := make([]graph.NodeID, 0, n)
 	for i := 0; i < n; i++ {
 		ids = append(ids, graph.NodeID(r.Uvarint()))
@@ -289,18 +376,12 @@ func AppendQueries(b []byte, qs []core.Query) []byte {
 
 // ReadQueries decodes AppendQueries.
 func ReadQueries(r *Reader) []core.Query {
-	n := r.Int()
-	if r.Err() == nil && n > len(r.Rest()) {
-		r.fail("query count beyond body")
-	}
+	n := r.Count(1)
 	qs := make([]core.Query, 0, n)
 	for i := 0; i < n; i++ {
 		q := core.Query{ID: int(r.Varint()), Keywords: r.String()}
 		if r.Byte() == 1 {
-			m := r.Int()
-			if r.Err() == nil && m > len(r.Rest()) {
-				r.fail("relevance count beyond body")
-			}
+			m := r.Count(1)
 			q.Relevant = make([]int32, 0, m)
 			for j := 0; j < m; j++ {
 				q.Relevant = append(q.Relevant, int32(r.Uvarint()))
@@ -374,11 +455,7 @@ func AppendResults(b []byte, rs []search.Result) []byte {
 // when empty — the public Search contract returns an empty, non-nil
 // slice on no match.
 func ReadResults(r *Reader) []search.Result {
-	n := r.Int()
-	// Each entry is at least 9 bytes (one-byte doc uvarint + 8-byte score).
-	if r.Err() == nil && n > len(r.Rest())/9 {
-		r.fail("result count beyond body")
-	}
+	n := r.Count(9) // a one-byte doc uvarint and an 8-byte score at least
 	rs := make([]search.Result, 0, n)
 	for i := 0; i < n; i++ {
 		rs = append(rs, search.Result{Doc: int32(r.Uvarint()), Score: r.F64()})

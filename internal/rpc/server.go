@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,10 +25,11 @@ var ErrServerClosed = errors.New("rpc: server closed")
 // graph, and the handshake/stats/benchmark accessors. One Server handles
 // many concurrent connections, each pipelining requests sequentially.
 //
-// The protocol is deliberately stateless — OpTopK re-derives the query's
-// scoring leaves rather than referencing an OpPlan result — so the
-// coordinator may retry or hedge any request on any replica without a
-// session handshake.
+// The protocol is deliberately stateless — OpTopK carries the query again
+// rather than referencing an OpPlan result — so the coordinator may retry
+// or hedge any request on any replica without a session handshake. What a
+// connection remembers (connMemo) is a pure memo of the query it planned
+// last, never something a request depends on.
 type Server struct {
 	sys     *core.System
 	queries []core.Query
@@ -58,11 +60,22 @@ type RequestHook func(op Op, traceID uint64, start time.Time, dur time.Duration,
 // Serve; a nil hook (the default) costs one nil check per request.
 func (s *Server) SetRequestHook(h RequestHook) { s.hook = h }
 
-// connState tracks whether a connection is mid-request, so Close can
-// hard-close idle connections while busy ones finish their response
-// first (the drain contract).
+// connState tracks whether a connection is mid-request — or holds a
+// reply it has not flushed yet — so Close can hard-close idle connections
+// while busy ones deliver their responses first (the drain contract).
 type connState struct {
 	busy bool
+}
+
+// connMemo is the plan of the query union a connection planned last, so
+// the top-k request that follows a plan request — pipelined behind it, or
+// one round later — scores that plan instead of deriving the leaves and
+// planning them again. plan is nil for a union with nothing to search
+// for.
+type connMemo struct {
+	query []byte
+	plan  *search.Plan
+	buf   search.Plan
 }
 
 // NewServer assembles a shard server around a decoded archive. A sharded
@@ -196,17 +209,21 @@ func (s *Server) Close() error {
 
 // serveConn services one connection's request loop: read a frame, handle
 // it, write the response, repeat — until the peer disconnects or Close
-// drains the server.
+// drains the server. A response is flushed once no further request is
+// already buffered, so a pipelined pair costs one write; the connection
+// stays busy until then, and whatever ends the loop flushes first.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn, st *connState) {
 	defer s.wg.Done()
+	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
 	defer func() {
+		_ = bw.Flush() // undelivered only if the peer is gone
 		_ = conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	var memo connMemo
 	for {
 		payload, err := ReadFrame(br)
 		if err != nil {
@@ -220,14 +237,14 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, st *connState) {
 		st.busy = true
 		s.mu.Unlock()
 
-		resp := s.handle(ctx, payload)
-		werr := WriteFrame(bw, resp)
-		if werr == nil {
+		werr := WriteFrame(bw, s.handle(ctx, payload, &memo))
+		pipelined := br.Buffered() > 0
+		if werr == nil && !pipelined {
 			werr = bw.Flush()
 		}
 
 		s.mu.Lock()
-		st.busy = false
+		st.busy = pipelined
 		closed := s.closed
 		s.mu.Unlock()
 		if werr != nil || closed {
@@ -242,7 +259,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, st *connState) {
 // keeps getting v1 responses from an upgraded shard), and the optional
 // v2 trace-id field is surfaced to the request hook so the process can
 // attribute its work to the originating coordinator request.
-func (s *Server) handle(ctx context.Context, payload []byte) []byte {
+func (s *Server) handle(ctx context.Context, payload []byte, memo *connMemo) []byte {
 	start := time.Now()
 	r := NewReader(payload)
 	ver := r.Byte()
@@ -267,7 +284,7 @@ func (s *Server) handle(ctx context.Context, payload []byte) []byte {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(millis)*time.Millisecond)
 		defer cancel()
 	}
-	resp, rerr := s.dispatch(ctx, op, r)
+	resp, rerr := s.dispatch(ctx, op, r, memo)
 	errClass := ""
 	if rerr != nil {
 		errClass = rerr.Class
@@ -282,7 +299,7 @@ func (s *Server) handle(ctx context.Context, payload []byte) []byte {
 	return resp
 }
 
-func (s *Server) dispatch(ctx context.Context, op Op, r *Reader) ([]byte, *RemoteError) {
+func (s *Server) dispatch(ctx context.Context, op Op, r *Reader, memo *connMemo) ([]byte, *RemoteError) {
 	if err := ctx.Err(); err != nil {
 		return nil, remoteErr(err)
 	}
@@ -290,9 +307,9 @@ func (s *Server) dispatch(ctx context.Context, op Op, r *Reader) ([]byte, *Remot
 	case OpHealthz:
 		return AppendIdentity(AppendOKHeader(nil), s.ident), nil
 	case OpPlan:
-		return s.handlePlan(r)
+		return s.handlePlan(r, memo)
 	case OpTopK:
-		return s.handleTopK(r)
+		return s.handleTopK(r, memo)
 	case OpExpand:
 		return s.handleExpand(ctx, r)
 	case OpStats:
@@ -320,63 +337,62 @@ func remoteErr(err error) *RemoteError {
 	return &RemoteError{Class: class, Msg: err.Error()}
 }
 
-// handlePlan is scatter phase one: derive the query's scoring leaves and
-// return this shard's per-leaf local collection frequencies. Response
-// body: [searchable byte][uvarint numLeaves][uvarint cf]... — searchable
-// 0 means an empty expansion with nothing to search for.
-func (s *Server) handlePlan(r *Reader) ([]byte, *RemoteError) {
-	leaves, ok, rerr := ReadQueryLeaves(r, s.sys)
+// planQuery decodes the query union r is positioned at and plans it
+// against this shard — or returns the memo's plan when the union is, byte
+// for byte, the one this connection planned last. A nil plan is a valid
+// query with nothing to search for.
+func (s *Server) planQuery(r *Reader, m *connMemo) (*search.Plan, *RemoteError) {
+	query := ReadQueryBytes(r)
+	if err := r.Err(); err != nil {
+		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	}
+	if bytes.Equal(query, m.query) {
+		return m.plan, nil
+	}
+	leaves, ok, rerr := ReadQueryLeaves(NewReader(query), s.sys)
 	if rerr != nil {
 		return nil, rerr
 	}
-	if err := r.Done(); err != nil {
-		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	m.query, m.plan = append(m.query[:0], query...), nil
+	if ok {
+		m.plan = s.sys.Engine.PlanLeavesInto(&m.buf, leaves)
 	}
-	b := AppendOKHeader(nil)
-	if !ok {
-		return append(b, 0), nil
-	}
-	plan := s.sys.Engine.PlanLeavesInto(nil, leaves)
-	b = append(b, 1)
-	b = AppendUvarint(b, uint64(plan.NumLeaves()))
-	for i := 0; i < plan.NumLeaves(); i++ {
-		b = AppendUvarint(b, uint64(plan.LocalCF(i)))
-	}
-	return b, nil
+	return m.plan, nil
 }
 
-// handleTopK is scatter phase two: re-derive the leaves (stateless — any
-// replica can serve the retry), score under the supplied global
-// statistics and return this shard's top k in the global doc-id space.
-// Request body: query union, zigzag k, uvarint global tokens, leaf CF
-// list. Response body: [searchable byte][results].
-func (s *Server) handleTopK(r *Reader) ([]byte, *RemoteError) {
-	leaves, ok, rerr := ReadQueryLeaves(r, s.sys)
+// handlePlan is scatter phase one: derive the query's scoring leaves and
+// return this shard's per-leaf local collection frequencies.
+func (s *Server) handlePlan(r *Reader, m *connMemo) ([]byte, *RemoteError) {
+	plan, rerr := s.planQuery(r, m)
 	if rerr != nil {
 		return nil, rerr
-	}
-	k := int(r.Varint())
-	totalTokens := int64(r.Uvarint())
-	n := r.Int()
-	if r.Err() == nil && n > len(r.Rest()) {
-		r.fail("leaf count beyond body")
-	}
-	leafCF := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		leafCF = append(leafCF, int64(r.Uvarint()))
 	}
 	if err := r.Done(); err != nil {
 		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
 	}
-	b := AppendOKHeader(nil)
-	if !ok {
-		return append(b, 0), nil
+	return AppendPlanReply(AppendOKHeader(nil), plan), nil
+}
+
+// handleTopK is scatter phase two: plan the query the request carries
+// again (stateless — any replica can serve the retry), score under the
+// supplied global statistics and return this shard's top k in the global
+// doc-id space.
+func (s *Server) handleTopK(r *Reader, m *connMemo) ([]byte, *RemoteError) {
+	plan, rerr := s.planQuery(r, m)
+	if rerr != nil {
+		return nil, rerr
 	}
-	if n != len(leaves) {
+	k, totalTokens, leafCF := ReadTopKRequest(r)
+	if err := r.Done(); err != nil {
+		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	}
+	if plan == nil {
+		return AppendTopKReply(AppendOKHeader(nil), nil, false), nil
+	}
+	if len(leafCF) != plan.NumLeaves() {
 		return nil, &RemoteError{Class: ClassInternal,
-			Msg: fmt.Sprintf("query plans %d leaves on this shard, request carries %d collection frequencies", len(leaves), n)}
+			Msg: fmt.Sprintf("query plans %d leaves on this shard, request carries %d collection frequencies", plan.NumLeaves(), len(leafCF))}
 	}
-	plan := s.sys.Engine.PlanLeavesInto(nil, leaves)
 	rs, err := s.sys.Engine.SearchPlanInto(plan, k, &search.Stats{TotalTokens: totalTokens, LeafCF: leafCF}, nil)
 	if err != nil {
 		return nil, remoteErr(err)
@@ -386,8 +402,7 @@ func (s *Server) handleTopK(r *Reader) ([]byte, *RemoteError) {
 			rs[i].Doc = s.docGlobal[rs[i].Doc]
 		}
 	}
-	b = append(b, 1)
-	return AppendResults(b, rs), nil
+	return AppendTopKReply(AppendOKHeader(nil), rs, true), nil
 }
 
 // handleExpand runs the expansion pipeline on the replicated graph.
@@ -444,6 +459,9 @@ func (s *Server) handleLink(r *Reader) ([]byte, *RemoteError) {
 // handleTitle resolves one node id to its display title.
 func (s *Server) handleTitle(r *Reader) ([]byte, *RemoteError) {
 	id := r.Uvarint()
+	if r.Err() == nil && id >= uint64(s.sys.Snapshot.Graph().NumNodes()) {
+		r.fail("node id")
+	}
 	if err := r.Done(); err != nil {
 		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
 	}

@@ -30,6 +30,14 @@
 // remaining — an absolute clock would need synchronized hosts — and 0
 // means "no deadline".
 //
+// Requests may be pipelined: a client may write several request frames on
+// a connection before reading any reply, and replies come back in request
+// order. The server flushes its replies when no further request is already
+// buffered on the connection, so a pipelined pair is answered in one
+// write. A client writes every request before it reads, so only the last
+// reply of a pipeline may be large — an earlier one that filled the
+// socket would block the server against a client still writing.
+//
 // Body encoding is varint-first: unsigned counts and ids as uvarints,
 // signed scalars zigzag-encoded, float64 as 8 little-endian bytes of the
 // IEEE bits (scores must survive bit-exactly for the coordinator's merge
@@ -47,6 +55,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"github.com/querygraph/querygraph/internal/store"
 )
 
 // Version is the newest protocol version this build speaks; VersionMin
@@ -166,6 +176,14 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("rpc: frame of %d bytes exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
+	if bw, ok := w.(*bufio.Writer); ok {
+		// The connections' path: the prefix is built in the writer's own
+		// buffer (hdr below escapes through the interface, an allocation
+		// per frame), and a failed write is sticky, so the next reports it.
+		_, _ = bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), uint64(len(payload))))
+		_, err := bw.Write(payload)
+		return err
+	}
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
 	if _, err := w.Write(hdr[:n]); err != nil {
@@ -175,9 +193,11 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame, enforcing MaxFrame. A clean
-// EOF before the first length byte surfaces as io.EOF (connection closed
-// between requests); anything torn mid-frame is an unexpected-EOF error.
+// ReadFrame reads one length-prefixed frame, enforcing MaxFrame and
+// believing the prefix only as far as bytes arrive (store.ReadDeclared). A
+// clean EOF before the first length byte surfaces as io.EOF (connection
+// closed between requests); anything torn mid-frame is an unexpected-EOF
+// error.
 func ReadFrame(br *bufio.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -186,14 +206,7 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("rpc: incoming frame of %d bytes exceeds MaxFrame %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return payload, nil
+	return store.ReadDeclared(br, n)
 }
 
 // --- append-style encoders ---------------------------------------------
@@ -305,15 +318,21 @@ func (r *Reader) Int() int {
 	return int(v)
 }
 
-// Len reads a uvarint length and bounds it by the bytes remaining (a
-// corrupt length cannot drive a huge allocation).
-func (r *Reader) Len() int {
-	v := r.Uvarint()
-	if r.err == nil && v > uint64(len(r.b)-r.i) {
-		r.fail("length prefix beyond body")
+// Len reads a uvarint length in bytes and bounds it by the bytes
+// remaining (a corrupt length cannot drive a huge allocation).
+func (r *Reader) Len() int { return r.Count(1) }
+
+// Count reads the uvarint element count of a list whose elements encode
+// to at least minSize bytes each, bounded by the bytes remaining: a
+// corrupt count fails the reader and returns 0, so it can size neither
+// an allocation nor a loop.
+func (r *Reader) Count(minSize int) int {
+	n := r.Int()
+	if r.err == nil && n > (len(r.b)-r.i)/minSize {
+		r.fail("length or count beyond body")
 		return 0
 	}
-	return int(v)
+	return n
 }
 
 // String reads a length-prefixed string.

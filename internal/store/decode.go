@@ -183,6 +183,33 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
+// ReadDeclared reads the n bytes a length prefix declared — a section
+// here, a frame in internal/rpc — believing n only as far as the stream
+// backs it: the buffer grows eightfold as bytes actually arrive, so a
+// corrupt prefix costs a small multiple of what was read, not what it
+// claims. The first size is n divided down by eights, so the growth lands
+// on n exactly and an honest body is copied over a seventh of itself; up
+// to 64 KB is read in one piece. A stream that ends early is
+// io.ErrUnexpectedEOF.
+func ReadDeclared(r io.Reader, n uint64) ([]byte, error) {
+	first := n
+	for first > 1<<16 {
+		first = (first + 7) / 8
+	}
+	body := make([]byte, 0, first)
+	for uint64(len(body)) < n {
+		if len(body) == cap(body) {
+			body = append(make([]byte, 0, min(n, 8*uint64(cap(body)))), body...)
+		}
+		m, err := io.ReadFull(r, body[len(body):cap(body)])
+		body = body[:len(body)+m]
+		if err != nil {
+			return nil, unexpectedEOF(err)
+		}
+	}
+	return body, nil
+}
+
 // readSection reads one framed section and verifies its checksum.
 func readSection(br *bufio.Reader, want byte) ([]byte, error) {
 	name := sectionName(want)
@@ -200,25 +227,9 @@ func readSection(br *bufio.Reader, want byte) ([]byte, error) {
 	if n > maxSectionLen {
 		return nil, fmt.Errorf("store: %s section: implausible length %d (corrupted length prefix?)", name, n)
 	}
-	// The declared length is believed only as far as the stream backs it:
-	// the buffer grows eightfold as bytes actually arrive, so a corrupt
-	// prefix costs a small multiple of what was read, not what it claims.
-	// The first size is n divided down by eights, so the growth lands on n
-	// exactly and an honest section is copied over a seventh of itself.
-	first := n
-	for first > 1<<16 {
-		first = (first + 7) / 8
-	}
-	body := make([]byte, 0, first)
-	for uint64(len(body)) < n {
-		if len(body) == cap(body) {
-			body = append(make([]byte, 0, min(n, 8*uint64(cap(body)))), body...)
-		}
-		m, err := io.ReadFull(br, body[len(body):cap(body)])
-		body = body[:len(body)+m]
-		if err != nil {
-			return nil, fmt.Errorf("store: %s section: truncated payload (%d bytes declared): %w", name, n, unexpectedEOF(err))
-		}
+	body, err := ReadDeclared(br, n)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s section: truncated payload (%d bytes declared): %w", name, n, err)
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(br, sum[:]); err != nil {

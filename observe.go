@@ -83,7 +83,14 @@ const (
 type Event struct {
 	Op Op
 	// Duration is the operation's wall time inside the backend (for OpRPC,
-	// the attempt's, including connection checkout).
+	// the attempt's, including connection checkout). A scatter writes its
+	// first attempts to every shard before it reads any reply, and a
+	// repeated query's top-k request rides behind its plan request, so
+	// such an attempt runs from that write until the coordinator has read
+	// its reply: it covers the replies read ahead of it — the shards
+	// before it in the topology, the plan reply on its own connection —
+	// and is the time the request spent waiting on this shard, not the
+	// shard's service time (the shard's own request hook has that).
 	Duration time.Duration
 	// Err is the operation's error class ("" on success); see ErrorClass.
 	Err string

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/querygraph/querygraph/internal/core"
+	"github.com/querygraph/querygraph/internal/lru"
 	"github.com/querygraph/querygraph/internal/rpc"
 	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/trace"
@@ -149,9 +151,12 @@ func (t *Topology) applyDefaults() {
 // persistent connections — per-shard deadlines, retry-with-backoff
 // across replica addresses, optional hedged requests — and merges the
 // per-shard rankings by (score desc, global doc asc), bit-identical to
-// the in-process Pool when the fleet is healthy. Expansion, linking and
-// the accessors route to any single shard (the graph and benchmark are
-// replicated), with failover.
+// the in-process Pool when the fleet is healthy. A query body scattered
+// before waits for one network round, not two: its top-k requests ride
+// behind the plan requests under the collection frequencies remembered
+// from last time, and count only if the plan replies sum to exactly those
+// (see scatter). Expansion, linking and the accessors route to any single
+// shard (the graph and benchmark are replicated), with failover.
 //
 // Partial failure follows the topology's policy: "fail" turns any
 // unreachable shard into an error wrapping ErrShardUnavailable;
@@ -175,6 +180,13 @@ type Remote struct {
 	ident   rpc.Identity
 	queries []Query
 
+	// leafCF remembers, per scattered query body, the fleet-wide per-leaf
+	// collection frequencies its plan replies summed to — what the next
+	// scatter of that body speculates under. A stored slice is never
+	// written again.
+	leafCF  *lru.Cache[string, []int64]
+	scratch sync.Pool // *scatterScratch
+
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup
@@ -196,9 +208,10 @@ func OpenTopology(path string, opts ...Option) (*Remote, error) {
 		return nil, err
 	}
 	c := &Remote{
-		topo:  topo,
-		cfg:   cfg,
-		conns: rpc.NewConnPool(time.Duration(topo.TimeoutMS) * time.Millisecond),
+		topo:   topo,
+		cfg:    cfg,
+		conns:  rpc.NewConnPool(time.Duration(topo.TimeoutMS) * time.Millisecond),
+		leafCF: lru.New[string, []int64](leafCFCapacity),
 	}
 	if err := c.handshake(); err != nil {
 		c.conns.CloseAll()
@@ -213,7 +226,7 @@ func (c *Remote) handshake() error {
 	n := len(c.topo.Shards)
 	idents := make([]rpc.Identity, n)
 	for i, sh := range c.topo.Shards {
-		payload, err := c.callShard(nil, sh, rpc.OpHealthz, nil)
+		payload, err := c.callShard(nil, sh, rpc.OpHealthz, nil, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -282,16 +295,16 @@ func (c *Remote) Close() error {
 }
 
 // begin gates a query path: it fails with ErrClosed after Close, and
-// otherwise registers the request with the in-flight drain. The returned
-// func must be called when the request finishes.
-func (c *Remote) begin() (func(), error) {
+// otherwise registers the request with the in-flight drain, which the
+// caller releases with c.inflight.Done when the request finishes.
+func (c *Remote) begin() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	c.inflight.Add(1)
-	return c.inflight.Done, nil
+	return nil
 }
 
 // --- the RPC core ------------------------------------------------------
@@ -324,24 +337,24 @@ func (c *Remote) attemptDeadline(ctx context.Context) time.Time {
 // the trace ID to the shard in the v2 request header so server-side
 // work is attributable to this request.
 func (c *Remote) doRPC(ctx context.Context, shardID int, addr string, op rpc.Op, body []byte, deadline time.Time, attempt int, hedged bool) ([]byte, error) {
-	tr := trace.FromContext(ctx)
-	start := time.Now()
-	payload, err := c.rawRPC(addr, op, body, deadline, uint64(tr.ID()))
+	tr, start := trace.FromContext(ctx), time.Now()
+	var payload []byte
+	conn, err := c.conns.Get(addr)
+	if err == nil {
+		payload, err = conn.Do(op, body, deadline, uint64(tr.ID()))
+		c.conns.Put(conn)
+	}
+	c.observeRPC(tr, shardID, addr, op, start, attempt, hedged, err)
+	return payload, err
+}
+
+// observeRPC lands one attempt that began at start — pipelined or not —
+// as an OpRPC event and an rpc:<op> span on the request trace.
+func (c *Remote) observeRPC(tr *trace.Trace, shardID int, addr string, op rpc.Op, start time.Time, attempt int, hedged bool, err error) {
 	c.cfg.obs.emit(&Event{Op: OpRPC, Kind: op.String(), Shard: shardID, Addr: addr, Attempt: attempt, Hedged: hedged}, start, err)
 	if tr != nil {
 		tr.Add("rpc:"+op.String(), start, shardID, attempt, hedged, ErrorClass(err), addr)
 	}
-	return payload, err
-}
-
-func (c *Remote) rawRPC(addr string, op rpc.Op, body []byte, deadline time.Time, traceID uint64) ([]byte, error) {
-	conn, err := c.conns.Get(addr)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := conn.Do(op, body, deadline, traceID)
-	c.conns.Put(conn)
-	return payload, err
 }
 
 // abortErr classifies an attempt failure: a non-nil return is an
@@ -367,15 +380,30 @@ func abortErr(ctx context.Context, err error) error {
 	return nil
 }
 
+// hedges reports whether a shard's first attempt is raced against a
+// delayed duplicate to its replica.
+func (c *Remote) hedges(sh TopologyShard) bool {
+	return c.topo.HedgeAfterMS > 0 && len(sh.Addrs) > 1
+}
+
 // callShard performs one logical call against a shard: up to 1+Retries
 // attempts rotating through the shard's addresses with backoff, hedging
-// the first attempt to a replica when configured. Application errors
-// abort immediately; exhausting every attempt returns an error wrapping
-// ErrShardUnavailable.
-func (c *Remote) callShard(ctx context.Context, sh TopologyShard, op rpc.Op, body []byte) ([]byte, error) {
-	var lastErr error
+// the first attempt to a replica when configured. A caller whose own
+// first attempt already failed — round writes those itself — continues
+// from attempt 1 with that failure as lastErr; everyone else starts at
+// (0, nil). Application errors abort immediately; exhausting every
+// attempt returns an error wrapping ErrShardUnavailable.
+func (c *Remote) callShard(ctx context.Context, sh TopologyShard, op rpc.Op, body []byte, attempt int, lastErr error) ([]byte, error) {
 	backoff := time.Duration(c.topo.RetryBackoffMS) * time.Millisecond
-	for attempt := 0; attempt <= c.topo.Retries; attempt++ {
+	for ; ; attempt++ {
+		if lastErr != nil {
+			if aerr := abortErr(ctx, lastErr); aerr != nil {
+				return nil, aerr
+			}
+		}
+		if attempt > c.topo.Retries {
+			return nil, fmt.Errorf("%w: shard %d after %d attempts: %v", ErrShardUnavailable, sh.ID, c.topo.Retries+1, lastErr)
+		}
 		if attempt > 0 && backoff > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
@@ -386,21 +414,15 @@ func (c *Remote) callShard(ctx context.Context, sh TopologyShard, op rpc.Op, bod
 		addr := sh.Addrs[attempt%len(sh.Addrs)]
 		deadline := c.attemptDeadline(ctx)
 		var payload []byte
-		var err error
-		if attempt == 0 && c.topo.HedgeAfterMS > 0 && len(sh.Addrs) > 1 {
-			payload, err = c.attemptHedged(ctx, sh.ID, addr, sh.Addrs[1], op, body, deadline)
+		if attempt == 0 && c.hedges(sh) {
+			payload, lastErr = c.attemptHedged(ctx, sh.ID, addr, sh.Addrs[1], op, body, deadline)
 		} else {
-			payload, err = c.doRPC(ctx, sh.ID, addr, op, body, deadline, attempt, false)
+			payload, lastErr = c.doRPC(ctx, sh.ID, addr, op, body, deadline, attempt, false)
 		}
-		if err == nil {
+		if lastErr == nil {
 			return payload, nil
 		}
-		if aerr := abortErr(ctx, err); aerr != nil {
-			return nil, aerr
-		}
-		lastErr = err
 	}
-	return nil, fmt.Errorf("%w: shard %d after %d attempts: %v", ErrShardUnavailable, sh.ID, c.topo.Retries+1, lastErr)
 }
 
 // attemptHedged races the primary against a delayed speculative request
@@ -455,7 +477,7 @@ func (c *Remote) attemptHedged(ctx context.Context, shardID int, primary, replic
 func (c *Remote) anyShard(ctx context.Context, op rpc.Op, body []byte) ([]byte, error) {
 	var lastErr error
 	for i := range c.topo.Shards {
-		payload, err := c.callShard(ctx, c.topo.Shards[i], op, body)
+		payload, err := c.callShard(ctx, c.topo.Shards[i], op, body, 0, nil)
 		if err == nil {
 			return payload, nil
 		}
@@ -469,53 +491,92 @@ func (c *Remote) anyShard(ctx context.Context, op rpc.Op, body []byte) ([]byte, 
 
 // --- scatter-gather ----------------------------------------------------
 
-// shardState tracks one shard through a scatter: its plan-phase result
-// and whether it has been dropped under the degrade policy.
+// leafCFCapacity bounds the table of remembered collection frequencies,
+// in distinct query bodies (the shards' leaf cache holds as many).
+const leafCFCapacity = 4096
+
+// shardState tracks one shard through a scatter.
 type shardState struct {
-	cfs     []int64
-	ok      bool
-	dropped bool
+	cfs     []int64  // plan reply: the shard's local per-leaf frequencies
+	local   []Result // top-k reply
+	ok      bool     // the plan reply was searchable
+	ranked  bool     // local answers the top-k body in force
+	dropped bool     // lost to the degrade policy
+	err     error    // what the round in progress ended in
+	// A first attempt the calling goroutine wrote this round: its
+	// connection, when it was written (zero: none was), and what has
+	// failed of it and is not retried yet — between rounds, the
+	// speculated top-k's failure, which that shard's second-round call
+	// continues from.
+	conn  *rpc.Conn
+	sent  time.Time
+	first error
+}
+
+// skips reports whether a round of op has nothing to ask this shard.
+func (st *shardState) skips(op rpc.Op) bool {
+	return st.dropped || op == rpc.OpTopK && st.ranked
+}
+
+// scatterScratch is one scatter's working state, pooled per coordinator.
+type scatterScratch struct {
+	states  []shardState
+	leafCF  []int64
+	body    []byte // the top-k request body in force
+	merged  [][]Result
+	cursors []int
+	wg      sync.WaitGroup
+}
+
+// take decodes shard i's reply to op into its state.
+func (sc *scatterScratch) take(i int, op rpc.Op, payload []byte) error {
+	st, r := &sc.states[i], rpc.NewReader(payload)
+	if op == rpc.OpPlan {
+		st.cfs, st.ok = rpc.ReadPlanReply(r, st.cfs)
+	} else if st.local, st.ranked = rpc.ReadTopKReply(r); !st.ranked && r.Err() == nil {
+		return fmt.Errorf("shard %d: plan phase was searchable, top-k phase was not", i)
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("shard %d %s: %w", i, op, err)
+	}
+	return nil
 }
 
 // scatter runs the two-phase distributed search for one encoded query:
 // plan every shard's leaves and local collection frequencies, aggregate
 // to global statistics, score every surviving shard under them, and
-// merge. ok=false means the query (an expansion) had nothing to search
+// merge into dst. The phases are two network rounds for a query body the
+// coordinator has not scattered before. For one it has, the top-k
+// requests ride behind the plan requests under the remembered
+// frequencies, and their replies are the second phase's answer if the
+// plan replies of the surviving shards sum to exactly what was sent;
+// anything else — a shard dropped or restarted, a wrong entry — is
+// refuted and scored again under the true sum, which also repairs the
+// entry. ok=false means the query (an expansion) had nothing to search
 // for. dropped counts shards lost to the degrade policy; the fail policy
 // never drops (it errors).
-func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int) (rs []Result, ok bool, dropped int, err error) {
+func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Result) (rs []Result, ok bool, dropped int, err error) {
 	n := len(c.topo.Shards)
-	states := make([]shardState, n)
-	errs := make([]error, n)
+	sc, _ := c.scratch.Get().(*scatterScratch)
+	if sc == nil {
+		sc = &scatterScratch{states: make([]shardState, n), cursors: make([]int, n)}
+	}
+	defer c.scratch.Put(sc)
+	for i := range sc.states {
+		sc.states[i] = shardState{cfs: sc.states[i].cfs}
+	}
 	tr := trace.FromContext(ctx)
+	key := string(queryBody)
+	sent, warm := c.leafCF.Get(key, key)
 
 	planStart := time.Now()
-	c.eachShard(func(i int) {
-		payload, err := c.callShard(ctx, c.topo.Shards[i], rpc.OpPlan, queryBody)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		r := rpc.NewReader(payload)
-		if r.Byte() == 0 {
-			if err := r.Done(); err != nil {
-				errs[i] = fmt.Errorf("shard %d plan: %w", i, err)
-			}
-			return
-		}
-		m := r.Int()
-		cfs := make([]int64, 0, m)
-		for j := 0; j < m; j++ {
-			cfs = append(cfs, int64(r.Uvarint()))
-		}
-		if err := r.Done(); err != nil {
-			errs[i] = fmt.Errorf("shard %d plan: %w", i, err)
-			return
-		}
-		states[i].ok = true
-		states[i].cfs = cfs
-	})
-	if dropped, err = c.applyPolicy(states, errs); err != nil {
+	var speculate []byte
+	if warm {
+		sc.body = rpc.AppendTopKRequest(sc.body[:0], queryBody, k, c.ident.GlobalTokens, sent)
+		speculate = sc.body
+	}
+	c.round(ctx, sc, rpc.OpPlan, queryBody, speculate)
+	if dropped, err = c.applyPolicy(sc.states); err != nil {
 		tr.Span("plan", planStart, ErrorClass(err))
 		return nil, false, 0, err
 	}
@@ -524,127 +585,179 @@ func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int) (rs []Res
 	// Searchable and leaf structure must agree across survivors — they
 	// derive it from the same replicated analyzer and graph.
 	aggStart := time.Now()
-	first := -1
-	for i := range states {
-		if !states[i].dropped {
-			first = i
-			break
-		}
-	}
-	if !states[first].ok {
+	first := slices.IndexFunc(sc.states, func(st shardState) bool { return !st.dropped })
+	if !sc.states[first].ok {
 		return nil, false, dropped, nil
 	}
-	leafCF := make([]int64, len(states[first].cfs))
-	for i := range states {
-		if states[i].dropped {
+	leafCF := append(sc.leafCF[:0], sc.states[first].cfs...)
+	for i := first + 1; i < n; i++ {
+		st := &sc.states[i]
+		if st.dropped {
 			continue
 		}
-		if !states[i].ok || len(states[i].cfs) != len(leafCF) {
+		if !st.ok || len(st.cfs) != len(leafCF) {
 			return nil, false, 0, fmt.Errorf("shard %d planned %d leaves, shard %d planned %d: fleet disagrees on query structure",
-				first, len(leafCF), i, len(states[i].cfs))
+				first, len(leafCF), i, len(st.cfs))
 		}
-		for j, cf := range states[i].cfs {
+		for j, cf := range st.cfs {
 			leafCF[j] += cf
 		}
 	}
-
-	topkBody := make([]byte, 0, len(queryBody)+16+10*len(leafCF))
-	topkBody = append(topkBody, queryBody...)
-	topkBody = rpc.AppendVarint(topkBody, int64(k))
-	topkBody = rpc.AppendUvarint(topkBody, uint64(c.ident.GlobalTokens))
-	topkBody = rpc.AppendUvarint(topkBody, uint64(len(leafCF)))
-	for _, cf := range leafCF {
-		topkBody = rpc.AppendUvarint(topkBody, uint64(cf))
+	sc.leafCF = leafCF
+	detail := ""
+	if warm && slices.Equal(leafCF, sent) {
+		detail = "speculated"
+	} else {
+		if warm {
+			detail = "refuted"
+		}
+		if dropped == 0 { // a degraded sum is not the fleet's
+			c.leafCF.Put(key, key, slices.Clone(leafCF))
+		}
+		for i := range sc.states {
+			sc.states[i].ranked = false
+		}
+		sc.body = rpc.AppendTopKRequest(sc.body[:0], queryBody, k, c.ident.GlobalTokens, leafCF)
 	}
 	tr.Span("aggregate", aggStart, "")
 
+	// The second round asks only the shards that hold no ranking under
+	// sc.body: every survivor when cold or refuted, nobody when every
+	// speculated reply arrived.
 	topkStart := time.Now()
-	locals := make([][]Result, n)
-	c.eachShard(func(i int) {
-		if states[i].dropped {
-			return
-		}
-		payload, err := c.callShard(ctx, c.topo.Shards[i], rpc.OpTopK, topkBody)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		r := rpc.NewReader(payload)
-		if r.Byte() == 0 {
-			errs[i] = fmt.Errorf("shard %d: plan phase was searchable, top-k phase was not", i)
-			return
-		}
-		locals[i] = rpc.ReadResults(r)
-		if err := r.Done(); err != nil {
-			errs[i] = fmt.Errorf("shard %d topk: %w", i, err)
-		}
-	})
-	if dropped, err = c.applyPolicy(states, errs); err != nil {
-		tr.Span("topk", topkStart, ErrorClass(err))
+	c.round(ctx, sc, rpc.OpTopK, sc.body, nil)
+	dropped, err = c.applyPolicy(sc.states)
+	tr.Add("topk", topkStart, -1, 0, false, ErrorClass(err), detail)
+	if err != nil {
 		return nil, false, 0, err
 	}
-	tr.Span("topk", topkStart, "")
 
 	mergeStart := time.Now()
-	merged := make([][]Result, 0, n)
-	for i := range states {
-		if !states[i].dropped {
-			merged = append(merged, locals[i])
+	merged := sc.merged[:0]
+	for i := range sc.states {
+		if !sc.states[i].dropped {
+			merged = append(merged, sc.states[i].local)
 		}
 	}
-	rs = search.MergeRankedScratch(nil, merged, k, make([]int, len(merged)))
+	sc.merged = merged
+	rs = search.MergeRankedScratch(dst, merged, k, sc.cursors)
 	tr.Span("merge", mergeStart, "")
 	return rs, true, dropped, nil
 }
 
-// applyPolicy folds per-shard errors into the partial-failure policy:
-// application errors abort (in shard order, deterministically); shard
-// failures abort under "fail", or drop the shard under "degrade" as long
-// as the surviving quorum holds. It returns the total dropped count.
-func (c *Remote) applyPolicy(states []shardState, errs []error) (dropped int, err error) {
-	for i, e := range errs {
-		if e != nil && !errors.Is(e, ErrShardUnavailable) {
-			return 0, e
-		}
-		if e != nil && c.topo.Policy != "degrade" {
-			return 0, e
-		}
-		if e != nil {
-			states[i].dropped = true
-			errs[i] = nil
+// round asks every shard the scatter still wants op of: op under body
+// and, with speculate set, OpTopK under it right behind on the same
+// connection. The calling goroutine writes every shard's first attempt
+// before it reads any reply, then reads them in shard order — the shards
+// work meanwhile, so the wait is the slowest one's. A shard whose first
+// attempt failed continues through callShard's retry loop from attempt
+// 1, and a hedged shard goes through callShard from the start, each on a
+// goroutine of its own beside the reads. Every shard's outcome is in its
+// state when round returns.
+func (c *Remote) round(ctx context.Context, sc *scatterScratch, op rpc.Op, body, speculate []byte) {
+	cerr, tr := ctxErr(ctx), trace.FromContext(ctx)
+	deadline, traceID := c.attemptDeadline(ctx), uint64(tr.ID())
+	for i, sh := range c.topo.Shards {
+		st := &sc.states[i]
+		st.conn, st.sent = nil, time.Time{}
+		switch {
+		case st.skips(op):
+		case cerr != nil:
+			st.err = cerr
+		case st.first != nil:
+			c.later(ctx, sc, i, op, body, 1, st.first)
+			st.first = nil
+		case c.hedges(sh):
+			c.later(ctx, sc, i, op, body, 0, nil)
+		default:
+			st.sent = time.Now()
+			if st.conn, st.first = c.conns.Get(sh.Addrs[0]); st.first == nil {
+				st.first = st.conn.Queue(op, body, deadline, traceID)
+			}
+			if st.first == nil && speculate != nil {
+				st.first = st.conn.Queue(rpc.OpTopK, speculate, deadline, traceID)
+			}
+			if st.first == nil {
+				st.first = st.conn.Flush()
+			}
 		}
 	}
-	survivors := 0
+	for i := range sc.states {
+		st := &sc.states[i]
+		if st.sent.IsZero() {
+			continue
+		}
+		written := st.first == nil
+		failed := c.reply(tr, sc, i, op, st.first)
+		st.first = nil
+		if speculate != nil && written && !st.conn.Broken() {
+			st.first = c.reply(tr, sc, i, rpc.OpTopK, nil)
+		}
+		if st.conn != nil {
+			c.conns.Put(st.conn)
+		}
+		if failed != nil {
+			c.later(ctx, sc, i, op, body, 1, failed)
+		}
+	}
+	sc.wg.Wait()
+}
+
+// reply reads shard i's reply to the first attempt of op that round wrote
+// — unless writing it already failed with err — observes the attempt and
+// takes the reply into the shard's state. It returns the attempt's
+// failure, for a retry to continue from.
+func (c *Remote) reply(tr *trace.Trace, sc *scatterScratch, i int, op rpc.Op, err error) error {
+	st, sh := &sc.states[i], c.topo.Shards[i]
+	var payload []byte
+	if err == nil {
+		payload, err = st.conn.Receive()
+	}
+	c.observeRPC(tr, sh.ID, sh.Addrs[0], op, st.sent, 0, false, err)
+	if err == nil && st.err == nil {
+		st.err = sc.take(i, op, payload)
+	}
+	return err
+}
+
+// later runs shard i's call of op through callShard — from attempt 1 when
+// its first attempt failed with lastErr — on a goroutine round waits for.
+func (c *Remote) later(ctx context.Context, sc *scatterScratch, i int, op rpc.Op, body []byte, attempt int, lastErr error) {
+	sc.wg.Add(1)
+	go func() {
+		defer sc.wg.Done()
+		payload, err := c.callShard(ctx, c.topo.Shards[i], op, body, attempt, lastErr)
+		if err == nil {
+			err = sc.take(i, op, payload)
+		}
+		if err != nil {
+			sc.states[i].err = err
+		}
+	}()
+}
+
+// applyPolicy folds the round's per-shard errors into the partial-failure
+// policy: application errors abort (in shard order, deterministically);
+// shard failures abort under "fail", or drop the shard under "degrade" as
+// long as the surviving quorum holds. It returns the total dropped count.
+func (c *Remote) applyPolicy(states []shardState) (dropped int, err error) {
 	for i := range states {
-		if !states[i].dropped {
-			survivors++
-		} else {
+		st := &states[i]
+		if st.err != nil && (c.topo.Policy != "degrade" || !errors.Is(st.err, ErrShardUnavailable)) {
+			return 0, st.err
+		}
+		if st.err != nil {
+			st.dropped, st.err = true, nil
+		}
+		if st.dropped {
 			dropped++
 		}
 	}
-	if survivors < c.topo.MinShards {
+	if len(states)-dropped < c.topo.MinShards {
 		return 0, fmt.Errorf("%w: %d of %d shards unavailable, quorum needs %d survivors",
 			ErrShardUnavailable, dropped, len(states), c.topo.MinShards)
 	}
 	return dropped, nil
-}
-
-// eachShard runs fn concurrently over every shard index and waits.
-func (c *Remote) eachShard(fn func(i int)) {
-	n := len(c.topo.Shards)
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // partialErr is the degraded-response error (results stay attached); nil
@@ -670,11 +783,10 @@ func (c *Remote) call(ctx context.Context, ev *Event, work func() error) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		done, err := c.begin()
-		if err != nil {
+		if err := c.begin(); err != nil {
 			return err
 		}
-		defer done()
+		defer c.inflight.Done()
 		ev.Shards = len(c.topo.Shards)
 		return work()
 	}()
@@ -686,27 +798,23 @@ func (c *Remote) call(ctx context.Context, ev *Event, work func() error) error {
 // ranking. Under the "degrade" policy a response missing shards returns
 // the surviving ranking AND an error wrapping ErrPartialResult.
 func (c *Remote) Search(ctx context.Context, query string, k int) ([]Result, error) {
+	return c.SearchInto(ctx, query, k, nil)
+}
+
+// SearchInto is Search merging the ranking into dst's storage (dst may be
+// nil). The network round trip still allocates decode buffers — the
+// zero-allocation steady state is a *Client property — but the contract
+// (results in dst, nothing retained) is identical.
+func (c *Remote) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
 	var rs []Result
 	ev := Event{Op: OpSearch, K: k}
 	err := c.call(ctx, &ev, func() (err error) {
 		var dropped int
-		if rs, _, dropped, err = c.scatter(ctx, rpc.AppendTextQuery(nil, query), k); err != nil {
+		if rs, _, dropped, err = c.scatter(ctx, rpc.AppendTextQuery(nil, query), k, dst); err != nil {
 			return err
 		}
 		return c.partialErr(dropped)
 	})
-	return rs, err
-}
-
-// SearchInto is Search reusing dst's storage for the returned ranking
-// (dst may be nil). The network round trip still allocates decode
-// buffers — the zero-allocation steady state is a *Client property — but
-// the contract (results copied into dst, nothing retained) is identical.
-func (c *Remote) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
-	rs, err := c.Search(ctx, query, k)
-	if dst != nil && (err == nil || errors.Is(err, ErrPartialResult)) {
-		rs = append(dst[:0], rs...)
-	}
 	return rs, err
 }
 
@@ -749,7 +857,7 @@ func (c *Remote) scatterAll(ctx context.Context, n, k int, opts BatchOptions, wh
 	out := make([][]Result, n)
 	var partial atomic.Bool
 	err := core.ForEach(ctx, n, opts.Workers, func(i int) error {
-		rs, ok, dropped, err := c.scatter(ctx, body(i), k)
+		rs, ok, dropped, err := c.scatter(ctx, body(i), k, nil)
 		if err != nil {
 			return fmt.Errorf("%s %d: %w", what, i, err)
 		}
@@ -851,7 +959,7 @@ func (c *Remote) SearchExpansion(ctx context.Context, exp *Expansion, k int) (re
 	ev := Event{Op: OpSearch, K: k, Expanded: true}
 	err = c.call(ctx, &ev, func() (err error) {
 		var dropped int
-		if results, ok, dropped, err = c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k); err != nil || !ok {
+		if results, ok, dropped, err = c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k, nil); err != nil || !ok {
 			return err
 		}
 		return c.partialErr(dropped)
@@ -876,17 +984,16 @@ func (c *Remote) SearchExpansions(ctx context.Context, exps []*Expansion, k int,
 // Link computes L(q.k) against any shard's replicated graph (nil on
 // failure or once closed — the ctx-less accessor contract).
 func (c *Remote) Link(keywords string) []Entity {
-	done, err := c.begin()
-	if err != nil {
+	if c.begin() != nil {
 		return nil
 	}
-	defer done()
+	defer c.inflight.Done()
 	payload, err := c.anyShard(nil, rpc.OpLink, rpc.AppendString(nil, keywords))
 	if err != nil {
 		return nil
 	}
 	r := rpc.NewReader(payload)
-	n := r.Int()
+	n := r.Count(2) // a node id and a length prefix at least
 	out := make([]Entity, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, Entity{ID: NodeID(r.Uvarint()), Title: r.String()})
@@ -900,11 +1007,10 @@ func (c *Remote) Link(keywords string) []Entity {
 // Title resolves a node id on any shard's replicated graph ("" on
 // failure or once closed).
 func (c *Remote) Title(id NodeID) string {
-	done, err := c.begin()
-	if err != nil {
+	if c.begin() != nil {
 		return ""
 	}
-	defer done()
+	defer c.inflight.Done()
 	payload, err := c.anyShard(nil, rpc.OpTitle, rpc.AppendUvarint(nil, uint64(id)))
 	if err != nil {
 		return ""
@@ -929,11 +1035,10 @@ func (c *Remote) Queries() []Query {
 // shard (the graph and benchmark are replicated; Documents is the global
 // count). Zero once closed or when no shard answers.
 func (c *Remote) Stats() Stats {
-	done, err := c.begin()
-	if err != nil {
+	if c.begin() != nil {
 		return Stats{}
 	}
-	defer done()
+	defer c.inflight.Done()
 	payload, err := c.anyShard(nil, rpc.OpStats, nil)
 	if err != nil {
 		return Stats{}

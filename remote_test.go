@@ -11,11 +11,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/querygraph/querygraph/internal/rpc"
+	"github.com/querygraph/querygraph/internal/trace"
 )
 
 // startShardFleet boots one rpc.Server per shard file in dir on loopback
@@ -92,8 +95,9 @@ func fakeShard(t *testing.T, ident rpc.Identity) string {
 }
 
 // scriptedShard is a protocol endpoint that answers each request with
-// reply(op), header included, and hangs forever on the ops reply returns
-// nil for; its goroutines are released when the test ends.
+// reply(op), header included, hangs forever on the ops reply returns nil
+// for and drops the connection on the ones it returns an empty reply for;
+// its goroutines are released when the test ends.
 func scriptedShard(t *testing.T, reply func(rpc.Op) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -124,6 +128,9 @@ func scriptedShard(t *testing.T, reply func(rpc.Op) []byte) string {
 					resp := reply(rpc.Op(r.Byte()))
 					if resp == nil {
 						<-hang // never answer: the caller's deadline must fire
+						return
+					}
+					if len(resp) == 0 {
 						return
 					}
 					if err := rpc.WriteFrame(c, resp); err != nil {
@@ -618,5 +625,310 @@ func TestRemoteClosedAccessors(t *testing.T) {
 	}
 	if ents := remote.Link("x"); ents != nil {
 		t.Errorf("Link after Close = %v, want nil", ents)
+	}
+}
+
+// opCounter counts the requests a fleet's shards handle, by op.
+type opCounter struct {
+	mu sync.Mutex
+	n  map[rpc.Op]int
+}
+
+func (c *opCounter) hook(op rpc.Op, _ uint64, _ time.Time, _ time.Duration, _ string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n == nil {
+		c.n = make(map[rpc.Op]int)
+	}
+	c.n[op]++
+}
+
+// take returns the plan and top-k requests counted since the last take.
+func (c *opCounter) take() (plans, topks int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	plans, topks = c.n[rpc.OpPlan], c.n[rpc.OpTopK]
+	c.n = nil
+	return plans, topks
+}
+
+// tracedSearch runs one search under a fresh trace and returns the ranking
+// with the detail of the trace's topk phase span and the number of rpc:
+// attempt spans that began before its plan phase span ended.
+func tracedSearch(t *testing.T, be *Remote, query string, k int) (rs []Result, err error, detail string, inPlanWait int) {
+	t.Helper()
+	tr := trace.Begin(trace.NewID())
+	rs, err = be.Search(trace.NewContext(context.Background(), tr), query, k)
+	rec := tr.Finish("search", "")
+	planEnd := -1.0
+	for _, sp := range rec.Spans {
+		switch sp.Phase {
+		case "plan":
+			planEnd = sp.StartMS + sp.DurMS
+		case "topk":
+			detail = sp.Detail
+		}
+	}
+	for _, sp := range rec.Spans {
+		if strings.HasPrefix(sp.Phase, "rpc:") && sp.StartMS < planEnd {
+			inPlanWait++
+		}
+	}
+	return rs, err, detail, inPlanWait
+}
+
+// TestRemoteSpeculationVerified: a repeated query waits for one round —
+// plan and top-k attempts inside the plan wait, four requests as ever — and
+// a table entry with wrong frequencies is refuted by the plan replies: the
+// answer stays exact, the shards see the refuted top-k and the true one,
+// and the entry is repaired.
+func TestRemoteSpeculationVerified(t *testing.T) {
+	ref, dir := shardedWorld(t)
+	var ops opCounter
+	be, err := OpenTopology(startHookedFleet(t, dir, 2, ops.hook, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	kw := ref.Queries()[0].Keywords
+	want, err := ref.Search(context.Background(), kw, MaxRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := string(rpc.AppendTextQuery(nil, kw))
+	var truth []int64
+	for i, step := range []struct {
+		poison                bool
+		detail                string
+		plans, topks, planned int
+	}{
+		{false, "", 2, 2, 2},           // cold: two rounds
+		{false, "speculated", 2, 2, 4}, // warm: one
+		{true, "refuted", 2, 4, 4},     // wrong entry: the speculated pair, then the true top-k
+		{false, "speculated", 2, 2, 4}, // repaired
+	} {
+		if step.poison {
+			wrong := slices.Clone(truth)
+			wrong[0]++
+			be.leafCF.Put(key, key, wrong)
+		}
+		ops.take()
+		got, err, detail, inPlanWait := tracedSearch(t, be, kw, MaxRank)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("search %d: %v, %v; want %v", i, got, err, want)
+		}
+		plans, topks := ops.take()
+		if detail != step.detail || plans != step.plans || topks != step.topks || inPlanWait != step.planned {
+			t.Errorf("search %d: topk span %q with %d plan and %d top-k requests, %d attempts in the plan wait; want %q, %d, %d, %d",
+				i, detail, plans, topks, inPlanWait, step.detail, step.plans, step.topks, step.planned)
+		}
+		stored, ok := be.leafCF.Get(key, key)
+		if i == 0 {
+			truth = stored
+		}
+		if !ok || len(stored) == 0 || !slices.Equal(stored, truth) {
+			t.Fatalf("search %d left the table at %v (%v), want the fleet's sum %v", i, stored, ok, truth)
+		}
+	}
+}
+
+// TestRemoteSpeculationDegraded: with a shard gone under "degrade", a
+// coordinator that remembers the query's full-fleet frequencies answers
+// exactly what one that never saw the query answers — the survivors'
+// ranking under the survivors' sum, with ErrPartialResult — and neither
+// stores that sum.
+func TestRemoteSpeculationDegraded(t *testing.T) {
+	ref, dir := shardedWorld(t)
+	topoPath, servers := startShardFleet(t, dir, 2, func(topo *Topology) {
+		topo.Policy = "degrade"
+		topo.TimeoutMS = 500
+		topo.Retries = 0
+	})
+	ctx, kw := context.Background(), ref.Queries()[0].Keywords
+	key := string(rpc.AppendTextQuery(nil, kw))
+	open := func() *Remote {
+		be, err := OpenTopology(topoPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = be.Close() })
+		return be
+	}
+	warm, fresh := open(), open()
+	if _, err := warm.Search(ctx, kw, MaxRank); err != nil {
+		t.Fatal(err)
+	}
+	full, _ := warm.leafCF.Get(key, key)
+	if err := servers[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := warm.Search(ctx, kw, MaxRank)
+	want, wantErr := fresh.Search(ctx, kw, MaxRank)
+	if !errors.Is(err, ErrPartialResult) || !errors.Is(wantErr, ErrPartialResult) || err.Error() != wantErr.Error() {
+		t.Fatalf("degraded errors: warm %v, fresh %v; want the same ErrPartialResult", err, wantErr)
+	}
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("degraded rankings differ:\n warm  %v\n fresh %v", got, want)
+	}
+	if stored, _ := warm.leafCF.Get(key, key); !slices.Equal(stored, full) {
+		t.Errorf("the degraded round rewrote the entry: %v, was %v", stored, full)
+	}
+	if stored, ok := fresh.leafCF.Get(key, key); ok {
+		t.Errorf("the degraded round stored %v", stored)
+	}
+}
+
+// rpcAttempts records the OpRPC events of one shard as
+// "kind/attempt/address/succeeded" strings.
+type rpcAttempts struct {
+	mu    sync.Mutex
+	shard int
+	seen  []string
+}
+
+func (r *rpcAttempts) Observe(e Event) {
+	if e.Op == OpRPC && e.Shard == r.shard {
+		r.mu.Lock()
+		r.seen = append(r.seen, fmt.Sprintf("%s/%d/%s/%v", e.Kind, e.Attempt, e.Addr, e.Err == ""))
+		r.mu.Unlock()
+	}
+}
+
+// take returns the attempts seen since the last take, sorted.
+func (r *rpcAttempts) take() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := r.seen
+	r.seen = nil
+	slices.Sort(out)
+	return out
+}
+
+// TestRemotePipelinedPairDiesAfterPlan: shard 1's primary answers the plan
+// request of a pipelined pair and drops the connection on the top-k one.
+// The search completes through the replica, the top-k call continuing at
+// attempt 1 — the speculated attempt was its attempt 0.
+func TestRemotePipelinedPairDiesAfterPlan(t *testing.T) {
+	ref, dir := shardedWorld(t)
+	ctx, kw := context.Background(), ref.Queries()[0].Keywords
+	srv1, err := rpc.LoadServerFile(filepath.Join(dir, "shard-001.qgs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planReply []byte // shard 1's, recorded from the real server below
+	flaky := scriptedShard(t, func(op rpc.Op) []byte {
+		switch op {
+		case rpc.OpHealthz:
+			return rpc.AppendIdentity(rpc.AppendOKHeader(nil), srv1.Identity())
+		case rpc.OpPlan:
+			return append(rpc.AppendOKHeader(nil), planReply...)
+		}
+		return []byte{}
+	})
+	rec := &rpcAttempts{shard: 1}
+	var replica string
+	topoPath, _ := startShardFleet(t, dir, 2, func(topo *Topology) {
+		replica = topo.Shards[1].Addrs[0]
+		conn, err := rpc.Dial(replica, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if planReply, err = conn.Do(rpc.OpPlan, rpc.AppendTextQuery(nil, kw), time.Now().Add(time.Second), 0); err != nil {
+			t.Fatal(err)
+		}
+		topo.Shards[1].Addrs = append([]string{flaky}, topo.Shards[1].Addrs...)
+		topo.Retries = 1
+		topo.RetryBackoffMS = 1
+	})
+	be, err := OpenBackend(topoPath, WithObserver(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	want, err := ref.Search(ctx, kw, MaxRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		rec.take()
+		got, err := be.Search(ctx, kw, MaxRank)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s search through the dying primary: %v, %v; want %v", pass, got, err, want)
+		}
+		wantAttempts := []string{"plan/0/" + flaky + "/true", "topk/0/" + flaky + "/false", "topk/1/" + replica + "/true"}
+		if attempts := rec.take(); !slices.Equal(attempts, wantAttempts) {
+			t.Errorf("%s search: shard 1 attempts %v, want %v", pass, attempts, wantAttempts)
+		}
+	}
+}
+
+// TestRemoteHostileLeafCount: a plan reply that claims 2³¹−1 leaves in
+// front of three bytes is a typed protocol error, not an allocation.
+func TestRemoteHostileLeafCount(t *testing.T) {
+	addr := scriptedShard(t, func(op rpc.Op) []byte {
+		ok := rpc.AppendOKHeader(nil)
+		switch op {
+		case rpc.OpHealthz:
+			return rpc.AppendIdentity(ok, rpc.Identity{ShardCount: 1, GlobalDocs: 1, GlobalTokens: 1})
+		case rpc.OpQueries:
+			return rpc.AppendQueries(ok, nil)
+		case rpc.OpPlan:
+			return append(rpc.AppendUvarint(append(ok, 1), 1<<31-1), 1, 2, 3)
+		}
+		return nil
+	})
+	be, err := OpenTopology(writeTopology(t, t.TempDir(), Topology{Version: 1, Shards: []TopologyShard{{ID: 0, Addrs: []string{addr}}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = be.Search(context.Background(), "venice", 5)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "shard 0 plan") || ErrorClass(err) != "internal" {
+		t.Errorf("err = %v (class %s), want shard 0's malformed plan reply, class internal", err, ErrorClass(err))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("the search allocated %d bytes", got)
+	}
+}
+
+// TestRemoteConcurrentColdScatter: many goroutines scatter the same cold
+// query at once — each may find the table empty, filled, or being filled —
+// and all get the exact answer. Run under -race.
+func TestRemoteConcurrentColdScatter(t *testing.T) {
+	ref, dir := shardedWorld(t)
+	topoPath, _ := startShardFleet(t, dir, 2, nil)
+	be, err := OpenTopology(topoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	ctx := context.Background()
+	for _, q := range ref.Queries()[:3] {
+		want, err := ref.Search(ctx, q.Keywords, MaxRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 4; i++ {
+					if got, err := be.Search(ctx, q.Keywords, MaxRank); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("Search %q: %v, %v; want %v", q.Keywords, got, err, want)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 }

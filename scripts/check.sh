@@ -48,14 +48,15 @@ fi
 step "go test"
 go test -shuffle=on ./...
 
-# One iteration, so the benchmark the postings walk is judged by cannot rot.
-step "BenchmarkSearchCommon (-benchtime 1x)"
-go test -run '^$' -bench '^BenchmarkSearchCommon$' -benchtime 1x .
+# One iteration each, so the benchmarks the postings walk and the Remote
+# scatter are judged by cannot rot.
+step "BenchmarkSearchCommon, BenchmarkRemoteSearch (-benchtime 1x)"
+go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch)$' -benchtime 1x .
 
 # CI's race job runs the whole module; here, the packages whose locking a
-# cache or miner change moves, which is a minute instead of ten.
-step "go test -race (lru, core, search, cycles, root)"
-go test -race ./internal/lru ./internal/core ./internal/search ./internal/cycles .
+# cache, miner or scatter change moves, which is a minute instead of ten.
+step "go test -race (lru, core, search, cycles, rpc, root)"
+go test -race ./internal/lru ./internal/core ./internal/search ./internal/cycles ./internal/rpc .
 
 # bench/ is a nested module root ./... skips; it imports internal/... by
 # path, so a pruned symbol the harness uses has to fail here.
