@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 
+	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/store"
 )
 
@@ -80,6 +83,33 @@ var (
 	_ Backend = (*Pool)(nil)
 	_ Backend = (*Remote)(nil)
 )
+
+// batch is every runtime's batch loop: item — the runtime's single-request
+// work — runs over in on a bounded worker pool, and the outputs come back
+// in input order. A failing item fails the batch, its error prefixed with
+// what and its index; an item served degraded keeps its output, and the
+// batch returns them all alongside one error wrapping ErrPartialResult.
+func batch[In, Out any](ctx context.Context, in []In, opts BatchOptions, what string, item func(In) (Out, error)) ([]Out, error) {
+	out := make([]Out, len(in))
+	var degraded atomic.Bool
+	err := core.ForEach(ctx, len(in), opts.Workers, func(i int) (err error) {
+		out[i], err = item(in[i])
+		switch {
+		case errors.Is(err, ErrPartialResult):
+			degraded.Store(true)
+		case err != nil:
+			return fmt.Errorf("%s %d: %w", what, i, err)
+		}
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case degraded.Load():
+		return out, fmt.Errorf("%w: batch served degraded", ErrPartialResult)
+	}
+	return out, nil
+}
 
 // OpenBackend opens any serving artifact behind one constructor: a .qgs
 // snapshot file (qgen -out FILE.qgs, Client.Save) yields a *Client, a

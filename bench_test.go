@@ -344,20 +344,6 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchAll measures the concurrent batch retrieval layer over
-// the full benchmark query set.
-func BenchmarkSearchAll(b *testing.B) {
-	e := benchSetup(b)
-	nodes := benchQueryNodes(b, e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.system.SearchAll(context.Background(), nodes, core.MaxRank, core.BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(nodes))/b.Elapsed().Seconds(), "queries/sec")
-}
-
 // benchShardSet writes an n-shard partition of the benchmark world and
 // loads its scatter-gather runtime.
 func benchShardSet(b *testing.B, e *benchEnv, n int) *shard.Set {
@@ -371,24 +357,6 @@ func benchShardSet(b *testing.B, e *benchEnv, n int) *shard.Set {
 		b.Fatal(err)
 	}
 	return set
-}
-
-// BenchmarkPoolSearchAll measures the sharded batch retrieval layer on
-// the same expanded title queries as BenchmarkSearchAll, at 4 shards:
-// each worker scatters its query over the partitioned indexes and merges
-// under globally aggregated statistics. Compare queries/sec against
-// BenchmarkSearchAll for the sharding overhead/benefit on one machine.
-func BenchmarkPoolSearchAll(b *testing.B) {
-	e := benchSetup(b)
-	nodes := benchQueryNodes(b, e)
-	set := benchShardSet(b, e, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := set.SearchAll(context.Background(), nodes, core.MaxRank, core.BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(nodes))/b.Elapsed().Seconds(), "queries/sec")
 }
 
 // BenchmarkPoolSearch measures single-query scatter-gather latency at 4
@@ -496,36 +464,7 @@ func BenchmarkRemoteSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	var requests atomic.Int64
-	topo := querygraph.Topology{Version: 1}
-	for i := 0; i < 2; i++ {
-		srv, err := rpc.LoadServerFile(filepath.Join(dir, fmt.Sprintf("shard-%03d.qgs", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.SetRequestHook(func(rpc.Op, uint64, time.Time, time.Duration, string) { requests.Add(1) })
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = srv.Serve(context.Background(), ln)
-		}()
-		defer func() {
-			_ = srv.Close()
-			<-done
-		}()
-		topo.Shards = append(topo.Shards, querygraph.TopologyShard{ID: i, Addrs: []string{ln.Addr().String()}})
-	}
-	blob, err := json.Marshal(topo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(dir, "topology.json")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		b.Fatal(err)
-	}
+	path := serveFleet(b, dir, 2, func(rpc.Op, uint64, time.Time, time.Duration, string) { requests.Add(1) })
 	remote, err := querygraph.OpenTopology(path)
 	if err != nil {
 		b.Fatal(err)
@@ -562,6 +501,161 @@ func BenchmarkRemoteSearch(b *testing.B) {
 			}
 			b.ReportMetric(float64(requests.Load()-before)/float64(i), "requests/op")
 		})
+	}
+}
+
+// serveFleet serves the shards client.SaveShards wrote into dir from
+// in-process qshard servers on loopback, every request passing through
+// hook, and writes the topology naming them; its path is returned. The
+// servers stop when the benchmark ends.
+func serveFleet(b *testing.B, dir string, shards int, hook func(rpc.Op, uint64, time.Time, time.Duration, string)) string {
+	b.Helper()
+	topo := querygraph.Topology{Version: 1}
+	for i := 0; i < shards; i++ {
+		srv, err := rpc.LoadServerFile(filepath.Join(dir, fmt.Sprintf("shard-%03d.qgs", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if hook != nil {
+			srv.SetRequestHook(hook)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = srv.Serve(context.Background(), ln)
+		}()
+		b.Cleanup(func() {
+			_ = srv.Close()
+			<-done
+		})
+		topo.Shards = append(topo.Shards, querygraph.TopologyShard{ID: i, Addrs: []string{ln.Addr().String()}})
+	}
+	blob, err := json.Marshal(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(dir, "topology.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkBatch is the batch layer's decision experiment: 64 query texts
+// answered as one SearchAll (batch) against the same 64 as SearchInto
+// calls shared out among GOMAXPROCS callers (singles), on every runtime,
+// over the small world the Backend conformance suite serves. The 64 repeat
+// that world's 8 benchmark queries, as an evaluation run over a benchmark
+// does; the -unique cases give every item a string never asked before, so
+// no parse is answered by the plan cache and no scatter by remembered
+// statistics. The file compiles against older checkouts, so the same
+// benchmark measures both sides of a change to the batch path.
+func BenchmarkBatch(b *testing.B) {
+	const items, k = 64, 15
+	cfg := querygraph.DefaultWorldConfig()
+	cfg.Topics, cfg.ArticlesPerTopic, cfg.DocsPerTopic, cfg.Queries, cfg.NoiseVocab = 6, 10, 14, 8, 60
+	w, err := querygraph.GenerateWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := querygraph.Build(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	backends := map[string]querygraph.Backend{"client": client}
+	for _, shards := range []int{1, 4} {
+		dir := b.TempDir()
+		if err := client.SaveShards(dir, shards); err != nil {
+			b.Fatal(err)
+		}
+		pool, err := querygraph.OpenPool(filepath.Join(dir, "manifest.json"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pool.Close()
+		backends[fmt.Sprintf("pool-%d", shards)] = pool
+	}
+	dir := b.TempDir()
+	if err := client.SaveShards(dir, 2); err != nil {
+		b.Fatal(err)
+	}
+	remote, err := querygraph.OpenTopology(serveFleet(b, dir, 2, nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer remote.Close()
+	backends["remote-2"] = remote
+
+	var keywords []string
+	for _, q := range client.Queries() {
+		keywords = append(keywords, q.Keywords)
+	}
+	fresh := 0 // across every case and call, so no -unique string repeats
+	lap := func(unique bool) []string {
+		qs := make([]string, items)
+		for i := range qs {
+			qs[i] = keywords[i%len(keywords)]
+			if unique {
+				fresh++
+				qs[i] += " u" + strconv.Itoa(fresh)
+			}
+		}
+		return qs
+	}
+	ctx := context.Background()
+	batch := func(be querygraph.Backend, qs []string) error {
+		_, err := be.SearchAll(ctx, qs, k, querygraph.BatchOptions{})
+		return err
+	}
+	singles := func(be querygraph.Backend, qs []string) error {
+		var next atomic.Int64
+		errs := make(chan error, runtime.GOMAXPROCS(0))
+		for range cap(errs) {
+			go func() {
+				dst := make([]querygraph.Result, 0, k)
+				for i := next.Add(1) - 1; i < int64(len(qs)); i = next.Add(1) - 1 {
+					if _, err := be.SearchInto(ctx, qs[i], k, dst); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		var first error
+		for range cap(errs) {
+			if err := <-errs; first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	for _, name := range []string{"client", "pool-1", "pool-4", "remote-2"} {
+		be := backends[name]
+		for _, mode := range []struct {
+			name string
+			run  func(querygraph.Backend, []string) error
+		}{{"batch", batch}, {"singles", singles}} {
+			for _, unique := range []bool{false, true} {
+				sub := name + "/" + mode.name
+				if unique {
+					sub += "-unique"
+				}
+				b.Run(sub, func(b *testing.B) {
+					for b.Loop() {
+						if err := mode.run(be, lap(unique)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.N*items)/b.Elapsed().Seconds(), "queries/s")
+				})
+			}
+		}
 	}
 }
 
@@ -617,32 +711,6 @@ func TestIndexHeapPerPosting(t *testing.T) {
 	if perPosting > 16 || perPosting < 8 {
 		t.Errorf("a posting of the loaded index costs %.1f heap bytes, want within (8, 16]", perPosting)
 	}
-}
-
-// BenchmarkExpandAll measures the batch expansion layer with the sharded
-// LRU cache on a fresh system: the first pass over the query set is cold,
-// every later pass is served from memory, so the steady state this
-// benchmark converges to is the cached serving rate.
-func BenchmarkExpandAll(b *testing.B) {
-	e := benchSetup(b)
-	s, err := core.FromWorld(e.world)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keywords := make([]string, len(e.queries))
-	for i, q := range e.queries {
-		keywords[i] = q.Keywords
-	}
-	opts := core.DefaultExpanderOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ExpandAll(context.Background(), keywords, opts, core.BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st := s.ExpandCacheStats()
-	b.ReportMetric(float64(b.N*len(keywords))/b.Elapsed().Seconds(), "queries/sec")
-	b.ReportMetric(100*st.HitRate(), "cacheHit%")
 }
 
 // BenchmarkSearchTitleQuery measures one expanded retrieval (the paper's
@@ -708,7 +776,7 @@ func BenchmarkCycleEnumeration(b *testing.B) {
 // BenchmarkExpandOnline measures the end-to-end online expansion latency —
 // the "respond in real time" requirement of the paper's conclusions. The
 // system is built with the expansion cache disabled so every iteration
-// pays for the full pipeline (BenchmarkExpandAll covers the cached path).
+// pays for the full pipeline.
 func BenchmarkExpandOnline(b *testing.B) {
 	e := benchSetup(b)
 	s, err := core.FromWorld(e.world, core.WithExpandCache(0))

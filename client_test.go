@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/querygraph/querygraph/internal/trace"
 )
 
 // testClient builds one small world per test binary; the client is
@@ -144,6 +146,92 @@ func TestSearchInvalidQuery(t *testing.T) {
 	}
 	if _, err := c.SearchAll(ctx, []string{"fine", "#combine("}, 5, BatchOptions{}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("SearchAll with one bad query: err = %v, want ErrInvalidQuery", err)
+	}
+}
+
+// TestSearchAllMatchesSequentialOrder: a batch ranks every query exactly
+// as Search does, in input order, at any worker count; an empty batch is
+// an empty answer, not an error.
+func TestSearchAllMatchesSequentialOrder(t *testing.T) {
+	c := client(t)
+	ctx := context.Background()
+	var queries []string
+	for _, q := range c.Queries() {
+		queries = append(queries, q.Keywords, q.Keywords+" "+q.Keywords)
+	}
+	want := make([][]Result, len(queries))
+	for i, q := range queries {
+		rs, err := c.Search(ctx, q, MaxRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rs
+	}
+	for _, workers := range []int{0, 1, 3} {
+		got, err := c.SearchAll(ctx, queries, MaxRank, BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: batch results differ from sequential", workers)
+		}
+	}
+	if out, err := c.SearchAll(ctx, nil, MaxRank, BatchOptions{}); err != nil || out == nil || len(out) != 0 {
+		t.Fatalf("empty batch = %#v, %v; want an empty non-nil answer", out, err)
+	}
+}
+
+// TestSearchAllEmptyResultContract: a query that matches nothing keeps its
+// slot as an empty non-nil ranking, as Search answers it.
+func TestSearchAllEmptyResultContract(t *testing.T) {
+	c := client(t)
+	out, err := c.SearchAll(context.Background(), []string{c.Queries()[0].Keywords, "zzzunknownterm"}, MaxRank, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[1] == nil || len(out[1]) != 0 {
+		t.Fatalf("no-match batch entry = %#v, want empty non-nil slice", out[1])
+	}
+}
+
+// TestSearchAllErrorPropagation: every query parses before any is scored,
+// so the first bad index is the one reported, at any worker count, and
+// the request's trace holds no search.
+func TestSearchAllErrorPropagation(t *testing.T) {
+	c := client(t)
+	good := c.Queries()[0].Keywords
+	queries := []string{good, good, "#combine(", good, "#1(", good}
+	for _, workers := range []int{1, 4} {
+		tr := trace.Begin(trace.NewID())
+		rss, err := c.SearchAll(trace.NewContext(context.Background(), tr), queries, MaxRank, BatchOptions{Workers: workers})
+		if rss != nil || !errors.Is(err, ErrInvalidQuery) || !strings.HasPrefix(err.Error(), "query 2: ") {
+			t.Errorf("workers=%d: SearchAll = %v, %v; want no rankings and query 2's ErrInvalidQuery", workers, rss, err)
+		}
+		for _, sp := range tr.Finish("batch", "").Spans {
+			if sp.Phase == "search" {
+				t.Errorf("workers=%d: a query was scored before the batch's parse failed", workers)
+				break
+			}
+		}
+	}
+}
+
+// TestBatchItemPanicIsAnError: an item that panics on a batch worker — a
+// nil expansion here — fails its batch with an internal error naming it,
+// instead of ending the process, and the client serves on.
+func TestBatchItemPanicIsAnError(t *testing.T) {
+	c := client(t)
+	ctx := context.Background()
+	exp, err := c.Expand(ctx, c.Queries()[0].Keywords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rss, err := c.SearchExpansions(ctx, []*Expansion{exp, nil}, MaxRank, BatchOptions{})
+	if rss != nil || ErrorClass(err) != "internal" || !strings.Contains(err.Error(), "item 1 panicked") {
+		t.Fatalf("SearchExpansions with a nil expansion = %v, %v; want an internal error naming item 1", rss, err)
+	}
+	if _, err := c.SearchExpansions(ctx, []*Expansion{exp}, MaxRank, BatchOptions{}); err != nil {
+		t.Errorf("batch after the panic: %v", err)
 	}
 }
 

@@ -698,7 +698,7 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 // 400 for invalid queries or options, 503 for a backend already retired
 // by shutdown or a shard fleet below quorum, 409 for a write against a
 // read-only backend, 429 for a delta segment at capacity, 500 for
-// everything else.
+// everything else — whose message, unlike the others', stays in the log.
 // The body is always an errorResponse. ErrPartialResult never reaches
 // here: run serves a degraded 200 with the partial flag instead.
 func (s *server) writeError(w http.ResponseWriter, err error) {
@@ -728,7 +728,15 @@ func (s *server) writeError(w http.ResponseWriter, err error) {
 		// against a healthier fleet), not a caller mistake.
 		status = http.StatusServiceUnavailable
 	default:
-		status, code = http.StatusInternalServerError, "internal"
+		// Not the caller's doing, and possibly a batch item's recovered
+		// panic with its stack: the details go to the log, as finish logs a
+		// handler's panic, and the client gets the request ID.
+		reqID := w.Header().Get("X-Request-Id")
+		if s.logger != nil {
+			s.logger.Error("internal error", slog.String("trace_id", reqID), slog.String("err", err.Error()))
+		}
+		s.fail(w, http.StatusInternalServerError, "internal", "internal server error; the server log has the details under request "+reqID)
+		return
 	}
 	s.fail(w, status, code, err.Error())
 }

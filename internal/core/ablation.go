@@ -61,6 +61,16 @@ func (s *System) CompareExpanders(ctx context.Context, queries []Query, cfg Abla
 	withAliases := tuned
 	withAliases.IncludeRedirectAliases = true
 
+	// cycles is the paper's expander under opts, as a strategy.
+	cycles := func(opts ExpanderOptions) func(Query) ([]graph.NodeID, error) {
+		return func(q Query) ([]graph.NodeID, error) {
+			exp, err := s.Expand(ctx, q.Keywords, opts)
+			if err != nil {
+				return nil, err
+			}
+			return featureNodes(exp), nil
+		}
+	}
 	strategies := []struct {
 		label  string
 		expand func(q Query) ([]graph.NodeID, error)
@@ -73,34 +83,10 @@ func (s *System) CompareExpanders(ctx context.Context, queries []Query, cfg Abla
 			}
 			return featureNodes(exp), nil
 		}},
-		{"dense cycles (paper)", func(q Query) ([]graph.NodeID, error) {
-			exp, err := s.Expand(ctx, q.Keywords, tuned)
-			if err != nil {
-				return nil, err
-			}
-			return featureNodes(exp), nil
-		}},
-		{"cycles, filters off", func(q Query) ([]graph.NodeID, error) {
-			exp, err := s.Expand(ctx, q.Keywords, noFilter)
-			if err != nil {
-				return nil, err
-			}
-			return featureNodes(exp), nil
-		}},
-		{"cycles + frequency rank (§4)", func(q Query) ([]graph.NodeID, error) {
-			exp, err := s.Expand(ctx, q.Keywords, byFreq)
-			if err != nil {
-				return nil, err
-			}
-			return featureNodes(exp), nil
-		}},
-		{"cycles + redirect aliases (§4)", func(q Query) ([]graph.NodeID, error) {
-			exp, err := s.Expand(ctx, q.Keywords, withAliases)
-			if err != nil {
-				return nil, err
-			}
-			return featureNodes(exp), nil
-		}},
+		{"dense cycles (paper)", cycles(tuned)},
+		{"cycles, filters off", cycles(noFilter)},
+		{"cycles + frequency rank (§4)", cycles(byFreq)},
+		{"cycles + redirect aliases (§4)", cycles(withAliases)},
 	}
 
 	var rows []AblationRow
@@ -111,7 +97,7 @@ func (s *System) CompareExpanders(ctx context.Context, queries []Query, cfg Abla
 		for _, r := range eval.DefaultRanks {
 			precs[r] = make([]float64, len(queries))
 		}
-		err := forEachQuery(ctx, len(queries), cfg.Workers, func(i int) error {
+		err := ForEach(ctx, len(queries), cfg.Workers, func(i int) error {
 			q := queries[i]
 			relevant := eval.NewRelevance(q.Relevant)
 			features, err := strat.expand(q)

@@ -184,14 +184,10 @@ func (s *System) Analyze(ctx context.Context, gts []*GroundTruth, cfg AnalysisCo
 	// Per-query cycle analysis, fanned out.
 	perQuery := make([]*queryCycles, len(gts))
 	compStats := make([]querygraph.ComponentStats, len(gts))
-	err := forEachQuery(ctx, len(gts), cfg.Workers, func(i int) error {
-		qc, err := s.analyzeQueryCycles(ctx, gts[i], cfg.MaxCycleLen)
-		if err != nil {
-			return err
-		}
-		perQuery[i] = qc
+	err := ForEach(ctx, len(gts), cfg.Workers, func(i int) (err error) {
 		compStats[i] = gts[i].Graph.LargestComponentStats()
-		return nil
+		perQuery[i], err = s.analyzeQueryCycles(ctx, gts[i], cfg.MaxCycleLen)
+		return err
 	})
 	if err != nil {
 		return nil, err

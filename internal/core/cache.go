@@ -131,3 +131,17 @@ func (c *expandCache) stats() CacheStats {
 		Capacity: c.lru.Cap(),
 	}
 }
+
+// ExpandCacheStats reports the expansion cache's hit/miss counters and
+// occupancy (all zero when the cache is disabled).
+func (s *System) ExpandCacheStats() CacheStats {
+	return s.expandCache.stats()
+}
+
+// PurgeExpandCache drops every cached expansion, releasing the entries to
+// the collector; the counters keep their lifetime totals. The serving
+// lifecycle calls this from Close so a retired client does not pin the
+// cache's memory.
+func (s *System) PurgeExpandCache() {
+	s.expandCache.purge()
+}

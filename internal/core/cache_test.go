@@ -286,3 +286,140 @@ func TestCacheStatsConcurrent(t *testing.T) {
 		t.Errorf("hit rate %g out of (0, 1)", rate)
 	}
 }
+
+// expandAll expands every keyword query on ForEach, in input order — the
+// batch loop the serving runtimes run Expand on.
+func expandAll(ctx context.Context, s *System, keywords []string, opts ExpanderOptions, workers int) ([]*Expansion, error) {
+	out := make([]*Expansion, len(keywords))
+	err := ForEach(ctx, len(keywords), workers, func(i int) (err error) {
+		out[i], err = s.Expand(ctx, keywords[i], opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TestExpandAllOrderingAndCacheHits: a batch of expansions keeps input
+// order, a second pass over the same keywords is served from the cache,
+// and different options never alias a cached entry.
+func TestExpandAllOrderingAndCacheHits(t *testing.T) {
+	s, w := testSystem(t)
+	opts := DefaultExpanderOptions()
+	var keywords []string
+	for _, q := range w.Queries[:6] {
+		keywords = append(keywords, q.Keywords)
+	}
+	before := s.ExpandCacheStats()
+
+	cold, err := expandAll(context.Background(), s, keywords, opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold) != len(keywords) {
+		t.Fatalf("got %d expansions", len(cold))
+	}
+	for i, exp := range cold {
+		if exp == nil || exp.Keywords != keywords[i] {
+			t.Fatalf("entry %d out of order: %+v", i, exp)
+		}
+	}
+	warm, err := expandAll(context.Background(), s, keywords, opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := s.ExpandCacheStats()
+	if hits := after.Hits - before.Hits; hits < uint64(len(keywords)) {
+		t.Errorf("warm batch produced %d cache hits, want >= %d", hits, len(keywords))
+	}
+	if after.Entries == 0 || after.Capacity != DefaultExpandCacheSize {
+		t.Errorf("cache stats = %+v", after)
+	}
+	if after.HitRate() <= 0 || after.HitRate() > 1 {
+		t.Errorf("hit rate = %g", after.HitRate())
+	}
+	// Warm results come from the cache: same feature rankings.
+	for i := range warm {
+		if !reflect.DeepEqual(cold[i].FeatureTitles(), warm[i].FeatureTitles()) {
+			t.Errorf("entry %d: cached expansion differs", i)
+		}
+	}
+	// Different options must not alias cached entries.
+	other := opts
+	other.MaxFeatures = 1
+	capped, err := expandAll(context.Background(), s, keywords[:1], other, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(capped[0].Features) > 1 {
+		t.Errorf("options ignored on cache lookup: %d features", len(capped[0].Features))
+	}
+}
+
+// TestExpandAllErrorPropagation: an item's invalid options fail the batch.
+func TestExpandAllErrorPropagation(t *testing.T) {
+	s, w := testSystem(t)
+	bad := DefaultExpanderOptions()
+	bad.MinCategoryRatio = 0.9
+	bad.MaxCategoryRatio = 0.1
+	if _, err := expandAll(context.Background(), s, []string{w.Queries[0].Keywords}, bad, 0); err == nil {
+		t.Fatal("invalid options should fail the batch")
+	}
+}
+
+func TestExpandCacheDisabled(t *testing.T) {
+	_, w := testSystem(t)
+	s, err := FromWorld(w, WithExpandCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Expand(context.Background(), w.Queries[0].Keywords, DefaultExpanderOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.ExpandCacheStats(); st != (CacheStats{}) {
+		t.Errorf("disabled cache reported %+v", st)
+	}
+}
+
+// TestExpandCacheLRU unit-tests the sharded LRU: keys sharing keywords
+// land in one shard, so eviction order within a shard is observable.
+func TestExpandCacheLRU(t *testing.T) {
+	optsFor := func(i int) ExpanderOptions {
+		o := DefaultExpanderOptions()
+		o.MaxFeatures = i + 1
+		return o
+	}
+	keyFor := func(i int) expandKey {
+		return expandKey{keywords: "same shard", opts: optsFor(i)}
+	}
+	c := newExpandCache(2 * lruShards) // per-shard capacity 2
+	a, b, d := keyFor(0), keyFor(1), keyFor(2)
+	c.put(a, &Expansion{Keywords: "a"})
+	c.put(b, &Expansion{Keywords: "b"})
+	if exp, ok := c.get(a); !ok || exp.Keywords != "a" {
+		t.Fatal("a should be cached")
+	}
+	// a was just used, so inserting d evicts b.
+	c.put(d, &Expansion{Keywords: "d"})
+	if _, ok := c.get(b); ok {
+		t.Error("b should have been evicted as least recently used")
+	}
+	for _, k := range []expandKey{a, d} {
+		if _, ok := c.get(k); !ok {
+			t.Errorf("%+v should have survived eviction", k.opts.MaxFeatures)
+		}
+	}
+	// Re-putting an existing key updates in place without eviction.
+	c.put(a, &Expansion{Keywords: "a2"})
+	if exp, ok := c.get(a); !ok || exp.Keywords != "a2" {
+		t.Error("re-put should update the entry")
+	}
+	if _, ok := c.get(d); !ok {
+		t.Error("d should still be cached after re-put of a")
+	}
+	st := c.stats()
+	if st.Entries != 2 {
+		t.Errorf("entries = %d, want 2", st.Entries)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestForEachQueryCancelStopsScheduling(t *testing.T) {
 		defer cancel()
 		done := make(chan error, 1)
 		go func() {
-			done <- forEachQuery(ctx, n, workers, func(int) error {
+			done <- ForEach(ctx, n, workers, func(int) error {
 				if started.Add(1) == workers {
 					close(allBusy)
 				}
@@ -67,7 +68,7 @@ func TestForEachQueryCancelStopsScheduling(t *testing.T) {
 		case err := <-done:
 			return err
 		case <-time.After(5 * time.Second):
-			t.Fatal("forEachQuery did not return after cancellation")
+			t.Fatal("ForEach did not return after cancellation")
 			return nil
 		}
 	}()
@@ -88,7 +89,7 @@ func TestForEachQueryWorkerErrorBeatsCancel(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := forEachQuery(ctx, 50, 2, func(i int) error {
+	err := ForEach(ctx, 50, 2, func(i int) error {
 		if i == 0 {
 			return boom
 		}
@@ -96,6 +97,76 @@ func TestForEachQueryWorkerErrorBeatsCancel(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the worker error", err)
+	}
+}
+
+// TestForEachReportsLowestFailingIndex: when several indices fail, the
+// error returned is the lowest one's even if a higher one failed first.
+func TestForEachReportsLowestFailingIndex(t *testing.T) {
+	slow, fast := errors.New("index 2"), errors.New("index 4")
+	err := ForEach(context.Background(), 10, 4, func(i int) error {
+		switch i {
+		case 2:
+			time.Sleep(20 * time.Millisecond)
+			return slow
+		case 4:
+			return fast
+		}
+		return nil
+	})
+	if err != slow {
+		t.Fatalf("err = %v, want the lowest failing index's", err)
+	}
+}
+
+// TestForEachQueryStopsSchedulingAfterError is the regression test for the
+// batch fail-fast fix: with one worker, an error on the first index must
+// stop the producer after at most one already-scheduled index.
+func TestForEachQueryStopsSchedulingAfterError(t *testing.T) {
+	var calls atomic.Int64
+	err := ForEach(context.Background(), 100, 1, func(i int) error {
+		calls.Add(1)
+		if i == 0 {
+			return errTest
+		}
+		return nil
+	})
+	if err != errTest {
+		t.Fatalf("err = %v, want errTest", err)
+	}
+	// The worker records the error before receiving the next index, and
+	// the producer re-checks the failure flag before every send, so at
+	// most one extra index (already past the check) can run.
+	if n := calls.Load(); n > 2 {
+		t.Errorf("fn ran %d times after an immediate error, want <= 2", n)
+	}
+}
+
+// TestForEachRecoversPanic: a panicking item fails the batch with its
+// index and stack as an ordinary error — the process survives — and
+// scheduling stops as for any other error: ForEach returns only once
+// every worker has, and one worker runs at most one index past the panic.
+func TestForEachRecoversPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		err := ForEach(context.Background(), 100, workers, func(i int) error {
+			calls.Add(1)
+			if i == 3 {
+				panic("boom")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: a panicking item did not fail the batch", workers)
+		}
+		for _, want := range []string{"item 3 panicked: boom", "TestForEachRecoversPanic"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers=%d: err = %q, want it to contain %q", workers, err, want)
+			}
+		}
+		if n := calls.Load(); workers == 1 && n > 5 {
+			t.Errorf("fn ran %d times, want at most one index past the panic at 3", n)
+		}
 	}
 }
 
@@ -115,8 +186,8 @@ func TestExpandPreCancelledContext(t *testing.T) {
 	if _, err := s.ExpandNaive(ctx, w.Queries[0].Keywords, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExpandNaive err = %v, want context.Canceled", err)
 	}
-	if _, err := s.ExpandAll(ctx, []string{w.Queries[0].Keywords}, DefaultExpanderOptions(), BatchOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExpandAll err = %v, want context.Canceled", err)
+	if _, err := expandAll(ctx, s, []string{w.Queries[0].Keywords}, DefaultExpanderOptions(), 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("expandAll err = %v, want context.Canceled", err)
 	}
 	if _, err := s.BuildGroundTruth(ctx, QueriesFromWorld(w)[0], gtConfig()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BuildGroundTruth err = %v, want context.Canceled", err)
@@ -230,7 +301,7 @@ func TestExpandAllCancelledMidBatch(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err = fresh.ExpandAll(ctx, keywords, DefaultExpanderOptions(), BatchOptions{Workers: 4})
+	_, err = expandAll(ctx, fresh, keywords, DefaultExpanderOptions(), 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -421,7 +421,7 @@ func TestExpansionQueryBuild(t *testing.T) {
 }
 
 func TestForEachQueryErrorPropagation(t *testing.T) {
-	err := forEachQuery(context.Background(), 10, 3, func(i int) error {
+	err := ForEach(context.Background(), 10, 3, func(i int) error {
 		if i == 7 {
 			return errTest
 		}
@@ -430,7 +430,7 @@ func TestForEachQueryErrorPropagation(t *testing.T) {
 	if err != errTest {
 		t.Errorf("err = %v, want errTest", err)
 	}
-	if err := forEachQuery(context.Background(), 0, 3, func(int) error { return errTest }); err != nil {
+	if err := ForEach(context.Background(), 0, 3, func(int) error { return errTest }); err != nil {
 		t.Error("zero tasks should not run fn")
 	}
 }

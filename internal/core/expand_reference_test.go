@@ -435,7 +435,7 @@ func TestExpandAllColdConcurrent(t *testing.T) {
 		batch = append(batch, keywords...)
 	}
 	opts := DefaultExpanderOptions()
-	got, err := s.ExpandAll(context.Background(), batch, opts, BatchOptions{Workers: 8})
+	got, err := expandAll(context.Background(), s, batch, opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

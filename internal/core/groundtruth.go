@@ -124,13 +124,9 @@ func (s *System) BuildGroundTruth(ctx context.Context, q Query, cfg GroundTruthC
 // stops scheduling further queries and returns ctx.Err().
 func (s *System) BuildAllGroundTruths(ctx context.Context, queries []Query, cfg GroundTruthConfig) ([]*GroundTruth, error) {
 	out := make([]*GroundTruth, len(queries))
-	err := forEachQuery(ctx, len(queries), cfg.Workers, func(i int) error {
-		gt, err := s.BuildGroundTruth(ctx, queries[i], cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = gt
-		return nil
+	err := ForEach(ctx, len(queries), cfg.Workers, func(i int) (err error) {
+		out[i], err = s.BuildGroundTruth(ctx, queries[i], cfg)
+		return err
 	})
 	if err != nil {
 		return nil, err

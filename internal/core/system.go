@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,84 +207,80 @@ func (s *System) EvaluateArticles(keywords string, articles []graph.NodeID, rele
 	return eval.O(ranked, relevant), ranked, nil
 }
 
+// BatchOptions bounds the concurrency of a batch: the worker pool ForEach
+// runs it on.
+type BatchOptions struct {
+	// Workers bounds the parallel fan-out over the batch; <= 0 means
+	// GOMAXPROCS.
+	Workers int
+}
+
 // parallelism returns the worker count for per-query fan-out; <= 0 means
 // GOMAXPROCS, matching the documented BatchOptions.Workers contract.
 func parallelism(requested int) int {
 	if requested > 0 {
 		return requested
 	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn over the indices [0, n) on a bounded worker pool with
-// the batch layer's scheduling contract (fail fast, drain on cancel) —
-// the exported form of forEachQuery for sibling internal packages
-// (internal/shard drives per-query scatter-gather through it).
+// ForEach runs fn over the indices [0, n) on a bounded worker pool — the
+// calling goroutine and workers-1 more — claiming indices in increasing
+// order. Once any index fails — or ctx is cancelled — no worker claims
+// another, so a failing or abandoned batch ends after at most the work
+// already in flight rather than grinding through the rest. Every index
+// below a failing one was claimed before it and so has run: the error
+// returned is the lowest failing index's, whatever order the workers
+// finished in. A cancelled ctx is reported as ctx.Err() unless an index
+// failed. A panic in fn is that index's error, stack included: no recover
+// sits above a worker goroutine, so letting it escape would end the
+// process.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return forEachQuery(ctx, n, workers, fn)
-}
-
-// forEachQuery runs fn over the indices [0, n) on a bounded worker pool,
-// returning the first recorded error. Once any worker reports an error —
-// or ctx is cancelled — the producer stops scheduling new indices, so a
-// failing or abandoned batch ends after at most the work already in flight
-// rather than grinding through the rest. A cancelled ctx is reported as
-// ctx.Err() unless a worker error was recorded first.
-func forEachQuery(ctx context.Context, n, workers int, fn func(i int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	workers = parallelism(workers)
-	if workers > n {
-		workers = n
-	}
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		failed   atomic.Bool
+		next   atomic.Int64
+		failed atomic.Bool
+		mu     sync.Mutex
+		errAt  = n
+		err    error
 	)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for !failed.Load() && ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if e := guard(fn, i); e != nil {
+				mu.Lock()
+				if i < errAt {
+					errAt, err = i, e
+				}
+				mu.Unlock()
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(parallelism(workers), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				// A cancelled batch still drains the channel so the
-				// producer never blocks, but runs no further queries.
-				if ctx.Err() != nil {
-					continue
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}
+			work()
 		}()
 	}
-	done := ctx.Done()
-produce:
-	for i := 0; i < n && !failed.Load(); i++ {
-		select {
-		case idx <- i:
-		case <-done:
-			break produce
-		}
-	}
-	close(idx)
+	work()
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
 	return ctx.Err()
+}
+
+// guard is fn(i) with a panic turned into the returned error.
+func guard(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("core: batch item %d panicked: %v\n%s", i, p, debug.Stack())
+		}
+	}()
+	return fn(i)
 }

@@ -254,9 +254,11 @@ func (s *Set) Search(ctx context.Context, node search.Node, k int) ([]search.Res
 }
 
 // SearchAll evaluates a batch of parsed queries on a bounded worker pool
-// (input order preserved, fail-fast, cancel-aware). The batch already
-// occupies the cores with one worker per query, so each worker visits its
-// query's sources sequentially.
+// (input order preserved, fail-fast, cancel-aware), each worker visiting
+// its query's sources sequentially. No serving path calls it — the
+// runtimes' batches run Search per item — and its last user is the
+// benchmark harness's search.union_us layer (bench/layers.go:516); it
+// leaves with that metric.
 func (s *Set) SearchAll(ctx context.Context, nodes []search.Node, k int, opts core.BatchOptions) ([][]search.Result, error) {
 	out := make([][]search.Result, len(nodes))
 	err := core.ForEach(ctx, len(nodes), opts.Workers, func(i int) error {

@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/querygraph/querygraph/internal/core"
@@ -553,9 +552,10 @@ func (sc *scatterScratch) take(i int, op rpc.Op, payload []byte) error {
 // anything else — a shard dropped or restarted, a wrong entry — is
 // refuted and scored again under the true sum, which also repairs the
 // entry. ok=false means the query (an expansion) had nothing to search
-// for. dropped counts shards lost to the degrade policy; the fail policy
-// never drops (it errors).
-func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Result) (rs []Result, ok bool, dropped int, err error) {
+// for. Shards lost to the degrade policy leave the survivors' ranking AND
+// an error wrapping ErrPartialResult; the fail policy never drops (it
+// errors).
+func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Result) (rs []Result, ok bool, err error) {
 	n := len(c.topo.Shards)
 	sc, _ := c.scratch.Get().(*scatterScratch)
 	if sc == nil {
@@ -576,9 +576,10 @@ func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Res
 		speculate = sc.body
 	}
 	c.round(ctx, sc, rpc.OpPlan, queryBody, speculate)
-	if dropped, err = c.applyPolicy(sc.states); err != nil {
+	dropped, err := c.applyPolicy(sc.states)
+	if err != nil {
 		tr.Span("plan", planStart, ErrorClass(err))
-		return nil, false, 0, err
+		return nil, false, err
 	}
 	tr.Span("plan", planStart, "")
 
@@ -587,7 +588,7 @@ func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Res
 	aggStart := time.Now()
 	first := slices.IndexFunc(sc.states, func(st shardState) bool { return !st.dropped })
 	if !sc.states[first].ok {
-		return nil, false, dropped, nil
+		return nil, false, nil
 	}
 	leafCF := append(sc.leafCF[:0], sc.states[first].cfs...)
 	for i := first + 1; i < n; i++ {
@@ -596,7 +597,7 @@ func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Res
 			continue
 		}
 		if !st.ok || len(st.cfs) != len(leafCF) {
-			return nil, false, 0, fmt.Errorf("shard %d planned %d leaves, shard %d planned %d: fleet disagrees on query structure",
+			return nil, false, fmt.Errorf("shard %d planned %d leaves, shard %d planned %d: fleet disagrees on query structure",
 				first, len(leafCF), i, len(st.cfs))
 		}
 		for j, cf := range st.cfs {
@@ -629,7 +630,7 @@ func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Res
 	dropped, err = c.applyPolicy(sc.states)
 	tr.Add("topk", topkStart, -1, 0, false, ErrorClass(err), detail)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, false, err
 	}
 
 	mergeStart := time.Now()
@@ -642,7 +643,10 @@ func (c *Remote) scatter(ctx context.Context, queryBody []byte, k int, dst []Res
 	sc.merged = merged
 	rs = search.MergeRankedScratch(dst, merged, k, sc.cursors)
 	tr.Span("merge", mergeStart, "")
-	return rs, true, dropped, nil
+	if dropped > 0 {
+		err = fmt.Errorf("%w: served by %d of %d shards", ErrPartialResult, n-dropped, n)
+	}
+	return rs, true, err
 }
 
 // round asks every shard the scatter still wants op of: op under body
@@ -760,15 +764,6 @@ func (c *Remote) applyPolicy(states []shardState) (dropped int, err error) {
 	return dropped, nil
 }
 
-// partialErr is the degraded-response error (results stay attached); nil
-// when no shard was dropped.
-func (c *Remote) partialErr(dropped int) error {
-	if dropped == 0 {
-		return nil
-	}
-	return fmt.Errorf("%w: served by %d of %d shards", ErrPartialResult, len(c.topo.Shards)-dropped, len(c.topo.Shards))
-}
-
 // --- the Backend surface -----------------------------------------------
 
 // call is the coordinator's request envelope, the network analogue of the
@@ -809,11 +804,8 @@ func (c *Remote) SearchInto(ctx context.Context, query string, k int, dst []Resu
 	var rs []Result
 	ev := Event{Op: OpSearch, K: k}
 	err := c.call(ctx, &ev, func() (err error) {
-		var dropped int
-		if rs, _, dropped, err = c.scatter(ctx, rpc.AppendTextQuery(nil, query), k, dst); err != nil {
-			return err
-		}
-		return c.partialErr(dropped)
+		rs, _, err = c.scatter(ctx, rpc.AppendTextQuery(nil, query), k, dst)
+		return err
 	})
 	return rs, err
 }
@@ -842,40 +834,13 @@ func (c *Remote) SearchAll(ctx context.Context, queries []string, k int, opts Ba
 	var out [][]Result
 	ev := Event{Op: OpBatch, Kind: BatchSearch, Size: len(queries), K: k}
 	err := c.call(ctx, &ev, func() (err error) {
-		out, err = c.scatterAll(ctx, len(queries), k, opts, "query", func(i int) []byte {
-			return rpc.AppendTextQuery(nil, queries[i])
+		out, err = batch(ctx, queries, opts, "query", func(q string) ([]Result, error) {
+			rs, _, err := c.scatter(ctx, rpc.AppendTextQuery(nil, q), k, nil)
+			return rs, err
 		})
 		return err
 	})
 	return out, err
-}
-
-// scatterAll runs n scatters on a bounded worker pool, keeping each
-// searchable item's ranking at its input index (an item with nothing to
-// search for keeps nil). What names an item in error messages.
-func (c *Remote) scatterAll(ctx context.Context, n, k int, opts BatchOptions, what string, body func(i int) []byte) ([][]Result, error) {
-	out := make([][]Result, n)
-	var partial atomic.Bool
-	err := core.ForEach(ctx, n, opts.Workers, func(i int) error {
-		rs, ok, dropped, err := c.scatter(ctx, body(i), k, nil)
-		if err != nil {
-			return fmt.Errorf("%s %d: %w", what, i, err)
-		}
-		if dropped > 0 {
-			partial.Store(true)
-		}
-		if ok {
-			out[i] = rs
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if partial.Load() {
-		return out, fmt.Errorf("%w: batch served degraded", ErrPartialResult)
-	}
-	return out, nil
 }
 
 // Expand is Client.Expand served by the fleet: the pipeline runs on one
@@ -934,18 +899,10 @@ func (c *Remote) ExpandAll(ctx context.Context, keywords []string, bopts BatchOp
 		if err != nil {
 			return err
 		}
-		exps := make([]*Expansion, len(keywords))
-		err = core.ForEach(ctx, len(keywords), bopts.Workers, func(i int) error {
-			exp, _, err := c.expandRemote(ctx, keywords[i], eopts)
-			if err != nil {
-				return fmt.Errorf("keywords %d: %w", i, err)
-			}
-			exps[i] = exp
-			return nil
+		out, err = batch(ctx, keywords, bopts, "keywords", func(kw string) (*Expansion, error) {
+			exp, _, err := c.expandRemote(ctx, kw, eopts)
+			return exp, err
 		})
-		if err == nil {
-			out = exps
-		}
 		return err
 	})
 	return out, err
@@ -958,11 +915,8 @@ func (c *Remote) ExpandAll(ctx context.Context, keywords []string, bopts BatchOp
 func (c *Remote) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
 	ev := Event{Op: OpSearch, K: k, Expanded: true}
 	err = c.call(ctx, &ev, func() (err error) {
-		var dropped int
-		if results, ok, dropped, err = c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k, nil); err != nil || !ok {
-			return err
-		}
-		return c.partialErr(dropped)
+		results, ok, err = c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k, nil)
+		return err
 	})
 	return results, ok, err
 }
@@ -973,8 +927,9 @@ func (c *Remote) SearchExpansions(ctx context.Context, exps []*Expansion, k int,
 	var out [][]Result
 	ev := Event{Op: OpBatch, Kind: BatchSearchExpansions, Size: len(exps), K: k}
 	err := c.call(ctx, &ev, func() (err error) {
-		out, err = c.scatterAll(ctx, len(exps), k, opts, "expansion", func(i int) []byte {
-			return rpc.AppendExpansionQuery(nil, exps[i])
+		out, err = batch(ctx, exps, opts, "expansion", func(exp *Expansion) ([]Result, error) {
+			rs, _, err := c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k, nil)
+			return rs, err
 		})
 		return err
 	})

@@ -246,46 +246,66 @@ func (rt *localRuntime) SearchInto(ctx context.Context, query string, k int, dst
 	var rs []Result
 	ev := Event{Op: OpSearch, K: k}
 	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
-		// Untraced requests — the pinned 0 allocs/op path — skip the clock
-		// reads; Span on a nil trace is a no-op.
 		tr := trace.FromContext(ctx)
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
+		leaves, err := g.parse(tr, query)
+		if err == nil {
+			rs, err = g.rank(tr, leaves, k, dst)
 		}
-		leaves, err := g.set.LeavesForQuery(query)
-		if err != nil {
-			tr.Span("parse", t0, "invalid_query")
-			return fmt.Errorf("%w: %v", ErrInvalidQuery, err)
-		}
-		tr.Span("parse", t0, "")
-		if tr != nil {
-			t0 = time.Now()
-		}
-		rs, err = g.set.SearchLeaves(leaves, k, dst)
-		tr.Span("search", t0, ErrorClass(err))
 		return err
 	})
 	return rs, err
 }
 
+// parse is one query's parse on the pinned generation, through the
+// memoized plan cache. Untraced requests — the pinned 0 allocs/op path —
+// skip the clock reads; Span on a nil trace is a no-op.
+func (g *poolGeneration) parse(tr *trace.Trace, query string) ([]search.Leaf, error) {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	leaves, err := g.set.LeavesForQuery(query)
+	if err != nil {
+		tr.Span("parse", t0, "invalid_query")
+		return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+	}
+	tr.Span("parse", t0, "")
+	return leaves, nil
+}
+
+// rank is one parsed query's ranking over every source of the pinned
+// generation.
+func (g *poolGeneration) rank(tr *trace.Trace, leaves []search.Leaf, k int, dst []Result) ([]Result, error) {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	rs, err := g.set.SearchLeaves(leaves, k, dst)
+	tr.Span("search", t0, ErrorClass(err))
+	return rs, err
+}
+
 // SearchAll evaluates a batch of query texts on a bounded worker pool and
-// returns the per-query rankings in input order. All queries are parsed up
-// front (the first syntax error aborts the batch with ErrInvalidQuery);
-// cancelling ctx stops scheduling the remaining queries and returns
-// ctx.Err(). The whole batch runs on the generation current at call time,
-// even if an ingest, compaction or reload lands mid-batch.
+// returns the per-query rankings in input order. Every query is parsed
+// before any is scored: the first syntax error, in input order, aborts the
+// batch with ErrInvalidQuery. Cancelling ctx stops scheduling the remaining
+// queries and returns ctx.Err(). The whole batch runs on the generation
+// current at call time, even if an ingest, compaction or reload lands
+// mid-batch.
 func (rt *localRuntime) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
 	var rss [][]Result
 	ev := Event{Op: OpBatch, Kind: BatchSearch, Size: len(queries), K: k}
-	err := rt.read(ctx, &ev, func(g *poolGeneration) (err error) {
-		nodes := make([]search.Node, len(queries))
-		for i, q := range queries {
-			if nodes[i], err = g.set.Parse(q); err != nil {
-				return fmt.Errorf("query %d: %w: %v", i, ErrInvalidQuery, err)
-			}
+	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
+		tr := trace.FromContext(ctx)
+		plans, err := batch(ctx, queries, opts, "query", func(q string) ([]search.Leaf, error) {
+			return g.parse(tr, q)
+		})
+		if err != nil {
+			return err
 		}
-		rss, err = g.set.SearchAll(ctx, nodes, k, opts)
+		rss, err = batch(ctx, plans, opts, "query", func(leaves []search.Leaf) ([]Result, error) {
+			return g.rank(tr, leaves, k, nil)
+		})
 		return err
 	})
 	return rss, err
@@ -313,18 +333,24 @@ func (rt *localRuntime) Expand(ctx context.Context, keywords string, opts ...Exp
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		exp, ev.Cache, err = g.sys().ExpandOutcome(ctx, keywords, eopts)
-		if exp != nil {
+		if exp, ev.Cache, err = g.expand(ctx, keywords, eopts); exp != nil {
 			ev.Size = len(exp.Features)
-		}
-		if tr := trace.FromContext(ctx); tr != nil {
-			// The cache outcome of the expand lookup rides in the span detail.
-			tr.Add("expand", start, -1, 0, false, ErrorClass(err), ev.Cache.String())
 		}
 		return err
 	})
 	return exp, err
+}
+
+// expand is one expansion's work on the pinned generation, through its
+// expansion cache.
+func (g *poolGeneration) expand(ctx context.Context, keywords string, eopts core.ExpanderOptions) (*Expansion, CacheOutcome, error) {
+	start := time.Now()
+	exp, outcome, err := g.sys().ExpandOutcome(ctx, keywords, eopts)
+	if tr := trace.FromContext(ctx); tr != nil {
+		// The cache outcome of the expand lookup rides in the span detail.
+		tr.Add("expand", start, -1, 0, false, ErrorClass(err), outcome.String())
+	}
+	return exp, outcome, err
 }
 
 // ExpandAll runs Expand for every keyword query on a bounded worker pool
@@ -340,7 +366,10 @@ func (rt *localRuntime) ExpandAll(ctx context.Context, keywords []string, bopts 
 		if err != nil {
 			return err
 		}
-		exps, err = g.sys().ExpandAll(ctx, keywords, eopts, bopts)
+		exps, err = batch(ctx, keywords, bopts, "keywords", func(kw string) (*Expansion, error) {
+			exp, _, err := g.expand(ctx, kw, eopts)
+			return exp, err
+		})
 		return err
 	})
 	return exps, err
@@ -354,15 +383,22 @@ func (rt *localRuntime) ExpandAll(ctx context.Context, keywords []string, bopts 
 // fails, so err alone signals failure.
 func (rt *localRuntime) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
 	ev := Event{Op: OpSearch, K: k, Expanded: true}
-	err = rt.read(ctx, &ev, func(g *poolGeneration) error {
-		var node search.Node
-		if node, ok = g.set.ExpansionQuery(exp); !ok {
-			return nil
-		}
-		results, err = g.set.Search(ctx, node, k)
+	err = rt.read(ctx, &ev, func(g *poolGeneration) (err error) {
+		results, ok, err = g.searchExpansion(ctx, exp, k)
 		return err
 	})
 	return results, ok, err
+}
+
+// searchExpansion is one expansion retrieval's work on the pinned
+// generation; ok=false leaves results nil.
+func (g *poolGeneration) searchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
+	node, ok := g.set.ExpansionQuery(exp)
+	if !ok {
+		return nil, false, nil
+	}
+	results, err = g.set.Search(ctx, node, k)
+	return results, true, err
 }
 
 // SearchExpansions evaluates a batch of expansions on a bounded worker
@@ -372,23 +408,12 @@ func (rt *localRuntime) SearchExpansion(ctx context.Context, exp *Expansion, k i
 func (rt *localRuntime) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
 	var out [][]Result
 	ev := Event{Op: OpBatch, Kind: BatchSearchExpansions, Size: len(exps), K: k}
-	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
-		at := make([]int, 0, len(exps)) // at[j] = input index of searchable expansion j
-		nodes := make([]search.Node, 0, len(exps))
-		for i, exp := range exps {
-			if node, ok := g.set.ExpansionQuery(exp); ok {
-				at, nodes = append(at, i), append(nodes, node)
-			}
-		}
-		rss, err := g.set.SearchAll(ctx, nodes, k, opts)
-		if err != nil {
-			return err
-		}
-		out = make([][]Result, len(exps))
-		for j, i := range at {
-			out[i] = rss[j]
-		}
-		return nil
+	err := rt.read(ctx, &ev, func(g *poolGeneration) (err error) {
+		out, err = batch(ctx, exps, opts, "expansion", func(exp *Expansion) ([]Result, error) {
+			rs, _, err := g.searchExpansion(ctx, exp, k)
+			return rs, err
+		})
+		return err
 	})
 	return out, err
 }

@@ -48,10 +48,11 @@ fi
 step "go test"
 go test -shuffle=on ./...
 
-# One iteration each, so the benchmarks the postings walk and the Remote
-# scatter are judged by cannot rot.
-step "BenchmarkSearchCommon, BenchmarkRemoteSearch (-benchtime 1x)"
-go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch)$' -benchtime 1x .
+# One iteration each, so the benchmarks the postings walk, the Remote
+# scatter and the batch layer are judged by cannot rot.
+step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkHTTPBatch (-benchtime 1x)"
+go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch)$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkHTTPBatch$' -benchtime 1x ./cmd/qserve
 
 # CI's race job runs the whole module; here, the packages whose locking a
 # cache, miner or scatter change moves, which is a minute instead of ten.
