@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test qlint lint check fmt bench-compare loc
+.PHONY: build test qlint lint check fmt fuzz bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,17 @@ lint: qlint
 
 fmt:
 	gofmt -w .
+
+# fuzz runs every fuzz target for 10 s. A failing input lands in the
+# package's testdata/fuzz/ and then runs with plain go test. The decoder
+# targets minimize for at most 1 s, or minimizing each coverage-expanding
+# input (a minute apiece by default) would eat the ten seconds.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/search
+	$(GO) test -run='^$$' -fuzz='^FuzzServerRequests$$' -fuzztime=10s ./cmd/qserve
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzHandle$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
+	$(GO) test -run='^$$' -fuzz='^FuzzReplies$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
 
 # check mirrors the CI gates locally (see scripts/check.sh).
 check:

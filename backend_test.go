@@ -449,35 +449,53 @@ func TestCloseLifecycle(t *testing.T) {
 	}
 }
 
-// TestPoolCloseExtras pins the pool-specific lifecycle: Reload on a
-// closed pool fails with ErrClosed and the zero-value accessors answer
-// harmlessly.
-func TestPoolCloseExtras(t *testing.T) {
-	_, backends := conformanceBackends(t)
-	pool := backends["pool-4"].(*Pool)
-	if err := pool.Close(); err != nil {
+// checkClosedAccessors pins the accessor contract a closed Pool and a
+// closed Remote share (see Backend): every accessor that answers before
+// Close answers its zero value after it, never a hang or a panic, and a
+// second Close returns nil. One table serves both runtimes.
+func checkClosedAccessors(t *testing.T, be Backend, keywords string) {
+	t.Helper()
+	accessors := []struct {
+		name string
+		get  func() any
+	}{
+		{"NumShards", func() any { return be.(interface{ NumShards() int }).NumShards() }},
+		{"Queries", func() any { return be.Queries() }},
+		{"Link", func() any { return be.Link(keywords) }},
+		{"Title", func() any { return be.Title(1) }},
+		{"Stats", func() any { return be.Stats() }},
+		{"CacheStats", func() any { return be.CacheStats() }},
+	}
+	for _, a := range accessors {
+		if reflect.ValueOf(a.get()).IsZero() {
+			t.Fatalf("%s before Close is already the zero value", a.name)
+		}
+	}
+	if err := be.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Reload(""); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Reload after Close: err = %v, want ErrClosed", err)
+	if err := be.Close(); err != nil {
+		t.Fatalf("second Close: %v (want nil — Close is idempotent)", err)
 	}
-	if n := pool.NumShards(); n != 0 {
-		t.Errorf("NumShards after Close = %d, want 0", n)
+	for _, a := range accessors {
+		if v := a.get(); !reflect.ValueOf(v).IsZero() {
+			t.Errorf("%s after Close = %+v, want the zero value", a.name, v)
+		}
+	}
+}
+
+// TestPoolCloseExtras pins the pool side of the closed-accessor contract
+// (checkClosedAccessors) plus what only a Pool has: Reload on a closed
+// pool fails with ErrClosed and Generation answers 0.
+func TestPoolCloseExtras(t *testing.T) {
+	ref, backends := conformanceBackends(t)
+	pool := backends["pool-4"].(*Pool)
+	checkClosedAccessors(t, pool, ref.Queries()[0].Keywords)
+	if err := pool.Reload(""); !errors.Is(err, ErrClosed) {
+		t.Errorf("Reload after Close: err = %v, want ErrClosed", err)
 	}
 	if g := pool.Generation(); g != 0 {
 		t.Errorf("Generation after Close = %d, want 0", g)
-	}
-	if qs := pool.Queries(); qs != nil {
-		t.Errorf("Queries after Close = %v, want nil", qs)
-	}
-	if title := pool.Title(1); title != "" {
-		t.Errorf("Title after Close = %q, want empty", title)
-	}
-	if st := pool.Stats(); st != (Stats{}) {
-		t.Errorf("Stats after Close = %+v, want zero", st)
-	}
-	if cs := pool.CacheStats(); cs != (CacheStats{}) {
-		t.Errorf("CacheStats after Close = %+v, want zero", cs)
 	}
 }
 

@@ -110,8 +110,8 @@ func ReadQueryLeaves(r *Reader, sys *core.System) (leaves []search.Leaf, ok bool
 	switch kind := r.Byte(); kind {
 	case QueryText:
 		text := r.String()
-		if err := r.Err(); err != nil {
-			return nil, false, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+		if rerr := malformed(r.Err()); rerr != nil {
+			return nil, false, rerr
 		}
 		leaves, err := sys.Engine.LeavesForQuery(text)
 		if err != nil {
@@ -125,8 +125,8 @@ func ReadQueryLeaves(r *Reader, sys *core.System) (leaves []search.Leaf, ok bool
 		for i := 0; i < n; i++ {
 			arts = append(arts, graph.NodeID(r.Uvarint()))
 		}
-		if err := r.Err(); err != nil {
-			return nil, false, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+		if rerr := malformed(r.Err()); rerr != nil {
+			return nil, false, rerr
 		}
 		if slices.ContainsFunc(arts, func(a graph.NodeID) bool { return int(a) >= sys.Snapshot.Graph().NumNodes() }) {
 			return nil, false, &RemoteError{Class: ClassInvalidQuery, Msg: "expansion names an article this graph does not have"}
@@ -150,19 +150,19 @@ func ReadQueryLeaves(r *Reader, sys *core.System) (leaves []search.Leaf, ok bool
 // deriving anything from it and returns its bytes — what a connection's
 // plan memo is keyed by.
 func ReadQueryBytes(r *Reader) []byte {
-	start := r.i
-	switch r.Byte() {
+	union := r.Rest()
+	switch kind := r.Byte(); kind {
 	case QueryText:
-		r.i += r.Len()
+		r.Bytes(r.Len())
 	case QueryExpansion:
-		r.i += r.Len()
+		r.Bytes(r.Len())
 		for n := r.Count(1); n > 0; n-- {
 			r.Uvarint()
 		}
 	default:
-		r.fail("query kind")
+		r.Failf("unknown query kind %d", kind)
 	}
-	return r.b[start:r.i]
+	return union[:len(union)-len(r.Rest())]
 }
 
 // --- scatter phases ----------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -237,7 +238,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, st *connState) {
 		st.busy = true
 		s.mu.Unlock()
 
-		werr := WriteFrame(bw, s.handle(ctx, payload, &memo))
+		werr := WriteFrame(bw, s.serve(ctx, payload, &memo))
 		pipelined := br.Buffered() > 0
 		if werr == nil && !pipelined {
 			werr = bw.Flush()
@@ -251,6 +252,21 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, st *connState) {
 			return
 		}
 	}
+}
+
+// serve is handle with a panic contained to its request: the request is
+// answered with a ClassInternal error carrying the panic and its stack,
+// the connection's memo — which the panic may have left half-written — is
+// forgotten, and the connection goes on serving.
+func (s *Server) serve(ctx context.Context, payload []byte, memo *connMemo) (resp []byte) {
+	defer func() {
+		if p := recover(); p != nil {
+			*memo = connMemo{}
+			resp = AppendErrorResponse(nil, ClassInternal, fmt.Sprintf("rpc: %s request panicked: %v\n%s", Op(payload[1]), p, debug.Stack()))
+			resp[0] = payload[0] // only past handle's header check can anything panic
+		}
+	}()
+	return s.handle(ctx, payload, memo)
 }
 
 // handle decodes the request header, derives the per-request deadline
@@ -325,6 +341,15 @@ func (s *Server) dispatch(ctx context.Context, op Op, r *Reader, memo *connMemo)
 	}
 }
 
+// malformed is the reply to a request body that did not decode, or that
+// left bytes over (nil when err is nil).
+func malformed(err error) *RemoteError {
+	if err == nil {
+		return nil
+	}
+	return &RemoteError{Class: ClassInternal, Msg: err.Error()}
+}
+
 // remoteErr classifies an application error for the wire.
 func remoteErr(err error) *RemoteError {
 	class := ClassInternal
@@ -343,8 +368,8 @@ func remoteErr(err error) *RemoteError {
 // query with nothing to search for.
 func (s *Server) planQuery(r *Reader, m *connMemo) (*search.Plan, *RemoteError) {
 	query := ReadQueryBytes(r)
-	if err := r.Err(); err != nil {
-		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	if rerr := malformed(r.Err()); rerr != nil {
+		return nil, rerr
 	}
 	if bytes.Equal(query, m.query) {
 		return m.plan, nil
@@ -367,8 +392,8 @@ func (s *Server) handlePlan(r *Reader, m *connMemo) ([]byte, *RemoteError) {
 	if rerr != nil {
 		return nil, rerr
 	}
-	if err := r.Done(); err != nil {
-		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	if rerr := malformed(r.Done()); rerr != nil {
+		return nil, rerr
 	}
 	return AppendPlanReply(AppendOKHeader(nil), plan), nil
 }
@@ -383,8 +408,8 @@ func (s *Server) handleTopK(r *Reader, m *connMemo) ([]byte, *RemoteError) {
 		return nil, rerr
 	}
 	k, totalTokens, leafCF := ReadTopKRequest(r)
-	if err := r.Done(); err != nil {
-		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	if rerr := malformed(r.Done()); rerr != nil {
+		return nil, rerr
 	}
 	if plan == nil {
 		return AppendTopKReply(AppendOKHeader(nil), nil, false), nil
@@ -411,8 +436,8 @@ func (s *Server) handleTopK(r *Reader, m *connMemo) ([]byte, *RemoteError) {
 func (s *Server) handleExpand(ctx context.Context, r *Reader) ([]byte, *RemoteError) {
 	keywords := r.String()
 	opts := ReadExpanderOptions(r)
-	if err := r.Done(); err != nil {
-		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	if rerr := malformed(r.Done()); rerr != nil {
+		return nil, rerr
 	}
 	exp, outcome, err := s.sys.ExpandOutcome(ctx, keywords, opts)
 	if err != nil {
@@ -443,8 +468,8 @@ func (s *Server) handleStats() ([]byte, *RemoteError) {
 // Response body: uvarint n, then n × (uvarint node id, title).
 func (s *Server) handleLink(r *Reader) ([]byte, *RemoteError) {
 	keywords := r.String()
-	if err := r.Done(); err != nil {
-		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	if rerr := malformed(r.Done()); rerr != nil {
+		return nil, rerr
 	}
 	ids := s.sys.LinkKeywords(keywords)
 	b := AppendOKHeader(nil)
@@ -459,11 +484,11 @@ func (s *Server) handleLink(r *Reader) ([]byte, *RemoteError) {
 // handleTitle resolves one node id to its display title.
 func (s *Server) handleTitle(r *Reader) ([]byte, *RemoteError) {
 	id := r.Uvarint()
-	if r.Err() == nil && id >= uint64(s.sys.Snapshot.Graph().NumNodes()) {
-		r.fail("node id")
+	if n := s.sys.Snapshot.Graph().NumNodes(); id >= uint64(n) {
+		r.Failf("node id %d beyond %d nodes", id, n)
 	}
-	if err := r.Done(); err != nil {
-		return nil, &RemoteError{Class: ClassInternal, Msg: err.Error()}
+	if rerr := malformed(r.Done()); rerr != nil {
+		return nil, rerr
 	}
 	b := AppendOKHeader(nil)
 	return AppendString(b, s.sys.Snapshot.Name(graph.NodeID(id))), nil

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,6 +225,58 @@ func TestCloseDeliversPipelinedReplies(t *testing.T) {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return")
+	}
+}
+
+// TestPanicContainedToRequest: a request whose handling panics is answered
+// with an internal error and forgets its connection's memo, and the server
+// goes on answering that connection and new ones.
+func TestPanicContainedToRequest(t *testing.T) {
+	hook := func(op Op, _ uint64, _ time.Time, _ time.Duration, _ string) {
+		if op == OpPlan {
+			panic("hook panicked")
+		}
+	}
+	isPanicReply := func(err error) bool {
+		var rerr *RemoteError
+		return errors.As(err, &rerr) && rerr.Class == ClassInternal && strings.Contains(rerr.Msg, "plan request panicked: hook panicked")
+	}
+	plan, topk := scatterPair(t, 5)
+
+	ref := testServer(t)
+	s := &Server{sys: ref.sys, queries: ref.queries, ident: ref.ident}
+	s.SetRequestHook(hook)
+	var memo connMemo
+	resp := s.serve(context.Background(), append([]byte{VersionMin, byte(OpPlan), 0}, plan...), &memo)
+	if _, err := ParseResponse(resp); !isPanicReply(err) || resp[0] != VersionMin {
+		t.Errorf("reply %x (%v), want a v1 internal error naming the panic", resp, err)
+	}
+	if memo.query != nil || memo.plan != nil {
+		t.Errorf("the memo outlived the panic: %x", memo.query)
+	}
+
+	addr := serveLoopback(t, func(*Server) RequestHook { return hook })
+	deadline := time.Now().Add(5 * time.Second)
+	conn, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Do(OpPlan, plan, deadline, 0); !isPanicReply(err) {
+		t.Fatalf("panicking plan request: err = %v, want its internal error", err)
+	}
+	if reply, err := conn.Do(OpTopK, topk, deadline, 0); err != nil {
+		t.Fatalf("the same connection after the panic: %v", err)
+	} else if rs, ok := ReadTopKReply(NewReader(reply)); !ok || len(rs) == 0 {
+		t.Errorf("top-k after the panic ranks %d documents, searchable %v", len(rs), ok)
+	}
+	other, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if _, err := other.Do(OpHealthz, nil, deadline, 0); err != nil {
+		t.Fatalf("a new connection after the panic: %v", err)
 	}
 }
 

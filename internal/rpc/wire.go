@@ -236,126 +236,13 @@ func AppendF64(b []byte, f float64) []byte {
 
 // --- sticky-error decoder ----------------------------------------------
 
-// Reader decodes a frame body with a sticky error: after the first
-// malformed field every subsequent read returns zero values, and Err
-// reports what went wrong — so decode sites read a whole struct and check
-// once.
-type Reader struct {
-	b   []byte
-	i   int
-	err error
-}
+// Reader is the bounded, sticky-error decoder both binary formats share
+// (store.Reader): a message decoder reads a whole body and checks Err or
+// Done once.
+type Reader = store.Reader
 
-// NewReader wraps a frame body.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// Err returns the first decode error (nil when all reads succeeded).
-func (r *Reader) Err() error { return r.err }
-
-// Rest returns the undecoded remainder (for layered decoding).
-func (r *Reader) Rest() []byte { return r.b[r.i:] }
-
-// Done reports a fully-consumed body and flags trailing garbage.
-func (r *Reader) Done() error {
-	if r.err == nil && r.i != len(r.b) {
-		r.err = fmt.Errorf("rpc: %d trailing bytes after message body", len(r.b)-r.i)
-	}
-	return r.err
-}
-
-func (r *Reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("rpc: truncated or malformed %s at offset %d", what, r.i)
-	}
-}
-
-// Byte reads one byte.
-func (r *Reader) Byte() byte {
-	if r.err != nil || r.i >= len(r.b) {
-		r.fail("byte")
-		return 0
-	}
-	v := r.b[r.i]
-	r.i++
-	return v
-}
-
-// Uvarint reads one uvarint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.i:])
-	if n <= 0 {
-		r.fail("uvarint")
-		return 0
-	}
-	r.i += n
-	return v
-}
-
-// Varint reads one zigzag varint.
-func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.i:])
-	if n <= 0 {
-		r.fail("varint")
-		return 0
-	}
-	r.i += n
-	return v
-}
-
-// Int reads a uvarint that must fit a non-negative int.
-func (r *Reader) Int() int {
-	v := r.Uvarint()
-	if r.err == nil && v > math.MaxInt32 {
-		r.fail("int out of range")
-		return 0
-	}
-	return int(v)
-}
-
-// Len reads a uvarint length in bytes and bounds it by the bytes
-// remaining (a corrupt length cannot drive a huge allocation).
-func (r *Reader) Len() int { return r.Count(1) }
-
-// Count reads the uvarint element count of a list whose elements encode
-// to at least minSize bytes each, bounded by the bytes remaining: a
-// corrupt count fails the reader and returns 0, so it can size neither
-// an allocation nor a loop.
-func (r *Reader) Count(minSize int) int {
-	n := r.Int()
-	if r.err == nil && n > (len(r.b)-r.i)/minSize {
-		r.fail("length or count beyond body")
-		return 0
-	}
-	return n
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Len()
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[r.i : r.i+n])
-	r.i += n
-	return s
-}
-
-// F64 reads 8 little-endian IEEE-754 bytes.
-func (r *Reader) F64() float64 {
-	if r.err != nil || r.i+8 > len(r.b) {
-		r.fail("float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.i:]))
-	r.i += 8
-	return v
-}
+// NewReader wraps a message body.
+func NewReader(b []byte) *Reader { return store.NewReader("rpc: message", b) }
 
 // --- error responses ---------------------------------------------------
 

@@ -66,38 +66,6 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
-func TestReaderStickyError(t *testing.T) {
-	r := NewReader([]byte{0x05}) // length prefix 5 with no bytes behind it
-	if s := r.String(); s != "" {
-		t.Fatalf("truncated string = %q, want empty", s)
-	}
-	if r.Err() == nil {
-		t.Fatal("no error after truncated read")
-	}
-	// Every later read stays zero-valued, no panics.
-	if v := r.Uvarint(); v != 0 {
-		t.Fatalf("post-error uvarint = %d", v)
-	}
-	if v := r.F64(); v != 0 {
-		t.Fatalf("post-error f64 = %v", v)
-	}
-	if err := r.Done(); err == nil {
-		t.Fatal("Done cleared the sticky error")
-	}
-}
-
-func TestReaderTrailingGarbage(t *testing.T) {
-	b := AppendUvarint(nil, 7)
-	b = append(b, 0xFF)
-	r := NewReader(b)
-	if v := r.Uvarint(); v != 7 {
-		t.Fatalf("uvarint = %d", v)
-	}
-	if err := r.Done(); err == nil {
-		t.Fatal("trailing byte not flagged")
-	}
-}
-
 func TestScalarRoundTrips(t *testing.T) {
 	b := AppendUvarint(nil, 0)
 	b = AppendUvarint(b, math.MaxUint32)

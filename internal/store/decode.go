@@ -112,67 +112,6 @@ func Read(r io.Reader) (*Archive, error) {
 	return a, nil
 }
 
-// decodeShard parses the partition identity; a zero flag byte means this
-// is a complete, unsharded snapshot (nil ShardInfo).
-func decodeShard(body []byte) (*ShardInfo, error) {
-	p := &parser{b: body, sec: "shard"}
-	sharded, err := p.bool()
-	if err != nil {
-		return nil, err
-	}
-	if !sharded {
-		return nil, p.done()
-	}
-	sh := &ShardInfo{}
-	id, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	count, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 || count > 1<<20 || id >= count {
-		return nil, p.fail("shard %d of %d is not a valid partition slot", id, count)
-	}
-	sh.ShardID, sh.ShardCount = int(id), int(count)
-	globalDocs, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if globalDocs > maxSectionLen {
-		return nil, p.fail("implausible global document count %d", globalDocs)
-	}
-	sh.GlobalDocs = int(globalDocs)
-	globalTokens, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	sh.GlobalTokens = int64(globalTokens)
-	n, err := p.count("doc map entry", 1)
-	if err != nil {
-		return nil, err
-	}
-	sh.DocGlobal = make([]int32, n)
-	prev := int64(-1)
-	for i := range sh.DocGlobal {
-		gap, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if gap > math.MaxUint32 {
-			return nil, p.fail("doc map gap %d overflows", gap)
-		}
-		g := prev + 1 + int64(gap)
-		if g >= int64(sh.GlobalDocs) {
-			return nil, p.fail("doc map entry %d (global %d) beyond %d documents", i, g, sh.GlobalDocs)
-		}
-		prev = g
-		sh.DocGlobal[i] = int32(g)
-	}
-	return sh, p.done()
-}
-
 // unexpectedEOF maps a bare io.EOF to io.ErrUnexpectedEOF so that every
 // truncation error wraps the same sentinel regardless of where the stream
 // was cut.
@@ -241,183 +180,103 @@ func readSection(br *bufio.Reader, want byte) ([]byte, error) {
 	return body, nil
 }
 
-// parser walks one section payload.
-type parser struct {
-	b   []byte
-	off int
-	sec string
-}
-
-func (p *parser) fail(format string, args ...any) error {
-	return fmt.Errorf("store: %s section: %s (offset %d)", p.sec, fmt.Sprintf(format, args...), p.off)
-}
-
-func (p *parser) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.b[p.off:])
-	if n <= 0 {
-		return 0, p.fail("bad varint")
-	}
-	p.off += n
-	return v, nil
-}
-
-func (p *parser) varint() (int64, error) {
-	v, n := binary.Varint(p.b[p.off:])
-	if n <= 0 {
-		return 0, p.fail("bad varint")
-	}
-	p.off += n
-	return v, nil
-}
-
-func (p *parser) byte() (byte, error) {
-	if p.off >= len(p.b) {
-		return 0, p.fail("unexpected end of payload")
-	}
-	v := p.b[p.off]
-	p.off++
-	return v, nil
-}
-
-func (p *parser) f64() (float64, error) {
-	if p.off+8 > len(p.b) {
-		return 0, p.fail("unexpected end of payload")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.b[p.off:]))
-	p.off += 8
-	return v, nil
-}
-
-func (p *parser) bool() (bool, error) {
-	v, err := p.byte()
-	return v != 0, err
-}
-
-// count reads a uvarint element count and sanity-bounds it by the bytes
-// remaining: every element occupies at least minBytes, so a count beyond
-// remaining/minBytes cannot decode and would only inflate allocations.
-func (p *parser) count(what string, minBytes int) (int, error) {
-	v, err := p.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if max := uint64(len(p.b)-p.off)/uint64(minBytes) + 1; v > max {
-		return 0, p.fail("%s count %d exceeds payload", what, v)
-	}
-	return int(v), nil
-}
-
-// ref resolves a string-table reference.
-func (p *parser) ref(strs []string) (string, error) {
-	v, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if v >= uint64(len(strs)) {
-		return "", p.fail("string ref %d beyond table of %d", v, len(strs))
-	}
-	return strs[v], nil
-}
-
-// done errors when payload bytes remain: trailing garbage means the
-// section length and its content disagree.
-func (p *parser) done() error {
-	if p.off != len(p.b) {
-		return p.fail("%d trailing bytes", len(p.b)-p.off)
-	}
-	return nil
-}
+// The section decoders below read a whole section through one Reader and
+// check its error once, before the substrate Load constructors see what
+// was read. Every Count passes the fewest bytes Write emits per element.
 
 func decodeMeta(body []byte, a *Archive) error {
-	p := &parser{b: body, sec: "meta"}
-	var err error
-	if a.Mu, err = p.f64(); err != nil {
-		return err
+	r := NewReader("store: meta section", body)
+	a.Mu = r.F64()
+	a.IncludeKeywordTerms = r.Byte() != 0
+	a.RemoveStopwords = r.Byte() != 0
+	a.Stem = r.Byte() != 0
+	return r.Done()
+}
+
+// decodeShard parses the partition identity; a zero flag byte means this
+// is a complete, unsharded snapshot (nil ShardInfo).
+func decodeShard(body []byte) (*ShardInfo, error) {
+	r := NewReader("store: shard section", body)
+	if r.Byte() == 0 {
+		return nil, r.Done()
 	}
-	if a.IncludeKeywordTerms, err = p.bool(); err != nil {
-		return err
+	id, count := r.Uvarint(), r.Uvarint()
+	if count == 0 || count > 1<<20 || id >= count {
+		r.Failf("shard %d of %d is not a valid partition slot", id, count)
 	}
-	if a.RemoveStopwords, err = p.bool(); err != nil {
-		return err
+	globalDocs := r.Uvarint()
+	if globalDocs > maxSectionLen {
+		r.Failf("implausible global document count %d", globalDocs)
 	}
-	if a.Stem, err = p.bool(); err != nil {
-		return err
+	sh := &ShardInfo{
+		ShardID:      int(id),
+		ShardCount:   int(count),
+		GlobalDocs:   int(globalDocs),
+		GlobalTokens: int64(r.Uvarint()),
+		DocGlobal:    make([]int32, r.Count(1)), // a gap each
 	}
-	return p.done()
+	prev := int64(-1)
+	for i := range sh.DocGlobal {
+		gap := r.Uvarint()
+		if gap > math.MaxUint32 {
+			r.Failf("doc map gap %d overflows", gap)
+		}
+		g := prev + 1 + int64(gap)
+		if g >= int64(sh.GlobalDocs) {
+			r.Failf("doc map entry %d (global %d) beyond %d documents", i, g, sh.GlobalDocs)
+		}
+		prev = g
+		sh.DocGlobal[i] = int32(g)
+	}
+	return sh, r.Done()
 }
 
 func decodeStrings(body []byte) ([]string, error) {
-	p := &parser{b: body, sec: "strings"}
-	n, err := p.count("string", 1)
-	if err != nil {
-		return nil, err
-	}
+	r := NewReader("store: strings section", body)
 	// One bulk copy, then zero-copy substrings: the table holds tens of
 	// thousands of strings and per-string conversions dominate decode
 	// allocation otherwise.
-	all := string(p.b)
-	strs := make([]string, n)
+	all := string(body)
+	strs := make([]string, r.Count(1)) // a length each
 	for i := range strs {
-		l, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(p.b)-p.off) < l {
-			return nil, p.fail("string %d of length %d exceeds payload", i, l)
-		}
-		strs[i] = all[p.off : p.off+int(l)]
-		p.off += int(l)
+		s := r.Bytes(r.Len())
+		end := len(body) - len(r.Rest())
+		strs[i] = all[end-len(s) : end]
 	}
-	return strs, p.done()
+	return strs, r.Done()
 }
 
 func decodeGraph(body []byte) (*graph.Graph, error) {
-	p := &parser{b: body, sec: "graph"}
-	n, err := p.count("node", 1)
-	if err != nil {
-		return nil, err
-	}
+	r := NewReader("store: graph section", body)
+	n := r.Count(1) // a kind byte each
 	kinds := make([]graph.NodeKind, n)
 	for i := range kinds {
-		k, err := p.byte()
-		if err != nil {
-			return nil, err
-		}
+		k := r.Byte()
 		if k > byte(graph.Category) {
-			return nil, p.fail("node %d has unknown kind %d", i, k)
+			r.Failf("node %d has unknown kind %d", i, k)
 		}
 		kinds[i] = graph.NodeKind(k)
 	}
 	out := make([][]graph.Arc, n)
 	for i := range out {
-		deg, err := p.count("arc", 2)
-		if err != nil {
-			return nil, err
-		}
-		arcs := make([]graph.Arc, deg)
+		arcs := make([]graph.Arc, r.Count(2)) // a target and a kind byte each
 		for j := range arcs {
-			to, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
 			// Bound before the NodeID (uint32) cast: a wider value would
 			// silently wrap into some valid node and decode a structurally
 			// wrong graph.
+			to := r.Uvarint()
 			if to >= uint64(n) {
-				return nil, p.fail("arc %d->%d beyond %d nodes", i, to, n)
+				r.Failf("arc %d->%d beyond %d nodes", i, to, n)
 			}
-			kind, err := p.byte()
-			if err != nil {
-				return nil, err
-			}
+			kind := r.Byte()
 			if kind > byte(graph.Redirect) {
-				return nil, p.fail("arc %d->%d has unknown kind %d", i, to, kind)
+				r.Failf("arc %d->%d has unknown kind %d", i, to, kind)
 			}
 			arcs[j] = graph.Arc{To: graph.NodeID(to), Kind: graph.EdgeKind(kind)}
 		}
 		out[i] = arcs
 	}
-	if err := p.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	g, err := graph.Load(kinds, out)
@@ -428,88 +287,38 @@ func decodeGraph(body []byte) (*graph.Graph, error) {
 }
 
 func decodeNames(body []byte, strs []string, numNodes int) ([]string, error) {
-	p := &parser{b: body, sec: "names"}
-	n, err := p.count("name", 1)
-	if err != nil {
-		return nil, err
+	r := NewReader("store: names section", body)
+	names := make([]string, r.Count(1)) // a ref each
+	if len(names) != numNodes {
+		r.Failf("%d names for %d graph nodes", len(names), numNodes)
 	}
-	if n != numNodes {
-		return nil, p.fail("%d names for %d graph nodes", n, numNodes)
-	}
-	names := make([]string, n)
 	for i := range names {
-		if names[i], err = p.ref(strs); err != nil {
-			return nil, err
-		}
+		names[i] = r.Ref(strs)
 	}
-	return names, p.done()
+	return names, r.Done()
 }
 
 func decodeCorpus(body []byte, strs []string) (*corpus.Collection, error) {
-	p := &parser{b: body, sec: "corpus"}
-	n, err := p.count("document", 7)
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]corpus.Document, n)
+	r := NewReader("store: corpus section", body)
+	docs := make([]corpus.Document, r.Count(7)) // five refs, a text count and the text ref
 	for i := range docs {
-		var im corpus.Image
-		if im.ID, err = p.ref(strs); err != nil {
-			return nil, err
-		}
-		if im.File, err = p.ref(strs); err != nil {
-			return nil, err
-		}
-		if im.Name, err = p.ref(strs); err != nil {
-			return nil, err
-		}
-		if im.Comment, err = p.ref(strs); err != nil {
-			return nil, err
-		}
-		if im.License, err = p.ref(strs); err != nil {
-			return nil, err
-		}
-		numTexts, err := p.count("text", 4)
-		if err != nil {
-			return nil, err
-		}
-		if numTexts > 0 {
-			im.Texts = make([]corpus.Text, numTexts)
+		im := corpus.Image{ID: r.Ref(strs), File: r.Ref(strs), Name: r.Ref(strs), Comment: r.Ref(strs), License: r.Ref(strs)}
+		if n := r.Count(4); n > 0 { // three refs and a caption count
+			im.Texts = make([]corpus.Text, n)
 		}
 		for t := range im.Texts {
 			txt := &im.Texts[t]
-			if txt.Lang, err = p.ref(strs); err != nil {
-				return nil, err
-			}
-			if txt.Description, err = p.ref(strs); err != nil {
-				return nil, err
-			}
-			if txt.Comment, err = p.ref(strs); err != nil {
-				return nil, err
-			}
-			numCaps, err := p.count("caption", 2)
-			if err != nil {
-				return nil, err
-			}
-			if numCaps > 0 {
-				txt.Captions = make([]corpus.Caption, numCaps)
+			txt.Lang, txt.Description, txt.Comment = r.Ref(strs), r.Ref(strs), r.Ref(strs)
+			if n := r.Count(2); n > 0 { // two refs
+				txt.Captions = make([]corpus.Caption, n)
 			}
 			for c := range txt.Captions {
-				if txt.Captions[c].Article, err = p.ref(strs); err != nil {
-					return nil, err
-				}
-				if txt.Captions[c].Value, err = p.ref(strs); err != nil {
-					return nil, err
-				}
+				txt.Captions[c] = corpus.Caption{Article: r.Ref(strs), Value: r.Ref(strs)}
 			}
 		}
-		text, err := p.ref(strs)
-		if err != nil {
-			return nil, err
-		}
-		docs[i] = corpus.Document{ID: corpus.DocID(i), Image: im, Text: text}
+		docs[i] = corpus.Document{ID: corpus.DocID(i), Image: im, Text: r.Ref(strs)}
 	}
-	if err := p.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	coll, err := corpus.LoadCollection(docs)
@@ -520,26 +329,18 @@ func decodeCorpus(body []byte, strs []string) (*corpus.Collection, error) {
 }
 
 func decodeIndex(body []byte, strs []string) (*index.Index, error) {
-	p := &parser{b: body, sec: "index"}
-	numDocs, err := p.count("document", 1)
-	if err != nil {
-		return nil, err
-	}
-	docLens := make([]int64, numDocs)
+	r := NewReader("store: index section", body)
+	docLens := make([]int64, r.Count(1)) // a length each
 	for i := range docLens {
-		dl, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		docLens[i] = int64(dl)
+		docLens[i] = int64(r.Uvarint())
 	}
-	numTerms, err := p.count("term", 3)
-	if err != nil {
-		return nil, err
-	}
-	terms := make([]string, numTerms)
-	postings := make([][]index.Posting, numTerms)
-	positions := make([][]uint32, numTerms)
+	// A term is its ref, its posting count and at least one posting: an
+	// index gains a term only with a posting, so Write never emits one
+	// without, and one read without is refused below — which is what keeps
+	// 3 a lower bound of any term this decoder accepts and Write re-emits.
+	terms := make([]string, r.Count(3))
+	postings := make([][]index.Posting, len(terms))
+	positions := make([][]uint32, len(terms))
 	// Chunked arenas: the index holds one postings list and one positions
 	// slab per term, most of them short, and allocating each individually
 	// is the dominant decode cost. Full slice expressions cap every
@@ -548,12 +349,10 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 	var postArena []index.Posting
 	var posArena []uint32
 	for t := range terms {
-		if terms[t], err = p.ref(strs); err != nil {
-			return nil, err
-		}
-		df, err := p.count("posting", 2)
-		if err != nil {
-			return nil, err
+		terms[t] = r.Ref(strs)
+		df := r.Count(2) // a doc gap and a frequency each
+		if df == 0 {
+			r.Failf("term %q has no postings", terms[t])
 		}
 		if df > cap(postArena)-len(postArena) {
 			postArena = make([]index.Posting, 0, max(df, 1<<13))
@@ -565,25 +364,19 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 		slabStart := len(posArena)
 		prevDoc := int64(-1)
 		for i := range plist {
-			gap, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
 			// Bound the raw gap before any int64 arithmetic: a 64-bit
 			// varint would otherwise overflow the sum (or truncate in the
 			// int32 cast) and sneak a garbage but in-range doc id through.
+			gap := r.Uvarint()
 			if gap > math.MaxUint32 {
-				return nil, p.fail("term %q posting doc gap %d overflows", terms[t], gap)
+				r.Failf("term %q posting doc gap %d overflows", terms[t], gap)
 			}
 			doc := prevDoc + 1 + int64(gap)
-			if doc >= int64(numDocs) {
-				return nil, p.fail("term %q posting doc %d beyond %d documents", terms[t], doc, numDocs)
+			if doc >= int64(len(docLens)) {
+				r.Failf("term %q posting doc %d beyond %d documents", terms[t], doc, len(docLens))
 			}
 			prevDoc = doc
-			tf, err := p.count("position", 1)
-			if err != nil {
-				return nil, err
-			}
+			tf := r.Count(1) // a position gap each
 			if tf > cap(posArena)-len(posArena) {
 				// Move the slab so far to a chunk with room for the rest;
 				// doubling keeps a long term's copying linear.
@@ -593,16 +386,13 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 			}
 			prevPos := int64(-1)
 			for j := 0; j < tf; j++ {
-				pgap, err := p.uvarint()
-				if err != nil {
-					return nil, err
-				}
+				pgap := r.Uvarint()
 				if pgap > math.MaxUint32 {
-					return nil, p.fail("term %q position gap %d overflows", terms[t], pgap)
+					r.Failf("term %q position gap %d overflows", terms[t], pgap)
 				}
 				pos := prevPos + 1 + int64(pgap)
 				if pos > math.MaxUint32 {
-					return nil, p.fail("term %q position %d overflows", terms[t], pos)
+					r.Failf("term %q position %d overflows", terms[t], pos)
 				}
 				prevPos = pos
 				posArena = append(posArena, uint32(pos))
@@ -612,7 +402,7 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 		postings[t] = plist
 		positions[t] = posArena[slabStart:len(posArena):len(posArena)]
 	}
-	if err := p.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	ix, err := index.Load(docLens, terms, postings, positions)
@@ -623,43 +413,22 @@ func decodeIndex(body []byte, strs []string) (*index.Index, error) {
 }
 
 func decodeQueries(body []byte, strs []string, numDocs int) ([]Query, error) {
-	p := &parser{b: body, sec: "queries"}
-	n, err := p.count("query", 3)
-	if err != nil {
-		return nil, err
-	}
+	r := NewReader("store: queries section", body)
 	var qs []Query
-	if n > 0 {
+	if n := r.Count(3); n > 0 { // an id, a keywords ref and a relevance count
 		qs = make([]Query, n)
 	}
 	for i := range qs {
-		id, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		qs[i].ID = int(id)
-		if qs[i].Keywords, err = p.ref(strs); err != nil {
-			return nil, err
-		}
-		numRel, err := p.count("relevant doc", 1)
-		if err != nil {
-			return nil, err
-		}
-		rel := make([]int32, numRel)
+		qs[i] = Query{ID: int(r.Varint()), Keywords: r.Ref(strs), Relevant: make([]int32, r.Count(1))} // a delta each
 		prev := int64(0)
-		for j := range rel {
-			delta, err := p.varint()
-			if err != nil {
-				return nil, err
-			}
-			d := prev + delta
+		for j := range qs[i].Relevant {
+			d := prev + r.Varint()
 			if d < 0 || d >= int64(numDocs) {
-				return nil, p.fail("query %d relevant doc %d beyond %d documents", qs[i].ID, d, numDocs)
+				r.Failf("query %d relevant doc %d beyond %d documents", qs[i].ID, d, numDocs)
 			}
 			prev = d
-			rel[j] = int32(d)
+			qs[i].Relevant[j] = int32(d)
 		}
-		qs[i].Relevant = rel
 	}
-	return qs, p.done()
+	return qs, r.Done()
 }

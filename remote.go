@@ -979,8 +979,13 @@ func (c *Remote) Title(id NodeID) string {
 }
 
 // Queries returns the benchmark fetched from the fleet at open time
-// (replicated into every shard).
+// (replicated into every shard); nil once closed.
 func (c *Remote) Queries() []Query {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
 	out := make([]Query, len(c.queries))
 	copy(out, c.queries)
 	return out

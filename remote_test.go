@@ -593,39 +593,11 @@ func TestRemoteCloseRacesFanouts(t *testing.T) {
 	t.Fatalf("goroutines leaked after drain: %d > baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:n])
 }
 
-// TestRemoteClosedAccessors pins the post-Close accessor contract shared
-// with the Pool: zero values, never a hang or panic.
+// TestRemoteClosedAccessors pins the remote side of the closed-accessor
+// contract shared with the Pool (checkClosedAccessors), Queries included.
 func TestRemoteClosedAccessors(t *testing.T) {
-	_, dir := shardedWorld(t)
-	topoPath, _ := startShardFleet(t, dir, 2, nil)
-	remote, err := OpenTopology(topoPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := remote.NumShards(); n != 2 {
-		t.Fatalf("NumShards = %d, want 2", n)
-	}
-	if err := remote.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := remote.Close(); err != nil {
-		t.Fatalf("second Close: %v (want nil — Close is idempotent)", err)
-	}
-	if n := remote.NumShards(); n != 0 {
-		t.Errorf("NumShards after Close = %d, want 0", n)
-	}
-	if st := remote.Stats(); st != (Stats{}) {
-		t.Errorf("Stats after Close = %+v, want zero", st)
-	}
-	if cs := remote.CacheStats(); cs != (CacheStats{}) {
-		t.Errorf("CacheStats after Close = %+v, want zero", cs)
-	}
-	if title := remote.Title(1); title != "" {
-		t.Errorf("Title after Close = %q, want empty", title)
-	}
-	if ents := remote.Link("x"); ents != nil {
-		t.Errorf("Link after Close = %v, want nil", ents)
-	}
+	ref, backends := conformanceBackends(t)
+	checkClosedAccessors(t, backends["remote-2"], ref.Queries()[0].Keywords)
 }
 
 // opCounter counts the requests a fleet's shards handle, by op.

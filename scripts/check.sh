@@ -59,6 +59,9 @@ go test -run '^$' -bench '^BenchmarkHTTPBatch$' -benchtime 1x ./cmd/qserve
 step "go test -race (lru, core, search, cycles, rpc, root)"
 go test -race ./internal/lru ./internal/core ./internal/search ./internal/cycles ./internal/rpc .
 
+step "fuzz (every target, 10 s each)"
+make fuzz
+
 # bench/ is a nested module root ./... skips; it imports internal/... by
 # path, so a pruned symbol the harness uses has to fail here.
 step "bench harness (nested module: vet + test)"
@@ -80,6 +83,6 @@ case "$out" in
 esac
 
 step "flake smoke (close/reload lifecycle, -count=2)"
-go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
+go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestRemoteClosedAccessors|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
 
 echo "all checks passed"
