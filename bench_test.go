@@ -375,39 +375,35 @@ func BenchmarkPoolSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchCommon measures the query class whose cost is the postings
-// walk itself: an entity title plus the collection's highest-df term (one
-// that occurs in every document, so every document is a candidate), through
-// SearchInto on a Client and on a 2-shard Pool. postings/op is the rows a
-// query walks — what a later pruning change must bring down, and what a
-// layout or scoring change must leave alone.
+// BenchmarkSearchCommon measures the query classes whose cost is the
+// postings walk, through SearchInto on a Client and on a 2-shard Pool.
+// common is an entity title plus the collection's highest-df term (one
+// that occurs in every document), the class the scorer reads the common
+// list of lazily; mixed is the common term twice around a title, or a
+// title beside the two highest-df terms, which must keep walking every
+// list and run no slower for the lazy path's existence. rows/op is the
+// postings and block-table entries the scorer reads (Plan.RowsRead,
+// summed over the shards) — what pruning brings down and a layout change
+// leaves alone; listed/op adds up the lengths of the lists a query names.
 func BenchmarkSearchCommon(b *testing.B) {
 	e := benchSetup(b)
 	ix := e.system.Engine.Index()
-	common := ""
+	var common, second string
 	for _, term := range ix.Terms() {
-		if ix.DocFreq(term) > ix.DocFreq(common) {
-			common = term
+		switch df := ix.DocFreq(term); {
+		case df > ix.DocFreq(common):
+			common, second = term, common
+		case df > ix.DocFreq(second):
+			second = term
 		}
 	}
 	if ix.DocFreq(common) != ix.NumDocs() {
 		b.Fatalf("highest-df term %q is in %d of %d documents", common, ix.DocFreq(common), ix.NumDocs())
 	}
-	var queries []string
-	postings := 0
+	var titles []string
 	for _, gt := range e.gts {
 		for _, a := range gt.QueryArticles {
-			q := e.world.Snapshot.Name(a) + " " + common
-			leaves, err := e.system.Engine.LeavesForQuery(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, lf := range leaves {
-				if len(lf.Terms) == 1 {
-					postings += ix.DocFreq(lf.Terms[0])
-				}
-			}
-			queries = append(queries, q)
+			titles = append(titles, e.world.Snapshot.Name(a))
 		}
 	}
 	client, err := querygraph.Build(e.world)
@@ -424,21 +420,82 @@ func BenchmarkSearchCommon(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		be   querygraph.Backend
-	}{{"client", client}, {"pool-2", pool}} {
-		b.Run(tc.name, func(b *testing.B) {
-			ctx, dst := context.Background(), make([]querygraph.Result, 0, core.MaxRank)
-			for i := 0; b.Loop(); i++ {
-				rs, err := tc.be.SearchInto(ctx, queries[i%len(queries)], core.MaxRank, dst)
-				if err != nil || len(rs) != core.MaxRank {
-					b.Fatalf("%d results, err %v", len(rs), err)
+	set, err := shard.Load(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	engines := map[string][]*search.Engine{"client": {e.system.Engine}}
+	for _, sys := range set.Systems() {
+		engines["pool-2"] = append(engines["pool-2"], sys.Engine)
+	}
+	for _, class := range []struct {
+		name  string
+		query func(i int, title string) string
+	}{
+		{"common", func(_ int, title string) string { return title + " " + common }},
+		{"mixed", func(i int, title string) string {
+			if i%2 == 0 {
+				return common + " " + title + " " + common
+			}
+			return title + " " + common + " " + second
+		}},
+	} {
+		queries := make([]string, len(titles))
+		for i, title := range titles {
+			queries[i] = class.query(i, title)
+		}
+		for _, tc := range []struct {
+			name string
+			be   querygraph.Backend
+		}{{"client", client}, {"pool-2", pool}} {
+			b.Run(class.name+"/"+tc.name, func(b *testing.B) {
+				ctx, dst := context.Background(), make([]querygraph.Result, 0, core.MaxRank)
+				for i := 0; b.Loop(); i++ {
+					rs, err := tc.be.SearchInto(ctx, queries[i%len(queries)], core.MaxRank, dst)
+					if err != nil || len(rs) != core.MaxRank {
+						b.Fatalf("%d results, err %v", len(rs), err)
+					}
+				}
+				rows, listed := scorerRows(b, engines[tc.name], queries)
+				b.ReportMetric(rows, "rows/op")
+				b.ReportMetric(listed, "listed/op")
+			})
+		}
+	}
+}
+
+// scorerRows plans and scores each query on the engines of one runtime —
+// its shards, under their merged statistics — and returns the mean rows
+// the scorer read per query and the mean length of the lists it named.
+func scorerRows(b *testing.B, engines []*search.Engine, queries []string) (rows, listed float64) {
+	b.Helper()
+	for _, q := range queries {
+		leaves, err := engines[0].LeavesForQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans := make([]*search.Plan, len(engines))
+		stats := &search.Stats{LeafCF: make([]int64, len(leaves))}
+		for i, eng := range engines {
+			plans[i] = eng.PlanLeavesInto(nil, leaves)
+			stats.TotalTokens += eng.Index().TotalTokens()
+			for j := range leaves {
+				stats.LeafCF[j] += plans[i].LocalCF(j)
+			}
+		}
+		for i, eng := range engines {
+			if _, err := eng.SearchPlanInto(plans[i], core.MaxRank, stats, nil); err != nil {
+				b.Fatal(err)
+			}
+			rows += float64(plans[i].RowsRead())
+			for _, lf := range leaves {
+				if len(lf.Terms) == 1 {
+					listed += float64(eng.Index().DocFreq(lf.Terms[0]))
 				}
 			}
-			b.ReportMetric(float64(postings)/float64(len(queries)), "postings/op")
-		})
+		}
 	}
+	return rows / float64(len(queries)), listed / float64(len(queries))
 }
 
 // BenchmarkRemoteSearch measures one search through the fan-out

@@ -21,6 +21,20 @@ type Posting struct {
 	TF  uint32
 }
 
+// BlockSize is the number of consecutive postings one Block summarises.
+const BlockSize = 128
+
+// Block summarises postings [b·BlockSize, (b+1)·BlockSize) of one term's
+// list — the last block may be shorter — for a scorer that skips or seeks
+// through the list instead of walking it: where the block ends, and the
+// most a document in it can score (the largest frequency, the shortest
+// document).
+type Block struct {
+	LastDoc int32  // doc of the block's last posting
+	MaxTF   uint32 // largest TF in the block
+	MinDL   int64  // shortest document length in the block
+}
+
 // Index is a positional inverted index over dense document IDs. Documents
 // are added once each via AddDocument; afterwards the index is safe for
 // concurrent reads.
@@ -31,24 +45,32 @@ type Index struct {
 	// positions[termID] is the term's slab: the ascending in-document token
 	// offsets of posting 0, then posting 1's, and so on. Its length is the
 	// term's collection frequency.
-	positions   [][]uint32
+	positions [][]uint32
+	// blocks[termID] is the block table of each term with more than
+	// BlockSize postings — a map, since they are few, so that a Merge per
+	// ingest copies those instead of one more entry per term. It is derived
+	// from postings and docLens wherever those are built — AddDocument,
+	// Load, Merge — and never stored.
+	blocks      map[int32][]Block
 	docLens     []int64
+	maxDocLen   int64
 	total       int64 // total token count across the collection
 	numPostings int64
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{dict: make(map[string]int32)}
+	return &Index{dict: make(map[string]int32), blocks: make(map[int32][]Block)}
 }
 
 // AddDocument appends a document with the next dense ID and returns that ID.
 // Token positions are their offsets in the supplied slice. Empty documents
 // are allowed (an image with no usable text still occupies a rank).
 func (ix *Index) AddDocument(tokens []string) int32 {
-	doc := int32(len(ix.docLens))
-	ix.docLens = append(ix.docLens, int64(len(tokens)))
-	ix.total += int64(len(tokens))
+	doc, dl := int32(len(ix.docLens)), int64(len(tokens))
+	ix.docLens = append(ix.docLens, dl)
+	ix.maxDocLen = max(ix.maxDocLen, dl)
+	ix.total += dl
 	for pos, tok := range tokens {
 		tid, ok := ix.dict[tok]
 		if !ok {
@@ -61,13 +83,46 @@ func (ix *Index) AddDocument(tokens []string) int32 {
 		plist := ix.postings[tid]
 		if n := len(plist); n > 0 && plist[n-1].Doc == doc {
 			plist[n-1].TF++
+			if n > BlockSize {
+				bl := ix.blocks[tid]
+				last := &bl[len(bl)-1]
+				last.MaxTF = max(last.MaxTF, plist[n-1].TF)
+			}
 		} else {
-			ix.postings[tid] = append(plist, Posting{Doc: doc, TF: 1})
+			plist = append(plist, Posting{Doc: doc, TF: 1})
+			ix.postings[tid] = plist
 			ix.numPostings++
+			switch {
+			case n > BlockSize:
+				ix.blocks[tid] = foldBlock(ix.blocks[tid], n, plist[n], dl)
+			case n == BlockSize: // the list just outgrew one block
+				ix.blocks[tid] = appendBlocks(nil, plist, 0, ix.docLens)
+			}
 		}
 		ix.positions[tid] = append(ix.positions[tid], uint32(pos))
 	}
 	return doc
+}
+
+// foldBlock folds posting i of a list, p, in a document of length dl,
+// into the list's block table: it opens block i/BlockSize or extends it.
+// Postings are folded in order.
+func foldBlock(bl []Block, i int, p Posting, dl int64) []Block {
+	if i%BlockSize == 0 {
+		return append(bl, Block{LastDoc: p.Doc, MaxTF: p.TF, MinDL: dl})
+	}
+	last := &bl[len(bl)-1]
+	last.LastDoc, last.MaxTF, last.MinDL = p.Doc, max(last.MaxTF, p.TF), min(last.MinDL, dl)
+	return bl
+}
+
+// appendBlocks appends to bl the blocks of plist from posting from (a
+// multiple of BlockSize) on.
+func appendBlocks(bl []Block, plist []Posting, from int, docLens []int64) []Block {
+	for i := from; i < len(plist); i++ {
+		bl = foldBlock(bl, i, plist[i], docLens[plist[i].Doc])
+	}
+	return bl
 }
 
 // Load reconstructs an index directly from its decoded state — document
@@ -78,8 +133,8 @@ func (ix *Index) AddDocument(tokens []string) int32 {
 // derived in one pass over the input, which is validated for shape (doc
 // bounds, ascending postings, no empty posting, every slab exactly as long
 // as its postings' frequencies add up to) so a corrupted snapshot fails
-// loudly instead of silently corrupting scoring. The slices are owned by
-// the index afterwards.
+// loudly instead of silently corrupting scoring; the same pass derives the
+// block tables. The slices are owned by the index afterwards.
 func Load(docLens []int64, terms []string, postings [][]Posting, positions [][]uint32) (*Index, error) {
 	if len(terms) != len(postings) || len(terms) != len(positions) {
 		return nil, fmt.Errorf("index: load: %d terms but %d postings lists and %d positions slabs",
@@ -90,6 +145,7 @@ func Load(docLens []int64, terms []string, postings [][]Posting, positions [][]u
 		terms:     terms,
 		postings:  postings,
 		positions: positions,
+		blocks:    make(map[int32][]Block),
 		docLens:   docLens,
 	}
 	for doc, dl := range docLens {
@@ -97,6 +153,7 @@ func Load(docLens []int64, terms []string, postings [][]Posting, positions [][]u
 			return nil, fmt.Errorf("index: load: negative length %d for doc %d", dl, doc)
 		}
 		ix.total += dl
+		ix.maxDocLen = max(ix.maxDocLen, dl)
 	}
 	for tid, term := range terms {
 		if _, dup := ix.dict[term]; dup {
@@ -105,15 +162,25 @@ func Load(docLens []int64, terms []string, postings [][]Posting, positions [][]u
 		ix.dict[term] = int32(tid)
 		prev := int32(-1)
 		var cf int64
-		for _, p := range postings[tid] {
+		var bl []Block
+		if n := len(postings[tid]); n > BlockSize {
+			bl = make([]Block, 0, (n+BlockSize-1)/BlockSize)
+		}
+		for i, p := range postings[tid] {
 			if p.Doc <= prev || int(p.Doc) >= len(docLens) {
 				return nil, fmt.Errorf("index: load: term %q: doc %d out of order or out of range", term, p.Doc)
 			}
 			if p.TF == 0 {
 				return nil, fmt.Errorf("index: load: term %q: empty posting for doc %d", term, p.Doc)
 			}
+			if bl != nil {
+				bl = foldBlock(bl, i, p, docLens[p.Doc])
+			}
 			prev = p.Doc
 			cf += int64(p.TF)
+		}
+		if bl != nil {
+			ix.blocks[int32(tid)] = bl
 		}
 		if cf != int64(len(positions[tid])) {
 			return nil, fmt.Errorf("index: load: term %q: postings count %d occurrences, slab holds %d", term, cf, len(positions[tid]))
@@ -137,6 +204,9 @@ func (ix *Index) DocLen(doc int32) (int64, error) {
 // DocLens returns every document's token count, indexed by doc id. The
 // slice is owned by the index and must not be modified.
 func (ix *Index) DocLens() []int64 { return ix.docLens }
+
+// MaxDocLen returns the longest document's token count (0 when empty).
+func (ix *Index) MaxDocLen() int64 { return ix.maxDocLen }
 
 // TotalTokens returns the collection length (sum of document lengths).
 func (ix *Index) TotalTokens() int64 { return ix.total }
@@ -181,6 +251,23 @@ func (ix *Index) Lookup(term string) ([]Posting, int64) {
 		return nil, 0
 	}
 	return ix.postings[tid], int64(len(ix.positions[tid]))
+}
+
+// LookupBlocks is Lookup plus the term's block table: nil unless the list
+// is longer than BlockSize, else one Block per BlockSize postings (a
+// second probe, for those lists only). The returned slices are owned by
+// the index and must not be modified.
+func (ix *Index) LookupBlocks(term string) ([]Posting, []Block, int64) {
+	tid, ok := ix.dict[term]
+	if !ok {
+		return nil, nil, 0
+	}
+	postings := ix.postings[tid]
+	var bl []Block
+	if len(postings) > BlockSize {
+		bl = ix.blocks[tid]
+	}
+	return postings, bl, int64(len(ix.positions[tid]))
 }
 
 // CollectionFreq returns the total number of occurrences of term.

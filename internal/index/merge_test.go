@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,6 +96,14 @@ func assertSameIndex(t *testing.T, want, got *Index) {
 		if ws, gs := want.Positions(term), got.Positions(term); !reflect.DeepEqual(ws, gs) {
 			t.Fatalf("Positions(%q): want %v, got %v", term, ws, gs)
 		}
+		_, wb, _ := want.LookupBlocks(term)
+		_, gb, _ := got.LookupBlocks(term)
+		if !reflect.DeepEqual(wb, gb) {
+			t.Fatalf("blocks of %q: want %v, got %v", term, wb, gb)
+		}
+	}
+	if want.MaxDocLen() != got.MaxDocLen() {
+		t.Fatalf("MaxDocLen: want %d, got %d", want.MaxDocLen(), got.MaxDocLen())
 	}
 	// Phrase evaluation exercises the positional structure end to end.
 	for _, phrase := range [][]string{{"motif", "graph"}, {"graph", "query"}, {"cycle", "hub", "wiki"}} {
@@ -105,5 +114,61 @@ func assertSameIndex(t *testing.T, want, got *Index) {
 	}
 	if want.NumPostings() != got.NumPostings() {
 		t.Fatalf("NumPostings: want %d, got %d", want.NumPostings(), got.NumPostings())
+	}
+}
+
+// TestBlockTables checks every way an index gets its block tables —
+// AddDocument one posting at a time, Load in its validation pass, Merge
+// keeping base's full blocks — against the definition, on lists of one
+// to five blocks and merge cuts on, beside and between block boundaries.
+func TestBlockTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	docs := make([][]string, 5*BlockSize+17)
+	for d := range docs {
+		docs[d] = tokenDocs(rng, 1)[0]
+		for tf := rng.Intn(4); tf > 0; tf-- {
+			docs[d] = append(docs[d], "common")
+		}
+		if d%3 == 0 {
+			docs[d] = append(docs[d], "third")
+		}
+	}
+	ix := buildIndex(docs)
+	assertBlocksDefined(t, ix)
+	if _, bl, _ := ix.LookupBlocks("common"); len(bl) < 4 {
+		t.Fatalf("common spans %d blocks, want ≥ 4", len(bl))
+	}
+	loaded, err := Load(ix.docLens, ix.terms, ix.postings, ix.positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, ix, loaded)
+	for _, cut := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 2*BlockSize + 40, 3 * BlockSize, len(docs) - 1, len(docs)} {
+		merged := Merge(buildIndex(docs[:cut]), buildIndex(docs[cut:]))
+		assertSameIndex(t, ix, merged)
+		// A second fold on top of the first: the live delta's case.
+		half := cut + (len(docs)-cut)/2
+		merged = Merge(Merge(buildIndex(docs[:cut]), buildIndex(docs[cut:half])), buildIndex(docs[half:]))
+		assertSameIndex(t, ix, merged)
+	}
+}
+
+// assertBlocksDefined compares every term's block table with one computed
+// from its postings by the definition.
+func assertBlocksDefined(t *testing.T, ix *Index) {
+	t.Helper()
+	for _, term := range ix.Terms() {
+		postings, got, _ := ix.LookupBlocks(term)
+		var want []Block
+		for start := 0; len(postings) > BlockSize && start < len(postings); start += BlockSize {
+			b := Block{MinDL: math.MaxInt64}
+			for _, p := range postings[start:min(start+BlockSize, len(postings))] {
+				b.LastDoc, b.MaxTF, b.MinDL = p.Doc, max(b.MaxTF, p.TF), min(b.MinDL, ix.docLens[p.Doc])
+			}
+			want = append(want, b)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("blocks of %q (%d postings): want %v, got %v", term, len(postings), want, got)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"github.com/querygraph/querygraph/internal/lru"
 )
@@ -29,13 +30,17 @@ const leafCacheCapacity = 4096
 // working set.
 const leafCacheMaxKey = 1024
 
-type leafCache struct{ *lru.Cache[string, []Leaf] }
-
-func newLeafCache() leafCache { return leafCache{lru.New[string, []Leaf](leafCacheCapacity)} }
+// leafCache is allocated on its first put: the engines that never parse —
+// a live delta's, rebuilt on every ingest, and every shard's but the one
+// a Set parses with — never pay for its shards. The zero value is ready.
+type leafCache struct {
+	c atomic.Pointer[lru.Cache[string, []Leaf]]
+}
 
 // get returns the cached leaves for query, refreshing its recency.
-func (c leafCache) get(query string) ([]Leaf, bool) {
-	if len(query) > leafCacheMaxKey {
+func (lc *leafCache) get(query string) ([]Leaf, bool) {
+	c := lc.c.Load()
+	if c == nil || len(query) > leafCacheMaxKey {
 		return nil, false
 	}
 	return c.Get(query, query)
@@ -43,9 +48,14 @@ func (c leafCache) get(query string) ([]Leaf, bool) {
 
 // put inserts a deep copy of leaves under a cloned key (a concurrent
 // duplicate insert replaces the entry with an equal one).
-func (c leafCache) put(query string, leaves []Leaf) {
+func (lc *leafCache) put(query string, leaves []Leaf) {
 	if len(query) > leafCacheMaxKey {
 		return
+	}
+	c := lc.c.Load()
+	if c == nil {
+		lc.c.CompareAndSwap(nil, lru.New[string, []Leaf](leafCacheCapacity))
+		c = lc.c.Load()
 	}
 	key := strings.Clone(query)
 	c.Put(key, key, cloneLeaves(leaves))

@@ -64,7 +64,7 @@ func TestSearchTextParseErrorsNotCached(t *testing.T) {
 }
 
 func TestLeafCacheEvictsLRU(t *testing.T) {
-	c := newLeafCache()
+	var c leafCache
 	// A probe cache of one entry per shard reads off the shard count and
 	// finds same-shard keys: only those evict the anchor.
 	probe := lru.New[string, bool](1)
@@ -98,7 +98,7 @@ func TestLeafCacheEvictsLRU(t *testing.T) {
 }
 
 func TestLeafCacheSkipsOversizedKeys(t *testing.T) {
-	c := newLeafCache()
+	var c leafCache
 	big := make([]byte, leafCacheMaxKey+1)
 	for i := range big {
 		big[i] = 'a'
@@ -113,7 +113,7 @@ func TestLeafCacheSkipsOversizedKeys(t *testing.T) {
 // insert's arguments: mutating the caller's slices after put must not be
 // visible through get.
 func TestLeafCacheClones(t *testing.T) {
-	c := newLeafCache()
+	var c leafCache
 	terms := []string{"venice"}
 	leaves := []Leaf{{Terms: terms, Weight: 1}}
 	c.put("q", leaves)

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -36,6 +37,8 @@ type scatter struct {
 	cursors []int
 	next    atomic.Int32 // the next source no worker has claimed
 	wg      sync.WaitGroup
+	// panicked is the first panic of the phase under way.
+	panicked atomic.Pointer[error]
 }
 
 var scatterPool = sync.Pool{New: func() any { return new(scatter) }}
@@ -108,7 +111,11 @@ func searchSources(sources []Source, totalTokens int64, leaves []Leaf, k int, ds
 
 // each runs one phase over every source: inline, or with helpers
 // goroutines beside the calling one, each taking the next unclaimed source
-// until none is left.
+// until none is left. A panic in a phase — on a helper or on the caller —
+// is recovered where it happens, every participant finishes, and the
+// first panic is raised again on the caller, where the request's own
+// recover layers (qserve, core.ForEach) contain it. Until then no helper
+// can still be writing into the scatter when it is released.
 func (sc *scatter) each(helpers int, phase func(*scatter, int)) {
 	if helpers <= 0 {
 		for i := range sc.sources {
@@ -126,10 +133,20 @@ func (sc *scatter) each(helpers int, phase func(*scatter, int)) {
 	}
 	sc.drain(phase)
 	sc.wg.Wait()
+	if err := sc.panicked.Swap(nil); err != nil {
+		panic(*err)
+	}
 }
 
-// drain runs phase on sources claimed one at a time until all are taken.
+// drain runs phase on sources claimed one at a time until all are taken,
+// recording its first panic, if any, for each to raise.
 func (sc *scatter) drain(phase func(*scatter, int)) {
+	defer func() {
+		if p := recover(); p != nil {
+			err := fmt.Errorf("search: scatter phase panicked: %v\n%s", p, debug.Stack())
+			sc.panicked.CompareAndSwap(nil, &err)
+		}
+	}()
 	for i := int(sc.next.Add(1)) - 1; i < len(sc.sources); i = int(sc.next.Add(1)) - 1 {
 		phase(sc, i)
 	}
@@ -164,8 +181,7 @@ func (sc *scatter) score(i int) {
 // leaves, sources or any index's postings behind it.
 func (sc *scatter) release() {
 	for _, p := range sc.plans[:len(sc.sources)] {
-		p.leaves = nil
-		clear(p.postings)
+		p.release()
 	}
 	sc.sources, sc.leaves = nil, nil
 	scatterPool.Put(sc)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/querygraph/querygraph/internal/index"
@@ -240,6 +241,40 @@ func TestSearchSourcesEmpty(t *testing.T) {
 		}
 		if _, err := fn(nil, 0, leaves, 5, nil); err == nil {
 			t.Fatalf("%s zero sources: want error", name)
+		}
+	}
+}
+
+// TestSearchSourcesPanicReachesCaller scores many sources whose Engine is
+// nil, so the plan phase panics on whichever participant claims one —
+// helpers included. The panic must come out once, on the calling
+// goroutine, after every helper has finished (-race sees a helper that
+// still writes into the released scatter), and the pooled scatter must
+// serve the next search as if nothing had happened.
+func TestSearchSourcesPanicReachesCaller(t *testing.T) {
+	good := splitSources(t, [][]string{{"motif", "graph"}, {"graph"}, {"motif"}}, 2, 3, false, DefaultMu)
+	leaves := []Leaf{{Terms: []string{"motif"}, Weight: 1}}
+	want, err := SearchSourcesLeaves(good.sources, good.total, leaves, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := make([]Source, 16)
+	for _, helpers := range []int{1, 3, len(broken)} {
+		for round := 0; round < 20; round++ {
+			func() {
+				defer func() {
+					p := recover()
+					if err, ok := p.(error); !ok || !strings.Contains(err.Error(), "scatter phase panicked") {
+						t.Fatalf("%d helpers: recovered %v, want the scatter's panic", helpers, p)
+					}
+				}()
+				SearchSourcesLeavesParallel(broken, 1, leaves, 5, nil, helpers)
+			}()
+			got, err := SearchSourcesLeavesParallel(good.sources, good.total, leaves, 5, nil, helpers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRanking(t, fmt.Sprintf("%d helpers after a panic", helpers), got, want)
 		}
 	}
 }
