@@ -77,9 +77,9 @@ func DefaultExpanderOptions() ExpanderOptions {
 	}
 }
 
-// validate rejects values no expansion can run under. Nothing is
+// Validate rejects values no expansion can run under. Nothing is
 // substituted: every field means what it says, zero included.
-func (o ExpanderOptions) validate() error {
+func (o ExpanderOptions) Validate() error {
 	switch {
 	case o.MaxCycleLen < 2 || o.MaxCycleLen > cycles.MaxSupportedLength:
 		return fmt.Errorf("core: max cycle length %d outside [2, %d]", o.MaxCycleLen, cycles.MaxSupportedLength)
@@ -244,7 +244,7 @@ func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts Expand
 	if err := ctx.Err(); err != nil {
 		return nil, CacheBypass, err
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, CacheBypass, err
 	}
 	key := expandKey{keywords: keywords, opts: opts}

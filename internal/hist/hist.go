@@ -1,17 +1,12 @@
-// Package hist implements an HDR-style log-linear latency histogram:
-// values are bucketed by octave with Sub linear sub-buckets per octave,
-// giving a bounded relative error (≤ 1/Sub ≈ 3%) across the whole range
-// instead of a fixed absolute resolution. It began life as qload's
-// private per-worker histogram and was promoted here so the serving
-// stack (MetricsObserver's Prometheus exposition) and the load driver
-// share one bucket scheme — a scrape and a qload report bucket
-// identically.
+// Package hist implements the HDR-style log-linear latency histogram
+// behind /v1/metrics: values are bucketed by octave with sub linear
+// sub-buckets per octave, giving a bounded relative error (≤ 1/sub ≈ 3%)
+// across the whole range instead of a fixed absolute resolution.
 //
-// Hist is the plain, unsynchronized form: each recorder owns one (a
-// qload worker, a single-threaded merge) and increments are uncontended
-// plain stores. Atomic is the shared form for concurrent request paths;
-// its Snapshot folds down to a Hist so quantile/merge logic exists only
-// once.
+// Atomic is the form concurrent request paths record into
+// (MetricsObserver keeps one per latency family); its Snapshot is a plain
+// Hist, which the Prometheus exposition renders at the exact bucket edges
+// ExpositionIndices picks.
 //
 // The unit is ~1µs (1024ns, a shift instead of a divide); the bucket
 // table spans past multi-hour latencies, far beyond any plausible
@@ -25,108 +20,50 @@ import (
 )
 
 const (
-	// SubBits is log2 of the linear sub-buckets per octave.
-	SubBits = 5
-	// Sub is the number of linear sub-buckets per octave; the relative
-	// error bound of any reported quantile is ≤ 1/Sub.
-	Sub = 1 << SubBits
-	// NumBuckets covers 1024ns << 49 ≈ 6.6 days.
-	NumBuckets = 50 * Sub
-	// Unit is the ns → ~µs shift applied before bucketing.
-	Unit = 10
+	// subBits is log2 of the linear sub-buckets per octave.
+	subBits = 5
+	// sub is the number of linear sub-buckets per octave; the relative
+	// error bound of any bucket edge is ≤ 1/sub.
+	sub = 1 << subBits
+	// numBuckets covers 1024ns << 49 ≈ 6.6 days.
+	numBuckets = 50 * sub
+	// unit is the ns → ~µs shift applied before bucketing.
+	unit = 10
 )
 
-// Hist is the plain log-linear histogram. The zero value is ready to
-// use. All fields are exported and the struct is comparable, so a
-// lossless merge can be asserted with == (pinned by the oracle tests).
+// Hist is a snapshot of an Atomic: per-bucket counts, the observation
+// count and the exact sum. The struct is comparable, so tests can assert
+// a snapshot with ==.
 type Hist struct {
-	Counts [NumBuckets]uint64
+	Counts [numBuckets]uint64
 	N      uint64
 	Sum    uint64 // total ns; 2^64 ns ≈ 584 years, no overflow concern
-	Max    uint64 // ns, tracked exactly
 }
 
 // BucketOf maps a latency in ns to its bucket index. Monotone: the
-// linear range [0, Sub) flows directly into the first log octave.
+// linear range [0, sub) flows directly into the first log octave.
 func BucketOf(ns uint64) int {
-	u := ns >> Unit
-	if u < Sub {
+	u := ns >> unit
+	if u < sub {
 		return int(u)
 	}
-	exp := bits.Len64(u) - SubBits - 1
-	idx := exp*Sub + int(u>>exp)
-	if idx >= NumBuckets {
-		return NumBuckets - 1
+	exp := bits.Len64(u) - subBits - 1
+	idx := exp*sub + int(u>>exp)
+	if idx >= numBuckets {
+		return numBuckets - 1
 	}
 	return idx
 }
 
 // BucketUpper is the inclusive upper bound of a bucket, in ns — the
-// value a quantile landing in the bucket reports, and the exact `le`
-// boundary the Prometheus exposition uses.
+// exact `le` boundary the Prometheus exposition uses.
 func BucketUpper(idx int) uint64 {
-	if idx < Sub {
-		return uint64(idx+1) << Unit
+	if idx < sub {
+		return uint64(idx+1) << unit
 	}
-	exp := idx/Sub - 1
-	sub := idx - exp*Sub
-	return uint64(sub+1) << (exp + Unit)
-}
-
-// Record adds one observation.
-func (h *Hist) Record(d time.Duration) {
-	ns := uint64(d)
-	h.Counts[BucketOf(ns)]++
-	h.N++
-	h.Sum += ns
-	if ns > h.Max {
-		h.Max = ns
-	}
-}
-
-// Merge folds other into h. Exact: merging per-worker histograms agrees
-// bucket-for-bucket with recording into one.
-func (h *Hist) Merge(other *Hist) {
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	h.N += other.N
-	h.Sum += other.Sum
-	if other.Max > h.Max {
-		h.Max = other.Max
-	}
-}
-
-// Quantile returns the latency at quantile q in [0,1]: the upper bound
-// of the bucket holding the q·n-th observation (capped at the true max,
-// which is tracked exactly).
-func (h *Hist) Quantile(q float64) time.Duration {
-	if h.N == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.N))
-	if rank >= h.N {
-		rank = h.N - 1
-	}
-	var seen uint64
-	for i, c := range h.Counts {
-		seen += c
-		if seen > rank {
-			if v := BucketUpper(i); v < h.Max {
-				return time.Duration(v)
-			}
-			return time.Duration(h.Max)
-		}
-	}
-	return time.Duration(h.Max)
-}
-
-// Mean returns the exact arithmetic mean (Sum is tracked in full ns).
-func (h *Hist) Mean() time.Duration {
-	if h.N == 0 {
-		return 0
-	}
-	return time.Duration(h.Sum / h.N)
+	exp := idx/sub - 1
+	within := idx - exp*sub
+	return uint64(within+1) << (exp + unit)
 }
 
 // Atomic is the concurrent form: many goroutines Record, any goroutine
@@ -135,30 +72,20 @@ func (h *Hist) Mean() time.Duration {
 // can disagree transiently) — fine for monitoring, where the next
 // scrape catches up. The zero value is ready to use.
 type Atomic struct {
-	counts [NumBuckets]atomic.Uint64
+	counts [numBuckets]atomic.Uint64
 	n      atomic.Uint64
 	sum    atomic.Uint64
-	max    atomic.Uint64
 }
 
-// Record adds one observation. Lock-free: two unconditional adds plus a
-// CAS loop that almost always exits on the first load once the running
-// max stabilizes.
+// Record adds one observation. Lock-free: three unconditional adds.
 func (a *Atomic) Record(d time.Duration) {
 	ns := uint64(d)
 	a.counts[BucketOf(ns)].Add(1)
 	a.n.Add(1)
 	a.sum.Add(ns)
-	for {
-		cur := a.max.Load()
-		if ns <= cur || a.max.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
 }
 
-// Snapshot folds the atomic counters into a plain Hist for
-// quantile/merge/exposition work.
+// Snapshot copies the atomic counters into a plain Hist for exposition.
 func (a *Atomic) Snapshot() Hist {
 	var h Hist
 	for i := range a.counts {
@@ -166,7 +93,6 @@ func (a *Atomic) Snapshot() Hist {
 	}
 	h.N = a.n.Load()
 	h.Sum = a.sum.Load()
-	h.Max = a.max.Load()
 	return h
 }
 

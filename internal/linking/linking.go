@@ -17,7 +17,7 @@
 package linking
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/text"
@@ -206,29 +206,14 @@ func (l *Linker) Link(input string) []Mention {
 	return out
 }
 
-// LinkSet returns the deduplicated set of matched article nodes (redirects
-// are preserved as matched), sorted ascending. This is the paper's L(·).
-func (l *Linker) LinkSet(input string) []graph.NodeID {
-	return dedupe(l.Link(input), func(m Mention) graph.NodeID { return m.Node })
-}
-
 // LinkMain returns the deduplicated set of main articles mentioned in the
-// input: matched redirects are resolved through MainOf.
+// input, sorted ascending: matched redirects are resolved through MainOf.
 func (l *Linker) LinkMain(input string) []graph.NodeID {
-	return dedupe(l.Link(input), func(m Mention) graph.NodeID { return l.snap.MainOf(m.Node) })
-}
-
-func dedupe(ms []Mention, key func(Mention) graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]struct{}, len(ms))
-	out := make([]graph.NodeID, 0, len(ms))
-	for _, m := range ms {
-		id := key(m)
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
+	ms := l.Link(input)
+	out := make([]graph.NodeID, len(ms))
+	for i, m := range ms {
+		out[i] = l.snap.MainOf(m.Node)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

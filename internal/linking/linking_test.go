@@ -152,15 +152,15 @@ func TestLiteralPreferredOverSubstituted(t *testing.T) {
 	}
 }
 
-func TestLinkSetDedupesAndSorts(t *testing.T) {
+func TestLinkMainDedupesAndSorts(t *testing.T) {
 	snap, ids := buildKB(t)
 	l := New(snap)
-	set := l.LinkSet("venice venice gondola venice")
+	set := l.LinkMain("venice venice gondola venice")
 	if len(set) != 2 {
-		t.Fatalf("LinkSet = %v", set)
+		t.Fatalf("LinkMain = %v", set)
 	}
 	if set[0] != ids["Gondola"] || set[1] != ids["Venice"] {
-		t.Errorf("LinkSet = %v (gondola=%d venice=%d)", set, ids["Gondola"], ids["Venice"])
+		t.Errorf("LinkMain = %v (gondola=%d venice=%d)", set, ids["Gondola"], ids["Venice"])
 	}
 }
 
@@ -173,8 +173,8 @@ func TestLinkNothing(t *testing.T) {
 	if ms := l.Link(""); len(ms) != 0 {
 		t.Errorf("mentions of empty = %+v", ms)
 	}
-	if set := l.LinkSet(""); len(set) != 0 {
-		t.Errorf("LinkSet of empty = %v", set)
+	if set := l.LinkMain(""); len(set) != 0 {
+		t.Errorf("LinkMain of empty = %v", set)
 	}
 }
 

@@ -165,25 +165,6 @@ func (d *Delta) Engine() *search.Engine {
 	return d.engine
 }
 
-// Index returns the segment's positional index (nil for the empty
-// segment).
-func (d *Delta) Index() *index.Index {
-	if d == nil {
-		return nil
-	}
-	return d.ix
-}
-
-// HasExternalID reports whether an external id is already registered in
-// the segment.
-func (d *Delta) HasExternalID(ext string) bool {
-	if d == nil || ext == "" {
-		return false
-	}
-	_, ok := d.col.ByExternalID(ext)
-	return ok
-}
-
 // Source is the segment's slot in the multi-source search: its engine with
 // local ids shifted into the global range above the base.
 func (d *Delta) Source() search.Source {

@@ -30,11 +30,8 @@ func TestNilDeltaIsEmpty(t *testing.T) {
 	if d.NumDocs() != 0 || d.Bytes() != 0 || d.BaseDocs() != 0 || d.TotalTokens() != 0 {
 		t.Fatalf("nil delta reports non-empty state")
 	}
-	if d.Docs() != nil || d.Engine() != nil || d.Index() != nil {
+	if d.Docs() != nil || d.Engine() != nil {
 		t.Fatalf("nil delta returns non-nil structure")
-	}
-	if d.HasExternalID("x") {
-		t.Fatalf("nil delta claims an external id")
 	}
 	if d.Config() != (Config{}) {
 		t.Fatalf("nil delta has a config")
@@ -104,8 +101,10 @@ func TestAppendMatchesReplay(t *testing.T) {
 		}
 	}
 
-	if !d.HasExternalID("a") || !d.HasExternalID("c") || d.HasExternalID("zz") || d.HasExternalID("") {
-		t.Fatalf("external id lookup wrong")
+	for ext, want := range map[string]bool{"a": true, "c": true, "zz": false} {
+		if _, ok := d.col.ByExternalID(ext); ok != want {
+			t.Fatalf("external id %q registered = %v, want %v", ext, ok, want)
+		}
 	}
 	if src := d.Source(); src.Engine != d.Engine() || src.Offset != 7 {
 		t.Fatalf("source: %+v", src)
@@ -126,7 +125,7 @@ func TestAppendImmutable(t *testing.T) {
 	if d1.NumDocs() != 1 || d2.NumDocs() != 2 {
 		t.Fatalf("docs: d1=%d d2=%d", d1.NumDocs(), d2.NumDocs())
 	}
-	if d1.HasExternalID("b") {
+	if _, ok := d1.col.ByExternalID("b"); ok {
 		t.Fatalf("append mutated the previous segment")
 	}
 }

@@ -83,24 +83,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (NaN if fewer than two
-// observations).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, v := range xs {
-		d := v - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // TrendLine is a least-squares fit y = Intercept + Slope*x, with the Pearson
 // correlation coefficient R of the underlying points. The paper draws trend
 // lines in Figures 7a and 9.
@@ -202,28 +184,4 @@ func BinnedMeans(xs, ys []float64, nbins int) ([]Bin, error) {
 		})
 	}
 	return out, nil
-}
-
-// Histogram counts how many values fall into nbins equal-width bins over
-// [lo, hi]. Values outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins < 1 {
-		return nil, fmt.Errorf("stats: nbins must be positive, got %d", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: invalid range [%g, %g]", lo, hi)
-	}
-	counts := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, v := range xs {
-		b := int((v - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts, nil
 }

@@ -83,20 +83,13 @@ func TestQuantileClamping(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if Mean(xs) != 5 {
 		t.Errorf("Mean = %g, want 5", Mean(xs))
 	}
-	// Sample variance of the classic example: SS = 32, n-1 = 7.
-	if !almostEqual(Variance(xs), 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %g, want %g", Variance(xs), 32.0/7.0)
-	}
-	if !almostEqual(StdDev(xs), math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %g", StdDev(xs))
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance([]float64{1})) {
-		t.Error("degenerate inputs should yield NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("Mean of an empty sample should be NaN")
 	}
 }
 
@@ -190,23 +183,6 @@ func TestBinnedMeansErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, err := Histogram([]float64{-1, 0, 0.5, 0.99, 1, 2}, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -1 clamps into bin 0; 1 and 2 clamp into bin 1.
-	if counts[0] != 2 || counts[1] != 4 {
-		t.Errorf("counts = %v, want [2 4]", counts)
-	}
-	if _, err := Histogram(nil, 1, 0, 2); err == nil {
-		t.Error("inverted range should error")
-	}
-	if _, err := Histogram(nil, 0, 1, 0); err == nil {
-		t.Error("nbins=0 should error")
-	}
-}
-
 // Property: for any sample, Min <= Q1 <= Median <= Q3 <= Max and the mean is
 // within [Min, Max].
 func TestSummaryOrderingProperty(t *testing.T) {
@@ -255,30 +231,5 @@ func TestFitRecoveryProperty(t *testing.T) {
 		if !almostEqual(tl.Slope, b, 1e-6) || !almostEqual(tl.Intercept, a, 1e-6) {
 			t.Fatalf("trial %d: fit %+v, want a=%g b=%g", trial, tl, a, b)
 		}
-	}
-}
-
-// Property: histogram counts always sum to the number of observations.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(raw []float64, nbinsRaw uint8) bool {
-		nbins := int(nbinsRaw%16) + 1
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) {
-				xs = append(xs, v)
-			}
-		}
-		counts, err := Histogram(xs, -1e6, 1e6, nbins)
-		if err != nil {
-			return false
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == len(xs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

@@ -91,17 +91,6 @@ func (s *Snapshot) NumRedirects() int { return len(s.redirect) }
 // NumCategories returns the number of categories.
 func (s *Snapshot) NumCategories() int { return s.g.CountKind(graph.Category) }
 
-// MainArticles returns the IDs of all main articles in ascending order.
-func (s *Snapshot) MainArticles() []graph.NodeID {
-	var out []graph.NodeID
-	for _, id := range s.g.NodesOfKind(graph.Article) {
-		if !s.IsRedirect(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // ReciprocalLinkRatio returns the fraction of unordered article pairs
 // connected by at least one link that are connected in both directions. The
 // paper measures 11.47% on Wikipedia; the synthetic generator targets the

@@ -65,9 +65,6 @@ func TestSnapshotBasics(t *testing.T) {
 	if s.NumCategories() != 3 {
 		t.Errorf("NumCategories = %d, want 3", s.NumCategories())
 	}
-	if got := len(s.MainArticles()); got != 4 {
-		t.Errorf("MainArticles len = %d, want 4", got)
-	}
 	if s.Name(ids["gondola"]) != "Gondola" {
 		t.Errorf("Name = %q", s.Name(ids["gondola"]))
 	}

@@ -3,6 +3,7 @@ package querygraph
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"github.com/querygraph/querygraph/internal/core"
@@ -141,11 +142,17 @@ func (rt *localRuntime) Ingest(ctx context.Context, docs []Document) (IngestStat
 // real compaction advances it and starts the expansion cache cold (the
 // knowledge graph is untouched, so cached expansions are merely
 // recomputed, never wrong). Any failure leaves the old generation, and
-// its delta, serving untouched.
+// its delta, serving untouched; that includes a panic inside the fold or
+// the republish, which is returned as an internal error.
 func (rt *localRuntime) Compact(ctx context.Context) (CompactStats, error) {
 	var cs CompactStats
 	ev := Event{Op: OpCompact}
-	err := rt.write(ctx, &ev, func(g *poolGeneration) error {
+	err := rt.write(ctx, &ev, func(g *poolGeneration) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("querygraph: compaction panicked: %v\n%s", p, debug.Stack())
+			}
+		}()
 		cs = CompactStats{Generation: g.seq}
 		delta := g.set.Delta()
 		if delta.NumDocs() == 0 {
@@ -188,7 +195,11 @@ func (rt *localRuntime) maybeAutoCompactLocked(deltaDocs int) {
 		defer rt.bg.Done()
 		defer rt.compacting.Store(false)
 		// Nobody waits for the outcome: it reaches observers through the
-		// compaction's event, and a failure leaves the delta serving.
+		// compaction's event, and a failure — a panic in the fold included
+		// — leaves the delta serving. An observer that panics on that
+		// event has no caller to report to either, so the panic ends
+		// here instead of the process.
+		defer func() { _ = recover() }()
 		_, _ = rt.Compact(nil)
 	}()
 }

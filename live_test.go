@@ -384,3 +384,102 @@ func TestLiveRace(t *testing.T) {
 		t.Fatalf("final compaction left %d delta documents", st.Delta.Documents)
 	}
 }
+
+// compactProbe is an Observer that records the class of every OpCompact
+// event and, when panics is set, panics on each one.
+type compactProbe struct {
+	panics  bool
+	mu      sync.Mutex
+	classes []string
+}
+
+func (p *compactProbe) Observe(ev Event) {
+	if ev.Op != OpCompact {
+		return
+	}
+	p.mu.Lock()
+	p.classes = append(p.classes, ev.Err)
+	p.mu.Unlock()
+	if p.panics {
+		panic("observer panics on OpCompact")
+	}
+}
+
+func (p *compactProbe) last() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.classes) == 0 {
+		return "none"
+	}
+	return p.classes[len(p.classes)-1]
+}
+
+// TestAutoCompactorContainsPanics pins that a panic on the background
+// compaction's goroutine never ends the process: neither one in an
+// observer handling the compaction's event, nor one in the compaction's
+// own work, which is reported as an internal OpCompact and leaves the old
+// generation and its delta serving. Either way the next threshold
+// crossing compacts again.
+func TestAutoCompactorContainsPanics(t *testing.T) {
+	ctx := context.Background()
+	_, base, tail := liveSplit(t, 5, 0.6)
+	kw := base.Queries[0].Keywords
+	ingest := func(t *testing.T, c *Client, doc Document) {
+		t.Helper()
+		if _, err := c.Ingest(ctx, []Document{doc}); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		c.bg.Wait() // the compaction the ingest started, if any
+		if _, err := c.Search(ctx, kw, 5); err != nil {
+			t.Fatalf("search: %v", err)
+		}
+	}
+
+	t.Run("observer", func(t *testing.T) {
+		probe := &compactProbe{panics: true}
+		c, err := Build(base, WithObserver(probe), WithAutoCompact(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i, doc := range tail[:3] {
+			ingest(t, c, doc)
+			if got := c.Stats().Delta.Compactions; got != uint64(i+1) {
+				t.Fatalf("after ingest %d: %d compactions, want %d", i, got, i+1)
+			}
+		}
+		if probe.last() != "" {
+			t.Fatalf("compaction class = %q, want success", probe.last())
+		}
+	})
+
+	t.Run("work", func(t *testing.T) {
+		probe := &compactProbe{}
+		c, err := Build(base, WithObserver(probe), WithAutoCompact(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		gen := c.Stats().Delta.Generation
+		// A nil system option panics when the compacted generation is
+		// loaded, inside the compaction's work.
+		opts := c.cfg.sys
+		c.cfg.sys = append(opts[:len(opts):len(opts)], nil)
+		ingest(t, c, tail[0])
+		if got := probe.last(); got != "internal" {
+			t.Fatalf("compaction class = %q, want internal", got)
+		}
+		if st := c.Stats().Delta; st.Documents != 1 || st.Generation != gen || st.Compactions != 0 {
+			t.Fatalf("after the panic: delta %+v, want 1 document at generation %d", st, gen)
+		}
+
+		c.cfg.sys = opts
+		ingest(t, c, tail[1])
+		if got := probe.last(); got != "" {
+			t.Fatalf("retried compaction class = %q, want success", got)
+		}
+		if st := c.Stats().Delta; st.Documents != 0 || st.Generation != gen+1 || st.Compactions != 1 {
+			t.Fatalf("after the retry: delta %+v, want empty at generation %d", st, gen+1)
+		}
+	})
+}

@@ -108,20 +108,12 @@ func WithAutoCompact(threshold int) Option {
 // uses the paper-tuned defaults (DefaultExpandOptions); every option
 // overrides exactly the named knob and nothing else, so — unlike a bare
 // options struct — an explicit value can never be mistaken for "unset".
-// Invalid values surface as an error wrapping ErrInvalidOptions from the
-// Expand call itself, never as a silent fallback.
-type ExpandOption func(*expandConfig)
-
-type expandConfig struct {
-	opts core.ExpanderOptions
-	err  error
-}
-
-func (c *expandConfig) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
-}
+// A list is judged by the configuration it ends with: options apply in
+// order over the defaults, a later option overrides an earlier one, and
+// only the result is validated. An invalid result surfaces as an error
+// wrapping ErrInvalidOptions from the Expand call itself, never as a
+// silent fallback.
+type ExpandOption func(*core.ExpanderOptions)
 
 // DefaultExpandOptions describes the paper-tuned expansion defaults that a
 // zero-option Expand call uses: cycles up to length 5, BFS radius 2,
@@ -145,51 +137,33 @@ func DefaultExpandOptions() []ExpandOption {
 // normalizeExpandOptions resolves the option list against the defaults and
 // validates the result — the single place expansion options are normalized.
 func normalizeExpandOptions(opts []ExpandOption) (core.ExpanderOptions, error) {
-	cfg := expandConfig{opts: core.DefaultExpanderOptions()}
+	o := core.DefaultExpanderOptions()
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&o)
 	}
-	if cfg.err != nil {
-		return core.ExpanderOptions{}, fmt.Errorf("%w: %v", ErrInvalidOptions, cfg.err)
+	if err := o.Validate(); err != nil {
+		return core.ExpanderOptions{}, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
-	return cfg.opts, nil
+	return o, nil
 }
 
 // WithMaxCycleLen caps cycle enumeration at n edges (default 5, the
 // paper's bound; valid range 2..8 — enumeration cost grows steeply with
 // the bound, and the paper finds nothing beyond 5).
 func WithMaxCycleLen(n int) ExpandOption {
-	return func(c *expandConfig) {
-		if n < 2 || n > 8 {
-			c.fail(fmt.Errorf("max cycle length %d outside [2, 8]", n))
-			return
-		}
-		c.opts.MaxCycleLen = n
-	}
+	return func(o *core.ExpanderOptions) { o.MaxCycleLen = n }
 }
 
 // WithRadius sets the BFS neighborhood radius around the query entities
 // (default 2; must be >= 1).
 func WithRadius(r int) ExpandOption {
-	return func(c *expandConfig) {
-		if r < 1 {
-			c.fail(fmt.Errorf("radius %d must be >= 1", r))
-			return
-		}
-		c.opts.Radius = r
-	}
+	return func(o *core.ExpanderOptions) { o.Radius = r }
 }
 
 // WithMaxNeighborhood caps the candidate graph's node count (default 400;
 // must be >= 1).
 func WithMaxNeighborhood(n int) ExpandOption {
-	return func(c *expandConfig) {
-		if n < 1 {
-			c.fail(fmt.Errorf("max neighborhood %d must be >= 1", n))
-			return
-		}
-		c.opts.MaxNeighborhood = n
-	}
+	return func(o *core.ExpanderOptions) { o.MaxNeighborhood = n }
 }
 
 // WithCategoryRatioBand bounds the category ratio of accepted cycles of
@@ -198,56 +172,38 @@ func WithMaxNeighborhood(n int) ExpandOption {
 // including [0, 0], which accepts only category-free cycles, and [0, 1],
 // which disables the filter.
 func WithCategoryRatioBand(min, max float64) ExpandOption {
-	return func(c *expandConfig) {
-		if min < 0 || max > 1 || min > max {
-			c.fail(fmt.Errorf("category ratio band [%g, %g] must satisfy 0 <= min <= max <= 1", min, max))
-			return
-		}
-		c.opts.MinCategoryRatio, c.opts.MaxCategoryRatio = min, max
-	}
+	return func(o *core.ExpanderOptions) { o.MinCategoryRatio, o.MaxCategoryRatio = min, max }
 }
 
 // WithMinDensity sets the minimum density of extra edges for cycles of
 // length >= 4 (default 0.25). d must be in [0, 1]; 0 disables the filter.
 func WithMinDensity(d float64) ExpandOption {
-	return func(c *expandConfig) {
-		if d < 0 || d > 1 {
-			c.fail(fmt.Errorf("min density %g outside [0, 1]", d))
-			return
-		}
-		c.opts.MinDensity = d
-	}
+	return func(o *core.ExpanderOptions) { o.MinDensity = d }
 }
 
 // WithMaxFeatures caps the returned expansion features (default 10; must
 // be >= 1).
 func WithMaxFeatures(n int) ExpandOption {
-	return func(c *expandConfig) {
-		if n < 1 {
-			c.fail(fmt.Errorf("max features %d must be >= 1", n))
-			return
-		}
-		c.opts.MaxFeatures = n
-	}
+	return func(o *core.ExpanderOptions) { o.MaxFeatures = n }
 }
 
 // WithTwoCycles keeps (true, the default) or drops (false) reciprocal-link
 // pairs regardless of the structural filters. The paper finds 2-cycles
 // scarce but highest-contributing.
 func WithTwoCycles(keep bool) ExpandOption {
-	return func(c *expandConfig) { c.opts.KeepTwoCycles = keep }
+	return func(o *core.ExpanderOptions) { o.KeepTwoCycles = keep }
 }
 
 // WithFrequencyRank ranks candidate features by how many accepted cycles
 // contain them instead of purely by cycle order (the correlation the
 // paper's Section 4 leaves as future work). Default off.
 func WithFrequencyRank(on bool) ExpandOption {
-	return func(c *expandConfig) { c.opts.RankByFrequency = on }
+	return func(o *core.ExpanderOptions) { o.RankByFrequency = on }
 }
 
 // WithRedirectAliases additionally emits the redirect titles of each
 // selected feature as secondary features (the paper's Section 4 redirect
 // proposal). Default off.
 func WithRedirectAliases(on bool) ExpandOption {
-	return func(c *expandConfig) { c.opts.IncludeRedirectAliases = on }
+	return func(o *core.ExpanderOptions) { o.IncludeRedirectAliases = on }
 }

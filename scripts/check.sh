@@ -84,5 +84,6 @@ esac
 
 step "flake smoke (close/reload lifecycle, -count=2)"
 go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestRemoteClosedAccessors|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
+go test -race -count=2 -run '^TestMixedTrafficOverHTTP$' ./cmd/qserve
 
 echo "all checks passed"
