@@ -146,14 +146,18 @@ func (c *Client) SaveShards(dir string, shards int) error {
 // it returns the objective O (precision averaged over the paper's rank
 // cutoffs) and the ranked top-15 document ids. It retrieves through the
 // pinned serving generation like Search, so ingested documents count and
-// the ranking does not move at Compact.
+// the ranking does not move at Compact. An article the graph does not have
+// is an ErrInvalidQuery.
 func (c *Client) Evaluate(ctx context.Context, keywords string, articles []NodeID, relevant []int32) (float64, []int32, error) {
 	g, err := c.pin(ctx)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer g.release()
-	node, ok := g.sys().TitleQuery(keywords, articles)
+	node, ok, err := g.sys().TitleQuery(keywords, articles)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+	}
 	if !ok {
 		return 0, nil, nil // nothing to search for: zero precision by definition
 	}

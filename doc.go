@@ -108,7 +108,9 @@
 // that is already done returns ctx.Err(), then a closed backend returns
 // ErrClosed, and only then does the method look at its arguments
 // (ErrInvalidQuery, ErrInvalidOptions, ErrReadOnly, ...). Neither gate
-// runs any pipeline, and both still emit the operation's Event. Cancelling
+// runs any pipeline, and both still emit the operation's Event. A panic
+// inside a request is that request's error (class "internal"), and the
+// backend serves on. Cancelling
 // mid-call stops batch fan-out from scheduling further queries and stops
 // an expansion inside its pipeline — between phases and every few hundred
 // cycles of the enumeration — with nothing cached. Per-request deadlines

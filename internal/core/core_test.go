@@ -407,9 +407,13 @@ func TestExpansionQueryBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, ok := exp.Query(s)
-	if !ok {
-		t.Fatal("expanded query not buildable")
+	node, ok, err := exp.Query(s)
+	if err != nil || !ok {
+		t.Fatalf("expanded query not buildable: %v", err)
+	}
+	unknown := &Expansion{Keywords: exp.Keywords, QueryArticles: []graph.NodeID{graph.NodeID(s.Snapshot.Graph().NumNodes())}}
+	if _, _, err := unknown.Query(s); err == nil {
+		t.Error("an expansion naming an article the graph does not have built a query")
 	}
 	rs, err := s.Engine.Search(node, 10)
 	if err != nil {

@@ -125,8 +125,9 @@ func (e *Expansion) FeatureTitles() []string {
 }
 
 // Query builds the expanded search query: exact phrases for the query
-// entities and every feature, or ok=false when nothing is expandable.
-func (e *Expansion) Query(s *System) (search.Node, bool) {
+// entities and every feature, or ok=false when nothing is expandable. An
+// expansion that names an article s's graph does not have is an error.
+func (e *Expansion) Query(s *System) (search.Node, bool, error) {
 	arts := append([]graph.NodeID{}, e.QueryArticles...)
 	for _, f := range e.Features {
 		arts = append(arts, f.Node)

@@ -64,8 +64,11 @@ func TestSaveLoadRoundTripIdentical(t *testing.T) {
 				if !reflect.DeepEqual(e1, e2) {
 					t.Fatalf("query %d: expansions differ:\nfresh  %+v\nloaded %+v", q.ID, e1, e2)
 				}
-				n1, ok1 := e1.Query(fresh)
-				n2, ok2 := e2.Query(loaded)
+				n1, ok1, err1 := e1.Query(fresh)
+				n2, ok2, err2 := e2.Query(loaded)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("query %d: %v, %v", q.ID, err1, err2)
+				}
 				if ok1 != ok2 {
 					t.Fatalf("query %d: buildability differs (%v vs %v)", q.ID, ok1, ok2)
 				}

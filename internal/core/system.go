@@ -178,26 +178,31 @@ func (s *System) LinkDocuments(docs []int32) ([]graph.NodeID, error) {
 // TitleQuery builds the INDRI-style query for a set of articles: one exact
 // phrase per title, per the paper's Section 2.2. When no article has a
 // usable title the raw keywords back the query off so that the baseline of
-// an entity-less query is still defined.
-func (s *System) TitleQuery(keywords string, articles []graph.NodeID) (search.Node, bool) {
+// an entity-less query is still defined. An article the graph does not
+// have is an error: the query it names can not be written.
+func (s *System) TitleQuery(keywords string, articles []graph.NodeID) (search.Node, bool, error) {
 	titles := make([]string, 0, len(articles))
 	for _, a := range articles {
+		if n := s.Snapshot.Graph().NumNodes(); int(a) >= n {
+			return nil, false, fmt.Errorf("core: article %d is not in this %d-node graph", a, n)
+		}
 		titles = append(titles, s.Snapshot.Name(a))
 	}
 	kw := ""
 	if s.includeKeywordTerms || len(titles) == 0 {
 		kw = keywords
 	}
-	return search.BuildTitleQuery(kw, titles, s.analyzer)
+	node, ok := search.BuildTitleQuery(kw, titles, s.analyzer)
+	return node, ok, nil
 }
 
 // EvaluateArticles computes O(A, D): it writes the title query for the
 // articles, retrieves the top-15 and averages precision over the paper's
 // rank cutoffs. It also returns the ranked documents for reuse.
 func (s *System) EvaluateArticles(keywords string, articles []graph.NodeID, relevant eval.Relevance) (float64, []int32, error) {
-	node, ok := s.TitleQuery(keywords, articles)
-	if !ok {
-		return 0, nil, nil // nothing to search for: zero precision by definition
+	node, ok, err := s.TitleQuery(keywords, articles)
+	if err != nil || !ok {
+		return 0, nil, err // !ok: nothing to search for, zero precision by definition
 	}
 	results, err := s.Engine.Search(node, MaxRank)
 	if err != nil {

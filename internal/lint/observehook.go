@@ -48,8 +48,9 @@ var observedMethods = map[string]bool{
 	"Compact":          true,
 }
 
-// envelopeNames are the request envelopes (runtime.go, live.go, remote.go).
-var envelopeNames = map[string]bool{"read": true, "write": true, "call": true}
+// envelopeNames are the request envelopes: read, every runtime's
+// (querypath.go), and write, the local runtime's (live.go).
+var envelopeNames = map[string]bool{"read": true, "write": true}
 
 func runObservehook(pass *Pass) {
 	observed := typeDirectives(pass.Pkg, "observed")

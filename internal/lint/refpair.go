@@ -31,11 +31,12 @@ var Refpair = &Analyzer{
 }
 
 // refAcquireNames and refReleaseNames are the method-name conventions
-// the analyzer binds to. pin is acquire behind the request gate
-// (runtime.go); retire() counts as a release: it drops the owner
+// the analyzer binds to. pin (runtime.go) and enter, the query path's
+// gate (querypath.go, and each runtime's), are acquires behind the
+// request gates; retire() counts as a release: it drops the owner
 // reference by definition.
 var (
-	refAcquireNames = []string{"acquire", "Acquire", "pin"}
+	refAcquireNames = []string{"acquire", "Acquire", "pin", "enter"}
 	refReleaseNames = []string{"release", "Release", "retire", "Retire"}
 )
 

@@ -96,4 +96,13 @@ func nestedScopes(p *pool) {
 	defer g.release()
 }
 
+// enter is a request gate: what it pins is the caller's to release.
+func (p *pool) enter() (*generation, error) { return p.acquire() }
+
+// gatedLeak enters through the gate and never releases.
+func gatedLeak(p *pool) {
+	g, _ := p.enter() // want `no matching release/retire`
+	_ = g
+}
+
 func somethingWrong() bool { return false }

@@ -128,11 +128,11 @@ func ReadQueryLeaves(r *Reader, sys *core.System) (leaves []search.Leaf, ok bool
 		if rerr := malformed(r.Err()); rerr != nil {
 			return nil, false, rerr
 		}
-		if slices.ContainsFunc(arts, func(a graph.NodeID) bool { return int(a) >= sys.Snapshot.Graph().NumNodes() }) {
-			return nil, false, &RemoteError{Class: ClassInvalidQuery, Msg: "expansion names an article this graph does not have"}
-		}
 		exp := &core.Expansion{Keywords: keywords, QueryArticles: arts}
-		node, searchable := exp.Query(sys)
+		node, searchable, err := exp.Query(sys)
+		if err != nil {
+			return nil, false, &RemoteError{Class: ClassInvalidQuery, Msg: err.Error()}
+		}
 		if !searchable {
 			return nil, false, nil
 		}

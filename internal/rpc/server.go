@@ -481,11 +481,13 @@ func (s *Server) handleLink(r *Reader) ([]byte, *RemoteError) {
 	return b, nil
 }
 
-// handleTitle resolves one node id to its display title.
+// handleTitle resolves one node id to its display title: "" for an id the
+// graph does not have, as the in-process runtimes answer it. An id wider
+// than a node id is a malformed request.
 func (s *Server) handleTitle(r *Reader) ([]byte, *RemoteError) {
 	id := r.Uvarint()
-	if n := s.sys.Snapshot.Graph().NumNodes(); id >= uint64(n) {
-		r.Failf("node id %d beyond %d nodes", id, n)
+	if uint64(graph.NodeID(id)) != id {
+		r.Failf("node id %d does not fit a node id", id)
 	}
 	if rerr := malformed(r.Done()); rerr != nil {
 		return nil, rerr

@@ -216,12 +216,6 @@ func (s *Set) Parse(query string) (search.Node, error) {
 	return s.systems[0].Engine.Parse(query)
 }
 
-// ExpansionQuery builds the expanded title query for an expansion against
-// the replicated graph (ok = false when there is nothing to search for).
-func (s *Set) ExpansionQuery(exp *core.Expansion) (search.Node, bool) {
-	return exp.Query(s.systems[0])
-}
-
 // Delta returns the live segment this view searches above the base (nil
 // = none).
 func (s *Set) Delta() *live.Delta { return s.delta }

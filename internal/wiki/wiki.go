@@ -37,8 +37,14 @@ type Snapshot struct {
 // read-only.
 func (s *Snapshot) Graph() *graph.Graph { return s.g }
 
-// Name returns the display title (articles) or name (categories) of node n.
-func (s *Snapshot) Name(n graph.NodeID) string { return s.names[n] }
+// Name returns the display title (articles) or name (categories) of node
+// n, "" for a node the snapshot does not have.
+func (s *Snapshot) Name(n graph.NodeID) string {
+	if int(n) >= len(s.names) {
+		return ""
+	}
+	return s.names[n]
+}
 
 // Lookup resolves a title or category name to its node by normalized
 // comparison. Redirect titles resolve to the redirect node itself; use

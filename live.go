@@ -3,7 +3,6 @@ package querygraph
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"github.com/querygraph/querygraph/internal/core"
@@ -63,13 +62,16 @@ func liveConfigOf(sys *core.System) live.Config {
 // write is the write-path envelope, shared by Ingest, Compact, the
 // auto-compactor and Pool.Reload: same gate order as read (dead ctx, then
 // ErrClosed), then work runs under mu on the serving generation and may
-// swap in its successor. Whatever happened, the event reports the state
-// being served once the operation is over — shard count, generation and
-// delta size stay the old generation's when work failed. It is emitted
-// under mu, so write events reach observers in commit order and a
-// generation or delta gauge never goes stale behind a racing write;
-// observers must not call back into the write path. The writers no
-// caller's context reaches (Reload, the auto-compactor) pass a nil ctx.
+// swap in its successor. A panic in work — inside a compaction's fold or
+// republish, say — is the operation's internal error, stack included, as
+// it is on the read path, with the old generation still serving. Whatever
+// happened, the event reports the state being served once the operation
+// is over — shard count, generation and delta size stay the old
+// generation's when work failed. It is emitted under mu, so write events
+// reach observers in commit order and a generation or delta gauge never
+// goes stale behind a racing write; observers must not call back into the
+// write path. The writers no caller's context reaches (Reload, the
+// auto-compactor) pass a nil ctx.
 func (rt *localRuntime) write(ctx context.Context, ev *Event, work func(g *poolGeneration) error) error {
 	start := time.Now()
 	err := ctxErr(ctx)
@@ -79,7 +81,10 @@ func (rt *localRuntime) write(ctx context.Context, ev *Event, work func(g *poolG
 		if g := rt.gen.Load(); g == nil {
 			err = ErrClosed
 		} else {
-			err = work(g)
+			err = func() (err error) {
+				defer contain(&err)
+				return work(g)
+			}()
 			g = rt.gen.Load()
 			ev.Shards, ev.Generation, ev.DeltaDocs = g.set.NumShards(), g.seq, g.set.Delta().NumDocs()
 		}
@@ -143,16 +148,11 @@ func (rt *localRuntime) Ingest(ctx context.Context, docs []Document) (IngestStat
 // knowledge graph is untouched, so cached expansions are merely
 // recomputed, never wrong). Any failure leaves the old generation, and
 // its delta, serving untouched; that includes a panic inside the fold or
-// the republish, which is returned as an internal error.
+// the republish, which write returns as an internal error.
 func (rt *localRuntime) Compact(ctx context.Context) (CompactStats, error) {
 	var cs CompactStats
 	ev := Event{Op: OpCompact}
-	err := rt.write(ctx, &ev, func(g *poolGeneration) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("querygraph: compaction panicked: %v\n%s", p, debug.Stack())
-			}
-		}()
+	err := rt.write(ctx, &ev, func(g *poolGeneration) error {
 		cs = CompactStats{Generation: g.seq}
 		delta := g.set.Delta()
 		if delta.NumDocs() == 0 {

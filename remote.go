@@ -165,11 +165,16 @@ func (t *Topology) applyDefaults() {
 //
 // All methods are safe for concurrent use. After Close — which drains
 // in-flight fan-outs, then closes every pooled connection — query-path
-// methods return ErrClosed.
+// methods return ErrClosed. The query path is the one every runtime
+// shares (queryPath); what is the coordinator's own is its gate, the
+// in-flight count, and the request steps below, which encode a query and
+// scatter it.
 //
 //qlint:serving
 //qlint:observed
 type Remote struct {
+	queryPath[[]byte]
+
 	topo  Topology
 	conns *rpc.ConnPool
 	cfg   clientConfig
@@ -212,6 +217,7 @@ func OpenTopology(path string, opts ...Option) (*Remote, error) {
 		conns:  rpc.NewConnPool(time.Duration(topo.TimeoutMS) * time.Millisecond),
 		leafCF: lru.New[string, []int64](leafCFCapacity),
 	}
+	c.queryPath = queryPath[[]byte]{enter: c.enter, obs: cfg.obs}
 	if err := c.handshake(); err != nil {
 		c.conns.CloseAll()
 		return nil, err
@@ -293,18 +299,23 @@ func (c *Remote) Close() error {
 	return nil
 }
 
-// begin gates a query path: it fails with ErrClosed after Close, and
-// otherwise registers the request with the in-flight drain, which the
-// caller releases with c.inflight.Done when the request finishes.
-func (c *Remote) begin() error {
+// enter is the coordinator's gate: it fails with ErrClosed after Close,
+// and otherwise registers the request with the in-flight drain Close
+// waits on until the request's release. The request it lets in is the
+// coordinator itself: its steps encode and scatter (see the Backend
+// surface below).
+func (c *Remote) enter() (request[[]byte], error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	c.inflight.Add(1)
-	return nil
+	return c, nil
 }
+
+// release ends a request enter let in.
+func (c *Remote) release() { c.inflight.Done() }
 
 // --- the RPC core ------------------------------------------------------
 
@@ -766,103 +777,50 @@ func (c *Remote) applyPolicy(states []shardState) (dropped int, err error) {
 
 // --- the Backend surface -----------------------------------------------
 
-// call is the coordinator's request envelope, the network analogue of the
-// local runtime's read: a dead ctx fails with ctx.Err(), a closed
-// coordinator with ErrClosed (in that order, before any validation or
-// fan-out), otherwise work runs registered with the in-flight drain Close
-// waits on. One event per call, emitted after the drain registration is
-// released.
-func (c *Remote) call(ctx context.Context, ev *Event, work func() error) error {
-	start := time.Now()
-	err := func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := c.begin(); err != nil {
-			return err
-		}
-		defer c.inflight.Done()
-		ev.Shards = len(c.topo.Shards)
-		return work()
-	}()
-	c.cfg.obs.emit(ev, start, err)
-	return err
+// shards is the fleet's shard count.
+func (c *Remote) shards() int { return len(c.topo.Shards) }
+
+// parse encodes query text as the query union's text arm. The shards
+// parse it, so a syntax error comes back from rank.
+func (c *Remote) parse(_ context.Context, query string) ([]byte, error) {
+	return rpc.AppendTextQuery(nil, query), nil
 }
 
-// Search is Client.Search served by the fleet: same contract, same
-// ranking. Under the "degrade" policy a response missing shards returns
-// the surviving ranking AND an error wrapping ErrPartialResult.
-func (c *Remote) Search(ctx context.Context, query string, k int) ([]Result, error) {
-	return c.SearchInto(ctx, query, k, nil)
-}
-
-// SearchInto is Search merging the ranking into dst's storage (dst may be
-// nil). The network round trip still allocates decode buffers — the
-// zero-allocation steady state is a *Client property — but the contract
-// (results in dst, nothing retained) is identical.
-func (c *Remote) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
-	var rs []Result
-	ev := Event{Op: OpSearch, K: k}
-	err := c.call(ctx, &ev, func() (err error) {
-		rs, _, err = c.scatter(ctx, rpc.AppendTextQuery(nil, query), k, dst)
-		return err
-	})
+// rank scatters an encoded query across the fleet and merges the ranking
+// into dst.
+func (c *Remote) rank(ctx context.Context, body []byte, k int, dst []Result) ([]Result, error) {
+	rs, _, err := c.scatter(ctx, body, k, dst)
 	return rs, err
+}
+
+// searchExpansion sends the expansion's keywords and article list to every
+// shard, which rebuilds the expanded title query on its replicated graph
+// and scores its slice.
+func (c *Remote) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]Result, bool, error) {
+	return c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k, nil)
 }
 
 // readOnly is the work of the write-path stubs. The remote coordinator is
 // read-only: the shard servers own their snapshots, so ingest and
 // compaction against a fleet go to the shards themselves.
-func readOnly() error { return ErrReadOnly }
+func readOnly(request[[]byte]) error { return ErrReadOnly }
 
 // Ingest implements Backend: every call fails with a typed ErrReadOnly
 // (ctx.Err() on a dead context, ErrClosed once closed).
 func (c *Remote) Ingest(ctx context.Context, docs []Document) (IngestStats, error) {
-	return IngestStats{}, c.call(ctx, &Event{Op: OpIngest, Size: len(docs)}, readOnly)
+	return IngestStats{}, c.read(ctx, &Event{Op: OpIngest, Size: len(docs)}, readOnly)
 }
 
 // Compact implements Backend; read-only like Ingest — compaction is a
 // per-shard-server operation, not a coordinator one.
 func (c *Remote) Compact(ctx context.Context) (CompactStats, error) {
-	return CompactStats{}, c.call(ctx, &Event{Op: OpCompact}, readOnly)
+	return CompactStats{}, c.read(ctx, &Event{Op: OpCompact}, readOnly)
 }
 
-// SearchAll is Client.SearchAll served by the fleet: every query in the
-// batch runs its own scatter on a bounded worker pool. A degraded item
-// degrades the whole batch (results kept, error wraps ErrPartialResult).
-func (c *Remote) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
-	var out [][]Result
-	ev := Event{Op: OpBatch, Kind: BatchSearch, Size: len(queries), K: k}
-	err := c.call(ctx, &ev, func() (err error) {
-		out, err = batch(ctx, queries, opts, "query", func(q string) ([]Result, error) {
-			rs, _, err := c.scatter(ctx, rpc.AppendTextQuery(nil, q), k, nil)
-			return rs, err
-		})
-		return err
-	})
-	return out, err
-}
-
-// Expand is Client.Expand served by the fleet: the pipeline runs on one
-// shard's replicated graph (shard 0, failing over through the rest),
-// memoized in that shard's expansion cache.
-func (c *Remote) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
-	var exp *Expansion
-	ev := Event{Op: OpExpand}
-	err := c.call(ctx, &ev, func() error {
-		eopts, err := normalizeExpandOptions(opts)
-		if err != nil {
-			return err
-		}
-		if exp, ev.Cache, err = c.expandRemote(ctx, keywords, eopts); err == nil {
-			ev.Size = len(exp.Features)
-		}
-		return err
-	})
-	return exp, err
-}
-
-func (c *Remote) expandRemote(ctx context.Context, keywords string, eopts core.ExpanderOptions) (*Expansion, CacheOutcome, error) {
+// expand runs the pipeline on one shard's replicated graph (shard 0,
+// failing over through the rest), memoized in that shard's expansion
+// cache.
+func (c *Remote) expand(ctx context.Context, keywords string, eopts core.ExpanderOptions) (*Expansion, CacheOutcome, error) {
 	tr := trace.FromContext(ctx)
 	start := time.Now()
 	body := rpc.AppendString(nil, keywords)
@@ -888,66 +846,26 @@ func (c *Remote) expandRemote(ctx context.Context, keywords string, eopts core.E
 	return exp, outcome, nil
 }
 
-// ExpandAll is Client.ExpandAll served by the fleet: per-keyword remote
-// expansions on a bounded worker pool, memoized by the serving shard's
-// expansion cache.
-func (c *Remote) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
-	var out []*Expansion
-	ev := Event{Op: OpBatch, Kind: BatchExpand, Size: len(keywords)}
-	err := c.call(ctx, &ev, func() error {
-		eopts, err := normalizeExpandOptions(opts)
-		if err != nil {
-			return err
-		}
-		out, err = batch(ctx, keywords, bopts, "keywords", func(kw string) (*Expansion, error) {
-			exp, _, err := c.expandRemote(ctx, kw, eopts)
-			return exp, err
-		})
-		return err
-	})
-	return out, err
-}
-
-// SearchExpansion is Client.SearchExpansion served by the fleet: the
-// expansion's keywords and article list travel to every shard, which
-// rebuilds the expanded title query on its replicated graph and scores
-// its slice. ok=false means the expansion had nothing to search for.
-func (c *Remote) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
-	ev := Event{Op: OpSearch, K: k, Expanded: true}
-	err = c.call(ctx, &ev, func() (err error) {
-		results, ok, err = c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k, nil)
-		return err
-	})
-	return results, ok, err
-}
-
-// SearchExpansions is Client.SearchExpansions served by the fleet;
-// expansions with nothing to search for keep a nil ranking.
-func (c *Remote) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
-	var out [][]Result
-	ev := Event{Op: OpBatch, Kind: BatchSearchExpansions, Size: len(exps), K: k}
-	err := c.call(ctx, &ev, func() (err error) {
-		out, err = batch(ctx, exps, opts, "expansion", func(exp *Expansion) ([]Result, error) {
-			rs, _, err := c.scatter(ctx, rpc.AppendExpansionQuery(nil, exp), k, nil)
-			return rs, err
-		})
-		return err
-	})
-	return out, err
+// fetch is the ctx-less accessors' call: op on any shard, through the
+// gate like a request, its reply ready to decode; ok=false once closed or
+// when no shard answers.
+func (c *Remote) fetch(op rpc.Op, body []byte) (r *rpc.Reader, ok bool) {
+	req, err := c.enter()
+	if err != nil {
+		return nil, false
+	}
+	defer req.release()
+	payload, err := c.anyShard(nil, op, body)
+	return rpc.NewReader(payload), err == nil
 }
 
 // Link computes L(q.k) against any shard's replicated graph (nil on
 // failure or once closed — the ctx-less accessor contract).
 func (c *Remote) Link(keywords string) []Entity {
-	if c.begin() != nil {
+	r, ok := c.fetch(rpc.OpLink, rpc.AppendString(nil, keywords))
+	if !ok {
 		return nil
 	}
-	defer c.inflight.Done()
-	payload, err := c.anyShard(nil, rpc.OpLink, rpc.AppendString(nil, keywords))
-	if err != nil {
-		return nil
-	}
-	r := rpc.NewReader(payload)
 	n := r.Count(2) // a node id and a length prefix at least
 	out := make([]Entity, 0, n)
 	for i := 0; i < n; i++ {
@@ -959,18 +877,13 @@ func (c *Remote) Link(keywords string) []Entity {
 	return out
 }
 
-// Title resolves a node id on any shard's replicated graph ("" on
-// failure or once closed).
+// Title resolves a node id on any shard's replicated graph ("" for an id
+// the graph does not have, on failure, or once closed).
 func (c *Remote) Title(id NodeID) string {
-	if c.begin() != nil {
+	r, ok := c.fetch(rpc.OpTitle, rpc.AppendUvarint(nil, uint64(id)))
+	if !ok {
 		return ""
 	}
-	defer c.inflight.Done()
-	payload, err := c.anyShard(nil, rpc.OpTitle, rpc.AppendUvarint(nil, uint64(id)))
-	if err != nil {
-		return ""
-	}
-	r := rpc.NewReader(payload)
 	title := r.String()
 	if r.Done() != nil {
 		return ""
@@ -995,15 +908,10 @@ func (c *Remote) Queries() []Query {
 // shard (the graph and benchmark are replicated; Documents is the global
 // count). Zero once closed or when no shard answers.
 func (c *Remote) Stats() Stats {
-	if c.begin() != nil {
+	r, ok := c.fetch(rpc.OpStats, nil)
+	if !ok {
 		return Stats{}
 	}
-	defer c.inflight.Done()
-	payload, err := c.anyShard(nil, rpc.OpStats, nil)
-	if err != nil {
-		return Stats{}
-	}
-	r := rpc.NewReader(payload)
 	st := rpc.ReadStats(r)
 	if r.Done() != nil {
 		return Stats{}

@@ -17,17 +17,19 @@ import (
 // localRuntime is the one in-process serving runtime, embedded by both
 // exported handles: a generation-pinned *shard.Set — N hash partitions
 // for a Pool, the Set of one unsharded system for a Client — with the
-// live delta riding inside the Set, so every Backend method exists once,
-// as the work it hands to one of two request envelopes: read (below) and
-// write (live.go), which own the ctx and closed gates and the one Event.
-// Readers pin one immutable generation per request, lock-free; writers
-// (Ingest, Compact, Reload, Close) serialize on mu and swap whole
-// generations, so a request never observes a half-applied write, and a
-// retired generation drains before it is released to the collector.
+// live delta riding inside the Set. Its query path is the one every
+// runtime shares (queryPath, over a pinned generation's request steps);
+// its writes go through write (live.go). Readers pin one immutable
+// generation per request, lock-free; writers (Ingest, Compact, Reload,
+// Close) serialize on mu and swap whole generations, so a request never
+// observes a half-applied write, and a retired generation drains before
+// it is released to the collector.
 //
 //qlint:serving
 //qlint:observed
 type localRuntime struct {
+	queryPath[[]search.Leaf]
+
 	// gen is the serving generation; nil once closed. The serving path
 	// loads it lock-free; every store happens under mu (enforced by the
 	// atomicguard analyzer).
@@ -96,6 +98,7 @@ func (g *poolGeneration) sys() *core.System { return g.set.Systems()[0] }
 // start publishes the first generation of a freshly constructed handle.
 func (rt *localRuntime) start(set *shard.Set, cfg clientConfig, manifestPath string) {
 	rt.cfg, rt.manifestPath = cfg, manifestPath
+	rt.queryPath = queryPath[[]search.Leaf]{enter: rt.enter, obs: cfg.obs}
 	rt.gen.Store(newPoolGeneration(set, 1)) //qlint:ignore atomicguard constructor: rt has not escaped, no concurrent writer exists yet
 }
 
@@ -166,6 +169,12 @@ func (rt *localRuntime) pin(ctx context.Context) (*poolGeneration, error) {
 	return rt.acquire()
 }
 
+// enter is the local runtime's gate on the shared query path: the
+// generation acquire pins is the request, whose steps (parse, rank,
+// expand, searchExpansion) run on it until its release. On ErrClosed the
+// request is a nil generation, which the envelope never touches.
+func (rt *localRuntime) enter() (request[[]search.Leaf], error) { return rt.acquire() }
+
 // view is the generation the non-erroring accessors answer from: the
 // serving one, else the one a Client kept at Close, else nil (a closed
 // Pool). Generations are immutable, so accessors read without pinning.
@@ -201,65 +210,14 @@ func (rt *localRuntime) republish(archives []*store.Archive) (*shard.Set, error)
 	return set, nil
 }
 
-// read is the read-path envelope, the one place a request meets the
-// runtime: a dead ctx fails with ctx.Err(), a closed handle with ErrClosed
-// (in that order, before any pipeline work — validation errors come from
-// work, so they rank third), otherwise work runs on the generation pinned
-// for it and current at call time, even if an ingest, compaction or reload
-// lands meanwhile. ev arrives carrying what the caller knows up front;
-// read adds Shards once a generation is pinned and emits after the release,
-// so a slow observer never holds a retired generation back from draining.
-func (rt *localRuntime) read(ctx context.Context, ev *Event, work func(g *poolGeneration) error) error {
-	start := time.Now()
-	err := func() error {
-		g, err := rt.pin(ctx)
-		if err != nil {
-			return err
-		}
-		defer g.release()
-		ev.Shards = g.set.NumShards()
-		return work(g)
-	}()
-	rt.cfg.obs.emit(ev, start, err)
-	return err
-}
-
-// Search parses the INDRI-style query text (bare keywords, #combine,
-// #weight, #1 exact phrases) and returns the top k documents by descending
-// Dirichlet-smoothed query likelihood (ties broken by ascending doc id;
-// k <= 0 ranks every candidate; no match returns an empty non-nil slice).
-// On a Pool the query scatters to every shard, scores under global
-// statistics and merges to the global top k — the same ranking, bit for
-// bit. A done ctx returns ctx.Err() without searching.
-func (rt *localRuntime) Search(ctx context.Context, query string, k int) ([]Result, error) {
-	return rt.SearchInto(ctx, query, k, nil)
-}
-
-// SearchInto is Search scoring straight into dst's storage (dst may be
-// nil). At steady state — the query's parsed plan already in the engine's
-// memoized cache, dst recycled by the caller — a Client allocates
-// nothing: parse, postings planning, scoring scratch and the top-k heap
-// all come from pools. A multi-shard Pool pays only what its concurrent
-// fan-out costs, independent of k and of the query's length. Neither
-// query nor dst is retained beyond the call.
-func (rt *localRuntime) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
-	var rs []Result
-	ev := Event{Op: OpSearch, K: k}
-	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
-		tr := trace.FromContext(ctx)
-		leaves, err := g.parse(tr, query)
-		if err == nil {
-			rs, err = g.rank(tr, leaves, k, dst)
-		}
-		return err
-	})
-	return rs, err
-}
+// shards is the pinned generation's shard count.
+func (g *poolGeneration) shards() int { return g.set.NumShards() }
 
 // parse is one query's parse on the pinned generation, through the
 // memoized plan cache. Untraced requests — the pinned 0 allocs/op path —
 // skip the clock reads; Span on a nil trace is a no-op.
-func (g *poolGeneration) parse(tr *trace.Trace, query string) ([]search.Leaf, error) {
+func (g *poolGeneration) parse(ctx context.Context, query string) ([]search.Leaf, error) {
+	tr := trace.FromContext(ctx)
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -275,7 +233,8 @@ func (g *poolGeneration) parse(tr *trace.Trace, query string) ([]search.Leaf, er
 
 // rank is one parsed query's ranking over every source of the pinned
 // generation.
-func (g *poolGeneration) rank(tr *trace.Trace, leaves []search.Leaf, k int, dst []Result) ([]Result, error) {
+func (g *poolGeneration) rank(ctx context.Context, leaves []search.Leaf, k int, dst []Result) ([]Result, error) {
+	tr := trace.FromContext(ctx)
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -283,62 +242,6 @@ func (g *poolGeneration) rank(tr *trace.Trace, leaves []search.Leaf, k int, dst 
 	rs, err := g.set.SearchLeaves(leaves, k, dst)
 	tr.Span("search", t0, ErrorClass(err))
 	return rs, err
-}
-
-// SearchAll evaluates a batch of query texts on a bounded worker pool and
-// returns the per-query rankings in input order. Every query is parsed
-// before any is scored: the first syntax error, in input order, aborts the
-// batch with ErrInvalidQuery. Cancelling ctx stops scheduling the remaining
-// queries and returns ctx.Err(). The whole batch runs on the generation
-// current at call time, even if an ingest, compaction or reload lands
-// mid-batch.
-func (rt *localRuntime) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
-	var rss [][]Result
-	ev := Event{Op: OpBatch, Kind: BatchSearch, Size: len(queries), K: k}
-	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
-		tr := trace.FromContext(ctx)
-		plans, err := batch(ctx, queries, opts, "query", func(q string) ([]search.Leaf, error) {
-			return g.parse(tr, q)
-		})
-		if err != nil {
-			return err
-		}
-		rss, err = batch(ctx, plans, opts, "query", func(leaves []search.Leaf) ([]Result, error) {
-			return g.rank(tr, leaves, k, nil)
-		})
-		return err
-	})
-	return rss, err
-}
-
-// Expand runs the online cycle-based expansion pipeline of the paper's
-// conclusions for one keyword query: entity-link the keywords, induce the
-// Wikipedia neighborhood, mine cycles, keep the structurally promising
-// ones (dense, category ratio around 30% by default) and rank the articles
-// they introduce. Options override the paper-tuned defaults; invalid
-// values return an error wrapping ErrInvalidOptions. On a Pool the
-// pipeline runs once, on the replicated graph, not per shard.
-//
-// Results are memoized in a sharded LRU cache that lives with the serving
-// generation; the returned Expansion may be shared with other callers and
-// must be treated as read-only, and concurrent identical misses may each
-// run the pipeline and store equal entries. A done ctx returns ctx.Err()
-// without touching pipeline or cache; a ctx that ends mid-call stops the
-// caller's own pipeline run and returns ctx.Err() with nothing cached.
-func (rt *localRuntime) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
-	var exp *Expansion
-	ev := Event{Op: OpExpand}
-	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
-		eopts, err := normalizeExpandOptions(opts)
-		if err != nil {
-			return err
-		}
-		if exp, ev.Cache, err = g.expand(ctx, keywords, eopts); exp != nil {
-			ev.Size = len(exp.Features)
-		}
-		return err
-	})
-	return exp, err
 }
 
 // expand is one expansion's work on the pinned generation, through its
@@ -353,69 +256,18 @@ func (g *poolGeneration) expand(ctx context.Context, keywords string, eopts core
 	return exp, outcome, err
 }
 
-// ExpandAll runs Expand for every keyword query on a bounded worker pool
-// and returns the expansions in input order. Repeated keywords are served
-// from the expansion cache once one of them has been expanded. Cancelling
-// ctx stops scheduling, stops the expansions under way, and returns
-// ctx.Err().
-func (rt *localRuntime) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
-	var exps []*Expansion
-	ev := Event{Op: OpBatch, Kind: BatchExpand, Size: len(keywords)}
-	err := rt.read(ctx, &ev, func(g *poolGeneration) error {
-		eopts, err := normalizeExpandOptions(opts)
-		if err != nil {
-			return err
-		}
-		exps, err = batch(ctx, keywords, bopts, "keywords", func(kw string) (*Expansion, error) {
-			exp, _, err := g.expand(ctx, kw, eopts)
-			return exp, err
-		})
-		return err
-	})
-	return exps, err
-}
-
-// SearchExpansion evaluates an expansion end to end: it writes the
-// expanded title query (exact phrases for the query entities and every
-// feature) once, on the replicated graph, and returns the top k
-// documents. ok reports whether the expansion had anything to search for
-// (entities, features or keywords); it stays true when the search itself
-// fails, so err alone signals failure.
-func (rt *localRuntime) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
-	ev := Event{Op: OpSearch, K: k, Expanded: true}
-	err = rt.read(ctx, &ev, func(g *poolGeneration) (err error) {
-		results, ok, err = g.searchExpansion(ctx, exp, k)
-		return err
-	})
-	return results, ok, err
-}
-
 // searchExpansion is one expansion retrieval's work on the pinned
 // generation; ok=false leaves results nil.
 func (g *poolGeneration) searchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
-	node, ok := g.set.ExpansionQuery(exp)
-	if !ok {
+	node, ok, err := exp.Query(g.sys())
+	switch {
+	case err != nil:
+		return nil, false, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+	case !ok:
 		return nil, false, nil
 	}
 	results, err = g.set.Search(ctx, node, k)
 	return results, true, err
-}
-
-// SearchExpansions evaluates a batch of expansions on a bounded worker
-// pool, returning the per-expansion rankings in input order. Expansions
-// with nothing to search for yield a nil ranking. Cancelling ctx stops
-// scheduling and returns ctx.Err().
-func (rt *localRuntime) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
-	var out [][]Result
-	ev := Event{Op: OpBatch, Kind: BatchSearchExpansions, Size: len(exps), K: k}
-	err := rt.read(ctx, &ev, func(g *poolGeneration) (err error) {
-		out, err = batch(ctx, exps, opts, "expansion", func(exp *Expansion) ([]Result, error) {
-			rs, _, err := g.searchExpansion(ctx, exp, k)
-			return rs, err
-		})
-		return err
-	})
-	return out, err
 }
 
 // Entity is one knowledge-base article a query mentions.
@@ -441,8 +293,8 @@ func (rt *localRuntime) Link(keywords string) []Entity {
 	return out
 }
 
-// Title returns the display title of a knowledge-base node ("" on a
-// closed Pool).
+// Title returns the display title of a knowledge-base node ("" for an id
+// the graph does not have, and on a closed Pool).
 func (rt *localRuntime) Title(id NodeID) string {
 	g := rt.view()
 	if g == nil {
