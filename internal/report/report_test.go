@@ -2,6 +2,9 @@ package report
 
 import (
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +13,8 @@ import (
 	"github.com/querygraph/querygraph/internal/groundtruth"
 	"github.com/querygraph/querygraph/internal/synth"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/report.golden from the renderers under test")
 
 var (
 	once     sync.Once
@@ -118,5 +123,27 @@ func TestTablesAreWellFormedMarkdown(t *testing.T) {
 		if !header || !separator {
 			t.Errorf("output lacks a markdown table:\n%s", out)
 		}
+	}
+}
+
+// TestReportGolden pins every table and figure of the setup world byte for
+// byte: a refactor of the analysis must leave testdata/report.golden as it
+// is, and a change that means to move a number rewrites it with -update.
+func TestReportGolden(t *testing.T) {
+	a, ab := setup(t)
+	got := All(a, ab)
+	file := filepath.Join("testdata", "report.golden")
+	if *update {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("report differs from %s (rerun with -update if the change is intended)\n got:\n%s\nwant:\n%s", file, got, want)
 	}
 }
