@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/querygraph/querygraph/internal/core"
+	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/groundtruth"
 )
@@ -63,17 +65,13 @@ func (c *Client) GroundTruths(ctx context.Context, qs []Query, opts GroundTruthO
 }
 
 // AnalyzeOptions controls Analyze. The zero value reproduces the paper's
-// configuration over the loaded benchmark.
+// configuration over the loaded benchmark; the analysis itself always
+// mines cycles of 2 to 5 edges and bins Figure 9 in 10 density buckets,
+// as the paper does.
 type AnalyzeOptions struct {
 	// GroundTruth configures the Section 2 construction the analysis is
 	// built on.
 	GroundTruth GroundTruthOptions
-	// MaxCycleLen caps cycle enumeration (<= 0 means 5, the paper's
-	// bound).
-	MaxCycleLen int
-	// Fig9Bins is the bucket count of the density/contribution scatter
-	// (<= 0 means 10).
-	Fig9Bins int
 	// Workers bounds the per-query fan-out; <= 0 means GOMAXPROCS.
 	Workers int
 }
@@ -101,11 +99,7 @@ func (c *Client) Analyze(ctx context.Context, opts AnalyzeOptions) (*Analysis, e
 	if err != nil {
 		return nil, err
 	}
-	return g.sys().Analyze(ctx, gts, core.AnalysisConfig{
-		MaxCycleLen: opts.MaxCycleLen,
-		Fig9Bins:    opts.Fig9Bins,
-		Workers:     opts.Workers,
-	})
+	return g.sys().Analyze(ctx, gts, core.AnalysisConfig{Workers: opts.Workers})
 }
 
 // AblationOptions controls CompareExpanders.
@@ -155,26 +149,28 @@ type Cycle struct {
 	ExtraEdgeDensity float64
 }
 
-// MineCycles enumerates the cycles of a ground truth's query graph that
-// contain a query article (up to maxLen edges; <= 0 means 5, the paper's
-// bound) and measures each one. A done ctx returns ctx.Err() before any
-// work.
-func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([]Cycle, error) {
+// MineCycles mines the cycles of a ground truth's query graph, up to the
+// paper's 5 edges, that contain a query article, and measures each one.
+// They come ordered by length, then by node sequence. A done ctx returns
+// ctx.Err() before any work.
+func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth) ([]Cycle, error) {
 	g, err := c.pin(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer g.release()
-	if maxLen <= 0 {
-		maxLen = 5
-	}
 	snap, sub := g.sys().Snapshot, gt.Graph.Sub
-	out := []Cycle{}
-	for mc, err := range core.MineCycles(ctx, sub, gt.QueryArticles, maxLen) {
+	var mined []core.MinedCycle
+	for mc, err := range core.MineCycles(ctx, sub, gt.QueryArticles) {
 		if err != nil {
 			return nil, fmt.Errorf("querygraph: mine cycles: %w", err)
 		}
-		info := Cycle{
+		mined = append(mined, mc)
+	}
+	slices.SortFunc(mined, func(a, b core.MinedCycle) int { return cycles.Compare(a.Cycle, b.Cycle) })
+	out := make([]Cycle, len(mined))
+	for i, mc := range mined {
+		out[i] = Cycle{
 			Length:           mc.Metrics.Length,
 			Titles:           make([]string, len(mc.Cycle.Nodes)),
 			IsCategory:       make([]bool, len(mc.Cycle.Nodes)),
@@ -183,10 +179,9 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([
 			ExtraEdgeDensity: mc.Metrics.ExtraEdgeDensity,
 		}
 		for j, n := range mc.Cycle.Nodes {
-			info.Titles[j] = snap.Name(sub.ToParent[n])
-			info.IsCategory[j] = sub.Kind(n) == graph.Category
+			out[i].Titles[j] = snap.Name(sub.ToParent[n])
+			out[i].IsCategory[j] = sub.Kind(n) == graph.Category
 		}
-		out = append(out, info)
 	}
 	return out, nil
 }

@@ -438,7 +438,7 @@ func TestCloseLifecycle(t *testing.T) {
 				if _, err := c.CompareExpanders(ctx, AblationOptions{}); !errors.Is(err, ErrClosed) {
 					t.Errorf("CompareExpanders after Close: err = %v, want ErrClosed", err)
 				}
-				if _, err := c.MineCycles(ctx, &GroundTruth{}, 5); !errors.Is(err, ErrClosed) {
+				if _, err := c.MineCycles(ctx, &GroundTruth{}); !errors.Is(err, ErrClosed) {
 					t.Errorf("MineCycles after Close: err = %v, want ErrClosed", err)
 				}
 				if _, _, err := c.Evaluate(ctx, q.Keywords, nil, q.Relevant); !errors.Is(err, ErrClosed) {

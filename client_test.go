@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/querygraph/querygraph/internal/cycles"
+	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/trace"
 )
 
@@ -123,7 +125,7 @@ func TestPreCancelledContext(t *testing.T) {
 		{"GroundTruths", func() error { _, err := c.GroundTruths(ctx, c.Queries(), GroundTruthOptions{}); return err }},
 		{"Analyze", func() error { _, err := c.Analyze(ctx, AnalyzeOptions{}); return err }},
 		{"CompareExpanders", func() error { _, err := c.CompareExpanders(ctx, AblationOptions{}); return err }},
-		{"MineCycles", func() error { _, err := c.MineCycles(ctx, &GroundTruth{}, 5); return err }},
+		{"MineCycles", func() error { _, err := c.MineCycles(ctx, &GroundTruth{}); return err }},
 	}
 	for _, call := range calls {
 		if err := call.run(); !errors.Is(err, context.Canceled) {
@@ -405,7 +407,7 @@ func TestGroundTruthAndCycles(t *testing.T) {
 	if gt.Graph == nil || gt.Graph.Size() == 0 {
 		t.Fatal("ground truth carries no query graph")
 	}
-	cs, err := c.MineCycles(ctx, gt, 5)
+	cs, err := c.MineCycles(ctx, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +431,60 @@ func TestGroundTruthAndCycles(t *testing.T) {
 	}
 	if !strings.Contains(dot.String(), "q0") {
 		t.Error("DOT output misses the graph name")
+	}
+}
+
+// TestMineCyclesOrder pins what MineCycles returns, element by element:
+// the oracle's cycles of the query graph through a query article — the
+// sorted cycles.Enumerate, each measured by cycles.Measure.
+func TestMineCyclesOrder(t *testing.T) {
+	c := client(t)
+	ctx := context.Background()
+	snap := c.view().sys().Snapshot
+	total := 0
+	for _, q := range c.Queries()[:6] {
+		gt, err := c.GroundTruth(ctx, q, GroundTruthOptions{Seed: 1, MaxIterations: 8, MaxEvaluations: 800})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := gt.Graph.Sub
+		seeds := []graph.NodeID{}
+		for _, qa := range gt.QueryArticles {
+			if sid, ok := sub.ToSub[qa]; ok {
+				seeds = append(seeds, sid)
+			}
+		}
+		oracle, err := cycles.Enumerate(sub.Graph, seeds, 5, graph.ExcludeRedirects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []Cycle{}
+		for _, cy := range oracle {
+			m, err := cycles.Measure(sub.Graph, cy, graph.ExcludeRedirects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := Cycle{Length: m.Length, CategoryRatio: m.CategoryRatio, ExtraEdgeDensity: m.ExtraEdgeDensity}
+			for _, n := range cy.Nodes {
+				w.Titles = append(w.Titles, snap.Name(sub.ToParent[n]))
+				w.IsCategory = append(w.IsCategory, sub.Kind(n) == graph.Category)
+			}
+			for _, n := range cycles.AppendArticles(nil, sub.Graph, cy) {
+				w.Articles = append(w.Articles, sub.ToParent[n])
+			}
+			want = append(want, w)
+		}
+		got, err := c.MineCycles(ctx, gt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d: MineCycles differs from the oracle:\n got %+v\nwant %+v", q.ID, got, want)
+		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatal("no query graph has a cycle: the test would pass on any MineCycles")
 	}
 }
 
@@ -460,7 +516,7 @@ func TestMineCyclesUnlinkableKeywords(t *testing.T) {
 		if gt.Graph.Size() > 0 {
 			graphs++
 		}
-		cs, err := c.MineCycles(ctx, gt, 5)
+		cs, err := c.MineCycles(ctx, gt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -96,7 +96,7 @@ func main() {
 	fmt.Printf("largest component: %d nodes (%.0f%% of G(q)), %.0f%% categories, TPR %.2f, expansion ratio %.2f\n\n",
 		st.Size, 100*st.RelSize, 100*st.CategoryFrac, st.TPR, st.ExpansionRatio)
 
-	cs, err := client.MineCycles(ctx, gt, 5)
+	cs, err := client.MineCycles(ctx, gt)
 	if err != nil {
 		log.Fatal(err)
 	}

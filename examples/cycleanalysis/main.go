@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("G(q): %d nodes in %d components; baseline O = %.3f\n\n",
 		gt.Graph.Size(), gt.Graph.NumComponents(), gt.Baseline)
 
-	cycles, err := client.MineCycles(ctx, gt, 5)
+	cycles, err := client.MineCycles(ctx, gt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/querygraph/querygraph/internal/eval"
 	"github.com/querygraph/querygraph/internal/graph"
@@ -95,81 +95,45 @@ type Analysis struct {
 
 // AnalysisConfig controls Analyze.
 type AnalysisConfig struct {
-	// MaxCycleLen caps enumeration (default 5, the paper's bound).
-	MaxCycleLen int
-	// Fig9Bins is the bucket count of the density/contribution scatter
-	// (default 10).
-	Fig9Bins int
 	// Workers bounds the per-query fan-out; <= 0 means GOMAXPROCS.
 	Workers int
 }
 
-func (c AnalysisConfig) withDefaults() AnalysisConfig {
-	if c.MaxCycleLen <= 0 {
-		c.MaxCycleLen = 5
-	}
-	if c.Fig9Bins <= 0 {
-		c.Fig9Bins = 10
-	}
-	return c
+// The paper's analysis constants: cycles of 2 to analysisMaxLen edges
+// (enumeration cost grows exponentially with length), and Figure 9's
+// density/contribution scatter in fig9Bins buckets.
+const (
+	analysisMaxLen = 5
+	fig9Bins       = 10
+)
+
+// cycleRecord is one mined cycle of a query graph with its contribution:
+// how much adding its articles to L(q.k) improves the query's baseline.
+type cycleRecord struct {
+	MinedCycle
+	contrib float64
 }
 
-// queryCycles is the per-query cycle evaluation.
-type queryCycles struct {
-	countByLen   map[int]int
-	contribByLen map[int][]float64
-	ratioByLen   map[int][]float64
-	densityByLen map[int][]float64
-	// points are (density, contribution) pairs for cycles of length >= 3.
-	points [][2]float64
-	// articlesByLen collects, per cycle length, the union of article nodes
-	// (parent IDs) appearing in cycles of that length.
-	articlesByLen map[int]map[graph.NodeID]struct{}
-}
-
-// analyzeQueryCycles enumerates and measures the cycles of one query graph,
-// evaluating each cycle's contribution against the query's baseline.
-func (s *System) analyzeQueryCycles(ctx context.Context, gt *GroundTruth, maxLen int) (*queryCycles, error) {
-	qc := &queryCycles{
-		countByLen:    make(map[int]int),
-		contribByLen:  make(map[int][]float64),
-		ratioByLen:    make(map[int][]float64),
-		densityByLen:  make(map[int][]float64),
-		articlesByLen: make(map[int]map[graph.NodeID]struct{}),
-	}
+// analyzeQueryCycles mines and measures the cycles of one query graph,
+// evaluating each cycle's contribution against the query's baseline, and
+// returns one record per cycle in walk order.
+func (s *System) analyzeQueryCycles(ctx context.Context, gt *GroundTruth) ([]cycleRecord, error) {
 	relevant := eval.NewRelevance(gt.Query.Relevant)
-	for mc, err := range MineCycles(ctx, gt.Graph.Sub, gt.QueryArticles, maxLen) {
+	var recs []cycleRecord
+	for mc, err := range MineCycles(ctx, gt.Graph.Sub, gt.QueryArticles) {
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d cycles: %w", gt.Query.ID, err)
 		}
 		// The cycle's articles are candidates on top of the query articles,
 		// which are already in L(q.k).
-		m, arts := mc.Metrics, mc.Articles
-		set := qc.articlesByLen[m.Length]
-		if set == nil {
-			set = make(map[graph.NodeID]struct{})
-			qc.articlesByLen[m.Length] = set
-		}
-		for _, a := range arts {
-			set[a] = struct{}{}
-		}
-
 		after, _, err := s.EvaluateArticles(gt.Query.Keywords,
-			append(append([]graph.NodeID{}, gt.QueryArticles...), arts...), relevant)
+			append(slices.Clone(gt.QueryArticles), mc.Articles...), relevant)
 		if err != nil {
 			return nil, err
 		}
-		contrib := eval.Contribution(gt.Baseline, after)
-
-		qc.countByLen[m.Length]++
-		qc.contribByLen[m.Length] = append(qc.contribByLen[m.Length], contrib)
-		if m.Length >= 3 {
-			qc.ratioByLen[m.Length] = append(qc.ratioByLen[m.Length], m.CategoryRatio)
-			qc.densityByLen[m.Length] = append(qc.densityByLen[m.Length], m.ExtraEdgeDensity)
-			qc.points = append(qc.points, [2]float64{m.ExtraEdgeDensity, contrib})
-		}
+		recs = append(recs, cycleRecord{mc, eval.Contribution(gt.Baseline, after)})
 	}
-	return qc, nil
+	return recs, nil
 }
 
 // Analyze reproduces the paper's full evaluation over the per-query ground
@@ -179,14 +143,13 @@ func (s *System) Analyze(ctx context.Context, gts []*GroundTruth, cfg AnalysisCo
 	if len(gts) == 0 {
 		return nil, fmt.Errorf("core: no ground truths to analyze")
 	}
-	cfg = cfg.withDefaults()
 
 	// Per-query cycle analysis, fanned out.
-	perQuery := make([]*queryCycles, len(gts))
+	perQuery := make([][]cycleRecord, len(gts))
 	compStats := make([]querygraph.ComponentStats, len(gts))
 	err := ForEach(ctx, len(gts), cfg.Workers, func(i int) (err error) {
 		compStats[i] = gts[i].Graph.LargestComponentStats()
-		perQuery[i], err = s.analyzeQueryCycles(ctx, gts[i], cfg.MaxCycleLen)
+		perQuery[i], err = s.analyzeQueryCycles(ctx, gts[i])
 		return err
 	})
 	if err != nil {
@@ -238,65 +201,50 @@ func (s *System) Analyze(ctx context.Context, gts []*GroundTruth, cfg AnalysisCo
 		return nil, err
 	}
 
-	// Figures 5–7 aggregation across all cycles / queries.
-	contribAll := make(map[int][]float64)
-	ratioAll := make(map[int][]float64)
-	densityAll := make(map[int][]float64)
-	countTotal := make(map[int]int)
-	var points [][2]float64
-	for _, qc := range perQuery {
-		for l, c := range qc.countByLen {
-			countTotal[l] += c
+	// Figures 5–7 and 9 over every cycle of every query, by length; the
+	// category ratio and density only of cycles of length >= 3.
+	var contrib, ratio, density [analysisMaxLen + 1][]float64
+	var fig7aX, fig7aY, fig9X, fig9Y []float64
+	for _, recs := range perQuery {
+		for _, r := range recs {
+			l := r.Metrics.Length
+			contrib[l] = append(contrib[l], r.contrib)
+			if l >= 3 {
+				ratio[l] = append(ratio[l], r.Metrics.CategoryRatio)
+				density[l] = append(density[l], r.Metrics.ExtraEdgeDensity)
+				fig9X = append(fig9X, r.Metrics.ExtraEdgeDensity)
+				fig9Y = append(fig9Y, r.contrib)
+			}
 		}
-		for l, vs := range qc.contribByLen {
-			contribAll[l] = append(contribAll[l], vs...)
-		}
-		for l, vs := range qc.ratioByLen {
-			ratioAll[l] = append(ratioAll[l], vs...)
-		}
-		for l, vs := range qc.densityByLen {
-			densityAll[l] = append(densityAll[l], vs...)
-		}
-		points = append(points, qc.points...)
 	}
-	for l, vs := range contribAll {
+	for l, vs := range contrib {
+		if len(vs) == 0 {
+			continue
+		}
 		a.Fig5[l] = stats.Mean(vs)
+		a.Fig6[l] = float64(len(vs)) / float64(len(gts))
 		a.TotalCycles += len(vs)
-	}
-	for l, c := range countTotal {
-		a.Fig6[l] = float64(c) / float64(len(gts))
-	}
-	for l, vs := range ratioAll {
-		a.Fig7a[l] = stats.Mean(vs)
-	}
-	for l, vs := range densityAll {
-		a.Fig7b[l] = stats.Mean(vs)
+		if l >= 3 {
+			a.Fig7a[l] = stats.Mean(ratio[l])
+			a.Fig7b[l] = stats.Mean(density[l])
+			fig7aX, fig7aY = append(fig7aX, float64(l)), append(fig7aY, a.Fig7a[l])
+		}
 	}
 	// Trend of Fig7a (the paper: slope ≈ 0).
-	if len(a.Fig7a) >= 2 {
-		var xs, ys []float64
-		for _, l := range sortedKeys(a.Fig7a) {
-			xs = append(xs, float64(l))
-			ys = append(ys, a.Fig7a[l])
-		}
-		if tl, err := stats.Fit(xs, ys); err == nil {
+	if len(fig7aX) >= 2 {
+		if tl, err := stats.Fit(fig7aX, fig7aY); err == nil {
 			a.Fig7aTrend = tl
 		}
 	}
 
 	// Figure 9: binned density vs contribution with trend line.
-	if len(points) > 0 {
-		xs := make([]float64, len(points))
-		ys := make([]float64, len(points))
-		for i, p := range points {
-			xs[i], ys[i] = p[0], p[1]
-		}
-		bins, err := stats.BinnedMeans(xs, ys, cfg.Fig9Bins)
+	if len(fig9X) > 0 {
+		bins, err := stats.BinnedMeans(fig9X, fig9Y, fig9Bins)
 		if err != nil {
 			return nil, err
 		}
 		a.Fig9 = bins
-		if tl, err := stats.Fit(xs, ys); err == nil {
+		if tl, err := stats.Fit(fig9X, fig9Y); err == nil {
 			a.Fig9Trend = tl
 		}
 	}
@@ -306,17 +254,15 @@ func (s *System) Analyze(ctx context.Context, gts []*GroundTruth, cfg AnalysisCo
 		row := Table4Row{Config: tc, PrecisionAt: make(map[int]float64)}
 		perRank := make(map[int][]float64)
 		for i, gt := range gts {
-			union := make(map[graph.NodeID]struct{})
-			for _, l := range tc.Lengths {
-				for aNode := range perQuery[i].articlesByLen[l] {
-					union[aNode] = struct{}{}
+			var union []graph.NodeID
+			for _, r := range perQuery[i] {
+				if slices.Contains(tc.Lengths, r.Metrics.Length) {
+					union = append(union, r.Articles...)
 				}
 			}
-			arts := append([]graph.NodeID{}, gt.QueryArticles...)
-			for aNode := range union {
-				arts = append(arts, aNode)
-			}
-			sort.Slice(arts, func(x, y int) bool { return arts[x] < arts[y] })
+			slices.Sort(union)
+			arts := append(slices.Clone(gt.QueryArticles), slices.Compact(union)...)
+			slices.Sort(arts)
 			relevant := eval.NewRelevance(gt.Query.Relevant)
 			_, ranked, err := s.EvaluateArticles(gt.Query.Keywords, arts, relevant)
 			if err != nil {
@@ -355,13 +301,4 @@ func (s *System) Analyze(ctx context.Context, gts []*GroundTruth, cfg AnalysisCo
 		MaxExpansionDistance: maxDist,
 	}
 	return a, nil
-}
-
-func sortedKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

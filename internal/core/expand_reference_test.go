@@ -394,7 +394,7 @@ func TestExpandStopsRankingEarlyOnlyWhenItMay(t *testing.T) {
 }
 
 // TestMineCyclesWithoutQueryArticle is the regression test of a nil seed
-// set reaching Enumerate, which reads nil as "every cycle": when none of
+// set reaching the walk, which reads nil as "every cycle": when none of
 // the query articles is inside sub, no cycle passes through one.
 func TestMineCyclesWithoutQueryArticle(t *testing.T) {
 	g := graph.New(4)
@@ -412,7 +412,7 @@ func TestMineCyclesWithoutQueryArticle(t *testing.T) {
 		want          int
 	}{{[]graph.NodeID{3}, 0}, {nil, 0}, {[]graph.NodeID{}, 0}, {[]graph.NodeID{3, 1}, 1}} {
 		got := 0
-		for _, err := range MineCycles(context.Background(), sub, tc.queryArticles, 5) {
+		for _, err := range MineCycles(context.Background(), sub, tc.queryArticles) {
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -160,43 +161,50 @@ func seedsIn(sub *graph.Subgraph, queryArticles []graph.NodeID) []graph.NodeID {
 	return seeds
 }
 
-// MineCycles enumerates the cycles of sub, up to maxLen edges, that pass
-// through one of the query articles (parent-graph ids; those outside sub
-// are ignored), and measures each, in enumeration order. Redirect edges
-// never take part: a redirect cannot close a cycle. A failure — ctx.Err()
-// when ctx ends mid-enumeration — is yielded once, as the last pair. This
-// is the ordered, everything-measured form the offline analysis reads;
-// System.expand visits the same cycles through the Miner's Walk and keeps
-// only what its answer needs.
-func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int) iter.Seq2[MinedCycle, error] {
-	return func(yield func(MinedCycle, error) bool) {
-		miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
-		defer miner.Release()
-		miner.Poll = ctx.Err
-		cs, err := miner.Enumerate(seedsIn(sub, queryArticles), maxLen)
+// errStopped ends a walk whose consumer stopped listening.
+var errStopped = errors.New("core: cycle walk stopped")
+
+// mine walks the cycles of sub, up to maxLen edges, that pass through one
+// of the query articles (parent-graph ids; those outside sub are ignored),
+// and hands each to visit, measured, as the walk closes it — the one mining
+// loop behind both Expand and MineCycles. Redirect edges never take part: a
+// redirect cannot close a cycle. The cycle's nodes are the miner's again
+// when visit returns. The walk polls ctx, and an error from visit or ctx
+// ends it and is returned.
+func mine(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int, visit func(cycles.Cycle, cycles.Metrics) error) error {
+	miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
+	defer miner.Release()
+	miner.Poll = ctx.Err
+	return miner.Walk(seedsIn(sub, queryArticles), maxLen, func(c cycles.Cycle) error {
+		m, err := miner.Measure(c)
 		if err != nil {
+			return err
+		}
+		return visit(c, m)
+	})
+}
+
+// MineCycles yields the cycles of sub, up to analysisMaxLen edges, that
+// pass through one of the query articles (parent-graph ids; those outside
+// sub are ignored), each measured and the caller's to keep, in walk order:
+// deterministic, but a caller that wants a stated order sorts. A failure —
+// ctx.Err() when ctx ends mid-walk — is yielded once, as the last pair.
+func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID) iter.Seq2[MinedCycle, error] {
+	return func(yield func(MinedCycle, error) bool) {
+		err := mine(ctx, sub, queryArticles, analysisMaxLen, func(c cycles.Cycle, m cycles.Metrics) error {
+			n := len(c.Nodes)
+			buf := append(make([]graph.NodeID, 0, 2*n), c.Nodes...) // the nodes, then the articles
+			buf = cycles.AppendArticles(buf, sub.Graph, c)
+			for j := n; j < len(buf); j++ {
+				buf[j] = sub.ToParent[buf[j]]
+			}
+			if !yield(MinedCycle{Cycle: cycles.Cycle{Nodes: buf[:n:n]}, Metrics: m, Articles: buf[n:]}, nil) {
+				return errStopped
+			}
+			return nil
+		})
+		if err != nil && !errors.Is(err, errStopped) {
 			yield(MinedCycle{}, err)
-			return
-		}
-		nodes := 0
-		for _, c := range cs {
-			nodes += len(c.Nodes)
-		}
-		arts := make([]graph.NodeID, 0, nodes) // every cycle's Articles, back to back
-		for _, c := range cs {
-			m, err := miner.Measure(c)
-			if err != nil {
-				yield(MinedCycle{}, err)
-				return
-			}
-			start := len(arts)
-			arts = cycles.AppendArticles(arts, sub.Graph, c)
-			for j := start; j < len(arts); j++ {
-				arts[j] = sub.ToParent[arts[j]]
-			}
-			if !yield(MinedCycle{Cycle: c, Metrics: m, Articles: arts[start:len(arts):len(arts)]}, nil) {
-				return
-			}
 		}
 	}
 }
@@ -296,22 +304,15 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		return nil, err
 	}
 
-	// Mine: each cycle through a query article is measured and filtered as
-	// the walk closes it, and only the accepted ones are kept, by length.
-	miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
-	defer miner.Release()
-	miner.Poll = ctx.Err
+	// Mine: each cycle through a query article is filtered as the walk
+	// closes it, and only the accepted ones are kept, by length.
 	acc := acceptedPool.Get().(*accepted)
 	defer acceptedPool.Put(acc)
 	acc.nodes = acc.nodes[:0]
 	for i := range acc.byLen {
 		acc.byLen[i] = acc.byLen[i][:0]
 	}
-	err := miner.Walk(seedsIn(sub, queryArts), opts.MaxCycleLen, func(c cycles.Cycle) error {
-		m, err := miner.Measure(c)
-		if err != nil {
-			return err
-		}
+	err := mine(ctx, sub, queryArts, opts.MaxCycleLen, func(c cycles.Cycle, m cycles.Metrics) error {
 		exp.CyclesConsidered++
 		switch {
 		case m.Length == 2:

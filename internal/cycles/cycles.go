@@ -180,13 +180,14 @@ func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
 		out[i].Nodes = flat[start:end:end]
 		start = end
 	}
-	slices.SortFunc(out, func(a, b Cycle) int {
-		if c := cmp.Compare(len(a.Nodes), len(b.Nodes)); c != 0 {
-			return c
-		}
-		return slices.Compare(a.Nodes, b.Nodes)
-	})
+	slices.SortFunc(out, Compare)
 	return out, nil
+}
+
+// Compare orders cycles by length, then by node sequence: the order
+// Enumerate returns them in.
+func Compare(a, b Cycle) int {
+	return cmp.Or(cmp.Compare(len(a.Nodes), len(b.Nodes)), slices.Compare(a.Nodes, b.Nodes))
 }
 
 // Walk hands visit every cycle Enumerate would return, in canonical form,
