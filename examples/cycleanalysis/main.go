@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -58,9 +59,11 @@ func main() {
 	fmt.Printf("%-5s  %-55s  %5s  %7s  %8s\n", "len", "cycle", "cats", "density", "contrib")
 	for _, c := range cycles {
 		// Contribution: add the cycle's articles (ignoring categories, as
-		// the paper does) to L(q.k) and re-evaluate.
-		arts := append([]querygraph.NodeID{}, gt.QueryArticles...)
-		arts = append(arts, c.Articles...)
+		// the paper does) to L(q.k) and re-evaluate. L(q.k) ∪ C is a set,
+		// and the cycle holds a query article: each title enters once.
+		arts := append(slices.Clone(gt.QueryArticles), c.Articles...)
+		slices.Sort(arts)
+		arts = slices.Compact(arts)
 		after, _, err := client.Evaluate(ctx, q.Keywords, arts, q.Relevant)
 		if err != nil {
 			log.Fatal(err)

@@ -126,14 +126,22 @@ func (s *System) analyzeQueryCycles(ctx context.Context, gt *GroundTruth) ([]cyc
 		}
 		// The cycle's articles are candidates on top of the query articles,
 		// which are already in L(q.k).
-		after, _, err := s.EvaluateArticles(gt.Query.Keywords,
-			append(slices.Clone(gt.QueryArticles), mc.Articles...), relevant)
+		after, _, err := s.EvaluateArticles(gt.Query.Keywords, articleSet(gt.QueryArticles, mc.Articles), relevant)
 		if err != nil {
 			return nil, err
 		}
 		recs = append(recs, cycleRecord{mc, eval.Contribution(gt.Baseline, after)})
 	}
 	return recs, nil
+}
+
+// articleSet returns L(q.k) ∪ arts, ascending and each article once: a
+// mined cycle always holds a query article, and its title must enter the
+// expanded query once, as in the ground truth's objective.
+func articleSet(queryArts, arts []graph.NodeID) []graph.NodeID {
+	set := append(slices.Clone(queryArts), arts...)
+	slices.Sort(set)
+	return slices.Compact(set)
 }
 
 // Analyze reproduces the paper's full evaluation over the per-query ground
@@ -260,9 +268,7 @@ func (s *System) Analyze(ctx context.Context, gts []*GroundTruth, cfg AnalysisCo
 					union = append(union, r.Articles...)
 				}
 			}
-			slices.Sort(union)
-			arts := append(slices.Clone(gt.QueryArticles), slices.Compact(union)...)
-			slices.Sort(arts)
+			arts := articleSet(gt.QueryArticles, union)
 			relevant := eval.NewRelevance(gt.Query.Relevant)
 			_, ranked, err := s.EvaluateArticles(gt.Query.Keywords, arts, relevant)
 			if err != nil {

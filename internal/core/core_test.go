@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/eval"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/groundtruth"
+	"github.com/querygraph/querygraph/internal/stats"
 	"github.com/querygraph/querygraph/internal/synth"
 )
 
@@ -252,6 +256,77 @@ func TestAnalyzeProducesAllExperiments(t *testing.T) {
 	}
 	if a.TotalCycles == 0 {
 		t.Error("TotalCycles = 0")
+	}
+}
+
+// TestAnalyzeEvaluatesArticleSets is the regression test of Analyze
+// counting the query articles twice: every mined cycle holds a query
+// article, and the query a cycle is judged by is written from L(q.k) ∪ C,
+// a set, so each title enters it once. Figure 5 and Table 4's all-lengths
+// row must equal their definitions computed over sets, with Enumerate as
+// the oracle of which cycles there are.
+func TestAnalyzeEvaluatesArticleSets(t *testing.T) {
+	s, w := testSystem(t)
+	ctx := context.Background()
+	gts, err := s.BuildAllGroundTruths(ctx, QueriesFromWorld(w)[:6], gtConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Analyze(ctx, gts, AnalysisConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(gt *GroundTruth, arts []graph.NodeID) []graph.NodeID {
+		all := append(slices.Clone(gt.QueryArticles), arts...)
+		slices.Sort(all)
+		return slices.Compact(all)
+	}
+	contrib := map[int][]float64{}
+	precision := map[int][]float64{} // Table 4's "2 & 3 & 4 & 5", per rank
+	for _, gt := range gts {
+		sub, relevant := gt.Graph.Sub, eval.NewRelevance(gt.Query.Relevant)
+		cs, err := cycles.Enumerate(sub.Graph, seedsIn(sub, gt.QueryArticles), 5, graph.ExcludeRedirects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var union []graph.NodeID
+		for _, c := range cs {
+			var arts []graph.NodeID
+			for _, n := range cycles.AppendArticles(nil, sub.Graph, c) {
+				arts = append(arts, sub.ToParent[n])
+			}
+			union = append(union, arts...)
+			after, _, err := s.EvaluateArticles(gt.Query.Keywords, set(gt, arts), relevant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			contrib[c.Len()] = append(contrib[c.Len()], eval.Contribution(gt.Baseline, after))
+		}
+		_, ranked, err := s.EvaluateArticles(gt.Query.Keywords, set(gt, union), relevant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range eval.DefaultRanks {
+			p, err := eval.PrecisionAtR(ranked, relevant, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			precision[r] = append(precision[r], p)
+		}
+	}
+	if len(contrib) == 0 {
+		t.Fatal("no query graph has a cycle: the test would pass on any Analyze")
+	}
+	for l, vs := range contrib {
+		if got, want := a.Fig5[l], stats.Mean(vs); math.Abs(got-want) > 1e-9 {
+			t.Errorf("Fig5[%d] = %.4f, want %.4f", l, got, want)
+		}
+	}
+	all := a.Table4[len(a.Table4)-1]
+	for r, vs := range precision {
+		if got, want := all.PrecisionAt[r], stats.Mean(vs); math.Abs(got-want) > 1e-9 {
+			t.Errorf("Table4[%s] P@%d = %.4f, want %.4f", all.Config.Label, r, got, want)
+		}
 	}
 }
 
