@@ -159,7 +159,11 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth) ([]Cycle, erro
 		return nil, err
 	}
 	defer g.release()
-	snap, sub := g.sys().Snapshot, gt.Graph.Sub
+	sub, err := querySubgraph(gt)
+	if err != nil {
+		return nil, err
+	}
+	snap := g.sys().Snapshot
 	var mined []core.MinedCycle
 	for mc, err := range core.MineCycles(ctx, sub, gt.QueryArticles) {
 		if err != nil {
@@ -189,8 +193,20 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth) ([]Cycle, erro
 // WriteQueryGraphDOT renders a ground truth's query graph G(q) in Graphviz
 // DOT format with article titles as labels.
 func (c *Client) WriteQueryGraphDOT(w io.Writer, gt *GroundTruth, name string) error {
-	sub := gt.Graph.Sub
+	sub, err := querySubgraph(gt)
+	if err != nil {
+		return err
+	}
 	snap := c.view().sys().Snapshot
 	label := func(n NodeID) string { return snap.Name(sub.ToParent[n]) }
 	return sub.Graph.WriteDOT(w, name, label)
+}
+
+// querySubgraph returns the subgraph of gt's query graph G(q); a ground
+// truth without one, nil included, is an ErrInvalidQuery.
+func querySubgraph(gt *GroundTruth) (*graph.Subgraph, error) {
+	if gt == nil || gt.Graph == nil {
+		return nil, fmt.Errorf("%w: ground truth has no query graph", ErrInvalidQuery)
+	}
+	return gt.Graph.Sub, nil
 }

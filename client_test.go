@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -141,13 +142,29 @@ func TestPreCancelledContext(t *testing.T) {
 func TestSearchInvalidQuery(t *testing.T) {
 	c := client(t)
 	ctx := context.Background()
-	for _, bad := range []string{"#combine(unclosed", "#1(", ""} {
-		if _, err := c.Search(ctx, bad, 5); !errors.Is(err, ErrInvalidQuery) {
-			t.Errorf("Search(%q): err = %v, want ErrInvalidQuery", bad, err)
-		}
+	search := func(q string) func() error {
+		return func() error { _, err := c.Search(ctx, q, 5); return err }
 	}
-	if _, err := c.SearchAll(ctx, []string{"fine", "#combine("}, 5, BatchOptions{}); !errors.Is(err, ErrInvalidQuery) {
-		t.Errorf("SearchAll with one bad query: err = %v, want ErrInvalidQuery", err)
+	for _, call := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Search unclosed #combine", search("#combine(unclosed")},
+		{"Search unclosed #1", search("#1(")},
+		{"Search empty", search("")},
+		{"SearchAll with one bad query", func() error {
+			_, err := c.SearchAll(ctx, []string{"fine", "#combine("}, 5, BatchOptions{})
+			return err
+		}},
+		// A ground truth without a query graph is no query to mine or draw.
+		{"MineCycles nil ground truth", func() error { _, err := c.MineCycles(ctx, nil); return err }},
+		{"MineCycles empty ground truth", func() error { _, err := c.MineCycles(ctx, &GroundTruth{}); return err }},
+		{"WriteQueryGraphDOT nil ground truth", func() error { return c.WriteQueryGraphDOT(io.Discard, nil, "q") }},
+		{"WriteQueryGraphDOT empty ground truth", func() error { return c.WriteQueryGraphDOT(io.Discard, &GroundTruth{}, "q") }},
+	} {
+		if err := call.run(); !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s: err = %v, want ErrInvalidQuery", call.name, err)
+		}
 	}
 }
 

@@ -19,7 +19,9 @@ var (
 	ErrInvalidOptions = errors.New("querygraph: invalid options")
 
 	// ErrInvalidQuery wraps query-text parse failures (unbalanced
-	// #combine/#1 operators, empty query).
+	// #combine/#1 operators, empty query) and query inputs a call cannot
+	// run on: an expansion naming an article the graph does not have, a
+	// ground truth without a query graph.
 	ErrInvalidQuery = errors.New("querygraph: invalid query")
 
 	// ErrNoBenchmark is returned by benchmark-driven calls (Analyze,

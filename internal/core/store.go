@@ -50,11 +50,16 @@ func (s *System) Archive(queries []Query) *store.Archive {
 // so startup cost is dominated by reading the bytes (BenchmarkLoadSystem
 // vs BenchmarkRebuildSystem). The snapshot's engine configuration — mu,
 // keyword-term inclusion, analyzer steps — is restored first and opts
-// apply on top, so WithExpandCache and friends compose; note that
-// WithAnalyzer only changes query-side analysis (the stored index keeps
-// the terms it was built with) and will normally break score parity.
-// The saved query benchmark is returned alongside (empty when none was
-// saved).
+// apply on top, so WithExpandCache and friends compose. The saved query
+// benchmark is returned alongside (empty when none was saved).
+func LoadSystem(r io.Reader, opts ...SystemOption) (*System, []Query, error) {
+	arch, err := store.Read(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return SystemFromArchive(arch, opts...)
+}
+
 // LoadSystemFile is LoadSystem over a snapshot file path — the one-liner
 // every -load flag (qbench, qgraph, the examples) goes through.
 func LoadSystemFile(path string, opts ...SystemOption) (*System, []Query, error) {
@@ -66,21 +71,12 @@ func LoadSystemFile(path string, opts ...SystemOption) (*System, []Query, error)
 	return LoadSystem(f, opts...)
 }
 
-func LoadSystem(r io.Reader, opts ...SystemOption) (*System, []Query, error) {
-	arch, err := store.Read(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SystemFromArchive(arch, opts...)
-}
-
 // SystemFromArchive assembles a serving System around an already decoded
 // archive — the assembly half of LoadSystem, split out so the sharded
 // runtime (internal/shard) can inspect the archive's partition identity
 // before wrapping each shard in its own System.
 func SystemFromArchive(arch *store.Archive, opts ...SystemOption) (*System, []Query, error) {
 	cfg := systemConfig{
-		analyzer:            text.NewAnalyzer(arch.RemoveStopwords, arch.Stem),
 		mu:                  arch.Mu,
 		includeKeywordTerms: arch.IncludeKeywordTerms,
 		expandCacheSize:     DefaultExpandCacheSize,
@@ -88,7 +84,8 @@ func SystemFromArchive(arch *store.Archive, opts ...SystemOption) (*System, []Qu
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	engine, err := search.NewEngine(arch.Index, cfg.analyzer, search.WithMu(cfg.mu))
+	an := text.NewAnalyzer(arch.RemoveStopwords, arch.Stem)
+	engine, err := search.NewEngine(arch.Index, an, search.WithMu(cfg.mu))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
@@ -104,7 +101,7 @@ func SystemFromArchive(arch *store.Archive, opts ...SystemOption) (*System, []Qu
 		Collection:          arch.Collection,
 		Engine:              engine,
 		Linker:              linking.New(arch.Snapshot),
-		analyzer:            cfg.analyzer,
+		analyzer:            an,
 		includeKeywordTerms: cfg.includeKeywordTerms,
 		expandCache:         newExpandCache(cfg.expandCacheSize),
 	}, queries, nil

@@ -56,7 +56,6 @@ type System struct {
 type SystemOption func(*systemConfig)
 
 type systemConfig struct {
-	analyzer            *text.Analyzer
 	mu                  float64
 	includeKeywordTerms bool
 	expandCacheSize     int
@@ -65,12 +64,6 @@ type systemConfig struct {
 // DefaultExpandCacheSize is the expansion cache capacity NewSystem uses
 // unless WithExpandCache overrides it.
 const DefaultExpandCacheSize = 1024
-
-// WithAnalyzer overrides the text analysis chain (default: stopword removal
-// plus Porter stemming, applied consistently to documents and queries).
-func WithAnalyzer(an *text.Analyzer) SystemOption {
-	return func(c *systemConfig) { c.analyzer = an }
-}
 
 // WithMu overrides the engine's Dirichlet smoothing parameter.
 func WithMu(mu float64) SystemOption {
@@ -100,16 +93,14 @@ func NewSystem(snap *wiki.Snapshot, coll *corpus.Collection, opts ...SystemOptio
 	if coll == nil {
 		return nil, fmt.Errorf("core: nil collection")
 	}
-	cfg := systemConfig{
-		analyzer:        text.NewAnalyzer(true, true),
-		mu:              search.DefaultMu,
-		expandCacheSize: DefaultExpandCacheSize,
-	}
+	cfg := systemConfig{mu: search.DefaultMu, expandCacheSize: DefaultExpandCacheSize}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	ix := search.IndexCollection(coll, cfg.analyzer)
-	engine, err := search.NewEngine(ix, cfg.analyzer, search.WithMu(cfg.mu))
+	// Stopword removal plus Porter stemming, for documents and queries alike.
+	an := text.NewAnalyzer(true, true)
+	ix := search.IndexCollection(coll, an)
+	engine, err := search.NewEngine(ix, an, search.WithMu(cfg.mu))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -118,7 +109,7 @@ func NewSystem(snap *wiki.Snapshot, coll *corpus.Collection, opts ...SystemOptio
 		Collection:          coll,
 		Engine:              engine,
 		Linker:              linking.New(snap),
-		analyzer:            cfg.analyzer,
+		analyzer:            an,
 		includeKeywordTerms: cfg.includeKeywordTerms,
 		expandCache:         newExpandCache(cfg.expandCacheSize),
 	}, nil
