@@ -37,7 +37,10 @@
 // which deterministically produces a Wikipedia-shaped knowledge base, an
 // ImageCLEF-shaped collection and a query benchmark from one seed. Beyond
 // the Backend surface, a Client carries the research pipeline
-// (Analyze, GroundTruth(s), CompareExpanders, MineCycles, Evaluate):
+// (Analyze, GroundTruth(s), CompareExpanders, MineCycles, Evaluate).
+// Analyze and MineCycles keep the paper's settings, cycles of 2 to 5
+// edges and Figure 9 in 10 density bins, and take no option for them;
+// MineCycles returns its cycles by length, then node sequence:
 //
 //	batch, err := client.ExpandAll(ctx, keywords, querygraph.BatchOptions{})
 //	analysis, err := client.Analyze(ctx, querygraph.AnalyzeOptions{})
