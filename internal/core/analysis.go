@@ -124,8 +124,6 @@ func (s *System) analyzeQueryCycles(ctx context.Context, gt *GroundTruth) ([]cyc
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d cycles: %w", gt.Query.ID, err)
 		}
-		// The cycle's articles are candidates on top of the query articles,
-		// which are already in L(q.k).
 		after, _, err := s.EvaluateArticles(gt.Query.Keywords, articleSet(gt.QueryArticles, mc.Articles), relevant)
 		if err != nil {
 			return nil, err

@@ -187,7 +187,10 @@ func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
 // Compare orders cycles by length, then by node sequence: the order
 // Enumerate returns them in.
 func Compare(a, b Cycle) int {
-	return cmp.Or(cmp.Compare(len(a.Nodes), len(b.Nodes)), slices.Compare(a.Nodes, b.Nodes))
+	if c := cmp.Compare(len(a.Nodes), len(b.Nodes)); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Nodes, b.Nodes)
 }
 
 // Walk hands visit every cycle Enumerate would return, in canonical form,
