@@ -285,7 +285,7 @@ func TestAnalyzeEvaluatesArticleSets(t *testing.T) {
 	precision := map[int][]float64{} // Table 4's "2 & 3 & 4 & 5", per rank
 	for _, gt := range gts {
 		sub, relevant := gt.Graph.Sub, eval.NewRelevance(gt.Query.Relevant)
-		cs, err := cycles.Enumerate(sub.Graph, seedsIn(sub, gt.QueryArticles), 5, graph.ExcludeRedirects)
+		cs, err := cycles.Enumerate(sub.Graph, positions(sub.ToParent, gt.QueryArticles), 5, graph.ExcludeRedirects)
 		if err != nil {
 			t.Fatal(err)
 		}

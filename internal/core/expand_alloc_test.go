@@ -27,3 +27,27 @@ func TestExpandUntracedAllocatesNothingForSpans(t *testing.T) {
 		t.Errorf("untraced expand allocates %v per op, want the linker's %v plus the Expansion", expand, link)
 	}
 }
+
+// TestExpandColdAllocations pins what a cold expansion allocates beyond
+// the linker's own work: the ball, the miner's seeds, the Expansion and its
+// features, the ranking's map and slice — 18 allocations for every query of
+// the test world that mines more than a few cycles — but no induced
+// subgraph and nothing per mined cycle, since the miner reads the ball
+// straight from the graph into pooled storage and measures each cycle
+// along its path.
+func TestExpandColdAllocations(t *testing.T) {
+	const bound = 20
+	s, w := testSystem(t)
+	ctx, opts := context.Background(), DefaultExpanderOptions()
+	for _, q := range w.Queries {
+		link := testing.AllocsPerRun(50, func() { s.LinkKeywords(q.Keywords) })
+		expand := testing.AllocsPerRun(50, func() {
+			if _, err := s.expand(ctx, q.Keywords, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if expand-link > bound {
+			t.Errorf("cold expand of %q allocates %v per op, the linker %v of them: more than %d beyond the linker's", q.Keywords, expand, link, bound)
+		}
+	}
+}

@@ -148,14 +148,15 @@ type MinedCycle struct {
 	Articles []graph.NodeID
 }
 
-// seedsIn returns the query articles (parent-graph ids) that lie inside
-// sub, as its ids — never nil, which the miner reads as "every cycle":
-// with no query article inside sub there is no cycle through one.
-func seedsIn(sub *graph.Subgraph, queryArticles []graph.NodeID) []graph.NodeID {
-	seeds := []graph.NodeID{}
+// positions returns where the query articles stand in nodes, an
+// ascending list of graph ids, as seeds of a miner built on that list —
+// never nil, which the miner reads as "every cycle": with no query article
+// in the list there is no cycle through one.
+func positions(nodes, queryArticles []graph.NodeID) []graph.NodeID {
+	seeds := make([]graph.NodeID, 0, len(queryArticles))
 	for _, qa := range queryArticles {
-		if sid, ok := sub.ToSub[qa]; ok {
-			seeds = append(seeds, sid)
+		if i, ok := slices.BinarySearch(nodes, qa); ok {
+			seeds = append(seeds, graph.NodeID(i))
 		}
 	}
 	return seeds
@@ -164,34 +165,19 @@ func seedsIn(sub *graph.Subgraph, queryArticles []graph.NodeID) []graph.NodeID {
 // errStopped ends a walk whose consumer stopped listening.
 var errStopped = errors.New("core: cycle walk stopped")
 
-// mine walks the cycles of sub, up to maxLen edges, that pass through one
-// of the query articles (parent-graph ids; those outside sub are ignored),
-// and hands each to visit, measured, as the walk closes it — the one mining
-// loop behind both Expand and MineCycles. Redirect edges never take part: a
-// redirect cannot close a cycle. The cycle's nodes are the miner's again
-// when visit returns. The walk polls ctx, and an error from visit or ctx
-// ends it and is returned.
-func mine(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID, maxLen int, visit func(cycles.Cycle, cycles.Metrics) error) error {
-	miner := cycles.NewMiner(sub.Graph, graph.ExcludeRedirects)
-	defer miner.Release()
-	miner.Poll = ctx.Err
-	return miner.Walk(seedsIn(sub, queryArticles), maxLen, func(c cycles.Cycle) error {
-		m, err := miner.Measure(c)
-		if err != nil {
-			return err
-		}
-		return visit(c, m)
-	})
-}
-
 // MineCycles yields the cycles of sub, up to analysisMaxLen edges, that
 // pass through one of the query articles (parent-graph ids; those outside
 // sub are ignored), each measured and the caller's to keep, in walk order:
-// deterministic, but a caller that wants a stated order sorts. A failure —
+// deterministic, but a caller that wants a stated order sorts. Redirect
+// edges never take part: a redirect cannot close a cycle. A failure —
 // ctx.Err() when ctx ends mid-walk — is yielded once, as the last pair.
 func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID) iter.Seq2[MinedCycle, error] {
 	return func(yield func(MinedCycle, error) bool) {
-		err := mine(ctx, sub, queryArticles, analysisMaxLen, func(c cycles.Cycle, m cycles.Metrics) error {
+		miner := cycles.NewMiner(sub.Graph, nil, graph.ExcludeRedirects)
+		defer miner.Release()
+		miner.Poll = ctx.Err
+		err := miner.Walk(positions(sub.ToParent, queryArticles), analysisMaxLen, func(m cycles.Metrics) error {
+			c := miner.Cycle()
 			n := len(c.Nodes)
 			buf := append(make([]graph.NodeID, 0, 2*n), c.Nodes...) // the nodes, then the articles
 			buf = cycles.AppendArticles(buf, sub.Graph, c)
@@ -210,8 +196,9 @@ func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.
 }
 
 // accepted holds the cycles of one expansion that passed the filters:
-// their nodes (subgraph ids, canonical form) back to back, and one record
-// per cycle under its length. Pooled: an expansion accepts hundreds.
+// their nodes (graph ids, in the miner's canonical order, which graph ids
+// keep because the miner's ids ascend with them) back to back, and one
+// record per cycle under its length. Pooled: an expansion accepts hundreds.
 type accepted struct {
 	nodes []graph.NodeID
 	byLen [cycles.MaxSupportedLength + 1][]acceptedCycle
@@ -299,20 +286,26 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	if err := phase("expand.ball"); err != nil {
 		return nil, err
 	}
-	sub := g.Induce(nodes)
+	// The miner reads the subgraph the ball induces straight from g: its
+	// node i is nodes[i].
+	slices.Sort(nodes)
+	miner := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
+	defer miner.Release()
 	if err := phase("expand.induce"); err != nil {
 		return nil, err
 	}
 
 	// Mine: each cycle through a query article is filtered as the walk
-	// closes it, and only the accepted ones are kept, by length.
+	// closes it, on the Metrics the walk kept along its path, and only the
+	// accepted ones are kept, by length.
 	acc := acceptedPool.Get().(*accepted)
 	defer acceptedPool.Put(acc)
 	acc.nodes = acc.nodes[:0]
 	for i := range acc.byLen {
 		acc.byLen[i] = acc.byLen[i][:0]
 	}
-	err := mine(ctx, sub, queryArts, opts.MaxCycleLen, func(c cycles.Cycle, m cycles.Metrics) error {
+	miner.Poll = ctx.Err
+	err := miner.Walk(positions(nodes, queryArts), opts.MaxCycleLen, func(m cycles.Metrics) error {
 		exp.CyclesConsidered++
 		switch {
 		case m.Length == 2:
@@ -326,7 +319,9 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		}
 		exp.CyclesAccepted++
 		acc.byLen[m.Length] = append(acc.byLen[m.Length], acceptedCycle{len(acc.nodes), m.ExtraEdgeDensity, m.CategoryRatio})
-		acc.nodes = append(acc.nodes, c.Nodes...)
+		for _, v := range miner.Cycle().Nodes {
+			acc.nodes = append(acc.nodes, nodes[v])
+		}
 		return nil
 	})
 	if err != nil {
@@ -355,17 +350,16 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		})
 		for i := 0; i < len(acc.byLen[length]) && wanted(); i++ {
 			k := acc.byLen[length][i]
-			for _, n := range cycles.AppendArticles(arts[:0], sub.Graph, cycles.Cycle{Nodes: nodesOf(k)}) {
-				parent := sub.ToParent[n]
-				if slices.Contains(queryArts, parent) {
+			for _, n := range cycles.AppendArticles(arts[:0], g, cycles.Cycle{Nodes: nodesOf(k)}) {
+				if slices.Contains(queryArts, n) {
 					continue // asked for, not proposed
 				}
-				if frequency[parent]++; frequency[parent] > 1 {
+				if frequency[n]++; frequency[n] > 1 {
 					continue // proposed already
 				}
 				ordered = append(ordered, Feature{
-					Node:          parent,
-					Title:         s.Snapshot.Name(parent),
+					Node:          n,
+					Title:         s.Snapshot.Name(n),
 					CycleLen:      length,
 					Density:       k.density,
 					CategoryRatio: k.ratio,

@@ -50,21 +50,32 @@ func (c Cycle) Contains(n graph.NodeID) bool {
 	return false
 }
 
-// Miner is the undirected view of one graph under one edge filter that
-// cycle mining works on, built once per graph: every node's neighbours,
-// sorted and deduplicated, in one slab for the walk, and — when the graph
-// is small enough — EdgesBetween of every pair in a dense table, so that
-// measuring a 5-cycle is ten loads instead of ten adjacency scans. Get one
-// from NewMiner and Release it after use; a Miner serves one goroutine.
+// Miner is the undirected view, under one edge filter, of the subgraph a
+// node list induces in a graph — the whole graph when the list is nil —
+// that cycle mining works on, built once per request straight from the
+// graph's adjacency: every node's neighbours, sorted and deduplicated, in
+// one slab for the walk, each node's kind, and — when the view is small
+// enough — EdgesBetween of every pair in a dense table. Its node ids are
+// positions in the list. Get one from NewMiner and Release it after use; a
+// Miner serves one goroutine.
 type Miner struct {
-	g       *graph.Graph
+	g *graph.Graph
+	// nodes are the graph ids of the Miner's nodes, ascending; nil when
+	// they are all of g's, under their own ids.
+	nodes   []graph.NodeID
 	exclude func(graph.EdgeKind) bool
+	kind    []graph.NodeKind
 	// The neighbours of node i are nbr[off[i]:off[i+1]].
 	off []int32
 	nbr []graph.NodeID
-	// pairs[a*n+b] is EdgesBetween(a, b), saturating; nil for a graph of
+	// pairs[a*n+b] is EdgesBetween(a, b), saturating; nil for a view of
 	// more than maxTableNodes nodes, which falls back to the scans.
 	pairs []uint8
+	// index[p] is one more than the position of graph node p while
+	// NewMiner reads the list's adjacency, and 0 otherwise: NewMiner sets
+	// it for the listed nodes and clears it for them again, so a build
+	// pays for the nodes it lists, never for the size of g.
+	index []uint32
 	// Poll, when set, is asked once per pollEvery cycles found whether the
 	// walk may go on (a request sets it to its ctx.Err); the error it
 	// returns ends Walk and Enumerate, which return it.
@@ -73,15 +84,20 @@ type Miner struct {
 	// State of one Walk: dist is the distance from the current seed of the
 	// nodes in reached — but blocked for those the walk may not enter (the
 	// ones on the path, and seeds whose cycles are all found) — and far
-	// everywhere else; found counts the cycles handed to visit, and err is
-	// what visit or Poll said, once one says stop.
+	// everywhere else; arts[k] and edges[k] count the articles among
+	// path[:k] and the capped edges between them; found counts the cycles
+	// handed to visit, and err is what visit or Poll said, once one says
+	// stop.
 	maxLen  int
 	err     error
-	visit   func(Cycle) error
+	visit   func(Metrics) error
 	found   int
+	seeds   []graph.NodeID
 	dist    []uint8
 	reached []graph.NodeID
 	path    []graph.NodeID
+	arts    [MaxSupportedLength + 1]int
+	edges   [MaxSupportedLength + 1]int
 	canon   [MaxSupportedLength]graph.NodeID
 }
 
@@ -99,12 +115,26 @@ const far, blocked = math.MaxUint8, math.MaxUint8 - 1
 
 var minerPool = sync.Pool{New: func() any { return new(Miner) }}
 
-// NewMiner builds the mining view of g (edges filtered by exclude; nil
-// keeps all kinds).
-func NewMiner(g *graph.Graph, exclude func(graph.EdgeKind) bool) *Miner {
+// NewMiner builds the mining view of the subgraph of g that nodes induce
+// (edges filtered by exclude; nil keeps all kinds): node i of the view is
+// nodes[i], and its edges are those of g between listed nodes. nodes must
+// be ascending ids of g without repeats — then the view is, id for id,
+// g.Induce(nodes) — and a nil list stands for every node of g.
+func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind) bool) *Miner {
 	m := minerPool.Get().(*Miner)
-	n := g.NumNodes()
-	m.g, m.exclude = g, exclude
+	m.g, m.nodes, m.exclude = g, nodes, exclude
+	n := len(nodes)
+	if nodes == nil {
+		n = g.NumNodes()
+	} else {
+		if len(m.index) < g.NumNodes() {
+			m.index = make([]uint32, g.NumNodes())
+		}
+		for i, p := range nodes {
+			m.index[p] = uint32(i) + 1
+		}
+	}
+	m.kind = m.kind[:0]
 	m.off, m.nbr = append(m.off[:0], 0), m.nbr[:0]
 	if n <= maxTableNodes {
 		m.pairs = slices.Grow(m.pairs[:0], n*n)[:n*n]
@@ -113,17 +143,11 @@ func NewMiner(g *graph.Graph, exclude func(graph.EdgeKind) bool) *Miner {
 		m.pairs = nil
 	}
 	for i := 0; i < n; i++ {
+		p := m.parent(graph.NodeID(i))
+		m.kind = append(m.kind, g.Kind(p))
 		start := len(m.nbr)
-		for _, a := range g.Out(graph.NodeID(i)) {
-			if exclude == nil || !exclude(a.Kind) {
-				m.nbr = append(m.nbr, a.To)
-			}
-		}
-		for _, a := range g.In(graph.NodeID(i)) {
-			if exclude == nil || !exclude(a.Kind) {
-				m.nbr = append(m.nbr, a.To)
-			}
-		}
+		m.appendNeighbours(g.Out(p))
+		m.appendNeighbours(g.In(p))
 		// Every edge between i and b, in either direction, put b in the run
 		// once: its multiplicity is EdgesBetween(i, b).
 		run := m.nbr[start:]
@@ -138,13 +162,38 @@ func NewMiner(g *graph.Graph, exclude func(graph.EdgeKind) bool) *Miner {
 		m.nbr = m.nbr[:start+len(slices.Compact(run))]
 		m.off = append(m.off, int32(len(m.nbr)))
 	}
+	for _, p := range nodes {
+		m.index[p] = 0
+	}
 	return m
+}
+
+// appendNeighbours appends to nbr the view's id of every arc's far end the
+// filter keeps and the view holds.
+func (m *Miner) appendNeighbours(arcs []graph.Arc) {
+	for _, a := range arcs {
+		switch {
+		case m.exclude != nil && m.exclude(a.Kind):
+		case m.nodes == nil:
+			m.nbr = append(m.nbr, a.To)
+		case m.index[a.To] != 0:
+			m.nbr = append(m.nbr, graph.NodeID(m.index[a.To]-1))
+		}
+	}
+}
+
+// parent is the id in g of the view's node v.
+func (m *Miner) parent(v graph.NodeID) graph.NodeID {
+	if m.nodes == nil {
+		return v
+	}
+	return m.nodes[v]
 }
 
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.g, m.exclude, m.Poll, m.visit = nil, nil, nil, nil
+	m.g, m.nodes, m.exclude, m.Poll, m.visit = nil, nil, nil, nil, nil
 	minerPool.Put(m)
 }
 
@@ -157,18 +206,18 @@ func (m *Miner) Release() {
 // Cycles are returned in deterministic order (by length, then
 // lexicographic node sequence).
 func Enumerate(g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(graph.EdgeKind) bool) ([]Cycle, error) {
-	m := NewMiner(g, exclude)
+	m := NewMiner(g, nil, exclude)
 	defer m.Release()
 	return m.Enumerate(seeds, maxLen)
 }
 
-// Enumerate is the package's Enumerate on the Miner's graph and filter:
-// Walk, collect the cycles back to back in one slab, order.
+// Enumerate is the package's Enumerate on the Miner's view: Walk, collect
+// the cycles back to back in one slab, order.
 func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
 	var flat []graph.NodeID
 	var ends []int
-	err := m.Walk(seeds, maxLen, func(c Cycle) error {
-		flat = append(flat, c.Nodes...)
+	err := m.Walk(seeds, maxLen, func(Metrics) error {
+		flat = append(flat, m.Cycle().Nodes...)
 		ends = append(ends, len(flat))
 		return nil
 	})
@@ -193,9 +242,10 @@ func Compare(a, b Cycle) int {
 	return slices.Compare(a.Nodes, b.Nodes)
 }
 
-// Walk hands visit every cycle Enumerate would return, in canonical form,
-// each once and as it closes — in no stated order, and in a slice that is
-// the Miner's again when visit returns. An error from visit ends the walk
+// Walk hands visit the Metrics of every cycle Enumerate would return, each
+// once and as it closes, in no stated order; a visitor that keeps the
+// cycle asks Cycle for its nodes. The Metrics are Measure's, kept up along
+// the path rather than taken per cycle. An error from visit ends the walk
 // like one from Poll, and Walk returns it.
 //
 // The walk is anchored at the seeds: in ascending order, a depth-first
@@ -203,37 +253,41 @@ func Compare(a, b Cycle) int {
 // removed from the graph, so a cycle is found from its smallest seed and
 // from no other. With no seed filter every node is a seed, and the search
 // from s is the search for the cycles whose smallest node is s.
-func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Cycle) error) error {
+func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error) error {
 	if maxLen < 2 {
 		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
 	}
 	if maxLen > MaxSupportedLength {
 		return fmt.Errorf("cycles: maxLen %d exceeds supported maximum %d", maxLen, MaxSupportedLength)
 	}
-	n := m.g.NumNodes()
+	n := len(m.kind)
+	m.seeds = m.seeds[:0]
 	if seeds == nil {
-		seeds = make([]graph.NodeID, n)
-		for i := range seeds {
-			seeds[i] = graph.NodeID(i)
+		for i := 0; i < n; i++ {
+			m.seeds = append(m.seeds, graph.NodeID(i))
 		}
 	} else {
 		for _, s := range seeds {
-			if !m.g.Valid(s) {
+			if int(s) >= n {
 				return fmt.Errorf("cycles: unknown seed node %d", s)
 			}
 		}
-		seeds = slices.Clone(seeds)
-		slices.Sort(seeds)
+		m.seeds = append(m.seeds, seeds...)
+		slices.Sort(m.seeds)
 	}
 	m.maxLen, m.err, m.visit, m.found = maxLen, nil, visit, 0
 	m.dist = slices.Grow(m.dist[:0], n)[:n]
 	for i := range m.dist {
 		m.dist[i] = far
 	}
-	for _, s := range seeds {
+	for _, s := range m.seeds {
 		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
 			m.reach(s)
 			m.path = append(m.path[:0], s)
+			m.arts[1], m.edges[1] = 0, 0
+			if m.kind[s] == graph.Article {
+				m.arts[1] = 1
+			}
 			m.dfs(s, 0)
 			for _, v := range m.reached[1:] { // s leads it, and stays blocked
 				m.dist[v] = far
@@ -271,7 +325,8 @@ func (m *Miner) reach(s graph.NodeID) {
 // through every neighbour of cur that is not blocked and can still get back
 // to the seed with the nodes maxLen leaves. Two nodes close a cycle when
 // they share two edges (Figure 4a); of the two directions a longer cycle
-// can be walked in, the one with path[1] < path[last] is kept.
+// can be walked in, the one with path[1] < path[last] is kept, so a node
+// that could only close the path the other way round is not entered.
 func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	k := len(m.path)
 	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.edgesBetween(m.path[0], cur) >= 2) {
@@ -280,8 +335,10 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	if k >= m.maxLen {
 		return // nothing below could be entered: spare the widest level its scan
 	}
+	last := k+1 == m.maxLen && k >= 2
 	for _, next := range m.nbr[m.off[cur]:m.off[cur+1]] {
-		if d := m.dist[next]; int(d) <= m.maxLen-k {
+		if d := m.dist[next]; int(d) <= m.maxLen-k && !(last && next < m.path[1]) {
+			m.extend(next)
 			m.dist[next] = blocked
 			m.path = append(m.path, next)
 			m.dfs(next, d)
@@ -291,9 +348,46 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	}
 }
 
-// record hands visit the path's cycle in canonical form: rotated so that
-// its smallest node leads, and turned so that Nodes[1] < Nodes[last].
+// extend sets the running counts of the path with v appended: the
+// articles, and the capped edges between v and every node on the path.
+func (m *Miner) extend(v graph.NodeID) {
+	k, kv := len(m.path), m.kind[v]
+	edges := m.edges[k]
+	if m.pairs != nil {
+		row := m.pairs[int(v)*len(m.kind):][:len(m.kind)]
+		for _, u := range m.path {
+			edges += min(int(row[u]), pairCapacity(m.kind[u], kv))
+		}
+	} else {
+		for _, u := range m.path {
+			edges += min(m.edgesBetween(u, v), pairCapacity(m.kind[u], kv))
+		}
+	}
+	m.edges[k+1], m.arts[k+1] = edges, m.arts[k]
+	if kv == graph.Article {
+		m.arts[k+1]++
+	}
+}
+
+// record hands visit the Metrics of the path's cycle.
 func (m *Miner) record() {
+	m.found++
+	k := len(m.path)
+	if m.err = m.visit(metrics(k, m.arts[k], m.edges[k])); m.err == nil && m.found%pollEvery == 0 && m.Poll != nil {
+		m.err = m.Poll()
+	}
+	if m.err != nil {
+		// No path may grow any more, so the walk unwinds by itself and dfs
+		// needs no stop test.
+		m.maxLen = 0
+	}
+}
+
+// Cycle returns the cycle Walk has just handed its visitor the Metrics of,
+// in canonical form — rotated so that its smallest node leads, and turned
+// so that Nodes[1] < Nodes[last] — in a slice that is the Miner's again
+// when the visitor returns. Only the visitor may call it.
+func (m *Miner) Cycle() Cycle {
 	lo := 0
 	for i, v := range m.path {
 		if v < m.path[lo] {
@@ -304,23 +398,15 @@ func (m *Miner) record() {
 	if c[1] > c[len(c)-1] {
 		slices.Reverse(c[1:])
 	}
-	m.found++
-	if m.err = m.visit(Cycle{Nodes: c}); m.err == nil && m.found%pollEvery == 0 && m.Poll != nil {
-		m.err = m.Poll()
-	}
-	if m.err != nil {
-		// No path may grow any more, so the walk unwinds by itself and dfs
-		// needs no stop test.
-		m.maxLen = 0
-	}
+	return Cycle{Nodes: c}
 }
 
-// edgesBetween is g.EdgesBetween under the Miner's filter.
+// edgesBetween is EdgesBetween of two nodes of the view under its filter.
 func (m *Miner) edgesBetween(a, b graph.NodeID) int {
 	if m.pairs != nil {
-		return int(m.pairs[int(a)*m.g.NumNodes()+int(b)])
+		return int(m.pairs[int(a)*len(m.kind)+int(b)])
 	}
-	return m.g.EdgesBetween(a, b, m.exclude)
+	return m.g.EdgesBetween(m.parent(a), m.parent(b), m.exclude)
 }
 
 // AppendArticles appends the article nodes of the cycle to dst, ascending.
@@ -359,41 +445,40 @@ type Metrics struct {
 // Measure computes the metrics of one cycle against the graph it was
 // enumerated from, using the same edge filter.
 func Measure(g *graph.Graph, c Cycle, exclude func(graph.EdgeKind) bool) (Metrics, error) {
-	return (&Miner{g: g, exclude: exclude}).Measure(c)
-}
-
-// Measure is the package's Measure on the Miner's graph and filter.
-func (m *Miner) Measure(c Cycle) (Metrics, error) {
-	g := m.g
 	if len(c.Nodes) < 2 {
 		return Metrics{}, fmt.Errorf("cycles: cycle of length %d", len(c.Nodes))
 	}
-	var met Metrics
-	met.Length = len(c.Nodes)
-	for _, n := range c.Nodes {
-		if !g.Valid(n) {
-			return Metrics{}, fmt.Errorf("cycles: unknown node %d in cycle", n)
+	articles, edges := 0, 0
+	for i, a := range c.Nodes {
+		if !g.Valid(a) {
+			return Metrics{}, fmt.Errorf("cycles: unknown node %d in cycle", a)
 		}
-		if g.Kind(n) == graph.Article {
-			met.Articles++
-		} else {
-			met.Categories++
+		if g.Kind(a) == graph.Article {
+			articles++
+		}
+		for _, b := range c.Nodes[:i] {
+			edges += min(g.EdgesBetween(a, b, exclude), pairCapacity(g.Kind(a), g.Kind(b)))
 		}
 	}
-	met.CategoryRatio = float64(met.Categories) / float64(met.Length)
+	return metrics(len(c.Nodes), articles, edges), nil
+}
 
-	for i := 0; i < len(c.Nodes); i++ {
-		for j := i + 1; j < len(c.Nodes); j++ {
-			a, b := c.Nodes[i], c.Nodes[j]
-			met.Edges += min(m.edgesBetween(a, b), pairCapacity(g.Kind(a), g.Kind(b)))
-		}
+// metrics completes the Metrics of a cycle of length nodes, articles of
+// them articles, with edges capped edges among them.
+func metrics(length, articles, edges int) Metrics {
+	a, k := articles, length-articles
+	met := Metrics{
+		Length:        length,
+		Articles:      a,
+		Categories:    k,
+		CategoryRatio: float64(k) / float64(length),
+		Edges:         edges,
+		MaxEdges:      a*(a-1) + a*k + k*(k-1)/2,
 	}
-	a, k := met.Articles, met.Categories
-	met.MaxEdges = a*(a-1) + a*k + k*(k-1)/2
-	if met.MaxEdges > met.Length {
-		met.ExtraEdgeDensity = float64(met.Edges-met.Length) / float64(met.MaxEdges-met.Length)
+	if met.MaxEdges > length {
+		met.ExtraEdgeDensity = float64(edges-length) / float64(met.MaxEdges-length)
 	}
-	return met, nil
+	return met
 }
 
 // pairCapacity is the schema maximum of countable edges between two nodes:

@@ -198,7 +198,7 @@ func checkMinerAgainstReference(t *testing.T, seed int64, g *graph.Graph, seeds 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMiner(g, exclude)
+	m := NewMiner(g, nil, exclude)
 	if n := g.NumNodes(); (m.pairs == nil) != (n > maxTableNodes) {
 		t.Fatalf("%d nodes, pair table %v", n, m.pairs != nil)
 	}
@@ -216,9 +216,13 @@ func checkMinerAgainstReference(t *testing.T, seed int64, g *graph.Graph, seeds 
 	var visited []Cycle
 	asked := 0
 	m.Poll = func() error { asked++; return nil }
-	err = m.Walk(seeds, maxLen, func(c Cycle) error {
+	err = m.Walk(seeds, maxLen, func(met Metrics) error {
+		c := m.Cycle()
 		if lo := slices.Min(c.Nodes); c.Nodes[0] != lo || len(c.Nodes) > 2 && c.Nodes[1] > c.Nodes[len(c.Nodes)-1] {
 			t.Fatalf("Walk visited %v, which is not in canonical form", c.Nodes)
+		}
+		if want := referenceMeasure(g, c, exclude); met != want {
+			t.Fatalf("Walk measured %v as %+v, want %+v", c.Nodes, met, want)
 		}
 		visited = append(visited, Cycle{Nodes: slices.Clone(c.Nodes)}) // the slice is the Miner's again after the call
 		return nil
@@ -242,9 +246,6 @@ func checkMinerAgainstReference(t *testing.T, seed int64, g *graph.Graph, seeds 
 
 	for _, c := range got {
 		want := referenceMeasure(g, c, exclude)
-		if got, err := m.Measure(c); err != nil || got != want {
-			t.Fatalf("Miner.Measure(%v) = %+v, %v, want %+v", c.Nodes, got, err, want)
-		}
 		if got, err := Measure(g, c, exclude); err != nil || got != want {
 			t.Fatalf("Measure(%v) = %+v, %v, want %+v", c.Nodes, got, err, want)
 		}
@@ -341,7 +342,7 @@ func TestEnumerateEmptySeedSet(t *testing.T) {
 // nothing had happened.
 func TestEnumeratePollStops(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 14, 4)
-	m := NewMiner(g, nil)
+	m := NewMiner(g, nil, nil)
 	defer m.Release()
 	want, err := m.Enumerate(nil, 7)
 	if err != nil || len(want) < 4*pollEvery {
@@ -363,7 +364,7 @@ func TestEnumeratePollStops(t *testing.T) {
 	// The visitor's error ends a Walk the same way: it is the last call.
 	visits := 0
 	m.Poll = nil
-	err = m.Walk(nil, 7, func(Cycle) error {
+	err = m.Walk(nil, 7, func(Metrics) error {
 		if visits++; visits == pollEvery+3 {
 			return stop
 		}
@@ -376,5 +377,106 @@ func TestEnumeratePollStops(t *testing.T) {
 	m.Poll = func() error { asked++; return nil }
 	if got, err := m.Enumerate(nil, 7); err != nil || !reflect.DeepEqual(got, want) || asked != len(want)/pollEvery {
 		t.Fatalf("after the stopped walks: %d cycles, %v, %d polls; want %d cycles and %d polls", len(got), err, asked, len(want), len(want)/pollEvery)
+	}
+}
+
+// TestMinerOnNodeListMatchesInduced holds the Miner NewMiner builds from a
+// node list to the one it builds from the subgraph the list induces: on
+// random graphs with redirect and parallel edges, and a category pair
+// nested inside each other both ways — a 2-cycle, which the two-edge test
+// finds only by reading raw multiplicities, not capped ones — seeded and
+// unseeded walks over subsets on both sides of maxTableNodes find exactly
+// Enumerate's cycles of g.Induce(nodes), position for subgraph id, and
+// each cycle's Metrics are Measure's on that subgraph.
+func TestMinerOnNodeListMatchesInduced(t *testing.T) {
+	total, beyond, nested := 0, 0, 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, size := 4+rng.Intn(60), 0
+		if seed%8 == 0 { // a subset just below or just above the table's bound
+			n = maxTableNodes + 120
+			size = maxTableNodes - 40 + rng.Intn(120)
+		}
+		g := randomGraph(rng, n, 1+3*rng.Float64())
+		c1, c2 := g.AddNode(graph.Category), g.AddNode(graph.Category)
+		a1, a2 := g.AddNode(graph.Article), g.AddNode(graph.Article)
+		for _, e := range []graph.Edge{
+			{From: c1, To: c2, Kind: graph.Inside}, {From: c2, To: c1, Kind: graph.Inside},
+			{From: a1, To: a2, Kind: graph.Link}, {From: a1, To: a2, Kind: graph.Redirect},
+			{From: a2, To: c1, Kind: graph.Belongs}, {From: a1, To: c2, Kind: graph.Belongs},
+			{From: a1, To: graph.NodeID(rng.Intn(n)), Kind: graph.Redirect},
+			{From: graph.NodeID(rng.Intn(n)), To: a2, Kind: graph.Link},
+		} {
+			_ = g.AddEdge(e.From, e.To, e.Kind) // a repeat of a random edge is rejected, fine
+		}
+		if size == 0 {
+			size = rng.Intn(g.NumNodes() + 1)
+		}
+		nodes := rng.Perm(g.NumNodes())[:size]
+		if rng.Intn(2) == 0 {
+			nodes = append(nodes, int(c1), int(c2))
+		}
+		list := make([]graph.NodeID, 0, len(nodes))
+		for _, v := range nodes {
+			list = append(list, graph.NodeID(v))
+		}
+		slices.Sort(list)
+		list = slices.Compact(list)
+		sub := g.Induce(list)
+		if !slices.Equal(sub.ToParent, list) {
+			t.Fatalf("seed %d: Induce numbered %v, not in list order %v", seed, sub.ToParent, list)
+		}
+		exclude := randomFilter(rng)
+		maxLen := 2 + rng.Intn(5)
+		seeds := randomSeeds(rng, max(1, len(list)), 5)
+		if len(list) == 0 {
+			seeds = nil
+		}
+
+		m := NewMiner(g, list, exclude)
+		if (m.pairs == nil) != (len(list) > maxTableNodes) {
+			t.Fatalf("seed %d: %d nodes, pair table %v", seed, len(list), m.pairs != nil)
+		}
+		for _, seeds := range [][]graph.NodeID{seeds, nil} {
+			want, err := Enumerate(sub.Graph, seeds, maxLen, exclude)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Cycle
+			err = m.Walk(seeds, maxLen, func(met Metrics) error {
+				c := Cycle{Nodes: slices.Clone(m.Cycle().Nodes)}
+				if wantMet, err := Measure(sub.Graph, c, exclude); err != nil || met != wantMet {
+					t.Fatalf("seed %d: cycle %v measured %+v, want %+v (%v)", seed, c.Nodes, met, wantMet, err)
+				}
+				if total++; m.pairs == nil {
+					beyond++
+				}
+				got = append(got, c)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(got, Compare)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (%d of %d nodes, seeds %v, maxLen %d): walked %v, want %v", seed, len(list), g.NumNodes(), seeds, maxLen, got, want)
+			}
+			p1, in1 := slices.BinarySearch(list, c1)
+			p2, in2 := slices.BinarySearch(list, c2)
+			if seeds == nil && in1 && in2 {
+				if nested++; !slices.ContainsFunc(got, func(c Cycle) bool {
+					return slices.Equal(c.Nodes, []graph.NodeID{graph.NodeID(p1), graph.NodeID(p2)})
+				}) {
+					t.Fatalf("seed %d: the categories nested both ways, %d and %d, are no 2-cycle in %v", seed, p1, p2, got)
+				}
+			}
+		}
+		m.Release()
+	}
+	if t.Logf("%d cycles compared, %d of them beyond the pair table", total, beyond); total < 10000 || beyond < 1000 {
+		t.Errorf("the graphs are too sparse to test anything")
+	}
+	if nested == 0 {
+		t.Error("no walk met the categories nested both ways")
 	}
 }
