@@ -22,9 +22,11 @@ import (
 // measure each by adjacency scans, filter, sort them all by rank, select.
 //
 // The proof chain has two links. System.expand equals referenceExpand
-// (TestExpandMatchesReference), which shares with it Induce and — through
-// cycles.Enumerate(sub, nil, …) — the miner's walk, but neither the seeds,
-// nor the visitor, the pair table, the buckets or the early stop. And
+// (TestExpandMatchesReference), which shares with it — through
+// cycles.Enumerate(sub, nil, …) — the miner's walk, but neither the view
+// read straight from the graph (the reference mines the subgraph Induce
+// built), nor the seeds, the Metrics kept along the path (the reference
+// calls cycles.Measure), the visitor, the buckets or the early stop. And
 // cycles.Enumerate equals cycles' own referenceEnumerate
 // (TestEnumerateMatchesReference there), which shares no code with the
 // miner. BFSDistances and the package-level Measure are each tested against

@@ -52,12 +52,12 @@ func (c Cycle) Contains(n graph.NodeID) bool {
 
 // Miner is the undirected view, under one edge filter, of the subgraph a
 // node list induces in a graph — the whole graph when the list is nil —
-// that cycle mining works on, built once per request straight from the
-// graph's adjacency: every node's neighbours, sorted and deduplicated, in
-// one slab for the walk, each node's kind, and — when the view is small
-// enough — EdgesBetween of every pair in a dense table. Its node ids are
-// positions in the list. Get one from NewMiner and Release it after use; a
-// Miner serves one goroutine.
+// that cycle mining works on, built once straight from the graph's
+// adjacency, with no subgraph in between: every node's neighbours, sorted
+// and deduplicated, in one slab for the walk, each node's kind, and — when
+// the view is small enough — EdgesBetween of every pair in a dense table.
+// Its node ids are positions in the list. Get one from NewMiner and
+// Release it after use; a Miner serves one goroutine.
 type Miner struct {
 	g *graph.Graph
 	// nodes are the graph ids of the Miner's nodes, ascending; nil when
@@ -134,52 +134,79 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 			m.index[p] = uint32(i) + 1
 		}
 	}
-	m.kind = m.kind[:0]
-	m.off, m.nbr = append(m.off[:0], 0), m.nbr[:0]
 	if n <= maxTableNodes {
 		m.pairs = slices.Grow(m.pairs[:0], n*n)[:n*n]
 		clear(m.pairs)
 	} else {
 		m.pairs = nil
 	}
+	// The rows of the view's adjacency, from the out-arcs alone: each edge
+	// between two listed nodes is met once, from its source, and puts each
+	// end in the other's row. off[i+2] first counts row i; summed, off[i+1]
+	// is where row i starts, and filling the row moves it to where it ends.
+	m.kind = m.kind[:0]
+	m.off = slices.Grow(m.off[:0], n+2)[:n+2]
+	clear(m.off)
 	for i := 0; i < n; i++ {
 		p := m.parent(graph.NodeID(i))
 		m.kind = append(m.kind, g.Kind(p))
-		start := len(m.nbr)
-		m.appendNeighbours(g.Out(p))
-		m.appendNeighbours(g.In(p))
-		// Every edge between i and b, in either direction, put b in the run
-		// once: its multiplicity is EdgesBetween(i, b).
-		run := m.nbr[start:]
-		slices.Sort(run)
+		for _, a := range g.Out(p) {
+			if j, ok := m.target(a); ok {
+				m.off[i+2]++
+				m.off[j+2]++
+			}
+		}
+	}
+	for i := 2; i < len(m.off); i++ {
+		m.off[i] += m.off[i-1]
+	}
+	m.nbr = slices.Grow(m.nbr[:0], int(m.off[n+1]))[:m.off[n+1]]
+	for i := 0; i < n; i++ {
+		for _, a := range g.Out(m.parent(graph.NodeID(i))) {
+			if j, ok := m.target(a); ok {
+				m.nbr[m.off[i+1]], m.nbr[m.off[j+1]] = j, graph.NodeID(i)
+				m.off[i+1]++
+				m.off[j+1]++
+			}
+		}
+	}
+	m.off = m.off[:n+1]
+	// Every edge between i and b put b in row i once: sorted, the row
+	// holds b EdgesBetween(i, b) times. Deduplicated, the rows move down
+	// the slab.
+	start, end := int32(0), int32(0)
+	for i := 0; i < n; i++ {
+		row := m.nbr[start:m.off[i+1]]
+		start = m.off[i+1]
+		slices.Sort(row)
 		if m.pairs != nil {
-			for _, b := range run {
+			for _, b := range row {
 				if c := &m.pairs[i*n+int(b)]; *c < math.MaxUint8 {
 					*c++
 				}
 			}
 		}
-		m.nbr = m.nbr[:start+len(slices.Compact(run))]
-		m.off = append(m.off, int32(len(m.nbr)))
+		end += int32(copy(m.nbr[end:], slices.Compact(row)))
+		m.off[i+1] = end
 	}
+	m.nbr = m.nbr[:end]
 	for _, p := range nodes {
 		m.index[p] = 0
 	}
 	return m
 }
 
-// appendNeighbours appends to nbr the view's id of every arc's far end the
-// filter keeps and the view holds.
-func (m *Miner) appendNeighbours(arcs []graph.Arc) {
-	for _, a := range arcs {
-		switch {
-		case m.exclude != nil && m.exclude(a.Kind):
-		case m.nodes == nil:
-			m.nbr = append(m.nbr, a.To)
-		case m.index[a.To] != 0:
-			m.nbr = append(m.nbr, graph.NodeID(m.index[a.To]-1))
-		}
+// target is the view's id of the arc's far end, when the filter keeps the
+// arc and the view holds that end.
+func (m *Miner) target(a graph.Arc) (graph.NodeID, bool) {
+	switch {
+	case m.exclude != nil && m.exclude(a.Kind):
+		return 0, false
+	case m.nodes == nil:
+		return a.To, true
 	}
+	j := m.index[a.To]
+	return graph.NodeID(j - 1), j != 0
 }
 
 // parent is the id in g of the view's node v.
