@@ -49,9 +49,10 @@ step "go test"
 go test -shuffle=on ./...
 
 # One iteration each, so the benchmarks the postings walk, the Remote
-# scatter and the batch layer are judged by cannot rot.
-step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkHTTPBatch (-benchtime 1x)"
-go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch)$' -benchtime 1x .
+# scatter, the batch layer and the cold expansion pipeline are judged by
+# cannot rot.
+step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkExpandCold, BenchmarkHTTPBatch (-benchtime 1x)"
+go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold)$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkHTTPBatch$' -benchtime 1x ./cmd/qserve
 
 # CI's race job runs the whole module; here, the packages whose locking a
