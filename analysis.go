@@ -151,21 +151,21 @@ type Cycle struct {
 
 // MineCycles mines the cycles of a ground truth's query graph, up to the
 // paper's 5 edges, that contain a query article, and measures each one.
-// They come ordered by length, then by node sequence. A done ctx returns
-// ctx.Err() before any work.
+// They come ordered by length, then by node sequence. G(q) and its titles
+// are read from the snapshot the ground truth was built on, whichever
+// Client is asked. A done ctx returns ctx.Err() before any work.
 func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth) ([]Cycle, error) {
-	g, err := c.pin(ctx)
+	pinned, err := c.pin(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer g.release()
-	sub, err := querySubgraph(gt)
-	if err != nil {
+	defer pinned.release()
+	if err := checkQueryGraph(gt); err != nil {
 		return nil, err
 	}
-	snap := g.sys().Snapshot
+	snap := gt.Graph.Snap
 	var mined []core.MinedCycle
-	for mc, err := range core.MineCycles(ctx, sub, gt.QueryArticles) {
+	for mc, err := range core.MineCycles(ctx, snap.Graph(), gt.Graph.Nodes, gt.QueryArticles) {
 		if err != nil {
 			return nil, fmt.Errorf("querygraph: mine cycles: %w", err)
 		}
@@ -183,30 +183,29 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth) ([]Cycle, erro
 			ExtraEdgeDensity: mc.Metrics.ExtraEdgeDensity,
 		}
 		for j, n := range mc.Cycle.Nodes {
-			out[i].Titles[j] = snap.Name(sub.ToParent[n])
-			out[i].IsCategory[j] = sub.Kind(n) == graph.Category
+			out[i].Titles[j] = snap.Name(n)
+			out[i].IsCategory[j] = snap.Graph().Kind(n) == graph.Category
 		}
 	}
 	return out, nil
 }
 
 // WriteQueryGraphDOT renders a ground truth's query graph G(q) in Graphviz
-// DOT format with article titles as labels.
+// DOT format with article titles as labels, both read from the snapshot
+// the ground truth was built on.
 func (c *Client) WriteQueryGraphDOT(w io.Writer, gt *GroundTruth, name string) error {
-	sub, err := querySubgraph(gt)
-	if err != nil {
+	if err := checkQueryGraph(gt); err != nil {
 		return err
 	}
-	snap := c.view().sys().Snapshot
-	label := func(n NodeID) string { return snap.Name(sub.ToParent[n]) }
-	return sub.Graph.WriteDOT(w, name, label)
+	snap := gt.Graph.Snap
+	return snap.Graph().WriteDOT(w, name, gt.Graph.Nodes, snap.Name)
 }
 
-// querySubgraph returns the subgraph of gt's query graph G(q); a ground
-// truth without one, nil included, is an ErrInvalidQuery.
-func querySubgraph(gt *GroundTruth) (*graph.Subgraph, error) {
+// checkQueryGraph rejects a ground truth without a query graph, nil
+// included, as an ErrInvalidQuery.
+func checkQueryGraph(gt *GroundTruth) error {
 	if gt == nil || gt.Graph == nil {
-		return nil, fmt.Errorf("%w: ground truth has no query graph", ErrInvalidQuery)
+		return fmt.Errorf("%w: ground truth has no query graph", ErrInvalidQuery)
 	}
-	return gt.Graph.Sub, nil
+	return nil
 }

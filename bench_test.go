@@ -814,7 +814,7 @@ func BenchmarkCycleEnumeration(b *testing.B) {
 			biggest = gt
 		}
 	}
-	sub := biggest.Graph.Sub
+	sub := e.system.Snapshot.Graph().Induce(biggest.Graph.Nodes)
 	var seeds []graph.NodeID
 	for _, qa := range biggest.QueryArticles {
 		if sid, ok := sub.ToSub[qa]; ok {

@@ -451,6 +451,59 @@ func TestGroundTruthAndCycles(t *testing.T) {
 	}
 }
 
+// TestQueryGraphOfAnotherWorld is the regression test of MineCycles and
+// WriteQueryGraphDOT naming G(q)'s nodes from the Client asked instead of
+// from the snapshot the ground truth was built on: a ground truth of the
+// default world, handed to a Client of a smaller one, came back with the
+// smaller world's names, or blank ones where it has no such node.
+func TestQueryGraphOfAnotherWorld(t *testing.T) {
+	ctx := context.Background()
+	build := func(cfg WorldConfig) *Client {
+		w, err := GenerateWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Build(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	own := build(DefaultWorldConfig())
+	small := DefaultWorldConfig()
+	small.Topics = 3
+	other := build(small)
+	gt, err := own.GroundTruth(ctx, own.Queries()[0], GroundTruthOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := own.MineCycles(ctx, gt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || want[0].Titles[0] == "" {
+		t.Fatalf("the ground truth's own Client mines %+v: the test would pass on any MineCycles", want)
+	}
+	got, err := other.MineCycles(ctx, gt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("MineCycles on another world's Client:\n got %+v\nwant %+v", got, want)
+	}
+	var gotDOT, wantDOT bytes.Buffer
+	if err := own.WriteQueryGraphDOT(&wantDOT, gt, "q"); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.WriteQueryGraphDOT(&gotDOT, gt, "q"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotDOT.Bytes(), wantDOT.Bytes()) {
+		t.Errorf("WriteQueryGraphDOT on another world's Client:\n%s\nwant\n%s", gotDOT.Bytes(), wantDOT.Bytes())
+	}
+}
+
 // TestMineCyclesOrder pins what MineCycles returns, element by element:
 // the oracle's cycles of the query graph through a query article — the
 // sorted cycles.Enumerate, each measured by cycles.Measure.
@@ -464,7 +517,7 @@ func TestMineCyclesOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub := gt.Graph.Sub
+		sub := snap.Graph().Induce(gt.Graph.Nodes)
 		seeds := []graph.NodeID{}
 		for _, qa := range gt.QueryArticles {
 			if sid, ok := sub.ToSub[qa]; ok {

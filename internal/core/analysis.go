@@ -120,7 +120,7 @@ type cycleRecord struct {
 func (s *System) analyzeQueryCycles(ctx context.Context, gt *GroundTruth) ([]cycleRecord, error) {
 	relevant := eval.NewRelevance(gt.Query.Relevant)
 	var recs []cycleRecord
-	for mc, err := range MineCycles(ctx, gt.Graph.Sub, gt.QueryArticles) {
+	for mc, err := range MineCycles(ctx, gt.Graph.Snap.Graph(), gt.Graph.Nodes, gt.QueryArticles) {
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d cycles: %w", gt.Query.ID, err)
 		}

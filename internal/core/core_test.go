@@ -284,7 +284,7 @@ func TestAnalyzeEvaluatesArticleSets(t *testing.T) {
 	contrib := map[int][]float64{}
 	precision := map[int][]float64{} // Table 4's "2 & 3 & 4 & 5", per rank
 	for _, gt := range gts {
-		sub, relevant := gt.Graph.Sub, eval.NewRelevance(gt.Query.Relevant)
+		sub, relevant := s.Snapshot.Graph().Induce(gt.Graph.Nodes), eval.NewRelevance(gt.Query.Relevant)
 		cs, err := cycles.Enumerate(sub.Graph, positions(sub.ToParent, gt.QueryArticles), 5, graph.ExcludeRedirects)
 		if err != nil {
 			t.Fatal(err)

@@ -140,11 +140,11 @@ func (e *Expansion) Query(s *System) (search.Node, bool, error) {
 // measurements taken on it — the unit both the offline analysis and the
 // online expander reason about.
 type MinedCycle struct {
-	// Cycle holds the cycle's nodes as ids of the subgraph it was mined in.
+	// Cycle holds the cycle's nodes as ids of the parent graph.
 	Cycle   cycles.Cycle
 	Metrics cycles.Metrics
-	// Articles are the cycle's article nodes as ids of the parent graph,
-	// in ascending subgraph order: the expansion features it proposes.
+	// Articles are the cycle's article nodes, ascending: the expansion
+	// features it proposes.
 	Articles []graph.NodeID
 }
 
@@ -165,25 +165,26 @@ func positions(nodes, queryArticles []graph.NodeID) []graph.NodeID {
 // errStopped ends a walk whose consumer stopped listening.
 var errStopped = errors.New("core: cycle walk stopped")
 
-// MineCycles yields the cycles of sub, up to analysisMaxLen edges, that
-// pass through one of the query articles (parent-graph ids; those outside
-// sub are ignored), each measured and the caller's to keep, in walk order:
-// deterministic, but a caller that wants a stated order sorts. Redirect
-// edges never take part: a redirect cannot close a cycle. A failure —
-// ctx.Err() when ctx ends mid-walk — is yielded once, as the last pair.
-func MineCycles(ctx context.Context, sub *graph.Subgraph, queryArticles []graph.NodeID) iter.Seq2[MinedCycle, error] {
+// MineCycles yields the cycles of the subgraph of g that nodes (ascending
+// ids of g) induce, up to analysisMaxLen edges, that pass through one of
+// the query articles (those outside nodes are ignored), each measured and
+// the caller's to keep, in walk order: deterministic, but a caller that
+// wants a stated order sorts. Redirect edges never take part: a redirect
+// cannot close a cycle. A failure — ctx.Err() when ctx ends mid-walk — is
+// yielded once, as the last pair.
+func MineCycles(ctx context.Context, g *graph.Graph, nodes, queryArticles []graph.NodeID) iter.Seq2[MinedCycle, error] {
 	return func(yield func(MinedCycle, error) bool) {
-		miner := cycles.NewMiner(sub.Graph, nil, graph.ExcludeRedirects)
+		miner := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
 		defer miner.Release()
 		miner.Poll = ctx.Err
-		err := miner.Walk(positions(sub.ToParent, queryArticles), analysisMaxLen, func(m cycles.Metrics) error {
+		err := miner.Walk(positions(nodes, queryArticles), analysisMaxLen, func(m cycles.Metrics) error {
 			c := miner.Cycle()
 			n := len(c.Nodes)
-			buf := append(make([]graph.NodeID, 0, 2*n), c.Nodes...) // the nodes, then the articles
-			buf = cycles.AppendArticles(buf, sub.Graph, c)
-			for j := n; j < len(buf); j++ {
-				buf[j] = sub.ToParent[buf[j]]
+			buf := make([]graph.NodeID, n, 2*n) // the nodes, then the articles
+			for j, v := range c.Nodes {
+				buf[j] = nodes[v]
 			}
+			buf = cycles.AppendArticles(buf, g, cycles.Cycle{Nodes: buf[:n]})
 			if !yield(MinedCycle{Cycle: cycles.Cycle{Nodes: buf[:n:n]}, Metrics: m, Articles: buf[n:]}, nil) {
 				return errStopped
 			}

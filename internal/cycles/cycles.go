@@ -52,12 +52,12 @@ func (c Cycle) Contains(n graph.NodeID) bool {
 
 // Miner is the undirected view, under one edge filter, of the subgraph a
 // node list induces in a graph — the whole graph when the list is nil —
-// that cycle mining works on, built once straight from the graph's
-// adjacency, with no subgraph in between: every node's neighbours, sorted
-// and deduplicated, in one slab for the walk, each node's kind, and — when
-// the view is small enough — EdgesBetween of every pair in a dense table.
-// Its node ids are positions in the list. Get one from NewMiner and
-// Release it after use; a Miner serves one goroutine.
+// that cycle mining and the query-graph analysis read, built once straight
+// from the graph's adjacency, with no subgraph in between: every node's
+// neighbours, sorted and deduplicated, in one slab for the walk, each
+// node's kind, and — when the view is small enough — EdgesBetween of every
+// pair in a dense table. Its node ids are positions in the list. Get one
+// from NewMiner and Release it after use; a Miner serves one goroutine.
 type Miner struct {
 	g *graph.Graph
 	// nodes are the graph ids of the Miner's nodes, ascending; nil when
@@ -217,6 +217,16 @@ func (m *Miner) parent(v graph.NodeID) graph.NodeID {
 	return m.nodes[v]
 }
 
+// Len is the number of nodes of the view.
+func (m *Miner) Len() int { return len(m.kind) }
+
+// Kind is the kind of the view's node v.
+func (m *Miner) Kind(v graph.NodeID) graph.NodeKind { return m.kind[v] }
+
+// Neighbors returns the view's neighbours of v, ascending, in a slice that
+// is the Miner's.
+func (m *Miner) Neighbors(v graph.NodeID) []graph.NodeID { return m.nbr[m.off[v]:m.off[v+1]] }
+
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
@@ -227,8 +237,9 @@ func (m *Miner) Release() {
 // Enumerate returns every cycle of length 2..maxLen in the undirected view
 // of g (edges filtered by exclude; nil keeps all kinds) that contains at
 // least one seed node. A nil seed set disables the seed filter and returns
-// every cycle — the analysis always passes L(q.k), but the generic form is
-// useful for whole-graph statistics.
+// every cycle. Production code walks a Miner instead; Enumerate, the
+// Miner's Enumerate and Measure are the tests' oracles and what bench/'s
+// replay of a cold expansion times.
 //
 // Cycles are returned in deterministic order (by length, then
 // lexicographic node sequence).
@@ -337,7 +348,7 @@ func (m *Miner) reach(s graph.NodeID) {
 		if int(d) > m.maxLen/2 {
 			break // reached is in order of distance
 		}
-		for _, w := range m.nbr[m.off[v]:m.off[v+1]] {
+		for _, w := range m.Neighbors(v) {
 			if m.dist[w] == far {
 				m.dist[w] = d
 				m.reached = append(m.reached, w)
@@ -363,7 +374,7 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 		return // nothing below could be entered: spare the widest level its scan
 	}
 	last := k+1 == m.maxLen && k >= 2
-	for _, next := range m.nbr[m.off[cur]:m.off[cur+1]] {
+	for _, next := range m.Neighbors(cur) {
 		if d := m.dist[next]; int(d) <= m.maxLen-k && !(last && next < m.path[1]) {
 			m.extend(next)
 			m.dist[next] = blocked

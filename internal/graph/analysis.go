@@ -3,102 +3,8 @@ package graph
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
-
-// Components computes the connected components of the undirected view of g,
-// considering only edges whose kind passes the filter (nil keeps all). The
-// result is sorted by size descending, ties broken by smallest member ID, and
-// each component's node list is ascending.
-func (g *Graph) Components(exclude func(EdgeKind) bool) [][]NodeID {
-	n := g.NumNodes()
-	visited := make([]bool, n)
-	var comps [][]NodeID
-	queue := make([]NodeID, 0, 64)
-	for start := 0; start < n; start++ {
-		if visited[start] {
-			continue
-		}
-		visited[start] = true
-		queue = append(queue[:0], NodeID(start))
-		comp := []NodeID{NodeID(start)}
-		for len(queue) > 0 {
-			cur := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, nb := range g.Neighbors(cur, exclude) {
-				if !visited[nb] {
-					visited[nb] = true
-					queue = append(queue, nb)
-					comp = append(comp, nb)
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i]) != len(comps[j]) {
-			return len(comps[i]) > len(comps[j])
-		}
-		return comps[i][0] < comps[j][0]
-	})
-	return comps
-}
-
-// LargestComponent returns the largest connected component under the filter,
-// or nil for an empty graph.
-func (g *Graph) LargestComponent(exclude func(EdgeKind) bool) []NodeID {
-	comps := g.Components(exclude)
-	if len(comps) == 0 {
-		return nil
-	}
-	return comps[0]
-}
-
-// TriangleParticipation returns the fraction of the given nodes that belong
-// to at least one triangle in the undirected view restricted to those nodes.
-// The paper reports a TPR of roughly 0.3 for the largest connected component
-// of the query graphs. An empty node set yields 0.
-func (g *Graph) TriangleParticipation(nodes []NodeID, exclude func(EdgeKind) bool) float64 {
-	if len(nodes) == 0 {
-		return 0
-	}
-	inSet := make(map[NodeID]struct{}, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = struct{}{}
-	}
-	// Restricted adjacency sets.
-	adj := make(map[NodeID]map[NodeID]struct{}, len(nodes))
-	for _, n := range nodes {
-		set := make(map[NodeID]struct{})
-		for _, nb := range g.Neighbors(n, exclude) {
-			if _, ok := inSet[nb]; ok {
-				set[nb] = struct{}{}
-			}
-		}
-		adj[n] = set
-	}
-	inTriangle := make(map[NodeID]struct{})
-	for _, u := range nodes {
-		for v := range adj[u] {
-			if v <= u {
-				continue
-			}
-			for w := range adj[v] {
-				if w <= v {
-					continue
-				}
-				if _, ok := adj[u][w]; ok {
-					inTriangle[u] = struct{}{}
-					inTriangle[v] = struct{}{}
-					inTriangle[w] = struct{}{}
-				}
-			}
-		}
-	}
-	return float64(len(inTriangle)) / float64(len(nodes))
-}
 
 // walkScratch is the dense state of one level-order walk. stamp[n] == epoch
 // marks n as reached by the current walk, so a walk pays for the nodes it
@@ -184,8 +90,9 @@ func (g *Graph) ball(w *walkScratch, sources []NodeID, radius, maxNodes int, exc
 // BFSDistances returns the undirected hop distance from each of the sources
 // to every reachable node under the filter. Unreachable nodes are absent
 // from the map. Multiple sources give the multi-source distance (minimum
-// over sources), which the analysis uses to measure how far expansion
-// features sit from the query articles.
+// over sources). Only the tests, as an oracle, and bench/'s replay of a
+// cold expansion call it: the analysis measures G(q)'s distances inside
+// G(q), on a cycles.Miner view.
 func (g *Graph) BFSDistances(sources []NodeID, exclude func(EdgeKind) bool) map[NodeID]int {
 	w := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(w)
@@ -200,7 +107,10 @@ func (g *Graph) BFSDistances(sources []NodeID, exclude func(EdgeKind) bool) map[
 }
 
 // Subgraph is an induced subgraph together with the node mappings between
-// the parent graph and the subgraph.
+// the parent graph and the subgraph. No production code builds one: the
+// miner and the analysis read a node list's subgraph through a
+// cycles.Miner, and Induce is the tests' oracle for that view and the
+// subgraph bench/'s replay times.
 type Subgraph struct {
 	*Graph
 	// ToSub maps parent IDs to subgraph IDs.

@@ -1,7 +1,10 @@
 // Package graph implements the typed directed multigraph underlying the
-// Wikipedia model and every structural analysis in the paper: connected
-// components, triangle participation, induced subgraphs, BFS distances and
-// the undirected adjacency views the cycle miner works on.
+// Wikipedia model and every structural analysis in the paper: typed
+// adjacency, the bounded level-order walk (Ball) the expander's
+// neighbourhood comes from, and the DOT rendering of a node list's induced
+// subgraph. Components, triangles and cycles are measured on the
+// undirected view package cycles builds over a node list; Induce and
+// BFSDistances remain as the tests' oracles and for bench/'s replay.
 //
 // Nodes carry a NodeKind (article or category) and edges an EdgeKind (link,
 // belongs, inside, redirect), mirroring the paper's Figure 1 schema. The

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -134,64 +135,6 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g, ids := buildDiamond(t)
-	comps := g.Components(nil)
-	// Redirect connects r to the main component: {a0,a1,r,c0,c1}, {a2}.
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2: %v", len(comps), comps)
-	}
-	if len(comps[0]) != 5 || len(comps[1]) != 1 {
-		t.Errorf("component sizes = %d,%d want 5,1", len(comps[0]), len(comps[1]))
-	}
-	if comps[1][0] != ids[2] {
-		t.Errorf("singleton should be a2, got %v", comps[1])
-	}
-	// Excluding redirects detaches r.
-	comps = g.Components(ExcludeRedirects)
-	if len(comps) != 3 {
-		t.Fatalf("got %d components without redirects, want 3", len(comps))
-	}
-	if lc := g.LargestComponent(ExcludeRedirects); len(lc) != 4 {
-		t.Errorf("largest component = %v, want 4 nodes", lc)
-	}
-	empty := New(0)
-	if lc := empty.LargestComponent(nil); lc != nil {
-		t.Errorf("empty graph largest component = %v, want nil", lc)
-	}
-}
-
-func TestTriangleParticipation(t *testing.T) {
-	g := New(5)
-	a := g.AddNode(Article)
-	b := g.AddNode(Article)
-	c := g.AddNode(Category)
-	d := g.AddNode(Article)
-	// Triangle a-b-c (link + two belongs), d hangs off a.
-	mustEdge(t, g, a, b, Link)
-	mustEdge(t, g, a, c, Belongs)
-	mustEdge(t, g, b, c, Belongs)
-	mustEdge(t, g, a, d, Link)
-	nodes := []NodeID{a, b, c, d}
-	if tpr := g.TriangleParticipation(nodes, nil); tpr != 0.75 {
-		t.Errorf("TPR = %g, want 0.75", tpr)
-	}
-	if tpr := g.TriangleParticipation(nil, nil); tpr != 0 {
-		t.Errorf("TPR(empty) = %g, want 0", tpr)
-	}
-	// Restricting the node set to a,b,d has no triangle.
-	if tpr := g.TriangleParticipation([]NodeID{a, b, d}, nil); tpr != 0 {
-		t.Errorf("TPR(no triangle subset) = %g, want 0", tpr)
-	}
-}
-
-func mustEdge(t *testing.T, g *Graph, from, to NodeID, kind EdgeKind) {
-	t.Helper()
-	if err := g.AddEdge(from, to, kind); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBFSDistances(t *testing.T) {
 	g, ids := buildDiamond(t)
 	dist := g.BFSDistances([]NodeID{ids[0]}, ExcludeRedirects)
@@ -244,7 +187,7 @@ func TestInduce(t *testing.T) {
 func TestWriteDOT(t *testing.T) {
 	g, _ := buildDiamond(t)
 	var sb strings.Builder
-	if err := g.WriteDOT(&sb, "q", nil); err != nil {
+	if err := g.WriteDOT(&sb, "q", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -254,11 +197,38 @@ func TestWriteDOT(t *testing.T) {
 		}
 	}
 	var sb2 strings.Builder
-	if err := g.WriteDOT(&sb2, "q", func(n NodeID) string { return "X" }); err != nil {
+	if err := g.WriteDOT(&sb2, "q", nil, func(n NodeID) string { return "X" }); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb2.String(), `label="X"`) {
 		t.Error("custom label not used")
+	}
+}
+
+// TestWriteDOTMatchesInduced checks the rendering of a node list against
+// that of the subgraph Induce builds from it, line for line.
+func TestWriteDOTMatchesInduced(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		g := randomGraph(seed, 40)
+		rng := rand.New(rand.NewSource(seed))
+		nodes := []NodeID{} // nil would render all of g
+		for n := range g.NumNodes() {
+			if rng.Intn(2) == 0 {
+				nodes = append(nodes, NodeID(n))
+			}
+		}
+		label := func(n NodeID) string { return fmt.Sprintf("p%d", n) }
+		sub := g.Induce(nodes)
+		var got, want strings.Builder
+		if err := g.WriteDOT(&got, "s", nodes, label); err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.WriteDOT(&want, "s", nil, func(n NodeID) string { return label(sub.ToParent[n]) }); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("seed %d: WriteDOT(%v) =\n%s\nwant\n%s", seed, nodes, got.String(), want.String())
+		}
 	}
 }
 
@@ -284,62 +254,6 @@ func randomGraph(seed int64, maxNodes int) *Graph {
 	return g
 }
 
-// Property: components partition the node set exactly.
-func TestComponentsPartitionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 60)
-		comps := g.Components(nil)
-		seen := make(map[NodeID]int)
-		for _, comp := range comps {
-			for _, n := range comp {
-				seen[n]++
-			}
-		}
-		if len(seen) != g.NumNodes() {
-			return false
-		}
-		for _, c := range seen {
-			if c != 1 {
-				return false
-			}
-		}
-		// Sorted by size descending.
-		for i := 1; i < len(comps); i++ {
-			if len(comps[i]) > len(comps[i-1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: every pair of nodes in the same component is connected via
-// BFS, and nodes in different components are not.
-func TestComponentsReachabilityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 40)
-		comps := g.Components(nil)
-		for _, comp := range comps {
-			dist := g.BFSDistances(comp[:1], nil)
-			if len(dist) != len(comp) {
-				return false
-			}
-			for _, n := range comp {
-				if _, ok := dist[n]; !ok {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: induced subgraph of the full node set is isomorphic in counts.
 func TestInduceFullSetProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -350,22 +264,6 @@ func TestInduceFullSetProperty(t *testing.T) {
 		}
 		sub := g.Induce(all)
 		return sub.NumNodes() == g.NumNodes() && sub.NumEdges() == g.NumEdges()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: TPR is always within [0, 1].
-func TestTPRBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 40)
-		all := make([]NodeID, g.NumNodes())
-		for i := range all {
-			all[i] = NodeID(i)
-		}
-		tpr := g.TriangleParticipation(all, nil)
-		return tpr >= 0 && tpr <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

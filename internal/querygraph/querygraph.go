@@ -6,26 +6,34 @@
 // redirects among them, and the categories of those articles. G(q)
 // represents the query's entities, the best expansion features, and the
 // semantics the categories provide.
+//
+// A QueryGraph holds G(q) as its ascending node list. Its statistics read
+// the subgraph through the one view the expander mines too, a
+// cycles.Miner over that list: components and distances by level-order
+// walks over the Miner's rows, triangles as its cycles of length three.
 package querygraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/wiki"
 )
 
-// QueryGraph is one assembled G(q). Node sets are stored as parent
-// (snapshot) IDs; Sub holds the induced subgraph with ID mappings.
+// QueryGraph is one assembled G(q). Node sets are stored as snapshot IDs.
 type QueryGraph struct {
 	Snap *wiki.Snapshot
-	Sub  *graph.Subgraph
+	// Nodes are the nodes of G(q), ascending and never nil (an empty G(q)
+	// is an empty list, because a cycles.Miner reads nil as every node);
+	// G(q) is the subgraph they induce in Snap's graph.
+	Nodes []graph.NodeID
 	// QueryArticles is L(q.k): the articles mentioned in the query keywords
-	// (parent IDs, ascending).
+	// (ascending).
 	QueryArticles []graph.NodeID
-	// Expansion is A': the expansion-feature articles (parent IDs,
-	// ascending); disjoint from QueryArticles.
+	// Expansion is A': the expansion-feature articles (ascending); disjoint
+	// from QueryArticles.
 	Expansion []graph.NodeID
 }
 
@@ -34,53 +42,29 @@ type QueryGraph struct {
 // brings in its categories. Unknown node IDs are rejected.
 func Assemble(snap *wiki.Snapshot, queryArticles, expansion []graph.NodeID) (*QueryGraph, error) {
 	g := snap.Graph()
-	include := make(map[graph.NodeID]struct{})
-	addArticle := func(id graph.NodeID) error {
+	nodes := []graph.NodeID{}
+	for _, id := range slices.Concat(queryArticles, expansion) {
 		if !g.Valid(id) {
-			return fmt.Errorf("querygraph: unknown node %d", id)
+			return nil, fmt.Errorf("querygraph: unknown node %d", id)
 		}
 		if g.Kind(id) != graph.Article {
-			return fmt.Errorf("querygraph: node %d (%q) is a %s, want article",
+			return nil, fmt.Errorf("querygraph: node %d (%q) is a %s, want article",
 				id, snap.Name(id), g.Kind(id))
 		}
-		include[id] = struct{}{}
 		main := snap.MainOf(id)
-		include[main] = struct{}{}
-		for _, c := range snap.CategoriesOf(main) {
-			include[c] = struct{}{}
-		}
-		return nil
+		nodes = append(append(nodes, id, main), snap.CategoriesOf(main)...)
 	}
-	for _, id := range queryArticles {
-		if err := addArticle(id); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range expansion {
-		if err := addArticle(id); err != nil {
-			return nil, err
-		}
-	}
-	nodes := make([]graph.NodeID, 0, len(include))
-	for id := range include {
-		nodes = append(nodes, id)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	qa := dedupeSorted(queryArticles)
-	exp := dedupeSorted(expansion)
-	exp = subtract(exp, qa)
-
-	return &QueryGraph{
-		Snap:          snap,
-		Sub:           g.Induce(nodes),
-		QueryArticles: qa,
-		Expansion:     exp,
-	}, nil
+	slices.Sort(nodes)
+	qa := slices.Compact(slices.Sorted(slices.Values(queryArticles)))
+	exp := slices.DeleteFunc(slices.Compact(slices.Sorted(slices.Values(expansion))), func(id graph.NodeID) bool {
+		_, dup := slices.BinarySearch(qa, id)
+		return dup
+	})
+	return &QueryGraph{Snap: snap, Nodes: slices.Compact(nodes), QueryArticles: qa, Expansion: exp}, nil
 }
 
 // Size returns the number of nodes in G(q).
-func (qg *QueryGraph) Size() int { return qg.Sub.NumNodes() }
+func (qg *QueryGraph) Size() int { return len(qg.Nodes) }
 
 // ComponentStats are the per-query measurements behind the paper's Table 3,
 // all computed on the largest connected component of G(q).
@@ -108,81 +92,72 @@ type ComponentStats struct {
 	MaxExpansionDistance int
 }
 
-// LargestComponentStats measures the largest connected component. An empty
-// query graph yields zero stats.
+// LargestComponentStats measures the largest connected component, the
+// first in order of smallest node among those of the largest size. An
+// empty query graph yields zero stats.
 func (qg *QueryGraph) LargestComponentStats() ComponentStats {
 	var st ComponentStats
-	sub := qg.Sub
-	if sub.NumNodes() == 0 {
+	if len(qg.Nodes) == 0 {
 		return st
 	}
-	comp := sub.Graph.LargestComponent(nil)
+	m := cycles.NewMiner(qg.Snap.Graph(), qg.Nodes, nil)
+	defer m.Release()
+	_, comp := components(m)
 	st.Size = len(comp)
-	st.RelSize = float64(len(comp)) / float64(sub.NumNodes())
+	st.RelSize = float64(len(comp)) / float64(m.Len())
 
-	inComp := make(map[graph.NodeID]struct{}, len(comp)) // sub IDs
-	for _, n := range comp {
-		inComp[n] = struct{}{}
+	inComp := make([]bool, m.Len())
+	for _, v := range comp {
+		inComp[v] = true
 	}
-	contains := func(parent graph.NodeID) bool {
-		sid, ok := sub.ToSub[parent]
-		if !ok {
-			return false
+	// in returns the ids of the listed articles in the component, as
+	// positions in Nodes.
+	in := func(articles []graph.NodeID) []graph.NodeID {
+		var out []graph.NodeID
+		for _, a := range articles {
+			if i, ok := slices.BinarySearch(qg.Nodes, a); ok && inComp[i] {
+				out = append(out, graph.NodeID(i))
+			}
 		}
-		_, in := inComp[sid]
-		return in
+		return out
 	}
-
-	queryIn := 0
-	for _, qa := range qg.QueryArticles {
-		if contains(qa) {
-			queryIn++
-		}
-	}
+	queryIn, expIn := in(qg.QueryArticles), in(qg.Expansion)
 	if len(qg.QueryArticles) > 0 {
-		st.QueryNodeFrac = float64(queryIn) / float64(len(qg.QueryArticles))
+		st.QueryNodeFrac = float64(len(queryIn)) / float64(len(qg.QueryArticles))
+	}
+	if len(queryIn) > 0 {
+		st.ExpansionRatio = float64(len(expIn)) / float64(len(queryIn))
 	}
 
-	articles := 0
-	for _, n := range comp {
-		if sub.Kind(n) == graph.Article {
+	// A node takes part in a triangle when it is on a cycle of three.
+	onTriangle := make([]bool, m.Len())
+	_ = m.Walk(nil, 3, func(c cycles.Metrics) error { // 3 is a valid length, and visit never fails
+		if c.Length == 3 {
+			for _, v := range m.Cycle().Nodes {
+				onTriangle[v] = true
+			}
+		}
+		return nil
+	})
+	articles, triangles := 0, 0
+	for _, v := range comp {
+		if m.Kind(v) == graph.Article {
 			articles++
+		}
+		if onTriangle[v] {
+			triangles++
 		}
 	}
 	st.ArticleFrac = float64(articles) / float64(len(comp))
 	st.CategoryFrac = float64(len(comp)-articles) / float64(len(comp))
+	st.TPR = float64(triangles) / float64(len(comp))
 
-	expIn := 0
-	for _, e := range qg.Expansion {
-		if contains(e) {
-			expIn++
-		}
-	}
-	if queryIn > 0 {
-		st.ExpansionRatio = float64(expIn) / float64(queryIn)
-	}
-
-	st.TPR = sub.Graph.TriangleParticipation(comp, nil)
-
-	// Distance from query articles to expansion features inside the
-	// component, measured on the subgraph.
-	var sources []graph.NodeID
-	for _, qa := range qg.QueryArticles {
-		if sid, ok := sub.ToSub[qa]; ok {
-			if _, in := inComp[sid]; in {
-				sources = append(sources, sid)
-			}
-		}
-	}
-	if len(sources) > 0 {
-		dist := sub.Graph.BFSDistances(sources, nil)
-		for _, e := range qg.Expansion {
-			if sid, ok := sub.ToSub[e]; ok {
-				if d, reach := dist[sid]; reach && d > st.MaxExpansionDistance {
-					st.MaxExpansionDistance = d
-				}
-			}
-		}
+	// Distance from the query articles to the expansion features, measured
+	// inside G(q): the walk from the component's query articles stays in it.
+	dist := unreached(m.Len())
+	walk(m, dist, queryIn)
+	for _, e := range expIn {
+		st.MaxExpansionDistance = max(st.MaxExpansionDistance, dist[e])
 	}
 	return st
 }
@@ -191,32 +166,56 @@ func (qg *QueryGraph) LargestComponentStats() ComponentStats {
 // paper observes that query graphs are generally disconnected, with one
 // moderately large component and several trivial ones.
 func (qg *QueryGraph) NumComponents() int {
-	return len(qg.Sub.Graph.Components(nil))
+	m := cycles.NewMiner(qg.Snap.Graph(), qg.Nodes, nil)
+	defer m.Release()
+	n, _ := components(m)
+	return n
 }
 
-func dedupeSorted(ids []graph.NodeID) []graph.NodeID {
-	out := append([]graph.NodeID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dst := out[:0]
-	for i, id := range out {
-		if i == 0 || id != out[i-1] {
-			dst = append(dst, id)
+// components walks m's view one connected component at a time, in order
+// of their smallest node, and returns how many there are and the nodes of
+// the first of the largest.
+func components(m *cycles.Miner) (n int, largest []graph.NodeID) {
+	dist := unreached(m.Len())
+	for s := range m.Len() {
+		if dist[s] < 0 {
+			n++
+			if comp := walk(m, dist, []graph.NodeID{graph.NodeID(s)}); len(comp) > len(largest) {
+				largest = comp
+			}
 		}
 	}
-	return dst
+	return n, largest
 }
 
-// subtract removes members of b from sorted slice a.
-func subtract(a, b []graph.NodeID) []graph.NodeID {
-	drop := make(map[graph.NodeID]struct{}, len(b))
-	for _, id := range b {
-		drop[id] = struct{}{}
+// unreached returns n distances of -1: no node reached yet.
+func unreached(n int) []int {
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
 	}
-	out := a[:0]
-	for _, id := range a {
-		if _, skip := drop[id]; !skip {
-			out = append(out, id)
+	return dist
+}
+
+// walk is a level-order walk of m's view from the sources: it sets the
+// distance from them of every node it reaches that dist holds no distance
+// for, and returns those nodes, nearest first.
+func walk(m *cycles.Miner, dist []int, sources []graph.NodeID) []graph.NodeID {
+	var reached []graph.NodeID
+	for _, s := range sources {
+		if dist[s] < 0 {
+			dist[s] = 0
+			reached = append(reached, s)
 		}
 	}
-	return out
+	for head := 0; head < len(reached); head++ {
+		v := reached[head]
+		for _, w := range m.Neighbors(v) {
+			if dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				reached = append(reached, w)
+			}
+		}
+	}
+	return reached
 }

@@ -1,7 +1,11 @@
 package querygraph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/querygraph/querygraph/internal/graph"
@@ -86,10 +90,10 @@ func TestAssembleRedirectBringsMain(t *testing.T) {
 	if qg.Size() != 3 {
 		t.Errorf("Size = %d, want 3", qg.Size())
 	}
-	if _, ok := qg.Sub.ToSub[ids["gondola"]]; !ok {
+	if _, ok := slices.BinarySearch(qg.Nodes, ids["gondola"]); !ok {
 		t.Error("main article not included")
 	}
-	if _, ok := qg.Sub.ToSub[ids["venetia"]]; !ok {
+	if _, ok := slices.BinarySearch(qg.Nodes, ids["venetia"]); !ok {
 		t.Error("category of main not included")
 	}
 }
@@ -208,4 +212,203 @@ func TestEmptyQueryGraph(t *testing.T) {
 	if qg.NumComponents() != 0 {
 		t.Errorf("components = %d", qg.NumComponents())
 	}
+}
+
+// TestStatsMatchInduced compares LargestComponentStats and NumComponents,
+// which read G(q) through a cycles.Miner, with referenceStats on the
+// subgraph Induce builds, over random knowledge bases with reciprocal
+// links, categories nested both ways, redirects, several components and
+// ties for the largest one.
+func TestStatsMatchInduced(t *testing.T) {
+	triangles, split, tied := 0, 0, 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		snap, articles := randomKB(t, rng)
+		pick := func(max int) []graph.NodeID {
+			var ids []graph.NodeID
+			for range rng.Intn(max + 1) {
+				ids = append(ids, articles[rng.Intn(len(articles))])
+			}
+			return ids
+		}
+		qg, err := Assemble(snap, pick(3), pick(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, comps := referenceStats(qg)
+		if got, n := qg.LargestComponentStats(), qg.NumComponents(); got != want || n != len(comps) {
+			t.Fatalf("seed %d: stats %+v with %d components, want %+v with %d", seed, got, n, want, len(comps))
+		}
+		if want.TPR > 0 {
+			triangles++
+		}
+		if len(comps) > 1 {
+			split++
+			if len(comps[0]) == len(comps[1]) {
+				tied++
+			}
+		}
+	}
+	t.Logf("300 seeds: %d with TPR > 0, %d with several components, %d with a tie for the largest", triangles, split, tied)
+	if triangles == 0 || split == 0 || tied == 0 {
+		t.Fatal("the seeds miss a case the comparison is meant to cover")
+	}
+}
+
+// randomKB builds a small random knowledge base and returns it with its
+// articles, redirects included.
+func randomKB(t *testing.T, rng *rand.Rand) (*wiki.Snapshot, []graph.NodeID) {
+	t.Helper()
+	b := wiki.NewBuilder(64)
+	var cats, mains, articles []graph.NodeID
+	for i := range 1 + rng.Intn(8) {
+		c, err := b.AddCategory(fmt.Sprintf("c%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cats = append(cats, c)
+	}
+	for range rng.Intn(len(cats) + 1) {
+		_ = b.AddInside(cats[rng.Intn(len(cats))], cats[rng.Intn(len(cats))]) // a loop or repeat is rejected, fine
+	}
+	for i := range 2 + rng.Intn(16) {
+		a, err := b.AddArticle(fmt.Sprintf("a%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 1 + rng.Intn(2) {
+			_ = b.AddBelongs(a, cats[rng.Intn(len(cats))])
+		}
+		mains = append(mains, a)
+	}
+	for range rng.Intn(2 * len(mains)) {
+		from, to := mains[rng.Intn(len(mains))], mains[rng.Intn(len(mains))]
+		_ = b.AddLink(from, to)
+		if rng.Intn(3) == 0 {
+			_ = b.AddLink(to, from)
+		}
+	}
+	articles = append(articles, mains...)
+	for i := range rng.Intn(4) {
+		r, err := b.AddRedirect(fmt.Sprintf("r%d", i), mains[rng.Intn(len(mains))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		articles = append(articles, r)
+	}
+	snap, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, articles
+}
+
+// referenceStats computes LargestComponentStats and the components of G(q)
+// the way they were computed before G(q) was read through a cycles.Miner:
+// on the subgraph Induce builds, with components and triangles found
+// through map-based searches and distances from BFSDistances.
+func referenceStats(qg *QueryGraph) (ComponentStats, [][]graph.NodeID) {
+	var st ComponentStats
+	sub := qg.Snap.Graph().Induce(qg.Nodes)
+	comps := referenceComponents(sub.Graph)
+	if len(comps) == 0 {
+		return st, comps
+	}
+	comp := comps[0]
+	st.Size = len(comp)
+	st.RelSize = float64(len(comp)) / float64(sub.NumNodes())
+	inComp := make(map[graph.NodeID]bool, len(comp)) // sub IDs
+	for _, n := range comp {
+		inComp[n] = true
+	}
+	in := func(ids []graph.NodeID) []graph.NodeID { // sub IDs of those in comp
+		var out []graph.NodeID
+		for _, id := range ids {
+			if sid, ok := sub.ToSub[id]; ok && inComp[sid] {
+				out = append(out, sid)
+			}
+		}
+		return out
+	}
+	queryIn, expIn := in(qg.QueryArticles), in(qg.Expansion)
+	if len(qg.QueryArticles) > 0 {
+		st.QueryNodeFrac = float64(len(queryIn)) / float64(len(qg.QueryArticles))
+	}
+	articles := 0
+	for _, n := range comp {
+		if sub.Kind(n) == graph.Article {
+			articles++
+		}
+	}
+	st.ArticleFrac = float64(articles) / float64(len(comp))
+	st.CategoryFrac = float64(len(comp)-articles) / float64(len(comp))
+	if len(queryIn) > 0 {
+		st.ExpansionRatio = float64(len(expIn)) / float64(len(queryIn))
+	}
+	st.TPR = referenceTPR(sub.Graph, comp)
+	if len(queryIn) > 0 {
+		dist := sub.BFSDistances(queryIn, nil)
+		for _, e := range expIn {
+			if d, reach := dist[e]; reach && d > st.MaxExpansionDistance {
+				st.MaxExpansionDistance = d
+			}
+		}
+	}
+	return st, comps
+}
+
+// referenceComponents returns the connected components of g's undirected
+// view, each ascending, largest first and ties by smallest member.
+func referenceComponents(g *graph.Graph) [][]graph.NodeID {
+	seen := make(map[graph.NodeID]bool)
+	var comps [][]graph.NodeID
+	for start := range graph.NodeID(g.NumNodes()) {
+		if seen[start] {
+			continue
+		}
+		seen[start] = true
+		comp, stack := []graph.NodeID{start}, []graph.NodeID{start}
+		for len(stack) > 0 {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, nb := range g.Neighbors(cur, nil) {
+				if !seen[nb] {
+					seen[nb] = true
+					stack = append(stack, nb)
+					comp = append(comp, nb)
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	sort.SliceStable(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
+	return comps
+}
+
+// referenceTPR is the fraction of nodes that are on a triangle of the
+// undirected view of g restricted to them.
+func referenceTPR(g *graph.Graph, nodes []graph.NodeID) float64 {
+	adj := make(map[graph.NodeID]map[graph.NodeID]bool, len(nodes))
+	for _, n := range nodes {
+		adj[n] = make(map[graph.NodeID]bool)
+	}
+	for _, n := range nodes {
+		for _, nb := range g.Neighbors(n, nil) {
+			if adj[nb] != nil {
+				adj[n][nb] = true
+			}
+		}
+	}
+	on := make(map[graph.NodeID]bool)
+	for u := range adj {
+		for v := range adj[u] {
+			for w := range adj[v] {
+				if w != u && adj[u][w] {
+					on[u], on[v], on[w] = true, true, true
+				}
+			}
+		}
+	}
+	return float64(len(on)) / float64(len(nodes))
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
 	"github.com/querygraph/querygraph/internal/linking"
 )
@@ -126,10 +127,20 @@ func TestReciprocalRatioNearTarget(t *testing.T) {
 func TestCategoryGraphTriangleFree(t *testing.T) {
 	w := generate(t, smallConfig())
 	g := w.Snapshot.Graph()
-	cats := g.NodesOfKind(graph.Category)
 	onlyInside := func(k graph.EdgeKind) bool { return k != graph.Inside }
-	if tpr := g.TriangleParticipation(cats, onlyInside); tpr != 0 {
-		t.Errorf("category graph TPR = %g, want 0 (tree-like)", tpr)
+	m := cycles.NewMiner(g, g.NodesOfKind(graph.Category), onlyInside)
+	defer m.Release()
+	triangles := 0
+	if err := m.Walk(nil, 3, func(c cycles.Metrics) error {
+		if c.Length == 3 {
+			triangles++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if triangles != 0 {
+		t.Errorf("category graph has %d triangles, want 0 (tree-like)", triangles)
 	}
 }
 
