@@ -121,11 +121,11 @@ func (c *Client) Save(w io.Writer) error {
 
 // SaveShards hash-partitions the client's serving state (delta documents
 // included, like Save) into shards per-shard snapshots plus a
-// manifest.json inside dir (created if needed): the knowledge graph,
-// engine configuration and query benchmark are replicated into every
-// shard, the corpus and index are partitioned by document id, and the
-// global collection statistics are recorded in each shard so OpenPool on
-// the manifest serves bit-identical results to this client. The manifest
+// manifest.json inside dir (created if needed): the knowledge graph and
+// query benchmark are replicated into every shard, the corpus and index
+// are partitioned by document id, and the global collection statistics
+// are recorded in each shard so OpenPool on the manifest serves
+// bit-identical results to this client. The manifest
 // is written last via an atomic rename, so a concurrent Pool.Reload sees
 // either the old generation or the new one.
 func (c *Client) SaveShards(dir string, shards int) error {

@@ -3,8 +3,11 @@ package querygraph
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -60,6 +63,17 @@ func TestOpenReaderBadSnapshot(t *testing.T) {
 	_, err = OpenReader(bytes.NewReader(buf.Bytes()[:buf.Len()/2]))
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("truncated snapshot err = %v, want ErrBadSnapshot", err)
+	}
+	// So is one saved under another engine configuration: mu 1234 in the
+	// meta section, which follows the 10-byte header as tag 'M', length 11,
+	// payload, checksum.
+	other := bytes.Clone(buf.Bytes())
+	meta := other[12:23]
+	binary.LittleEndian.PutUint64(meta, math.Float64bits(1234))
+	binary.LittleEndian.PutUint32(other[23:], crc32.ChecksumIEEE(meta))
+	_, err = OpenReader(bytes.NewReader(other))
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "meta section: engine configuration") {
+		t.Fatalf("mu 1234 snapshot err = %v, want ErrBadSnapshot naming the engine configuration", err)
 	}
 }
 

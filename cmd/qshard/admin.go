@@ -10,12 +10,12 @@ import (
 )
 
 // requestHook builds the rpc.Server hook that attributes shard-side
-// work to the originating coordinator request: requests carrying a v2
+// work to the originating coordinator request: requests carrying a
 // trace ID land in the flight recorder under that ID (so one
 // coordinator trace can be joined against each shard's recorder), the
 // access log gets one line per request, and anything at or over the
-// slowlog threshold is logged at warn level. Untraced (v1 or
-// trace-id-0) requests are logged but never recorded — the recorder
+// slowlog threshold is logged at warn level. Untraced (trace-id-0)
+// requests are logged but never recorded — the recorder
 // exists for cross-process attribution, and 0 is the reserved
 // "untraced" ID.
 func requestHook(rec *trace.Recorder, logger *slog.Logger, accessLog bool, slowlogMS float64) rpc.RequestHook {

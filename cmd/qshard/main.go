@@ -24,7 +24,7 @@
 // -admin ADDR starts a private HTTP listener (mirroring qserve's)
 // serving net/http/pprof under /debug/pprof/ and the shard's flight
 // recorder at GET /v1/debug/requests — the last -trace-ring RPC
-// requests that carried a v2 trace ID, attributed to the originating
+// requests that carried a trace ID, attributed to the originating
 // coordinator request, so a slow coordinator trace can be joined
 // against the shard-side view. Keep the admin address off the public
 // network. -access-log emits one slog line per RPC and -slowlog-ms N

@@ -31,10 +31,11 @@ var (
 
 	// ErrBadManifest wraps every failure to assemble a sharded generation
 	// from a manifest: an unreadable or unparsable manifest file, a shard
-	// snapshot that fails to decode, or shards that disagree on partition
-	// identity, global statistics or engine configuration (mixed
-	// generations). OpenPool and Pool.Reload return it; a failed Reload
-	// leaves the serving generation untouched.
+	// snapshot that fails to decode (one saved under another engine
+	// configuration included), or shards that disagree on partition
+	// identity or global statistics (mixed generations). OpenPool and
+	// Pool.Reload return it; a failed Reload leaves the serving generation
+	// untouched.
 	ErrBadManifest = errors.New("querygraph: bad shard manifest")
 
 	// ErrClosed is returned by every query-path method of a Backend after
@@ -45,8 +46,8 @@ var (
 	// ErrBadTopology wraps every failure to assemble a remote coordinator
 	// from a topology file: an unreadable or unparsable file, a missing or
 	// duplicate shard slot, no addresses for a shard, an unknown policy,
-	// or shards whose handshakes disagree on partition identity or engine
-	// configuration (mixed generations). OpenTopology returns it.
+	// or shards whose handshakes disagree on partition identity or global
+	// statistics (mixed generations). OpenTopology returns it.
 	ErrBadTopology = errors.New("querygraph: bad shard topology")
 
 	// ErrShardUnavailable wraps a remote fan-out failure: a shard could

@@ -61,9 +61,6 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(w.Snapshot, nil); err == nil {
 		t.Error("nil collection should fail")
 	}
-	if _, err := NewSystem(w.Snapshot, w.Collection, WithMu(-5)); err == nil {
-		t.Error("bad mu should fail")
-	}
 }
 
 func TestLinkKeywordsFindsEntities(t *testing.T) {

@@ -1,19 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"os"
 
-	"github.com/querygraph/querygraph/internal/linking"
-	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/store"
-	"github.com/querygraph/querygraph/internal/text"
 )
 
-// Save writes the system's complete serving state — knowledge base, corpus,
-// positional index and engine configuration — plus an optional query
-// benchmark as a versioned, checksummed binary snapshot (internal/store).
+// Save writes the system's complete serving state — knowledge base, corpus
+// and positional index — plus an optional query benchmark as a versioned,
+// checksummed binary snapshot (internal/store).
 // LoadSystem on the written bytes serves bit-identical Search, Expand and
 // Analyze results without re-running world generation, relevant-text
 // extraction, entity-dictionary construction or indexing.
@@ -26,13 +22,9 @@ func (s *System) Save(w io.Writer, queries []Query) error {
 // archive shares the system's substrates; it must be treated as read-only.
 func (s *System) Archive(queries []Query) *store.Archive {
 	arch := &store.Archive{
-		Mu:                  s.Engine.Mu(),
-		IncludeKeywordTerms: s.includeKeywordTerms,
-		RemoveStopwords:     s.analyzer.RemovesStopwords(),
-		Stem:                s.analyzer.Stems(),
-		Snapshot:            s.Snapshot,
-		Collection:          s.Collection,
-		Index:               s.Engine.Index(),
+		Snapshot:   s.Snapshot,
+		Collection: s.Collection,
+		Index:      s.Engine.Index(),
 	}
 	if len(queries) > 0 {
 		arch.Queries = make([]store.Query, len(queries))
@@ -48,10 +40,10 @@ func (s *System) Archive(queries []Query) *store.Archive {
 // startup path: the graph, title dictionary, corpus and inverted index are
 // decoded directly through the substrate Load constructors, not rebuilt,
 // so startup cost is dominated by reading the bytes (BenchmarkLoadSystem
-// vs BenchmarkRebuildSystem). The snapshot's engine configuration — mu,
-// keyword-term inclusion, analyzer steps — is restored first and opts
-// apply on top, so WithExpandCache and friends compose. The saved query
-// benchmark is returned alongside (empty when none was saved).
+// vs BenchmarkRebuildSystem). The engine is NewSystem's: mu 2500 and the
+// one analyzer (store.Read refuses a snapshot saved with any other
+// configuration), with opts such as WithExpandCache applied. The saved
+// query benchmark is returned alongside (empty when none was saved).
 func LoadSystem(r io.Reader, opts ...SystemOption) (*System, []Query, error) {
 	arch, err := store.Read(r)
 	if err != nil {
@@ -76,18 +68,9 @@ func LoadSystemFile(path string, opts ...SystemOption) (*System, []Query, error)
 // runtime (internal/shard) can inspect the archive's partition identity
 // before wrapping each shard in its own System.
 func SystemFromArchive(arch *store.Archive, opts ...SystemOption) (*System, []Query, error) {
-	cfg := systemConfig{
-		mu:                  arch.Mu,
-		includeKeywordTerms: arch.IncludeKeywordTerms,
-		expandCacheSize:     DefaultExpandCacheSize,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	an := text.NewAnalyzer(arch.RemoveStopwords, arch.Stem)
-	engine, err := search.NewEngine(arch.Index, an, search.WithMu(cfg.mu))
+	s, err := assemble(arch.Snapshot, arch.Collection, arch.Index, newAnalyzer(), opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: load: %w", err)
+		return nil, nil, err
 	}
 	var queries []Query
 	if len(arch.Queries) > 0 {
@@ -96,13 +79,5 @@ func SystemFromArchive(arch *store.Archive, opts ...SystemOption) (*System, []Qu
 			queries[i] = Query(q)
 		}
 	}
-	return &System{
-		Snapshot:            arch.Snapshot,
-		Collection:          arch.Collection,
-		Engine:              engine,
-		Linker:              linking.New(arch.Snapshot),
-		analyzer:            an,
-		includeKeywordTerms: cfg.includeKeywordTerms,
-		expandCache:         newExpandCache(cfg.expandCacheSize),
-	}, queries, nil
+	return s, queries, nil
 }

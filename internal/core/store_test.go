@@ -112,15 +112,11 @@ func TestSaveLoadRoundTripIdentical(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRestoresEngineConfig proves non-default engine configuration
-// survives: mu, keyword-term inclusion and analyzer steps are encoded in
-// the meta section, and options still apply on top at load time.
+// TestSaveLoadRestoresEngineConfig proves a loaded System runs the one
+// engine configuration — mu 2500, stopword removal, stemming — and that
+// options still apply on top at load time.
 func TestSaveLoadRestoresEngineConfig(t *testing.T) {
-	_, w := testSystem(t)
-	s, err := FromWorld(w, WithMu(1234), WithKeywordTerms(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := testSystem(t)
 	var buf bytes.Buffer
 	if err := s.Save(&buf, nil); err != nil {
 		t.Fatal(err)
@@ -132,14 +128,11 @@ func TestSaveLoadRestoresEngineConfig(t *testing.T) {
 	if len(qs) != 0 {
 		t.Errorf("no queries were saved, got %d", len(qs))
 	}
-	if got := loaded.Engine.Mu(); got != 1234 {
-		t.Errorf("mu not restored: got %g", got)
-	}
-	if !loaded.includeKeywordTerms {
-		t.Error("includeKeywordTerms not restored")
+	if got := loaded.Engine.Mu(); got != 2500 {
+		t.Errorf("mu: got %g, want 2500", got)
 	}
 	if !loaded.analyzer.RemovesStopwords() || !loaded.analyzer.Stems() {
-		t.Error("analyzer steps not restored")
+		t.Error("loaded analyzer does not remove stopwords and stem")
 	}
 	if loaded.expandCache != nil {
 		t.Error("WithExpandCache(0) ignored by LoadSystem")

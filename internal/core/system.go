@@ -24,6 +24,7 @@ import (
 	"github.com/querygraph/querygraph/internal/corpus"
 	"github.com/querygraph/querygraph/internal/eval"
 	"github.com/querygraph/querygraph/internal/graph"
+	"github.com/querygraph/querygraph/internal/index"
 	"github.com/querygraph/querygraph/internal/linking"
 	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/synth"
@@ -40,10 +41,6 @@ type System struct {
 	Linker     *linking.Linker
 
 	analyzer *text.Analyzer
-	// includeKeywordTerms adds the raw query keywords as bare terms to
-	// every title query. The paper writes queries from article titles only;
-	// the option exists for the ablation benchmark.
-	includeKeywordTerms bool
 	// expandCache memoizes Expand results per (keywords, options); nil when
 	// caching is disabled.
 	expandCache *expandCache
@@ -56,25 +53,12 @@ type System struct {
 type SystemOption func(*systemConfig)
 
 type systemConfig struct {
-	mu                  float64
-	includeKeywordTerms bool
-	expandCacheSize     int
+	expandCacheSize int
 }
 
 // DefaultExpandCacheSize is the expansion cache capacity NewSystem uses
 // unless WithExpandCache overrides it.
 const DefaultExpandCacheSize = 1024
-
-// WithMu overrides the engine's Dirichlet smoothing parameter.
-func WithMu(mu float64) SystemOption {
-	return func(c *systemConfig) { c.mu = mu }
-}
-
-// WithKeywordTerms includes the raw keywords as bare terms in title
-// queries (ablation; the paper uses titles only).
-func WithKeywordTerms(on bool) SystemOption {
-	return func(c *systemConfig) { c.includeKeywordTerms = on }
-}
 
 // WithExpandCache overrides the expansion cache capacity (default
 // DefaultExpandCacheSize). The cache is sharded 16 ways and the per-shard
@@ -93,25 +77,32 @@ func NewSystem(snap *wiki.Snapshot, coll *corpus.Collection, opts ...SystemOptio
 	if coll == nil {
 		return nil, fmt.Errorf("core: nil collection")
 	}
-	cfg := systemConfig{mu: search.DefaultMu, expandCacheSize: DefaultExpandCacheSize}
+	an := newAnalyzer()
+	return assemble(snap, coll, search.IndexCollection(coll, an), an, opts)
+}
+
+// newAnalyzer is the one analysis chain: stopword removal plus Porter
+// stemming, for documents and queries alike. Engines score at search's
+// default mu, INDRI's 2500; the paper fixes both (Section 2.2).
+func newAnalyzer() *text.Analyzer { return text.NewAnalyzer(true, true) }
+
+// assemble wraps an indexed collection in a System.
+func assemble(snap *wiki.Snapshot, coll *corpus.Collection, ix *index.Index, an *text.Analyzer, opts []SystemOption) (*System, error) {
+	cfg := systemConfig{expandCacheSize: DefaultExpandCacheSize}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// Stopword removal plus Porter stemming, for documents and queries alike.
-	an := text.NewAnalyzer(true, true)
-	ix := search.IndexCollection(coll, an)
-	engine, err := search.NewEngine(ix, an, search.WithMu(cfg.mu))
+	engine, err := search.NewEngine(ix, an)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &System{
-		Snapshot:            snap,
-		Collection:          coll,
-		Engine:              engine,
-		Linker:              linking.New(snap),
-		analyzer:            an,
-		includeKeywordTerms: cfg.includeKeywordTerms,
-		expandCache:         newExpandCache(cfg.expandCacheSize),
+		Snapshot:    snap,
+		Collection:  coll,
+		Engine:      engine,
+		Linker:      linking.New(snap),
+		analyzer:    an,
+		expandCache: newExpandCache(cfg.expandCacheSize),
 	}, nil
 }
 
@@ -180,7 +171,7 @@ func (s *System) TitleQuery(keywords string, articles []graph.NodeID) (search.No
 		titles = append(titles, s.Snapshot.Name(a))
 	}
 	kw := ""
-	if s.includeKeywordTerms || len(titles) == 0 {
+	if len(titles) == 0 {
 		kw = keywords
 	}
 	node, ok := search.BuildTitleQuery(kw, titles, s.analyzer)

@@ -69,13 +69,11 @@ func (c *Conn) Do(op Op, body []byte, deadline time.Time, traceID uint64) ([]byt
 	return c.Receive()
 }
 
-// Queue frames [version][op][deadline-millis][trace-id?][body] into the
+// Queue frames [version][op][deadline-millis][trace-id][body] into the
 // write buffer under deadline, sending nothing until Flush: several
 // requests queued before one Flush travel together, and Receive returns
 // their replies in order. traceID attributes the shard's work to the
-// originating coordinator request; 0 means untraced, and an untraced
-// request is framed as protocol v1 — byte-identical to the pre-trace wire
-// format, so an untraced coordinator interoperates with v1-only shards.
+// originating coordinator request; 0 means untraced.
 func (c *Conn) Queue(op Op, body []byte, deadline time.Time, traceID uint64) error {
 	var millis uint64
 	if !deadline.IsZero() {
@@ -91,15 +89,9 @@ func (c *Conn) Queue(op Op, body []byte, deadline time.Time, traceID uint64) err
 		c.broken = true
 		return err
 	}
-	c.req = c.req[:0]
-	if traceID == 0 {
-		c.req = append(c.req, VersionMin, byte(op))
-		c.req = AppendUvarint(c.req, millis)
-	} else {
-		c.req = append(c.req, Version, byte(op))
-		c.req = AppendUvarint(c.req, millis)
-		c.req = AppendUvarint(c.req, traceID)
-	}
+	c.req = append(c.req[:0], Version, byte(op))
+	c.req = AppendUvarint(c.req, millis)
+	c.req = AppendUvarint(c.req, traceID)
 	c.req = append(c.req, body...)
 	if err := WriteFrame(c.bw, c.req); err != nil {
 		c.broken = true

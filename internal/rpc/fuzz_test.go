@@ -22,7 +22,7 @@ func FuzzHandle(f *testing.F) {
 		OpHealthz: nil, OpPlan: plan, OpTopK: topk, OpExpand: expand, OpStats: nil,
 		OpQueries: nil, OpLink: AppendString(nil, "venice"), OpTitle: AppendUvarint(nil, 3),
 	} {
-		f.Add(append([]byte{VersionMin, byte(op), 0}, body...))
+		f.Add(append([]byte{Version, byte(op), 0, 0}, body...))
 		f.Add(append([]byte{Version, byte(op), 50, 9}, body...))
 	}
 	f.Add(append([]byte{Version, byte(OpPlan), 0, 0}, exp...))
@@ -49,7 +49,7 @@ func FuzzReplies(f *testing.F) {
 	exp := &core.Expansion{Keywords: "venice", QueryArticles: []graph.NodeID{4}, Features: []core.Feature{{Node: 9, Title: "Grand Canal", CycleLen: 3, Density: 0.5}}}
 	ok := AppendOKHeader(nil)
 	for _, seed := range [][]byte{
-		AppendIdentity(ok, Identity{ShardID: 1, ShardCount: 2, GlobalDocs: 10, GlobalTokens: 99, Mu: 2500, Stem: true}),
+		AppendIdentity(ok, Identity{ShardID: 1, ShardCount: 2, GlobalDocs: 10, GlobalTokens: 99}),
 		AppendQueries(ok, []core.Query{{ID: 1, Keywords: "a b", Relevant: []int32{3}}, {ID: 2}}),
 		AppendExpansion(append(ok, 1), exp),
 		AppendStats(ok, Stats{Articles: 1, Documents: 5, Cache: core.CacheStats{Hits: 7, Capacity: 11}}),

@@ -19,10 +19,9 @@ import (
 // benchmark query's Relevant): a nil slice must come back nil, an empty
 // one empty.
 
-// Identity is the shard's partition identity plus the engine
-// configuration fixed at build time. The coordinator handshakes every
-// shard with OpHealthz and refuses topologies whose shards disagree —
-// the network analogue of shard.Load's cross-validation.
+// Identity is the shard's partition identity. The coordinator handshakes
+// every shard with OpHealthz and refuses topologies whose shards disagree
+// — the network analogue of shard.Load's cross-validation.
 type Identity struct {
 	ShardID      int
 	ShardCount   int
@@ -30,11 +29,6 @@ type Identity struct {
 	GlobalTokens int64
 	LocalDocs    int
 	NumQueries   int
-
-	Mu                  float64
-	IncludeKeywordTerms bool
-	RemoveStopwords     bool
-	Stem                bool
 }
 
 // AppendIdentity encodes an OpHealthz response body.
@@ -44,37 +38,19 @@ func AppendIdentity(b []byte, id Identity) []byte {
 	b = AppendUvarint(b, uint64(id.GlobalDocs))
 	b = AppendUvarint(b, uint64(id.GlobalTokens))
 	b = AppendUvarint(b, uint64(id.LocalDocs))
-	b = AppendUvarint(b, uint64(id.NumQueries))
-	b = AppendF64(b, id.Mu)
-	var flags byte
-	if id.IncludeKeywordTerms {
-		flags |= 1
-	}
-	if id.RemoveStopwords {
-		flags |= 2
-	}
-	if id.Stem {
-		flags |= 4
-	}
-	return append(b, flags)
+	return AppendUvarint(b, uint64(id.NumQueries))
 }
 
 // ReadIdentity decodes an OpHealthz response body.
 func ReadIdentity(r *Reader) Identity {
-	id := Identity{
+	return Identity{
 		ShardID:      r.Int(),
 		ShardCount:   r.Int(),
 		GlobalDocs:   r.Int(),
 		GlobalTokens: int64(r.Uvarint()),
 		LocalDocs:    r.Int(),
 		NumQueries:   r.Int(),
-		Mu:           r.F64(),
 	}
-	flags := r.Byte()
-	id.IncludeKeywordTerms = flags&1 != 0
-	id.RemoveStopwords = flags&2 != 0
-	id.Stem = flags&4 != 0
-	return id
 }
 
 // --- query union -------------------------------------------------------

@@ -50,7 +50,7 @@ type Server struct {
 }
 
 // RequestHook observes one handled request: the op, the originating
-// trace ID from the v2 request header (0 for untraced or v1 requests),
+// trace ID from the request header (0 for an untraced request),
 // when handling started and how long it took, and the error class the
 // shard reported ("" on success). cmd/qshard wires this to its flight
 // recorder, latency metrics and slow-request log. The hook runs on the
@@ -93,16 +93,12 @@ func NewServer(arch *store.Archive, opts ...core.SystemOption) (*Server, error) 
 		conns:   make(map[net.Conn]*connState),
 	}
 	s.ident = Identity{
-		ShardID:             0,
-		ShardCount:          1,
-		GlobalDocs:          arch.Collection.Len(),
-		GlobalTokens:        arch.Index.TotalTokens(),
-		LocalDocs:           arch.Collection.Len(),
-		NumQueries:          len(queries),
-		Mu:                  arch.Mu,
-		IncludeKeywordTerms: arch.IncludeKeywordTerms,
-		RemoveStopwords:     arch.RemoveStopwords,
-		Stem:                arch.Stem,
+		ShardID:      0,
+		ShardCount:   1,
+		GlobalDocs:   arch.Collection.Len(),
+		GlobalTokens: arch.Index.TotalTokens(),
+		LocalDocs:    arch.Collection.Len(),
+		NumQueries:   len(queries),
 	}
 	if sh := arch.Shard; sh != nil {
 		s.ident.ShardID = sh.ShardID
@@ -263,17 +259,14 @@ func (s *Server) serve(ctx context.Context, payload []byte, memo *connMemo) (res
 		if p := recover(); p != nil {
 			*memo = connMemo{}
 			resp = AppendErrorResponse(nil, ClassInternal, fmt.Sprintf("rpc: %s request panicked: %v\n%s", Op(payload[1]), p, debug.Stack()))
-			resp[0] = payload[0] // only past handle's header check can anything panic
 		}
 	}()
 	return s.handle(ctx, payload, memo)
 }
 
 // handle decodes the request header, derives the per-request deadline
-// from the propagated milliseconds-remaining, and dispatches the op.
-// The response mirrors the request's protocol version (a v1 coordinator
-// keeps getting v1 responses from an upgraded shard), and the optional
-// v2 trace-id field is surfaced to the request hook so the process can
+// from the propagated milliseconds-remaining, and dispatches the op. The
+// trace-id field is surfaced to the request hook so the process can
 // attribute its work to the originating coordinator request.
 func (s *Server) handle(ctx context.Context, payload []byte, memo *connMemo) []byte {
 	start := time.Now()
@@ -281,19 +274,13 @@ func (s *Server) handle(ctx context.Context, payload []byte, memo *connMemo) []b
 	ver := r.Byte()
 	op := Op(r.Byte())
 	millis := r.Uvarint()
-	if r.Err() != nil {
-		return AppendErrorResponse(nil, ClassInternal, "short request header")
-	}
-	if ver < VersionMin || ver > Version {
+	traceID := r.Uvarint()
+	switch {
+	case len(payload) > 0 && ver != Version:
 		return AppendErrorResponse(nil, ClassInternal,
-			fmt.Sprintf("request speaks protocol version %d, this shard speaks %d..%d", ver, VersionMin, Version))
-	}
-	var traceID uint64
-	if ver >= 2 {
-		traceID = r.Uvarint()
-		if r.Err() != nil {
-			return AppendErrorResponse(nil, ClassInternal, "short request header")
-		}
+			fmt.Sprintf("request speaks protocol version %d, this shard speaks %d", ver, Version))
+	case r.Err() != nil:
+		return AppendErrorResponse(nil, ClassInternal, "short request header")
 	}
 	if millis > 0 {
 		var cancel context.CancelFunc
@@ -306,9 +293,6 @@ func (s *Server) handle(ctx context.Context, payload []byte, memo *connMemo) []b
 		errClass = rerr.Class
 		resp = AppendErrorResponse(nil, rerr.Class, rerr.Msg)
 	}
-	// Every response builder stamps the build's own Version at byte 0;
-	// overwrite it to speak the requester's version back.
-	resp[0] = ver
 	if hook := s.hook; hook != nil {
 		hook(op, traceID, start, time.Since(start), errClass)
 	}

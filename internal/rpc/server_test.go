@@ -150,7 +150,7 @@ func TestConnMemoIsPure(t *testing.T) {
 	plan, topk := scatterPair(t, 3)
 	other := AppendTextQuery(nil, s.queries[1].Keywords)
 	exp := AppendExpansionQuery(nil, &core.Expansion{Keywords: s.queries[0].Keywords})
-	frame := func(op Op, body []byte) []byte { return append([]byte{VersionMin, byte(op), 0}, body...) }
+	frame := func(op Op, body []byte) []byte { return append([]byte{Version, byte(op), 0, 0}, body...) }
 
 	var memo connMemo
 	for i, req := range [][]byte{
@@ -170,7 +170,7 @@ func TestConnMemoIsPure(t *testing.T) {
 	// consulted, the planned query now has nothing to search for.
 	s.handle(ctx, frame(OpPlan, plan), &memo)
 	memo.plan = nil
-	if got, want := s.handle(ctx, frame(OpTopK, topk), &memo), []byte{VersionMin, statusOK, 0}; !bytes.Equal(got, want) {
+	if got, want := s.handle(ctx, frame(OpTopK, topk), &memo), []byte{Version, statusOK, 0}; !bytes.Equal(got, want) {
 		t.Errorf("the top-k request after its plan request planned again: reply %x, want the poisoned memo's %x", got, want)
 	}
 }
@@ -247,9 +247,9 @@ func TestPanicContainedToRequest(t *testing.T) {
 	s := &Server{sys: ref.sys, queries: ref.queries, ident: ref.ident}
 	s.SetRequestHook(hook)
 	var memo connMemo
-	resp := s.serve(context.Background(), append([]byte{VersionMin, byte(OpPlan), 0}, plan...), &memo)
-	if _, err := ParseResponse(resp); !isPanicReply(err) || resp[0] != VersionMin {
-		t.Errorf("reply %x (%v), want a v1 internal error naming the panic", resp, err)
+	resp := s.serve(context.Background(), append([]byte{Version, byte(OpPlan), 0, 0}, plan...), &memo)
+	if _, err := ParseResponse(resp); !isPanicReply(err) {
+		t.Errorf("reply %x (%v), want an internal error naming the panic", resp, err)
 	}
 	if memo.query != nil || memo.plan != nil {
 		t.Errorf("the memo outlived the panic: %x", memo.query)

@@ -5,21 +5,15 @@
 // (querygraph.OpenTopology) scatters requests across a fleet of them.
 //
 // Framing: every message is one frame — a uvarint payload length followed
-// by the payload, capped at MaxFrame. A version-1 request payload is
-//
-//	[version byte][op byte][uvarint deadline-millis][op-specific body]
-//
-// and version 2 inserts one optional field after the deadline:
+// by the payload, capped at MaxFrame. A request payload is
 //
 //	[version byte][op byte][uvarint deadline-millis][uvarint trace-id][op-specific body]
 //
-// carrying the originating request's 64-bit trace ID so a shard can
-// attribute its server-side work to the coordinator request that caused
-// it (0 = untraced). A client sends the oldest version that can express
-// its request — v1 when untraced, bit-identical to the pre-trace
-// protocol — and a server accepts every version in [VersionMin,
-// Version], answering with the version the request spoke, so fleets
-// roll forward shards-first without a flag day. A response payload is
+// where the trace ID is the originating request's 64-bit trace ID, so a
+// shard can attribute its server-side work to the coordinator request
+// that caused it (0 = untraced). Both ends speak exactly Version and
+// refuse any other, so a coordinator and its shards upgrade together. A
+// response payload is
 //
 //	[version byte][status byte][body]
 //
@@ -59,14 +53,11 @@ import (
 	"github.com/querygraph/querygraph/internal/store"
 )
 
-// Version is the newest protocol version this build speaks; VersionMin
-// is the oldest it still accepts. A peer outside the window is rejected
-// before any body decoding. v2 added the optional trace-id request
-// header field; v1 requests are served unchanged (trace id 0).
-const (
-	Version    = 2
-	VersionMin = 1
-)
+// Version is the one protocol version this build speaks; a peer speaking
+// any other is rejected before any body decoding. v2 added the trace-id
+// request header field, v3 dropped the engine configuration from the
+// OpHealthz identity.
+const Version = 3
 
 // MaxFrame bounds one frame's payload. Top-k responses with k <= 0 rank
 // every candidate document, so the cap is sized for whole-shard rankings,
@@ -268,8 +259,8 @@ func ParseResponse(payload []byte) ([]byte, error) {
 	if r.Err() != nil {
 		return nil, fmt.Errorf("rpc: short response header")
 	}
-	if ver < VersionMin || ver > Version {
-		return nil, fmt.Errorf("rpc: response speaks protocol version %d, this build speaks %d..%d", ver, VersionMin, Version)
+	if ver != Version {
+		return nil, fmt.Errorf("rpc: response speaks protocol version %d, this build speaks %d", ver, Version)
 	}
 	switch status {
 	case statusOK:

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -117,8 +118,15 @@ func TestParseResponse(t *testing.T) {
 		t.Fatalf("error response = %v", err)
 	}
 
-	if _, err := ParseResponse([]byte{Version + 9, 0}); err == nil || strings.Contains(err.Error(), "shard error") {
-		t.Fatalf("version mismatch err = %v, want plain protocol error", err)
+	for _, resp := range [][]byte{{Version + 9, 0}, {2, statusOK}} {
+		if _, err := ParseResponse(resp); err == nil || strings.Contains(err.Error(), "shard error") {
+			t.Fatalf("version %d response: err = %v, want plain protocol error", resp[0], err)
+		}
+	}
+	// A version-2 request is refused by the shard, naming both versions.
+	resp := testServer(t).handle(context.Background(), []byte{2, byte(OpHealthz), 0, 0}, &connMemo{})
+	if _, err := ParseResponse(resp); !errors.As(err, &rerr) || !strings.Contains(rerr.Msg, "protocol version 2, this shard speaks 3") {
+		t.Fatalf("version 2 request: err = %v, want a shard error naming both versions", err)
 	}
 	if _, err := ParseResponse([]byte{Version}); err == nil {
 		t.Fatal("short header accepted")
@@ -131,8 +139,7 @@ func TestParseResponse(t *testing.T) {
 func TestIdentityRoundTrip(t *testing.T) {
 	id := Identity{
 		ShardID: 2, ShardCount: 4, GlobalDocs: 1000, GlobalTokens: 123456,
-		LocalDocs: 250, NumQueries: 8, Mu: 2500,
-		IncludeKeywordTerms: true, Stem: true,
+		LocalDocs: 250, NumQueries: 8,
 	}
 	r := NewReader(AppendIdentity(nil, id))
 	got := ReadIdentity(r)

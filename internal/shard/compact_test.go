@@ -107,10 +107,6 @@ func TestFoldMatchesPartition(t *testing.T) {
 			if !reflect.DeepEqual(w.Shard, g.Shard) {
 				t.Fatalf("n=%d shard %d: shard info diverged\nwant %+v\ngot  %+v", n, s, w.Shard, g.Shard)
 			}
-			if w.Mu != g.Mu || w.IncludeKeywordTerms != g.IncludeKeywordTerms ||
-				w.RemoveStopwords != g.RemoveStopwords || w.Stem != g.Stem {
-				t.Fatalf("n=%d shard %d: engine configuration diverged", n, s)
-			}
 			if !reflect.DeepEqual(w.Collection.Docs(), g.Collection.Docs()) {
 				t.Fatalf("n=%d shard %d: collections diverged", n, s)
 			}

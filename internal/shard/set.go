@@ -154,9 +154,6 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 		case sh.GlobalDocs != set.globalDocs || sh.GlobalTokens != set.globalTokens:
 			return nil, fmt.Errorf("shard %d: global statistics (%d docs, %d tokens) disagree with shard 0 (%d, %d); mixed generations?",
 				s, sh.GlobalDocs, sh.GlobalTokens, set.globalDocs, set.globalTokens)
-		case a.Mu != ref.Mu || a.IncludeKeywordTerms != ref.IncludeKeywordTerms ||
-			a.RemoveStopwords != ref.RemoveStopwords || a.Stem != ref.Stem:
-			return nil, fmt.Errorf("shard %d: engine configuration disagrees with shard 0; mixed generations?", s)
 		}
 		for _, g := range sh.DocGlobal {
 			if seen[g] {

@@ -38,12 +38,12 @@ func ShardOf(doc int32, shards int) int {
 }
 
 // Partition splits a complete (unsharded) archive into n per-shard
-// archives: graph, names, engine configuration and the query benchmark
-// are replicated; the corpus and the positional index are partitioned by
-// ShardOf with local doc ids densely reassigned in ascending global
-// order. Every shard carries the global doc/token counts so its scorer
-// smooths against the whole collection. The shard archives share the
-// parent's strings and graph; treat everything as read-only.
+// archives: graph, names and the query benchmark are replicated; the
+// corpus and the positional index are partitioned by ShardOf with local
+// doc ids densely reassigned in ascending global order. Every shard
+// carries the global doc/token counts so its scorer smooths against the
+// whole collection. The shard archives share the parent's strings and
+// graph; treat everything as read-only.
 func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 	if a == nil || a.Index == nil || a.Collection == nil || a.Snapshot == nil {
 		return nil, fmt.Errorf("shard: partition of an incomplete archive")
@@ -139,14 +139,10 @@ func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 			return nil, fmt.Errorf("shard: partition shard %d: %w", s, err)
 		}
 		out[s] = &store.Archive{
-			Mu:                  a.Mu,
-			IncludeKeywordTerms: a.IncludeKeywordTerms,
-			RemoveStopwords:     a.RemoveStopwords,
-			Stem:                a.Stem,
-			Snapshot:            a.Snapshot,
-			Collection:          coll,
-			Index:               ix,
-			Queries:             a.Queries,
+			Snapshot:   a.Snapshot,
+			Collection: coll,
+			Index:      ix,
+			Queries:    a.Queries,
 			Shard: &store.ShardInfo{
 				ShardID:      s,
 				ShardCount:   n,

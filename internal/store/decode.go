@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,10 +49,11 @@ func Read(r io.Reader) (*Archive, error) {
 		sections[tag] = body
 	}
 
-	a := &Archive{}
-	if err := decodeMeta(sections[secMeta], a); err != nil {
-		return nil, err
+	if !bytes.Equal(sections[secMeta], meta) {
+		return nil, fmt.Errorf("store: meta section: engine configuration % .16x is not this build's % x (mu 2500, title phrases only, stopwords removed, stemmed); regenerate the snapshot",
+			sections[secMeta], meta)
 	}
+	a := &Archive{}
 	sh, err := decodeShard(sections[secShard])
 	if err != nil {
 		return nil, err
@@ -183,15 +185,6 @@ func readSection(br *bufio.Reader, want byte) ([]byte, error) {
 // The section decoders below read a whole section through one Reader and
 // check its error once, before the substrate Load constructors see what
 // was read. Every Count passes the fewest bytes Write emits per element.
-
-func decodeMeta(body []byte, a *Archive) error {
-	r := NewReader("store: meta section", body)
-	a.Mu = r.F64()
-	a.IncludeKeywordTerms = r.Byte() != 0
-	a.RemoveStopwords = r.Byte() != 0
-	a.Stem = r.Byte() != 0
-	return r.Done()
-}
 
 // decodeShard parses the partition identity; a zero flag byte means this
 // is a complete, unsharded snapshot (nil ShardInfo).

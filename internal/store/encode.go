@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"github.com/querygraph/querygraph/internal/corpus"
 	"github.com/querygraph/querygraph/internal/graph"
@@ -19,7 +18,6 @@ type payload struct{ b []byte }
 func (p *payload) uvarint(v uint64) { p.b = binary.AppendUvarint(p.b, v) }
 func (p *payload) varint(v int64)   { p.b = binary.AppendVarint(p.b, v) }
 func (p *payload) byte(v byte)      { p.b = append(p.b, v) }
-func (p *payload) f64(v float64)    { p.b = binary.LittleEndian.AppendUint64(p.b, math.Float64bits(v)) }
 func (p *payload) raw(v []byte)     { p.b = append(p.b, v...) }
 func (p *payload) bool(v bool) {
 	if v {
@@ -66,7 +64,7 @@ func Write(w io.Writer, a *Archive) error {
 	}
 	in := newInterner()
 	sections := map[byte][]byte{
-		secMeta:    encodeMeta(a),
+		secMeta:    meta,
 		secShard:   encodeShard(a.Shard),
 		secGraph:   encodeGraph(a.Snapshot.Graph()),
 		secNames:   encodeNames(in, a),
@@ -112,15 +110,6 @@ func writeSection(bw *bufio.Writer, tag byte, body []byte) error {
 		return fmt.Errorf("store: write %s section: %w", sectionName(tag), err)
 	}
 	return nil
-}
-
-func encodeMeta(a *Archive) []byte {
-	var p payload
-	p.f64(a.Mu)
-	p.bool(a.IncludeKeywordTerms)
-	p.bool(a.RemoveStopwords)
-	p.bool(a.Stem)
-	return p.b
 }
 
 // validateShard rejects a partition identity that disagrees with the

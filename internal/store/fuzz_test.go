@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -39,18 +38,9 @@ func FuzzRead(f *testing.F) {
 	for _, c := range framingCorruptions(secs) {
 		f.Add(c.mutate(bytes.Clone(pristine)))
 	}
-	replace := func(tag byte, body []byte) {
-		for _, s := range secs {
-			if s.tag == tag {
-				var framed bytes.Buffer
-				bw := bufio.NewWriter(&framed)
-				if err := writeSection(bw, tag, body); err != nil {
-					f.Fatal(err)
-				}
-				bw.Flush()
-				f.Add(append(append(bytes.Clone(pristine[:s.start]), framed.Bytes()...), pristine[s.end:]...))
-			}
-		}
+	replace := func(tag byte, body []byte) { f.Add(withSection(f, pristine, tag, body)) }
+	for _, c := range metaCorruptions() {
+		replace(secMeta, c.payload)
 	}
 	for _, c := range shardCorruptions() {
 		replace(secShard, c.payload)

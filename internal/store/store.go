@@ -13,8 +13,7 @@
 //	then       eight sections, in fixed order:
 //
 //	  tag  section    payload
-//	  'M'  meta       engine configuration: mu (float64 bits), keyword-term
-//	                  inclusion, analyzer steps (stopword removal, stemming)
+//	  'M'  meta       the one engine configuration, 11 fixed bytes (see meta)
 //	  'H'  shard      partition identity: shard id/count, global doc and
 //	                  token counts, local→global doc-id map (one flag byte
 //	                  for a complete, unsharded snapshot)
@@ -58,6 +57,14 @@ const Magic = "QGSNAP\r\n"
 // shard section ('H'): a version-1 file has no partition identity, so a
 // sharded serving runtime could not tell a full snapshot from a fragment.
 const Version = 2
+
+// meta is the meta section's payload: the engine configuration the paper
+// fixes (Section 2.2) in the layout every earlier build wrote it — mu 2500
+// as float64 bits, then one byte each for keyword terms (off), stopword
+// removal (on) and stemming (on). Write emits it and Read refuses any
+// other payload, so a snapshot is never served under a configuration it
+// was not built for.
+var meta = []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x88, 0xa3, 0x40, 0x00, 0x01, 0x01}
 
 // Section tags, in file order.
 const (
@@ -131,12 +138,6 @@ type ShardInfo struct {
 // everything core.LoadSystem needs to assemble a serving System without
 // reconstruction.
 type Archive struct {
-	// Engine configuration.
-	Mu                  float64
-	IncludeKeywordTerms bool
-	RemoveStopwords     bool
-	Stem                bool
-
 	Snapshot   *wiki.Snapshot
 	Collection *corpus.Collection
 	Index      *index.Index

@@ -102,13 +102,9 @@ func testArchive(t testing.TB) *Archive {
 	ix.AddDocument([]string{"venice"})
 
 	return &Archive{
-		Mu:                  1750,
-		IncludeKeywordTerms: true,
-		RemoveStopwords:     true,
-		Stem:                false,
-		Snapshot:            snap,
-		Collection:          coll,
-		Index:               ix,
+		Snapshot:   snap,
+		Collection: coll,
+		Index:      ix,
 		Queries: []Query{
 			{ID: 0, Keywords: "gondola in venice", Relevant: []int32{0, 2}},
 			{ID: 7, Keywords: "doge palace", Relevant: []int32{1}},
@@ -131,10 +127,6 @@ func TestRoundTrip(t *testing.T) {
 	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
-	}
-	if got.Mu != a.Mu || got.IncludeKeywordTerms != a.IncludeKeywordTerms ||
-		got.RemoveStopwords != a.RemoveStopwords || got.Stem != a.Stem {
-		t.Errorf("meta mismatch: got %+v", got)
 	}
 	// Snapshot: same stats, names, redirects and title lookups.
 	if !reflect.DeepEqual(got.Snapshot.Stats(), a.Snapshot.Stats()) {
@@ -470,6 +462,72 @@ func shardCorruptions() []payloadCorruption {
 	}
 }
 
+// writtenMeta is the meta payload every build writes: mu 2500 as
+// little-endian float64 bits, keyword terms off, stopword removal on,
+// stemming on.
+var writtenMeta = []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x88, 0xa3, 0x40, 0x00, 0x01, 0x01}
+
+// metaCorruptions are meta payloads of other engine configurations, each
+// one setting away from the written one.
+func metaCorruptions() []payloadCorruption {
+	with := func(i int, b ...byte) []byte {
+		p := bytes.Clone(writtenMeta)
+		copy(p[i:], b)
+		return p
+	}
+	return []payloadCorruption{
+		{name: "mu 1234", payload: with(0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x48, 0x93, 0x40)},
+		{name: "keyword terms on", payload: with(8, 1)},
+		{name: "stopwords kept", payload: with(9, 0)},
+		{name: "unstemmed", payload: with(10, 0)},
+	}
+}
+
+// TestMetaSectionIsFixed pins the meta bytes Write emits.
+func TestMetaSectionIsFixed(t *testing.T) {
+	data := encodeArchive(t, testArchive(t))
+	s := walkSections(t, data)[0]
+	if got := data[s.payloadStart : s.end-4]; s.tag != secMeta || !bytes.Equal(got, writtenMeta) {
+		t.Fatalf("meta section %c % x, want M % x", s.tag, got, writtenMeta)
+	}
+}
+
+// TestReadRejectsOtherEngineConfig: a meta section of any other engine
+// configuration fails Read even under a valid checksum, so a snapshot
+// saved with another mu or analyzer is never served under this one.
+func TestReadRejectsOtherEngineConfig(t *testing.T) {
+	pristine := encodeArchive(t, testArchive(t))
+	for _, c := range metaCorruptions() {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(withSection(t, pristine, secMeta, c.payload)))
+			if err == nil || !strings.Contains(err.Error(), "meta section: engine configuration") {
+				t.Errorf("got %v, want a meta section error", err)
+			}
+		})
+	}
+}
+
+// withSection returns data with the section tagged tag replaced by one
+// framing body under a valid checksum.
+func withSection(t testing.TB, data []byte, tag byte, body []byte) []byte {
+	t.Helper()
+	var framed bytes.Buffer
+	bw := bufio.NewWriter(&framed)
+	if err := writeSection(bw, tag, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range walkSections(t, data) {
+		if s.tag == tag {
+			return append(append(bytes.Clone(data[:s.start]), framed.Bytes()...), data[s.end:]...)
+		}
+	}
+	t.Fatalf("no %s section", sectionName(tag))
+	return nil
+}
+
 // TestDecodeShardFailures: the decoder must reject malformed shard
 // payloads with the shard section named, never wrap an id into range or
 // decode a partial map.
@@ -560,7 +618,7 @@ func danglingStringRefFile(t testing.TB) []byte {
 	in := newInterner()
 	in.ref("only one string")
 	sections := map[byte][]byte{
-		secMeta:    encodeMeta(a),
+		secMeta:    meta,
 		secShard:   encodeShard(a.Shard),
 		secGraph:   encodeGraph(a.Snapshot.Graph()),
 		secNames:   encodeNames(in, a), // refs beyond the truncated table below

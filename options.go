@@ -47,19 +47,6 @@ func WithExpandCache(capacity int) Option {
 	return func(c *clientConfig) { c.sys = append(c.sys, core.WithExpandCache(capacity)) }
 }
 
-// WithMu overrides the engine's Dirichlet smoothing parameter (default
-// 2500, the INDRI default the paper uses).
-func WithMu(mu float64) Option {
-	return func(c *clientConfig) { c.sys = append(c.sys, core.WithMu(mu)) }
-}
-
-// WithKeywordTerms includes the raw query keywords as bare terms in the
-// title queries the evaluation writes (an ablation; the paper uses entity
-// titles only).
-func WithKeywordTerms(on bool) Option {
-	return func(c *clientConfig) { c.sys = append(c.sys, core.WithKeywordTerms(on)) }
-}
-
 // WithObserver attaches an instrumentation observer to the backend: its
 // hooks fire synchronously on every request path (see Observer). The
 // option composes — each WithObserver adds another observer, and all of

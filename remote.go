@@ -197,8 +197,8 @@ type Remote struct {
 }
 
 // OpenTopology reads a topology file, dials and handshakes every shard
-// (partition identity, global statistics and engine configuration must
-// agree — the network analogue of the manifest cross-validation), and
+// (partition identity and global statistics must agree — the network
+// analogue of the manifest cross-validation), and
 // assembles the coordinator. An unreachable shard returns an error
 // wrapping ErrShardUnavailable; a fleet that disagrees with its topology
 // returns one wrapping ErrBadTopology.
@@ -251,9 +251,6 @@ func (c *Remote) handshake() error {
 		case id.GlobalDocs != ref.GlobalDocs || id.GlobalTokens != ref.GlobalTokens:
 			return fmt.Errorf("%w: shard %d global statistics (%d docs, %d tokens) disagree with shard 0 (%d, %d); mixed generations?",
 				ErrBadTopology, i, id.GlobalDocs, id.GlobalTokens, ref.GlobalDocs, ref.GlobalTokens)
-		case id.Mu != ref.Mu || id.IncludeKeywordTerms != ref.IncludeKeywordTerms ||
-			id.RemoveStopwords != ref.RemoveStopwords || id.Stem != ref.Stem:
-			return fmt.Errorf("%w: shard %d engine configuration disagrees with shard 0; mixed generations?", ErrBadTopology, i)
 		}
 	}
 	c.ident = ref
@@ -344,7 +341,7 @@ func (c *Remote) attemptDeadline(ctx context.Context) time.Time {
 // doRPC performs one observed attempt against one address. Every
 // attempt — first try, retry, or hedge — lands one span on the request
 // trace with its shard, attempt number and dialed address, and carries
-// the trace ID to the shard in the v2 request header so server-side
+// the trace ID to the shard in the request header so server-side
 // work is attributable to this request.
 func (c *Remote) doRPC(ctx context.Context, shardID int, addr string, op rpc.Op, body []byte, deadline time.Time, attempt int, hedged bool) ([]byte, error) {
 	tr, start := trace.FromContext(ctx), time.Now()
@@ -415,7 +412,18 @@ func (c *Remote) callShard(ctx context.Context, sh TopologyShard, op rpc.Op, bod
 			return nil, fmt.Errorf("%w: shard %d after %d attempts: %v", ErrShardUnavailable, sh.ID, c.topo.Retries+1, lastErr)
 		}
 		if attempt > 0 && backoff > 0 {
-			time.Sleep(backoff)
+			// The backoff ends early when ctx does; the ctx-less accessors
+			// and the handshake (nil ctx, nil done) wait it out.
+			var done <-chan struct{}
+			if ctx != nil {
+				done = ctx.Done()
+			}
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-done:
+				t.Stop()
+			}
 			backoff *= 2
 		}
 		if cerr := ctxErr(ctx); cerr != nil {

@@ -443,6 +443,39 @@ func TestRemoteRetryFailover(t *testing.T) {
 	}
 }
 
+// TestRemoteRetryBackoffHonorsDeadline: a retry's backoff ends when the
+// caller's ctx does. Shard 1's first address refuses connections and the
+// backoff is 800 ms, so a Search under a 50 ms deadline must come back
+// with DeadlineExceeded long before the backoff would have run out.
+func TestRemoteRetryBackoffHonorsDeadline(t *testing.T) {
+	ref, dir := shardedWorld(t)
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	_ = dead.Close()
+
+	topoPath, _ := startShardFleet(t, dir, 2, func(topo *Topology) {
+		topo.Shards[1].Addrs = append([]string{deadAddr}, topo.Shards[1].Addrs...)
+		topo.Retries = 1
+		topo.RetryBackoffMS = 800
+	})
+	be, err := OpenBackend(topoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = be.Search(ctx, ref.Queries()[0].Keywords, MaxRank)
+	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took >= 400*time.Millisecond {
+		t.Fatalf("Search = %v after %v, want DeadlineExceeded in under 400ms", err, took)
+	}
+}
+
 // TestRemoteHedgedRequests: shard 1's primary hangs on every query op;
 // with hedging enabled the replica answers and the request succeeds
 // without waiting out the primary's deadline.

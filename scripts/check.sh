@@ -63,25 +63,42 @@ go test -race ./internal/lru ./internal/core ./internal/search ./internal/cycles
 step "fuzz (every target, 10 s each)"
 make fuzz
 
+# The smoke job's analysis step: qbench reproduces every table and
+# figure, qgraph prints one query's G(q) and writes it as DOT.
+step "analysis binaries (qbench -exp all, qgraph -dot)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/" ./cmd/qbench ./cmd/qgraph
+"$tmp/qbench" -exp all -seed 5 > /dev/null
+"$tmp/qgraph" -query 3 -dot "$tmp/g.dot"
+grep -q '^digraph' "$tmp/g.dot"
+
 # bench/ is a nested module root ./... skips; it imports internal/... by
 # path, so a pruned symbol the harness uses has to fail here.
 step "bench harness (nested module: vet + test)"
 (cd bench && go vet . && go test .)
 
-# One workload and the traced pass on the quick world, the way the
-# benchmark's driver invokes them: a harness that no longer builds, runs or
-# agrees with the program fails here, before submission.
-step "bench pre-flight (quick world, expand-cold-client, traced pass)"
-out="$(bash bench/run.sh -quick -workload expand-cold-client -seed 3 -seconds 1 -trace 1)"
-out="$(printf '%s\n' "$out" | tail -n 1)"
-case "$out" in
-*'"failed":0'[,}]*) ;;
-*) echo "bench pre-flight: operations failed: $out" >&2; exit 1 ;;
-esac
-case "$out" in
-*'"correct":true'*) ;;
-*) echo "bench pre-flight: results are not correct: $out" >&2; exit 1 ;;
-esac
+# Workloads on the quick world, the way the benchmark's driver invokes
+# them: a harness that no longer builds, runs or agrees with the program
+# fails here, before submission. expand-cold-client also runs the traced
+# pass; serve-remote is the one that crosses the qshard wire.
+preflight() {
+	wl="$1"
+	shift
+	out="$(bash bench/run.sh -quick -workload "$wl" -seed 3 -seconds 1 "$@")"
+	out="$(printf '%s\n' "$out" | tail -n 1)"
+	case "$out" in
+	*'"failed":0'[,}]*) ;;
+	*) echo "bench pre-flight $wl: operations failed: $out" >&2; exit 1 ;;
+	esac
+	case "$out" in
+	*'"correct":true'*) ;;
+	*) echo "bench pre-flight $wl: results are not correct: $out" >&2; exit 1 ;;
+	esac
+}
+step "bench pre-flight (quick world: expand-cold-client traced, serve-remote)"
+preflight expand-cold-client -trace 1
+preflight serve-remote
 
 step "flake smoke (close/reload lifecycle, -count=2)"
 go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestRemoteClosedAccessors|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
