@@ -286,6 +286,9 @@ func TestExpandOptionValidation(t *testing.T) {
 		{"density above 1", WithMinDensity(1.5)},
 		{"negative density", WithMinDensity(-0.5)},
 		{"zero features", WithMaxFeatures(0)},
+		{"NaN band floor", WithCategoryRatioBand(math.NaN(), 0.5)},
+		{"NaN band ceiling", WithCategoryRatioBand(0.2, math.NaN())},
+		{"NaN density", WithMinDensity(math.NaN())},
 	}
 	for _, tc := range bad {
 		if _, err := c.Expand(ctx, kw, tc.opt); !errors.Is(err, ErrInvalidOptions) {

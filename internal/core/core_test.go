@@ -414,6 +414,44 @@ func TestExpandInvalidOptions(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNaN: a NaN in any of the filter's float bounds is an
+// invalid configuration. Every comparison with NaN is false, so a NaN
+// bound would pass every cycle, and a key holding it never equals itself:
+// each request would run the pipeline and leave a cache entry no lookup
+// can find. Expand refuses it before the cache.
+func TestValidateRejectsNaN(t *testing.T) {
+	_, w := testSystem(t)
+	s, err := FromWorld(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		set   func(*ExpanderOptions)
+	}{
+		{"MinCategoryRatio", func(o *ExpanderOptions) { o.MinCategoryRatio = nan }},
+		{"MaxCategoryRatio", func(o *ExpanderOptions) { o.MaxCategoryRatio = nan }},
+		{"MinDensity", func(o *ExpanderOptions) { o.MinDensity = nan }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			opts := DefaultExpanderOptions()
+			tc.set(&opts)
+			if err := opts.Validate(); err == nil {
+				t.Fatalf("Validate accepted %s NaN", tc.field)
+			}
+			for i := 0; i < 3; i++ {
+				if exp, err := s.Expand(context.Background(), w.Queries[0].Keywords, opts); exp != nil || err == nil {
+					t.Fatalf("Expand with %s NaN = %v, %v; want an error", tc.field, exp, err)
+				}
+			}
+			if st, runs := s.ExpandCacheStats(), s.expandCalls.Load(); st.Entries != 0 || st.Misses != 0 || runs != 0 {
+				t.Errorf("Expand with %s NaN reached the cache or the pipeline: %+v, %d runs", tc.field, st, runs)
+			}
+		})
+	}
+}
+
 func TestExpandImprovesRetrieval(t *testing.T) {
 	// The headline behavior: averaged over queries, cycle-based expansion
 	// must not hurt and should improve the objective.

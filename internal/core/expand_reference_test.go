@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -452,21 +453,33 @@ func TestExpandAllColdConcurrent(t *testing.T) {
 }
 
 // TestExpandPhaseSpans: a traced cold expansion records one span per phase
-// of the pipeline, in order, on the caller's trace.
+// of the pipeline, in order, on the caller's trace; the induce span names
+// the size of the mined subgraph and the mine span the Expansion's cycle
+// counters, the details that say why a walk took long.
 func TestExpandPhaseSpans(t *testing.T) {
 	s, w := testSystem(t)
 	tr := trace.Begin(trace.NewID())
 	ctx := trace.NewContext(context.Background(), tr)
-	if _, err := s.expand(ctx, w.Queries[0].Keywords, DefaultExpanderOptions()); err != nil {
+	opts := DefaultExpanderOptions()
+	exp, err := s.expand(ctx, w.Queries[0].Keywords, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
+	var got, details []string
 	for _, sp := range tr.Finish("expand", "").Spans {
 		got = append(got, sp.Phase)
+		details = append(details, sp.Detail)
 	}
 	want := []string{"expand.link", "expand.ball", "expand.induce", "expand.mine", "expand.rank"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("spans = %v, want %v", got, want)
+	}
+	ball := s.Snapshot.Graph().Ball(exp.QueryArticles, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
+	wantDetails := []string{"", "",
+		fmt.Sprintf("nodes=%d", len(ball)),
+		fmt.Sprintf("considered=%d accepted=%d", exp.CyclesConsidered, exp.CyclesAccepted), ""}
+	if exp.CyclesAccepted == 0 || !reflect.DeepEqual(details, wantDetails) {
+		t.Errorf("span details = %q, want %q", details, wantDetails)
 	}
 	// Nothing to anchor on: the pipeline ends after linking, and so do the spans.
 	tr = trace.Begin(trace.NewID())

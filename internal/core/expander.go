@@ -8,6 +8,7 @@ import (
 	"iter"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -79,7 +80,9 @@ func DefaultExpanderOptions() ExpanderOptions {
 }
 
 // Validate rejects values no expansion can run under. Nothing is
-// substituted: every field means what it says, zero included.
+// substituted: every field means what it says, zero included. The float
+// bounds are written so that NaN fails them: a NaN bound would pass every
+// cycle, and as a cache key it would never be found again.
 func (o ExpanderOptions) Validate() error {
 	switch {
 	case o.MaxCycleLen < 2 || o.MaxCycleLen > cycles.MaxSupportedLength:
@@ -87,12 +90,28 @@ func (o ExpanderOptions) Validate() error {
 	case o.Radius < 1 || o.MaxNeighborhood < 1 || o.MaxFeatures < 1:
 		return fmt.Errorf("core: radius %d, max neighborhood %d and max features %d must all be >= 1",
 			o.Radius, o.MaxNeighborhood, o.MaxFeatures)
-	case o.MinCategoryRatio < 0 || o.MaxCategoryRatio > 1 || o.MinCategoryRatio > o.MaxCategoryRatio:
+	case !(o.MinCategoryRatio >= 0 && o.MaxCategoryRatio <= 1 && o.MinCategoryRatio <= o.MaxCategoryRatio):
 		return fmt.Errorf("core: invalid category ratio band [%g, %g]", o.MinCategoryRatio, o.MaxCategoryRatio)
-	case o.MinDensity < 0 || o.MinDensity > 1:
+	case !(o.MinDensity >= 0 && o.MinDensity <= 1):
 		return fmt.Errorf("core: min density %g outside [0, 1]", o.MinDensity)
 	}
 	return nil
+}
+
+// Accepts reports whether a mined cycle passes the structural filters:
+// a 2-cycle when KeepTwoCycles is set; a longer one when its category
+// ratio is inside the band and, from length 4 on, its extra-edge density
+// reaches MinDensity. It is the expander's cycles.Miner Keep.
+func (o ExpanderOptions) Accepts(m cycles.Metrics) bool {
+	switch {
+	case m.Length == 2:
+		return o.KeepTwoCycles
+	case m.CategoryRatio < o.MinCategoryRatio || m.CategoryRatio > o.MaxCategoryRatio:
+		return false
+	case m.Length >= 4 && m.ExtraEdgeDensity < o.MinDensity:
+		return false
+	}
+	return true
 }
 
 // Feature is one proposed expansion feature with its provenance.
@@ -261,18 +280,19 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	if tr != nil {
 		t0 = time.Now()
 	}
-	// phase ends one phase: its span is recorded, and a ctx that has ended
-	// meanwhile ends the run.
-	phase := func(name string) error {
+	// phase ends one phase: its span is recorded, with the detail given,
+	// and a ctx that has ended meanwhile ends the run. A detail is
+	// formatted only for a traced request.
+	phase := func(name, detail string) error {
 		if tr != nil {
-			tr.Span(name, t0, "")
+			tr.Add(name, t0, -1, 0, false, "", detail)
 			t0 = time.Now()
 		}
 		return ctx.Err()
 	}
 
 	queryArts := s.LinkKeywords(keywords)
-	if err := phase("expand.link"); err != nil {
+	if err := phase("expand.link", ""); err != nil {
 		return nil, err
 	}
 	exp := &Expansion{Keywords: keywords, QueryArticles: queryArts}
@@ -284,7 +304,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// radius-bounded ball around the query articles.
 	g := s.Snapshot.Graph()
 	nodes := g.Ball(queryArts, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
-	if err := phase("expand.ball"); err != nil {
+	if err := phase("expand.ball", ""); err != nil {
 		return nil, err
 	}
 	// The miner reads the subgraph the ball induces straight from g: its
@@ -292,32 +312,25 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	slices.Sort(nodes)
 	miner := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
 	defer miner.Release()
-	if err := phase("expand.induce"); err != nil {
+	var detail string
+	if tr != nil {
+		detail = "nodes=" + strconv.Itoa(len(nodes))
+	}
+	if err := phase("expand.induce", detail); err != nil {
 		return nil, err
 	}
 
-	// Mine: each cycle through a query article is filtered as the walk
-	// closes it, on the Metrics the walk kept along its path, and only the
-	// accepted ones are kept, by length.
+	// Mine: the walk filters each cycle through a query article as it
+	// closes it, on the Metrics it kept along its path, and hands over only
+	// the accepted ones, which are kept by length.
 	acc := acceptedPool.Get().(*accepted)
 	defer acceptedPool.Put(acc)
 	acc.nodes = acc.nodes[:0]
 	for i := range acc.byLen {
 		acc.byLen[i] = acc.byLen[i][:0]
 	}
-	miner.Poll = ctx.Err
+	miner.Poll, miner.Keep = ctx.Err, opts.Accepts
 	err := miner.Walk(positions(nodes, queryArts), opts.MaxCycleLen, func(m cycles.Metrics) error {
-		exp.CyclesConsidered++
-		switch {
-		case m.Length == 2:
-			if !opts.KeepTwoCycles {
-				return nil
-			}
-		case m.CategoryRatio < opts.MinCategoryRatio || m.CategoryRatio > opts.MaxCategoryRatio:
-			return nil
-		case m.Length >= 4 && m.ExtraEdgeDensity < opts.MinDensity:
-			return nil
-		}
 		exp.CyclesAccepted++
 		acc.byLen[m.Length] = append(acc.byLen[m.Length], acceptedCycle{len(acc.nodes), m.ExtraEdgeDensity, m.CategoryRatio})
 		for _, v := range miner.Cycle().Nodes {
@@ -328,7 +341,11 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	if err != nil {
 		return nil, fmt.Errorf("core: expand: %w", err)
 	}
-	if err := phase("expand.mine"); err != nil {
+	exp.CyclesConsidered = miner.Found
+	if tr != nil {
+		detail = "considered=" + strconv.Itoa(exp.CyclesConsidered) + " accepted=" + strconv.Itoa(exp.CyclesAccepted)
+	}
+	if err := phase("expand.mine", detail); err != nil {
 		return nil, err
 	}
 
@@ -389,7 +406,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 			}
 		}
 	}
-	_ = phase("expand.rank") // the answer is complete: ctx no longer matters
+	_ = phase("expand.rank", "") // the answer is complete: ctx no longer matters
 	return exp, nil
 }
 

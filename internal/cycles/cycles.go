@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -56,8 +57,10 @@ func (c Cycle) Contains(n graph.NodeID) bool {
 // from the graph's adjacency, with no subgraph in between: every node's
 // neighbours, sorted and deduplicated, in one slab for the walk, each
 // node's kind, and — when the view is small enough — EdgesBetween of every
-// pair in a dense table. Its node ids are positions in the list. Get one
-// from NewMiner and Release it after use; a Miner serves one goroutine.
+// pair in a dense table and every node's neighbours again as a bitset row,
+// which the walk's last level intersects instead of scanning. Its node ids
+// are positions in the list. Get one from NewMiner and Release it after
+// use; a Miner serves one goroutine.
 type Miner struct {
 	g *graph.Graph
 	// nodes are the graph ids of the Miner's nodes, ascending; nil when
@@ -71,6 +74,10 @@ type Miner struct {
 	// pairs[a*n+b] is EdgesBetween(a, b), saturating; nil for a view of
 	// more than maxTableNodes nodes, which falls back to the scans.
 	pairs []uint8
+	// Bit b of row a, bits[a*words:][:words], is set when b is a neighbour
+	// of a; nil exactly when pairs is. words is ⌈n/64⌉ either way.
+	bits  []uint64
+	words int
 	// index[p] is one more than the position of graph node p while
 	// NewMiner reads the list's adjacency, and 0 otherwise: NewMiner sets
 	// it for the listed nodes and clears it for them again, so a build
@@ -80,28 +87,38 @@ type Miner struct {
 	// walk may go on (a request sets it to its ctx.Err); the error it
 	// returns ends Walk and Enumerate, which return it.
 	Poll func() error
+	// Keep, when set, is the filter a cycle must pass for Walk to hand it
+	// to its visitor; nil keeps every cycle. It sees each possible Metrics
+	// once per Walk, before the walk starts, and must be a function of
+	// them alone.
+	Keep func(Metrics) bool
+	// Found counts the cycles the last Walk closed, those Keep rejected
+	// included.
+	Found int
 
 	// State of one Walk: dist is the distance from the current seed of the
 	// nodes in reached — but blocked for those the walk may not enter (the
 	// ones on the path, and seeds whose cycles are all found) — and far
-	// everywhere else; arts[k] and edges[k] count the articles among
-	// path[:k] and the capped edges between them; found counts the cycles
-	// handed to visit, and err is what visit or Poll said, once one says
-	// stop.
-	maxLen  int
-	err     error
-	visit   func(Metrics) error
-	found   int
-	seeds   []graph.NodeID
-	dist    []uint8
-	reached []graph.NodeID
-	path    []graph.NodeID
-	arts    [MaxSupportedLength + 1]int
-	edges   [MaxSupportedLength + 1]int
-	canon   [MaxSupportedLength]graph.NodeID
+	// everywhere else, and bit v of blockedBits is set exactly when dist[v]
+	// is blocked; arts[k] and edges[k] count the articles among path[:k]
+	// and the capped edges between them; kept[i] is Keep's verdict on
+	// measured[i]; err is what visit or Poll said, once one says stop.
+	maxLen      int
+	err         error
+	visit       func(Metrics) error
+	kept        []bool
+	seeds       []graph.NodeID
+	dist        []uint8
+	blockedBits []uint64
+	reached     []graph.NodeID
+	path        []graph.NodeID
+	arts        [MaxSupportedLength + 1]int
+	edges       [MaxSupportedLength + 1]int
+	canon       [MaxSupportedLength]graph.NodeID
 }
 
-// maxTableNodes bounds the pair table, n*n bytes, to 1 MiB.
+// maxTableNodes bounds the pair table, n*n bytes, to 1 MiB, and the bitset
+// rows, about n*n/8 bytes, to 128 KiB.
 const maxTableNodes = 1024
 
 // pollEvery is how many cycles the walk finds between two calls of Poll:
@@ -134,11 +151,14 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 			m.index[p] = uint32(i) + 1
 		}
 	}
+	m.words = (n + 63) / 64
 	if n <= maxTableNodes {
 		m.pairs = slices.Grow(m.pairs[:0], n*n)[:n*n]
 		clear(m.pairs)
+		m.bits = slices.Grow(m.bits[:0], n*m.words)[:n*m.words]
+		clear(m.bits)
 	} else {
-		m.pairs = nil
+		m.pairs, m.bits = nil, nil
 	}
 	// The rows of the view's adjacency, from the out-arcs alone: each edge
 	// between two listed nodes is met once, from its source, and puts each
@@ -180,10 +200,12 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 		start = m.off[i+1]
 		slices.Sort(row)
 		if m.pairs != nil {
+			bitRow := m.bits[i*m.words:][:m.words]
 			for _, b := range row {
 				if c := &m.pairs[i*n+int(b)]; *c < math.MaxUint8 {
 					*c++
 				}
+				bitRow[b>>6] |= 1 << (b & 63)
 			}
 		}
 		end += int32(copy(m.nbr[end:], slices.Compact(row)))
@@ -230,7 +252,7 @@ func (m *Miner) Neighbors(v graph.NodeID) []graph.NodeID { return m.nbr[m.off[v]
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.g, m.nodes, m.exclude, m.Poll, m.visit = nil, nil, nil, nil, nil
+	m.g, m.nodes, m.exclude, m.Poll, m.Keep, m.visit = nil, nil, nil, nil, nil, nil
 	minerPool.Put(m)
 }
 
@@ -250,7 +272,8 @@ func Enumerate(g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(gr
 }
 
 // Enumerate is the package's Enumerate on the Miner's view: Walk, collect
-// the cycles back to back in one slab, order.
+// the cycles back to back in one slab, order. With Keep set it returns the
+// cycles Keep accepts.
 func (m *Miner) Enumerate(seeds []graph.NodeID, maxLen int) ([]Cycle, error) {
 	var flat []graph.NodeID
 	var ends []int
@@ -280,17 +303,24 @@ func Compare(a, b Cycle) int {
 	return slices.Compare(a.Nodes, b.Nodes)
 }
 
-// Walk hands visit the Metrics of every cycle Enumerate would return, each
-// once and as it closes, in no stated order; a visitor that keeps the
-// cycle asks Cycle for its nodes. The Metrics are Measure's, kept up along
-// the path rather than taken per cycle. An error from visit ends the walk
-// like one from Poll, and Walk returns it.
+// Walk hands visit the Metrics of every cycle of 2..maxLen nodes through a
+// seed (any cycle, for nil seeds) that Keep accepts, each once and as it
+// closes, in no stated order; a visitor that keeps the cycle asks Cycle for
+// its nodes. The Metrics are Measure's: the walk keeps up the cycle's
+// length, articles and capped edges along the path, and looks the rest up
+// in a table filled by the same arithmetic. Keep is asked once per such
+// triple before the walk starts, never per cycle; Found counts every cycle
+// closed, kept or not, and Poll is asked once per pollEvery of them. An
+// error from visit ends the walk like one from Poll, and Walk returns it.
 //
 // The walk is anchored at the seeds: in ascending order, a depth-first
 // search from each seed finds the cycles through it, and the seed is then
 // removed from the graph, so a cycle is found from its smallest seed and
 // from no other. With no seed filter every node is a seed, and the search
-// from s is the search for the cycles whose smallest node is s.
+// from s is the search for the cycles whose smallest node is s. On a view
+// with bitset rows, the last level of each search — a path one node short
+// of maxLen — is not searched at all: its closers are one intersection of
+// two rows, less the blocked nodes.
 func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error) error {
 	if maxLen < 2 {
 		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
@@ -313,11 +343,21 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 		m.seeds = append(m.seeds, seeds...)
 		slices.Sort(m.seeds)
 	}
-	m.maxLen, m.err, m.visit, m.found = maxLen, nil, visit, 0
+	m.maxLen, m.err, m.visit, m.Found = maxLen, nil, visit, 0
+	end := len(measured)
+	if maxLen < MaxSupportedLength {
+		end = measuredAt[maxLen+1][0]
+	}
+	m.kept = slices.Grow(m.kept[:0], end)[:end]
+	for i := range m.kept {
+		m.kept[i] = m.Keep == nil || m.Keep(measured[i])
+	}
 	m.dist = slices.Grow(m.dist[:0], n)[:n]
 	for i := range m.dist {
 		m.dist[i] = far
 	}
+	m.blockedBits = slices.Grow(m.blockedBits[:0], m.words)[:m.words]
+	clear(m.blockedBits)
 	for _, s := range m.seeds {
 		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
 			m.reach(s)
@@ -355,7 +395,7 @@ func (m *Miner) reach(s graph.NodeID) {
 			}
 		}
 	}
-	m.dist[s] = blocked
+	m.block(s)
 }
 
 // dfs records the path, which starts at a seed and ends at cur, d steps
@@ -374,16 +414,57 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 		return // nothing below could be entered: spare the widest level its scan
 	}
 	last := k+1 == m.maxLen && k >= 2
+	if last && m.bits != nil {
+		m.closeLast(cur)
+		return
+	}
 	for _, next := range m.Neighbors(cur) {
 		if d := m.dist[next]; int(d) <= m.maxLen-k && !(last && next < m.path[1]) {
 			m.extend(next)
-			m.dist[next] = blocked
+			m.block(next)
 			m.path = append(m.path, next)
 			m.dfs(next, d)
 			m.path = m.path[:k]
-			m.dist[next] = d
+			m.unblock(next, d)
 		}
 	}
+}
+
+// closeLast records, in ascending order, the cycles the path closes with
+// one more node: the last level of the walk, where the scan in dfs would
+// enter a neighbour of cur only to find it next to the seed or not. The
+// nodes it would record are those at distance 1 that are not blocked —
+// the seed's row less blockedBits — among cur's row, above path[1]: the
+// two rows ANDed word by word.
+func (m *Miner) closeLast(cur graph.NodeID) {
+	k, w := len(m.path), m.words
+	seedRow, curRow := m.bits[int(m.path[0])*w:][:w], m.bits[int(cur)*w:][:w]
+	lo := int(m.path[1]) + 1
+	mask := ^uint64(0) << (lo & 63)
+	for i := lo >> 6; i < w; i++ {
+		for x := curRow[i] & seedRow[i] &^ m.blockedBits[i] & mask; x != 0; x &= x - 1 {
+			v := graph.NodeID(i<<6 | bits.TrailingZeros64(x))
+			m.extend(v)
+			m.path = append(m.path, v)
+			m.record()
+			m.path = m.path[:k]
+			if m.err != nil {
+				return
+			}
+		}
+		mask = ^uint64(0)
+	}
+}
+
+// block bars the walk from v, and unblock gives it back its distance d.
+func (m *Miner) block(v graph.NodeID) {
+	m.dist[v] = blocked
+	m.blockedBits[v>>6] |= 1 << (v & 63)
+}
+
+func (m *Miner) unblock(v graph.NodeID, d uint8) {
+	m.dist[v] = d
+	m.blockedBits[v>>6] &^= 1 << (v & 63)
 }
 
 // extend sets the running counts of the path with v appended: the
@@ -407,11 +488,15 @@ func (m *Miner) extend(v graph.NodeID) {
 	}
 }
 
-// record hands visit the Metrics of the path's cycle.
+// record counts the path's cycle and hands visit its Metrics if Keep
+// kept them.
 func (m *Miner) record() {
-	m.found++
+	m.Found++
 	k := len(m.path)
-	if m.err = m.visit(metrics(k, m.arts[k], m.edges[k])); m.err == nil && m.found%pollEvery == 0 && m.Poll != nil {
+	if i := measuredAt[k][m.arts[k]] + m.edges[k]; m.kept[i] {
+		m.err = m.visit(measured[i])
+	}
+	if m.err == nil && m.Found%pollEvery == 0 && m.Poll != nil {
 		m.err = m.Poll()
 	}
 	if m.err != nil {
@@ -499,6 +584,28 @@ func Measure(g *graph.Graph, c Cycle, exclude func(graph.EdgeKind) bool) (Metric
 		}
 	}
 	return metrics(len(c.Nodes), articles, edges), nil
+}
+
+// measured holds metrics(l, a, e) for every length l from 2 to
+// MaxSupportedLength, article count a <= l and capped edge count e up to
+// the M(C) of l and a, the most there can be, at measuredAt[l][a]+e, in
+// that order: ascending l, then a, then e. A cycle's Metrics depend on
+// those three counts alone, so the walk, which keeps them up along its
+// path, looks its cycles' Metrics up here, and tabulates its Keep over it.
+var measured, measuredAt = tabulateMetrics()
+
+func tabulateMetrics() ([]Metrics, [MaxSupportedLength + 1][MaxSupportedLength + 1]int) {
+	var all []Metrics
+	var at [MaxSupportedLength + 1][MaxSupportedLength + 1]int
+	for l := 2; l <= MaxSupportedLength; l++ {
+		for a := 0; a <= l; a++ {
+			at[l][a] = len(all)
+			for e := 0; e <= metrics(l, a, 0).MaxEdges; e++ {
+				all = append(all, metrics(l, a, e))
+			}
+		}
+	}
+	return all, at
 }
 
 // metrics completes the Metrics of a cycle of length nodes, articles of

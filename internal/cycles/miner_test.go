@@ -480,3 +480,134 @@ func TestMinerOnNodeListMatchesInduced(t *testing.T) {
 		t.Error("no walk met the categories nested both ways")
 	}
 }
+
+// TestEnumerateAcrossWordBoundaries holds the bitset rows of views wider
+// than one word to the reference: random graphs of 65 to maxTableNodes
+// nodes whose edges crowd around the multiples of 64, seeded there, so
+// that seeds, path[1] and the closers of the last level fall on both sides
+// of a word boundary. The multi-word AND of two rows and the mask that
+// drops the first word's bits up to path[1] are what is under test; the
+// other tests' graphs fit in one word.
+func TestEnumerateAcrossWordBoundaries(t *testing.T) {
+	compared, straddling := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 65 + rng.Intn(maxTableNodes-64)
+		g := randomGraph(rng, n, 1)
+		var near []graph.NodeID // the nodes within three of a multiple of 64
+		for b := 64; b-3 < n; b += 64 {
+			for v := b - 3; v < min(b+3, n); v++ {
+				near = append(near, graph.NodeID(v))
+			}
+		}
+		for e := 0; e < 4*len(near); e++ {
+			_ = g.AddEdge(near[rng.Intn(len(near))], near[rng.Intn(len(near))], graph.EdgeKind(rng.Intn(4)))
+		}
+		var seeds []graph.NodeID
+		if rng.Intn(5) != 0 {
+			seeds = make([]graph.NodeID, 1+rng.Intn(6))
+			for i := range seeds {
+				seeds[i] = near[rng.Intn(len(near))]
+			}
+		}
+		maxLen, exclude := 3+rng.Intn(3), randomFilter(rng)
+		compared += checkMinerAgainstReference(t, seed, g, seeds, maxLen, exclude)
+		cs, err := Enumerate(g, seeds, maxLen, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cs {
+			if slices.ContainsFunc(c.Nodes, func(v graph.NodeID) bool { return v>>6 != c.Nodes[0]>>6 }) {
+				straddling++
+			}
+		}
+	}
+	if t.Logf("%d cycles compared, %d of them across a word boundary", compared, straddling); straddling < 1000 {
+		t.Errorf("only %d cycles cross a word boundary: the graphs test too little", straddling)
+	}
+}
+
+// randomKeep draws a Keep: one that rejects everything, a band on the
+// category ratio, a floor on the extra-edge density, or a salted hash of
+// the counts a cycle's Metrics are made from.
+func randomKeep(rng *rand.Rand) func(Metrics) bool {
+	lo, hi, salt := rng.Float64(), rng.Float64(), rng.Uint32()
+	lo, hi = min(lo, hi), max(lo, hi)
+	switch rng.Intn(4) {
+	case 0:
+		return func(Metrics) bool { return false }
+	case 1:
+		return func(m Metrics) bool { return m.Length == 2 || lo <= m.CategoryRatio && m.CategoryRatio <= hi }
+	case 2:
+		return func(m Metrics) bool { return m.ExtraEdgeDensity >= lo }
+	}
+	return func(m Metrics) bool { return (uint32(m.Length*97+m.Articles*31+m.Edges)*2654435761^salt)>>31 == 0 }
+}
+
+// TestWalkKeepOnlyFilters: Keep decides what the visitor sees and nothing
+// else. On random graphs, seeds, lengths and predicates, a Walk with Keep
+// visits exactly the cycles the Walk without it visits that Keep accepts,
+// in the same order, with equal Metrics and Cycle; its Found is the
+// unfiltered walk's; and both ask Poll once per pollEvery cycles found,
+// rejected ones included.
+func TestWalkKeepOnlyFilters(t *testing.T) {
+	type visit struct {
+		met   Metrics
+		nodes []graph.NodeID
+	}
+	walk := func(m *Miner, seeds []graph.NodeID, maxLen int) (visits []visit, polls []int) {
+		m.Poll = func() error { polls = append(polls, m.Found); return nil }
+		err := m.Walk(seeds, maxLen, func(met Metrics) error {
+			visits = append(visits, visit{met, slices.Clone(m.Cycle().Nodes)})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return visits, polls
+	}
+	polled := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, density, maxLen := 1+rng.Intn(24), 1+2*rng.Float64(), 2+rng.Intn(7)
+		if seed%10 == 0 { // thousands of cycles: several polls
+			n, density, maxLen = 14, 4, 7
+		}
+		g := randomGraph(rng, n, density)
+		seeds := randomSeeds(rng, n, 5)
+		m := NewMiner(g, nil, randomFilter(rng))
+		all, allPolls := walk(m, seeds, maxLen)
+		if m.Found != len(all) {
+			t.Fatalf("seed %d: a walk with no Keep found %d cycles and visited %d", seed, m.Found, len(all))
+		}
+		for i, f := range allPolls {
+			if f != (i+1)*pollEvery {
+				t.Fatalf("seed %d: poll %d came after %d cycles, want %d", seed, i+1, f, (i+1)*pollEvery)
+			}
+		}
+		if len(allPolls) != len(all)/pollEvery {
+			t.Fatalf("seed %d: %d polls over %d cycles", seed, len(allPolls), len(all))
+		}
+		polled += len(allPolls)
+
+		keep := randomKeep(rng)
+		m.Keep = keep
+		kept, keptPolls := walk(m, seeds, maxLen)
+		var want []visit
+		for _, v := range all {
+			if keep(v.met) {
+				want = append(want, v)
+			}
+		}
+		if !reflect.DeepEqual(kept, want) {
+			t.Fatalf("seed %d: a walk with Keep visited %d cycles %v, want the %d of %d it accepts %v", seed, len(kept), kept, len(want), len(all), want)
+		}
+		if m.Found != len(all) || !slices.Equal(keptPolls, allPolls) {
+			t.Fatalf("seed %d: with Keep, Found %d and polls %v; without, %d and %v", seed, m.Found, keptPolls, len(all), allPolls)
+		}
+		m.Release()
+	}
+	if polled == 0 {
+		t.Error("no walk was long enough to poll")
+	}
+}

@@ -49,10 +49,10 @@ step "go test"
 go test -shuffle=on ./...
 
 # One iteration each, so the benchmarks the postings walk, the Remote
-# scatter, the batch layer and the cold expansion pipeline are judged by
-# cannot rot.
-step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkExpandCold, BenchmarkHTTPBatch (-benchtime 1x)"
-go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold)$' -benchtime 1x .
+# scatter, the batch layer, the cold expansion pipeline and its cycle
+# miner are judged by cannot rot.
+step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkExpandCold, BenchmarkCycleEnumeration, BenchmarkHTTPBatch (-benchtime 1x)"
+go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold|CycleEnumeration)$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkHTTPBatch$' -benchtime 1x ./cmd/qserve
 
 # CI's race job runs the whole module; here, the packages whose locking a
