@@ -24,14 +24,16 @@ fmt:
 
 # fuzz runs every fuzz target for 10 s. A failing input lands in the
 # package's testdata/fuzz/ and then runs with plain go test. The decoder
-# targets minimize for at most 1 s, or minimizing each coverage-expanding
-# input (a minute apiece by default) would eat the ten seconds.
+# targets and the miner's minimize for at most 1 s, or minimizing each
+# coverage-expanding input (a minute apiece by default) would eat the ten
+# seconds.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/search
 	$(GO) test -run='^$$' -fuzz='^FuzzServerRequests$$' -fuzztime=10s ./cmd/qserve
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzHandle$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
 	$(GO) test -run='^$$' -fuzz='^FuzzReplies$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
+	$(GO) test -run='^$$' -fuzz='^FuzzMinerWalk$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cycles
 
 # check mirrors the CI gates locally (see scripts/check.sh).
 check:

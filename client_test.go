@@ -300,6 +300,33 @@ func TestExpandOptionValidation(t *testing.T) {
 	}
 }
 
+// TestExpandUnboundedRadius: Validate accepts WithRadius(math.MaxInt), and
+// it must mean what a radius beyond the graph's diameter means, not a ball
+// of the query articles alone (the ball's level test once wrapped there).
+func TestExpandUnboundedRadius(t *testing.T) {
+	c := client(t)
+	ctx := context.Background()
+	features := 0
+	for _, q := range c.Queries() {
+		far, err := c.Expand(ctx, q.Keywords, WithRadius(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		unbounded, err := c.Expand(ctx, q.Keywords, WithRadius(math.MaxInt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(unbounded, far) {
+			t.Errorf("%q: radius math.MaxInt expands to %v (%d cycles), radius 2^20 to %v (%d cycles)",
+				q.Keywords, unbounded.FeatureTitles(), unbounded.CyclesConsidered, far.FeatureTitles(), far.CyclesConsidered)
+		}
+		features += len(far.Features)
+	}
+	if features == 0 {
+		t.Fatal("no query expanded to anything: the test compares nothing")
+	}
+}
+
 // TestExplicitBandSurvivesNormalization pins the satellite fix: an
 // explicit all-zero category-ratio band used to be indistinguishable from
 // "unset" and was silently replaced by the paper band; through the public

@@ -216,9 +216,11 @@ func MineCycles(ctx context.Context, g *graph.Graph, nodes, queryArticles []grap
 }
 
 // accepted holds the cycles of one expansion that passed the filters:
-// their nodes (graph ids, in the miner's canonical order, which graph ids
-// keep because the miner's ids ascend with them) back to back, and one
-// record per cycle under its length. Pooled: an expansion accepts hundreds.
+// their nodes back to back, and one record per cycle under its length. The
+// walk stores each cycle's miner path as it closes; the ranker turns the
+// cycles of a length it reads into canonical form and graph ids (the
+// miner's ids ascend with graph ids, so the form carries over) just before
+// it sorts them. Pooled: an expansion accepts hundreds.
 type accepted struct {
 	nodes []graph.NodeID
 	byLen [cycles.MaxSupportedLength + 1][]acceptedCycle
@@ -333,9 +335,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	err := miner.Walk(positions(nodes, queryArts), opts.MaxCycleLen, func(m cycles.Metrics) error {
 		exp.CyclesAccepted++
 		acc.byLen[m.Length] = append(acc.byLen[m.Length], acceptedCycle{len(acc.nodes), m.ExtraEdgeDensity, m.CategoryRatio})
-		for _, v := range miner.Cycle().Nodes {
-			acc.nodes = append(acc.nodes, nodes[v])
-		}
+		acc.nodes = append(acc.nodes, miner.Path()...)
 		return nil
 	})
 	if err != nil {
@@ -352,14 +352,22 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// Rank: shorter cycles first (they define the user need best), then
 	// denser cycles. Candidate features are collected in that order with
 	// the number of accepted cycles that contain each; a feature belongs to
-	// the first cycle that holds it, so a length is sorted only when the
-	// shorter ones left room for a candidate, or every cycle must be counted.
+	// the first cycle that holds it, so a length is canonicalised and sorted
+	// only when the shorter ones left room for a candidate, or every cycle
+	// must be counted.
 	var ordered []Feature                   // by first appearance in cycle rank order
 	frequency := make(map[graph.NodeID]int) // per feature, the accepted cycles among those ranked that hold it
 	var arts [cycles.MaxSupportedLength]graph.NodeID
 	wanted := func() bool { return opts.RankByFrequency || len(ordered) < opts.MaxFeatures }
 	for length := 2; length <= opts.MaxCycleLen && wanted(); length++ {
 		nodesOf := func(a acceptedCycle) []graph.NodeID { return acc.nodes[a.start : a.start+length] }
+		for _, a := range acc.byLen[length] {
+			c := nodesOf(a)
+			cycles.Canonicalize(c)
+			for i, v := range c {
+				c[i] = nodes[v]
+			}
+		}
 		slices.SortFunc(acc.byLen[length], func(a, b acceptedCycle) int {
 			if c := cmp.Compare(b.density, a.density); c != 0 {
 				return c

@@ -58,9 +58,9 @@ func (c Cycle) Contains(n graph.NodeID) bool {
 // neighbours, sorted and deduplicated, in one slab for the walk, each
 // node's kind, and — when the view is small enough — EdgesBetween of every
 // pair in a dense table and every node's neighbours again as a bitset row,
-// which the walk's last level intersects instead of scanning. Its node ids
-// are positions in the list. Get one from NewMiner and Release it after
-// use; a Miner serves one goroutine.
+// which the walk intersects to close its last level and to choose what it
+// enters at the level before. Its node ids are positions in the list. Get
+// one from NewMiner and Release it after use; a Miner serves one goroutine.
 type Miner struct {
 	g *graph.Graph
 	// nodes are the graph ids of the Miner's nodes, ascending; nil when
@@ -100,14 +100,16 @@ type Miner struct {
 	// nodes in reached — but blocked for those the walk may not enter (the
 	// ones on the path, and seeds whose cycles are all found) — and far
 	// everywhere else, and bit v of blockedBits is set exactly when dist[v]
-	// is blocked; arts[k] and edges[k] count the articles among path[:k]
-	// and the capped edges between them; kept[i] is Keep's verdict on
-	// measured[i]; err is what visit or Poll said, once one says stop.
+	// is blocked; seedRow is the current seed's bitset row; arts[k] and
+	// edges[k] count the articles among path[:k] and the capped edges
+	// between them; kept[i] is Keep's verdict on measured[i]; err is what
+	// visit or Poll said, once one says stop.
 	maxLen      int
 	err         error
 	visit       func(Metrics) error
 	kept        []bool
 	seeds       []graph.NodeID
+	seedRow     []uint64
 	dist        []uint8
 	blockedBits []uint64
 	reached     []graph.NodeID
@@ -136,7 +138,9 @@ var minerPool = sync.Pool{New: func() any { return new(Miner) }}
 // (edges filtered by exclude; nil keeps all kinds): node i of the view is
 // nodes[i], and its edges are those of g between listed nodes. nodes must
 // be ascending ids of g without repeats — then the view is, id for id,
-// g.Induce(nodes) — and a nil list stands for every node of g.
+// g.Induce(nodes) — and a nil list stands for every node of g. A view of
+// up to maxTableNodes nodes reads each out-arc once (buildTable); a larger
+// one has no table or rows and sorts its neighbour lists (buildRows).
 func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind) bool) *Miner {
 	m := minerPool.Get().(*Miner)
 	m.g, m.nodes, m.exclude = g, nodes, exclude
@@ -152,25 +156,74 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 		}
 	}
 	m.words = (n + 63) / 64
+	m.kind = m.kind[:0]
+	for i := 0; i < n; i++ {
+		m.kind = append(m.kind, g.Kind(m.parent(graph.NodeID(i))))
+	}
 	if n <= maxTableNodes {
-		m.pairs = slices.Grow(m.pairs[:0], n*n)[:n*n]
-		clear(m.pairs)
-		m.bits = slices.Grow(m.bits[:0], n*m.words)[:n*m.words]
-		clear(m.bits)
+		m.buildTable(n)
 	} else {
 		m.pairs, m.bits = nil, nil
+		m.buildRows(n)
 	}
-	// The rows of the view's adjacency, from the out-arcs alone: each edge
-	// between two listed nodes is met once, from its source, and puts each
-	// end in the other's row. off[i+2] first counts row i; summed, off[i+1]
-	// is where row i starts, and filling the row moves it to where it ends.
-	m.kind = m.kind[:0]
+	for _, p := range nodes {
+		m.index[p] = 0
+	}
+	return m
+}
+
+// buildTable builds a view of n ≤ maxTableNodes nodes in one pass over the
+// out-arcs: each edge between two listed nodes is met once, from its
+// source, counts in both cells of the pair table and sets both row bits.
+// The neighbour slab is then read off the bit rows, which hold each row
+// ascending and once; a row's popcount is its length.
+func (m *Miner) buildTable(n int) {
+	m.pairs = slices.Grow(m.pairs[:0], n*n)[:n*n]
+	clear(m.pairs)
+	m.bits = slices.Grow(m.bits[:0], n*m.words)[:n*m.words]
+	clear(m.bits)
+	for i := 0; i < n; i++ {
+		for _, a := range m.g.Out(m.parent(graph.NodeID(i))) {
+			if j, ok := m.target(a); ok {
+				if c := &m.pairs[i*n+int(j)]; *c < math.MaxUint8 {
+					*c++
+					m.pairs[int(j)*n+i]++ // the same count: the table is symmetric
+				}
+				m.bits[i*m.words+int(j>>6)] |= 1 << (j & 63)
+				m.bits[int(j)*m.words+i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+	m.off = slices.Grow(m.off[:0], n+1)[:n+1]
+	m.off[0] = 0
+	for i := 0; i < n; i++ {
+		size := 0
+		for _, x := range m.bits[i*m.words:][:m.words] {
+			size += bits.OnesCount64(x)
+		}
+		m.off[i+1] = m.off[i] + int32(size)
+	}
+	m.nbr = slices.Grow(m.nbr[:0], int(m.off[n]))[:0]
+	for i := 0; i < n; i++ {
+		for w, x := range m.bits[i*m.words:][:m.words] {
+			for ; x != 0; x &= x - 1 {
+				m.nbr = append(m.nbr, graph.NodeID(w<<6|bits.TrailingZeros64(x)))
+			}
+		}
+	}
+}
+
+// buildRows builds the neighbour slab of a view too large for the table
+// from the out-arcs alone: each edge between two listed nodes is met once,
+// from its source, and puts each end in the other's row. off[i+2] first
+// counts row i; summed, off[i+1] is where row i starts, and filling the row
+// moves it to where it ends. Sorted and deduplicated, the rows then move
+// down the slab.
+func (m *Miner) buildRows(n int) {
 	m.off = slices.Grow(m.off[:0], n+2)[:n+2]
 	clear(m.off)
 	for i := 0; i < n; i++ {
-		p := m.parent(graph.NodeID(i))
-		m.kind = append(m.kind, g.Kind(p))
-		for _, a := range g.Out(p) {
+		for _, a := range m.g.Out(m.parent(graph.NodeID(i))) {
 			if j, ok := m.target(a); ok {
 				m.off[i+2]++
 				m.off[j+2]++
@@ -182,7 +235,7 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 	}
 	m.nbr = slices.Grow(m.nbr[:0], int(m.off[n+1]))[:m.off[n+1]]
 	for i := 0; i < n; i++ {
-		for _, a := range g.Out(m.parent(graph.NodeID(i))) {
+		for _, a := range m.g.Out(m.parent(graph.NodeID(i))) {
 			if j, ok := m.target(a); ok {
 				m.nbr[m.off[i+1]], m.nbr[m.off[j+1]] = j, graph.NodeID(i)
 				m.off[i+1]++
@@ -191,31 +244,15 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 		}
 	}
 	m.off = m.off[:n+1]
-	// Every edge between i and b put b in row i once: sorted, the row
-	// holds b EdgesBetween(i, b) times. Deduplicated, the rows move down
-	// the slab.
 	start, end := int32(0), int32(0)
 	for i := 0; i < n; i++ {
 		row := m.nbr[start:m.off[i+1]]
 		start = m.off[i+1]
 		slices.Sort(row)
-		if m.pairs != nil {
-			bitRow := m.bits[i*m.words:][:m.words]
-			for _, b := range row {
-				if c := &m.pairs[i*n+int(b)]; *c < math.MaxUint8 {
-					*c++
-				}
-				bitRow[b>>6] |= 1 << (b & 63)
-			}
-		}
 		end += int32(copy(m.nbr[end:], slices.Compact(row)))
 		m.off[i+1] = end
 	}
 	m.nbr = m.nbr[:end]
-	for _, p := range nodes {
-		m.index[p] = 0
-	}
-	return m
 }
 
 // target is the view's id of the arc's far end, when the filter keeps the
@@ -306,12 +343,13 @@ func Compare(a, b Cycle) int {
 // Walk hands visit the Metrics of every cycle of 2..maxLen nodes through a
 // seed (any cycle, for nil seeds) that Keep accepts, each once and as it
 // closes, in no stated order; a visitor that keeps the cycle asks Cycle for
-// its nodes. The Metrics are Measure's: the walk keeps up the cycle's
-// length, articles and capped edges along the path, and looks the rest up
-// in a table filled by the same arithmetic. Keep is asked once per such
-// triple before the walk starts, never per cycle; Found counts every cycle
-// closed, kept or not, and Poll is asked once per pollEvery of them. An
-// error from visit ends the walk like one from Poll, and Walk returns it.
+// its nodes, or Path for them as walked. The Metrics are Measure's: the
+// walk keeps up the cycle's length, articles and capped edges along the
+// path, and looks the rest up in a table filled by the same arithmetic.
+// Keep is asked once per such triple before the walk starts, never per
+// cycle; Found counts every cycle closed, kept or not, and Poll is asked
+// once per pollEvery of them. An error from visit ends the walk like one
+// from Poll, and Walk returns it.
 //
 // The walk is anchored at the seeds: in ascending order, a depth-first
 // search from each seed finds the cycles through it, and the seed is then
@@ -320,7 +358,8 @@ func Compare(a, b Cycle) int {
 // from s is the search for the cycles whose smallest node is s. On a view
 // with bitset rows, the last level of each search — a path one node short
 // of maxLen — is not searched at all: its closers are one intersection of
-// two rows, less the blocked nodes.
+// two rows, less the blocked nodes; and the level before it enters only the
+// nodes that close a cycle, which the same intersection tells.
 func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error) error {
 	if maxLen < 2 {
 		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
@@ -361,6 +400,9 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 	for _, s := range m.seeds {
 		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
 			m.reach(s)
+			if m.bits != nil {
+				m.seedRow = m.bits[int(s)*m.words:][:m.words]
+			}
 			m.path = append(m.path[:0], s)
 			m.arts[1], m.edges[1] = 0, 0
 			if m.kind[s] == graph.Article {
@@ -404,7 +446,9 @@ func (m *Miner) reach(s graph.NodeID) {
 // to the seed with the nodes maxLen leaves. Two nodes close a cycle when
 // they share two edges (Figure 4a); of the two directions a longer cycle
 // can be walked in, the one with path[1] < path[last] is kept, so a node
-// that could only close the path the other way round is not entered.
+// that could only close the path the other way round is not entered. On a
+// view with bitset rows, the last level is closeLast, and the level before
+// it is enterLast.
 func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	k := len(m.path)
 	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.edgesBetween(m.path[0], cur) >= 2) {
@@ -415,11 +459,19 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	}
 	last := k+1 == m.maxLen && k >= 2
 	if last && m.bits != nil {
-		m.closeLast(cur)
+		i, x := m.closers(cur, int(m.path[1])+1)
+		m.closeLast(cur, i, x)
 		return
 	}
+	beforeLast := k+2 == m.maxLen && k >= 2 && m.bits != nil
 	for _, next := range m.Neighbors(cur) {
-		if d := m.dist[next]; int(d) <= m.maxLen-k && !(last && next < m.path[1]) {
+		d := m.dist[next]
+		switch {
+		case int(d) > m.maxLen-k || last && next < m.path[1]:
+			// not entered
+		case beforeLast:
+			m.enterLast(next, d)
+		default:
 			m.extend(next)
 			m.block(next)
 			m.path = append(m.path, next)
@@ -430,19 +482,39 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	}
 }
 
+// enterLast is dfs(next, d) at the level before the last, on a view with
+// bitset rows. The path cannot grow past next, so next is entered only if
+// it closes a cycle: when it is next to the seed, above path[1], or has a
+// closer of its own. The closers found to decide that are the first that
+// closeLast records.
+func (m *Miner) enterLast(next graph.NodeID, d uint8) {
+	self := d == 1 && m.path[1] < next
+	i, x := m.closers(next, int(m.path[1])+1)
+	if !self && x == 0 {
+		return
+	}
+	k := len(m.path)
+	m.extend(next)
+	m.block(next)
+	m.path = append(m.path, next)
+	if self {
+		m.record()
+	}
+	if m.err == nil {
+		m.closeLast(next, i, x)
+	}
+	m.path = m.path[:k]
+	m.unblock(next, d)
+}
+
 // closeLast records, in ascending order, the cycles the path closes with
 // one more node: the last level of the walk, where the scan in dfs would
-// enter a neighbour of cur only to find it next to the seed or not. The
-// nodes it would record are those at distance 1 that are not blocked —
-// the seed's row less blockedBits — among cur's row, above path[1]: the
-// two rows ANDed word by word.
-func (m *Miner) closeLast(cur graph.NodeID) {
-	k, w := len(m.path), m.words
-	seedRow, curRow := m.bits[int(m.path[0])*w:][:w], m.bits[int(cur)*w:][:w]
-	lo := int(m.path[1]) + 1
-	mask := ^uint64(0) << (lo & 63)
-	for i := lo >> 6; i < w; i++ {
-		for x := curRow[i] & seedRow[i] &^ m.blockedBits[i] & mask; x != 0; x &= x - 1 {
+// enter a neighbour of cur only to find it next to the seed or not. i and
+// x are the first word of closers, as closers returns it.
+func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
+	k := len(m.path)
+	for ; x != 0; i, x = m.closers(cur, (i+1)<<6) {
+		for ; x != 0; x &= x - 1 {
 			v := graph.NodeID(i<<6 | bits.TrailingZeros64(x))
 			m.extend(v)
 			m.path = append(m.path, v)
@@ -452,8 +524,26 @@ func (m *Miner) closeLast(cur graph.NodeID) {
 				return
 			}
 		}
+	}
+}
+
+// closers returns the first word, from bit lo on, of the set of nodes that
+// close the path, with cur appended, into a cycle, and its index; x is 0
+// when there is none. Those nodes are at distance 1 and not blocked — in
+// the seed's row less blockedBits — and in cur's row: the two rows ANDed
+// word by word, the first word masked below lo. cur is not in its own row,
+// so whether it is blocked yet does not matter.
+func (m *Miner) closers(cur graph.NodeID, lo int) (i int, x uint64) {
+	curRow := m.bits[int(cur)*m.words:][:m.words]
+	seedRow, blockedBits := m.seedRow[:len(curRow)], m.blockedBits[:len(curRow)]
+	mask := ^uint64(0) << (lo & 63)
+	for i = lo >> 6; i < len(curRow); i++ {
+		if x = curRow[i] & seedRow[i] &^ blockedBits[i] & mask; x != 0 {
+			return i, x
+		}
 		mask = ^uint64(0)
 	}
+	return i, 0
 }
 
 // block bars the walk from v, and unblock gives it back its distance d.
@@ -506,22 +596,39 @@ func (m *Miner) record() {
 	}
 }
 
+// Path returns the nodes of the cycle Walk has just handed its visitor the
+// Metrics of, as walked: the seed first, then the path it closed. The
+// slice is the Miner's again when the visitor returns; a visitor that
+// keeps the cycle copies it, and Canonicalize gives the copy Cycle's form.
+// Only the visitor may call it.
+func (m *Miner) Path() []graph.NodeID { return m.path }
+
 // Cycle returns the cycle Walk has just handed its visitor the Metrics of,
-// in canonical form — rotated so that its smallest node leads, and turned
-// so that Nodes[1] < Nodes[last] — in a slice that is the Miner's again
+// in canonical form (Canonicalize), in a slice that is the Miner's again
 // when the visitor returns. Only the visitor may call it.
 func (m *Miner) Cycle() Cycle {
+	c := append(m.canon[:0], m.path...) // within canon's capacity
+	Canonicalize(c)
+	return Cycle{Nodes: c}
+}
+
+// Canonicalize puts the cycle through the nodes of c, in their order round
+// it, into canonical form in place: rotated so that its smallest node
+// leads, and turned so that c[1] < c[last]. Each rotation and reflection of
+// a cycle gives the same form.
+func Canonicalize(c []graph.NodeID) {
 	lo := 0
-	for i, v := range m.path {
-		if v < m.path[lo] {
+	for i, v := range c {
+		if v < c[lo] {
 			lo = i
 		}
 	}
-	c := append(append(m.canon[:0], m.path[lo:]...), m.path[:lo]...) // within canon's capacity
-	if c[1] > c[len(c)-1] {
+	slices.Reverse(c[:lo]) // two reversals and a third rotate c left by lo
+	slices.Reverse(c[lo:])
+	slices.Reverse(c)
+	if len(c) > 2 && c[1] > c[len(c)-1] {
 		slices.Reverse(c[1:])
 	}
-	return Cycle{Nodes: c}
 }
 
 // edgesBetween is EdgesBetween of two nodes of the view under its filter.

@@ -1,0 +1,128 @@
+package cycles
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/querygraph/querygraph/internal/graph"
+)
+
+// maxFuzzDegree caps how many distinct neighbours a node of a fuzzed graph
+// may have, so that the reference's search from every node to length 8
+// stays short whatever the input; parallel edges between neighbours are
+// not capped.
+const maxFuzzDegree = 4
+
+// decodeWalk reads one Walk's input from fuzz bytes: a header of node
+// count (up to 80, past one bitset word), maxLen (2 to 8), filter, seed
+// set and Keep salt; a bitmask of category nodes; the seeds; then edges as
+// (from, to, kind) triples of all four kinds.
+func decodeWalk(data []byte) (g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(graph.EdgeKind) bool, keep func(Metrics) bool) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	n, flags, salt := 1+int(next())%80, next(), next()
+	maxLen = 2 + int(flags)%7
+	if flags&0x08 != 0 {
+		exclude = graph.ExcludeRedirects
+	}
+	switch lo := float64(salt%16) / 16; flags >> 6 {
+	case 0:
+		keep = func(m Metrics) bool { return m.Length == 2 || m.CategoryRatio >= lo }
+	case 1:
+		keep = func(m Metrics) bool { return m.ExtraEdgeDensity >= lo }
+	case 2:
+		keep = func(m Metrics) bool { return (m.Length*97+m.Articles*31+m.Edges+int(salt))%3 == 0 }
+	default:
+		keep = func(Metrics) bool { return false }
+	}
+	g = graph.New(n)
+	var cats byte
+	for i := 0; i < n; i++ {
+		if i%8 == 0 {
+			cats = next()
+		}
+		if cats>>(i%8)&1 != 0 {
+			g.AddNode(graph.Category)
+		} else {
+			g.AddNode(graph.Article)
+		}
+	}
+	if flags&0x10 == 0 { // nil seeds otherwise: every cycle
+		seeds = []graph.NodeID{}
+		for k := int(next()) % 8; k > 0; k-- {
+			seeds = append(seeds, graph.NodeID(int(next())%n))
+		}
+	}
+	for len(data) >= 3 {
+		from, to, kind := graph.NodeID(int(next())%n), graph.NodeID(int(next())%n), graph.EdgeKind(next()%4)
+		if g.EdgesBetween(from, to, nil) == 0 && (len(g.Neighbors(from, nil)) >= maxFuzzDegree || len(g.Neighbors(to, nil)) >= maxFuzzDegree) {
+			continue
+		}
+		_ = g.AddEdge(from, to, kind) // self-loops and repeats rejected, fine
+	}
+	return g, seeds, maxLen, exclude, keep
+}
+
+// FuzzMinerWalk holds Walk, with and without Keep, to referenceEnumerate
+// and referenceMeasure on graphs decoded from the input: the unfiltered walk
+// visits exactly the reference's cycles, in canonical form, each measured
+// as the reference measures it; the filtered one visits those of them Keep
+// accepts; and Found is the reference's count both times.
+func FuzzMinerWalk(f *testing.F) {
+	// Five nodes, node 1 a category, maxLen 5, seed 0: a square with a chord.
+	f.Add([]byte{4, 3, 0, 0x02, 1, 0, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 0, 0, 0, 2, 0})
+	// 80 nodes, maxLen 8, a density Keep, seeds 62 to 64: a crowd of edges
+	// across the first word boundary.
+	f.Add([]byte{79, 0x45, 7, 0x81, 0, 0x40, 0, 0, 0, 0, 0x10, 0, 0,
+		3, 62, 63, 64,
+		62, 63, 0, 63, 64, 1, 64, 65, 2, 65, 62, 0, 62, 64, 0, 63, 65, 3,
+		64, 62, 0, 1, 64, 0, 66, 63, 1, 66, 62, 0, 61, 66, 2, 61, 65, 0})
+	// 70 nodes, maxLen 7, redirects excluded, every cycle, a hashed Keep.
+	f.Add([]byte{69, 0x98, 200, 0xff, 0, 0, 0, 0, 0, 0, 0xf0, 0,
+		63, 64, 2, 64, 63, 2, 60, 68, 1, 68, 60, 1, 63, 68, 0, 64, 60, 0,
+		61, 67, 3, 67, 62, 2, 62, 61, 0, 61, 60, 0, 67, 64, 0, 62, 68, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, seeds, maxLen, exclude, keep := decodeWalk(data)
+		want, err := referenceEnumerate(g, seeds, maxLen, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMiner(g, nil, exclude)
+		defer m.Release()
+		for _, filter := range []func(Metrics) bool{nil, keep} {
+			m.Keep = filter
+			var got []Cycle
+			err := m.Walk(seeds, maxLen, func(met Metrics) error {
+				c := Cycle{Nodes: slices.Clone(m.Cycle().Nodes)}
+				if wantMet := referenceMeasure(g, c, exclude); met != wantMet {
+					t.Fatalf("cycle %v measured %+v, want %+v", c.Nodes, met, wantMet)
+				}
+				got = append(got, c)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept []Cycle
+			for _, c := range want {
+				if filter == nil || filter(referenceMeasure(g, c, exclude)) {
+					kept = append(kept, c)
+				}
+			}
+			slices.SortFunc(got, Compare)
+			if !reflect.DeepEqual(got, kept) {
+				t.Fatalf("%d nodes, seeds %v, maxLen %d, filtered %v: walked %v, want %v", g.NumNodes(), seeds, maxLen, filter != nil, got, kept)
+			}
+			if m.Found != len(want) {
+				t.Fatalf("Found %d, want the %d cycles closed", m.Found, len(want))
+			}
+		}
+	})
+}

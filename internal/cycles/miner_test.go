@@ -2,6 +2,7 @@ package cycles
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -609,5 +610,218 @@ func TestWalkKeepOnlyFilters(t *testing.T) {
 	}
 	if polled == 0 {
 		t.Error("no walk was long enough to poll")
+	}
+}
+
+// TestMinerRowsMatchInduced holds the view itself, not the cycles it
+// yields, to g.Induce(list): Len, every node's Kind and Neighbors (which
+// internal/querygraph reads directly), the bitset rows where there are
+// any, and every pair's edge count, capped where the table saturates. The
+// graphs carry parallel edges of several kinds between one article pair,
+// categories nested inside each other both ways, and redirects; the lists
+// fall on both sides of maxTableNodes, so both builds are compared.
+func TestMinerRowsMatchInduced(t *testing.T) {
+	tables, beyond := 0, 0
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, size := 4+rng.Intn(150), 0
+		if seed%6 == 0 { // a list just below or just above the table's bound
+			n = maxTableNodes + 120
+			size = maxTableNodes - 40 + rng.Intn(120)
+		}
+		g := randomGraph(rng, n, 1+3*rng.Float64())
+		c1, c2 := g.AddNode(graph.Category), g.AddNode(graph.Category)
+		a1, a2 := g.AddNode(graph.Article), g.AddNode(graph.Article)
+		for _, e := range []graph.Edge{
+			{From: c1, To: c2, Kind: graph.Inside}, {From: c2, To: c1, Kind: graph.Inside},
+			{From: a1, To: a2, Kind: graph.Link}, {From: a2, To: a1, Kind: graph.Link},
+			{From: a1, To: a2, Kind: graph.Redirect}, {From: a2, To: a1, Kind: graph.Belongs},
+			{From: a1, To: a2, Kind: graph.Inside}, {From: a1, To: c1, Kind: graph.Belongs},
+			{From: a1, To: c1, Kind: graph.Link}, {From: c2, To: a2, Kind: graph.Redirect},
+		} {
+			_ = g.AddEdge(e.From, e.To, e.Kind) // a repeat of a random edge is rejected, fine
+		}
+		if size == 0 {
+			size = rng.Intn(g.NumNodes() + 1)
+		}
+		perm := rng.Perm(g.NumNodes())[:size]
+		list := []graph.NodeID{c1, c2, a1, a2}[:rng.Intn(5)]
+		for _, v := range perm {
+			list = append(list, graph.NodeID(v))
+		}
+		slices.Sort(list)
+		list = slices.Compact(list)
+		exclude := randomFilter(rng)
+		sub := g.Induce(list)
+
+		m := NewMiner(g, list, exclude)
+		if m.Len() != len(list) {
+			t.Fatalf("seed %d: Len %d, want %d", seed, m.Len(), len(list))
+		}
+		if m.pairs != nil {
+			tables++
+		} else {
+			beyond++
+		}
+		for v := range len(list) {
+			id := graph.NodeID(v)
+			if m.Kind(id) != sub.Kind(id) {
+				t.Fatalf("seed %d: node %d is a %v, want %v", seed, v, m.Kind(id), sub.Kind(id))
+			}
+			want := sub.Neighbors(id, exclude)
+			if got := m.Neighbors(id); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: node %d has neighbours %v, want %v", seed, v, got, want)
+			}
+			if m.bits != nil {
+				var fromRow []graph.NodeID
+				for u := range len(list) {
+					if m.bits[v*m.words+u/64]>>(u%64)&1 != 0 {
+						fromRow = append(fromRow, graph.NodeID(u))
+					}
+				}
+				if !slices.Equal(fromRow, want) {
+					t.Fatalf("seed %d: node %d's bit row holds %v, want %v", seed, v, fromRow, want)
+				}
+			}
+			// Every pair when the table holds them all; beyond it the count
+			// falls back to scans, so the neighbours and a few others do.
+			others := want
+			if m.pairs != nil {
+				others = nil
+				for u := range len(list) {
+					others = append(others, graph.NodeID(u))
+				}
+			} else {
+				others = append(slices.Clone(others), graph.NodeID(rng.Intn(len(list))))
+			}
+			for _, u := range others {
+				if got, want := m.edgesBetween(id, u), min(sub.EdgesBetween(id, u, exclude), math.MaxUint8); got != want {
+					t.Fatalf("seed %d: %d edges between %d and %d, want %d", seed, got, v, u, want)
+				}
+			}
+		}
+		m.Release()
+	}
+	if tables == 0 || beyond == 0 {
+		t.Errorf("%d views with a table and %d without: both builds must be compared", tables, beyond)
+	}
+}
+
+// TestEnumerateDeepAcrossWordBoundaries is TestEnumerateAcrossWordBoundaries
+// at maxLen 6 to 8, where the level before the last — the one that enters
+// only the nodes with a closer — lies two to four nodes down the path, with
+// that many path nodes in blockedBits. Smaller graphs, 65 to about 300
+// nodes, and sparser crowds around the multiples of 64, so that the
+// reference's search from every node stays short.
+func TestEnumerateDeepAcrossWordBoundaries(t *testing.T) {
+	compared, straddling := 0, 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 65 + rng.Intn(240)
+		g := randomGraph(rng, n, 1)
+		var near []graph.NodeID // the nodes within three of a multiple of 64
+		for b := 64; b-3 < n; b += 64 {
+			for v := b - 3; v < min(b+3, n); v++ {
+				near = append(near, graph.NodeID(v))
+			}
+		}
+		for e := 0; e < 3*len(near); e++ {
+			_ = g.AddEdge(near[rng.Intn(len(near))], near[rng.Intn(len(near))], graph.EdgeKind(rng.Intn(4)))
+		}
+		var seeds []graph.NodeID
+		if rng.Intn(5) != 0 {
+			seeds = make([]graph.NodeID, 1+rng.Intn(6))
+			for i := range seeds {
+				seeds[i] = near[rng.Intn(len(near))]
+			}
+		}
+		maxLen, exclude := 6+rng.Intn(3), randomFilter(rng)
+		compared += checkMinerAgainstReference(t, seed, g, seeds, maxLen, exclude)
+		cs, err := Enumerate(g, seeds, maxLen, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cs {
+			if slices.ContainsFunc(c.Nodes, func(v graph.NodeID) bool { return v>>6 != c.Nodes[0]>>6 }) {
+				straddling++
+			}
+		}
+	}
+	if t.Logf("%d cycles compared, %d of them across a word boundary", compared, straddling); straddling < 10000 {
+		t.Errorf("only %d cycles cross a word boundary: the graphs test too little", straddling)
+	}
+}
+
+// leastVariant is the canonical form by its definition, sharing no code
+// with Canonicalize: of the cycle's rotations and reflections, the
+// lexicographically least. For distinct nodes it leads with the smallest
+// and turns toward the smaller of that node's two neighbours round it.
+func leastVariant(c []graph.NodeID) []graph.NodeID {
+	var best []graph.NodeID
+	for r := range c {
+		for _, back := range []bool{false, true} {
+			v := make([]graph.NodeID, len(c))
+			for i := range v {
+				if back {
+					v[i] = c[(r-i+len(c))%len(c)]
+				} else {
+					v[i] = c[(r+i)%len(c)]
+				}
+			}
+			if best == nil || slices.Compare(v, best) < 0 {
+				best = v
+			}
+		}
+	}
+	return best
+}
+
+// TestCanonicalizeEveryVariant: Canonicalize gives every rotation and
+// reflection of a cycle the one form, the least of them; and what Cycle
+// hands a visitor is Canonicalize of what Path hands it — the form the
+// expander's ranker builds from stored paths — on walks of random graphs.
+func TestCanonicalizeEveryVariant(t *testing.T) {
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		length := 2 + rng.Intn(MaxSupportedLength-1)
+		path := make([]graph.NodeID, 0, length)
+		for _, v := range rng.Perm(3 * length)[:length] { // distinct, below 24
+			path = append(path, graph.NodeID(v+rng.Intn(2)*100))
+		}
+		want := leastVariant(path)
+		for r := range length {
+			for _, back := range []bool{false, true} {
+				c := append(slices.Clone(path[r:]), path[:r]...)
+				if back {
+					slices.Reverse(c)
+				}
+				given := slices.Clone(c)
+				if Canonicalize(c); !slices.Equal(c, want) {
+					t.Fatalf("Canonicalize(%v) = %v, want %v", given, c, want)
+				}
+			}
+		}
+	}
+	walked := 0
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(90)
+		g := randomGraph(rng, n, 1+2*rng.Float64())
+		m := NewMiner(g, nil, randomFilter(rng))
+		err := m.Walk(randomSeeds(rng, n, 5), 2+rng.Intn(6), func(Metrics) error {
+			c := slices.Clone(m.Path())
+			if Canonicalize(c); !slices.Equal(c, m.Cycle().Nodes) || !slices.Equal(c, leastVariant(m.Path())) {
+				t.Fatalf("seed %d: path %v canonicalised to %v; Cycle is %v", seed, m.Path(), c, m.Cycle().Nodes)
+			}
+			walked++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+	}
+	if walked < 1000 {
+		t.Errorf("only %d cycles walked", walked)
 	}
 }

@@ -48,7 +48,7 @@ func (g *Graph) walk(w *walkScratch, sources []NodeID, radius, maxNodes int, exc
 	for start := 0; start < len(w.queue); {
 		end := len(w.queue)
 		w.level = append(w.level, end)
-		if len(w.level) > radius+1 || end >= maxNodes {
+		if len(w.level)-1 > radius || end >= maxNodes { // radius+1 would wrap at math.MaxInt
 			return
 		}
 		for _, cur := range w.queue[start:end] {
@@ -96,7 +96,7 @@ func (g *Graph) ball(w *walkScratch, sources []NodeID, radius, maxNodes int, exc
 func (g *Graph) BFSDistances(sources []NodeID, exclude func(EdgeKind) bool) map[NodeID]int {
 	w := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(w)
-	g.walk(w, sources, math.MaxInt-1, math.MaxInt, exclude)
+	g.walk(w, sources, math.MaxInt, math.MaxInt, exclude)
 	dist := make(map[NodeID]int, len(w.queue))
 	for d := 1; d < len(w.level); d++ {
 		for _, n := range w.queue[w.level[d-1]:w.level[d]] {

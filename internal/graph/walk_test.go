@@ -189,6 +189,28 @@ func TestBallStopsAtTheCap(t *testing.T) {
 	}
 }
 
+// TestBallUnboundedRadius: a radius of math.MaxInt bounds nothing. On a
+// four-node path it reaches every node, as radius 10 does; the walk's level
+// test once computed radius+1, which wraps there, and returned the source
+// alone.
+func TestBallUnboundedRadius(t *testing.T) {
+	g := New(4)
+	for i := 0; i < 4; i++ {
+		g.AddNode(Article)
+	}
+	for i := 1; i < 4; i++ {
+		if err := g.AddEdge(NodeID(i-1), NodeID(i), Link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []NodeID{0, 1, 2, 3}
+	for _, radius := range []int{10, math.MaxInt - 1, math.MaxInt} {
+		if got := g.Ball([]NodeID{0}, radius, math.MaxInt, nil); !slices.Equal(got, want) {
+			t.Errorf("Ball(radius %d) = %v, want %v", radius, got, want)
+		}
+	}
+}
+
 func TestInduceMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
