@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -841,6 +842,45 @@ func BenchmarkCycleEnumeration(b *testing.B) {
 	b.ReportMetric(float64(len(nodes)), "graphNodes")
 	b.ReportMetric(float64(found)/float64(b.N), "cycles/op")
 	b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
+}
+
+// BenchmarkMinerViewAtBound puts the cost of the largest view an expansion
+// may ask for on record: a cycles.Miner over a sparse random graph of
+// cycles.MaxViewNodes nodes (a quarter categories, two arcs of random kind
+// per node), built and walked to length 5 with no seed filter, the widest
+// walk there is. viewB/op is the view's bit rows, 2·n·⌈n/64⌉ words; the
+// pooled Miner makes later builds allocation-free.
+func BenchmarkMinerViewAtBound(b *testing.B) {
+	const n = cycles.MaxViewNodes
+	rng := rand.New(rand.NewSource(1))
+	g := graph.New(n)
+	for i := range n {
+		kind := graph.Article
+		if i%4 == 0 {
+			kind = graph.Category
+		}
+		g.AddNode(kind)
+	}
+	for range 2 * n {
+		_ = g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), graph.EdgeKind(rng.Intn(4))) // self-loops and repeats rejected, fine
+	}
+	nodes := make([]graph.NodeID, n)
+	for i := range nodes {
+		nodes[i] = graph.NodeID(i)
+	}
+	found := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
+		if err := m.Walk(nil, 5, func(cycles.Metrics) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		found += m.Found
+		m.Release()
+	}
+	b.ReportMetric(float64(2*n*((n+63)/64)*8), "viewB/op")
+	b.ReportMetric(float64(found)/float64(b.N), "cycles/op")
 }
 
 // BenchmarkExpandOnline measures the end-to-end online expansion latency —

@@ -283,6 +283,7 @@ func TestExpandOptionValidation(t *testing.T) {
 		{"cycle len too large", WithMaxCycleLen(9)},
 		{"zero radius", WithRadius(0)},
 		{"zero neighborhood", WithMaxNeighborhood(0)},
+		{"neighborhood above the miner's bound", WithMaxNeighborhood(4097)},
 		{"density above 1", WithMinDensity(1.5)},
 		{"negative density", WithMinDensity(-0.5)},
 		{"zero features", WithMaxFeatures(0)},
@@ -296,6 +297,18 @@ func TestExpandOptionValidation(t *testing.T) {
 		}
 		if _, err := c.ExpandAll(ctx, []string{kw}, BatchOptions{}, tc.opt); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("%s (batch): err = %v, want ErrInvalidOptions", tc.name, err)
+		}
+	}
+	// The neighborhood bound holds on a Pool too, and the bound itself is a
+	// valid cap on both.
+	pool, _ := shardedPool(t, c, 2)
+	defer pool.Close()
+	for _, be := range []Backend{c, pool} {
+		if _, err := be.Expand(ctx, kw, WithMaxNeighborhood(4097)); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%T: neighborhood 4097: err = %v, want ErrInvalidOptions", be, err)
+		}
+		if _, err := be.Expand(ctx, kw, WithMaxNeighborhood(4096)); err != nil {
+			t.Errorf("%T: neighborhood 4096: %v", be, err)
 		}
 	}
 }

@@ -103,6 +103,7 @@ func TestWireGolden(t *testing.T) {
 		{"400_invalid_timeout", "POST", "/v1/search", jsonCT, `{"query":"a","timeout_ms":-3}`, client},
 		{"400_invalid_query", "POST", "/v1/search", jsonCT, `{"query":"#combine(","k":1}`, client},
 		{"400_invalid_options", "POST", "/v1/expand", jsonCT, `{"keywords":"a","min_category_ratio":0.2}`, client},
+		{"400_invalid_options_neighborhood", "POST", "/v1/expand", jsonCT, `{"keywords":"a","max_neighborhood":4097}`, client},
 		{"400_reload_unknown_field", "POST", "/v1/admin/reload", jsonCT, `{"path":"x"}`, pool},
 		{"408_search", "POST", "/v1/search", jsonCT, `{"query":"` + q0 + `"}`, expired},
 		{"408_expand_batch", "POST", "/v1/expand/batch", jsonCT, `{"keywords":["` + q0 + `"]}`, expired},

@@ -279,10 +279,12 @@ func TestExpandMatchesReference(t *testing.T) {
 	}
 }
 
-// TestExpandBeyondThePairTable crosses the miner's maxTableNodes (1 024)
-// from the expander's side: a neighborhood large enough that the subgraph
-// has no pair table, so the walk's two-edge test and the visitor's Measure
-// scan adjacency, still gives the reference's answer.
+// TestExpandBeyondThePairTable holds neighborhoods of over 1 024 nodes,
+// whose miner rows span 17 words or more, to the reference from the
+// expander's side: the walk's row scans, its two-edge test and its capped
+// edge counts reading far from a row's first word still give the
+// reference's answer. (The name is from a miner that once had a pair table
+// up to 1 024 nodes.)
 func TestExpandBeyondThePairTable(t *testing.T) {
 	w, err := synth.Generate(synth.Default())
 	if err != nil {

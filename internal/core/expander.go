@@ -31,7 +31,7 @@ type ExpanderOptions struct {
 	Radius int
 	// MaxNeighborhood caps the candidate graph's node count to keep
 	// enumeration real-time (default 400, about twice the paper's average
-	// query-graph size).
+	// query-graph size; at most cycles.MaxViewNodes).
 	MaxNeighborhood int
 	// MinCategoryRatio / MaxCategoryRatio bound the category ratio of
 	// accepted cycles of length >= 3 (defaults 0.2 and 0.5: "around the
@@ -90,6 +90,8 @@ func (o ExpanderOptions) Validate() error {
 	case o.Radius < 1 || o.MaxNeighborhood < 1 || o.MaxFeatures < 1:
 		return fmt.Errorf("core: radius %d, max neighborhood %d and max features %d must all be >= 1",
 			o.Radius, o.MaxNeighborhood, o.MaxFeatures)
+	case o.MaxNeighborhood > cycles.MaxViewNodes:
+		return fmt.Errorf("core: max neighborhood %d above %d", o.MaxNeighborhood, cycles.MaxViewNodes)
 	case !(o.MinCategoryRatio >= 0 && o.MaxCategoryRatio <= 1 && o.MinCategoryRatio <= o.MaxCategoryRatio):
 		return fmt.Errorf("core: invalid category ratio band [%g, %g]", o.MinCategoryRatio, o.MaxCategoryRatio)
 	case !(o.MinDensity >= 0 && o.MinDensity <= 1):
@@ -276,7 +278,7 @@ func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts Expand
 // ctx that ends stops the run at the next phase boundary or miner poll.
 func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptions) (*Expansion, error) {
 	s.expandCalls.Add(1)
-	// Untraced requests skip the clock reads; see localRuntime.SearchInto.
+	// Untraced requests skip the clock reads; see poolGeneration.parse.
 	tr := trace.FromContext(ctx)
 	var t0 time.Time
 	if tr != nil {

@@ -18,6 +18,7 @@ package cycles
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -30,6 +31,11 @@ import (
 // 5 and so does this implementation's analysis, but the enumerator accepts
 // any small bound.
 const MaxSupportedLength = 8
+
+// MaxViewNodes bounds the node count of the views callers ask for from
+// outside input: a view of n nodes costs 2·n·⌈n/64⌉·8 bytes, 45 KB at the
+// expander's default cap of 400 nodes and 4 MiB here.
+const MaxViewNodes = 4096
 
 // Cycle is one enumerated cycle in canonical form: Nodes[0] is the smallest
 // node ID in the cycle, and Nodes[1] < Nodes[len-1] (so each rotation/
@@ -52,32 +58,22 @@ func (c Cycle) Contains(n graph.NodeID) bool {
 }
 
 // Miner is the undirected view, under one edge filter, of the subgraph a
-// node list induces in a graph — the whole graph when the list is nil —
-// that cycle mining and the query-graph analysis read, built once straight
-// from the graph's adjacency, with no subgraph in between: every node's
-// neighbours, sorted and deduplicated, in one slab for the walk, each
-// node's kind, and — when the view is small enough — EdgesBetween of every
-// pair in a dense table and every node's neighbours again as a bitset row,
-// which the walk intersects to close its last level and to choose what it
-// enters at the level before. Its node ids are positions in the list. Get
-// one from NewMiner and Release it after use; a Miner serves one goroutine.
+// node list induces in a graph, that cycle mining and the query-graph
+// analysis read, built once straight from the graph's adjacency, with no
+// subgraph in between: each node's kind, a bitset row of the articles, and
+// two bitset rows per node — its neighbours, and the neighbours it shares
+// two or more edges with — which the walk scans to go one level down and
+// intersects to close its last level and to choose what it enters at the
+// level before. Its node ids are positions in the list. Get one from
+// NewMiner and Release it after use; a Miner serves one goroutine.
 type Miner struct {
-	g *graph.Graph
-	// nodes are the graph ids of the Miner's nodes, ascending; nil when
-	// they are all of g's, under their own ids.
-	nodes   []graph.NodeID
-	exclude func(graph.EdgeKind) bool
-	kind    []graph.NodeKind
-	// The neighbours of node i are nbr[off[i]:off[i+1]].
-	off []int32
-	nbr []graph.NodeID
-	// pairs[a*n+b] is EdgesBetween(a, b), saturating; nil for a view of
-	// more than maxTableNodes nodes, which falls back to the scans.
-	pairs []uint8
+	kind []graph.NodeKind
 	// Bit b of row a, bits[a*words:][:words], is set when b is a neighbour
-	// of a; nil exactly when pairs is. words is ⌈n/64⌉ either way.
-	bits  []uint64
-	words int
+	// of a, and the same bit of two[a*words:][:words] when EdgesBetween(a,
+	// b) ≥ 2, uncapped; bit b of articles is set when b is an article.
+	// words is ⌈n/64⌉.
+	bits, two, articles []uint64
+	words               int
 	// index[p] is one more than the position of graph node p while
 	// NewMiner reads the list's adjacency, and 0 otherwise: NewMiner sets
 	// it for the listed nodes and clears it for them again, so a build
@@ -119,10 +115,6 @@ type Miner struct {
 	canon       [MaxSupportedLength]graph.NodeID
 }
 
-// maxTableNodes bounds the pair table, n*n bytes, to 1 MiB, and the bitset
-// rows, about n*n/8 bytes, to 128 KiB.
-const maxTableNodes = 1024
-
 // pollEvery is how many cycles the walk finds between two calls of Poll:
 // enumeration cost grows exponentially with length, so an abandoned
 // request must be able to stop its walk, and 256 cycles are microseconds.
@@ -138,33 +130,48 @@ var minerPool = sync.Pool{New: func() any { return new(Miner) }}
 // (edges filtered by exclude; nil keeps all kinds): node i of the view is
 // nodes[i], and its edges are those of g between listed nodes. nodes must
 // be ascending ids of g without repeats — then the view is, id for id,
-// g.Induce(nodes) — and a nil list stands for every node of g. A view of
-// up to maxTableNodes nodes reads each out-arc once (buildTable); a larger
-// one has no table or rows and sorts its neighbour lists (buildRows).
+// g.Induce(nodes); a nil or empty list is an empty view. The build reads
+// each out-arc once: the edge between two listed nodes is met from its
+// source, sets both neighbour bits the first time, and both two-edge bits
+// every time after. A view costs 2·n·⌈n/64⌉ words, which is why callers
+// bound the node count.
 func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind) bool) *Miner {
 	m := minerPool.Get().(*Miner)
-	m.g, m.nodes, m.exclude = g, nodes, exclude
 	n := len(nodes)
-	if nodes == nil {
-		n = g.NumNodes()
-	} else {
-		if len(m.index) < g.NumNodes() {
-			m.index = make([]uint32, g.NumNodes())
-		}
-		for i, p := range nodes {
-			m.index[p] = uint32(i) + 1
-		}
+	if len(m.index) < g.NumNodes() {
+		m.index = make([]uint32, g.NumNodes())
+	}
+	for i, p := range nodes {
+		m.index[p] = uint32(i) + 1
 	}
 	m.words = (n + 63) / 64
 	m.kind = m.kind[:0]
-	for i := 0; i < n; i++ {
-		m.kind = append(m.kind, g.Kind(m.parent(graph.NodeID(i))))
+	m.articles = slices.Grow(m.articles[:0], m.words)[:m.words]
+	clear(m.articles)
+	for i, p := range nodes {
+		k := g.Kind(p)
+		m.kind = append(m.kind, k)
+		if k == graph.Article {
+			m.articles[i>>6] |= 1 << (i & 63)
+		}
 	}
-	if n <= maxTableNodes {
-		m.buildTable(n)
-	} else {
-		m.pairs, m.bits = nil, nil
-		m.buildRows(n)
+	m.bits = slices.Grow(m.bits[:0], n*m.words)[:n*m.words]
+	clear(m.bits)
+	m.two = slices.Grow(m.two[:0], n*m.words)[:n*m.words]
+	clear(m.two)
+	for i, p := range nodes {
+		for _, a := range g.Out(p) {
+			j := int(m.index[a.To]) - 1
+			if j < 0 || exclude != nil && exclude(a.Kind) {
+				continue
+			}
+			rows := m.bits
+			if m.has(rows, graph.NodeID(i), graph.NodeID(j)) {
+				rows = m.two
+			}
+			rows[i*m.words+j>>6] |= 1 << (j & 63)
+			rows[j*m.words+i>>6] |= 1 << (i & 63)
+		}
 	}
 	for _, p := range nodes {
 		m.index[p] = 0
@@ -172,108 +179,14 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 	return m
 }
 
-// buildTable builds a view of n ≤ maxTableNodes nodes in one pass over the
-// out-arcs: each edge between two listed nodes is met once, from its
-// source, counts in both cells of the pair table and sets both row bits.
-// The neighbour slab is then read off the bit rows, which hold each row
-// ascending and once; a row's popcount is its length.
-func (m *Miner) buildTable(n int) {
-	m.pairs = slices.Grow(m.pairs[:0], n*n)[:n*n]
-	clear(m.pairs)
-	m.bits = slices.Grow(m.bits[:0], n*m.words)[:n*m.words]
-	clear(m.bits)
-	for i := 0; i < n; i++ {
-		for _, a := range m.g.Out(m.parent(graph.NodeID(i))) {
-			if j, ok := m.target(a); ok {
-				if c := &m.pairs[i*n+int(j)]; *c < math.MaxUint8 {
-					*c++
-					m.pairs[int(j)*n+i]++ // the same count: the table is symmetric
-				}
-				m.bits[i*m.words+int(j>>6)] |= 1 << (j & 63)
-				m.bits[int(j)*m.words+i>>6] |= 1 << (i & 63)
-			}
-		}
-	}
-	m.off = slices.Grow(m.off[:0], n+1)[:n+1]
-	m.off[0] = 0
-	for i := 0; i < n; i++ {
-		size := 0
-		for _, x := range m.bits[i*m.words:][:m.words] {
-			size += bits.OnesCount64(x)
-		}
-		m.off[i+1] = m.off[i] + int32(size)
-	}
-	m.nbr = slices.Grow(m.nbr[:0], int(m.off[n]))[:0]
-	for i := 0; i < n; i++ {
-		for w, x := range m.bits[i*m.words:][:m.words] {
-			for ; x != 0; x &= x - 1 {
-				m.nbr = append(m.nbr, graph.NodeID(w<<6|bits.TrailingZeros64(x)))
-			}
-		}
-	}
+// row is the view's bitset row of v in rows, m.bits or m.two.
+func (m *Miner) row(rows []uint64, v graph.NodeID) []uint64 {
+	return rows[int(v)*m.words:][:m.words]
 }
 
-// buildRows builds the neighbour slab of a view too large for the table
-// from the out-arcs alone: each edge between two listed nodes is met once,
-// from its source, and puts each end in the other's row. off[i+2] first
-// counts row i; summed, off[i+1] is where row i starts, and filling the row
-// moves it to where it ends. Sorted and deduplicated, the rows then move
-// down the slab.
-func (m *Miner) buildRows(n int) {
-	m.off = slices.Grow(m.off[:0], n+2)[:n+2]
-	clear(m.off)
-	for i := 0; i < n; i++ {
-		for _, a := range m.g.Out(m.parent(graph.NodeID(i))) {
-			if j, ok := m.target(a); ok {
-				m.off[i+2]++
-				m.off[j+2]++
-			}
-		}
-	}
-	for i := 2; i < len(m.off); i++ {
-		m.off[i] += m.off[i-1]
-	}
-	m.nbr = slices.Grow(m.nbr[:0], int(m.off[n+1]))[:m.off[n+1]]
-	for i := 0; i < n; i++ {
-		for _, a := range m.g.Out(m.parent(graph.NodeID(i))) {
-			if j, ok := m.target(a); ok {
-				m.nbr[m.off[i+1]], m.nbr[m.off[j+1]] = j, graph.NodeID(i)
-				m.off[i+1]++
-				m.off[j+1]++
-			}
-		}
-	}
-	m.off = m.off[:n+1]
-	start, end := int32(0), int32(0)
-	for i := 0; i < n; i++ {
-		row := m.nbr[start:m.off[i+1]]
-		start = m.off[i+1]
-		slices.Sort(row)
-		end += int32(copy(m.nbr[end:], slices.Compact(row)))
-		m.off[i+1] = end
-	}
-	m.nbr = m.nbr[:end]
-}
-
-// target is the view's id of the arc's far end, when the filter keeps the
-// arc and the view holds that end.
-func (m *Miner) target(a graph.Arc) (graph.NodeID, bool) {
-	switch {
-	case m.exclude != nil && m.exclude(a.Kind):
-		return 0, false
-	case m.nodes == nil:
-		return a.To, true
-	}
-	j := m.index[a.To]
-	return graph.NodeID(j - 1), j != 0
-}
-
-// parent is the id in g of the view's node v.
-func (m *Miner) parent(v graph.NodeID) graph.NodeID {
-	if m.nodes == nil {
-		return v
-	}
-	return m.nodes[v]
+// has reports whether bit b of a's row in rows is set.
+func (m *Miner) has(rows []uint64, a, b graph.NodeID) bool {
+	return m.row(rows, a)[b>>6]>>(b&63)&1 != 0
 }
 
 // Len is the number of nodes of the view.
@@ -282,14 +195,23 @@ func (m *Miner) Len() int { return len(m.kind) }
 // Kind is the kind of the view's node v.
 func (m *Miner) Kind(v graph.NodeID) graph.NodeKind { return m.kind[v] }
 
-// Neighbors returns the view's neighbours of v, ascending, in a slice that
-// is the Miner's.
-func (m *Miner) Neighbors(v graph.NodeID) []graph.NodeID { return m.nbr[m.off[v]:m.off[v+1]] }
+// Neighbors yields the view's neighbours of v, ascending.
+func (m *Miner) Neighbors(v graph.NodeID) iter.Seq[graph.NodeID] {
+	return func(yield func(graph.NodeID) bool) {
+		for w, x := range m.row(m.bits, v) {
+			for ; x != 0; x &= x - 1 {
+				if !yield(graph.NodeID(w<<6 | bits.TrailingZeros64(x))) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.g, m.nodes, m.exclude, m.Poll, m.Keep, m.visit = nil, nil, nil, nil, nil, nil
+	m.Poll, m.Keep, m.visit = nil, nil, nil
 	minerPool.Put(m)
 }
 
@@ -298,14 +220,24 @@ func (m *Miner) Release() {
 // least one seed node. A nil seed set disables the seed filter and returns
 // every cycle. Production code walks a Miner instead; Enumerate, the
 // Miner's Enumerate and Measure are the tests' oracles and what bench/'s
-// replay of a cold expansion times.
+// replay of a cold expansion times. It mines a view of all of g, which
+// costs n²/4 bytes for n nodes: it is for graphs of a query's size.
 //
 // Cycles are returned in deterministic order (by length, then
 // lexicographic node sequence).
 func Enumerate(g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(graph.EdgeKind) bool) ([]Cycle, error) {
-	m := NewMiner(g, nil, exclude)
+	m := NewMiner(g, allNodes(g), exclude)
 	defer m.Release()
 	return m.Enumerate(seeds, maxLen)
+}
+
+// allNodes lists every node of g, ascending: the node list of g's own view.
+func allNodes(g *graph.Graph) []graph.NodeID {
+	all := make([]graph.NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = graph.NodeID(i)
+	}
+	return all
 }
 
 // Enumerate is the package's Enumerate on the Miner's view: Walk, collect
@@ -355,11 +287,11 @@ func Compare(a, b Cycle) int {
 // search from each seed finds the cycles through it, and the seed is then
 // removed from the graph, so a cycle is found from its smallest seed and
 // from no other. With no seed filter every node is a seed, and the search
-// from s is the search for the cycles whose smallest node is s. On a view
-// with bitset rows, the last level of each search — a path one node short
-// of maxLen — is not searched at all: its closers are one intersection of
-// two rows, less the blocked nodes; and the level before it enters only the
-// nodes that close a cycle, which the same intersection tells.
+// from s is the search for the cycles whose smallest node is s. The last
+// level of each search — a path one node short of maxLen — is not searched
+// at all: its closers are one intersection of two rows, less the blocked
+// nodes; and the level before it enters only the nodes that close a cycle,
+// which the same intersection tells.
 func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error) error {
 	if maxLen < 2 {
 		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
@@ -400,9 +332,7 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 	for _, s := range m.seeds {
 		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
 			m.reach(s)
-			if m.bits != nil {
-				m.seedRow = m.bits[int(s)*m.words:][:m.words]
-			}
+			m.seedRow = m.row(m.bits, s)
 			m.path = append(m.path[:0], s)
 			m.arts[1], m.edges[1] = 0, 0
 			if m.kind[s] == graph.Article {
@@ -430,10 +360,12 @@ func (m *Miner) reach(s graph.NodeID) {
 		if int(d) > m.maxLen/2 {
 			break // reached is in order of distance
 		}
-		for _, w := range m.Neighbors(v) {
-			if m.dist[w] == far {
-				m.dist[w] = d
-				m.reached = append(m.reached, w)
+		for i, x := range m.row(m.bits, v) {
+			for x &^= m.blockedBits[i]; x != 0; x &= x - 1 {
+				if w := graph.NodeID(i<<6 | bits.TrailingZeros64(x)); m.dist[w] == far {
+					m.dist[w] = d
+					m.reached = append(m.reached, w)
+				}
 			}
 		}
 	}
@@ -446,44 +378,49 @@ func (m *Miner) reach(s graph.NodeID) {
 // to the seed with the nodes maxLen leaves. Two nodes close a cycle when
 // they share two edges (Figure 4a); of the two directions a longer cycle
 // can be walked in, the one with path[1] < path[last] is kept, so a node
-// that could only close the path the other way round is not entered. On a
-// view with bitset rows, the last level is closeLast, and the level before
-// it is enterLast.
+// that could only close the path the other way round is not entered. The
+// neighbours are scanned in ascending order, the blocked ones masked off a
+// word at a time; the last level is closeLast, and the level before it is
+// enterLast.
 func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	k := len(m.path)
-	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.edgesBetween(m.path[0], cur) >= 2) {
+	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.has(m.two, cur, m.path[0])) {
 		m.record()
 	}
 	if k >= m.maxLen {
 		return // nothing below could be entered: spare the widest level its scan
 	}
-	last := k+1 == m.maxLen && k >= 2
-	if last && m.bits != nil {
+	if k+1 == m.maxLen && k >= 2 {
 		i, x := m.closers(cur, int(m.path[1])+1)
 		m.closeLast(cur, i, x)
 		return
 	}
-	beforeLast := k+2 == m.maxLen && k >= 2 && m.bits != nil
-	for _, next := range m.Neighbors(cur) {
-		d := m.dist[next]
-		switch {
-		case int(d) > m.maxLen-k || last && next < m.path[1]:
-			// not entered
-		case beforeLast:
-			m.enterLast(next, d)
-		default:
-			m.extend(next)
-			m.block(next)
-			m.path = append(m.path, next)
-			m.dfs(next, d)
-			m.path = m.path[:k]
-			m.unblock(next, d)
+	beforeLast := k+2 == m.maxLen && k >= 2
+	for i, x := range m.row(m.bits, cur) {
+		// A word's blocked nodes are the same after each neighbour's search
+		// as before it: the search unblocks what it blocks.
+		for x &^= m.blockedBits[i]; x != 0; x &= x - 1 {
+			next := graph.NodeID(i<<6 | bits.TrailingZeros64(x))
+			d := m.dist[next]
+			switch {
+			case int(d) > m.maxLen-k:
+				// not entered
+			case beforeLast:
+				m.enterLast(next, d)
+			default:
+				m.extend(next)
+				m.block(next)
+				m.path = append(m.path, next)
+				m.dfs(next, d)
+				m.path = m.path[:k]
+				m.unblock(next, d)
+			}
 		}
 	}
 }
 
-// enterLast is dfs(next, d) at the level before the last, on a view with
-// bitset rows. The path cannot grow past next, so next is entered only if
+// enterLast is dfs(next, d) at the level before the last. The path cannot
+// grow past next, so next is entered only if
 // it closes a cycle: when it is next to the seed, above path[1], or has a
 // closer of its own. The closers found to decide that are the first that
 // closeLast records.
@@ -534,7 +471,7 @@ func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
 // word by word, the first word masked below lo. cur is not in its own row,
 // so whether it is blocked yet does not matter.
 func (m *Miner) closers(cur graph.NodeID, lo int) (i int, x uint64) {
-	curRow := m.bits[int(cur)*m.words:][:m.words]
+	curRow := m.row(m.bits, cur)
 	seedRow, blockedBits := m.seedRow[:len(curRow)], m.blockedBits[:len(curRow)]
 	mask := ^uint64(0) << (lo & 63)
 	for i = lo >> 6; i < len(curRow); i++ {
@@ -558,24 +495,25 @@ func (m *Miner) unblock(v graph.NodeID, d uint8) {
 }
 
 // extend sets the running counts of the path with v appended: the
-// articles, and the capped edges between v and every node on the path.
+// articles, and the capped edges between v and every node on the path —
+// one per neighbour on it, and a second for each article neighbour it
+// shares two edges with when v is an article (pairCapacity).
 func (m *Miner) extend(v graph.NodeID) {
-	k, kv := len(m.path), m.kind[v]
-	edges := m.edges[k]
-	if m.pairs != nil {
-		row := m.pairs[int(v)*len(m.kind):][:len(m.kind)]
+	k, row := len(m.path), m.row(m.bits, v)
+	edges, arts := m.edges[k], m.arts[k]
+	if m.kind[v] == graph.Article {
+		arts++
+		two, articles := m.row(m.two, v), m.articles[:len(row)]
 		for _, u := range m.path {
-			edges += min(int(row[u]), pairCapacity(m.kind[u], kv))
+			w, b := u>>6, u&63
+			edges += int(row[w]>>b&1 + two[w]&articles[w]>>b&1)
 		}
 	} else {
 		for _, u := range m.path {
-			edges += min(m.edgesBetween(u, v), pairCapacity(m.kind[u], kv))
+			edges += int(row[u>>6] >> (u & 63) & 1)
 		}
 	}
-	m.edges[k+1], m.arts[k+1] = edges, m.arts[k]
-	if kv == graph.Article {
-		m.arts[k+1]++
-	}
+	m.edges[k+1], m.arts[k+1] = edges, arts
 }
 
 // record counts the path's cycle and hands visit its Metrics if Keep
@@ -629,14 +567,6 @@ func Canonicalize(c []graph.NodeID) {
 	if len(c) > 2 && c[1] > c[len(c)-1] {
 		slices.Reverse(c[1:])
 	}
-}
-
-// edgesBetween is EdgesBetween of two nodes of the view under its filter.
-func (m *Miner) edgesBetween(a, b graph.NodeID) int {
-	if m.pairs != nil {
-		return int(m.pairs[int(a)*len(m.kind)+int(b)])
-	}
-	return m.g.EdgesBetween(m.parent(a), m.parent(b), m.exclude)
 }
 
 // AppendArticles appends the article nodes of the cycle to dst, ascending.

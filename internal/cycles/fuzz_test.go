@@ -94,7 +94,7 @@ func FuzzMinerWalk(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMiner(g, nil, exclude)
+		m := NewMiner(g, allNodes(g), exclude)
 		defer m.Release()
 		for _, filter := range []func(Metrics) bool{nil, keep} {
 			m.Keep = filter

@@ -2,7 +2,6 @@ package cycles
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -142,6 +141,10 @@ func referenceMeasure(g *graph.Graph, c Cycle, exclude func(graph.EdgeKind) bool
 	return m
 }
 
+// wideView is a view width of 16 words a row, well above the 400 nodes a
+// query's ball holds by default.
+const wideView = 1024
+
 // randomGraph draws n nodes, a quarter of them categories, and about
 // density*n edges of all four kinds, parallel and reciprocal ones included.
 func randomGraph(rng *rand.Rand, n int, density float64) *graph.Graph {
@@ -199,10 +202,7 @@ func checkMinerAgainstReference(t *testing.T, seed int64, g *graph.Graph, seeds 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMiner(g, nil, exclude)
-	if n := g.NumNodes(); (m.pairs == nil) != (n > maxTableNodes) {
-		t.Fatalf("%d nodes, pair table %v", n, m.pairs != nil)
-	}
+	m := NewMiner(g, allNodes(g), exclude)
 	got, err := m.Enumerate(seeds, maxLen)
 	if err != nil {
 		t.Fatal(err)
@@ -271,16 +271,17 @@ func TestEnumerateMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEnumerateBeyondThePairTable crosses the one threshold the Miner has:
-// a graph of more than maxTableNodes nodes has no pair table, so the walk's
-// two-edge test and Measure fall back to adjacency scans. Sparse graphs, so
-// that the reference's search from every node stays short; they must still
-// hold cycles worth comparing.
+// TestEnumerateBeyondThePairTable holds views that span many words to the
+// reference: graphs of just over wideView nodes, 17 words a row, where
+// the walk's row scans, its two-edge test and its capped edge counts read
+// far from a row's first word. Sparse graphs, so that the reference's
+// search from every node stays short; they must still hold cycles worth
+// comparing.
 func TestEnumerateBeyondThePairTable(t *testing.T) {
 	cycles := 0
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := maxTableNodes + 1 + rng.Intn(50)
+		n := wideView + 1 + rng.Intn(50)
 		g := randomGraph(rng, n, 2)
 		cycles += checkMinerAgainstReference(t, seed, g, randomSeeds(rng, n, 40), 4+rng.Intn(3), randomFilter(rng))
 	}
@@ -343,7 +344,7 @@ func TestEnumerateEmptySeedSet(t *testing.T) {
 // nothing had happened.
 func TestEnumeratePollStops(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 14, 4)
-	m := NewMiner(g, nil, nil)
+	m := NewMiner(g, allNodes(g), nil)
 	defer m.Release()
 	want, err := m.Enumerate(nil, 7)
 	if err != nil || len(want) < 4*pollEvery {
@@ -386,7 +387,7 @@ func TestEnumeratePollStops(t *testing.T) {
 // random graphs with redirect and parallel edges, and a category pair
 // nested inside each other both ways — a 2-cycle, which the two-edge test
 // finds only by reading raw multiplicities, not capped ones — seeded and
-// unseeded walks over subsets on both sides of maxTableNodes find exactly
+// unseeded walks over subsets on both sides of wideView find exactly
 // Enumerate's cycles of g.Induce(nodes), position for subgraph id, and
 // each cycle's Metrics are Measure's on that subgraph.
 func TestMinerOnNodeListMatchesInduced(t *testing.T) {
@@ -394,9 +395,9 @@ func TestMinerOnNodeListMatchesInduced(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, size := 4+rng.Intn(60), 0
-		if seed%8 == 0 { // a subset just below or just above the table's bound
-			n = maxTableNodes + 120
-			size = maxTableNodes - 40 + rng.Intn(120)
+		if seed%8 == 0 { // a subset just below or just above wideView
+			n = wideView + 120
+			size = wideView - 40 + rng.Intn(120)
 		}
 		g := randomGraph(rng, n, 1+3*rng.Float64())
 		c1, c2 := g.AddNode(graph.Category), g.AddNode(graph.Category)
@@ -435,9 +436,6 @@ func TestMinerOnNodeListMatchesInduced(t *testing.T) {
 		}
 
 		m := NewMiner(g, list, exclude)
-		if (m.pairs == nil) != (len(list) > maxTableNodes) {
-			t.Fatalf("seed %d: %d nodes, pair table %v", seed, len(list), m.pairs != nil)
-		}
 		for _, seeds := range [][]graph.NodeID{seeds, nil} {
 			want, err := Enumerate(sub.Graph, seeds, maxLen, exclude)
 			if err != nil {
@@ -449,7 +447,7 @@ func TestMinerOnNodeListMatchesInduced(t *testing.T) {
 				if wantMet, err := Measure(sub.Graph, c, exclude); err != nil || met != wantMet {
 					t.Fatalf("seed %d: cycle %v measured %+v, want %+v (%v)", seed, c.Nodes, met, wantMet, err)
 				}
-				if total++; m.pairs == nil {
+				if total++; len(list) > wideView {
 					beyond++
 				}
 				got = append(got, c)
@@ -474,7 +472,7 @@ func TestMinerOnNodeListMatchesInduced(t *testing.T) {
 		}
 		m.Release()
 	}
-	if t.Logf("%d cycles compared, %d of them beyond the pair table", total, beyond); total < 10000 || beyond < 1000 {
+	if t.Logf("%d cycles compared, %d of them in views of over wideView nodes", total, beyond); total < 10000 || beyond < 1000 {
 		t.Errorf("the graphs are too sparse to test anything")
 	}
 	if nested == 0 {
@@ -483,7 +481,7 @@ func TestMinerOnNodeListMatchesInduced(t *testing.T) {
 }
 
 // TestEnumerateAcrossWordBoundaries holds the bitset rows of views wider
-// than one word to the reference: random graphs of 65 to maxTableNodes
+// than one word to the reference: random graphs of 65 to wideView
 // nodes whose edges crowd around the multiples of 64, seeded there, so
 // that seeds, path[1] and the closers of the last level fall on both sides
 // of a word boundary. The multi-word AND of two rows and the mask that
@@ -493,7 +491,7 @@ func TestEnumerateAcrossWordBoundaries(t *testing.T) {
 	compared, straddling := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := 65 + rng.Intn(maxTableNodes-64)
+		n := 65 + rng.Intn(wideView-64)
 		g := randomGraph(rng, n, 1)
 		var near []graph.NodeID // the nodes within three of a multiple of 64
 		for b := 64; b-3 < n; b += 64 {
@@ -576,7 +574,7 @@ func TestWalkKeepOnlyFilters(t *testing.T) {
 		}
 		g := randomGraph(rng, n, density)
 		seeds := randomSeeds(rng, n, 5)
-		m := NewMiner(g, nil, randomFilter(rng))
+		m := NewMiner(g, allNodes(g), randomFilter(rng))
 		all, allPolls := walk(m, seeds, maxLen)
 		if m.Found != len(all) {
 			t.Fatalf("seed %d: a walk with no Keep found %d cycles and visited %d", seed, m.Found, len(all))
@@ -615,19 +613,20 @@ func TestWalkKeepOnlyFilters(t *testing.T) {
 
 // TestMinerRowsMatchInduced holds the view itself, not the cycles it
 // yields, to g.Induce(list): Len, every node's Kind and Neighbors (which
-// internal/querygraph reads directly), the bitset rows where there are
-// any, and every pair's edge count, capped where the table saturates. The
-// graphs carry parallel edges of several kinds between one article pair,
-// categories nested inside each other both ways, and redirects; the lists
-// fall on both sides of maxTableNodes, so both builds are compared.
+// internal/querygraph reads directly), the neighbour rows, and every pair's
+// two-edge bit against EdgesBetween ≥ 2, uncapped. The graphs carry
+// parallel edges of several kinds between one article pair, categories
+// nested inside each other both ways — a pair whose two edges count once in
+// a cycle's Metrics but still make it a 2-cycle — and redirects; some
+// lists are wider than wideView.
 func TestMinerRowsMatchInduced(t *testing.T) {
-	tables, beyond := 0, 0
+	wide, nested := 0, 0
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, size := 4+rng.Intn(150), 0
-		if seed%6 == 0 { // a list just below or just above the table's bound
-			n = maxTableNodes + 120
-			size = maxTableNodes - 40 + rng.Intn(120)
+		if seed%6 == 0 { // a list just below or just above wideView
+			n = wideView + 120
+			size = wideView - 40 + rng.Intn(120)
 		}
 		g := randomGraph(rng, n, 1+3*rng.Float64())
 		c1, c2 := g.AddNode(graph.Category), g.AddNode(graph.Category)
@@ -658,10 +657,8 @@ func TestMinerRowsMatchInduced(t *testing.T) {
 		if m.Len() != len(list) {
 			t.Fatalf("seed %d: Len %d, want %d", seed, m.Len(), len(list))
 		}
-		if m.pairs != nil {
-			tables++
-		} else {
-			beyond++
+		if len(list) > wideView {
+			wide++
 		}
 		for v := range len(list) {
 			id := graph.NodeID(v)
@@ -669,41 +666,36 @@ func TestMinerRowsMatchInduced(t *testing.T) {
 				t.Fatalf("seed %d: node %d is a %v, want %v", seed, v, m.Kind(id), sub.Kind(id))
 			}
 			want := sub.Neighbors(id, exclude)
-			if got := m.Neighbors(id); !slices.Equal(got, want) {
+			if got := slices.Collect(m.Neighbors(id)); !slices.Equal(got, want) {
 				t.Fatalf("seed %d: node %d has neighbours %v, want %v", seed, v, got, want)
 			}
-			if m.bits != nil {
-				var fromRow []graph.NodeID
-				for u := range len(list) {
-					if m.bits[v*m.words+u/64]>>(u%64)&1 != 0 {
-						fromRow = append(fromRow, graph.NodeID(u))
-					}
-				}
-				if !slices.Equal(fromRow, want) {
-					t.Fatalf("seed %d: node %d's bit row holds %v, want %v", seed, v, fromRow, want)
+			var fromRow []graph.NodeID
+			for u := range len(list) {
+				if m.bits[v*m.words+u/64]>>(u%64)&1 != 0 {
+					fromRow = append(fromRow, graph.NodeID(u))
 				}
 			}
-			// Every pair when the table holds them all; beyond it the count
-			// falls back to scans, so the neighbours and a few others do.
-			others := want
-			if m.pairs != nil {
-				others = nil
-				for u := range len(list) {
-					others = append(others, graph.NodeID(u))
-				}
-			} else {
-				others = append(slices.Clone(others), graph.NodeID(rng.Intn(len(list))))
+			if !slices.Equal(fromRow, want) {
+				t.Fatalf("seed %d: node %d's bit row holds %v, want %v", seed, v, fromRow, want)
 			}
-			for _, u := range others {
-				if got, want := m.edgesBetween(id, u), min(sub.EdgesBetween(id, u, exclude), math.MaxUint8); got != want {
-					t.Fatalf("seed %d: %d edges between %d and %d, want %d", seed, got, v, u, want)
+			for u := range len(list) {
+				got, want := m.two[v*m.words+u/64]>>(u%64)&1 != 0, sub.EdgesBetween(id, graph.NodeID(u), exclude) >= 2
+				if got != want {
+					t.Fatalf("seed %d: two-edge bit of %d and %d is %v, want %v", seed, v, u, got, want)
 				}
+			}
+		}
+		p1, in1 := slices.BinarySearch(list, c1)
+		p2, in2 := slices.BinarySearch(list, c2)
+		if in1 && in2 {
+			if nested++; !m.has(m.two, graph.NodeID(p1), graph.NodeID(p2)) {
+				t.Fatalf("seed %d: the categories nested both ways, %d and %d, share no two-edge bit", seed, p1, p2)
 			}
 		}
 		m.Release()
 	}
-	if tables == 0 || beyond == 0 {
-		t.Errorf("%d views with a table and %d without: both builds must be compared", tables, beyond)
+	if wide == 0 || nested == 0 {
+		t.Errorf("%d views wider than wideView and %d with the nested categories: both must come up", wide, nested)
 	}
 }
 
@@ -807,7 +799,7 @@ func TestCanonicalizeEveryVariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(90)
 		g := randomGraph(rng, n, 1+2*rng.Float64())
-		m := NewMiner(g, nil, randomFilter(rng))
+		m := NewMiner(g, allNodes(g), randomFilter(rng))
 		err := m.Walk(randomSeeds(rng, n, 5), 2+rng.Intn(6), func(Metrics) error {
 			c := slices.Clone(m.Path())
 			if Canonicalize(c); !slices.Equal(c, m.Cycle().Nodes) || !slices.Equal(c, leastVariant(m.Path())) {

@@ -25,9 +25,8 @@ import (
 // QueryGraph is one assembled G(q). Node sets are stored as snapshot IDs.
 type QueryGraph struct {
 	Snap *wiki.Snapshot
-	// Nodes are the nodes of G(q), ascending and never nil (an empty G(q)
-	// is an empty list, because a cycles.Miner reads nil as every node);
-	// G(q) is the subgraph they induce in Snap's graph.
+	// Nodes are the nodes of G(q), ascending; G(q) is the subgraph they
+	// induce in Snap's graph.
 	Nodes []graph.NodeID
 	// QueryArticles is L(q.k): the articles mentioned in the query keywords
 	// (ascending).
@@ -42,7 +41,7 @@ type QueryGraph struct {
 // brings in its categories. Unknown node IDs are rejected.
 func Assemble(snap *wiki.Snapshot, queryArticles, expansion []graph.NodeID) (*QueryGraph, error) {
 	g := snap.Graph()
-	nodes := []graph.NodeID{}
+	var nodes []graph.NodeID
 	for _, id := range slices.Concat(queryArticles, expansion) {
 		if !g.Valid(id) {
 			return nil, fmt.Errorf("querygraph: unknown node %d", id)
@@ -210,7 +209,7 @@ func walk(m *cycles.Miner, dist []int, sources []graph.NodeID) []graph.NodeID {
 	}
 	for head := 0; head < len(reached); head++ {
 		v := reached[head]
-		for _, w := range m.Neighbors(v) {
+		for w := range m.Neighbors(v) {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
 				reached = append(reached, w)

@@ -423,6 +423,9 @@ func (s *Server) handleExpand(ctx context.Context, r *Reader) ([]byte, *RemoteEr
 	if rerr := malformed(r.Done()); rerr != nil {
 		return nil, rerr
 	}
+	if err := opts.Validate(); err != nil { // the request's fault: not retried
+		return nil, &RemoteError{Class: ClassInvalidOptions, Msg: err.Error()}
+	}
 	exp, outcome, err := s.sys.ExpandOutcome(ctx, keywords, opts)
 	if err != nil {
 		return nil, remoteErr(err)

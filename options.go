@@ -148,7 +148,8 @@ func WithRadius(r int) ExpandOption {
 }
 
 // WithMaxNeighborhood caps the candidate graph's node count (default 400;
-// must be >= 1).
+// must be in [1, 4096]: the cycle miner's view of n nodes takes n²/4
+// bytes).
 func WithMaxNeighborhood(n int) ExpandOption {
 	return func(o *core.ExpanderOptions) { o.MaxNeighborhood = n }
 }

@@ -71,12 +71,13 @@ func (p *Pool) Reload(manifestPath string) error {
 			return fmt.Errorf("%w: %v", ErrBadManifest, err)
 		}
 		// Carry a pending delta segment into the new generation when it still
-		// fits: same base document count, same engine configuration — i.e. the
-		// reloaded manifest is the same corpus the segment was ingested above
-		// (a reload after Compact lands here with an already-empty delta). A
-		// manifest with different shape supersedes the segment and drops it.
-		if d := cur.set.Delta(); d.NumDocs() > 0 &&
-			d.BaseDocs() == set.GlobalDocs() && d.Config() == liveConfigOf(set.Systems()[0]) {
+		// fits: same base document count — i.e. the reloaded manifest is the
+		// same corpus the segment was ingested above (a reload after Compact
+		// lands here with an already-empty delta). The engine configuration
+		// needs no test: it is a constant, and store.Read refuses a snapshot
+		// written under any other. A manifest with a different document count
+		// supersedes the segment and drops it.
+		if d := cur.set.Delta(); d.NumDocs() > 0 && d.BaseDocs() == set.GlobalDocs() {
 			set = set.WithDelta(d)
 		}
 		p.swapLocked(newPoolGeneration(set, cur.seq+1))

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/rpc"
 	"github.com/querygraph/querygraph/internal/trace"
 )
@@ -551,6 +552,17 @@ func TestRemoteInvalidQueryAborts(t *testing.T) {
 	defer be.Close()
 	if _, err := be.Search(context.Background(), "#combine(", 5); !errors.Is(err, ErrInvalidQuery) {
 		t.Fatalf("err = %v, want ErrInvalidQuery", err)
+	}
+	// Options the shard rejects map back onto ErrInvalidOptions the same way,
+	// also when the coordinator did not check them first.
+	kw := be.Queries()[0].Keywords
+	if _, err := be.Expand(context.Background(), kw, WithMaxNeighborhood(4097)); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("neighborhood 4097: err = %v, want ErrInvalidOptions", err)
+	}
+	opts := core.DefaultExpanderOptions()
+	opts.MaxNeighborhood = 4097
+	if _, _, err := be.(*Remote).expand(context.Background(), kw, opts); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("neighborhood 4097 sent unchecked: err = %v, want ErrInvalidOptions from the shard", err)
 	}
 }
 
