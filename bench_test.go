@@ -931,6 +931,31 @@ func BenchmarkExpandCold(b *testing.B) {
 	b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
 }
 
+// BenchmarkExpandColdFallback is BenchmarkExpandCold with room for 40
+// features: the cycles shorter than the longest length never hold that
+// many, so every expansion's first walk, which only counts its longest
+// cycles, is followed by a second that measures them — the cost of the
+// walk-again path. features/op says the longest cycles were ranked.
+func BenchmarkExpandColdFallback(b *testing.B) {
+	e := benchSetup(b)
+	c, err := querygraph.Build(e.world, querygraph.WithExpandCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx, features := context.Background(), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exp, err := c.Expand(ctx, e.queries[i%len(e.queries)].Keywords, querygraph.WithMaxFeatures(40))
+		if err != nil {
+			b.Fatal(err)
+		}
+		features += len(exp.Features)
+	}
+	b.ReportMetric(float64(features)/float64(b.N), "features/op")
+}
+
 // BenchmarkExpandStampede is the experiment behind DESIGN.md's "The
 // expansion cache: single-flight measured, then deleted": N goroutines
 // released at once on one key of an emptied cache — what a generation swap

@@ -51,7 +51,7 @@ func Example() {
 	fmt.Printf("top results: %d\n", len(results))
 	// Output:
 	// entities linked: 3
-	// cycles: 2383 considered, 1007 accepted
+	// cycles: 2383 considered, 117 accepted
 	// features proposed: 10
 	// top results: 5
 }
@@ -90,9 +90,12 @@ func ExampleClient_Expand_options() {
 		querygraph.WithCategoryRatioBand(0.9, 0.1))
 	fmt.Println("invalid band rejected:", errors.Is(err, querygraph.ErrInvalidOptions))
 
+	// Ranked by frequency, every cycle is measured, so every cycle the
+	// filters pass counts as accepted.
 	wide, err := client.Expand(ctx, keywords,
 		querygraph.WithCategoryRatioBand(0, 1),
 		querygraph.WithMinDensity(0),
+		querygraph.WithFrequencyRank(true),
 		querygraph.WithMaxFeatures(3))
 	if err != nil {
 		panic(err)

@@ -103,7 +103,7 @@ func main() {
 	for _, id := range expansion.QueryArticles {
 		fmt.Printf("  - %s\n", backend.Title(id))
 	}
-	fmt.Printf("cycles: %d considered, %d accepted by the structural filters\n",
+	fmt.Printf("cycles: %d considered, %d of the lengths measured accepted by the structural filters\n",
 		expansion.CyclesConsidered, expansion.CyclesAccepted)
 	fmt.Printf("expansion features:\n")
 	for _, f := range expansion.Features {

@@ -21,6 +21,9 @@ import (
 // graph, filter by radius, sort by (distance, id), cap, induce, enumerate
 // every cycle of the neighborhood, drop those that miss the query articles,
 // measure each by adjacency scans, filter, sort them all by rank, select.
+// Its CyclesAccepted counts the accepted cycles of the lengths the
+// expander measures (see measuresLongest), derived from the full ranking;
+// referenceMeasured also returns the longest of those lengths.
 //
 // The proof chain has two links. System.expand equals referenceExpand
 // (TestExpandMatchesReference), which shares with it — through
@@ -33,10 +36,15 @@ import (
 // miner. BFSDistances and the package-level Measure are each tested against
 // their own former selves where they changed.
 func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansion, error) {
+	exp, _, err := referenceMeasured(s, keywords, opts)
+	return exp, err
+}
+
+func referenceMeasured(s *System, keywords string, opts ExpanderOptions) (exp *Expansion, measured int, err error) {
 	queryArts := s.LinkKeywords(keywords)
-	exp := &Expansion{Keywords: keywords, QueryArticles: queryArts}
+	exp = &Expansion{Keywords: keywords, QueryArticles: queryArts}
 	if len(queryArts) == 0 {
-		return exp, nil
+		return exp, 0, nil
 	}
 
 	g := s.Snapshot.Graph()
@@ -68,7 +76,7 @@ func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansi
 
 	all, err := cycles.Enumerate(sub.Graph, nil, opts.MaxCycleLen, graph.ExcludeRedirects)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	type mined struct {
 		cycle    cycles.Cycle
@@ -88,7 +96,7 @@ func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansi
 		}
 		m, err := cycles.Measure(sub.Graph, c, graph.ExcludeRedirects)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		exp.CyclesConsidered++
 		switch {
@@ -107,7 +115,6 @@ func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansi
 		}
 		kept = append(kept, mined{c, m, arts})
 	}
-	exp.CyclesAccepted = len(kept)
 
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i].metrics, kept[j].metrics
@@ -161,6 +168,21 @@ func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansi
 			ordered = append(ordered, cand)
 		}
 	}
+	shorter := 0 // the features the cycles below MaxCycleLen introduce
+	for _, cand := range ordered {
+		if cand.feature.CycleLen < opts.MaxCycleLen {
+			shorter++
+		}
+	}
+	measured = opts.MaxCycleLen
+	if !measuresLongest(opts, shorter) {
+		measured--
+	}
+	for _, k := range kept {
+		if k.metrics.Length <= measured {
+			exp.CyclesAccepted++
+		}
+	}
 	if opts.RankByFrequency {
 		sort.Slice(ordered, func(i, j int) bool {
 			if ordered[i].frequency != ordered[j].frequency {
@@ -186,7 +208,16 @@ func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansi
 			}
 		}
 	}
-	return exp, nil
+	return exp, measured, nil
+}
+
+// measuresLongest is the rule of when the expander measures its cycles of
+// MaxCycleLen nodes, given how many features the shorter ones introduce:
+// when the ranking may read them — it ranks by frequency, which reads
+// every cycle, or the shorter ones leave room for a feature — and always
+// at MaxCycleLen 2, the shortest length there is.
+func measuresLongest(opts ExpanderOptions, shorterFeatures int) bool {
+	return opts.RankByFrequency || opts.MaxCycleLen == 2 || shorterFeatures < opts.MaxFeatures
 }
 
 // randomWorld generates a small world whose shape varies with the seed.
@@ -336,8 +367,10 @@ func TestExpandBeyondThePairTable(t *testing.T) {
 // before the 5-cycles are looked at; but Gondola is also on all three of
 // those and Regatta with it, so ranked by frequency the answer is Gondola
 // (4 cycles), Regatta (3). Stopping early under RankByFrequency would give
-// Bridge, Gondola (1 each); counting only the lengths that were sorted
-// would give CyclesAccepted 2.
+// Bridge, Gondola (1 each). In cycle order the expander needs no cycle of
+// the longest length, so it counts the three 5-cycles without measuring
+// them: CyclesConsidered 5, CyclesAccepted 2; ranked by frequency it
+// measures every cycle, and accepts 5.
 func TestExpandStopsRankingEarlyOnlyWhenItMay(t *testing.T) {
 	b := wiki.NewBuilder(16)
 	must := func(err error) {
@@ -380,20 +413,141 @@ func TestExpandStopsRankingEarlyOnlyWhenItMay(t *testing.T) {
 	for _, tc := range []struct {
 		byFrequency bool
 		want        []string
-	}{{false, []string{"Bridge", "Gondola"}}, {true, []string{"Gondola", "Regatta"}}} {
+		accepted    int
+	}{{false, []string{"Bridge", "Gondola"}, 2}, {true, []string{"Gondola", "Regatta"}, 5}} {
 		opts.RankByFrequency = tc.byFrequency
 		got, err := s.Expand(context.Background(), "venice", opts)
 		must(err)
 		if titles := got.FeatureTitles(); !reflect.DeepEqual(titles, tc.want) {
 			t.Errorf("RankByFrequency=%v: features %v, want %v", tc.byFrequency, titles, tc.want)
 		}
-		if got.CyclesConsidered != 5 || got.CyclesAccepted != 5 {
-			t.Errorf("RankByFrequency=%v: %d cycles considered, %d accepted; want 5 and 5 however few were ranked",
-				tc.byFrequency, got.CyclesConsidered, got.CyclesAccepted)
+		if got.CyclesConsidered != 5 || got.CyclesAccepted != tc.accepted {
+			t.Errorf("RankByFrequency=%v: %d cycles considered, %d accepted; want 5 and %d however few were ranked",
+				tc.byFrequency, got.CyclesConsidered, got.CyclesAccepted, tc.accepted)
 		}
 		// The full ranking, selected from afterwards, says the same.
 		if want, err := referenceExpand(s, "venice", opts); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("RankByFrequency=%v:\n got %+v\nwant %+v, %v", tc.byFrequency, got, want, err)
+		}
+	}
+}
+
+// mineDetail expands keywords on a traced request and returns the answer
+// and the detail of its expand.mine span.
+func mineDetail(t *testing.T, s *System, keywords string, opts ExpanderOptions) (*Expansion, string) {
+	t.Helper()
+	tr := trace.Begin(trace.NewID())
+	exp, err := s.expand(trace.NewContext(context.Background(), tr), keywords, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Finish("expand", "").Spans {
+		if sp.Phase == "expand.mine" {
+			return exp, sp.Detail
+		}
+	}
+	return exp, ""
+}
+
+// TestExpandWalksAgainOnlyWhenTheRankingNeedsIt holds the walk-again rule
+// to the full ranking: over random worlds, keywords and options — cycle
+// lengths 3 to 6, up to 40 features, filters on and off, both rankings —
+// the Expansion equals referenceExpand's, and the longest length the mine
+// span says was measured is the one the reference derives from its
+// features. Both ways out of the rule must occur: a count-only walk that
+// sufficed, and one that had to be followed by a measuring walk.
+func TestExpandWalksAgainOnlyWhenTheRankingNeedsIt(t *testing.T) {
+	worlds := 120
+	if testing.Short() {
+		worlds = 30
+	}
+	counted, again := 0, 0
+	for seed := 0; seed < worlds; seed++ {
+		rng := rand.New(rand.NewSource(int64(1000 + seed)))
+		s, keywords := randomWorld(t, rng)
+		for _, kw := range keywords {
+			opts := DefaultExpanderOptions()
+			opts.MaxCycleLen = 3 + rng.Intn(4)
+			opts.MaxFeatures = 1 + rng.Intn(40)
+			opts.Radius = 1 + rng.Intn(3)
+			opts.RankByFrequency = rng.Intn(2) == 0
+			opts.KeepTwoCycles = rng.Intn(2) == 0
+			opts.IncludeRedirectAliases = rng.Intn(2) == 0
+			if rng.Intn(2) == 0 {
+				opts.MinCategoryRatio, opts.MaxCategoryRatio, opts.MinDensity = 0, 1, 0
+			}
+			want, measured, err := referenceMeasured(s, kw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, detail := mineDetail(t, s, kw, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("world %d, %q, %+v:\n got %+v\nwant %+v", seed, kw, opts, got, want)
+			}
+			if len(got.QueryArticles) == 0 {
+				continue
+			}
+			if wantDetail := fmt.Sprintf("considered=%d accepted=%d measured=%d", want.CyclesConsidered, want.CyclesAccepted, measured); detail != wantDetail {
+				t.Fatalf("world %d, %q, %+v: mine span %q, want %q", seed, kw, opts, detail, wantDetail)
+			}
+			switch {
+			case opts.RankByFrequency || got.CyclesConsidered == 0:
+			case measured < opts.MaxCycleLen:
+				counted++
+			default:
+				again++
+			}
+		}
+	}
+	if t.Logf("%d walks only counted the longest cycles, %d walked again", counted, again); counted < 20 || again < 20 {
+		t.Errorf("too few walks of one kind to test the rule: %d counted, %d walked again", counted, again)
+	}
+}
+
+// TestExpandWalksAgainForTheLongestFeatures is the walk-again path by
+// example, on qserve's wire-test world: neisisti's ten features include
+// four from 5-cycles, so its count-only walk leaves the ranking room and it
+// walks again, measuring the 5-cycles, and proposes the same ten features
+// as a walk that measures everything; with room for four features, its
+// 2-cycles fill it and the 5-cycles are only counted.
+func TestExpandWalksAgainForTheLongestFeatures(t *testing.T) {
+	cfg := synth.Default()
+	cfg.Topics, cfg.ArticlesPerTopic, cfg.DocsPerTopic, cfg.Queries, cfg.NoiseVocab = 4, 8, 10, 4, 50
+	w, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromWorld(w, WithExpandCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keywords = "neisisti"
+	if w.Queries[0].Keywords != keywords {
+		t.Fatalf("the world's first query is %q, want %q", w.Queries[0].Keywords, keywords)
+	}
+	opts := DefaultExpanderOptions()
+	for _, tc := range []struct {
+		maxFeatures int
+		detail      string
+		features    []string
+	}{
+		{10, "considered=1205 accepted=164 measured=5", []string{
+			"stafotia vanimou/2", "culacia voubo/2", "decitou tezaglei/2", "leifidia/2", "meibu stopi/4",
+			"trougou ziabre/4", "ziledou/5", "tesoulei/5", "pebru sobre/5", "gavibria/5"}},
+		{4, "considered=1205 accepted=23 measured=4", []string{
+			"stafotia vanimou/2", "culacia voubo/2", "decitou tezaglei/2", "leifidia/2"}},
+	} {
+		opts.MaxFeatures = tc.maxFeatures
+		exp, detail := mineDetail(t, s, keywords, opts)
+		var features []string
+		for _, f := range exp.Features {
+			features = append(features, fmt.Sprintf("%s/%d", f.Title, f.CycleLen))
+		}
+		if detail != tc.detail || !reflect.DeepEqual(features, tc.features) {
+			t.Errorf("MaxFeatures %d: mine span %q and features %q, want %q and %q", tc.maxFeatures, detail, features, tc.detail, tc.features)
+		}
+		if want, err := referenceExpand(s, keywords, opts); err != nil || !reflect.DeepEqual(exp, want) {
+			t.Errorf("MaxFeatures %d:\n got %+v\nwant %+v, %v", tc.maxFeatures, exp, want, err)
 		}
 	}
 }
@@ -457,7 +611,8 @@ func TestExpandAllColdConcurrent(t *testing.T) {
 // TestExpandPhaseSpans: a traced cold expansion records one span per phase
 // of the pipeline, in order, on the caller's trace; the induce span names
 // the size of the mined subgraph and the mine span the Expansion's cycle
-// counters, the details that say why a walk took long.
+// counters and the longest length measured, the details that say why a
+// walk took long.
 func TestExpandPhaseSpans(t *testing.T) {
 	s, w := testSystem(t)
 	tr := trace.Begin(trace.NewID())
@@ -477,9 +632,13 @@ func TestExpandPhaseSpans(t *testing.T) {
 		t.Errorf("spans = %v, want %v", got, want)
 	}
 	ball := s.Snapshot.Graph().Ball(exp.QueryArticles, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
+	_, measured, err := referenceMeasured(s, w.Queries[0].Keywords, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantDetails := []string{"", "",
 		fmt.Sprintf("nodes=%d", len(ball)),
-		fmt.Sprintf("considered=%d accepted=%d", exp.CyclesConsidered, exp.CyclesAccepted), ""}
+		fmt.Sprintf("considered=%d accepted=%d measured=%d", exp.CyclesConsidered, exp.CyclesAccepted, measured), ""}
 	if exp.CyclesAccepted == 0 || !reflect.DeepEqual(details, wantDetails) {
 		t.Errorf("span details = %q, want %q", details, wantDetails)
 	}

@@ -132,8 +132,13 @@ type Expansion struct {
 	Keywords      string
 	QueryArticles []graph.NodeID
 	Features      []Feature
-	// CyclesConsidered / CyclesAccepted count the mined cycles before and
-	// after the structural filters.
+	// CyclesConsidered counts every cycle of up to MaxCycleLen nodes
+	// through a query article. CyclesAccepted counts those of them that
+	// passed the structural filters among the lengths measured: every
+	// length when the features are ranked by frequency or the shorter
+	// cycles left the ranking room for one of MaxCycleLen nodes, and the
+	// lengths below MaxCycleLen otherwise, whose cycles the ranking reads
+	// before any longer one.
 	CyclesConsidered, CyclesAccepted int
 }
 
@@ -222,10 +227,40 @@ func MineCycles(ctx context.Context, g *graph.Graph, nodes, queryArticles []grap
 // walk stores each cycle's miner path as it closes; the ranker turns the
 // cycles of a length it reads into canonical form and graph ids (the
 // miner's ids ascend with graph ids, so the form carries over) just before
-// it sorts them. Pooled: an expansion accepts hundreds.
+// it sorts them. Cycles shorter than shortest are not stored (a second
+// walk's, which the first stored already); seen is a bitset over the
+// miner's nodes for leavesRoom. Pooled: an expansion accepts hundreds.
 type accepted struct {
-	nodes []graph.NodeID
-	byLen [cycles.MaxSupportedLength + 1][]acceptedCycle
+	nodes    []graph.NodeID
+	byLen    [cycles.MaxSupportedLength + 1][]acceptedCycle
+	shortest int
+	seen     []uint64
+}
+
+// leavesRoom reports whether the ranking, which takes features from the
+// accepted cycles shortest first, would read cycles of maxLen nodes: the
+// shorter ones hold fewer than maxFeatures distinct articles that are not
+// query articles (seeds, positions in miner like the cycles' nodes).
+func (acc *accepted) leavesRoom(miner *cycles.Miner, seeds []graph.NodeID, maxLen, maxFeatures int) bool {
+	words := (miner.Len() + 63) / 64
+	acc.seen = slices.Grow(acc.seen[:0], words)[:words]
+	clear(acc.seen)
+	distinct := 0
+	for length := 2; length < maxLen; length++ {
+		for _, a := range acc.byLen[length] {
+			for _, v := range acc.nodes[a.start : a.start+length] {
+				w, bit := v>>6, uint64(1)<<(v&63)
+				if acc.seen[w]&bit != 0 || miner.Kind(v) != graph.Article || slices.Contains(seeds, v) {
+					continue
+				}
+				acc.seen[w] |= bit
+				if distinct++; distinct >= maxFeatures {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // acceptedCycle is one accepted cycle: where its nodes start, and the two
@@ -326,26 +361,45 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 
 	// Mine: the walk filters each cycle through a query article as it
 	// closes it, on the Metrics it kept along its path, and hands over only
-	// the accepted ones, which are kept by length.
+	// the accepted ones, which are kept by length. The ranking reads the
+	// longest length last and, unless it counts frequencies, only when the
+	// shorter ones leave room for a feature; so the walk first counts the
+	// longest cycles without measuring them, and walks again, measuring
+	// them, only if the cycles it kept leave that room.
 	acc := acceptedPool.Get().(*accepted)
 	defer acceptedPool.Put(acc)
-	acc.nodes = acc.nodes[:0]
+	acc.nodes, acc.shortest = acc.nodes[:0], 2
 	for i := range acc.byLen {
 		acc.byLen[i] = acc.byLen[i][:0]
 	}
-	miner.Poll, miner.Keep = ctx.Err, opts.Accepts
-	err := miner.Walk(positions(nodes, queryArts), opts.MaxCycleLen, func(m cycles.Metrics) error {
+	seeds := positions(nodes, queryArts)
+	visit := func(m cycles.Metrics) error {
+		if m.Length < acc.shortest {
+			return nil
+		}
 		exp.CyclesAccepted++
 		acc.byLen[m.Length] = append(acc.byLen[m.Length], acceptedCycle{len(acc.nodes), m.ExtraEdgeDensity, m.CategoryRatio})
 		acc.nodes = append(acc.nodes, miner.Path()...)
 		return nil
-	})
+	}
+	miner.Poll, miner.Keep = ctx.Err, opts.Accepts
+	miner.CountLast = !opts.RankByFrequency && opts.MaxCycleLen >= 3
+	err := miner.Walk(seeds, opts.MaxCycleLen, visit)
+	if err == nil && miner.CountLast && acc.leavesRoom(miner, seeds, opts.MaxCycleLen, opts.MaxFeatures) {
+		acc.shortest, miner.CountLast = opts.MaxCycleLen, false
+		err = miner.Walk(seeds, opts.MaxCycleLen, visit)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: expand: %w", err)
 	}
 	exp.CyclesConsidered = miner.Found
 	if tr != nil {
-		detail = "considered=" + strconv.Itoa(exp.CyclesConsidered) + " accepted=" + strconv.Itoa(exp.CyclesAccepted)
+		measured := opts.MaxCycleLen
+		if miner.CountLast {
+			measured--
+		}
+		detail = "considered=" + strconv.Itoa(exp.CyclesConsidered) + " accepted=" + strconv.Itoa(exp.CyclesAccepted) +
+			" measured=" + strconv.Itoa(measured)
 	}
 	if err := phase("expand.mine", detail); err != nil {
 		return nil, err

@@ -74,6 +74,11 @@ type Miner struct {
 	// words is ⌈n/64⌉.
 	bits, two, articles []uint64
 	words               int
+	// Bit w of occupied[a] is set when word w of a's neighbour row is
+	// nonzero (a row has at most 64 words): the words reach, dfs and
+	// Neighbors read. closers reads every word from its first on, which on
+	// views of a few words measured faster than skipping the empty ones.
+	occupied []uint64
 	// index[p] is one more than the position of graph node p while
 	// NewMiner reads the list's adjacency, and 0 otherwise: NewMiner sets
 	// it for the listed nodes and clears it for them again, so a build
@@ -88,8 +93,14 @@ type Miner struct {
 	// once per Walk, before the walk starts, and must be a function of
 	// them alone.
 	Keep func(Metrics) bool
+	// CountLast, when set, has Walk count the cycles of its longest
+	// length, maxLen nodes, and not measure them: they add to Found, one
+	// word of closers at a time, but Keep never sees them and the visitor
+	// is never handed one. A caller that ranks the longest length last and
+	// may not reach it walks this way first. It has no effect at maxLen 2.
+	CountLast bool
 	// Found counts the cycles the last Walk closed, those Keep rejected
-	// included.
+	// and those CountLast counted included.
 	Found int
 
 	// State of one Walk: dist is the distance from the current seed of the
@@ -133,8 +144,8 @@ var minerPool = sync.Pool{New: func() any { return new(Miner) }}
 // g.Induce(nodes); a nil or empty list is an empty view. The build reads
 // each out-arc once: the edge between two listed nodes is met from its
 // source, sets both neighbour bits the first time, and both two-edge bits
-// every time after. A view costs 2·n·⌈n/64⌉ words, which is why callers
-// bound the node count.
+// every time after, and marks both words occupied the first time. A view
+// costs 2·n·⌈n/64⌉ words, which is why callers bound the node count.
 func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind) bool) *Miner {
 	m := minerPool.Get().(*Miner)
 	n := len(nodes)
@@ -159,6 +170,8 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 	clear(m.bits)
 	m.two = slices.Grow(m.two[:0], n*m.words)[:n*m.words]
 	clear(m.two)
+	m.occupied = slices.Grow(m.occupied[:0], n)[:n]
+	clear(m.occupied)
 	for i, p := range nodes {
 		for _, a := range g.Out(p) {
 			j := int(m.index[a.To]) - 1
@@ -168,6 +181,9 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 			rows := m.bits
 			if m.has(rows, graph.NodeID(i), graph.NodeID(j)) {
 				rows = m.two
+			} else {
+				m.occupied[i] |= 1 << (j >> 6)
+				m.occupied[j] |= 1 << (i >> 6)
 			}
 			rows[i*m.words+j>>6] |= 1 << (j & 63)
 			rows[j*m.words+i>>6] |= 1 << (i & 63)
@@ -198,8 +214,10 @@ func (m *Miner) Kind(v graph.NodeID) graph.NodeKind { return m.kind[v] }
 // Neighbors yields the view's neighbours of v, ascending.
 func (m *Miner) Neighbors(v graph.NodeID) iter.Seq[graph.NodeID] {
 	return func(yield func(graph.NodeID) bool) {
-		for w, x := range m.row(m.bits, v) {
-			for ; x != 0; x &= x - 1 {
+		row := m.row(m.bits, v)
+		for ws := m.occupied[v]; ws != 0; ws &= ws - 1 {
+			w := bits.TrailingZeros64(ws)
+			for x := row[w]; x != 0; x &= x - 1 {
 				if !yield(graph.NodeID(w<<6 | bits.TrailingZeros64(x))) {
 					return
 				}
@@ -211,7 +229,7 @@ func (m *Miner) Neighbors(v graph.NodeID) iter.Seq[graph.NodeID] {
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.Poll, m.Keep, m.visit = nil, nil, nil
+	m.Poll, m.Keep, m.visit, m.CountLast = nil, nil, nil, false
 	minerPool.Put(m)
 }
 
@@ -280,8 +298,12 @@ func Compare(a, b Cycle) int {
 // path, and looks the rest up in a table filled by the same arithmetic.
 // Keep is asked once per such triple before the walk starts, never per
 // cycle; Found counts every cycle closed, kept or not, and Poll is asked
-// once per pollEvery of them. An error from visit ends the walk like one
-// from Poll, and Walk returns it.
+// each time Found passes a multiple of pollEvery. An error from visit ends
+// the walk like one from Poll, and Walk returns it. With CountLast set and
+// maxLen ≥ 3 the cycles of maxLen nodes are counted and not visited: the
+// visitor sees exactly the cycles shorter than maxLen that the walk
+// without it sees, in the same order, and Found and the number of polls
+// are the same.
 //
 // The walk is anchored at the seeds: in ascending order, a depth-first
 // search from each seed finds the cycles through it, and the seed is then
@@ -360,8 +382,10 @@ func (m *Miner) reach(s graph.NodeID) {
 		if int(d) > m.maxLen/2 {
 			break // reached is in order of distance
 		}
-		for i, x := range m.row(m.bits, v) {
-			for x &^= m.blockedBits[i]; x != 0; x &= x - 1 {
+		row := m.row(m.bits, v)
+		for ws := m.occupied[v]; ws != 0; ws &= ws - 1 {
+			i := bits.TrailingZeros64(ws)
+			for x := row[i] &^ m.blockedBits[i]; x != 0; x &= x - 1 {
 				if w := graph.NodeID(i<<6 | bits.TrailingZeros64(x)); m.dist[w] == far {
 					m.dist[w] = d
 					m.reached = append(m.reached, w)
@@ -379,8 +403,9 @@ func (m *Miner) reach(s graph.NodeID) {
 // they share two edges (Figure 4a); of the two directions a longer cycle
 // can be walked in, the one with path[1] < path[last] is kept, so a node
 // that could only close the path the other way round is not entered. The
-// neighbours are scanned in ascending order, the blocked ones masked off a
-// word at a time; the last level is closeLast, and the level before it is
+// neighbours are scanned in ascending order over the occupied words of
+// cur's row, the blocked ones masked off a word at a time; the last level
+// is closeLast (countLast under CountLast), and the level before it is
 // enterLast.
 func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	k := len(m.path)
@@ -391,22 +416,28 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 		return // nothing below could be entered: spare the widest level its scan
 	}
 	if k+1 == m.maxLen && k >= 2 {
+		if m.CountLast {
+			m.countLast(cur)
+			return
+		}
 		i, x := m.closers(cur, int(m.path[1])+1)
 		m.closeLast(cur, i, x)
 		return
 	}
 	beforeLast := k+2 == m.maxLen && k >= 2
-	for i, x := range m.row(m.bits, cur) {
+	row := m.row(m.bits, cur)
+	for ws := m.occupied[cur]; ws != 0; ws &= ws - 1 {
 		// A word's blocked nodes are the same after each neighbour's search
 		// as before it: the search unblocks what it blocks.
-		for x &^= m.blockedBits[i]; x != 0; x &= x - 1 {
+		i := bits.TrailingZeros64(ws)
+		for x := row[i] &^ m.blockedBits[i]; x != 0; x &= x - 1 {
 			next := graph.NodeID(i<<6 | bits.TrailingZeros64(x))
 			d := m.dist[next]
 			switch {
 			case int(d) > m.maxLen-k:
 				// not entered
 			case beforeLast:
-				m.enterLast(next, d)
+				m.enterLast(next, d == 1)
 			default:
 				m.extend(next)
 				m.block(next)
@@ -419,20 +450,33 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	}
 }
 
-// enterLast is dfs(next, d) at the level before the last. The path cannot
-// grow past next, so next is entered only if
-// it closes a cycle: when it is next to the seed, above path[1], or has a
-// closer of its own. The closers found to decide that are the first that
-// closeLast records.
-func (m *Miner) enterLast(next graph.NodeID, d uint8) {
-	self := d == 1 && m.path[1] < next
+// enterLast is dfs(next, d) at the level before the last, adjacent telling
+// whether d is 1. The path cannot grow past next, so next is entered only
+// if it closes a cycle: when it is next to the seed, above path[1], or has
+// a closer of its own. The closers found to decide that are the first that
+// closeLast records. Under CountLast, next is entered only to record its
+// own cycle, and its closers are counted. Nothing below can enter a node,
+// so next is never blocked.
+func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
+	self := adjacent && m.path[1] < next
+	k := len(m.path)
+	if m.CountLast {
+		if self {
+			m.extend(next)
+			m.path = append(m.path, next)
+			m.record()
+			m.path = m.path[:k]
+		}
+		if m.err == nil {
+			m.countLast(next)
+		}
+		return
+	}
 	i, x := m.closers(next, int(m.path[1])+1)
 	if !self && x == 0 {
 		return
 	}
-	k := len(m.path)
 	m.extend(next)
-	m.block(next)
 	m.path = append(m.path, next)
 	if self {
 		m.record()
@@ -441,7 +485,24 @@ func (m *Miner) enterLast(next graph.NodeID, d uint8) {
 		m.closeLast(next, i, x)
 	}
 	m.path = m.path[:k]
-	m.unblock(next, d)
+}
+
+// countLast is closeLast under CountLast: it adds the closers of cur to
+// Found a word at a time, as closers finds them.
+func (m *Miner) countLast(cur graph.NodeID) {
+	lo := int(m.path[1]) + 1
+	curRow := m.row(m.bits, cur)
+	seedRow, blockedBits := m.seedRow[:len(curRow)], m.blockedBits[:len(curRow)]
+	mask := ^uint64(0) << (lo & 63)
+	for i := lo >> 6; i < len(curRow); i++ {
+		x := curRow[i] & seedRow[i] &^ blockedBits[i] & mask
+		mask = ^uint64(0)
+		if x != 0 {
+			if m.count(bits.OnesCount64(x)); m.err != nil {
+				return
+			}
+		}
+	}
 }
 
 // closeLast records, in ascending order, the cycles the path closes with
@@ -516,15 +577,21 @@ func (m *Miner) extend(v graph.NodeID) {
 	m.edges[k+1], m.arts[k+1] = edges, arts
 }
 
-// record counts the path's cycle and hands visit its Metrics if Keep
-// kept them.
+// record hands visit the Metrics of the path's cycle if Keep kept them,
+// and counts it.
 func (m *Miner) record() {
-	m.Found++
 	k := len(m.path)
 	if i := measuredAt[k][m.arts[k]] + m.edges[k]; m.kept[i] {
 		m.err = m.visit(measured[i])
 	}
-	if m.err == nil && m.Found%pollEvery == 0 && m.Poll != nil {
+	m.count(1)
+}
+
+// count adds n ≤ pollEvery closed cycles to Found and asks Poll if that
+// passed a multiple of pollEvery: it passes at most one.
+func (m *Miner) count(n int) {
+	m.Found += n
+	if m.err == nil && m.Found%pollEvery < n && m.Poll != nil {
 		m.err = m.Poll()
 	}
 	if m.err != nil {

@@ -70,11 +70,13 @@ func decodeWalk(data []byte) (g *graph.Graph, seeds []graph.NodeID, maxLen int, 
 	return g, seeds, maxLen, exclude, keep
 }
 
-// FuzzMinerWalk holds Walk, with and without Keep, to referenceEnumerate
-// and referenceMeasure on graphs decoded from the input: the unfiltered walk
-// visits exactly the reference's cycles, in canonical form, each measured
-// as the reference measures it; the filtered one visits those of them Keep
-// accepts; and Found is the reference's count both times.
+// FuzzMinerWalk holds Walk, with and without Keep and with and without
+// CountLast, to referenceEnumerate and referenceMeasure on graphs decoded
+// from the input: the unfiltered full walk visits exactly the reference's
+// cycles, in canonical form, each measured as the reference measures it;
+// the filtered one visits those of them Keep accepts; with CountLast, only
+// those shorter than maxLen (from maxLen 3 on); Found is the reference's
+// count every time, and Poll is asked Found/pollEvery times.
 func FuzzMinerWalk(f *testing.F) {
 	// Five nodes, node 1 a category, maxLen 5, seed 0: a square with a chord.
 	f.Add([]byte{4, 3, 0, 0x02, 1, 0, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 0, 0, 0, 2, 0})
@@ -96,8 +98,10 @@ func FuzzMinerWalk(f *testing.F) {
 		}
 		m := NewMiner(g, allNodes(g), exclude)
 		defer m.Release()
-		for _, filter := range []func(Metrics) bool{nil, keep} {
-			m.Keep = filter
+		for i, filter := range []func(Metrics) bool{nil, keep, nil, keep} {
+			m.Keep, m.CountLast = filter, i >= 2
+			polls := 0
+			m.Poll = func() error { polls++; return nil }
 			var got []Cycle
 			err := m.Walk(seeds, maxLen, func(met Metrics) error {
 				c := Cycle{Nodes: slices.Clone(m.Cycle().Nodes)}
@@ -112,16 +116,19 @@ func FuzzMinerWalk(f *testing.F) {
 			}
 			var kept []Cycle
 			for _, c := range want {
+				if m.CountLast && maxLen > 2 && len(c.Nodes) == maxLen {
+					continue
+				}
 				if filter == nil || filter(referenceMeasure(g, c, exclude)) {
 					kept = append(kept, c)
 				}
 			}
 			slices.SortFunc(got, Compare)
 			if !reflect.DeepEqual(got, kept) {
-				t.Fatalf("%d nodes, seeds %v, maxLen %d, filtered %v: walked %v, want %v", g.NumNodes(), seeds, maxLen, filter != nil, got, kept)
+				t.Fatalf("%d nodes, seeds %v, maxLen %d, filtered %v, CountLast %v: walked %v, want %v", g.NumNodes(), seeds, maxLen, filter != nil, m.CountLast, got, kept)
 			}
-			if m.Found != len(want) {
-				t.Fatalf("Found %d, want the %d cycles closed", m.Found, len(want))
+			if m.Found != len(want) || polls != len(want)/pollEvery {
+				t.Fatalf("CountLast %v: Found %d and %d polls, want the %d cycles closed and %d", m.CountLast, m.Found, polls, len(want), len(want)/pollEvery)
 			}
 		}
 	})

@@ -611,6 +611,78 @@ func TestWalkKeepOnlyFilters(t *testing.T) {
 	}
 }
 
+// TestWalkCountLastOnlyCounts: CountLast changes what the visitor sees of
+// the longest length and nothing else. On random graphs — small dense ones
+// that poll often, and ones over several bitset words — with random seeds,
+// lengths and Keep, a Walk with CountLast finds as many cycles as the full
+// Walk, visits exactly the full Walk's cycles shorter than maxLen in the
+// same order, with equal Metrics and Path, and asks Poll Found/pollEvery
+// times, each time just after Found passed a multiple of pollEvery.
+func TestWalkCountLastOnlyCounts(t *testing.T) {
+	type visit struct {
+		met  Metrics
+		path []graph.NodeID
+	}
+	walk := func(m *Miner, seeds []graph.NodeID, maxLen int) (visits []visit, polls []int) {
+		m.Poll = func() error { polls = append(polls, m.Found); return nil }
+		err := m.Walk(seeds, maxLen, func(met Metrics) error {
+			visits = append(visits, visit{met, slices.Clone(m.Path())})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return visits, polls
+	}
+	polled, counted := 0, 0
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, density, maxLen := 1+rng.Intn(24), 1+2*rng.Float64(), 2+rng.Intn(7)
+		switch seed % 4 {
+		case 0: // thousands of cycles: many polls
+			n, density, maxLen = 14+rng.Intn(4), 4, 6+rng.Intn(2)
+		case 1: // rows of two to four words
+			n, density, maxLen = 65+rng.Intn(180), 3+3*rng.Float64(), 3+rng.Intn(3)
+		}
+		g := randomGraph(rng, n, density)
+		seeds := randomSeeds(rng, n, 5)
+		m := NewMiner(g, allNodes(g), randomFilter(rng))
+		if rng.Intn(2) == 0 {
+			m.Keep = randomKeep(rng)
+		}
+		all, _ := walk(m, seeds, maxLen)
+		found := m.Found
+		m.CountLast = true
+		got, polls := walk(m, seeds, maxLen)
+		var want []visit
+		for _, v := range all {
+			if v.met.Length < maxLen || maxLen == 2 {
+				want = append(want, v)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: with CountLast, visited %d cycles %v, want the %d of %d shorter than %d %v", seed, len(got), got, len(want), len(all), maxLen, want)
+		}
+		if m.Found != found {
+			t.Fatalf("seed %d: with CountLast, Found %d, want the full walk's %d", seed, m.Found, found)
+		}
+		if len(polls) != found/pollEvery {
+			t.Fatalf("seed %d: %d polls over %d cycles, want %d", seed, len(polls), found, found/pollEvery)
+		}
+		for i, f := range polls {
+			if at := (i + 1) * pollEvery; f < at || f >= at+64 {
+				t.Fatalf("seed %d: poll %d came after %d cycles, want the word that passed %d", seed, i+1, f, at)
+			}
+		}
+		polled += len(polls)
+		counted += len(all) - len(want)
+		m.Release()
+	}
+	if polled < 100 || counted < 10000 {
+		t.Errorf("%d polls and %d cycles counted: too few to test CountLast", polled, counted)
+	}
+}
+
 // TestMinerRowsMatchInduced holds the view itself, not the cycles it
 // yields, to g.Induce(list): Len, every node's Kind and Neighbors (which
 // internal/querygraph reads directly), the neighbour rows, and every pair's

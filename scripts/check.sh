@@ -49,11 +49,12 @@ step "go test"
 go test -shuffle=on ./...
 
 # One iteration each, so the benchmarks the postings walk, the Remote
-# scatter, the batch layer, the cold expansion pipeline and its cycle
-# miner are judged by cannot rot; BenchmarkMinerViewAtBound puts the memory
-# and time of the largest view an expansion may ask for on record.
-step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkExpandCold, BenchmarkCycleEnumeration, BenchmarkMinerViewAtBound, BenchmarkHTTPBatch (-benchtime 1x)"
-go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold|CycleEnumeration|MinerViewAtBound)$' -benchmem -benchtime 1x .
+# scatter, the batch layer, the cold expansion pipeline (both of its
+# walks) and its cycle miner are judged by cannot rot;
+# BenchmarkMinerViewAtBound puts the memory and time of the largest view an
+# expansion may ask for on record.
+step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkExpandCold, BenchmarkExpandColdFallback, BenchmarkCycleEnumeration, BenchmarkMinerViewAtBound, BenchmarkHTTPBatch (-benchtime 1x)"
+go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold|ExpandColdFallback|CycleEnumeration|MinerViewAtBound)$' -benchmem -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkHTTPBatch$' -benchtime 1x ./cmd/qserve
 
 # CI's race job runs the whole module; here, the packages whose locking a

@@ -26,7 +26,10 @@ type (
 	Result = search.Result
 
 	// Expansion is the outcome of expanding one query: the linked
-	// entities, the proposed features and the cycle counters.
+	// entities, the proposed features and the cycle counters —
+	// CyclesConsidered over every cycle length, CyclesAccepted over the
+	// lengths measured, which include the longest only when the ranking
+	// reads it.
 	Expansion = core.Expansion
 
 	// Feature is one proposed expansion feature with the structural
