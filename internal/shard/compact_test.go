@@ -8,21 +8,30 @@ import (
 
 	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/corpus"
+	"github.com/querygraph/querygraph/internal/index"
 	"github.com/querygraph/querygraph/internal/live"
 	"github.com/querygraph/querygraph/internal/synth"
 )
 
-// foldFixture builds a world, splits its collection at cut, and returns:
-// the monolithic system over every document (the reference a compaction
-// must be indistinguishable from), a loaded Set partitioned over just the
-// first cut documents, and a delta segment holding the tail.
-func foldFixture(t *testing.T, seed int64, n, cut int) (*core.System, []core.Query, *Set, *live.Delta) {
+// foldFixture builds a world of 60 documents, splits its collection at
+// cut, and returns: the monolithic system over every document (the
+// reference a compaction must be indistinguishable from), a loaded Set
+// partitioned over just the first cut documents, and a delta segment
+// holding the tail.
+func foldFixture(t testing.TB, seed int64, n, cut int) (*core.System, []core.Query, *Set, *live.Delta) {
+	t.Helper()
+	return foldFixtureSized(t, seed, n, 12, cut)
+}
+
+// foldFixtureSized is foldFixture over a world of 5·docsPerTopic
+// documents.
+func foldFixtureSized(t testing.TB, seed int64, n, docsPerTopic, cut int) (*core.System, []core.Query, *Set, *live.Delta) {
 	t.Helper()
 	cfg := synth.Default()
 	cfg.Seed = seed
 	cfg.Topics = 5
 	cfg.ArticlesPerTopic = 8
-	cfg.DocsPerTopic = 12
+	cfg.DocsPerTopic = docsPerTopic
 	cfg.Queries = 6
 	w, err := synth.Generate(cfg)
 	if err != nil {
@@ -87,45 +96,68 @@ func foldFixture(t *testing.T, seed int64, n, cut int) (*core.System, []core.Que
 // TestFoldMatchesPartition pins the compaction contract structurally:
 // folding the delta into the loaded base generation produces, shard for
 // shard, the archives Partition produces from the monolithic system that
-// indexed every document from scratch.
+// indexed every document from scratch — postings, positions, block tables
+// and document lengths alike. The larger world has a term in every
+// document, so its merged postings cross index.BlockSize on every shard
+// with the base's last block partial.
 func TestFoldMatchesPartition(t *testing.T) {
-	for _, n := range []int{1, 3} {
-		full, queries, set, delta := foldFixture(t, 29, n, 40)
-		folded, err := Fold(set, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Partition(full.Archive(queries), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(folded) != len(want) {
-			t.Fatalf("n=%d: %d folded archives, want %d", n, len(folded), len(want))
-		}
-		for s := range want {
-			w, g := want[s], folded[s]
-			if !reflect.DeepEqual(w.Shard, g.Shard) {
-				t.Fatalf("n=%d shard %d: shard info diverged\nwant %+v\ngot  %+v", n, s, w.Shard, g.Shard)
+	for _, size := range []struct{ docsPerTopic, cut int }{{12, 40}, {100, 330}} {
+		for _, n := range []int{1, 3} {
+			full, queries, set, delta := foldFixtureSized(t, 29, n, size.docsPerTopic, size.cut)
+			folded, err := Fold(set, delta)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(w.Collection.Docs(), g.Collection.Docs()) {
-				t.Fatalf("n=%d shard %d: collections diverged", n, s)
+			want, err := Partition(full.Archive(queries), n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(w.Queries, g.Queries) {
-				t.Fatalf("n=%d shard %d: benchmark diverged", n, s)
+			if len(folded) != len(want) {
+				t.Fatalf("n=%d: %d folded archives, want %d", n, len(folded), len(want))
 			}
-			wantTerms := w.Index.Terms()
-			if !reflect.DeepEqual(wantTerms, g.Index.Terms()) {
-				t.Fatalf("n=%d shard %d: vocabulary diverged", n, s)
-			}
-			for _, term := range wantTerms {
-				wp, wcf := w.Index.Lookup(term)
-				gp, gcf := g.Index.Lookup(term)
-				if wcf != gcf || !reflect.DeepEqual(wp, gp) {
-					t.Fatalf("n=%d shard %d term %q: postings diverged", n, s, term)
+			crossed := false
+			for s := range want {
+				w, g := want[s], folded[s]
+				if !reflect.DeepEqual(w.Shard, g.Shard) {
+					t.Fatalf("n=%d shard %d: shard info diverged\nwant %+v\ngot  %+v", n, s, w.Shard, g.Shard)
+				}
+				if !reflect.DeepEqual(w.Collection.Docs(), g.Collection.Docs()) {
+					t.Fatalf("n=%d shard %d: collections diverged", n, s)
+				}
+				if !reflect.DeepEqual(w.Queries, g.Queries) {
+					t.Fatalf("n=%d shard %d: benchmark diverged", n, s)
+				}
+				wantTerms := w.Index.Terms()
+				if !reflect.DeepEqual(wantTerms, g.Index.Terms()) {
+					t.Fatalf("n=%d shard %d: vocabulary diverged", n, s)
+				}
+				base := set.Systems()[s].Engine.Index()
+				for _, term := range wantTerms {
+					wp, wb, wcf := w.Index.LookupBlocks(term)
+					gp, gb, gcf := g.Index.LookupBlocks(term)
+					if wcf != gcf || !reflect.DeepEqual(wp, gp) {
+						t.Fatalf("n=%d shard %d term %q: postings diverged", n, s, term)
+					}
+					if !reflect.DeepEqual(w.Index.Positions(term), g.Index.Positions(term)) {
+						t.Fatalf("n=%d shard %d term %q: positions diverged", n, s, term)
+					}
+					if !reflect.DeepEqual(wb, gb) {
+						t.Fatalf("n=%d shard %d term %q: block tables diverged\nwant %+v\ngot  %+v", n, s, term, wb, gb)
+					}
+					if len(wp) > index.BlockSize && len(base.Postings(term))%index.BlockSize != 0 {
+						crossed = true
+					}
+				}
+				if w.Index.TotalTokens() != g.Index.TotalTokens() || w.Index.NumDocs() != g.Index.NumDocs() ||
+					w.Index.MaxDocLen() != g.Index.MaxDocLen() || w.Index.NumPostings() != g.Index.NumPostings() {
+					t.Fatalf("n=%d shard %d: index shape diverged", n, s)
+				}
+				if !reflect.DeepEqual(w.Index.DocLens(), g.Index.DocLens()) {
+					t.Fatalf("n=%d shard %d: document lengths diverged", n, s)
 				}
 			}
-			if w.Index.TotalTokens() != g.Index.TotalTokens() || w.Index.NumDocs() != g.Index.NumDocs() {
-				t.Fatalf("n=%d shard %d: index shape diverged", n, s)
+			if size.docsPerTopic > 12 && !crossed {
+				t.Fatalf("n=%d: no term's merged postings cross a block above a partial base block", n)
 			}
 		}
 	}
@@ -183,5 +215,17 @@ func TestFoldRejectsMismatchedDelta(t *testing.T) {
 	}
 	if _, err := Fold(set, wrong); err == nil {
 		t.Fatal("fold accepted a delta above the wrong base")
+	}
+}
+
+// BenchmarkFold folds a 4 500-document delta into a 2-shard generation of
+// 500 documents: the compaction's own cost, without the write.
+func BenchmarkFold(b *testing.B) {
+	_, _, set, delta := foldFixtureSized(b, 29, 2, 1000, 500)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Fold(set, delta); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
