@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test qlint lint check fmt fuzz bench-compare loc
+.PHONY: build test qlint lint check fmt fuzz bench-smoke bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,17 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHandle$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
 	$(GO) test -run='^$$' -fuzz='^FuzzReplies$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
 	$(GO) test -run='^$$' -fuzz='^FuzzMinerWalk$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cycles
+
+# bench-smoke runs one iteration of each benchmark a change is judged by,
+# so none of them can rot: the postings walk, the Remote scatter, the batch
+# layer, the cold expansion pipeline (both of its walks), its cycle miner,
+# the largest view an expansion may ask for (BenchmarkMinerViewAtBound puts
+# its memory and time on record), the HTTP batch endpoint and the
+# compaction fold. CI and scripts/check.sh call it.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold|ExpandColdFallback|CycleEnumeration|MinerViewAtBound)$$' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkHTTPBatch$$' -benchtime 1x ./cmd/qserve
+	$(GO) test -run '^$$' -bench '^BenchmarkFold$$' -benchmem -benchtime 1x ./internal/shard
 
 # check mirrors the CI gates locally (see scripts/check.sh).
 check:

@@ -227,14 +227,12 @@ func MineCycles(ctx context.Context, g *graph.Graph, nodes, queryArticles []grap
 // walk stores each cycle's miner path as it closes; the ranker turns the
 // cycles of a length it reads into canonical form and graph ids (the
 // miner's ids ascend with graph ids, so the form carries over) just before
-// it sorts them. Cycles shorter than shortest are not stored (a second
-// walk's, which the first stored already); seen is a bitset over the
-// miner's nodes for leavesRoom. Pooled: an expansion accepts hundreds.
+// it sorts them. seen is a bitset over the miner's nodes for leavesRoom.
+// Pooled: an expansion accepts hundreds.
 type accepted struct {
-	nodes    []graph.NodeID
-	byLen    [cycles.MaxSupportedLength + 1][]acceptedCycle
-	shortest int
-	seen     []uint64
+	nodes []graph.NodeID
+	byLen [cycles.MaxSupportedLength + 1][]acceptedCycle
+	seen  []uint64
 }
 
 // leavesRoom reports whether the ranking, which takes features from the
@@ -364,19 +362,16 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// the accepted ones, which are kept by length. The ranking reads the
 	// longest length last and, unless it counts frequencies, only when the
 	// shorter ones leave room for a feature; so the walk first counts the
-	// longest cycles without measuring them, and walks again, measuring
-	// them, only if the cycles it kept leave that room.
+	// longest cycles without measuring them, and walks again, keeping and
+	// measuring only them, if the cycles it kept leave that room.
 	acc := acceptedPool.Get().(*accepted)
 	defer acceptedPool.Put(acc)
-	acc.nodes, acc.shortest = acc.nodes[:0], 2
+	acc.nodes = acc.nodes[:0]
 	for i := range acc.byLen {
 		acc.byLen[i] = acc.byLen[i][:0]
 	}
 	seeds := positions(nodes, queryArts)
 	visit := func(m cycles.Metrics) error {
-		if m.Length < acc.shortest {
-			return nil
-		}
 		exp.CyclesAccepted++
 		acc.byLen[m.Length] = append(acc.byLen[m.Length], acceptedCycle{len(acc.nodes), m.ExtraEdgeDensity, m.CategoryRatio})
 		acc.nodes = append(acc.nodes, miner.Path()...)
@@ -386,7 +381,8 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	miner.CountLast = !opts.RankByFrequency && opts.MaxCycleLen >= 3
 	err := miner.Walk(seeds, opts.MaxCycleLen, visit)
 	if err == nil && miner.CountLast && acc.leavesRoom(miner, seeds, opts.MaxCycleLen, opts.MaxFeatures) {
-		acc.shortest, miner.CountLast = opts.MaxCycleLen, false
+		miner.Keep = func(m cycles.Metrics) bool { return m.Length == opts.MaxCycleLen && opts.Accepts(m) }
+		miner.CountLast = false
 		err = miner.Walk(seeds, opts.MaxCycleLen, visit)
 	}
 	if err != nil {

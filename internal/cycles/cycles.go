@@ -405,8 +405,7 @@ func (m *Miner) reach(s graph.NodeID) {
 // that could only close the path the other way round is not entered. The
 // neighbours are scanned in ascending order over the occupied words of
 // cur's row, the blocked ones masked off a word at a time; the last level
-// is closeLast (countLast under CountLast), and the level before it is
-// enterLast.
+// is closeLast, and the level before it is enterLast.
 func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	k := len(m.path)
 	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.has(m.two, cur, m.path[0])) {
@@ -416,10 +415,6 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 		return // nothing below could be entered: spare the widest level its scan
 	}
 	if k+1 == m.maxLen && k >= 2 {
-		if m.CountLast {
-			m.countLast(cur)
-			return
-		}
 		i, x := m.closers(cur, int(m.path[1])+1)
 		m.closeLast(cur, i, x)
 		return
@@ -454,29 +449,19 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 // whether d is 1. The path cannot grow past next, so next is entered only
 // if it closes a cycle: when it is next to the seed, above path[1], or has
 // a closer of its own. The closers found to decide that are the first that
-// closeLast records. Under CountLast, next is entered only to record its
-// own cycle, and its closers are counted. Nothing below can enter a node,
-// so next is never blocked.
+// closeLast takes. Under CountLast the path's counts are kept up only for
+// next's own cycle, the one it records. Nothing below can enter a node, so
+// next is never blocked.
 func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
-	self := adjacent && m.path[1] < next
-	k := len(m.path)
-	if m.CountLast {
-		if self {
-			m.extend(next)
-			m.path = append(m.path, next)
-			m.record()
-			m.path = m.path[:k]
-		}
-		if m.err == nil {
-			m.countLast(next)
-		}
-		return
-	}
 	i, x := m.closers(next, int(m.path[1])+1)
+	self := adjacent && m.path[1] < next
 	if !self && x == 0 {
 		return
 	}
-	m.extend(next)
+	k := len(m.path)
+	if self || !m.CountLast {
+		m.extend(next)
+	}
 	m.path = append(m.path, next)
 	if self {
 		m.record()
@@ -487,40 +472,24 @@ func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
 	m.path = m.path[:k]
 }
 
-// countLast is closeLast under CountLast: it adds the closers of cur to
-// Found a word at a time, as closers finds them.
-func (m *Miner) countLast(cur graph.NodeID) {
-	lo := int(m.path[1]) + 1
-	curRow := m.row(m.bits, cur)
-	seedRow, blockedBits := m.seedRow[:len(curRow)], m.blockedBits[:len(curRow)]
-	mask := ^uint64(0) << (lo & 63)
-	for i := lo >> 6; i < len(curRow); i++ {
-		x := curRow[i] & seedRow[i] &^ blockedBits[i] & mask
-		mask = ^uint64(0)
-		if x != 0 {
-			if m.count(bits.OnesCount64(x)); m.err != nil {
-				return
-			}
-		}
-	}
-}
-
-// closeLast records, in ascending order, the cycles the path closes with
-// one more node: the last level of the walk, where the scan in dfs would
-// enter a neighbour of cur only to find it next to the seed or not. i and
-// x are the first word of closers, as closers returns it.
+// closeLast closes the path with each of its closers, taken a word at a
+// time from i and x, the first word as closers returns it: the last level
+// of the walk, where the scan in dfs would enter a neighbour of cur only to
+// find it next to the seed or not. It records each cycle, in ascending
+// order, or under CountLast adds the word's closers to Found.
 func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
 	k := len(m.path)
-	for ; x != 0; i, x = m.closers(cur, (i+1)<<6) {
-		for ; x != 0; x &= x - 1 {
+	for ; x != 0 && m.err == nil; i, x = m.closers(cur, (i+1)<<6) {
+		if m.CountLast {
+			m.count(bits.OnesCount64(x))
+			continue
+		}
+		for ; x != 0 && m.err == nil; x &= x - 1 {
 			v := graph.NodeID(i<<6 | bits.TrailingZeros64(x))
 			m.extend(v)
 			m.path = append(m.path, v)
 			m.record()
 			m.path = m.path[:k]
-			if m.err != nil {
-				return
-			}
 		}
 	}
 }

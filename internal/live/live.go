@@ -139,14 +139,6 @@ func (d *Delta) TotalTokens() int64 {
 	return d.ix.TotalTokens()
 }
 
-// Config returns the segment's analysis/scoring configuration.
-func (d *Delta) Config() Config {
-	if d == nil {
-		return Config{}
-	}
-	return d.cfg
-}
-
 // Docs returns the segment's documents in local dense-id order, owned by
 // the segment (read-only).
 func (d *Delta) Docs() []corpus.Document {

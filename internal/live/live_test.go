@@ -33,9 +33,6 @@ func TestNilDeltaIsEmpty(t *testing.T) {
 	if d.Docs() != nil || d.Engine() != nil {
 		t.Fatalf("nil delta returns non-nil structure")
 	}
-	if d.Config() != (Config{}) {
-		t.Fatalf("nil delta has a config")
-	}
 	if src := d.Source(); src.Engine != nil || src.Offset != 0 {
 		t.Fatalf("nil delta source: %+v", src)
 	}

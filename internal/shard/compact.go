@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/querygraph/querygraph/internal/corpus"
 	"github.com/querygraph/querygraph/internal/index"
@@ -15,13 +16,14 @@ import (
 // Fold distributes a delta segment's documents over a loaded generation
 // and returns the per-shard archives of the next generation — the
 // compaction output, ready for WriteArchives. Delta document j takes
-// global id GlobalDocs()+j, exactly the id the serving scatter
-// already exposed for it, and is hashed to its owning shard by ShardOf
-// like any other document. Because delta global ids sort above every
-// base id, each shard's new locals append at the tail of its dense local
-// space: the base postings and doc maps are reused untouched (shared,
-// not copied) and the merged per-shard index is index.Merge of the base
-// and a mini-index over the shard's new documents — bit-identical to
+// global id GlobalDocs()+j, exactly the id the serving scatter already
+// exposed for it, and is dealt to its owning shard by partition, with the
+// postings and positions the segment indexed it with: no text is analysed
+// again. Because delta global ids sort above every base id, each shard's
+// new locals append at the tail of its dense local space: the base
+// postings are reused untouched (shared, not copied), the merged per-shard
+// index is index.Merge of the base and the shard's part of the delta, and
+// the doc map is the base's followed by the part's — bit-identical to
 // Partition of a monolithic rebuild holding the same documents, which
 // TestFoldMatchesPartition pins. An unsharded Set (Single) folds to one
 // complete archive with no partition identity: the snapshot a cold
@@ -33,39 +35,25 @@ func Fold(s *Set, delta *live.Delta) ([]*store.Archive, error) {
 	if delta.BaseDocs() != s.globalDocs {
 		return nil, fmt.Errorf("shard: delta sits above %d docs, set holds %d", delta.BaseDocs(), s.globalDocs)
 	}
-	n := len(s.systems)
-	an := s.systems[0].Engine.Analyzer()
-
-	// Assign the delta documents: owner shard and, per shard, the new
-	// globals in ascending order (delta docs arrive in ascending global
-	// order already).
-	newDocs := delta.Docs()
-	newGlobals := make([][]int32, n)
-	newLocal := make([][]corpus.Document, n)
-	minis := make([]*index.Index, n)
-	var deltaTokens int64
-	for i := range minis {
-		minis[i] = index.New()
+	ix := index.New() // the nil segment's
+	if e := delta.Engine(); e != nil {
+		ix = e.Index()
 	}
-	for j, doc := range newDocs {
-		g := int32(s.globalDocs + j)
-		sh := ShardOf(g, n)
-		newGlobals[sh] = append(newGlobals[sh], g)
-		newLocal[sh] = append(newLocal[sh], doc)
-		tokens := an.Analyze(doc.Text)
-		minis[sh].AddDocument(tokens)
-		deltaTokens += int64(len(tokens))
+	coll, err := corpus.LoadCollection(delta.Docs())
+	if err != nil {
+		return nil, fmt.Errorf("shard: fold: %w", err)
 	}
-
-	out := make([]*store.Archive, n)
-	for sh := 0; sh < n; sh++ {
+	parts, err := partition(&store.Archive{Collection: coll, Index: ix}, len(s.systems), s.globalDocs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*store.Archive, len(parts))
+	for sh, part := range parts {
 		sys := s.systems[sh]
 		baseDocs := sys.Collection.Docs()
-		docs := make([]corpus.Document, 0, len(baseDocs)+len(newLocal[sh]))
-		docs = append(docs, baseDocs...)
-		for _, doc := range newLocal[sh] {
-			doc.ID = corpus.DocID(len(docs))
-			docs = append(docs, doc)
+		docs := slices.Concat(baseDocs, part.Collection.Docs())
+		for i := len(baseDocs); i < len(docs); i++ {
+			docs[i].ID = corpus.DocID(i)
 		}
 		coll, err := corpus.LoadCollection(docs)
 		if err != nil {
@@ -73,18 +61,11 @@ func Fold(s *Set, delta *live.Delta) ([]*store.Archive, error) {
 		}
 		arch := sys.Archive(s.queries)
 		arch.Collection = coll
-		arch.Index = index.Merge(sys.Engine.Index(), minis[sh])
+		arch.Index = index.Merge(sys.Engine.Index(), part.Index)
 		if s.docMaps != nil {
-			docGlobal := make([]int32, 0, len(s.docMaps[sh])+len(newGlobals[sh]))
-			docGlobal = append(docGlobal, s.docMaps[sh]...)
-			docGlobal = append(docGlobal, newGlobals[sh]...)
-			arch.Shard = &store.ShardInfo{
-				ShardID:      sh,
-				ShardCount:   n,
-				GlobalDocs:   s.globalDocs + len(newDocs),
-				GlobalTokens: s.globalTokens + deltaTokens,
-				DocGlobal:    docGlobal,
-			}
+			arch.Shard = part.Shard
+			arch.Shard.GlobalTokens = s.globalTokens + delta.TotalTokens()
+			arch.Shard.DocGlobal = slices.Concat(s.docMaps[sh], part.Shard.DocGlobal)
 		}
 		out[sh] = arch
 	}

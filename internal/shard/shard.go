@@ -43,7 +43,8 @@ func ShardOf(doc int32, shards int) int {
 // doc ids densely reassigned in ascending global order. Every shard
 // carries the global doc/token counts so its scorer smooths against the
 // whole collection. The shard archives share the parent's strings and
-// graph; treat everything as read-only.
+// graph; treat everything as read-only. Fold deals a delta segment's
+// documents and postings with the same code.
 func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 	if a == nil || a.Index == nil || a.Collection == nil || a.Snapshot == nil {
 		return nil, fmt.Errorf("shard: partition of an incomplete archive")
@@ -55,18 +56,27 @@ func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count %d must be >= 1", n)
 	}
+	return partition(a, n, 0)
+}
+
+// partition is Partition of the documents of a, with document d taking
+// global id first+d: Partition's with first 0, and Fold's deal of a delta
+// segment above a base of first documents. The shards' GlobalDocs is
+// first plus a's documents, their GlobalTokens a's tokens alone.
+func partition(a *store.Archive, n, first int) ([]*store.Archive, error) {
 	numDocs := a.Index.NumDocs()
 
-	// Assign documents: owner[global] = shard, localID[global] = dense id
-	// within the owner (ascending global order within each shard).
+	// Assign documents: owner[d] = shard, localID[d] = dense id within the
+	// owner (ascending global order within each shard).
 	owner := make([]int, numDocs)
 	localID := make([]int32, numDocs)
 	docGlobal := make([][]int32, n)
 	for d := 0; d < numDocs; d++ {
-		s := ShardOf(int32(d), n)
+		g := int32(first + d)
+		s := ShardOf(g, n)
 		owner[d] = s
 		localID[d] = int32(len(docGlobal[s]))
-		docGlobal[s] = append(docGlobal[s], int32(d))
+		docGlobal[s] = append(docGlobal[s], g)
 	}
 
 	// Partition the corpus and document lengths.
@@ -146,7 +156,7 @@ func Partition(a *store.Archive, n int) ([]*store.Archive, error) {
 			Shard: &store.ShardInfo{
 				ShardID:      s,
 				ShardCount:   n,
-				GlobalDocs:   numDocs,
+				GlobalDocs:   first + numDocs,
 				GlobalTokens: a.Index.TotalTokens(),
 				DocGlobal:    docGlobal[s],
 			},

@@ -48,19 +48,15 @@ fi
 step "go test"
 go test -shuffle=on ./...
 
-# One iteration each, so the benchmarks the postings walk, the Remote
-# scatter, the batch layer, the cold expansion pipeline (both of its
-# walks) and its cycle miner are judged by cannot rot;
-# BenchmarkMinerViewAtBound puts the memory and time of the largest view an
-# expansion may ask for on record.
-step "BenchmarkSearchCommon, BenchmarkRemoteSearch, BenchmarkBatch, BenchmarkExpandCold, BenchmarkExpandColdFallback, BenchmarkCycleEnumeration, BenchmarkMinerViewAtBound, BenchmarkHTTPBatch (-benchtime 1x)"
-go test -run '^$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold|ExpandColdFallback|CycleEnumeration|MinerViewAtBound)$' -benchmem -benchtime 1x .
-go test -run '^$' -bench '^BenchmarkHTTPBatch$' -benchtime 1x ./cmd/qserve
+# One iteration of each benchmark a change is judged by (see the Makefile).
+step "bench smoke (make bench-smoke: one iteration each)"
+make bench-smoke
 
 # CI's race job runs the whole module; here, the packages whose locking a
-# cache, miner or scatter change moves, which is a minute instead of ten.
-step "go test -race (lru, core, search, cycles, rpc, root)"
-go test -race ./internal/lru ./internal/core ./internal/search ./internal/cycles ./internal/rpc .
+# cache, miner, scatter or compaction change moves, which is a minute or
+# two instead of ten.
+step "go test -race (lru, core, search, cycles, rpc, shard, live, root)"
+go test -race ./internal/lru ./internal/core ./internal/search ./internal/cycles ./internal/rpc ./internal/shard ./internal/live .
 
 step "fuzz (every target, 10 s each)"
 make fuzz
