@@ -345,8 +345,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		return nil, err
 	}
 	// The miner reads the subgraph the ball induces straight from g: its
-	// node i is nodes[i].
-	slices.Sort(nodes)
+	// node i is nodes[i], ascending as Ball returns them.
 	miner := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
 	defer miner.Release()
 	var detail string

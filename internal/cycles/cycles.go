@@ -90,14 +90,14 @@ type Miner struct {
 	Poll func() error
 	// Keep, when set, is the filter a cycle must pass for Walk to hand it
 	// to its visitor; nil keeps every cycle. It sees each possible Metrics
-	// once per Walk, before the walk starts, and must be a function of
-	// them alone.
+	// of the lengths the visitor may be handed once per Walk, before the
+	// walk starts, and must be a function of them alone.
 	Keep func(Metrics) bool
 	// CountLast, when set, has Walk count the cycles of its longest
-	// length, maxLen nodes, and not measure them: they add to Found, one
-	// word of closers at a time, but Keep never sees them and the visitor
-	// is never handed one. A caller that ranks the longest length last and
-	// may not reach it walks this way first. It has no effect at maxLen 2.
+	// length, maxLen nodes, and not measure them: they add to Found, at
+	// most 64 at a time, but Keep never sees them and the visitor is never
+	// handed one. A caller that ranks the longest length last and may not
+	// reach it walks this way first. It has no effect at maxLen 2.
 	CountLast bool
 	// Found counts the cycles the last Walk closed, those Keep rejected
 	// and those CountLast counted included.
@@ -124,6 +124,17 @@ type Miner struct {
 	arts        [MaxSupportedLength + 1]int
 	edges       [MaxSupportedLength + 1]int
 	canon       [MaxSupportedLength]graph.NodeID
+	// The closer rows of one seed, filled under CountLast from maxLen 4 on
+	// (fillClosers): for the i-th node c of reached[1:] within two steps of
+	// the seed, closer[i*words:][:words] holds the seed's neighbours that
+	// close a path ending at c — c's row and seedRow less blockedBits, as
+	// they stand once the seed is reached — and suffix[i*words+w] counts
+	// its bits in the words after w; slot[c] is i. They cost words uint64s
+	// and as many uint16s per such node: at most 2.5 MiB at MaxViewNodes.
+	// A uint16 holds any count or slot, as a row has at most 64 words.
+	closer []uint64
+	suffix []uint16
+	slot   []uint16
 }
 
 // pollEvery is how many cycles the walk finds between two calls of Poll:
@@ -313,7 +324,10 @@ func Compare(a, b Cycle) int {
 // level of each search — a path one node short of maxLen — is not searched
 // at all: its closers are one intersection of two rows, less the blocked
 // nodes; and the level before it enters only the nodes that close a cycle,
-// which the same intersection tells.
+// which the same intersection tells. Under CountLast from maxLen 4 on, that
+// level enters no node: a cycle of maxLen nodes is the path, a neighbour c
+// of its end and one of c's closers, and a row per c, filled once per
+// seed, counts those.
 func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error) error {
 	if maxLen < 2 {
 		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
@@ -337,9 +351,13 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 		slices.Sort(m.seeds)
 	}
 	m.maxLen, m.err, m.visit, m.Found = maxLen, nil, visit, 0
+	longest := maxLen // the longest length the visitor may be handed
+	if m.CountLast && maxLen >= 3 {
+		longest--
+	}
 	end := len(measured)
-	if maxLen < MaxSupportedLength {
-		end = measuredAt[maxLen+1][0]
+	if longest < MaxSupportedLength {
+		end = measuredAt[longest+1][0]
 	}
 	m.kept = slices.Grow(m.kept[:0], end)[:end]
 	for i := range m.kept {
@@ -351,10 +369,17 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 	}
 	m.blockedBits = slices.Grow(m.blockedBits[:0], m.words)[:m.words]
 	clear(m.blockedBits)
+	rows := m.CountLast && maxLen >= 4
+	if rows {
+		m.slot = slices.Grow(m.slot[:0], n)[:n]
+	}
 	for _, s := range m.seeds {
 		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
 			m.reach(s)
 			m.seedRow = m.row(m.bits, s)
+			if rows {
+				m.fillClosers()
+			}
 			m.path = append(m.path[:0], s)
 			m.arts[1], m.edges[1] = 0, 0
 			if m.kind[s] == graph.Article {
@@ -396,6 +421,31 @@ func (m *Miner) reach(s graph.NodeID) {
 	m.block(s)
 }
 
+// fillClosers fills the closer rows of the seed just reached, one for each
+// node of reached within two steps of it: no other node is next to one of
+// its neighbours, the removed seeds not counted. A row holds the seed's
+// neighbours that are not blocked yet, so the nodes a path blocks later are
+// still in it; countLast takes them out.
+func (m *Miner) fillClosers() {
+	end := 1 // reached[0] is the seed
+	for end < len(m.reached) && m.dist[m.reached[end]] <= 2 {
+		end++
+	}
+	near, w := m.reached[1:end], m.words
+	m.closer = slices.Grow(m.closer[:0], len(near)*w)[:len(near)*w]
+	m.suffix = slices.Grow(m.suffix[:0], len(near)*w)[:len(near)*w]
+	for i, c := range near {
+		m.slot[c] = uint16(i)
+		row, closer, suffix := m.row(m.bits, c), m.closer[i*w:][:w], m.suffix[i*w:][:w]
+		after := 0
+		for j := w - 1; j >= 0; j-- {
+			closer[j] = row[j] & m.seedRow[j] &^ m.blockedBits[j]
+			suffix[j] = uint16(after)
+			after += bits.OnesCount64(closer[j])
+		}
+	}
+}
+
 // dfs records the path, which starts at a seed and ends at cur, d steps
 // from it, if it closes a cycle — cur is next to the seed — and extends it
 // through every neighbour of cur that is not blocked and can still get back
@@ -405,7 +455,8 @@ func (m *Miner) reach(s graph.NodeID) {
 // that could only close the path the other way round is not entered. The
 // neighbours are scanned in ascending order over the occupied words of
 // cur's row, the blocked ones masked off a word at a time; the last level
-// is closeLast, and the level before it is enterLast.
+// is closeLast, and the level before it is enterLast, or countLast under
+// CountLast.
 func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	k := len(m.path)
 	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.has(m.two, cur, m.path[0])) {
@@ -420,6 +471,10 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 		return
 	}
 	beforeLast := k+2 == m.maxLen && k >= 2
+	if beforeLast && m.CountLast {
+		m.countLast(cur)
+		return
+	}
 	row := m.row(m.bits, cur)
 	for ws := m.occupied[cur]; ws != 0; ws &= ws - 1 {
 		// A word's blocked nodes are the same after each neighbour's search
@@ -449,9 +504,8 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 // whether d is 1. The path cannot grow past next, so next is entered only
 // if it closes a cycle: when it is next to the seed, above path[1], or has
 // a closer of its own. The closers found to decide that are the first that
-// closeLast takes. Under CountLast the path's counts are kept up only for
-// next's own cycle, the one it records. Nothing below can enter a node, so
-// next is never blocked.
+// closeLast takes. Nothing below can enter a node, so next is never
+// blocked.
 func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
 	i, x := m.closers(next, int(m.path[1])+1)
 	self := adjacent && m.path[1] < next
@@ -459,9 +513,7 @@ func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
 		return
 	}
 	k := len(m.path)
-	if self || !m.CountLast {
-		m.extend(next)
-	}
+	m.extend(next)
 	m.path = append(m.path, next)
 	if self {
 		m.record()
@@ -476,11 +528,13 @@ func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
 // time from i and x, the first word as closers returns it: the last level
 // of the walk, where the scan in dfs would enter a neighbour of cur only to
 // find it next to the seed or not. It records each cycle, in ascending
-// order, or under CountLast adds the word's closers to Found.
+// order, or, when they have maxLen nodes under CountLast, adds the word's
+// closers to Found. That is only at maxLen 3: from 4 on, countLast counts
+// them a level earlier.
 func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
 	k := len(m.path)
 	for ; x != 0 && m.err == nil; i, x = m.closers(cur, (i+1)<<6) {
-		if m.CountLast {
+		if m.CountLast && k+1 == m.maxLen {
 			m.count(bits.OnesCount64(x))
 			continue
 		}
@@ -491,6 +545,39 @@ func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
 			m.record()
 			m.path = m.path[:k]
 		}
+	}
+}
+
+// countLast is the level before the last under CountLast, at the path that
+// ends at cur: it records the cycles cur's closers close, in ascending
+// order, as enterLast does, and counts the cycles of maxLen nodes without
+// entering a node. Those through a neighbour c of cur that is not blocked
+// close with c's closers above path[1], which is c's closer row above it
+// less the path's nodes there, blocked since the row was filled; a node
+// more than two steps from the seed has none.
+func (m *Miner) countLast(cur graph.NodeID) {
+	a := m.path[1]
+	i, x := m.closers(cur, int(a)+1)
+	m.closeLast(cur, i, x)
+	w, above := int(a>>6), ^uint64(0)<<(a&63)<<1
+	row, words, n := m.row(m.bits, cur), m.words, 0
+	for ws := m.occupied[cur]; ws != 0; ws &= ws - 1 {
+		i := bits.TrailingZeros64(ws)
+		for x := row[i] &^ m.blockedBits[i]; x != 0; x &= x - 1 {
+			if c := i<<6 | bits.TrailingZeros64(x); m.dist[c] <= 2 {
+				at := int(m.slot[c]) * words
+				closer := m.closer[at:][:words]
+				n += bits.OnesCount64(closer[w]&above) + int(m.suffix[at+w])
+				for _, p := range m.path[2:] {
+					if p > a {
+						n -= int(closer[p>>6] >> (p & 63) & 1)
+					}
+				}
+			}
+		}
+	}
+	for ; n > 0 && m.err == nil; n -= 64 { // so a poll comes within 64 of its multiple
+		m.count(min(n, 64))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 const maxFuzzDegree = 4
 
 // decodeWalk reads one Walk's input from fuzz bytes: a header of node
-// count (up to 80, past one bitset word), maxLen (2 to 8), filter, seed
+// count (up to 192, three bitset words), maxLen (2 to 8), filter, seed
 // set and Keep salt; a bitmask of category nodes; the seeds; then edges as
 // (from, to, kind) triples of all four kinds.
 func decodeWalk(data []byte) (g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(graph.EdgeKind) bool, keep func(Metrics) bool) {
@@ -27,7 +27,7 @@ func decodeWalk(data []byte) (g *graph.Graph, seeds []graph.NodeID, maxLen int, 
 		data = data[1:]
 		return b
 	}
-	n, flags, salt := 1+int(next())%80, next(), next()
+	n, flags, salt := 1+int(next())%192, next(), next()
 	maxLen = 2 + int(flags)%7
 	if flags&0x08 != 0 {
 		exclude = graph.ExcludeRedirects
@@ -90,6 +90,15 @@ func FuzzMinerWalk(f *testing.F) {
 	f.Add([]byte{69, 0x98, 200, 0xff, 0, 0, 0, 0, 0, 0, 0xf0, 0,
 		63, 64, 2, 64, 63, 2, 60, 68, 1, 68, 60, 1, 63, 68, 0, 64, 60, 0,
 		61, 67, 3, 67, 62, 2, 62, 61, 0, 61, 60, 0, 67, 64, 0, 62, 68, 1})
+	// 192 nodes, maxLen 6, redirects excluded, a density Keep, seeds 2
+	// and 129: seed 2's neighbours 63, 64, 130 and 190 lie in all three
+	// words of its rows, and close cycles with 129, 191 and 1 among them.
+	f.Add([]byte{191, 0x4a, 5,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x04, 0, 0, 0, 0, 0, 0, 0x80,
+		2, 2, 129,
+		2, 63, 0, 2, 64, 0, 2, 130, 1, 190, 2, 0, 63, 64, 0, 64, 63, 0, 63, 130, 0, 63, 191, 2,
+		64, 190, 0, 64, 129, 0, 130, 190, 0, 130, 129, 0, 190, 191, 0, 191, 190, 0,
+		129, 191, 0, 129, 1, 0, 191, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, seeds, maxLen, exclude, keep := decodeWalk(data)
 		want, err := referenceEnumerate(g, seeds, maxLen, exclude)

@@ -683,6 +683,137 @@ func TestWalkCountLastOnlyCounts(t *testing.T) {
 	}
 }
 
+// TestWalkCountLastEdges holds the count of the longest cycles, read off
+// the seeds' closer rows, to referenceEnumerate where it is easiest to get
+// wrong: where path[1] is the view's last node, so the bits above it begin
+// past the rows' end, and the other word ends; at maxLen 6 to 8 round a
+// seed next to every node, so that the path's inner nodes are seed
+// neighbours above path[1], set in the rows and blocked since they were
+// filled, and removed seeds lie above path[1]; and with nil seeds, every
+// node a seed, the ones before it removed. In each case the walk with CountLast visits exactly the
+// reference's shorter cycles, finds all of them, and polls Found/pollEvery
+// times.
+func TestWalkCountLastEdges(t *testing.T) {
+	countLast := func(t *testing.T, g *graph.Graph, seeds []graph.NodeID, maxLen int) int {
+		t.Helper()
+		want, err := referenceEnumerate(g, seeds, maxLen, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shorter []Cycle
+		for _, c := range want {
+			if len(c.Nodes) < maxLen {
+				shorter = append(shorter, c)
+			}
+		}
+		m := NewMiner(g, allNodes(g), nil)
+		defer m.Release()
+		m.CountLast = true
+		polls := 0
+		m.Poll = func() error { polls++; return nil }
+		var got []Cycle
+		err = m.Walk(seeds, maxLen, func(Metrics) error {
+			got = append(got, Cycle{Nodes: slices.Clone(m.Cycle().Nodes)})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(got, Compare)
+		if !reflect.DeepEqual(got, shorter) {
+			t.Fatalf("%d nodes, seeds %v, maxLen %d: visited %v, want %v", g.NumNodes(), seeds, maxLen, got, shorter)
+		}
+		if m.Found != len(want) || polls != len(want)/pollEvery {
+			t.Fatalf("%d nodes, seeds %v, maxLen %d: Found %d and %d polls, want %d and %d", g.NumNodes(), seeds, maxLen, m.Found, polls, len(want), len(want)/pollEvery)
+		}
+		return len(want) - len(shorter)
+	}
+	// crowd adds each edge among nodes with probability p, of a random kind.
+	crowd := func(rng *rand.Rand, g *graph.Graph, nodes []graph.NodeID, p float64) {
+		for i, u := range nodes {
+			for _, v := range nodes[:i] {
+				if rng.Float64() < p {
+					_ = g.AddEdge(u, v, graph.EdgeKind(rng.Intn(4)))
+				}
+			}
+		}
+	}
+	article := func(n int) *graph.Graph {
+		g := graph.New(n)
+		for range n {
+			g.AddNode(graph.Article)
+		}
+		return g
+	}
+
+	t.Run("row end", func(t *testing.T) {
+		counted := 0
+		for words := 1; words <= 3; words++ {
+			n := 64 * words
+			rng := rand.New(rand.NewSource(int64(words)))
+			g := article(n)
+			// The seed 0 is next to the last node and to the ends of every
+			// word; they, and a few nodes either side, crowd together.
+			near := []graph.NodeID{0, 1, 2}
+			for b := 64; b <= n; b += 64 {
+				near = append(near, graph.NodeID(b-3), graph.NodeID(b-2), graph.NodeID(b-1))
+				if b < n {
+					near = append(near, graph.NodeID(b), graph.NodeID(b+1))
+				}
+			}
+			for b := 64; b <= n; b += 64 {
+				_ = g.AddEdge(0, graph.NodeID(b-1), graph.Link)
+				_ = g.AddEdge(graph.NodeID(b-1), graph.NodeID(b-2), graph.Link)
+			}
+			crowd(rng, g, near, 0.45)
+			for _, seeds := range [][]graph.NodeID{{0}, {0, graph.NodeID(n - 1)}, {graph.NodeID(n - 2), 0}} {
+				for maxLen := 4; maxLen <= 6; maxLen++ {
+					counted += countLast(t, g, seeds, maxLen)
+				}
+			}
+		}
+		if t.Logf("%d cycles counted", counted); counted < 1000 {
+			t.Errorf("%d cycles counted: too few", counted)
+		}
+	})
+
+	t.Run("deep", func(t *testing.T) {
+		counted := 0
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 10 + rng.Intn(3)
+			g := article(n)
+			var rest []graph.NodeID
+			for v := 1; v < n; v++ {
+				_ = g.AddEdge(0, graph.NodeID(v), graph.Link) // the seed is next to every node
+				rest = append(rest, graph.NodeID(v))
+			}
+			crowd(rng, g, rest, 0.4)
+			for maxLen := 6; maxLen <= 8; maxLen++ {
+				counted += countLast(t, g, []graph.NodeID{0}, maxLen)
+				counted += countLast(t, g, []graph.NodeID{graph.NodeID(n - 1), 0}, maxLen)
+				// Removed before n-1 is, 3 and 6 lie above its path[1] 0.
+				counted += countLast(t, g, []graph.NodeID{3, 6, graph.NodeID(n - 1)}, maxLen)
+			}
+		}
+		if t.Logf("%d cycles counted", counted); counted < 10000 {
+			t.Errorf("%d cycles counted: too few", counted)
+		}
+	})
+
+	t.Run("nil seeds", func(t *testing.T) {
+		counted := 0
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := randomGraph(rng, 20+rng.Intn(120), 2)
+			counted += countLast(t, g, nil, 4+rng.Intn(3))
+		}
+		if t.Logf("%d cycles counted", counted); counted < 1000 {
+			t.Errorf("%d cycles counted: too few", counted)
+		}
+	})
+}
+
 // TestMinerRowsMatchInduced holds the view itself, not the cycles it
 // yields, to g.Induce(list): Len, every node's Kind and Neighbors (which
 // internal/querygraph reads directly), the neighbour rows, and every pair's

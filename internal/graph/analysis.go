@@ -68,23 +68,26 @@ func (g *Graph) walk(w *walkScratch, sources []NodeID, radius, maxNodes int, exc
 }
 
 // Ball returns the nodes within radius undirected hops of the sources under
-// the filter, nearest first and by ascending id within one distance, cut to
-// the first maxNodes. It walks only as far as that answer needs: the level
-// that reaches the cap is completed, because the cut keeps its smallest ids,
-// and nothing beyond it is visited.
+// the filter, the nearest maxNodes of them, ascending by id: where the cap
+// cuts a level, the level's smallest ids are kept. It walks only as far as
+// that answer needs: the level that reaches the cap is completed, because
+// the cut keeps its smallest ids, and nothing beyond it is visited.
 func (g *Graph) Ball(sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) []NodeID {
 	w := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(w)
 	return slices.Clone(g.ball(w, sources, radius, maxNodes, exclude))
 }
 
-// ball is Ball into w's storage.
+// ball is Ball into w's storage. Only the level the cap cuts is sorted by
+// itself, and only when the cap binds; the kept nodes are sorted once.
 func (g *Graph) ball(w *walkScratch, sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) []NodeID {
 	g.walk(w, sources, radius, maxNodes, exclude)
-	for d := 1; d < len(w.level); d++ {
-		slices.Sort(w.queue[w.level[d-1]:w.level[d]])
+	keep := max(0, min(len(w.queue), maxNodes))
+	if keep < len(w.queue) { // the walk stopped after the level that reached the cap: the last
+		slices.Sort(w.queue[w.level[len(w.level)-2]:])
 	}
-	return w.queue[:max(0, min(len(w.queue), maxNodes))]
+	slices.Sort(w.queue[:keep])
+	return w.queue[:keep]
 }
 
 // BFSDistances returns the undirected hop distance from each of the sources
