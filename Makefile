@@ -37,12 +37,13 @@ fuzz:
 
 # bench-smoke runs one iteration of each benchmark a change is judged by,
 # so none of them can rot: the postings walk, the Remote scatter, the batch
-# layer, the cold expansion pipeline (both of its walks), its cycle miner,
-# the largest view an expansion may ask for (BenchmarkMinerViewAtBound puts
-# its memory and time on record), the HTTP batch endpoint and the
-# compaction fold. CI and scripts/check.sh call it.
+# layer, the expanded retrieval with its query writing, the cold expansion
+# pipeline (both of its walks), its cycle miner, the largest view an
+# expansion may ask for (BenchmarkMinerViewAtBound puts its memory and time
+# on record), the HTTP batch endpoint and the compaction fold. CI and
+# scripts/check.sh call it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|ExpandCold|ExpandColdFallback|CycleEnumeration|MinerViewAtBound)$$' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^Benchmark(SearchCommon|RemoteSearch|Batch|SearchExpansion|ExpandCold|ExpandColdFallback|CycleEnumeration|MinerViewAtBound)$$' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkHTTPBatch$$' -benchtime 1x ./cmd/qserve
 	$(GO) test -run '^$$' -bench '^BenchmarkFold$$' -benchmem -benchtime 1x ./internal/shard
 

@@ -405,9 +405,11 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// the number of accepted cycles that contain each; a feature belongs to
 	// the first cycle that holds it, so a length is canonicalised and sorted
 	// only when the shorter ones left room for a candidate, or every cycle
-	// must be counted.
-	var ordered []Feature                   // by first appearance in cycle rank order
-	frequency := make(map[graph.NodeID]int) // per feature, the accepted cycles among those ranked that hold it
+	// must be counted. ordered is sized once: past MaxFeatures it takes at
+	// most the rest of one cycle, and it never holds more than the ball's
+	// nodes, however many features the options ask for.
+	ordered := make([]Feature, 0, min(opts.MaxFeatures, len(nodes))+opts.MaxCycleLen) // by first appearance in cycle rank order
+	frequency := make(map[graph.NodeID]int)                                           // per feature, the accepted cycles among those ranked that hold it
 	var arts [cycles.MaxSupportedLength]graph.NodeID
 	wanted := func() bool { return opts.RankByFrequency || len(ordered) < opts.MaxFeatures }
 	for length := 2; length <= opts.MaxCycleLen && wanted(); length++ {
@@ -447,6 +449,9 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	if opts.RankByFrequency {
 		// Stable: ties keep the cycle-order rank.
 		slices.SortStableFunc(ordered, func(a, b Feature) int { return cmp.Compare(frequency[b.Node], frequency[a.Node]) })
+	}
+	if len(ordered) > 0 {
+		exp.Features = make([]Feature, 0, min(opts.MaxFeatures, len(ordered)))
 	}
 	for _, f := range ordered {
 		if len(exp.Features) >= opts.MaxFeatures {

@@ -82,16 +82,20 @@ func NewPhrase(raw string, an *text.Analyzer) (Phrase, bool) {
 
 // BuildTitleQuery builds the paper's expansion query: the original keywords
 // as bare terms combined with one exact-phrase operator per article title.
+// The titles come analysed (callers keep each title's terms, so a title is
+// analysed once however many queries name it); an reads only the keywords.
 // Titles or keywords that analyze to nothing are dropped; the function
-// returns ok=false when the whole query would be empty.
-func BuildTitleQuery(keywords string, titles []string, an *text.Analyzer) (Node, bool) {
-	var children []Node
-	for _, kw := range an.Analyze(keywords) {
+// returns ok=false when the whole query would be empty. The returned
+// phrases share the titles' slices, which must not be modified.
+func BuildTitleQuery(keywords string, titles [][]string, an *text.Analyzer) (Node, bool) {
+	kws := an.Analyze(keywords)
+	children := make([]Node, 0, len(kws)+len(titles))
+	for _, kw := range kws {
 		children = append(children, Term{Text: kw})
 	}
-	for _, title := range titles {
-		if p, ok := NewPhrase(title, an); ok {
-			children = append(children, p)
+	for _, terms := range titles {
+		if len(terms) > 0 {
+			children = append(children, Phrase{Terms: terms})
 		}
 	}
 	if len(children) == 0 {

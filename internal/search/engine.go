@@ -104,7 +104,26 @@ type Leaf struct {
 // callers flatten once, plan the leaves against every partition
 // (PlanLeavesInto) and aggregate per-leaf collection statistics before
 // scoring (SearchPlanInto).
-func Flatten(n Node) ([]Leaf, error) { return flatten(n, 1, nil) }
+func Flatten(n Node) ([]Leaf, error) { return flatten(n, 1, make([]Leaf, 0, countLeaves(n))) }
+
+// countLeaves counts the scoring leaves flatten makes of n, so that the
+// leaf slice is allocated once at its size.
+func countLeaves(n Node) int {
+	var children []Node
+	switch t := n.(type) {
+	case Term, Phrase:
+		return 1
+	case Combine:
+		children = t.Children
+	case Weight:
+		children = t.Children
+	}
+	count := 0
+	for _, ch := range children {
+		count += countLeaves(ch)
+	}
+	return count
+}
 
 // flatten converts the AST into weighted leaves. #combine is an unweighted
 // sum of child log scores, so it passes weight w through to every child;

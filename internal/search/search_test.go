@@ -290,7 +290,7 @@ func TestASTStringRoundTrip(t *testing.T) {
 }
 
 func TestBuildTitleQuery(t *testing.T) {
-	n, ok := BuildTitleQuery("gondola in venice", []string{"Grand Canal (Venice)", "Bridge of Sighs"}, plain)
+	n, ok := BuildTitleQuery("gondola in venice", [][]string{plain.Analyze("Grand Canal (Venice)"), plain.Analyze("Bridge of Sighs")}, plain)
 	if !ok {
 		t.Fatal("BuildTitleQuery failed")
 	}
@@ -306,7 +306,7 @@ func TestBuildTitleQuery(t *testing.T) {
 	}
 	// Stopword-only title dropped, keywords retained.
 	stopping := text.NewAnalyzer(true, false)
-	n, ok = BuildTitleQuery("gondola", []string{"of the"}, stopping)
+	n, ok = BuildTitleQuery("gondola", [][]string{stopping.Analyze("of the")}, stopping)
 	if !ok || strings.Contains(n.String(), "#1") {
 		t.Errorf("stopword title should be dropped: %v %v", n, ok)
 	}
