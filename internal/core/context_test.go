@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/querygraph/querygraph/internal/synth"
 )
 
 // TestParallelismUsesGOMAXPROCS pins the documented BatchOptions.Workers
@@ -218,16 +221,27 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestExpandStopsAtThePollThatCancels: an expansion asks its ctx at the
-// gate, after each phase and once per 256 cycles the miner records, and
+// gate, after each phase, once per 256 cycles the miner records and, in
+// the rank, before each length and once per 256 cycles it reads, and
 // whichever poll first hears of cancellation is the last thing the run
 // does. Cancelling at every poll of a long enumeration in turn — most of
-// them inside the miner — each call returns context.Canceled having polled
-// no further, nothing is cached, every run is counted once, and the cache
-// then serves the answer a fresh system gives.
+// them inside the miner, and under frequency rank many in the rank — each
+// call returns context.Canceled having polled no further, nothing is
+// cached, every run is counted once, and the cache then serves the answer
+// a fresh system gives.
 func TestExpandStopsAtThePollThatCancels(t *testing.T) {
 	_, w := testSystem(t)
-	kw, opts := w.Queries[0].Keywords, DefaultExpanderOptions()
-	opts.MaxCycleLen, opts.MaxNeighborhood = 8, 20 // thousands of cycles among 20 nodes
+	for _, byFrequency := range []bool{false, true} {
+		kw, opts := w.Queries[0].Keywords, DefaultExpanderOptions()
+		opts.MaxCycleLen, opts.MaxNeighborhood = 8, 20 // thousands of cycles among 20 nodes
+		opts.RankByFrequency = byFrequency
+		t.Run(fmt.Sprintf("byFrequency=%v", byFrequency), func(t *testing.T) { checkStopsAtThePollThatCancels(t, w, kw, opts) })
+	}
+}
+
+// checkStopsAtThePollThatCancels cancels an expansion of kw under opts at
+// each of its polls in turn.
+func checkStopsAtThePollThatCancels(t *testing.T, w *synth.World, kw string, opts ExpanderOptions) {
 
 	// An uncancelled run on a system of its own: the answer, and how many
 	// polls a whole run makes.
@@ -249,9 +263,9 @@ func TestExpandStopsAtThePollThatCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The last poll ends the rank phase, when the answer is complete and
-	// is returned regardless; every earlier one aborts.
-	for n := 1; n < polls; n++ {
+	// Every poll aborts, the one that ends the rank phase included: a
+	// deadline that passes during the ranking is not answered late.
+	for n := 1; n <= polls; n++ {
 		ctx := &countdownCtx{Context: context.Background(), left: n - 1}
 		if exp, err := s.Expand(ctx, kw, opts); exp != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at poll %d of %d: Expand = %v, %v; want context.Canceled", n, polls, exp, err)
@@ -262,7 +276,7 @@ func TestExpandStopsAtThePollThatCancels(t *testing.T) {
 	}
 	// The gate's poll comes before the cache; every other aborted run is
 	// one miss and one pipeline run.
-	aborted := uint64(polls - 1)
+	aborted := uint64(polls)
 	if st, runs := s.ExpandCacheStats(), s.expandCalls.Load(); st.Entries != 0 || st.Hits != 0 || st.Misses != aborted-1 || runs != aborted-1 {
 		t.Errorf("after %d aborted calls: %+v and %d pipeline runs, want no entry, no hit, %d misses and runs", aborted, st, runs, aborted-1)
 	}

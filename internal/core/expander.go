@@ -284,7 +284,7 @@ var acceptedPool = sync.Pool{New: func() any { return new(accepted) }}
 // A ctx that is already done returns ctx.Err() without touching the
 // pipeline or the cache; a ctx that ends during the caller's own pipeline
 // run stops that run — between phases, and every few hundred cycles inside
-// the enumeration — and returns ctx.Err() with nothing cached.
+// the enumeration and the rank — and returns ctx.Err() with nothing cached.
 func (s *System) Expand(ctx context.Context, keywords string, opts ExpanderOptions) (*Expansion, error) {
 	exp, _, err := s.ExpandOutcome(ctx, keywords, opts)
 	return exp, err
@@ -308,7 +308,8 @@ func (s *System) ExpandOutcome(ctx context.Context, keywords string, opts Expand
 
 // expand is the uncached expansion pipeline behind Expand; opts have
 // already been validated. A traced request gets one span per phase, and a
-// ctx that ends stops the run at the next phase boundary or miner poll.
+// ctx that ends stops the run at the next phase boundary, miner poll or
+// rank poll.
 func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptions) (*Expansion, error) {
 	s.expandCalls.Add(1)
 	// Untraced requests skip the clock reads; see poolGeneration.parse.
@@ -405,7 +406,8 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// the number of accepted cycles that contain each; a feature belongs to
 	// the first cycle that holds it, so a length is canonicalised and sorted
 	// only when the shorter ones left room for a candidate, or every cycle
-	// must be counted. ordered is sized once: past MaxFeatures it takes at
+	// must be counted. The rank asks ctx before each length and once per
+	// 256 cycles it reads, as the miner does. ordered is sized once: past MaxFeatures it takes at
 	// most the rest of one cycle, and it never holds more than the ball's
 	// nodes, however many features the options ask for.
 	ordered := make([]Feature, 0, min(opts.MaxFeatures, len(nodes))+opts.MaxCycleLen) // by first appearance in cycle rank order
@@ -413,6 +415,9 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	var arts [cycles.MaxSupportedLength]graph.NodeID
 	wanted := func() bool { return opts.RankByFrequency || len(ordered) < opts.MaxFeatures }
 	for length := 2; length <= opts.MaxCycleLen && wanted(); length++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		nodesOf := func(a acceptedCycle) []graph.NodeID { return acc.nodes[a.start : a.start+length] }
 		for _, a := range acc.byLen[length] {
 			c := nodesOf(a)
@@ -428,6 +433,11 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 			return slices.Compare(nodesOf(a), nodesOf(b))
 		})
 		for i := 0; i < len(acc.byLen[length]) && wanted(); i++ {
+			if i%256 == 255 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			k := acc.byLen[length][i]
 			for _, n := range cycles.AppendArticles(arts[:0], g, cycles.Cycle{Nodes: nodesOf(k)}) {
 				if slices.Contains(queryArts, n) {
@@ -470,7 +480,9 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 			}
 		}
 	}
-	_ = phase("expand.rank", "") // the answer is complete: ctx no longer matters
+	if err := phase("expand.rank", ""); err != nil {
+		return nil, err
+	}
 	return exp, nil
 }
 
