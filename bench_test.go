@@ -313,15 +313,15 @@ func BenchmarkIndexCollection(b *testing.B) {
 // mirroring what the serving layer evaluates after expansion.
 func benchQueryNodes(b *testing.B, e *benchEnv) []search.Node {
 	b.Helper()
-	nodes, an := make([]search.Node, 0, len(e.queries)), e.system.Engine.Analyzer()
+	nodes := make([]search.Node, 0, len(e.queries))
 	for i, q := range e.queries {
 		gt := e.gts[i]
 		arts := append(append([]graph.NodeID{}, gt.QueryArticles...), gt.Expansion...)
-		titles := make([][]string, len(arts))
-		for j, a := range arts {
-			titles[j] = an.Analyze(e.world.Snapshot.Name(a))
+		node, ok, err := e.system.TitleQuery(q.Keywords, arts)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if node, ok := search.BuildTitleQuery(q.Keywords, titles, an); ok {
+		if ok {
 			nodes = append(nodes, node)
 		}
 	}
@@ -778,14 +778,9 @@ func BenchmarkSearchTitleQuery(b *testing.B) {
 	q := e.queries[0]
 	gt := e.gts[0]
 	arts := append(append([]graph.NodeID{}, gt.QueryArticles...), gt.Expansion...)
-	an := e.system.Engine.Analyzer()
-	titles := make([][]string, len(arts))
-	for i, a := range arts {
-		titles[i] = an.Analyze(e.world.Snapshot.Name(a))
-	}
-	node, ok := search.BuildTitleQuery(q.Keywords, titles, an)
-	if !ok {
-		b.Fatal("query not buildable")
+	node, ok, err := e.system.TitleQuery(q.Keywords, arts)
+	if err != nil || !ok {
+		b.Fatal("query not buildable", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

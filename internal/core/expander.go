@@ -407,11 +407,17 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// the first cycle that holds it, so a length is canonicalised and sorted
 	// only when the shorter ones left room for a candidate, or every cycle
 	// must be counted. The rank asks ctx before each length and once per
-	// 256 cycles it reads, as the miner does. ordered is sized once: past MaxFeatures it takes at
-	// most the rest of one cycle, and it never holds more than the ball's
-	// nodes, however many features the options ask for.
-	ordered := make([]Feature, 0, min(opts.MaxFeatures, len(nodes))+opts.MaxCycleLen) // by first appearance in cycle rank order
-	frequency := make(map[graph.NodeID]int)                                           // per feature, the accepted cycles among those ranked that hold it
+	// 256 cycles it reads, as the miner does.
+	//
+	// ordered is sized once for the most it can hold: every ball node under
+	// frequency rank, and otherwise MaxFeatures and the rest of the cycle
+	// that reached it.
+	size := len(nodes)
+	if !opts.RankByFrequency && opts.MaxFeatures < size {
+		size = min(size, opts.MaxFeatures+opts.MaxCycleLen)
+	}
+	ordered := make([]Feature, 0, size)     // by first appearance in cycle rank order
+	frequency := make(map[graph.NodeID]int) // per feature, the accepted cycles among those ranked that hold it
 	var arts [cycles.MaxSupportedLength]graph.NodeID
 	wanted := func() bool { return opts.RankByFrequency || len(ordered) < opts.MaxFeatures }
 	for length := 2; length <= opts.MaxCycleLen && wanted(); length++ {
@@ -460,7 +466,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		// Stable: ties keep the cycle-order rank.
 		slices.SortStableFunc(ordered, func(a, b Feature) int { return cmp.Compare(frequency[b.Node], frequency[a.Node]) })
 	}
-	if len(ordered) > 0 {
+	if len(ordered) > 0 { // sized for the ranked features: redirect aliases may grow it
 		exp.Features = make([]Feature, 0, min(opts.MaxFeatures, len(ordered)))
 	}
 	for _, f := range ordered {

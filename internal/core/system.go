@@ -101,13 +101,15 @@ func assemble(snap *wiki.Snapshot, coll *corpus.Collection, ix *index.Index, an 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	titleTerms := make([]atomic.Pointer[[]string], snap.Graph().NumNodes())
+	clear(titleTerms) // fault the table's pages in now, not one at a time under first fills
 	return &System{
 		Snapshot:    snap,
 		Collection:  coll,
 		Engine:      engine,
 		Linker:      linking.New(snap),
 		analyzer:    an,
-		titleTerms:  make([]atomic.Pointer[[]string], snap.Graph().NumNodes()),
+		titleTerms:  titleTerms,
 		expandCache: newExpandCache(cfg.expandCacheSize),
 	}, nil
 }
@@ -169,16 +171,14 @@ func (s *System) LinkDocuments(docs []int32) ([]graph.NodeID, error) {
 // an entity-less query is still defined. An article the graph does not
 // have is an error: the query it names can not be written.
 func (s *System) TitleQuery(keywords string, articles []graph.NodeID) (search.Node, bool, error) {
-	titles, kw := make([][]string, len(articles)), keywords
+	titles := make([][]string, len(articles))
 	for i, a := range articles {
 		if n := s.Snapshot.Graph().NumNodes(); int(a) >= n {
 			return nil, false, fmt.Errorf("core: article %d is not in this %d-node graph", a, n)
 		}
-		if titles[i] = s.titleTermsOf(a); len(titles[i]) > 0 {
-			kw = ""
-		}
+		titles[i] = s.titleTermsOf(a)
 	}
-	node, ok := search.BuildTitleQuery(kw, titles, s.analyzer)
+	node, ok := search.BuildTitleQuery(keywords, titles, s.analyzer)
 	return node, ok, nil
 }
 

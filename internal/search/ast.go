@@ -80,22 +80,23 @@ func NewPhrase(raw string, an *text.Analyzer) (Phrase, bool) {
 	return Phrase{Terms: terms}, true
 }
 
-// BuildTitleQuery builds the paper's expansion query: the original keywords
-// as bare terms combined with one exact-phrase operator per article title.
-// The titles come analysed (callers keep each title's terms, so a title is
-// analysed once however many queries name it); an reads only the keywords.
-// Titles or keywords that analyze to nothing are dropped; the function
-// returns ok=false when the whole query would be empty. The returned
-// phrases share the titles' slices, which must not be modified.
+// BuildTitleQuery builds the paper's expansion query: one exact-phrase
+// operator per article title. The titles come analysed (callers keep each
+// title's terms, so a title is analysed once however many queries name
+// it), and one that analysed to nothing is dropped. When no title is left
+// the keywords, analysed by an, back the query off as bare terms; ok=false
+// when they too analyse to nothing. The returned phrases share the titles'
+// slices, which must not be modified.
 func BuildTitleQuery(keywords string, titles [][]string, an *text.Analyzer) (Node, bool) {
-	kws := an.Analyze(keywords)
-	children := make([]Node, 0, len(kws)+len(titles))
-	for _, kw := range kws {
-		children = append(children, Term{Text: kw})
-	}
+	children := make([]Node, 0, len(titles))
 	for _, terms := range titles {
 		if len(terms) > 0 {
 			children = append(children, Phrase{Terms: terms})
+		}
+	}
+	if len(children) == 0 {
+		for _, kw := range an.Analyze(keywords) {
+			children = append(children, Term{Text: kw})
 		}
 	}
 	if len(children) == 0 {

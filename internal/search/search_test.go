@@ -298,17 +298,17 @@ func TestBuildTitleQuery(t *testing.T) {
 	if !strings.Contains(s, "#1(grand canal venice)") || !strings.Contains(s, "#1(bridge of sighs)") {
 		t.Errorf("query = %s", s)
 	}
-	if !strings.Contains(s, "gondola") {
-		t.Errorf("keywords missing: %s", s)
+	if strings.Contains(s, "gondola") {
+		t.Errorf("keywords beside surviving titles: %s", s)
 	}
 	if _, ok := BuildTitleQuery("", nil, plain); ok {
 		t.Error("empty inputs should fail")
 	}
-	// Stopword-only title dropped, keywords retained.
+	// Stopword-only title dropped, the keywords back the query off.
 	stopping := text.NewAnalyzer(true, false)
 	n, ok = BuildTitleQuery("gondola", [][]string{stopping.Analyze("of the")}, stopping)
-	if !ok || strings.Contains(n.String(), "#1") {
-		t.Errorf("stopword title should be dropped: %v %v", n, ok)
+	if !ok || strings.Contains(n.String(), "#1") || !strings.Contains(n.String(), "gondola") {
+		t.Errorf("stopword title should be dropped for the keywords: %v %v", n, ok)
 	}
 }
 
