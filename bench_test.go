@@ -809,8 +809,10 @@ func BenchmarkEntityLinking(b *testing.B) {
 // ball, not an assembled query graph (a few dozen nodes and cycles), so
 // that the walk outweighs the miner's per-Walk set-up. full measures and
 // filters every length, as a cold expansion's second walk or its frequency
-// ranking does; countLast counts the 5-cycles and measures only the
-// shorter ones, as a cold expansion's first walk does. graphNodes is the
+// ranking does; countLast counts the 5-cycles, per seed in closed form,
+// and measures only the shorter ones, as a cold expansion's first walk
+// does; countLast6 does so at MaxCycleLen 6, where the 6-cycles are
+// counted a closers word at a time at the last level. graphNodes is the
 // ball's size, cycles/op every cycle the walk closed, accepted/op those
 // the filter kept.
 func BenchmarkCycleEnumeration(b *testing.B) {
@@ -829,19 +831,19 @@ func BenchmarkCycleEnumeration(b *testing.B) {
 			seeds = append(seeds, graph.NodeID(i))
 		}
 	}
-	for _, countLast := range []bool{false, true} {
-		name := "full"
-		if countLast {
-			name = "countLast"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		countLast bool
+		maxLen    int
+	}{{"full", false, opts.MaxCycleLen}, {"countLast", true, opts.MaxCycleLen}, {"countLast6", true, 6}} {
+		b.Run(bc.name, func(b *testing.B) {
 			found, accepted := 0, 0
 			count := func(cycles.Metrics) error { accepted++; return nil }
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
-				m.Keep, m.CountLast = opts.Accepts, countLast
-				if err := m.Walk(seeds, opts.MaxCycleLen, count); err != nil {
+				m.Keep, m.CountLast = opts.Accepts, bc.countLast
+				if err := m.Walk(seeds, bc.maxLen, count); err != nil {
 					b.Fatal(err)
 				}
 				found += m.Found

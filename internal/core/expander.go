@@ -362,7 +362,8 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// the accepted ones, which are kept by length. The ranking reads the
 	// longest length last and, unless it counts frequencies, only when the
 	// shorter ones leave room for a feature; so the walk first counts the
-	// longest cycles without measuring them, and walks again, keeping and
+	// longest cycles without measuring them (at lengths 4 and 5 per seed in
+	// closed form, without listing them), and walks again, keeping and
 	// measuring only them, if the cycles it kept leave that room.
 	acc := acceptedPool.Get().(*accepted)
 	defer acceptedPool.Put(acc)

@@ -75,9 +75,10 @@ type Miner struct {
 	bits, two, articles []uint64
 	words               int
 	// Bit w of occupied[a] is set when word w of a's neighbour row is
-	// nonzero (a row has at most 64 words): the words reach, dfs and
-	// Neighbors read. closers reads every word from its first on, which on
-	// views of a few words measured faster than skipping the empty ones.
+	// nonzero (a row has at most 64 words): the words reach, dfs,
+	// closedCount and Neighbors read. closers reads every word from its
+	// first on, which on views of a few words measured faster than
+	// skipping the empty ones.
 	occupied []uint64
 	// index[p] is one more than the position of graph node p while
 	// NewMiner reads the list's adjacency, and 0 otherwise: NewMiner sets
@@ -124,17 +125,12 @@ type Miner struct {
 	arts        [MaxSupportedLength + 1]int
 	edges       [MaxSupportedLength + 1]int
 	canon       [MaxSupportedLength]graph.NodeID
-	// The closer rows of one seed, filled under CountLast from maxLen 4 on
-	// (fillClosers): for the i-th node c of reached[1:] within two steps of
-	// the seed, closer[i*words:][:words] holds the seed's neighbours that
-	// close a path ending at c — c's row and seedRow less blockedBits, as
-	// they stand once the seed is reached — and suffix[i*words+w] counts
-	// its bits in the words after w; slot[c] is i. They cost words uint64s
-	// and as many uint16s per such node: at most 2.5 MiB at MaxViewNodes.
-	// A uint16 holds any count or slot, as a row has at most 64 words.
-	closer []uint64
-	suffix []uint16
-	slot   []uint16
+	// longest is the longest length the visitor may be handed: closeLast
+	// counts the cycles longer than it. shared[v] is, while closedCount
+	// runs, the number of the seed's open neighbours that are next to v,
+	// and 0 otherwise.
+	longest int
+	shared  []int32
 }
 
 // pollEvery is how many cycles the walk finds between two calls of Poll:
@@ -324,10 +320,10 @@ func Compare(a, b Cycle) int {
 // level of each search — a path one node short of maxLen — is not searched
 // at all: its closers are one intersection of two rows, less the blocked
 // nodes; and the level before it enters only the nodes that close a cycle,
-// which the same intersection tells. Under CountLast from maxLen 4 on, that
-// level enters no node: a cycle of maxLen nodes is the path, a neighbour c
-// of its end and one of c's closers, and a row per c, filled once per
-// seed, counts those.
+// which the same intersection tells. Under CountLast at maxLen 4 and 5,
+// the longest cycles through a seed are counted in closed form from its
+// neighbourhood (closedCount) before the search, which then stops a level
+// short.
 func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error) error {
 	if maxLen < 2 {
 		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
@@ -350,14 +346,13 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 		m.seeds = append(m.seeds, seeds...)
 		slices.Sort(m.seeds)
 	}
-	m.maxLen, m.err, m.visit, m.Found = maxLen, nil, visit, 0
-	longest := maxLen // the longest length the visitor may be handed
+	m.maxLen, m.err, m.visit, m.Found, m.longest = maxLen, nil, visit, 0, maxLen
 	if m.CountLast && maxLen >= 3 {
-		longest--
+		m.longest--
 	}
 	end := len(measured)
-	if longest < MaxSupportedLength {
-		end = measuredAt[longest+1][0]
+	if m.longest < MaxSupportedLength {
+		end = measuredAt[m.longest+1][0]
 	}
 	m.kept = slices.Grow(m.kept[:0], end)[:end]
 	for i := range m.kept {
@@ -369,16 +364,20 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 	}
 	m.blockedBits = slices.Grow(m.blockedBits[:0], m.words)[:m.words]
 	clear(m.blockedBits)
-	rows := m.CountLast && maxLen >= 4
-	if rows {
-		m.slot = slices.Grow(m.slot[:0], n)[:n]
+	steps, closed := maxLen/2, m.CountLast && (maxLen == 4 || maxLen == 5)
+	if closed {
+		m.shared = slices.Grow(m.shared[:0], n)[:n]
+		clear(m.shared)
+		m.maxLen-- // the search stops a level short
 	}
 	for _, s := range m.seeds {
 		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
-			m.reach(s)
+			m.reach(s, steps)
 			m.seedRow = m.row(m.bits, s)
-			if rows {
-				m.fillClosers()
+			if closed {
+				for n := m.closedCount(maxLen); n > 0 && m.err == nil; n -= 64 {
+					m.count(min(n, 64)) // so a poll comes within 64 of its multiple
+				}
 			}
 			m.path = append(m.path[:0], s)
 			m.arts[1], m.edges[1] = 0, 0
@@ -394,17 +393,17 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 	return m.err
 }
 
-// reach sets dist for the nodes within maxLen/2 steps of s, the seeds
-// already removed neither counted nor crossed, and blocks s. No other node
-// is on a cycle of maxLen nodes through s: it would be as many steps from
-// s both ways round.
-func (m *Miner) reach(s graph.NodeID) {
+// reach sets dist for the nodes within steps of s, the seeds already
+// removed neither counted nor crossed, and blocks s. Walk asks for maxLen/2
+// steps: no other node is on a cycle of maxLen nodes through s, as it would
+// be as many steps from s both ways round.
+func (m *Miner) reach(s graph.NodeID, steps int) {
 	m.dist[s] = 0
 	m.reached = append(m.reached[:0], s)
 	for head := 0; head < len(m.reached); head++ {
 		v := m.reached[head]
 		d := m.dist[v] + 1
-		if int(d) > m.maxLen/2 {
+		if int(d) > steps {
 			break // reached is in order of distance
 		}
 		row := m.row(m.bits, v)
@@ -421,29 +420,58 @@ func (m *Miner) reach(s graph.NodeID) {
 	m.block(s)
 }
 
-// fillClosers fills the closer rows of the seed just reached, one for each
-// node of reached within two steps of it: no other node is next to one of
-// its neighbours, the removed seeds not counted. A row holds the seed's
-// neighbours that are not blocked yet, so the nodes a path blocks later are
-// still in it; countLast takes them out.
-func (m *Miner) fillClosers() {
-	end := 1 // reached[0] is the seed
-	for end < len(m.reached) && m.dist[m.reached[end]] <= 2 {
-		end++
+// closedCount returns the number of cycles of maxLen nodes, 4 or 5,
+// through the seed just reached. Let X be its open neighbours (seedRow less
+// blockedBits), N'(v) v's open neighbours, and y(v) = |N'(v) ∩ X| for the
+// reached nodes v, which are all within two steps: no other node has a y.
+// A 4-cycle is a node b and two of its y(b) neighbours in X. A 5-cycle
+// s-a-b-c-d is walked both ways round, and the directed walks with a, d in
+// X and b~c open are Σ y(b)·y(c) over the ordered edges b~c, less those in
+// which a = c or b = d, Σ deg'(a)·y(a) over X each, or a = d, twice the
+// edges among N'(a) over X; a = c and b = d overlap in Σ y(a) over X, the
+// walks s-a-b-a-b, and no other two can.
+func (m *Miner) closedCount(maxLen int) int {
+	near, four, walks := m.reached[1:], 0, 0
+	for _, v := range near {
+		row, y := m.row(m.bits, v), 0
+		for ws := m.occupied[v]; ws != 0; ws &= ws - 1 {
+			i := bits.TrailingZeros64(ws)
+			y += bits.OnesCount64(row[i] & m.seedRow[i] &^ m.blockedBits[i])
+		}
+		m.shared[v], four = int32(y), four+y*(y-1)/2
 	}
-	near, w := m.reached[1:end], m.words
-	m.closer = slices.Grow(m.closer[:0], len(near)*w)[:len(near)*w]
-	m.suffix = slices.Grow(m.suffix[:0], len(near)*w)[:len(near)*w]
-	for i, c := range near {
-		m.slot[c] = uint16(i)
-		row, closer, suffix := m.row(m.bits, c), m.closer[i*w:][:w], m.suffix[i*w:][:w]
-		after := 0
-		for j := w - 1; j >= 0; j-- {
-			closer[j] = row[j] & m.seedRow[j] &^ m.blockedBits[j]
-			suffix[j] = uint16(after)
-			after += bits.OnesCount64(closer[j])
+	for _, b := range near {
+		inX := m.dist[b] == 1
+		if maxLen == 4 || m.shared[b] == 0 && !inX {
+			continue
+		}
+		row, y, z, deg := m.row(m.bits, b), int(m.shared[b]), 0, 0
+		for ws := m.occupied[b]; ws != 0; ws &= ws - 1 {
+			i := bits.TrailingZeros64(ws)
+			for x := row[i] &^ m.blockedBits[i]; x != 0; x &= x - 1 {
+				c := i<<6 | bits.TrailingZeros64(x)
+				z, deg = z+int(m.shared[c]), deg+1
+				if inX { // less the walks s-b-c-e-b, e next to b and c
+					cRow := m.row(m.bits, graph.NodeID(c))
+					for us := m.occupied[b] & m.occupied[c]; us != 0; us &= us - 1 {
+						j := bits.TrailingZeros64(us)
+						walks -= bits.OnesCount64(row[j] & cRow[j] &^ m.blockedBits[j])
+					}
+				}
+			}
+		}
+		walks += y * z
+		if inX { // less s-b-c-b-e and s-e-b-c-b, both at once in s-b-c-b-c
+			walks -= 2*deg*y - y
 		}
 	}
+	for _, v := range near {
+		m.shared[v] = 0
+	}
+	if maxLen == 4 {
+		return four
+	}
+	return walks / 2
 }
 
 // dfs records the path, which starts at a seed and ends at cur, d steps
@@ -455,8 +483,7 @@ func (m *Miner) fillClosers() {
 // that could only close the path the other way round is not entered. The
 // neighbours are scanned in ascending order over the occupied words of
 // cur's row, the blocked ones masked off a word at a time; the last level
-// is closeLast, and the level before it is enterLast, or countLast under
-// CountLast.
+// is closeLast, and the level before it enterLast.
 func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 	k := len(m.path)
 	if d == 1 && (k >= 3 && m.path[1] < cur || k == 2 && m.has(m.two, cur, m.path[0])) {
@@ -471,10 +498,6 @@ func (m *Miner) dfs(cur graph.NodeID, d uint8) {
 		return
 	}
 	beforeLast := k+2 == m.maxLen && k >= 2
-	if beforeLast && m.CountLast {
-		m.countLast(cur)
-		return
-	}
 	row := m.row(m.bits, cur)
 	for ws := m.occupied[cur]; ws != 0; ws &= ws - 1 {
 		// A word's blocked nodes are the same after each neighbour's search
@@ -528,13 +551,12 @@ func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
 // time from i and x, the first word as closers returns it: the last level
 // of the walk, where the scan in dfs would enter a neighbour of cur only to
 // find it next to the seed or not. It records each cycle, in ascending
-// order, or, when they have maxLen nodes under CountLast, adds the word's
-// closers to Found. That is only at maxLen 3: from 4 on, countLast counts
-// them a level earlier.
+// order, or, when they are longer than the visitor may be handed (maxLen 3
+// and 6 to 8 under CountLast), adds the word's closers to Found.
 func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
 	k := len(m.path)
 	for ; x != 0 && m.err == nil; i, x = m.closers(cur, (i+1)<<6) {
-		if m.CountLast && k+1 == m.maxLen {
+		if k+1 > m.longest {
 			m.count(bits.OnesCount64(x))
 			continue
 		}
@@ -545,39 +567,6 @@ func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
 			m.record()
 			m.path = m.path[:k]
 		}
-	}
-}
-
-// countLast is the level before the last under CountLast, at the path that
-// ends at cur: it records the cycles cur's closers close, in ascending
-// order, as enterLast does, and counts the cycles of maxLen nodes without
-// entering a node. Those through a neighbour c of cur that is not blocked
-// close with c's closers above path[1], which is c's closer row above it
-// less the path's nodes there, blocked since the row was filled; a node
-// more than two steps from the seed has none.
-func (m *Miner) countLast(cur graph.NodeID) {
-	a := m.path[1]
-	i, x := m.closers(cur, int(a)+1)
-	m.closeLast(cur, i, x)
-	w, above := int(a>>6), ^uint64(0)<<(a&63)<<1
-	row, words, n := m.row(m.bits, cur), m.words, 0
-	for ws := m.occupied[cur]; ws != 0; ws &= ws - 1 {
-		i := bits.TrailingZeros64(ws)
-		for x := row[i] &^ m.blockedBits[i]; x != 0; x &= x - 1 {
-			if c := i<<6 | bits.TrailingZeros64(x); m.dist[c] <= 2 {
-				at := int(m.slot[c]) * words
-				closer := m.closer[at:][:words]
-				n += bits.OnesCount64(closer[w]&above) + int(m.suffix[at+w])
-				for _, p := range m.path[2:] {
-					if p > a {
-						n -= int(closer[p>>6] >> (p & 63) & 1)
-					}
-				}
-			}
-		}
-	}
-	for ; n > 0 && m.err == nil; n -= 64 { // so a poll comes within 64 of its multiple
-		m.count(min(n, 64))
 	}
 }
 

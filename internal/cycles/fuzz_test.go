@@ -11,13 +11,16 @@ import (
 // maxFuzzDegree caps how many distinct neighbours a node of a fuzzed graph
 // may have, so that the reference's search from every node to length 8
 // stays short whatever the input; parallel edges between neighbours are
-// not capped.
+// not capped. Node 0 of a graph whose header sets flag 0x20 is a hub the
+// cap does not bind: the reference's search from a node enters only the
+// nodes above it, so only the search from 0 enters the hub, and it costs
+// the hub's degree times what a capped node's search does.
 const maxFuzzDegree = 4
 
 // decodeWalk reads one Walk's input from fuzz bytes: a header of node
 // count (up to 192, three bitset words), maxLen (2 to 8), filter, seed
-// set and Keep salt; a bitmask of category nodes; the seeds; then edges as
-// (from, to, kind) triples of all four kinds.
+// set, hub and Keep salt; a bitmask of category nodes; the seeds; then
+// edges as (from, to, kind) triples of all four kinds.
 func decodeWalk(data []byte) (g *graph.Graph, seeds []graph.NodeID, maxLen int, exclude func(graph.EdgeKind) bool, keep func(Metrics) bool) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -60,9 +63,12 @@ func decodeWalk(data []byte) (g *graph.Graph, seeds []graph.NodeID, maxLen int, 
 			seeds = append(seeds, graph.NodeID(int(next())%n))
 		}
 	}
+	full := func(v graph.NodeID) bool {
+		return len(g.Neighbors(v, nil)) >= maxFuzzDegree && (v != 0 || flags&0x20 == 0)
+	}
 	for len(data) >= 3 {
 		from, to, kind := graph.NodeID(int(next())%n), graph.NodeID(int(next())%n), graph.EdgeKind(next()%4)
-		if g.EdgesBetween(from, to, nil) == 0 && (len(g.Neighbors(from, nil)) >= maxFuzzDegree || len(g.Neighbors(to, nil)) >= maxFuzzDegree) {
+		if g.EdgesBetween(from, to, nil) == 0 && (full(from) || full(to)) {
 			continue
 		}
 		_ = g.AddEdge(from, to, kind) // self-loops and repeats rejected, fine
@@ -99,6 +105,28 @@ func FuzzMinerWalk(f *testing.F) {
 		2, 63, 0, 2, 64, 0, 2, 130, 1, 190, 2, 0, 63, 64, 0, 64, 63, 0, 63, 130, 0, 63, 191, 2,
 		64, 190, 0, 64, 129, 0, 130, 190, 0, 130, 129, 0, 190, 191, 0, 191, 190, 0,
 		129, 191, 0, 129, 1, 0, 191, 1, 0})
+	// 150 nodes, maxLen 5, a density Keep, seeds 0 and 140, node 0 a hub:
+	// its 70 neighbours lie in all three words of its rows, linked in a
+	// chain, each link doubled by one back, and nine nodes above them are
+	// next to four of them each.
+	hub := append([]byte{149, 0x65, 9}, make([]byte, 19)...)
+	hub = append(hub, 2, 0, 140)
+	var spokes []byte
+	for v := 1; v <= 140; v++ {
+		if v <= 40 || v >= 64 && v <= 80 || v >= 128 {
+			spokes = append(spokes, byte(v))
+			hub = append(hub, 0, byte(v), 0)
+		}
+	}
+	for i := 1; i < len(spokes); i++ {
+		hub = append(hub, spokes[i-1], spokes[i], 0, spokes[i], spokes[i-1], 0)
+	}
+	for b := 141; b < 150; b++ {
+		for j := 0; j < 4; j++ {
+			hub = append(hub, byte(b), spokes[(b*11+j*17)%len(spokes)], 1)
+		}
+	}
+	f.Add(hub)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, seeds, maxLen, exclude, keep := decodeWalk(data)
 		want, err := referenceEnumerate(g, seeds, maxLen, exclude)

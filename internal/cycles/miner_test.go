@@ -683,16 +683,18 @@ func TestWalkCountLastOnlyCounts(t *testing.T) {
 	}
 }
 
-// TestWalkCountLastEdges holds the count of the longest cycles, read off
-// the seeds' closer rows, to referenceEnumerate where it is easiest to get
-// wrong: where path[1] is the view's last node, so the bits above it begin
-// past the rows' end, and the other word ends; at maxLen 6 to 8 round a
+// TestWalkCountLastEdges holds the count of the longest cycles — at the
+// last level, or per seed in closed form at maxLen 4 and 5 — to
+// referenceEnumerate where it is easiest to get wrong: where path[1] is the
+// view's last node and at the other word ends; at maxLen 6 to 8 round a
 // seed next to every node, so that the path's inner nodes are seed
-// neighbours above path[1], set in the rows and blocked since they were
-// filled, and removed seeds lie above path[1]; and with nil seeds, every
-// node a seed, the ones before it removed. In each case the walk with CountLast visits exactly the
-// reference's shorter cycles, finds all of them, and polls Found/pollEvery
-// times.
+// neighbours above path[1] and removed seeds lie above path[1]; with nil
+// seeds, every node a seed, the ones before it removed; and, for the closed
+// form, round a seed whose neighbours a node in another word is next to 64
+// and more of, with triangles among them, links doubled by a link back, and
+// removed seeds next to them. In each case the walk with CountLast visits
+// exactly the reference's shorter cycles, finds all of them, and polls
+// Found/pollEvery times.
 func TestWalkCountLastEdges(t *testing.T) {
 	countLast := func(t *testing.T, g *graph.Graph, seeds []graph.NodeID, maxLen int) int {
 		t.Helper()
@@ -809,6 +811,54 @@ func TestWalkCountLastEdges(t *testing.T) {
 			counted += countLast(t, g, nil, 4+rng.Intn(3))
 		}
 		if t.Logf("%d cycles counted", counted); counted < 1000 {
+			t.Errorf("%d cycles counted: too few", counted)
+		}
+	})
+
+	t.Run("closed form", func(t *testing.T) {
+		counted := 0
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			const n, hub = 150, 140
+			g := article(n)
+			// Seed 0's neighbours 1 to 70 span two words, and hub, in the
+			// third, is next to each: so 70 of them are next to it.
+			var x []graph.NodeID
+			for v := graph.NodeID(1); v <= 70; v++ {
+				_ = g.AddEdge(0, v, graph.Link)
+				_ = g.AddEdge(v, hub, graph.Link)
+				x = append(x, v)
+			}
+			// Triangles among them, a link back doubling every other pair.
+			for i, u := range x {
+				for _, v := range x[:i] {
+					if rng.Float64() < 0.08 {
+						_ = g.AddEdge(u, v, graph.Link)
+						if rng.Intn(2) == 0 {
+							_ = g.AddEdge(v, u, graph.Link)
+						}
+					}
+				}
+			}
+			// The other nodes tie them together loosely, and one another.
+			var rest []graph.NodeID
+			for v := graph.NodeID(71); v < n; v++ {
+				if v != hub {
+					_ = g.AddEdge(v, x[rng.Intn(len(x))], graph.EdgeKind(rng.Intn(4)))
+					_ = g.AddEdge(x[rng.Intn(len(x))], v, graph.Link)
+					rest = append(rest, v)
+				}
+			}
+			crowd(rng, g, rest, 0.03)
+			// At hub, 0 is removed and next to all its neighbours; at 75,
+			// 1, 2 and 71 are, next to 0's neighbours and some of them.
+			for _, seeds := range [][]graph.NodeID{{0}, {hub, 0}, {1, 2, 71, 75, hub}, {3, 0, 80}, nil} {
+				for maxLen := 4; maxLen <= 5; maxLen++ {
+					counted += countLast(t, g, seeds, maxLen)
+				}
+			}
+		}
+		if t.Logf("%d cycles counted", counted); counted < 10000 {
 			t.Errorf("%d cycles counted: too few", counted)
 		}
 	})
