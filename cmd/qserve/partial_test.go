@@ -22,33 +22,44 @@ type faultBackend struct {
 	err error
 }
 
-func (f *faultBackend) inject(rs []querygraph.Result, err error) ([]querygraph.Result, error) {
+// inject applies f.err to one retrieval's outcome: unchanged when no
+// fault is set or the call already failed, out plus the error for
+// ErrPartialResult, and the zero value plus the error otherwise.
+func inject[T any](f *faultBackend, out T, err error) (T, error) {
 	if f.err == nil || err != nil {
-		return rs, err
+		return out, err
 	}
 	if errors.Is(f.err, querygraph.ErrPartialResult) {
-		return rs, f.err
+		return out, f.err
 	}
-	return nil, f.err
+	var zero T
+	return zero, f.err
 }
 
 func (f *faultBackend) Search(ctx context.Context, query string, k int) ([]querygraph.Result, error) {
-	return f.inject(f.Backend.Search(ctx, query, k))
+	rs, err := f.Backend.Search(ctx, query, k)
+	return inject(f, rs, err)
 }
 
 func (f *faultBackend) SearchInto(ctx context.Context, query string, k int, dst []querygraph.Result) ([]querygraph.Result, error) {
-	return f.inject(f.Backend.SearchInto(ctx, query, k, dst))
+	rs, err := f.Backend.SearchInto(ctx, query, k, dst)
+	return inject(f, rs, err)
 }
 
 func (f *faultBackend) SearchAll(ctx context.Context, queries []string, k int, opts querygraph.BatchOptions) ([][]querygraph.Result, error) {
 	rss, err := f.Backend.SearchAll(ctx, queries, k, opts)
-	if f.err == nil || err != nil {
-		return rss, err
-	}
-	if errors.Is(f.err, querygraph.ErrPartialResult) {
-		return rss, f.err
-	}
-	return nil, f.err
+	return inject(f, rss, err)
+}
+
+func (f *faultBackend) SearchExpansion(ctx context.Context, exp *querygraph.Expansion, k int) ([]querygraph.Result, bool, error) {
+	rs, ok, err := f.Backend.SearchExpansion(ctx, exp, k)
+	rs, err = inject(f, rs, err)
+	return rs, ok, err
+}
+
+func (f *faultBackend) SearchExpansions(ctx context.Context, exps []*querygraph.Expansion, k int, opts querygraph.BatchOptions) ([][]querygraph.Result, error) {
+	rss, err := f.Backend.SearchExpansions(ctx, exps, k, opts)
+	return inject(f, rss, err)
 }
 
 // TestSearchPartialResult pins the degraded-fleet contract end to end:
@@ -117,5 +128,62 @@ func TestSearchShardUnavailable503(t *testing.T) {
 	}
 	if code := errorCode(t, rec); code != "shard_unavailable" {
 		t.Errorf("error code = %q, want shard_unavailable", code)
+	}
+}
+
+// TestExpandPartialResult pins the same mapping on the expansion
+// endpoints with k > 0, where only the retrieval leg can degrade: a
+// partial retrieval is a 200 flagged partial that keeps the expansions
+// and the survivors' results, and a fleet below quorum is a 503
+// shard_unavailable on the single and the batch endpoint alike.
+func TestExpandPartialResult(t *testing.T) {
+	keywords := serveClient(t).Queries()[0].Keywords
+	partial := newServer(&faultBackend{
+		Backend: serveClient(t),
+		err:     fmt.Errorf("%w: 1 of 2 shards dropped", querygraph.ErrPartialResult),
+	}, 5*time.Second, nil)
+	down := newServer(&faultBackend{
+		Backend: serveClient(t),
+		err:     fmt.Errorf("%w: shard 1 after 2 attempts: connection refused", querygraph.ErrShardUnavailable),
+	}, 5*time.Second, nil)
+
+	single := expandRequest{Keywords: keywords, K: 5}
+	rec := do(t, partial, http.MethodPost, "/v1/expand", single)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("partial expand status = %d (%s), want 200", rec.Code, rec.Body.String())
+	}
+	var resp expandResponse
+	decodeInto(t, rec, &resp)
+	if !resp.Partial || resp.Keywords != keywords || len(resp.Features) == 0 || len(resp.Results) == 0 {
+		t.Errorf("partial expand = {partial: %v, keywords: %q, %d features, %d results}, want the flagged expansion with results",
+			resp.Partial, resp.Keywords, len(resp.Features), len(resp.Results))
+	}
+
+	batch := expandBatchRequest{Keywords: []string{keywords, keywords}, K: 5}
+	rec = do(t, partial, http.MethodPost, "/v1/expand/batch", batch)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("partial expand batch status = %d (%s), want 200", rec.Code, rec.Body.String())
+	}
+	var bresp expandBatchResponse
+	decodeInto(t, rec, &bresp)
+	if !bresp.Partial || len(bresp.Expansions) != 2 {
+		t.Fatalf("partial expand batch = {partial: %v, %d expansions}, want both expansions flagged partial",
+			bresp.Partial, len(bresp.Expansions))
+	}
+	for i, e := range bresp.Expansions {
+		if e.Keywords != keywords || len(e.Features) == 0 || len(e.Results) == 0 {
+			t.Errorf("partial expand batch entry %d = {keywords: %q, %d features, %d results}, want the expansion with results",
+				i, e.Keywords, len(e.Features), len(e.Results))
+		}
+	}
+
+	for path, body := range map[string]any{"/v1/expand": single, "/v1/expand/batch": batch} {
+		rec := do(t, down, http.MethodPost, path, body)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s below quorum: status = %d (%s), want 503", path, rec.Code, rec.Body.String())
+		}
+		if code := errorCode(t, rec); code != "shard_unavailable" {
+			t.Errorf("%s below quorum: error code = %q, want shard_unavailable", path, code)
+		}
 	}
 }
