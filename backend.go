@@ -27,9 +27,8 @@ import (
 // (SearchExpansion/SearchExpansions), the live-index write path
 // (Ingest/Compact), entity linking and titles (Link/Title), the loaded
 // benchmark and state summaries (Queries/Stats/CacheStats) and the
-// lifecycle (Close). The typed request structs (SearchRequest,
-// ExpandRequest and batch variants) execute against any Backend via their
-// Do methods.
+// lifecycle (Close). ExpandRequest.Do composes two of them, Expand then
+// SearchExpansion, into the paper's online method over any Backend.
 //
 // All methods are safe for concurrent use. Every query- and write-path
 // method takes a context and enters its runtime through one request
@@ -45,12 +44,12 @@ import (
 type Backend interface {
 	Search(ctx context.Context, query string, k int) ([]Result, error)
 	// SearchInto is Search reusing dst's storage for the returned ranking
-	// (dst may be nil). It exists for allocation-sensitive front ends: on a
-	// *Client the steady-state path — warm query-plan cache, recycled dst —
-	// allocates nothing, which is what cmd/qserve's /v1/search handler
-	// builds its zero-garbage request loop on; a multi-shard *Pool takes
-	// the same cache and scores into dst, paying only its goroutine
-	// fan-out. The backend does not retain query or dst beyond the call.
+	// (dst may be nil). With the query's plan cached and a recycled dst, a
+	// *Client allocates nothing and a multi-shard *Pool only its goroutine
+	// fan-out (TestSearchIntoSteadyStateAllocs pins both); callers that
+	// loop over queries — the benchmark harness's search workloads and
+	// probes — pass each ranking back as the next dst. The backend does
+	// not retain query or dst beyond the call.
 	SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error)
 	SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error)
 	Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error)

@@ -112,7 +112,7 @@ func conformanceBackends(t *testing.T, opts ...Option) (*Client, map[string]Back
 // every runtime behind the Backend interface — single snapshot, 1-shard
 // pool, 4-shard pool — must serve bit-identical Search, Expand,
 // SearchExpansion, Link and benchmark results to the reference in-memory
-// client, through both the plain methods and the typed requests.
+// client, through both the plain methods and ExpandRequest.
 func TestBackendConformance(t *testing.T) {
 	ctx := context.Background()
 	ref, backends := conformanceBackends(t)
@@ -251,15 +251,8 @@ func TestBackendConformance(t *testing.T) {
 				}
 			}
 
-			// The typed requests are sugar over the same backend — same
-			// golden results.
-			sresp, err := SearchRequest{Query: qs[0].Keywords, K: MaxRank}.Do(ctx, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(sresp.Results, wantSearch[0]) {
-				t.Error("SearchRequest.Do diverges from Search")
-			}
+			// ExpandRequest composes the same backend calls — same golden
+			// results.
 			eresp, err := ExpandRequest{Keywords: keywords[0], K: MaxRank}.Do(ctx, be)
 			if err != nil {
 				t.Fatal(err)
@@ -273,20 +266,6 @@ func TestBackendConformance(t *testing.T) {
 			}
 			if eresp.Searched && !reflect.DeepEqual(eresp.Results, wantExpSearch[0]) {
 				t.Error("ExpandRequest.Do retrieval diverges from SearchExpansions")
-			}
-			bresp, err := SearchBatchRequest{Queries: keywords, K: MaxRank}.Do(ctx, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(bresp.Results, wantSearch) {
-				t.Error("SearchBatchRequest.Do diverges from SearchAll")
-			}
-			ebresp, err := ExpandBatchRequest{Keywords: keywords, K: MaxRank}.Do(ctx, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ebresp.Results, wantExpSearch) {
-				t.Error("ExpandBatchRequest.Do retrieval diverges from SearchExpansions")
 			}
 		})
 	}
@@ -405,8 +384,8 @@ func assertClosed(t *testing.T, be Backend) {
 }
 
 // TestCloseLifecycle pins the lifecycle satellite on every runtime:
-// double Close returns nil, post-Close requests return ErrClosed, and the
-// typed requests propagate it.
+// double Close returns nil, post-Close requests return ErrClosed, and
+// ExpandRequest propagates it.
 func TestCloseLifecycle(t *testing.T) {
 	_, backends := conformanceBackends(t)
 	for name, be := range backends {
@@ -418,8 +397,8 @@ func TestCloseLifecycle(t *testing.T) {
 				t.Fatalf("second Close: %v (want nil — Close is idempotent)", err)
 			}
 			assertClosed(t, be)
-			if _, err := (SearchRequest{Query: "x", K: 5}).Do(context.Background(), be); !errors.Is(err, ErrClosed) {
-				t.Errorf("typed request after Close: err = %v, want ErrClosed", err)
+			if _, err := (ExpandRequest{Keywords: "x", K: 5}).Do(context.Background(), be); !errors.Is(err, ErrClosed) {
+				t.Errorf("ExpandRequest after Close: err = %v, want ErrClosed", err)
 			}
 			// The Client-only research pipeline honors the contract too —
 			// a closed handle must not silently repopulate the purged cache.

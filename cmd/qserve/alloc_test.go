@@ -115,7 +115,7 @@ func TestMiddlewareAllocOverhead(t *testing.T) {
 }
 
 // BenchmarkSearchHandler is the cost of one /v1/search request inside the
-// handler — decode, typed request, encode — on the default world, without
+// handler — decode, Backend.Search, encode — on the default world, without
 // net/http around it; DESIGN.md's fast-path decision quotes it.
 func BenchmarkSearchHandler(b *testing.B) {
 	s, req, body, rw := searchFixture(b, querygraph.DefaultWorldConfig())

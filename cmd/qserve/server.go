@@ -391,19 +391,19 @@ type expandBatchResponse struct {
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
 	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
-		resp, err := querygraph.SearchRequest{Query: req.Query, K: s.rank(req.K)}.Do(ctx, s.backend)
-		return &searchResponse{Results: nonNil(resp.Results)}, err
+		rs, err := s.backend.Search(ctx, req.Query, s.rank(req.K))
+		return &searchResponse{Results: nonNil(rs)}, err
 	})
 }
 
 func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req searchBatchRequest
 	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
-		resp, err := querygraph.SearchBatchRequest{Queries: req.Queries, K: s.rank(req.K), Workers: req.Workers}.Do(ctx, s.backend)
-		for i, rs := range resp.Results {
-			resp.Results[i] = nonNil(rs)
+		rss, err := s.backend.SearchAll(ctx, req.Queries, s.rank(req.K), querygraph.BatchOptions{Workers: req.Workers})
+		for i, rs := range rss {
+			rss[i] = nonNil(rs)
 		}
-		return &searchBatchResponse{Results: nonNil(resp.Results)}, err
+		return &searchBatchResponse{Results: nonNil(rss)}, err
 	})
 }
 
@@ -426,6 +426,9 @@ func (s *server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleExpandBatch expands every entry, then, when k > 0, retrieves with
+// every expansion; run fails the request on a retrieval error other than
+// ErrPartialResult and serves that one as a partial 200.
 func (s *server) handleExpandBatch(w http.ResponseWriter, r *http.Request) {
 	var req expandBatchRequest
 	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
@@ -433,16 +436,20 @@ func (s *server) handleExpandBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		treq := querygraph.ExpandBatchRequest{Keywords: req.Keywords, Options: opts, Workers: req.Workers}
-		if req.K > 0 {
-			treq.K = s.rank(req.K)
+		bopts := querygraph.BatchOptions{Workers: req.Workers}
+		exps, err := s.backend.ExpandAll(ctx, req.Keywords, bopts, opts...)
+		if err != nil {
+			return nil, err
 		}
-		resp, err := treq.Do(ctx, s.backend)
-		out := make([]expansionJSON, len(resp.Expansions))
-		for i, exp := range resp.Expansions {
+		var rss [][]querygraph.Result
+		if req.K > 0 {
+			rss, err = s.backend.SearchExpansions(ctx, exps, s.rank(req.K), bopts)
+		}
+		out := make([]expansionJSON, len(exps))
+		for i, exp := range exps {
 			var rs []querygraph.Result
-			if resp.Results != nil {
-				rs = resp.Results[i]
+			if rss != nil {
+				rs = rss[i]
 			}
 			out[i] = s.expansionJSON(exp, rs)
 		}

@@ -15,8 +15,8 @@
 //	exp, err := be.Expand(ctx, "doge palace venice")
 //	results, ok, err := be.SearchExpansion(ctx, exp, 15)
 //
-// The typed requests are the canonical call shape over a Backend — one
-// value carries query, depth, per-request deadline and expansion options:
+// ExpandRequest composes the paper's online method over a Backend —
+// expansion with its options, then with K > 0 the expanded retrieval:
 //
 //	resp, err := querygraph.ExpandRequest{Keywords: "doge palace", K: 15}.Do(ctx, be)
 //

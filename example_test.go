@@ -120,9 +120,8 @@ func ExampleClient_Search_cancellation() {
 	// Output: true
 }
 
-// Any runtime behind the Backend contract serves the typed requests: one
-// value carries the query, depth and per-request deadline, and K > 0 on
-// an ExpandRequest attaches the expanded retrieval.
+// Any runtime behind the Backend contract serves an ExpandRequest: the
+// expansion with its options, and with K > 0 the expanded retrieval.
 func ExampleExpandRequest() {
 	var backend querygraph.Backend = exampleClient() // or OpenBackend(path)
 	defer backend.Close()
@@ -141,7 +140,7 @@ func ExampleExpandRequest() {
 
 	// After Close, every query path reports ErrClosed.
 	backend.Close()
-	_, err = querygraph.SearchRequest{Query: "anything", K: 3}.Do(ctx, backend)
+	_, err = backend.Search(ctx, "anything", 3)
 	fmt.Println("closed backend classified:", errors.Is(err, querygraph.ErrClosed))
 	// Output:
 	// features: 5

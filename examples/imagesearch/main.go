@@ -57,7 +57,7 @@ func main() {
 		}
 
 		// Expanded: add the features mined from dense, category-balanced
-		// cycles around the entities (a typed request against the Backend
+		// cycles around the entities (an ExpandRequest against the Backend
 		// contract the client satisfies).
 		resp, err := querygraph.ExpandRequest{Keywords: q.Keywords}.Do(ctx, client)
 		if err != nil {

@@ -3,89 +3,19 @@ package querygraph
 import (
 	"context"
 	"errors"
-	"time"
 )
 
-// The typed request structs are the canonical call shape over a Backend:
-// one value carries the query, the ranking depth, the per-request deadline
-// and (for expansion) the validated functional options, and Do executes it
-// against any backend. cmd/qserve decodes its wire JSON into these instead
-// of re-plumbing each knob by hand, and library callers get the same
-// shape:
+// ExpandRequest is the paper's online method as one call over any
+// Backend: expand the keywords through the dense short cycles, then, when
+// K > 0, retrieve with the expanded title query.
 //
-//	resp, err := querygraph.SearchRequest{Query: "venice", K: 15}.Do(ctx, be)
+//	resp, err := querygraph.ExpandRequest{Keywords: "doge palace", K: 15}.Do(ctx, be)
 //
-// A request's Timeout only ever lowers the caller's deadline (the earlier
-// of the two wins, exactly like a nested context.WithTimeout); zero means
-// "inherit ctx unchanged".
-//
-// ErrPartialResult is the one error returned alongside a usable response:
-// a degrade-policy *Remote that lost shards still delivers the survivors'
-// ranking, so Do returns the populated response AND the wrapped sentinel,
-// and callers decide whether a partial answer is acceptable. Every other
-// error keeps the zero response.
-
-// SearchRequest is one ranked retrieval over raw query text.
-type SearchRequest struct {
-	// Query is INDRI-style query text (bare keywords, #combine, #weight,
-	// #1 exact phrases).
-	Query string
-	// K bounds the ranking depth; <= 0 ranks every candidate.
-	K int
-	// Timeout, when positive, bounds the request to min(Timeout, the
-	// deadline already on ctx).
-	Timeout time.Duration
-}
-
-// SearchResponse is the outcome of one SearchRequest.
-type SearchResponse struct {
-	Results []Result
-	// Took is the request's wall time inside the backend.
-	Took time.Duration
-}
-
-// Do executes the request against any backend.
-func (r SearchRequest) Do(ctx context.Context, b Backend) (SearchResponse, error) {
-	ctx, cancel := requestContext(ctx, r.Timeout)
-	defer cancel()
-	start := time.Now()
-	rs, err := b.Search(ctx, r.Query, r.K)
-	if err != nil && !errors.Is(err, ErrPartialResult) {
-		return SearchResponse{}, err
-	}
-	return SearchResponse{Results: rs, Took: time.Since(start)}, err
-}
-
-// SearchBatchRequest is a batch of retrievals on a bounded worker pool.
-type SearchBatchRequest struct {
-	Queries []string
-	K       int
-	// Workers bounds the fan-out; <= 0 means GOMAXPROCS.
-	Workers int
-	Timeout time.Duration
-}
-
-// SearchBatchResponse is the outcome of one SearchBatchRequest; Results
-// holds the per-query rankings in input order.
-type SearchBatchResponse struct {
-	Results [][]Result
-	Took    time.Duration
-}
-
-// Do executes the batch against any backend.
-func (r SearchBatchRequest) Do(ctx context.Context, b Backend) (SearchBatchResponse, error) {
-	ctx, cancel := requestContext(ctx, r.Timeout)
-	defer cancel()
-	start := time.Now()
-	rss, err := b.SearchAll(ctx, r.Queries, r.K, BatchOptions{Workers: r.Workers})
-	if err != nil && !errors.Is(err, ErrPartialResult) {
-		return SearchBatchResponse{}, err
-	}
-	return SearchBatchResponse{Results: rss, Took: time.Since(start)}, err
-}
-
-// ExpandRequest is one cycle-based query expansion, optionally followed by
-// the expanded retrieval.
+// The deadline is ctx's. ErrPartialResult is the one error returned
+// alongside a usable response: a degrade-policy *Remote that lost shards
+// still delivers the survivors' ranking, so Do returns the populated
+// response AND the wrapped sentinel, and callers decide whether a partial
+// answer is acceptable. Every other error keeps the zero response.
 type ExpandRequest struct {
 	Keywords string
 	// Options tune the expansion; nil uses the paper-tuned defaults
@@ -94,8 +24,7 @@ type ExpandRequest struct {
 	Options []ExpandOption
 	// K > 0 additionally evaluates the expanded title query and attaches
 	// the top K documents to the response.
-	K       int
-	Timeout time.Duration
+	K int
 }
 
 // ExpandResponse is the outcome of one ExpandRequest.
@@ -107,83 +36,21 @@ type ExpandResponse struct {
 	// Searched reports the latter.
 	Results  []Result
 	Searched bool
-	Took     time.Duration
 }
 
 // Do executes the request against any backend.
 func (r ExpandRequest) Do(ctx context.Context, b Backend) (ExpandResponse, error) {
-	ctx, cancel := requestContext(ctx, r.Timeout)
-	defer cancel()
-	start := time.Now()
 	exp, err := b.Expand(ctx, r.Keywords, r.Options...)
 	if err != nil {
 		return ExpandResponse{}, err
 	}
 	resp := ExpandResponse{Expansion: exp}
-	var perr error
-	if r.K > 0 {
-		rs, ok, serr := b.SearchExpansion(ctx, exp, r.K)
-		if serr != nil && !errors.Is(serr, ErrPartialResult) {
-			return ExpandResponse{}, serr
-		}
-		resp.Results, resp.Searched = rs, ok
-		perr = serr
+	if r.K <= 0 {
+		return resp, nil
 	}
-	resp.Took = time.Since(start)
-	return resp, perr
-}
-
-// ExpandBatchRequest is a batch of expansions on a bounded worker pool,
-// optionally followed by the expanded retrievals.
-type ExpandBatchRequest struct {
-	Keywords []string
-	Options  []ExpandOption
-	// K > 0 additionally evaluates every expansion and attaches the
-	// per-expansion rankings.
-	K       int
-	Workers int
-	Timeout time.Duration
-}
-
-// ExpandBatchResponse is the outcome of one ExpandBatchRequest; both
-// slices are in input order. Results is nil unless the request asked for
-// retrieval (K > 0); entries with nothing to search for keep nil rankings.
-type ExpandBatchResponse struct {
-	Expansions []*Expansion
-	Results    [][]Result
-	Took       time.Duration
-}
-
-// Do executes the batch against any backend.
-func (r ExpandBatchRequest) Do(ctx context.Context, b Backend) (ExpandBatchResponse, error) {
-	ctx, cancel := requestContext(ctx, r.Timeout)
-	defer cancel()
-	start := time.Now()
-	bopts := BatchOptions{Workers: r.Workers}
-	exps, err := b.ExpandAll(ctx, r.Keywords, bopts, r.Options...)
-	if err != nil {
-		return ExpandBatchResponse{}, err
+	resp.Results, resp.Searched, err = b.SearchExpansion(ctx, exp, r.K)
+	if err != nil && !errors.Is(err, ErrPartialResult) {
+		return ExpandResponse{}, err
 	}
-	resp := ExpandBatchResponse{Expansions: exps}
-	var perr error
-	if r.K > 0 {
-		rss, serr := b.SearchExpansions(ctx, exps, r.K, bopts)
-		if serr != nil && !errors.Is(serr, ErrPartialResult) {
-			return ExpandBatchResponse{}, serr
-		}
-		resp.Results = rss
-		perr = serr
-	}
-	resp.Took = time.Since(start)
-	return resp, perr
-}
-
-// requestContext applies a request's Timeout: a positive value nests a
-// WithTimeout (so the earlier of it and ctx's own deadline wins), zero
-// passes ctx through with a no-op cancel.
-func requestContext(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(ctx, timeout)
-	}
-	return ctx, func() {}
+	return resp, err
 }

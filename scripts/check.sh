@@ -22,6 +22,9 @@ if [ -n "$out" ]; then
 	exit 1
 fi
 
+step "CHANGES.md newest entry (<= 15 lines of <= 100 characters)"
+./scripts/changes-entry.sh
+
 step "go build"
 go build ./...
 
