@@ -22,13 +22,14 @@ import (
 // against interchangeable backends instead of concrete types. OpenBackend
 // constructs one from any of the three serving artifacts.
 //
-// The method set is the serving surface: retrieval (Search/SearchAll),
-// cycle-based expansion (Expand/ExpandAll), expansion retrieval
-// (SearchExpansion/SearchExpansions), the live-index write path
+// The method set is the serving surface, one request per call: retrieval
+// (Search/SearchInto), cycle-based expansion (Expand), expansion
+// retrieval (SearchExpansion), the live-index write path
 // (Ingest/Compact), entity linking and titles (Link/Title), the loaded
 // benchmark and state summaries (Queries/Stats/CacheStats) and the
 // lifecycle (Close). ExpandRequest.Do composes two of them, Expand then
-// SearchExpansion, into the paper's online method over any Backend.
+// SearchExpansion, into the paper's online method over any Backend, and
+// Batch runs any of them over many inputs.
 //
 // All methods are safe for concurrent use. Every query- and write-path
 // method takes a context and enters its runtime through one request
@@ -51,11 +52,8 @@ type Backend interface {
 	// probes — pass each ranking back as the next dst. The backend does
 	// not retain query or dst beyond the call.
 	SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error)
-	SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error)
 	Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error)
-	ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error)
 	SearchExpansion(ctx context.Context, exp *Expansion, k int) ([]Result, bool, error)
-	SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error)
 	// Ingest appends documents to the backend's in-memory delta segment;
 	// they are searchable by the time the call returns and survive into the
 	// next compaction. The batch is atomic: on any error (duplicate
@@ -83,12 +81,17 @@ var (
 	_ Backend = (*Remote)(nil)
 )
 
-// batch is every runtime's batch loop: item — the runtime's single-request
-// work — runs over in on a bounded worker pool, and the outputs come back
-// in input order. A failing item fails the batch, its error prefixed with
-// what and its index; an item served degraded keeps its output, and the
-// batch returns them all alongside one error wrapping ErrPartialResult.
-func batch[In, Out any](ctx context.Context, in []In, opts BatchOptions, what string, item func(In) (Out, error)) ([]Out, error) {
+// Batch runs item — one single-request call, such as a Backend's Search
+// or Expand — over in on a bounded worker pool and returns the outputs in
+// input order. A failing item fails the batch with the error of the
+// lowest failing index, prefixed with what and that index; a panicking
+// item fails it with an internal error naming the index. An item served
+// degraded keeps its output, and the batch returns them all alongside
+// one error wrapping ErrPartialResult. Cancelling ctx stops scheduling
+// the remaining items and returns ctx.Err(). An item that calls a
+// Backend method is its own request: it pins its own generation and
+// reports its own Event.
+func Batch[In, Out any](ctx context.Context, in []In, opts BatchOptions, what string, item func(In) (Out, error)) ([]Out, error) {
 	out := make([]Out, len(in))
 	var degraded atomic.Bool
 	err := core.ForEach(ctx, len(in), opts.Workers, func(i int) (err error) {

@@ -108,6 +108,94 @@ func conformanceBackends(t *testing.T, opts ...Option) (*Client, map[string]Back
 	return ref, backends
 }
 
+// searchAll, expandAll and searchExpansions are Batch over one Backend
+// method each: the batch shapes the tests drive on every runtime.
+func searchAll(ctx context.Context, be Backend, queries []string, k int, opts BatchOptions) ([][]Result, error) {
+	return Batch(ctx, queries, opts, "query", func(query string) ([]Result, error) { return be.Search(ctx, query, k) })
+}
+
+func expandAll(ctx context.Context, be Backend, keywords []string, opts BatchOptions, eopts ...ExpandOption) ([]*Expansion, error) {
+	return Batch(ctx, keywords, opts, "keywords", func(kw string) (*Expansion, error) { return be.Expand(ctx, kw, eopts...) })
+}
+
+func searchExpansions(ctx context.Context, be Backend, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
+	return Batch(ctx, exps, opts, "expansion", func(exp *Expansion) ([]Result, error) {
+		rs, _, err := be.SearchExpansion(ctx, exp, k)
+		return rs, err
+	})
+}
+
+// TestBatch pins Batch's rules with a scripted item, at one worker and at
+// four: outputs come back in input order; the lowest failing index's
+// error wins, under its "what N:" prefix, even when a higher index fails
+// first; a degraded item keeps every output beside one error wrapping
+// ErrPartialResult; a panicking item is an internal error naming its
+// index; and a cancelled ctx returns ctx.Err() without running an item.
+func TestBatch(t *testing.T) {
+	live := context.Background()
+	cancelled, cancel := context.WithCancel(live)
+	cancel()
+	in := []int{0, 1, 2, 3, 4, 5}
+	cases := []struct {
+		name string
+		ctx  context.Context
+		item func(i int) (int, error)
+		// want is the outputs; nil means the batch fails without any.
+		want    []int
+		wantErr error
+		// prefix starts the error's text; "" skips the check.
+		prefix string
+		class  string
+	}{
+		{"order", live, func(i int) (int, error) { return i * i, nil }, []int{0, 1, 4, 9, 16, 25}, nil, "", ""},
+		{"lowest failing index", live, func(i int) (int, error) {
+			switch i {
+			case 2:
+				time.Sleep(5 * time.Millisecond) // index 4 fails first at 4 workers
+				return 0, fmt.Errorf("%w: bad item %d", ErrInvalidQuery, i)
+			case 4:
+				return 0, fmt.Errorf("%w: bad item %d", ErrInvalidQuery, i)
+			}
+			return i, nil
+		}, nil, ErrInvalidQuery, "item 2: ", "invalid_query"},
+		{"degraded items", live, func(i int) (int, error) {
+			if i == 1 || i == 3 {
+				return i, fmt.Errorf("%w: served by 1 of 2 shards", ErrPartialResult)
+			}
+			return i, nil
+		}, in, ErrPartialResult, ErrPartialResult.Error() + ": batch served degraded", "partial_result"},
+		{"panicking item", live, func(i int) (int, error) {
+			if i == 1 {
+				panic("kaboom")
+			}
+			return i, nil
+		}, nil, nil, "core: batch item 1 panicked: kaboom", "internal"},
+		{"cancelled", cancelled, func(i int) (int, error) {
+			t.Errorf("item %d ran on a cancelled ctx", i)
+			return i, nil
+		}, nil, context.Canceled, "", "canceled"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				out, err := Batch(tc.ctx, in, BatchOptions{Workers: workers}, "item", tc.item)
+				if !reflect.DeepEqual(out, tc.want) {
+					t.Errorf("outputs = %v, want %v", out, tc.want)
+				}
+				if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+					t.Errorf("err = %v, want %v", err, tc.wantErr)
+				}
+				if got := ErrorClass(err); got != tc.class {
+					t.Errorf("class = %q, want %q (err %v)", got, tc.class, err)
+				}
+				if err != nil && !strings.HasPrefix(err.Error(), tc.prefix) {
+					t.Errorf("err = %q, want prefix %q", err, tc.prefix)
+				}
+			})
+		}
+	}
+}
+
 // TestBackendConformance is the shared golden suite of the unified API:
 // every runtime behind the Backend interface — single snapshot, 1-shard
 // pool, 4-shard pool — must serve bit-identical Search, Expand,
@@ -135,7 +223,7 @@ func TestBackendConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExpSearch, err := ref.SearchExpansions(ctx, wantExp, MaxRank, BatchOptions{})
+	wantExpSearch, err := searchExpansions(ctx, ref, wantExp, MaxRank, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +288,7 @@ func TestBackendConformance(t *testing.T) {
 				}
 			}
 
-			batch, err := be.SearchAll(ctx, keywords, MaxRank, BatchOptions{})
+			batch, err := searchAll(ctx, be, keywords, MaxRank, BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +311,7 @@ func TestBackendConformance(t *testing.T) {
 				}
 			}
 
-			expSearch, err := be.SearchExpansions(ctx, wantExp, MaxRank, BatchOptions{})
+			expSearch, err := searchExpansions(ctx, be, wantExp, MaxRank, BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,11 +458,11 @@ func assertClosed(t *testing.T, be Backend) {
 		run  func() error
 	}{
 		{"Search", func() error { _, err := be.Search(ctx, "x", 5); return err }},
-		{"SearchAll", func() error { _, err := be.SearchAll(ctx, []string{"x"}, 5, BatchOptions{}); return err }},
+		{"SearchAll", func() error { _, err := searchAll(ctx, be, []string{"x"}, 5, BatchOptions{}); return err }},
 		{"Expand", func() error { _, err := be.Expand(ctx, "x"); return err }},
-		{"ExpandAll", func() error { _, err := be.ExpandAll(ctx, []string{"x"}, BatchOptions{}); return err }},
+		{"ExpandAll", func() error { _, err := expandAll(ctx, be, []string{"x"}, BatchOptions{}); return err }},
 		{"SearchExpansion", func() error { _, _, err := be.SearchExpansion(ctx, exp, 5); return err }},
-		{"SearchExpansions", func() error { _, err := be.SearchExpansions(ctx, []*Expansion{exp}, 5, BatchOptions{}); return err }},
+		{"SearchExpansions", func() error { _, err := searchExpansions(ctx, be, []*Expansion{exp}, 5, BatchOptions{}); return err }},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); !errors.Is(err, ErrClosed) {
@@ -651,18 +739,21 @@ func TestObserverEvents(t *testing.T) {
 				t.Errorf("accumulated expand duration = %v, want > 0", cold+e.Duration)
 			}
 
-			// Batch paths: one OpBatch per entry point, sized.
-			if _, err := be.SearchAll(ctx, []string{kw, kw}, 5, BatchOptions{}); err != nil {
+			// A batch is its items: one event per item, and no OpBatch.
+			if _, err := searchAll(ctx, be, []string{kw, kw}, 5, BatchOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if n, e = rec.of(OpBatch); n != 1 || e.Kind != BatchSearch || e.Size != 2 {
-				t.Fatalf("batch event = %+v (batches=%d)", e, n)
+			if n, e = rec.of(OpSearch); n != 4 || e.K != 5 || e.Expanded {
+				t.Fatalf("batch search event = %+v (searches=%d), want one per item", e, n)
 			}
-			if _, err := be.ExpandAll(ctx, []string{kw}, BatchOptions{}); err != nil {
+			if _, err := expandAll(ctx, be, []string{kw}, BatchOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if n, e = rec.of(OpBatch); n != 2 || e.Kind != BatchExpand || e.Size != 1 {
-				t.Fatalf("expand batch event = %+v", e)
+			if n, e = rec.of(OpExpand); n != 3 || e.Cache != CacheHit {
+				t.Fatalf("batch expand event = %+v (expands=%d), want one per item", e, n)
+			}
+			if n, _ = rec.of(OpBatch); n != 0 {
+				t.Fatalf("batches = %d, want none", n)
 			}
 
 			// SearchExpansion reports Expanded.
@@ -750,8 +841,9 @@ func TestObserverEvents(t *testing.T) {
 // (dead ctx, then ErrClosed, then the method's own validation) and emits
 // exactly one event carrying the method's Op, the error's class and the
 // shard count — 0 whenever the gate failed, because no generation was
-// reached. Remote used to check the gates in the other order on six of
-// its nine methods.
+// reached. The rows named for the batch methods drive Batch over one item
+// of the single-request method, which reports that item's event. Remote
+// used to check the gates in the other order on six of its nine methods.
 func TestEnvelopeGates(t *testing.T) {
 	live := context.Background()
 	cancelled, cancel := context.WithCancel(live)
@@ -770,29 +862,32 @@ func TestEnvelopeGates(t *testing.T) {
 		op   Op
 		// write marks the methods a Remote refuses with ErrReadOnly.
 		write bool
+		// batch marks a Batch of one item: it reports its item's event,
+		// and none on a dead ctx, where no item runs.
+		batch bool
 		call  func(ctx context.Context, be Backend) error
 	}{
-		{"Search", OpSearch, false, func(ctx context.Context, be Backend) error { _, err := be.Search(ctx, kw, 5); return err }},
-		{"SearchInto", OpSearch, false, func(ctx context.Context, be Backend) error { _, err := be.SearchInto(ctx, kw, 5, nil); return err }},
-		{"SearchAll", OpBatch, false, func(ctx context.Context, be Backend) error {
-			_, err := be.SearchAll(ctx, []string{kw}, 5, BatchOptions{})
+		{"Search", OpSearch, false, false, func(ctx context.Context, be Backend) error { _, err := be.Search(ctx, kw, 5); return err }},
+		{"SearchInto", OpSearch, false, false, func(ctx context.Context, be Backend) error { _, err := be.SearchInto(ctx, kw, 5, nil); return err }},
+		{"SearchAll", OpSearch, false, true, func(ctx context.Context, be Backend) error {
+			_, err := searchAll(ctx, be, []string{kw}, 5, BatchOptions{})
 			return err
 		}},
-		{"Expand", OpExpand, false, func(ctx context.Context, be Backend) error { _, err := be.Expand(ctx, kw); return err }},
-		{"ExpandAll", OpBatch, false, func(ctx context.Context, be Backend) error {
-			_, err := be.ExpandAll(ctx, []string{kw}, BatchOptions{})
+		{"Expand", OpExpand, false, false, func(ctx context.Context, be Backend) error { _, err := be.Expand(ctx, kw); return err }},
+		{"ExpandAll", OpExpand, false, true, func(ctx context.Context, be Backend) error {
+			_, err := expandAll(ctx, be, []string{kw}, BatchOptions{})
 			return err
 		}},
-		{"SearchExpansion", OpSearch, false, func(ctx context.Context, be Backend) error {
+		{"SearchExpansion", OpSearch, false, false, func(ctx context.Context, be Backend) error {
 			_, _, err := be.SearchExpansion(ctx, exp, 5)
 			return err
 		}},
-		{"SearchExpansions", OpBatch, false, func(ctx context.Context, be Backend) error {
-			_, err := be.SearchExpansions(ctx, []*Expansion{exp}, 5, BatchOptions{})
+		{"SearchExpansions", OpSearch, false, true, func(ctx context.Context, be Backend) error {
+			_, err := searchExpansions(ctx, be, []*Expansion{exp}, 5, BatchOptions{})
 			return err
 		}},
-		{"Ingest", OpIngest, true, func(ctx context.Context, be Backend) error { _, err := be.Ingest(ctx, doc); return err }},
-		{"Compact", OpCompact, true, func(ctx context.Context, be Backend) error { _, err := be.Compact(ctx); return err }},
+		{"Ingest", OpIngest, true, false, func(ctx context.Context, be Backend) error { _, err := be.Ingest(ctx, doc); return err }},
+		{"Compact", OpCompact, true, false, func(ctx context.Context, be Backend) error { _, err := be.Compact(ctx); return err }},
 	}
 	// The open states run first: Close is one-way.
 	states := []struct {
@@ -831,6 +926,12 @@ func TestEnvelopeGates(t *testing.T) {
 						t.Fatalf("err = %v, want %v", err, want)
 					}
 					events := rec.drain()
+					if m.batch && st.ctx.Err() != nil {
+						if len(events) != 0 {
+							t.Fatalf("a batch on a dead ctx emitted %+v, want no event", events)
+						}
+						return
+					}
 					if len(events) != 1 {
 						t.Fatalf("emitted %d events, want exactly one: %+v", len(events), events)
 					}
@@ -864,7 +965,7 @@ func TestMetricsObserver(t *testing.T) {
 	if _, err := be.Expand(ctx, kw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := be.SearchAll(ctx, []string{kw, kw, kw}, 5, BatchOptions{}); err != nil {
+	if _, err := searchAll(ctx, be, []string{kw, kw, kw}, 5, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -876,8 +977,8 @@ func TestMetricsObserver(t *testing.T) {
 	}
 
 	s := m.Snapshot()
-	if s.Searches != 2 || s.SearchErrors != 1 {
-		t.Errorf("snapshot searches = %d/%d errors, want 2/1", s.Searches, s.SearchErrors)
+	if s.Searches != 5 || s.SearchErrors != 1 {
+		t.Errorf("snapshot searches = %d/%d errors, want 5/1", s.Searches, s.SearchErrors)
 	}
 	if s.Expands != 3 || s.ExpandErrors != 1 {
 		t.Errorf("snapshot expands = %d/%d errors, want 3/1", s.Expands, s.ExpandErrors)
@@ -885,8 +986,8 @@ func TestMetricsObserver(t *testing.T) {
 	if s.Cache[CacheMiss] != 1 || s.Cache[CacheHit] != 1 || s.Cache[CacheBypass] != 0 {
 		t.Errorf("snapshot cache = %v, want 1 miss, 1 hit, 0 bypass", s.Cache)
 	}
-	if s.Batches != 1 || s.BatchItems != 3 {
-		t.Errorf("snapshot batches = %d with %d items, want 1 with 3", s.Batches, s.BatchItems)
+	if s.Batches != 0 || s.BatchItems != 0 {
+		t.Errorf("snapshot batches = %d with %d items, want none: a batch reports its items", s.Batches, s.BatchItems)
 	}
 
 	var sb strings.Builder
@@ -895,16 +996,17 @@ func TestMetricsObserver(t *testing.T) {
 	}
 	text := sb.String()
 	for _, want := range []string{
-		`querygraph_requests_total{op="search"} 2`,
+		`querygraph_requests_total{op="search"} 5`,
 		`querygraph_request_errors_total{op="search",class="invalid_query"} 1`,
 		`querygraph_expand_cache_total{outcome="hit"} 1`,
 		`querygraph_expand_cache_total{outcome="miss"} 1`,
-		`querygraph_batch_items_total 3`,
-		`querygraph_request_duration_seconds_count{op="search"} 2`,
+		`querygraph_requests_total{op="batch"} 0`,
+		`querygraph_batch_items_total 0`,
+		`querygraph_request_duration_seconds_count{op="search"} 5`,
 		"# TYPE querygraph_requests_total counter",
 		"# TYPE querygraph_search_duration_seconds histogram",
-		`querygraph_search_duration_seconds_bucket{le="+Inf"} 2`,
-		"querygraph_search_duration_seconds_count 2",
+		`querygraph_search_duration_seconds_bucket{le="+Inf"} 5`,
+		"querygraph_search_duration_seconds_count 5",
 		`querygraph_expand_duration_seconds_bucket{le="+Inf"} 3`,
 		"querygraph_expand_duration_seconds_count 3",
 		"# TYPE querygraph_rpc_attempt_duration_seconds histogram",

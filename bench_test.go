@@ -604,14 +604,13 @@ func serveFleet(b *testing.B, dir string, shards int, hook func(rpc.Op, uint64, 
 }
 
 // BenchmarkBatch is the batch layer's decision experiment: 64 query texts
-// answered as one SearchAll (batch) against the same 64 as SearchInto
-// calls shared out among GOMAXPROCS callers (singles), on every runtime,
-// over the small world the Backend conformance suite serves. The 64 repeat
-// that world's 8 benchmark queries, as an evaluation run over a benchmark
-// does; the -unique cases give every item a string never asked before, so
-// no parse is answered by the plan cache and no scatter by remembered
-// statistics. The file compiles against older checkouts, so the same
-// benchmark measures both sides of a change to the batch path.
+// answered as one querygraph.Batch over Search (batch) against the same 64
+// as SearchInto calls shared out among GOMAXPROCS callers (singles), on
+// every runtime, over the small world the Backend conformance suite
+// serves. The 64 repeat that world's 8 benchmark queries, as an evaluation
+// run over a benchmark does; the -unique cases give every item a string
+// never asked before, so no parse is answered by the plan cache and no
+// scatter by remembered statistics.
 func BenchmarkBatch(b *testing.B) {
 	const items, k = 64, 15
 	cfg := querygraph.DefaultWorldConfig()
@@ -667,7 +666,8 @@ func BenchmarkBatch(b *testing.B) {
 	}
 	ctx := context.Background()
 	batch := func(be querygraph.Backend, qs []string) error {
-		_, err := be.SearchAll(ctx, qs, k, querygraph.BatchOptions{})
+		_, err := querygraph.Batch(ctx, qs, querygraph.BatchOptions{}, "query",
+			func(query string) ([]querygraph.Result, error) { return be.Search(ctx, query, k) })
 		return err
 	}
 	singles := func(be querygraph.Backend, qs []string) error {

@@ -16,15 +16,18 @@ import (
 	"time"
 
 	querygraph "github.com/querygraph/querygraph"
-	"github.com/querygraph/querygraph/internal/core"
 )
 
-// panickyBatch is a backend whose SearchAll items panic on the batch
-// loop's worker goroutines, where no handler's recover reaches.
+// panickyBatch is a backend whose Search panics on the batch's items —
+// on the batch loop's worker goroutines, where no handler's recover
+// reaches — and serves every other query.
 type panickyBatch struct{ querygraph.Backend }
 
-func (b panickyBatch) SearchAll(ctx context.Context, queries []string, k int, opts querygraph.BatchOptions) ([][]querygraph.Result, error) {
-	return nil, core.ForEach(ctx, len(queries), opts.Workers, func(int) error { panic("kaboom") })
+func (b panickyBatch) Search(ctx context.Context, query string, k int) ([]querygraph.Result, error) {
+	if query == "a" || query == "b" || query == "c" {
+		panic("kaboom")
+	}
+	return b.Backend.Search(ctx, query, k)
 }
 
 // TestBatchPanicContained: a panic inside a batch worker answers that

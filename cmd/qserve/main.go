@@ -56,9 +56,11 @@
 // errors surface as 503.
 //
 // Every POST endpoint runs the same path: strict encoding/json decode
-// into a wire struct, a typed querygraph request, the public result types
-// encoded as they are (the wire schema is their json tags). A panic under
-// a handler is contained to its request: 500 internal, stack in the log.
+// into a wire struct, calls of the Backend's single-request methods (the
+// batch endpoints run them through querygraph.Batch), the public result
+// types encoded as they are (the wire schema is their json tags). A panic
+// under a handler is contained to its request: 500 internal, stack in the
+// log.
 //
 // -admin ADDR starts a second listener serving Go's net/http/pprof
 // endpoints under /debug/pprof/ — CPU and heap profiles of the live

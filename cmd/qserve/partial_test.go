@@ -46,20 +46,10 @@ func (f *faultBackend) SearchInto(ctx context.Context, query string, k int, dst 
 	return inject(f, rs, err)
 }
 
-func (f *faultBackend) SearchAll(ctx context.Context, queries []string, k int, opts querygraph.BatchOptions) ([][]querygraph.Result, error) {
-	rss, err := f.Backend.SearchAll(ctx, queries, k, opts)
-	return inject(f, rss, err)
-}
-
 func (f *faultBackend) SearchExpansion(ctx context.Context, exp *querygraph.Expansion, k int) ([]querygraph.Result, bool, error) {
 	rs, ok, err := f.Backend.SearchExpansion(ctx, exp, k)
 	rs, err = inject(f, rs, err)
 	return rs, ok, err
-}
-
-func (f *faultBackend) SearchExpansions(ctx context.Context, exps []*querygraph.Expansion, k int, opts querygraph.BatchOptions) ([][]querygraph.Result, error) {
-	rss, err := f.Backend.SearchExpansions(ctx, exps, k, opts)
-	return inject(f, rss, err)
 }
 
 // TestSearchPartialResult pins the degraded-fleet contract end to end:

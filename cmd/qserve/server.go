@@ -28,9 +28,11 @@ const statusClientClosedRequest = 499
 const maxRequestBody = 1 << 20
 
 // server is the HTTP front end over one querygraph.Backend — the public
-// serving contract both the single-snapshot *Client and the sharded *Pool
-// satisfy, so one front end serves either deployment shape without a
-// private interface of its own.
+// serving contract the single-snapshot *Client, the sharded *Pool and the
+// *Remote fleet coordinator all satisfy, so one front end serves every
+// deployment shape without a private interface of its own. The batch
+// endpoints run querygraph.Batch over the Backend's single-request
+// methods.
 type server struct {
 	backend querygraph.Backend
 	// pool is non-nil when the backend is a sharded Pool: it unlocks
@@ -399,7 +401,9 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req searchBatchRequest
 	s.post(w, r, &req, &req.TimeoutMS, func(ctx context.Context) (response, error) {
-		rss, err := s.backend.SearchAll(ctx, req.Queries, s.rank(req.K), querygraph.BatchOptions{Workers: req.Workers})
+		k := s.rank(req.K)
+		rss, err := querygraph.Batch(ctx, req.Queries, querygraph.BatchOptions{Workers: req.Workers}, "query",
+			func(query string) ([]querygraph.Result, error) { return s.backend.Search(ctx, query, k) })
 		for i, rs := range rss {
 			rss[i] = nonNil(rs)
 		}
@@ -437,13 +441,19 @@ func (s *server) handleExpandBatch(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		bopts := querygraph.BatchOptions{Workers: req.Workers}
-		exps, err := s.backend.ExpandAll(ctx, req.Keywords, bopts, opts...)
+		exps, err := querygraph.Batch(ctx, req.Keywords, bopts, "keywords",
+			func(kw string) (*querygraph.Expansion, error) { return s.backend.Expand(ctx, kw, opts...) })
 		if err != nil {
 			return nil, err
 		}
 		var rss [][]querygraph.Result
 		if req.K > 0 {
-			rss, err = s.backend.SearchExpansions(ctx, exps, s.rank(req.K), bopts)
+			k := s.rank(req.K)
+			rss, err = querygraph.Batch(ctx, exps, bopts, "expansion",
+				func(exp *querygraph.Expansion) ([]querygraph.Result, error) {
+					rs, _, err := s.backend.SearchExpansion(ctx, exp, k)
+					return rs, err
+				})
 		}
 		out := make([]expansionJSON, len(exps))
 		for i, exp := range exps {

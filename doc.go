@@ -42,7 +42,8 @@
 // edges and Figure 9 in 10 density bins, and take no option for them;
 // MineCycles returns its cycles by length, then node sequence:
 //
-//	batch, err := client.ExpandAll(ctx, keywords, querygraph.BatchOptions{})
+//	batch, err := querygraph.Batch(ctx, keywords, querygraph.BatchOptions{}, "keywords",
+//		func(kw string) (*querygraph.Expansion, error) { return client.Expand(ctx, kw) })
 //	analysis, err := client.Analyze(ctx, querygraph.AnalyzeOptions{})
 //
 // Expand implements the paper's conclusions as an online engine: it

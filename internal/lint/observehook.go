@@ -36,16 +36,14 @@ var Observehook = &Analyzer{
 // Backend contract plus the Pool's reload path. Close and the cheap
 // accessors are deliberately outside: they emit no event.
 var observedMethods = map[string]bool{
-	"Search":           true,
-	"SearchInto":       true,
-	"SearchAll":        true,
-	"Expand":           true,
-	"ExpandAll":        true,
-	"SearchExpansion":  true,
-	"SearchExpansions": true,
-	"Reload":           true,
-	"Ingest":           true,
-	"Compact":          true,
+	"Search":          true,
+	"SearchInto":      true,
+	"Expand":          true,
+	"ExpandAll":       true,
+	"SearchExpansion": true,
+	"Reload":          true,
+	"Ingest":          true,
+	"Compact":         true,
 }
 
 // envelopeNames are the request envelopes: read, every runtime's

@@ -32,7 +32,7 @@ func (r *Runtime) Reload(path string) error {
 	return r.read(context.TODO(), &event{op: "reload"}, func() error { return nil })
 }
 
-func (r *Runtime) SearchAll(ctx context.Context, qs []string, k int) error { // want `never enters the request envelope`
+func (r *Runtime) SearchExpansion(ctx context.Context, exp string, k int) error { // want `never enters the request envelope`
 	return nil
 }
 

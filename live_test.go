@@ -105,7 +105,7 @@ func TestLiveIngestMatchesMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantExpSearch, err := ref.SearchExpansions(ctx, wantExp, MaxRank, BatchOptions{})
+			wantExpSearch, err := searchExpansions(ctx, ref, wantExp, MaxRank, BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,11 +142,11 @@ func TestLiveIngestMatchesMonolithic(t *testing.T) {
 				if !reflect.DeepEqual(deltaServed, wantSearch) {
 					t.Fatalf("%s: base+delta search diverges from the monolithic build", name)
 				}
-				gotExp, err := be.ExpandAll(ctx, keywords, BatchOptions{})
+				gotExp, err := expandAll(ctx, be, keywords, BatchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotExpSearch, err := be.SearchExpansions(ctx, gotExp, MaxRank, BatchOptions{})
+				gotExpSearch, err := searchExpansions(ctx, be, gotExp, MaxRank, BatchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

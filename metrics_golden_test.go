@@ -31,10 +31,10 @@ var goldenMetricsScript = []Event{
 	{Op: OpExpand, Duration: 12 * time.Millisecond, Cache: CacheMiss, Shards: 1, Err: "canceled"},
 	{Op: OpExpand, Duration: 20 * time.Millisecond, Shards: 2, Err: "internal"},
 
-	{Op: OpBatch, Kind: BatchSearch, Duration: 2 * time.Millisecond, Size: 50, K: 15, Shards: 4},
+	{Op: OpBatch, Kind: "search", Duration: 2 * time.Millisecond, Size: 50, K: 15, Shards: 4},
 	{Op: OpBatch, Kind: BatchExpand, Duration: 90 * time.Millisecond, Size: 8, Shards: 1},
-	{Op: OpBatch, Kind: BatchSearchExpansions, Duration: 5 * time.Millisecond, Size: 8, K: 15, Shards: 2, Err: "partial_result"},
-	{Op: OpBatch, Kind: BatchSearch, Duration: 10 * time.Microsecond, Size: 3, K: 5, Shards: 1, Err: "invalid_query"},
+	{Op: OpBatch, Kind: "search_expansions", Duration: 5 * time.Millisecond, Size: 8, K: 15, Shards: 2, Err: "partial_result"},
+	{Op: OpBatch, Kind: "search", Duration: 10 * time.Microsecond, Size: 3, K: 5, Shards: 1, Err: "invalid_query"},
 	{Op: OpBatch, Kind: BatchExpand, Duration: 30 * time.Millisecond, Size: 100, Shards: 1, Err: "canceled"},
 
 	{Op: OpReload, Duration: 15 * time.Millisecond, Generation: 2, Shards: 4},
@@ -73,7 +73,7 @@ var goldenMetricsScript = []Event{
 	{Op: OpRPC, Kind: "title", Duration: 45 * time.Microsecond, Shard: 0, Addr: "127.0.0.1:9000"},
 	{Op: OpRPC, Kind: "no_such_op", Duration: 10 * time.Microsecond, Shard: 0, Addr: "127.0.0.1:9000"}, // unknown ops count as healthz
 
-	{Op: OpBatch, Kind: BatchSearch, Duration: time.Microsecond, Size: 2, K: 5, Err: "bad_topology"},
+	{Op: OpBatch, Kind: "search", Duration: time.Microsecond, Size: 2, K: 5, Err: "bad_topology"},
 	{Op: OpSearch, Duration: time.Microsecond, K: 5, Err: "no_benchmark"},
 }
 

@@ -23,13 +23,14 @@ type Op uint8
 
 const (
 	// OpSearch is one single-query retrieval: Search, SearchInto and
-	// SearchExpansion (Expanded tells them apart).
+	// SearchExpansion (Expanded tells them apart). Batch over them reports
+	// one per item.
 	OpSearch Op = iota
-	// OpExpand is one single-query expansion: Expand. Per-item expansions
-	// inside ExpandAll surface through the batch's one OpBatch event.
+	// OpExpand is one single-query expansion: Expand, one per item under
+	// Batch. Per-item expansions inside ExpandAll surface through its one
+	// OpBatch event.
 	OpExpand
-	// OpBatch is one batch entry point: SearchAll, ExpandAll or
-	// SearchExpansions (Kind tells them apart).
+	// OpBatch is one ExpandAll call (Kind BatchExpand).
 	OpBatch
 	// OpReload is one Pool.Reload attempt (a Client or Remote never emits
 	// it).
@@ -59,12 +60,8 @@ func (o Op) String() string {
 	return "unknown"
 }
 
-// Batch kinds reported in Event.Kind by OpBatch.
-const (
-	BatchSearch           = "search"
-	BatchExpand           = "expand"
-	BatchSearchExpansions = "search_expansions"
-)
+// BatchExpand is the batch kind ExpandAll reports in Event.Kind.
+const BatchExpand = "expand"
 
 // Event describes one completed operation. It is one flat shape for every
 // Op — the same idea as a trace span — and each Op fills in the fields
@@ -72,7 +69,7 @@ const (
 //
 //	OpSearch   K, Expanded
 //	OpExpand   Cache, Size (features returned)
-//	OpBatch    Kind, Size (items submitted), K (0 for ExpandAll)
+//	OpBatch    Kind, Size (items submitted)
 //	OpReload   Generation, DeltaDocs
 //	OpIngest   Size (documents submitted), DeltaDocs, Generation
 //	OpCompact  Size (documents folded), DeltaDocs, Generation
@@ -101,9 +98,8 @@ type Event struct {
 	Shards int
 	// K is the requested ranking depth (<= 0 ranks every candidate).
 	K int
-	// Kind is the batch kind (BatchSearch, BatchExpand,
-	// BatchSearchExpansions) or the shard protocol op ("plan", "topk",
-	// "expand", ...).
+	// Kind is the batch kind (BatchExpand) or the shard protocol op
+	// ("plan", "topk", "expand", ...).
 	Kind string
 	// Size counts what the operation handled: expansion features returned
 	// (0 on error), batch items or documents submitted, delta documents

@@ -120,11 +120,11 @@ func TestPoolEquivalence(t *testing.T) {
 		}
 
 		// Batch paths agree with the single-query paths.
-		wantBatch, err := client.SearchAll(ctx, keywords, 10, BatchOptions{})
+		wantBatch, err := searchAll(ctx, client, keywords, 10, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotBatch, err := pool.SearchAll(ctx, keywords, 10, BatchOptions{})
+		gotBatch, err := searchAll(ctx, pool, keywords, 10, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,11 +142,11 @@ func TestPoolEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(gotExps, wantExps) {
 			t.Fatalf("n=%d: batch expansions diverged", n)
 		}
-		wantRanked, err := client.SearchExpansions(ctx, wantExps, 15, BatchOptions{})
+		wantRanked, err := searchExpansions(ctx, client, wantExps, 15, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRanked, err := pool.SearchExpansions(ctx, gotExps, 15, BatchOptions{})
+		gotRanked, err := searchExpansions(ctx, pool, gotExps, 15, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,64 +334,6 @@ func TestPoolReloadSwitchesWorlds(t *testing.T) {
 	}
 }
 
-// TestPoolBatchPinsOneGeneration: a SearchAll racing reloads between two
-// worlds ranks every item on the one generation it pinned — each answer is
-// world A's or world B's, never a mix of both.
-func TestPoolBatchPinsOneGeneration(t *testing.T) {
-	clientA := poolTestWorld(t, 0)
-	clientB := poolTestWorld(t, 7)
-	pool, manifestA := shardedPool(t, clientA, 2)
-	dirB := t.TempDir()
-	if err := clientB.SaveShards(dirB, 4); err != nil {
-		t.Fatal(err)
-	}
-	var queries []string
-	for i := 0; i < 4; i++ {
-		for _, q := range append(clientA.Queries(), clientB.Queries()...) {
-			queries = append(queries, q.Keywords)
-		}
-	}
-	ctx := context.Background()
-	wantA, errA := clientA.SearchAll(ctx, queries, 10, BatchOptions{})
-	wantB, errB := clientB.SearchAll(ctx, queries, 10, BatchOptions{})
-	if errA != nil || errB != nil || reflect.DeepEqual(wantA, wantB) {
-		t.Fatalf("the two worlds must rank the batch differently: %v, %v", errA, errB)
-	}
-
-	stop, reloaded := make(chan struct{}), make(chan error, 1)
-	go func() {
-		manifests := [2]string{filepath.Join(dirB, "manifest.json"), manifestA}
-		for r := 0; ; r++ {
-			select {
-			case <-stop:
-				reloaded <- nil
-				return
-			default:
-			}
-			if err := pool.Reload(manifests[r%2]); err != nil {
-				reloaded <- err
-				return
-			}
-		}
-	}()
-	for i := 0; i < 40; i++ {
-		got, err := pool.SearchAll(ctx, queries, 10, BatchOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, wantA) && !reflect.DeepEqual(got, wantB) {
-			t.Fatalf("batch %d mixes the two worlds' rankings", i)
-		}
-	}
-	close(stop)
-	if err := <-reloaded; err != nil {
-		t.Fatal(err)
-	}
-	if pool.Generation() < 3 {
-		t.Errorf("only %d generations served: no reload raced the batches", pool.Generation())
-	}
-}
-
 // TestPoolReloadFailureKeepsServing: a reload pointed at garbage returns
 // ErrBadManifest and the pool keeps serving the generation it had.
 func TestPoolReloadFailureKeepsServing(t *testing.T) {
@@ -438,7 +380,7 @@ func TestPoolPreCancelledContext(t *testing.T) {
 	if _, err := pool.Search(ctx, kw, 5); !errors.Is(err, context.Canceled) {
 		t.Errorf("Search: %v", err)
 	}
-	if _, err := pool.SearchAll(ctx, []string{kw}, 5, BatchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := searchAll(ctx, pool, []string{kw}, 5, BatchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SearchAll: %v", err)
 	}
 	if _, err := pool.Expand(ctx, kw); !errors.Is(err, context.Canceled) {

@@ -11,15 +11,13 @@ import (
 
 // request is what one request runs on once its runtime's gate has let it
 // in: a pinned generation on the local runtime, the coordinator itself —
-// counted in the in-flight drain Close waits on — on a Remote. P is the
-// runtime's prepared query: flattened leaves locally, the encoded query
-// body on a Remote. release ends the request; the other methods are the
-// steps the query path is made of.
-type request[P any] interface {
-	// parse prepares one query text; a syntax error wraps ErrInvalidQuery.
-	parse(ctx context.Context, query string) (P, error)
-	// rank scores a prepared query to its top k, into dst's storage.
-	rank(ctx context.Context, plan P, k int, dst []Result) ([]Result, error)
+// counted in the in-flight drain Close waits on — on a Remote. release
+// ends the request; the other methods are the steps the query path is
+// made of.
+type request interface {
+	// search parses one query text and scores it to its top k, into dst's
+	// storage; a syntax error wraps ErrInvalidQuery.
+	search(ctx context.Context, query string, k int, dst []Result) ([]Result, error)
 	// expand runs one expansion and reports how the expansion cache served
 	// it.
 	expand(ctx context.Context, keywords string, eopts core.ExpanderOptions) (*Expansion, CacheOutcome, error)
@@ -32,17 +30,17 @@ type request[P any] interface {
 }
 
 // queryPath is the Backend query path, written once for every runtime:
-// the seven query methods and the read envelope they enter through. The
-// local runtime and the Remote coordinator embed it, each supplying its
-// gate and the per-request steps of request; the request policy — gate
-// order, one event per call, the shape of a batch — lives here alone.
+// the query methods and the read envelope they enter through. The local
+// runtime and the Remote coordinator embed it, each supplying its gate
+// and the per-request steps of request; the request policy — gate order,
+// one event per call — lives here alone.
 //
 //qlint:serving
 //qlint:observed
-type queryPath[P any] struct {
+type queryPath struct {
 	// enter is the runtime's gate: it pins what one request runs on until
 	// its release, or fails with ErrClosed once the runtime is closed.
-	enter func() (request[P], error)
+	enter func() (request, error)
 	obs   observers
 }
 
@@ -57,7 +55,7 @@ type queryPath[P any] struct {
 // adds Shards once the gate has let the request in and emits after the
 // release, so a slow observer never holds a retired generation back from
 // draining.
-func (q *queryPath[P]) read(ctx context.Context, ev *Event, work func(r request[P]) error) error {
+func (q *queryPath) read(ctx context.Context, ev *Event, work func(r request) error) error {
 	start := time.Now()
 	err := func() (err error) {
 		if err = ctx.Err(); err != nil {
@@ -96,7 +94,7 @@ func contain(err *error) {
 // policy a response missing shards returns the surviving ranking AND an
 // error wrapping ErrPartialResult. A done ctx returns ctx.Err() without
 // searching.
-func (q *queryPath[P]) Search(ctx context.Context, query string, k int) ([]Result, error) {
+func (q *queryPath) Search(ctx context.Context, query string, k int) ([]Result, error) {
 	return q.SearchInto(ctx, query, k, nil)
 }
 
@@ -108,44 +106,14 @@ func (q *queryPath[P]) Search(ctx context.Context, query string, k int) ([]Resul
 // fan-out costs, independent of k and of the query's length; a Remote
 // still allocates its round trip's buffers. Neither query nor dst is
 // retained beyond the call.
-func (q *queryPath[P]) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
+func (q *queryPath) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
 	var rs []Result
 	ev := Event{Op: OpSearch, K: k}
-	err := q.read(ctx, &ev, func(r request[P]) error {
-		plan, err := r.parse(ctx, query)
-		if err == nil {
-			rs, err = r.rank(ctx, plan, k, dst)
-		}
+	err := q.read(ctx, &ev, func(r request) (err error) {
+		rs, err = r.search(ctx, query, k, dst)
 		return err
 	})
 	return rs, err
-}
-
-// SearchAll evaluates a batch of query texts on a bounded worker pool and
-// returns the per-query rankings in input order. Every query is parsed
-// before any is scored: the first syntax error, in input order, aborts the
-// batch with ErrInvalidQuery (a Remote's shards parse, so there the error
-// comes from scoring, at the same index). Cancelling ctx stops scheduling
-// the remaining queries and returns ctx.Err(). On the local runtime the
-// whole batch runs on the generation current at call time, even if an
-// ingest, compaction or reload lands mid-batch. A degraded item degrades
-// the whole batch (results kept, error wraps ErrPartialResult).
-func (q *queryPath[P]) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
-	var rss [][]Result
-	ev := Event{Op: OpBatch, Kind: BatchSearch, Size: len(queries), K: k}
-	err := q.read(ctx, &ev, func(r request[P]) error {
-		plans, err := batch(ctx, queries, opts, "query", func(query string) (P, error) {
-			return r.parse(ctx, query)
-		})
-		if err != nil {
-			return err
-		}
-		rss, err = batch(ctx, plans, opts, "query", func(plan P) ([]Result, error) {
-			return r.rank(ctx, plan, k, nil)
-		})
-		return err
-	})
-	return rss, err
 }
 
 // Expand runs the online cycle-based expansion pipeline of the paper's
@@ -165,10 +133,10 @@ func (q *queryPath[P]) SearchAll(ctx context.Context, queries []string, k int, o
 // entries. A done ctx returns ctx.Err() without touching pipeline or
 // cache; a ctx that ends mid-call stops the caller's own pipeline run and
 // returns ctx.Err() with nothing cached.
-func (q *queryPath[P]) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
+func (q *queryPath) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
 	var exp *Expansion
 	ev := Event{Op: OpExpand}
-	err := q.read(ctx, &ev, func(r request[P]) error {
+	err := q.read(ctx, &ev, func(r request) error {
 		eopts, err := normalizeExpandOptions(opts)
 		if err != nil {
 			return err
@@ -185,16 +153,19 @@ func (q *queryPath[P]) Expand(ctx context.Context, keywords string, opts ...Expa
 // and returns the expansions in input order. Repeated keywords are served
 // from the expansion cache once one of them has been expanded. Cancelling
 // ctx stops scheduling, stops the expansions under way, and returns
-// ctx.Err().
-func (q *queryPath[P]) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
+// ctx.Err(). It is not part of Backend: Batch over Expand does the same
+// per item. Its last callers are the benchmark harness's fixture build
+// (bench/fixture.go, on a *Client) and its serve-remote warm-up
+// (bench/workloads.go, on a *Remote).
+func (q *queryPath) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
 	var exps []*Expansion
 	ev := Event{Op: OpBatch, Kind: BatchExpand, Size: len(keywords)}
-	err := q.read(ctx, &ev, func(r request[P]) error {
+	err := q.read(ctx, &ev, func(r request) error {
 		eopts, err := normalizeExpandOptions(opts)
 		if err != nil {
 			return err
 		}
-		exps, err = batch(ctx, keywords, bopts, "keywords", func(kw string) (*Expansion, error) {
+		exps, err = Batch(ctx, keywords, bopts, "keywords", func(kw string) (*Expansion, error) {
 			exp, _, err := r.expand(ctx, kw, eopts)
 			return exp, err
 		})
@@ -211,28 +182,11 @@ func (q *queryPath[P]) ExpandAll(ctx context.Context, keywords []string, bopts B
 // reports whether the expansion had anything to search for (entities,
 // features or keywords); it stays true when the search itself fails, so
 // err alone signals failure.
-func (q *queryPath[P]) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
+func (q *queryPath) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
 	ev := Event{Op: OpSearch, K: k, Expanded: true}
-	err = q.read(ctx, &ev, func(r request[P]) (err error) {
+	err = q.read(ctx, &ev, func(r request) (err error) {
 		results, ok, err = r.searchExpansion(ctx, exp, k)
 		return err
 	})
 	return results, ok, err
-}
-
-// SearchExpansions evaluates a batch of expansions on a bounded worker
-// pool, returning the per-expansion rankings in input order. Expansions
-// with nothing to search for yield a nil ranking. Cancelling ctx stops
-// scheduling and returns ctx.Err().
-func (q *queryPath[P]) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
-	var out [][]Result
-	ev := Event{Op: OpBatch, Kind: BatchSearchExpansions, Size: len(exps), K: k}
-	err := q.read(ctx, &ev, func(r request[P]) (err error) {
-		out, err = batch(ctx, exps, opts, "expansion", func(exp *Expansion) ([]Result, error) {
-			rs, _, err := r.searchExpansion(ctx, exp, k)
-			return rs, err
-		})
-		return err
-	})
-	return out, err
 }

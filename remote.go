@@ -173,7 +173,7 @@ func (t *Topology) applyDefaults() {
 //qlint:serving
 //qlint:observed
 type Remote struct {
-	queryPath[[]byte]
+	queryPath
 
 	topo  Topology
 	conns *rpc.ConnPool
@@ -217,7 +217,7 @@ func OpenTopology(path string, opts ...Option) (*Remote, error) {
 		conns:  rpc.NewConnPool(time.Duration(topo.TimeoutMS) * time.Millisecond),
 		leafCF: lru.New[string, []int64](leafCFCapacity),
 	}
-	c.queryPath = queryPath[[]byte]{enter: c.enter, obs: cfg.obs}
+	c.queryPath = queryPath{enter: c.enter, obs: cfg.obs}
 	if err := c.handshake(); err != nil {
 		c.conns.CloseAll()
 		return nil, err
@@ -301,7 +301,7 @@ func (c *Remote) Close() error {
 // waits on until the request's release. The request it lets in is the
 // coordinator itself: its steps encode and scatter (see the Backend
 // surface below).
-func (c *Remote) enter() (request[[]byte], error) {
+func (c *Remote) enter() (request, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -788,16 +788,11 @@ func (c *Remote) applyPolicy(states []shardState) (dropped int, err error) {
 // shards is the fleet's shard count.
 func (c *Remote) shards() int { return len(c.topo.Shards) }
 
-// parse encodes query text as the query union's text arm. The shards
-// parse it, so a syntax error comes back from rank.
-func (c *Remote) parse(_ context.Context, query string) ([]byte, error) {
-	return rpc.AppendTextQuery(nil, query), nil
-}
-
-// rank scatters an encoded query across the fleet and merges the ranking
-// into dst.
-func (c *Remote) rank(ctx context.Context, body []byte, k int, dst []Result) ([]Result, error) {
-	rs, _, err := c.scatter(ctx, body, k, dst)
+// search encodes query text as the query union's text arm, scatters it
+// across the fleet and merges the ranking into dst. The shards parse it,
+// so a syntax error comes back from the scatter.
+func (c *Remote) search(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
+	rs, _, err := c.scatter(ctx, rpc.AppendTextQuery(nil, query), k, dst)
 	return rs, err
 }
 
@@ -811,7 +806,7 @@ func (c *Remote) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]
 // readOnly is the work of the write-path stubs. The remote coordinator is
 // read-only: the shard servers own their snapshots, so ingest and
 // compaction against a fleet go to the shards themselves.
-func readOnly(request[[]byte]) error { return ErrReadOnly }
+func readOnly(request) error { return ErrReadOnly }
 
 // Ingest implements Backend: every call fails with a typed ErrReadOnly
 // (ctx.Err() on a dead context, ErrClosed once closed).

@@ -349,7 +349,7 @@ func TestRemoteDegradePolicy(t *testing.T) {
 	}
 
 	// Batch paths degrade the same way, keeping their results.
-	rss, err := be.SearchAll(ctx, []string{kw, kw}, 5, BatchOptions{})
+	rss, err := searchAll(ctx, be, []string{kw, kw}, 5, BatchOptions{})
 	if !errors.Is(err, ErrPartialResult) {
 		t.Fatalf("degraded batch err = %v, want ErrPartialResult", err)
 	}
@@ -599,7 +599,7 @@ func TestRemoteCloseRacesFanouts(t *testing.T) {
 					t.Errorf("Search during Close: %v", err)
 					return
 				}
-				if _, err := be.SearchAll(ctx, []string{kw, kw}, 5, BatchOptions{Workers: 2}); err != nil && !errors.Is(err, ErrClosed) {
+				if _, err := searchAll(ctx, be, []string{kw, kw}, 5, BatchOptions{Workers: 2}); err != nil && !errors.Is(err, ErrClosed) {
 					t.Errorf("SearchAll during Close: %v", err)
 					return
 				}

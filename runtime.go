@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/querygraph/querygraph/internal/core"
-	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/shard"
 	"github.com/querygraph/querygraph/internal/store"
 	"github.com/querygraph/querygraph/internal/trace"
@@ -28,7 +27,7 @@ import (
 //qlint:serving
 //qlint:observed
 type localRuntime struct {
-	queryPath[[]search.Leaf]
+	queryPath
 
 	// gen is the serving generation; nil once closed. The serving path
 	// loads it lock-free; every store happens under mu (enforced by the
@@ -98,7 +97,7 @@ func (g *poolGeneration) sys() *core.System { return g.set.Systems()[0] }
 // start publishes the first generation of a freshly constructed handle.
 func (rt *localRuntime) start(set *shard.Set, cfg clientConfig, manifestPath string) {
 	rt.cfg, rt.manifestPath = cfg, manifestPath
-	rt.queryPath = queryPath[[]search.Leaf]{enter: rt.enter, obs: cfg.obs}
+	rt.queryPath = queryPath{enter: rt.enter, obs: cfg.obs}
 	rt.gen.Store(newPoolGeneration(set, 1)) //qlint:ignore atomicguard constructor: rt has not escaped, no concurrent writer exists yet
 }
 
@@ -170,10 +169,10 @@ func (rt *localRuntime) pin(ctx context.Context) (*poolGeneration, error) {
 }
 
 // enter is the local runtime's gate on the shared query path: the
-// generation acquire pins is the request, whose steps (parse, rank,
-// expand, searchExpansion) run on it until its release. On ErrClosed the
+// generation acquire pins is the request, whose steps (search, expand,
+// searchExpansion) run on it until its release. On ErrClosed the
 // request is a nil generation, which the envelope never touches.
-func (rt *localRuntime) enter() (request[[]search.Leaf], error) { return rt.acquire() }
+func (rt *localRuntime) enter() (request, error) { return rt.acquire() }
 
 // view is the generation the non-erroring accessors answer from: the
 // serving one, else the one a Client kept at Close, else nil (a closed
@@ -213,10 +212,11 @@ func (rt *localRuntime) republish(archives []*store.Archive) (*shard.Set, error)
 // shards is the pinned generation's shard count.
 func (g *poolGeneration) shards() int { return g.set.NumShards() }
 
-// parse is one query's parse on the pinned generation, through the
-// memoized plan cache. Untraced requests — the pinned 0 allocs/op path —
-// skip the clock reads; Span on a nil trace is a no-op.
-func (g *poolGeneration) parse(ctx context.Context, query string) ([]search.Leaf, error) {
+// search is one query's parse, through the memoized plan cache, and its
+// ranking over every source of the pinned generation. Untraced requests —
+// the pinned 0 allocs/op path — skip the clock reads; Span on a nil trace
+// is a no-op.
+func (g *poolGeneration) search(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
 	tr := trace.FromContext(ctx)
 	var t0 time.Time
 	if tr != nil {
@@ -228,14 +228,6 @@ func (g *poolGeneration) parse(ctx context.Context, query string) ([]search.Leaf
 		return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
 	tr.Span("parse", t0, "")
-	return leaves, nil
-}
-
-// rank is one parsed query's ranking over every source of the pinned
-// generation.
-func (g *poolGeneration) rank(ctx context.Context, leaves []search.Leaf, k int, dst []Result) ([]Result, error) {
-	tr := trace.FromContext(ctx)
-	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}

@@ -55,7 +55,7 @@ type (
 	// Event.Cache.
 	CacheOutcome = core.CacheOutcome
 
-	// BatchOptions bounds the concurrency of SearchAll / ExpandAll;
+	// BatchOptions bounds the concurrency of Batch (and ExpandAll);
 	// Workers <= 0 means GOMAXPROCS.
 	BatchOptions = core.BatchOptions
 

@@ -51,13 +51,13 @@ func TestUnhappyPathsAgree(t *testing.T) {
 			}
 		}},
 		{"SearchExpansions of an unknown article is an invalid query", func(t *testing.T, be Backend) {
-			rss, err := be.SearchExpansions(ctx, []*Expansion{exp, &unknown}, 5, BatchOptions{})
+			rss, err := searchExpansions(ctx, be, []*Expansion{exp, &unknown}, 5, BatchOptions{})
 			if rss != nil || !errors.Is(err, ErrInvalidQuery) || !strings.HasPrefix(err.Error(), "expansion 1: ") {
 				t.Fatalf("SearchExpansions = %v, %v; want expansion 1's ErrInvalidQuery", rss, err)
 			}
 		}},
 		{"SearchAll names the bad query's index", func(t *testing.T, be Backend) {
-			rss, err := be.SearchAll(ctx, []string{kw, kw, "#combine(", kw}, 5, BatchOptions{})
+			rss, err := searchAll(ctx, be, []string{kw, kw, "#combine(", kw}, 5, BatchOptions{})
 			if rss != nil || !errors.Is(err, ErrInvalidQuery) || !strings.HasPrefix(err.Error(), "query 2: ") {
 				t.Fatalf("SearchAll = %v, %v; want query 2's ErrInvalidQuery", rss, err)
 			}
