@@ -85,7 +85,7 @@ var (
 // or Expand — over in on a bounded worker pool and returns the outputs in
 // input order. A failing item fails the batch with the error of the
 // lowest failing index, prefixed with what and that index; a panicking
-// item fails it with an internal error naming the index. An item served
+// item's error, so prefixed too, is an internal one. An item served
 // degraded keeps its output, and the batch returns them all alongside
 // one error wrapping ErrPartialResult. Cancelling ctx stops scheduling
 // the remaining items and returns ctx.Err(). An item that calls a
@@ -95,7 +95,7 @@ func Batch[In, Out any](ctx context.Context, in []In, opts BatchOptions, what st
 	out := make([]Out, len(in))
 	var degraded atomic.Bool
 	err := core.ForEach(ctx, len(in), opts.Workers, func(i int) (err error) {
-		out[i], err = item(in[i])
+		out[i], err = contained(item, in[i])
 		switch {
 		case errors.Is(err, ErrPartialResult):
 			degraded.Store(true)
@@ -111,6 +111,13 @@ func Batch[In, Out any](ctx context.Context, in []In, opts BatchOptions, what st
 		return out, fmt.Errorf("%w: batch served degraded", ErrPartialResult)
 	}
 	return out, nil
+}
+
+// contained is item(x) with a panic turned into its error, so that Batch
+// prefixes it like any other item's.
+func contained[In, Out any](item func(In) (Out, error), x In) (out Out, err error) {
+	defer contain(&err)
+	return item(x)
 }
 
 // OpenBackend opens any serving artifact behind one constructor: a .qgs

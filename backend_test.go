@@ -169,7 +169,7 @@ func TestBatch(t *testing.T) {
 				panic("kaboom")
 			}
 			return i, nil
-		}, nil, nil, "core: batch item 1 panicked: kaboom", "internal"},
+		}, nil, nil, "item 1: querygraph: request panicked: kaboom", "internal"},
 		{"cancelled", cancelled, func(i int) (int, error) {
 			t.Errorf("item %d ran on a cancelled ctx", i)
 			return i, nil

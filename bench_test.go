@@ -808,13 +808,14 @@ func BenchmarkEntityLinking(b *testing.B) {
 // from its query articles with the default expander's filter as Keep. The
 // ball, not an assembled query graph (a few dozen nodes and cycles), so
 // that the walk outweighs the miner's per-Walk set-up. full measures and
-// filters every length, as a cold expansion's second walk or its frequency
-// ranking does; countLast counts the 5-cycles, per seed in closed form,
-// and measures only the shorter ones, as a cold expansion's first walk
-// does; countLast6 does so at MaxCycleLen 6, where the 6-cycles are
-// counted a closers word at a time at the last level. graphNodes is the
-// ball's size, cycles/op every cycle the walk closed, accepted/op those
-// the filter kept.
+// filters every length, as a cold expansion's frequency ranking does;
+// measure3 measures the cycles of up to 3 nodes and counts the 4- and
+// 5-cycles, per seed in closed form, as a cold expansion's first walk
+// does; measure4 counts only the 5-cycles so; measure5of6 walks to
+// MaxCycleLen 6 and counts the 6-cycles a closers word at a time at the
+// last level, as the first walk does there. graphNodes is the ball's size,
+// cycles/op every cycle the walk closed, accepted/op those the filter
+// kept.
 func BenchmarkCycleEnumeration(b *testing.B) {
 	e := benchSetup(b)
 	g, opts := e.system.Snapshot.Graph(), core.DefaultExpanderOptions()
@@ -832,17 +833,16 @@ func BenchmarkCycleEnumeration(b *testing.B) {
 		}
 	}
 	for _, bc := range []struct {
-		name      string
-		countLast bool
-		maxLen    int
-	}{{"full", false, opts.MaxCycleLen}, {"countLast", true, opts.MaxCycleLen}, {"countLast6", true, 6}} {
+		name            string
+		measure, maxLen int
+	}{{"full", 0, 5}, {"measure3", 3, 5}, {"measure4", 4, 5}, {"measure5of6", 5, 6}} {
 		b.Run(bc.name, func(b *testing.B) {
 			found, accepted := 0, 0
 			count := func(cycles.Metrics) error { accepted++; return nil }
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
-				m.Keep, m.CountLast = opts.Accepts, bc.countLast
+				m.Keep, m.Measure = opts.Accepts, bc.measure
 				if err := m.Walk(seeds, bc.maxLen, count); err != nil {
 					b.Fatal(err)
 				}
@@ -945,8 +945,9 @@ func BenchmarkExpandCold(b *testing.B) {
 
 // BenchmarkExpandColdFallback is BenchmarkExpandCold with room for 40
 // features: the cycles shorter than the longest length never hold that
-// many, so every expansion's first walk, which only counts its longest
-// cycles, is followed by a second that measures them — the cost of the
+// many, so every expansion's first walk, which measures up to length 3
+// and only counts the 4- and 5-cycles, is followed by one that measures
+// the 4-cycles and one that measures the 5-cycles — the cost of the
 // walk-again path. features/op says the longest cycles were ranked.
 func BenchmarkExpandColdFallback(b *testing.B) {
 	e := benchSetup(b)

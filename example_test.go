@@ -51,7 +51,7 @@ func Example() {
 	fmt.Printf("top results: %d\n", len(results))
 	// Output:
 	// entities linked: 3
-	// cycles: 2383 considered, 117 accepted
+	// cycles: 2383 considered, 26 accepted
 	// features proposed: 10
 	// top results: 5
 }

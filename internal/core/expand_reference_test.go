@@ -22,7 +22,7 @@ import (
 // every cycle of the neighborhood, drop those that miss the query articles,
 // measure each by adjacency scans, filter, sort them all by rank, select.
 // Its CyclesAccepted counts the accepted cycles of the lengths the
-// expander measures (see measuresLongest), derived from the full ranking;
+// expander measures (see measuredLengths), derived from the full ranking;
 // referenceMeasured also returns the longest of those lengths.
 //
 // The proof chain has two links. System.expand equals referenceExpand
@@ -168,16 +168,14 @@ func referenceMeasured(s *System, keywords string, opts ExpanderOptions) (exp *E
 			ordered = append(ordered, cand)
 		}
 	}
-	shorter := 0 // the features the cycles below MaxCycleLen introduce
-	for _, cand := range ordered {
-		if cand.feature.CycleLen < opts.MaxCycleLen {
-			shorter++
+	measured = measuredLengths(opts, func(length int) (n int) { // the features cycles of up to length nodes introduce
+		for _, cand := range ordered {
+			if cand.feature.CycleLen <= length {
+				n++
+			}
 		}
-	}
-	measured = opts.MaxCycleLen
-	if !measuresLongest(opts, shorter) {
-		measured--
-	}
+		return n
+	})
 	for _, k := range kept {
 		if k.metrics.Length <= measured {
 			exp.CyclesAccepted++
@@ -211,13 +209,25 @@ func referenceMeasured(s *System, keywords string, opts ExpanderOptions) (exp *E
 	return exp, measured, nil
 }
 
-// measuresLongest is the rule of when the expander measures its cycles of
-// MaxCycleLen nodes, given how many features the shorter ones introduce:
-// when the ranking may read them — it ranks by frequency, which reads
-// every cycle, or the shorter ones leave room for a feature — and always
-// at MaxCycleLen 2, the shortest length there is.
-func measuresLongest(opts ExpanderOptions, shorterFeatures int) bool {
-	return opts.RankByFrequency || opts.MaxCycleLen == 2 || shorterFeatures < opts.MaxFeatures
+// measuredLengths is the rule of which lengths the expander measures,
+// given how many features the cycles of up to each length introduce:
+// every length when the ranking reads them all — it ranks by frequency,
+// or MaxCycleLen is 2, the shortest length there is; otherwise the lengths
+// up to 3 at MaxCycleLen 4 and 5 and up to MaxCycleLen−1 else, and then
+// each next length while the shorter ones leave room for a feature. It
+// returns the longest length measured.
+func measuredLengths(opts ExpanderOptions, features func(length int) int) int {
+	if opts.RankByFrequency || opts.MaxCycleLen == 2 {
+		return opts.MaxCycleLen
+	}
+	measured := opts.MaxCycleLen - 1
+	if opts.MaxCycleLen == 4 || opts.MaxCycleLen == 5 {
+		measured = 3
+	}
+	for measured < opts.MaxCycleLen && features(measured) < opts.MaxFeatures {
+		measured++
+	}
+	return measured
 }
 
 // randomWorld generates a small world whose shape varies with the seed.
@@ -368,7 +378,7 @@ func TestExpandBeyondThePairTable(t *testing.T) {
 // those and Regatta with it, so ranked by frequency the answer is Gondola
 // (4 cycles), Regatta (3). Stopping early under RankByFrequency would give
 // Bridge, Gondola (1 each). In cycle order the expander needs no cycle of
-// the longest length, so it counts the three 5-cycles without measuring
+// more than 3 nodes, so it counts the three 5-cycles without measuring
 // them: CyclesConsidered 5, CyclesAccepted 2; ranked by frequency it
 // measures every cycle, and accepts 5.
 func TestExpandStopsRankingEarlyOnlyWhenItMay(t *testing.T) {
@@ -454,14 +464,15 @@ func mineDetail(t *testing.T, s *System, keywords string, opts ExpanderOptions) 
 // lengths 3 to 6, up to 40 features, filters on and off, both rankings —
 // the Expansion equals referenceExpand's, and the longest length the mine
 // span says was measured is the one the reference derives from its
-// features. Both ways out of the rule must occur: a count-only walk that
-// sufficed, and one that had to be followed by a measuring walk.
+// features. Every way out of the rule must occur: a first walk that
+// sufficed, one followed by a walk for each longer length, and one
+// followed by walks that stopped short of MaxCycleLen.
 func TestExpandWalksAgainOnlyWhenTheRankingNeedsIt(t *testing.T) {
 	worlds := 120
 	if testing.Short() {
-		worlds = 30
+		worlds = 50
 	}
-	counted, again := 0, 0
+	counted, again, short := 0, 0, 0
 	for seed := 0; seed < worlds; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
 		s, keywords := randomWorld(t, rng)
@@ -492,24 +503,27 @@ func TestExpandWalksAgainOnlyWhenTheRankingNeedsIt(t *testing.T) {
 			}
 			switch {
 			case opts.RankByFrequency || got.CyclesConsidered == 0:
-			case measured < opts.MaxCycleLen:
+			case measured == firstMeasured(opts):
 				counted++
+			case measured < opts.MaxCycleLen:
+				short++
 			default:
 				again++
 			}
 		}
 	}
-	if t.Logf("%d walks only counted the longest cycles, %d walked again", counted, again); counted < 20 || again < 20 {
-		t.Errorf("too few walks of one kind to test the rule: %d counted, %d walked again", counted, again)
+	if t.Logf("%d first walks sufficed, %d walked again to MaxCycleLen, %d stopped short", counted, again, short); counted < 20 || again < 20 || short == 0 {
+		t.Errorf("too few walks of one kind to test the rule: %d sufficed, %d walked again to MaxCycleLen, %d stopped short", counted, again, short)
 	}
 }
 
 // TestExpandWalksAgainForTheLongestFeatures is the walk-again path by
 // example, on qserve's wire-test world: neisisti's ten features include
-// four from 5-cycles, so its count-only walk leaves the ranking room and it
-// walks again, measuring the 5-cycles, and proposes the same ten features
-// as a walk that measures everything; with room for four features, its
-// 2-cycles fill it and the 5-cycles are only counted.
+// two from 4-cycles and four from 5-cycles, so its first walk, which
+// measures up to 3 nodes, leaves the ranking room, and it walks again
+// twice, measuring the 4- and then the 5-cycles, and proposes the same ten
+// features as a walk that measures everything; with room for four
+// features, its 2-cycles fill it and the 4- and 5-cycles are only counted.
 func TestExpandWalksAgainForTheLongestFeatures(t *testing.T) {
 	cfg := synth.Default()
 	cfg.Topics, cfg.ArticlesPerTopic, cfg.DocsPerTopic, cfg.Queries, cfg.NoiseVocab = 4, 8, 10, 4, 50
@@ -534,7 +548,7 @@ func TestExpandWalksAgainForTheLongestFeatures(t *testing.T) {
 		{10, "considered=1205 accepted=164 measured=5", []string{
 			"stafotia vanimou/2", "culacia voubo/2", "decitou tezaglei/2", "leifidia/2", "meibu stopi/4",
 			"trougou ziabre/4", "ziledou/5", "tesoulei/5", "pebru sobre/5", "gavibria/5"}},
-		{4, "considered=1205 accepted=23 measured=4", []string{
+		{4, "considered=1205 accepted=7 measured=3", []string{
 			"stafotia vanimou/2", "culacia voubo/2", "decitou tezaglei/2", "leifidia/2"}},
 	} {
 		opts.MaxFeatures = tc.maxFeatures

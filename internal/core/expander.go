@@ -134,11 +134,11 @@ type Expansion struct {
 	Features      []Feature
 	// CyclesConsidered counts every cycle of up to MaxCycleLen nodes
 	// through a query article. CyclesAccepted counts those of them that
-	// passed the structural filters among the lengths measured: every
-	// length when the features are ranked by frequency or the shorter
-	// cycles left the ranking room for one of MaxCycleLen nodes, and the
-	// lengths below MaxCycleLen otherwise, whose cycles the ranking reads
-	// before any longer one.
+	// passed the structural filters among the lengths measured. The
+	// lengths up to 3 are always measured at MaxCycleLen 4 and 5, and those
+	// below MaxCycleLen at the others; a longer one only when the shorter
+	// cycles leave the ranking, which reads the lengths shortest first,
+	// room for a feature. Under RankByFrequency every length is measured.
 	CyclesConsidered, CyclesAccepted int
 }
 
@@ -236,16 +236,17 @@ type accepted struct {
 }
 
 // leavesRoom reports whether the ranking, which takes features from the
-// accepted cycles shortest first, would read cycles of maxLen nodes: the
-// shorter ones hold fewer than maxFeatures distinct articles that are not
-// query articles (seeds, positions in miner like the cycles' nodes).
-func (acc *accepted) leavesRoom(miner *cycles.Miner, seeds []graph.NodeID, maxLen, maxFeatures int) bool {
+// accepted cycles shortest first, would read cycles longer than the
+// lengths measured so far: the cycles accepted among those lengths hold
+// fewer than maxFeatures distinct articles that are not query articles
+// (seeds, positions in miner like the cycles' nodes).
+func (acc *accepted) leavesRoom(miner *cycles.Miner, seeds []graph.NodeID, maxFeatures int) bool {
 	words := (miner.Len() + 63) / 64
 	acc.seen = slices.Grow(acc.seen[:0], words)[:words]
 	clear(acc.seen)
 	distinct := 0
-	for length := 2; length < maxLen; length++ {
-		for _, a := range acc.byLen[length] {
+	for length, byLen := range acc.byLen {
+		for _, a := range byLen {
 			for _, v := range acc.nodes[a.start : a.start+length] {
 				w, bit := v>>6, uint64(1)<<(v&63)
 				if acc.seen[w]&bit != 0 || miner.Kind(v) != graph.Article || slices.Contains(seeds, v) {
@@ -259,6 +260,22 @@ func (acc *accepted) leavesRoom(miner *cycles.Miner, seeds []graph.NodeID, maxLe
 		}
 	}
 	return true
+}
+
+// firstMeasured is the longest length the first walk of an expansion under
+// opts measures: every length under frequency rank, which reads them all;
+// otherwise the longest length without a count that spares the walk its
+// search — 3 at MaxCycleLen 4 and 5, whose 4- and 5-cycles the walk counts
+// per seed in closed form, and MaxCycleLen−1 at the others, whose longest
+// cycles it counts a closers word at a time at the last level.
+func firstMeasured(opts ExpanderOptions) int {
+	switch {
+	case opts.RankByFrequency || opts.MaxCycleLen == 2:
+		return opts.MaxCycleLen
+	case opts.MaxCycleLen == 4 || opts.MaxCycleLen == 5:
+		return 3
+	}
+	return opts.MaxCycleLen - 1
 }
 
 // acceptedCycle is one accepted cycle: where its nodes start, and the two
@@ -360,11 +377,11 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	// Mine: the walk filters each cycle through a query article as it
 	// closes it, on the Metrics it kept along its path, and hands over only
 	// the accepted ones, which are kept by length. The ranking reads the
-	// longest length last and, unless it counts frequencies, only when the
-	// shorter ones leave room for a feature; so the walk first counts the
-	// longest cycles without measuring them (at lengths 4 and 5 per seed in
-	// closed form, without listing them), and walks again, keeping and
-	// measuring only them, if the cycles it kept leave that room.
+	// lengths shortest first and, unless it counts frequencies, a length
+	// only when the shorter ones leave room for a feature; so the first
+	// walk measures the lengths up to firstMeasured and counts the longer
+	// ones without listing them, and each later walk, while the cycles kept
+	// leave that room, measures and keeps the next length alone.
 	acc := acceptedPool.Get().(*accepted)
 	defer acceptedPool.Put(acc)
 	acc.nodes = acc.nodes[:0]
@@ -378,23 +395,20 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		acc.nodes = append(acc.nodes, miner.Path()...)
 		return nil
 	}
-	miner.Poll, miner.Keep = ctx.Err, opts.Accepts
-	miner.CountLast = !opts.RankByFrequency && opts.MaxCycleLen >= 3
+	measured := firstMeasured(opts)
+	miner.Poll, miner.Keep, miner.Measure = ctx.Err, opts.Accepts, measured
 	err := miner.Walk(seeds, opts.MaxCycleLen, visit)
-	if err == nil && miner.CountLast && acc.leavesRoom(miner, seeds, opts.MaxCycleLen, opts.MaxFeatures) {
-		miner.Keep = func(m cycles.Metrics) bool { return m.Length == opts.MaxCycleLen && opts.Accepts(m) }
-		miner.CountLast = false
-		err = miner.Walk(seeds, opts.MaxCycleLen, visit)
+	exp.CyclesConsidered = miner.Found
+	miner.Measure = 0
+	for err == nil && measured < opts.MaxCycleLen && acc.leavesRoom(miner, seeds, opts.MaxFeatures) {
+		length := measured + 1
+		miner.Keep = func(m cycles.Metrics) bool { return m.Length == length && opts.Accepts(m) }
+		err, measured = miner.Walk(seeds, length, visit), length
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: expand: %w", err)
 	}
-	exp.CyclesConsidered = miner.Found
 	if tr != nil {
-		measured := opts.MaxCycleLen
-		if miner.CountLast {
-			measured--
-		}
 		detail = "considered=" + strconv.Itoa(exp.CyclesConsidered) + " accepted=" + strconv.Itoa(exp.CyclesAccepted) +
 			" measured=" + strconv.Itoa(measured)
 	}

@@ -94,14 +94,14 @@ type Miner struct {
 	// of the lengths the visitor may be handed once per Walk, before the
 	// walk starts, and must be a function of them alone.
 	Keep func(Metrics) bool
-	// CountLast, when set, has Walk count the cycles of its longest
-	// length, maxLen nodes, and not measure them: they add to Found, at
-	// most 64 at a time, but Keep never sees them and the visitor is never
-	// handed one. A caller that ranks the longest length last and may not
-	// reach it walks this way first. It has no effect at maxLen 2.
-	CountLast bool
+	// Measure is the longest length Walk measures; 0, or less, measures
+	// every length. The cycles of more nodes are counted and not measured: they
+	// add to Found, at most 64 at a time, but Keep never sees them and the
+	// visitor is never handed one. A caller that ranks the shorter lengths
+	// first and may not reach the longer ones walks this way first.
+	Measure int
 	// Found counts the cycles the last Walk closed, those Keep rejected
-	// and those CountLast counted included.
+	// and those counted beyond Measure included.
 	Found int
 
 	// State of one Walk: dist is the distance from the current seed of the
@@ -125,10 +125,10 @@ type Miner struct {
 	arts        [MaxSupportedLength + 1]int
 	edges       [MaxSupportedLength + 1]int
 	canon       [MaxSupportedLength]graph.NodeID
-	// longest is the longest length the visitor may be handed: closeLast
-	// counts the cycles longer than it. shared[v] is, while closedCount
-	// runs, the number of the seed's open neighbours that are next to v,
-	// and 0 otherwise.
+	// longest is the longest length the visitor may be handed, Measure's:
+	// record and closeLast count the cycles longer than it. shared[v] is,
+	// while closedCount runs, the number of the seed's open neighbours
+	// that are next to v, and 0 otherwise.
 	longest int
 	shared  []int32
 }
@@ -236,7 +236,7 @@ func (m *Miner) Neighbors(v graph.NodeID) iter.Seq[graph.NodeID] {
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.Poll, m.Keep, m.visit, m.CountLast = nil, nil, nil, false
+	m.Poll, m.Keep, m.visit, m.Measure = nil, nil, nil, 0
 	minerPool.Put(m)
 }
 
@@ -306,11 +306,10 @@ func Compare(a, b Cycle) int {
 // Keep is asked once per such triple before the walk starts, never per
 // cycle; Found counts every cycle closed, kept or not, and Poll is asked
 // each time Found passes a multiple of pollEvery. An error from visit ends
-// the walk like one from Poll, and Walk returns it. With CountLast set and
-// maxLen ≥ 3 the cycles of maxLen nodes are counted and not visited: the
-// visitor sees exactly the cycles shorter than maxLen that the walk
-// without it sees, in the same order, and Found and the number of polls
-// are the same.
+// the walk like one from Poll, and Walk returns it. With Measure set below
+// maxLen the longer cycles are counted and not visited: the visitor sees
+// exactly the cycles of at most Measure nodes that the walk without it
+// sees, in the same order, and Found and the number of polls are the same.
 //
 // The walk is anchored at the seeds: in ascending order, a depth-first
 // search from each seed finds the cycles through it, and the seed is then
@@ -320,10 +319,11 @@ func Compare(a, b Cycle) int {
 // level of each search — a path one node short of maxLen — is not searched
 // at all: its closers are one intersection of two rows, less the blocked
 // nodes; and the level before it enters only the nodes that close a cycle,
-// which the same intersection tells. Under CountLast at maxLen 4 and 5,
-// the longest cycles through a seed are counted in closed form from its
-// neighbourhood (closedCount) before the search, which then stops a level
-// short.
+// which the same intersection tells. When 3 ≤ Measure < maxLen ≤ 5, the
+// cycles of 4 and 5 nodes through a seed that Measure leaves out are
+// counted in closed form from its neighbourhood (closedCount) before the
+// search, which then stops at Measure; at other lengths the search counts
+// them as it closes them.
 func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error) error {
 	if maxLen < 2 {
 		return fmt.Errorf("cycles: maxLen must be >= 2, got %d", maxLen)
@@ -347,8 +347,8 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 		slices.Sort(m.seeds)
 	}
 	m.maxLen, m.err, m.visit, m.Found, m.longest = maxLen, nil, visit, 0, maxLen
-	if m.CountLast && maxLen >= 3 {
-		m.longest--
+	if m.Measure > 0 {
+		m.longest = min(m.Measure, maxLen)
 	}
 	end := len(measured)
 	if m.longest < MaxSupportedLength {
@@ -364,18 +364,22 @@ func (m *Miner) Walk(seeds []graph.NodeID, maxLen int, visit func(Metrics) error
 	}
 	m.blockedBits = slices.Grow(m.blockedBits[:0], m.words)[:m.words]
 	clear(m.blockedBits)
-	steps, closed := maxLen/2, m.CountLast && (maxLen == 4 || maxLen == 5)
+	steps, closed := maxLen/2, 3 <= m.longest && m.longest < maxLen && maxLen <= 5
 	if closed {
 		m.shared = slices.Grow(m.shared[:0], n)[:n]
 		clear(m.shared)
-		m.maxLen-- // the search stops a level short
+		m.maxLen = m.longest // the search stops at Measure
 	}
 	for _, s := range m.seeds {
 		if m.dist[s] != blocked && m.err == nil { // a repeated seed is already removed
 			m.reach(s, steps)
 			m.seedRow = m.row(m.bits, s)
 			if closed {
-				for n := m.closedCount(maxLen); n > 0 && m.err == nil; n -= 64 {
+				four, n := m.closedCount(maxLen)
+				if m.longest == 3 {
+					n += four
+				}
+				for ; n > 0 && m.err == nil; n -= 64 {
 					m.count(min(n, 64)) // so a poll comes within 64 of its multiple
 				}
 			}
@@ -420,18 +424,19 @@ func (m *Miner) reach(s graph.NodeID, steps int) {
 	m.block(s)
 }
 
-// closedCount returns the number of cycles of maxLen nodes, 4 or 5,
-// through the seed just reached. Let X be its open neighbours (seedRow less
-// blockedBits), N'(v) v's open neighbours, and y(v) = |N'(v) ∩ X| for the
-// reached nodes v, which are all within two steps: no other node has a y.
+// closedCount returns the numbers of cycles of 4 and of 5 nodes through
+// the seed just reached, the second 0 unless maxLen is 5. Let X be its
+// open neighbours (seedRow less blockedBits), N'(v) v's open neighbours,
+// and y(v) = |N'(v) ∩ X| for the reached nodes v, which are all within
+// two steps: no other node has a y.
 // A 4-cycle is a node b and two of its y(b) neighbours in X. A 5-cycle
 // s-a-b-c-d is walked both ways round, and the directed walks with a, d in
 // X and b~c open are Σ y(b)·y(c) over the ordered edges b~c, less those in
 // which a = c or b = d, Σ deg'(a)·y(a) over X each, or a = d, twice the
 // edges among N'(a) over X; a = c and b = d overlap in Σ y(a) over X, the
 // walks s-a-b-a-b, and no other two can.
-func (m *Miner) closedCount(maxLen int) int {
-	near, four, walks := m.reached[1:], 0, 0
+func (m *Miner) closedCount(maxLen int) (four, five int) {
+	near, walks := m.reached[1:], 0
 	for _, v := range near {
 		row, y := m.row(m.bits, v), 0
 		for ws := m.occupied[v]; ws != 0; ws &= ws - 1 {
@@ -468,10 +473,7 @@ func (m *Miner) closedCount(maxLen int) int {
 	for _, v := range near {
 		m.shared[v] = 0
 	}
-	if maxLen == 4 {
-		return four
-	}
-	return walks / 2
+	return four, walks / 2
 }
 
 // dfs records the path, which starts at a seed and ends at cur, d steps
@@ -551,8 +553,8 @@ func (m *Miner) enterLast(next graph.NodeID, adjacent bool) {
 // time from i and x, the first word as closers returns it: the last level
 // of the walk, where the scan in dfs would enter a neighbour of cur only to
 // find it next to the seed or not. It records each cycle, in ascending
-// order, or, when they are longer than the visitor may be handed (maxLen 3
-// and 6 to 8 under CountLast), adds the word's closers to Found.
+// order, or, when they are longer than the visitor may be handed (longer
+// than Measure), adds the word's closers to Found.
 func (m *Miner) closeLast(cur graph.NodeID, i int, x uint64) {
 	k := len(m.path)
 	for ; x != 0 && m.err == nil; i, x = m.closers(cur, (i+1)<<6) {
@@ -622,12 +624,14 @@ func (m *Miner) extend(v graph.NodeID) {
 	m.edges[k+1], m.arts[k+1] = edges, arts
 }
 
-// record hands visit the Metrics of the path's cycle if Keep kept them,
-// and counts it.
+// record hands visit the Metrics of the path's cycle if it is measured
+// and Keep kept them, and counts it.
 func (m *Miner) record() {
 	k := len(m.path)
-	if i := measuredAt[k][m.arts[k]] + m.edges[k]; m.kept[i] {
-		m.err = m.visit(measured[i])
+	if k <= m.longest {
+		if i := measuredAt[k][m.arts[k]] + m.edges[k]; m.kept[i] {
+			m.err = m.visit(measured[i])
+		}
 	}
 	m.count(1)
 }

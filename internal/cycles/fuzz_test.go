@@ -76,13 +76,14 @@ func decodeWalk(data []byte) (g *graph.Graph, seeds []graph.NodeID, maxLen int, 
 	return g, seeds, maxLen, exclude, keep
 }
 
-// FuzzMinerWalk holds Walk, with and without Keep and with and without
-// CountLast, to referenceEnumerate and referenceMeasure on graphs decoded
-// from the input: the unfiltered full walk visits exactly the reference's
-// cycles, in canonical form, each measured as the reference measures it;
-// the filtered one visits those of them Keep accepts; with CountLast, only
-// those shorter than maxLen (from maxLen 3 on); Found is the reference's
-// count every time, and Poll is asked Found/pollEvery times.
+// FuzzMinerWalk holds Walk, with and without Keep and at every Measure —
+// 0 and each length from 2 to maxLen — to referenceEnumerate and
+// referenceMeasure on graphs decoded from the input: the unfiltered walk
+// visits exactly the reference's cycles of at most Measure nodes (every
+// one at 0), in canonical form, each measured as the reference measures
+// it; the filtered one visits those of them Keep accepts; Found is the
+// reference's full count every time, and Poll is asked Found/pollEvery
+// times.
 func FuzzMinerWalk(f *testing.F) {
 	// Five nodes, node 1 a category, maxLen 5, seed 0: a square with a chord.
 	f.Add([]byte{4, 3, 0, 0x02, 1, 0, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 0, 0, 0, 2, 0})
@@ -135,37 +136,43 @@ func FuzzMinerWalk(f *testing.F) {
 		}
 		m := NewMiner(g, allNodes(g), exclude)
 		defer m.Release()
-		for i, filter := range []func(Metrics) bool{nil, keep, nil, keep} {
-			m.Keep, m.CountLast = filter, i >= 2
-			polls := 0
-			m.Poll = func() error { polls++; return nil }
-			var got []Cycle
-			err := m.Walk(seeds, maxLen, func(met Metrics) error {
-				c := Cycle{Nodes: slices.Clone(m.Cycle().Nodes)}
-				if wantMet := referenceMeasure(g, c, exclude); met != wantMet {
-					t.Fatalf("cycle %v measured %+v, want %+v", c.Nodes, met, wantMet)
+		measures := []int{0}
+		for l := 2; l <= maxLen; l++ {
+			measures = append(measures, l)
+		}
+		for _, measure := range measures {
+			for _, filter := range []func(Metrics) bool{nil, keep} {
+				m.Keep, m.Measure = filter, measure
+				polls := 0
+				m.Poll = func() error { polls++; return nil }
+				var got []Cycle
+				err := m.Walk(seeds, maxLen, func(met Metrics) error {
+					c := Cycle{Nodes: slices.Clone(m.Cycle().Nodes)}
+					if wantMet := referenceMeasure(g, c, exclude); met != wantMet {
+						t.Fatalf("cycle %v measured %+v, want %+v", c.Nodes, met, wantMet)
+					}
+					got = append(got, c)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				got = append(got, c)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var kept []Cycle
-			for _, c := range want {
-				if m.CountLast && maxLen > 2 && len(c.Nodes) == maxLen {
-					continue
+				var kept []Cycle
+				for _, c := range want {
+					if measure > 0 && len(c.Nodes) > measure {
+						continue
+					}
+					if filter == nil || filter(referenceMeasure(g, c, exclude)) {
+						kept = append(kept, c)
+					}
 				}
-				if filter == nil || filter(referenceMeasure(g, c, exclude)) {
-					kept = append(kept, c)
+				slices.SortFunc(got, Compare)
+				if !reflect.DeepEqual(got, kept) {
+					t.Fatalf("%d nodes, seeds %v, maxLen %d, filtered %v, Measure %d: walked %v, want %v", g.NumNodes(), seeds, maxLen, filter != nil, measure, got, kept)
 				}
-			}
-			slices.SortFunc(got, Compare)
-			if !reflect.DeepEqual(got, kept) {
-				t.Fatalf("%d nodes, seeds %v, maxLen %d, filtered %v, CountLast %v: walked %v, want %v", g.NumNodes(), seeds, maxLen, filter != nil, m.CountLast, got, kept)
-			}
-			if m.Found != len(want) || polls != len(want)/pollEvery {
-				t.Fatalf("CountLast %v: Found %d and %d polls, want the %d cycles closed and %d", m.CountLast, m.Found, polls, len(want), len(want)/pollEvery)
+				if m.Found != len(want) || polls != len(want)/pollEvery {
+					t.Fatalf("Measure %d: Found %d and %d polls, want the %d cycles closed and %d", measure, m.Found, polls, len(want), len(want)/pollEvery)
+				}
 			}
 		}
 	})

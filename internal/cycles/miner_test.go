@@ -611,13 +611,15 @@ func TestWalkKeepOnlyFilters(t *testing.T) {
 	}
 }
 
-// TestWalkCountLastOnlyCounts: CountLast changes what the visitor sees of
-// the longest length and nothing else. On random graphs — small dense ones
-// that poll often, and ones over several bitset words — with random seeds,
-// lengths and Keep, a Walk with CountLast finds as many cycles as the full
-// Walk, visits exactly the full Walk's cycles shorter than maxLen in the
-// same order, with equal Metrics and Path, and asks Poll Found/pollEvery
-// times, each time just after Found passed a multiple of pollEvery.
+// TestWalkCountLastOnlyCounts: a Measure below maxLen changes what the
+// visitor sees of the longer lengths and nothing else. On random graphs —
+// small dense ones that poll often, and ones over several bitset words —
+// with random seeds, lengths and Keep, a Walk that measures maxLen−1 nodes,
+// and one that measures a random length in [2, maxLen−1], finds as many
+// cycles as the full Walk, visits exactly the full Walk's cycles of at
+// most Measure nodes in the same order, with equal Metrics and Path, and
+// asks Poll Found/pollEvery times, each time just after Found passed a
+// multiple of pollEvery.
 func TestWalkCountLastOnlyCounts(t *testing.T) {
 	type visit struct {
 		met  Metrics
@@ -652,83 +654,93 @@ func TestWalkCountLastOnlyCounts(t *testing.T) {
 		}
 		all, _ := walk(m, seeds, maxLen)
 		found := m.Found
-		m.CountLast = true
-		got, polls := walk(m, seeds, maxLen)
-		var want []visit
-		for _, v := range all {
-			if v.met.Length < maxLen || maxLen == 2 {
-				want = append(want, v)
+		for _, measure := range []int{max(maxLen-1, 2), 2 + rng.Intn(max(maxLen-2, 1))} {
+			m.Measure = measure
+			got, polls := walk(m, seeds, maxLen)
+			var want []visit
+			for _, v := range all {
+				if v.met.Length <= m.Measure {
+					want = append(want, v)
+				}
 			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: with CountLast, visited %d cycles %v, want the %d of %d shorter than %d %v", seed, len(got), got, len(want), len(all), maxLen, want)
-		}
-		if m.Found != found {
-			t.Fatalf("seed %d: with CountLast, Found %d, want the full walk's %d", seed, m.Found, found)
-		}
-		if len(polls) != found/pollEvery {
-			t.Fatalf("seed %d: %d polls over %d cycles, want %d", seed, len(polls), found, found/pollEvery)
-		}
-		for i, f := range polls {
-			if at := (i + 1) * pollEvery; f < at || f >= at+64 {
-				t.Fatalf("seed %d: poll %d came after %d cycles, want the word that passed %d", seed, i+1, f, at)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: with Measure %d, visited %d cycles %v, want the %d of %d of at most %d nodes %v", seed, m.Measure, len(got), got, len(want), len(all), m.Measure, want)
 			}
+			if m.Found != found {
+				t.Fatalf("seed %d: with Measure %d, Found %d, want the full walk's %d", seed, m.Measure, m.Found, found)
+			}
+			if len(polls) != found/pollEvery {
+				t.Fatalf("seed %d: %d polls over %d cycles, want %d", seed, len(polls), found, found/pollEvery)
+			}
+			for i, f := range polls {
+				if at := (i + 1) * pollEvery; f < at || f >= at+64 {
+					t.Fatalf("seed %d: poll %d came after %d cycles, want the word that passed %d", seed, i+1, f, at)
+				}
+			}
+			polled += len(polls)
+			counted += len(all) - len(want)
 		}
-		polled += len(polls)
-		counted += len(all) - len(want)
 		m.Release()
 	}
 	if polled < 100 || counted < 10000 {
-		t.Errorf("%d polls and %d cycles counted: too few to test CountLast", polled, counted)
+		t.Errorf("%d polls and %d cycles counted: too few to test Measure", polled, counted)
 	}
 }
 
-// TestWalkCountLastEdges holds the count of the longest cycles — at the
-// last level, or per seed in closed form at maxLen 4 and 5 — to
-// referenceEnumerate where it is easiest to get wrong: where path[1] is the
-// view's last node and at the other word ends; at maxLen 6 to 8 round a
-// seed next to every node, so that the path's inner nodes are seed
-// neighbours above path[1] and removed seeds lie above path[1]; with nil
-// seeds, every node a seed, the ones before it removed; and, for the closed
-// form, round a seed whose neighbours a node in another word is next to 64
-// and more of, with triangles among them, links doubled by a link back, and
-// removed seeds next to them. In each case the walk with CountLast visits
-// exactly the reference's shorter cycles, finds all of them, and polls
-// Found/pollEvery times.
+// TestWalkCountLastEdges holds the count of the cycles longer than
+// Measure — at the last level, or per seed in closed form at maxLen 4 and
+// 5 — to referenceEnumerate where it is easiest to get wrong: where
+// path[1] is the view's last node and at the other word ends; at maxLen 6
+// to 8 round a seed next to every node, so that the path's inner nodes are
+// seed neighbours above path[1] and removed seeds lie above path[1]; with
+// nil seeds, every node a seed, the ones before it removed; and, for the
+// closed form, round a seed whose neighbours a node in another word is
+// next to 64 and more of, with triangles among them, links doubled by a
+// link back, and removed seeds next to them. In each case the walk that
+// measures maxLen−1 nodes, and at maxLen 5 also the one that measures 3,
+// visits exactly the reference's cycles of at most Measure nodes, finds
+// all of them, and polls Found/pollEvery times.
 func TestWalkCountLastEdges(t *testing.T) {
-	countLast := func(t *testing.T, g *graph.Graph, seeds []graph.NodeID, maxLen int) int {
+	countLast := func(t *testing.T, g *graph.Graph, seeds []graph.NodeID, maxLen int) (counted int) {
 		t.Helper()
 		want, err := referenceEnumerate(g, seeds, maxLen, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var shorter []Cycle
-		for _, c := range want {
-			if len(c.Nodes) < maxLen {
-				shorter = append(shorter, c)
-			}
-		}
 		m := NewMiner(g, allNodes(g), nil)
 		defer m.Release()
-		m.CountLast = true
-		polls := 0
-		m.Poll = func() error { polls++; return nil }
-		var got []Cycle
-		err = m.Walk(seeds, maxLen, func(Metrics) error {
-			got = append(got, Cycle{Nodes: slices.Clone(m.Cycle().Nodes)})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		measures := []int{maxLen - 1}
+		if maxLen == 5 {
+			measures = append(measures, 3)
 		}
-		slices.SortFunc(got, Compare)
-		if !reflect.DeepEqual(got, shorter) {
-			t.Fatalf("%d nodes, seeds %v, maxLen %d: visited %v, want %v", g.NumNodes(), seeds, maxLen, got, shorter)
+		for _, measure := range measures {
+			var shorter []Cycle
+			for _, c := range want {
+				if len(c.Nodes) <= measure {
+					shorter = append(shorter, c)
+				}
+			}
+			m.Measure = measure
+			polls := 0
+			m.Poll = func() error { polls++; return nil }
+			var got []Cycle
+			err = m.Walk(seeds, maxLen, func(Metrics) error {
+				got = append(got, Cycle{Nodes: slices.Clone(m.Cycle().Nodes)})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(got, Compare)
+			if !reflect.DeepEqual(got, shorter) {
+				t.Fatalf("%d nodes, seeds %v, maxLen %d, Measure %d: visited %v, want %v", g.NumNodes(), seeds, maxLen, measure, got, shorter)
+			}
+			if m.Found != len(want) || polls != len(want)/pollEvery {
+				t.Fatalf("%d nodes, seeds %v, maxLen %d, Measure %d: Found %d and %d polls, want %d and %d", g.NumNodes(), seeds, maxLen, measure, m.Found, polls, len(want), len(want)/pollEvery)
+			}
+			counted += len(want) - len(shorter)
 		}
-		if m.Found != len(want) || polls != len(want)/pollEvery {
-			t.Fatalf("%d nodes, seeds %v, maxLen %d: Found %d and %d polls, want %d and %d", g.NumNodes(), seeds, maxLen, m.Found, polls, len(want), len(want)/pollEvery)
-		}
-		return len(want) - len(shorter)
+		return counted
 	}
 	// crowd adds each edge among nodes with probability p, of a random kind.
 	crowd := func(rng *rand.Rand, g *graph.Graph, nodes []graph.NodeID, p float64) {

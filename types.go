@@ -28,8 +28,9 @@ type (
 	// Expansion is the outcome of expanding one query: the linked
 	// entities, the proposed features and the cycle counters —
 	// CyclesConsidered over every cycle length, CyclesAccepted over the
-	// lengths measured, which include the longest only when the ranking
-	// reads it.
+	// lengths measured — at the default MaxCycleLen, 2 and 3 always, and
+	// 4 and 5 only when the shorter lengths leave the ranking room (see
+	// core.Expansion).
 	Expansion = core.Expansion
 
 	// Feature is one proposed expansion feature with the structural
