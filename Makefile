@@ -24,7 +24,7 @@ fmt:
 
 # fuzz runs every fuzz target for 10 s. A failing input lands in the
 # package's testdata/fuzz/ and then runs with plain go test. The decoder
-# targets and the miner's minimize for at most 1 s, or minimizing each
+# targets and the miner's two minimize for at most 1 s, or minimizing each
 # coverage-expanding input (a minute apiece by default) would eat the ten
 # seconds.
 fuzz:
@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHandle$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
 	$(GO) test -run='^$$' -fuzz='^FuzzReplies$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rpc
 	$(GO) test -run='^$$' -fuzz='^FuzzMinerWalk$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cycles
+	$(GO) test -run='^$$' -fuzz='^FuzzBallMiner$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cycles
 
 # bench-smoke runs one iteration of each benchmark a change is judged by,
 # so none of them can rot: the postings walk, the Remote scatter, the batch

@@ -804,7 +804,8 @@ func BenchmarkEntityLinking(b *testing.B) {
 // largest candidate graph a cold expansion of the benchmark queries builds,
 // the operation the paper reports as the key performance challenge (§4):
 // the ball Expand takes around the linked query articles at the default
-// Radius and MaxNeighborhood, a cycles.Miner built over it, and one Walk
+// Radius and MaxNeighborhood, a cycles.Miner NewMiner builds over its nodes
+// in ascending order, and one Walk
 // from its query articles with the default expander's filter as Keep. The
 // ball, not an assembled query graph (a few dozen nodes and cycles), so
 // that the walk outweighs the miner's per-Walk set-up. full measures and
@@ -822,9 +823,11 @@ func BenchmarkCycleEnumeration(b *testing.B) {
 	var nodes, arts []graph.NodeID
 	for _, q := range e.queries {
 		linked := e.system.LinkKeywords(q.Keywords)
-		if ball := g.Ball(linked, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects); len(ball) > len(nodes) {
-			nodes, arts = ball, linked
+		ball := cycles.NewBallMiner(g, linked, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
+		if ball.Len() > len(nodes) {
+			nodes, arts = slices.Sorted(slices.Values(ball.Nodes())), linked
 		}
+		ball.Release()
 	}
 	var seeds []graph.NodeID
 	for _, qa := range arts {

@@ -289,6 +289,54 @@ func checkStopsAtThePollThatCancels(t *testing.T, w *synth.World, kw string, opt
 	}
 }
 
+// lateTimerCtx is a context with a deadline that the clock passes at its
+// left-th call of Deadline, while Err keeps answering nil, as a real
+// context's does until the runtime fires its timer.
+type lateTimerCtx struct {
+	context.Context
+	left int // calls of Deadline still answered with a deadline ahead
+}
+
+func (c *lateTimerCtx) Deadline() (time.Time, bool) {
+	if c.left--; c.left < 0 {
+		return time.Time{}, true
+	}
+	return time.Now().Add(time.Hour), true
+}
+
+// TestExpandStopsAtTheDeadlineBeforeItsTimer: every poll of an expansion
+// compares the deadline with the clock, so a run stops at the first poll
+// after its deadline even when ctx.Err has not said so yet, and answers
+// context.DeadlineExceeded. The deadline passes at each poll in turn, from
+// the first phase boundary's to the rank's last; the gate asks Err alone.
+func TestExpandStopsAtTheDeadlineBeforeItsTimer(t *testing.T) {
+	_, w := testSystem(t)
+	kw, opts := w.Queries[0].Keywords, DefaultExpanderOptions()
+	opts.MaxCycleLen, opts.MaxNeighborhood = 8, 20
+	s, err := FromWorld(w, WithExpandCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := &lateTimerCtx{Context: context.Background(), left: math.MaxInt}
+	want, err := s.Expand(whole, kw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := math.MaxInt - whole.left
+	if polls <= want.CyclesConsidered/256 || want.CyclesConsidered < 4*256 {
+		t.Fatalf("%d cycles and %d polls: the miner must poll the deadline mid-enumeration", want.CyclesConsidered, polls)
+	}
+	for n := 1; n <= polls; n++ {
+		ctx := &lateTimerCtx{Context: context.Background(), left: n - 1}
+		if exp, err := s.Expand(ctx, kw, opts); exp != nil || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline passed at poll %d of %d: Expand = %v, %v; want context.DeadlineExceeded", n, polls, exp, err)
+		}
+		if ctx.left != -1 {
+			t.Fatalf("deadline passed at poll %d of %d: the run polled %d more times", n, polls, -1-ctx.left)
+		}
+	}
+}
+
 // TestExpandAllCancelledMidBatch cancels a live batch and checks both the
 // returned error and that the batch stopped early (bounded work).
 func TestExpandAllCancelledMidBatch(t *testing.T) {

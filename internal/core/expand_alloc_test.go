@@ -29,12 +29,13 @@ func TestExpandUntracedAllocatesNothingForSpans(t *testing.T) {
 }
 
 // TestExpandColdAllocations pins what a cold expansion allocates beyond
-// the linker's own work: the ball, the miner's seeds, the Expansion and its
-// features, the ranking's map and slice — 18 allocations for every query of
-// the test world that mines more than a few cycles — but no induced
-// subgraph and nothing per mined cycle, since the miner reads the ball
-// straight from the graph into pooled storage and measures each cycle
-// along its path.
+// the linker's own work: the Expansion and its features, the ranking's map
+// (three allocations as it grows) and slice, the visitor, Poll and Keep
+// closures the miner is handed, one Keep more per further walk — 11
+// allocations for 9 of the test world's 10 queries — but no ball, no seed
+// list, no induced subgraph and nothing per mined cycle, since the miner
+// walks the ball straight from the graph into pooled storage, seeds on
+// the first view ids, and measures each cycle along its path.
 func TestExpandColdAllocations(t *testing.T) {
 	const bound = 20
 	s, w := testSystem(t)

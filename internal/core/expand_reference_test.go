@@ -40,14 +40,10 @@ func referenceExpand(s *System, keywords string, opts ExpanderOptions) (*Expansi
 	return exp, err
 }
 
-func referenceMeasured(s *System, keywords string, opts ExpanderOptions) (exp *Expansion, measured int, err error) {
-	queryArts := s.LinkKeywords(keywords)
-	exp = &Expansion{Keywords: keywords, QueryArticles: queryArts}
-	if len(queryArts) == 0 {
-		return exp, 0, nil
-	}
-
-	g := s.Snapshot.Graph()
+// referenceBall is referenceExpand's neighborhood of the query articles:
+// every distance in the graph, filtered by opts.Radius, sorted by
+// (distance, id), capped at opts.MaxNeighborhood.
+func referenceBall(g *graph.Graph, queryArts []graph.NodeID, opts ExpanderOptions) []graph.NodeID {
 	dist := g.BFSDistances(queryArts, graph.ExcludeRedirects)
 	type nd struct {
 		id graph.NodeID
@@ -72,6 +68,18 @@ func referenceMeasured(s *System, keywords string, opts ExpanderOptions) (exp *E
 	for i, n := range ball {
 		nodes[i] = n.id
 	}
+	return nodes
+}
+
+func referenceMeasured(s *System, keywords string, opts ExpanderOptions) (exp *Expansion, measured int, err error) {
+	queryArts := s.LinkKeywords(keywords)
+	exp = &Expansion{Keywords: keywords, QueryArticles: queryArts}
+	if len(queryArts) == 0 {
+		return exp, 0, nil
+	}
+
+	g := s.Snapshot.Graph()
+	nodes := referenceBall(g, queryArts, opts)
 	sub := g.Induce(nodes)
 
 	all, err := cycles.Enumerate(sub.Graph, nil, opts.MaxCycleLen, graph.ExcludeRedirects)
@@ -339,7 +347,7 @@ func TestExpandBeyondThePairTable(t *testing.T) {
 	opts.Radius, opts.MaxNeighborhood, opts.MaxCycleLen = 4, 1200, 4
 	g, crossed := s.Snapshot.Graph(), 0
 	for _, q := range w.Queries[:12] {
-		if len(g.Ball(s.LinkKeywords(q.Keywords), opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)) > 1024 {
+		if len(referenceBall(g, s.LinkKeywords(q.Keywords), opts)) > 1024 {
 			crossed++
 		}
 		opts.RankByFrequency = !opts.RankByFrequency
@@ -645,7 +653,7 @@ func TestExpandPhaseSpans(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("spans = %v, want %v", got, want)
 	}
-	ball := s.Snapshot.Graph().Ball(exp.QueryArticles, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
+	ball := referenceBall(s.Snapshot.Graph(), exp.QueryArticles, opts)
 	_, measured, err := referenceMeasured(s, w.Queries[0].Keywords, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -188,6 +188,20 @@ func positions(nodes, queryArticles []graph.NodeID) []graph.NodeID {
 	return seeds
 }
 
+// expired is ctx.Err, except that a ctx whose deadline the clock has
+// passed is expired already, before the runtime's timer fires and ctx.Err
+// says so: a walk that would end between the two must not answer as if in
+// time. A ctx without a deadline costs no clock read.
+func expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if deadline, ok := ctx.Deadline(); ok && !time.Now().Before(deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // errStopped ends a walk whose consumer stopped listening.
 var errStopped = errors.New("core: cycle walk stopped")
 
@@ -202,7 +216,7 @@ func MineCycles(ctx context.Context, g *graph.Graph, nodes, queryArticles []grap
 	return func(yield func(MinedCycle, error) bool) {
 		miner := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
 		defer miner.Release()
-		miner.Poll = ctx.Err
+		miner.Poll = func() error { return expired(ctx) }
 		err := miner.Walk(positions(nodes, queryArticles), analysisMaxLen, func(m cycles.Metrics) error {
 			c := miner.Cycle()
 			n := len(c.Nodes)
@@ -225,10 +239,10 @@ func MineCycles(ctx context.Context, g *graph.Graph, nodes, queryArticles []grap
 // accepted holds the cycles of one expansion that passed the filters:
 // their nodes back to back, and one record per cycle under its length. The
 // walk stores each cycle's miner path as it closes; the ranker turns the
-// cycles of a length it reads into canonical form and graph ids (the
-// miner's ids ascend with graph ids, so the form carries over) just before
-// it sorts them. seen is a bitset over the miner's nodes for leavesRoom.
-// Pooled: an expansion accepts hundreds.
+// cycles of a length it reads into graph ids and then canonical form (by
+// graph id: the miner's ids are walk order) just before it sorts them.
+// seen is a bitset over the miner's nodes for leavesRoom. Pooled: an
+// expansion accepts hundreds.
 type accepted struct {
 	nodes []graph.NodeID
 	byLen [cycles.MaxSupportedLength + 1][]acceptedCycle
@@ -238,9 +252,9 @@ type accepted struct {
 // leavesRoom reports whether the ranking, which takes features from the
 // accepted cycles shortest first, would read cycles longer than the
 // lengths measured so far: the cycles accepted among those lengths hold
-// fewer than maxFeatures distinct articles that are not query articles
-// (seeds, positions in miner like the cycles' nodes).
-func (acc *accepted) leavesRoom(miner *cycles.Miner, seeds []graph.NodeID, maxFeatures int) bool {
+// fewer than maxFeatures distinct articles that are not query articles,
+// which are the miner's first seeds view ids.
+func (acc *accepted) leavesRoom(miner *cycles.Miner, seeds, maxFeatures int) bool {
 	words := (miner.Len() + 63) / 64
 	acc.seen = slices.Grow(acc.seen[:0], words)[:words]
 	clear(acc.seen)
@@ -249,7 +263,7 @@ func (acc *accepted) leavesRoom(miner *cycles.Miner, seeds []graph.NodeID, maxFe
 		for _, a := range byLen {
 			for _, v := range acc.nodes[a.start : a.start+length] {
 				w, bit := v>>6, uint64(1)<<(v&63)
-				if acc.seen[w]&bit != 0 || miner.Kind(v) != graph.Article || slices.Contains(seeds, v) {
+				if acc.seen[w]&bit != 0 || miner.Kind(v) != graph.Article || int(v) < seeds {
 					continue
 				}
 				acc.seen[w] |= bit
@@ -343,7 +357,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 			tr.Add(name, t0, -1, 0, false, "", detail)
 			t0 = time.Now()
 		}
-		return ctx.Err()
+		return expired(ctx)
 	}
 
 	queryArts := s.LinkKeywords(keywords)
@@ -356,16 +370,18 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	}
 
 	// The candidate graph: the nearest MaxNeighborhood nodes of the
-	// radius-bounded ball around the query articles.
+	// radius-bounded ball around the query articles, walked into the
+	// miner's node list, and then the view of the subgraph it induces, read
+	// straight from g. View ids are walk order: the query articles in the
+	// ball lead, and they are the walk's seeds.
 	g := s.Snapshot.Graph()
-	nodes := g.Ball(queryArts, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
+	miner := cycles.NewBallMiner(g, queryArts, opts.Radius, opts.MaxNeighborhood, graph.ExcludeRedirects)
+	defer miner.Release()
 	if err := phase("expand.ball", ""); err != nil {
 		return nil, err
 	}
-	// The miner reads the subgraph the ball induces straight from g: its
-	// node i is nodes[i], ascending as Ball returns them.
-	miner := cycles.NewMiner(g, nodes, graph.ExcludeRedirects)
-	defer miner.Release()
+	miner.Induce()
+	nodes, seeds := miner.Nodes(), miner.Sources()
 	var detail string
 	if tr != nil {
 		detail = "nodes=" + strconv.Itoa(len(nodes))
@@ -388,7 +404,6 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	for i := range acc.byLen {
 		acc.byLen[i] = acc.byLen[i][:0]
 	}
-	seeds := positions(nodes, queryArts)
 	visit := func(m cycles.Metrics) error {
 		exp.CyclesAccepted++
 		acc.byLen[m.Length] = append(acc.byLen[m.Length], acceptedCycle{len(acc.nodes), m.ExtraEdgeDensity, m.CategoryRatio})
@@ -396,11 +411,12 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		return nil
 	}
 	measured := firstMeasured(opts)
-	miner.Poll, miner.Keep, miner.Measure = ctx.Err, opts.Accepts, measured
+	miner.Poll = func() error { return expired(ctx) }
+	miner.Keep, miner.Measure = opts.Accepts, measured
 	err := miner.Walk(seeds, opts.MaxCycleLen, visit)
 	exp.CyclesConsidered = miner.Found
 	miner.Measure = 0
-	for err == nil && measured < opts.MaxCycleLen && acc.leavesRoom(miner, seeds, opts.MaxFeatures) {
+	for err == nil && measured < opts.MaxCycleLen && acc.leavesRoom(miner, len(seeds), opts.MaxFeatures) {
 		length := measured + 1
 		miner.Keep = func(m cycles.Metrics) bool { return m.Length == length && opts.Accepts(m) }
 		err, measured = miner.Walk(seeds, length, visit), length
@@ -436,16 +452,16 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 	var arts [cycles.MaxSupportedLength]graph.NodeID
 	wanted := func() bool { return opts.RankByFrequency || len(ordered) < opts.MaxFeatures }
 	for length := 2; length <= opts.MaxCycleLen && wanted(); length++ {
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx); err != nil {
 			return nil, err
 		}
 		nodesOf := func(a acceptedCycle) []graph.NodeID { return acc.nodes[a.start : a.start+length] }
 		for _, a := range acc.byLen[length] {
 			c := nodesOf(a)
-			cycles.Canonicalize(c)
 			for i, v := range c {
 				c[i] = nodes[v]
 			}
+			cycles.Canonicalize(c)
 		}
 		slices.SortFunc(acc.byLen[length], func(a, b acceptedCycle) int {
 			if c := cmp.Compare(b.density, a.density); c != 0 {
@@ -455,7 +471,7 @@ func (s *System) expand(ctx context.Context, keywords string, opts ExpanderOptio
 		})
 		for i := 0; i < len(acc.byLen[length]) && wanted(); i++ {
 			if i%256 == 255 {
-				if err := ctx.Err(); err != nil {
+				if err := expired(ctx); err != nil {
 					return nil, err
 				}
 			}

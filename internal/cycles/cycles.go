@@ -64,10 +64,14 @@ func (c Cycle) Contains(n graph.NodeID) bool {
 // two bitset rows per node — its neighbours, and the neighbours it shares
 // two or more edges with — which the walk scans to go one level down and
 // intersects to close its last level and to choose what it enters at the
-// level before. Its node ids are positions in the list. Get one from
-// NewMiner and Release it after use; a Miner serves one goroutine.
+// level before. Its node ids are positions in the list, Nodes. Get one from
+// NewMiner, or from NewBallMiner and Induce, and Release it after use; a
+// Miner serves one goroutine.
 type Miner struct {
 	kind []graph.NodeKind
+	// nodes lists the view's nodes as ids of the graph, view id order, and
+	// sources the view ids of the sources NewBallMiner kept: nodes' prefix.
+	nodes, sources []graph.NodeID
 	// Bit b of row a, bits[a*words:][:words], is set when b is a neighbour
 	// of a, and the same bit of two[a*words:][:words] when EdgesBetween(a,
 	// b) ≥ 2, uncapped; bit b of articles is set when b is an article.
@@ -80,13 +84,18 @@ type Miner struct {
 	// first on, which on views of a few words measured faster than
 	// skipping the empty ones.
 	occupied []uint64
-	// index[p] is one more than the position of graph node p while
-	// NewMiner reads the list's adjacency, and 0 otherwise: NewMiner sets
-	// it for the listed nodes and clears it for them again, so a build
-	// pays for the nodes it lists, never for the size of g.
-	index []uint32
+	// index[p] is one more than the view id of graph node p from when the
+	// node list is known until the rows are built, and 0 otherwise: the
+	// ball walk's visited set, and the row build's way from an arc's head
+	// to its view id. Only listed nodes are ever set, and they are cleared
+	// again, so a build pays for the nodes it lists, never for the size of
+	// g. g and exclude are the graph and filter of a ball walked and not
+	// yet induced, and nil otherwise.
+	index   []uint32
+	g       *graph.Graph
+	exclude func(graph.EdgeKind) bool
 	// Poll, when set, is asked once per pollEvery cycles found whether the
-	// walk may go on (a request sets it to its ctx.Err); the error it
+	// walk may go on (a request sets it to a check of its ctx); the error it
 	// returns ends Walk and Enumerate, which return it.
 	Poll func() error
 	// Keep, when set, is the filter a cycle must pass for Walk to hand it
@@ -148,20 +157,108 @@ var minerPool = sync.Pool{New: func() any { return new(Miner) }}
 // (edges filtered by exclude; nil keeps all kinds): node i of the view is
 // nodes[i], and its edges are those of g between listed nodes. nodes must
 // be ascending ids of g without repeats — then the view is, id for id,
-// g.Induce(nodes); a nil or empty list is an empty view. The build reads
-// each out-arc once: the edge between two listed nodes is met from its
-// source, sets both neighbour bits the first time, and both two-edge bits
-// every time after, and marks both words occupied the first time. A view
-// costs 2·n·⌈n/64⌉ words, which is why callers bound the node count.
+// g.Induce(nodes); a nil or empty list is an empty view.
 func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind) bool) *Miner {
 	m := minerPool.Get().(*Miner)
-	n := len(nodes)
-	if len(m.index) < g.NumNodes() {
-		m.index = make([]uint32, g.NumNodes())
-	}
+	m.grow(g)
+	m.nodes, m.sources = append(m.nodes[:0], nodes...), m.sources[:0]
 	for i, p := range nodes {
 		m.index[p] = uint32(i) + 1
 	}
+	m.build(g, exclude)
+	return m
+}
+
+// NewBallMiner is the first half of a view of the ball around the sources:
+// it walks the undirected view of g under exclude breadth-first from the
+// sources, invalid and repeated ones skipped, one whole level at a time,
+// and lists the nodes within radius hops, the nearest maxNodes of them.
+// The walk stops after the level that reaches radius or brings the count
+// to maxNodes; where the cap cuts that level, the level's smallest ids are
+// kept. Induce then builds the view of the subgraph the list induces, as
+// NewMiner would from the same nodes ascending, up to the order of the
+// ids: view ids are walk order, so the kept sources lead, and Sources
+// lists them. Until Induce the Miner answers Nodes, Sources, Len and
+// Release, and nothing else.
+func NewBallMiner(g *graph.Graph, sources []graph.NodeID, radius, maxNodes int, exclude func(graph.EdgeKind) bool) *Miner {
+	m := minerPool.Get().(*Miner)
+	m.ball(g, sources, radius, maxNodes, exclude)
+	return m
+}
+
+// ball is NewBallMiner on m. It returns how many nodes the walk reached,
+// those the cap cut included.
+func (m *Miner) ball(g *graph.Graph, sources []graph.NodeID, radius, maxNodes int, exclude func(graph.EdgeKind) bool) (walked int) {
+	m.grow(g)
+	m.g, m.exclude = g, exclude
+	m.nodes = m.nodes[:0]
+	for _, s := range sources {
+		if g.Valid(s) && m.index[s] == 0 {
+			m.nodes = append(m.nodes, s)
+			m.index[s] = uint32(len(m.nodes))
+		}
+	}
+	reached := len(m.nodes)
+	start := 0 // of the last level walked
+	for d := 0; d < radius && start < len(m.nodes) && len(m.nodes) < maxNodes; d++ {
+		end := len(m.nodes)
+		for _, p := range m.nodes[start:end] {
+			for _, arcs := range [2][]graph.Arc{g.Out(p), g.In(p)} {
+				for _, a := range arcs {
+					if m.index[a.To] == 0 && (exclude == nil || !exclude(a.Kind)) {
+						m.nodes = append(m.nodes, a.To)
+						m.index[a.To] = uint32(len(m.nodes))
+					}
+				}
+			}
+		}
+		start = end
+	}
+	walked = len(m.nodes)
+	if keep := max(maxNodes, 0); walked > keep { // the cap cuts the last level
+		last := m.nodes[start:]
+		slices.Sort(last)
+		for i, p := range last {
+			m.index[p] = 0
+			if start+i < keep {
+				m.index[p] = uint32(start+i) + 1
+			}
+		}
+		m.nodes = m.nodes[:keep]
+	}
+	m.sources = slices.Grow(m.sources[:0], reached+1) // not nil: a nil seed list is every seed
+	for v := range min(reached, len(m.nodes)) {
+		m.sources = append(m.sources, graph.NodeID(v))
+	}
+	return walked
+}
+
+// Induce builds the view of the ball NewBallMiner listed, with the graph
+// and filter it walked, and returns m; on a Miner whose view is built it
+// does nothing.
+func (m *Miner) Induce() *Miner {
+	if m.g != nil {
+		m.build(m.g, m.exclude)
+		m.g, m.exclude = nil, nil
+	}
+	return m
+}
+
+// grow makes index cover every node of g.
+func (m *Miner) grow(g *graph.Graph) {
+	if len(m.index) < g.NumNodes() {
+		m.index = make([]uint32, g.NumNodes())
+	}
+}
+
+// build fills the view of m.nodes, whose view ids index holds, from g's
+// adjacency, and clears index. It reads each out-arc once: the edge between
+// two listed nodes is met from its source, sets both neighbour bits the
+// first time, and both two-edge bits every time after, and marks both
+// words occupied the first time. A view costs 2·n·⌈n/64⌉ words, which is
+// why callers bound the node count.
+func (m *Miner) build(g *graph.Graph, exclude func(graph.EdgeKind) bool) {
+	nodes, n := m.nodes, len(m.nodes)
 	m.words = (n + 63) / 64
 	m.kind = m.kind[:0]
 	m.articles = slices.Grow(m.articles[:0], m.words)[:m.words]
@@ -199,7 +296,6 @@ func NewMiner(g *graph.Graph, nodes []graph.NodeID, exclude func(graph.EdgeKind)
 	for _, p := range nodes {
 		m.index[p] = 0
 	}
-	return m
 }
 
 // row is the view's bitset row of v in rows, m.bits or m.two.
@@ -213,7 +309,16 @@ func (m *Miner) has(rows []uint64, a, b graph.NodeID) bool {
 }
 
 // Len is the number of nodes of the view.
-func (m *Miner) Len() int { return len(m.kind) }
+func (m *Miner) Len() int { return len(m.nodes) }
+
+// Nodes lists the view's nodes as ids of the graph: view node v is graph
+// node Nodes()[v]. The slice is the Miner's.
+func (m *Miner) Nodes() []graph.NodeID { return m.nodes }
+
+// Sources lists, ascending, the view ids of the sources NewBallMiner kept,
+// which are the first ones, as Walk's seeds; a view NewMiner built has
+// none. The slice is the Miner's.
+func (m *Miner) Sources() []graph.NodeID { return m.sources }
 
 // Kind is the kind of the view's node v.
 func (m *Miner) Kind(v graph.NodeID) graph.NodeKind { return m.kind[v] }
@@ -236,7 +341,12 @@ func (m *Miner) Neighbors(v graph.NodeID) iter.Seq[graph.NodeID] {
 // Release returns the Miner's storage to the pool; the Miner must not be
 // used afterwards. Cycles it enumerated stay valid.
 func (m *Miner) Release() {
-	m.Poll, m.Keep, m.visit, m.Measure = nil, nil, nil, 0
+	if m.g != nil { // walked and never induced
+		for _, p := range m.nodes {
+			m.index[p] = 0
+		}
+	}
+	m.g, m.exclude, m.Poll, m.Keep, m.visit, m.Measure = nil, nil, nil, nil, nil, 0
 	minerPool.Put(m)
 }
 
@@ -658,8 +768,10 @@ func (m *Miner) count(n int) {
 func (m *Miner) Path() []graph.NodeID { return m.path }
 
 // Cycle returns the cycle Walk has just handed its visitor the Metrics of,
-// in canonical form (Canonicalize), in a slice that is the Miner's again
-// when the visitor returns. Only the visitor may call it.
+// in canonical form (Canonicalize) by view id, in a slice that is the
+// Miner's again when the visitor returns: the form by graph id is the same
+// only where view ids ascend with graph ids, as NewMiner's do. Only the
+// visitor may call it.
 func (m *Miner) Cycle() Cycle {
 	c := append(m.canon[:0], m.path...) // within canon's capacity
 	Canonicalize(c)

@@ -177,3 +177,30 @@ func FuzzMinerWalk(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBallMiner runs checkBallMiner on graphs decoded from the input as
+// FuzzMinerWalk decodes them, its seeds the sources; shape sets the
+// radius (1 to 3), the cap (up to two above the node count, so it may cut
+// the sources themselves or bind nowhere) and whether an invalid source
+// and a repeated one join the list.
+func FuzzBallMiner(f *testing.F) {
+	f.Add([]byte{4, 3, 0, 0x02, 1, 0, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 0, 0, 0, 2, 0}, uint16(1<<2|1))
+	f.Add([]byte{79, 0x45, 7, 0x81, 0, 0x40, 0, 0, 0, 0, 0x10, 0, 0,
+		3, 62, 63, 64,
+		62, 63, 0, 63, 64, 1, 64, 65, 2, 65, 62, 0, 62, 64, 0, 63, 65, 3,
+		64, 62, 0, 1, 64, 0, 66, 63, 1, 66, 62, 0, 61, 66, 2, 61, 65, 0}, uint16(2<<2|2|0x8000))
+	f.Add([]byte{79, 0x45, 7, 0x81, 0, 0x40, 0, 0, 0, 0, 0x10, 0, 0,
+		3, 62, 63, 64,
+		62, 63, 0, 63, 64, 1, 64, 65, 2, 65, 62, 0, 62, 64, 0, 63, 65, 3}, uint16(7<<2|2))
+	f.Fuzz(func(t *testing.T, data []byte, shape uint16) {
+		g, sources, maxLen, exclude, keep := decodeWalk(data)
+		if shape&0x8000 != 0 {
+			sources = append(sources, graph.NodeID(g.NumNodes()))
+			if len(sources) > 1 {
+				sources = append(sources, sources[0])
+			}
+		}
+		radius, maxNodes := 1+int(shape&3)%3, int(shape>>2&0x1ff)%(g.NumNodes()+3)
+		checkBallMiner(t, g, sources, radius, maxNodes, exclude, maxLen, keep)
+	})
+}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"slices"
 	"sync"
 )
@@ -22,10 +21,9 @@ type walkScratch struct {
 var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
 // walk runs the multi-source breadth-first walk of the undirected view of g
-// under the filter, one whole level at a time, and stops after the level
-// that reaches radius or brings the total to maxNodes. Invalid and repeated
-// sources are skipped.
-func (g *Graph) walk(w *walkScratch, sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) {
+// under the filter, one whole level at a time, to the end of what the
+// sources reach. Invalid and repeated sources are skipped.
+func (g *Graph) walk(w *walkScratch, sources []NodeID, exclude func(EdgeKind) bool) {
 	if len(w.stamp) < len(g.kinds) {
 		w.stamp, w.epoch = make([]uint32, len(g.kinds)), 0
 	}
@@ -48,9 +46,6 @@ func (g *Graph) walk(w *walkScratch, sources []NodeID, radius, maxNodes int, exc
 	for start := 0; start < len(w.queue); {
 		end := len(w.queue)
 		w.level = append(w.level, end)
-		if len(w.level)-1 > radius || end >= maxNodes { // radius+1 would wrap at math.MaxInt
-			return
-		}
 		for _, cur := range w.queue[start:end] {
 			for _, a := range g.out[cur] {
 				if exclude == nil || !exclude(a.Kind) {
@@ -67,39 +62,21 @@ func (g *Graph) walk(w *walkScratch, sources []NodeID, radius, maxNodes int, exc
 	}
 }
 
-// Ball returns the nodes within radius undirected hops of the sources under
-// the filter, the nearest maxNodes of them, ascending by id: where the cap
-// cuts a level, the level's smallest ids are kept. It walks only as far as
-// that answer needs: the level that reaches the cap is completed, because
-// the cut keeps its smallest ids, and nothing beyond it is visited.
-func (g *Graph) Ball(sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) []NodeID {
-	w := walkPool.Get().(*walkScratch)
-	defer walkPool.Put(w)
-	return slices.Clone(g.ball(w, sources, radius, maxNodes, exclude))
-}
-
-// ball is Ball into w's storage. Only the level the cap cuts is sorted by
-// itself, and only when the cap binds; the kept nodes are sorted once.
-func (g *Graph) ball(w *walkScratch, sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) []NodeID {
-	g.walk(w, sources, radius, maxNodes, exclude)
-	keep := max(0, min(len(w.queue), maxNodes))
-	if keep < len(w.queue) { // the walk stopped after the level that reached the cap: the last
-		slices.Sort(w.queue[w.level[len(w.level)-2]:])
-	}
-	slices.Sort(w.queue[:keep])
-	return w.queue[:keep]
-}
-
 // BFSDistances returns the undirected hop distance from each of the sources
 // to every reachable node under the filter. Unreachable nodes are absent
 // from the map. Multiple sources give the multi-source distance (minimum
 // over sources). Only the tests, as an oracle, and bench/'s replay of a
-// cold expansion call it: the analysis measures G(q)'s distances inside
-// G(q), on a cycles.Miner view.
+// cold expansion call it: the expander walks its ball into a cycles.Miner,
+// and the analysis measures G(q)'s distances inside G(q), on such a view.
 func (g *Graph) BFSDistances(sources []NodeID, exclude func(EdgeKind) bool) map[NodeID]int {
 	w := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(w)
-	g.walk(w, sources, math.MaxInt, math.MaxInt, exclude)
+	return g.distances(w, sources, exclude)
+}
+
+// distances is BFSDistances on w's storage.
+func (g *Graph) distances(w *walkScratch, sources []NodeID, exclude func(EdgeKind) bool) map[NodeID]int {
+	g.walk(w, sources, exclude)
 	dist := make(map[NodeID]int, len(w.queue))
 	for d := 1; d < len(w.level); d++ {
 		for _, n := range w.queue[w.level[d-1]:w.level[d]] {

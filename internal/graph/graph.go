@@ -1,10 +1,10 @@
 // Package graph implements the typed directed multigraph underlying the
 // Wikipedia model and every structural analysis in the paper: typed
-// adjacency, the bounded level-order walk (Ball) the expander's
-// neighbourhood comes from, and the DOT rendering of a node list's induced
-// subgraph. Components, triangles and cycles are measured on the
-// undirected view package cycles builds over a node list; Induce and
-// BFSDistances remain as the tests' oracles and for bench/'s replay.
+// adjacency and the DOT rendering of a node list's induced subgraph. The
+// expander's neighbourhood is walked, and components, triangles and cycles
+// are measured, on the undirected view package cycles builds over a node
+// list; Induce and BFSDistances remain as the tests' oracles and for
+// bench/'s replay.
 //
 // Nodes carry a NodeKind (article or category) and edges an EdgeKind (link,
 // belongs, inside, redirect), mirroring the paper's Figure 1 schema. The

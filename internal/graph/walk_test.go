@@ -37,37 +37,6 @@ func referenceBFSDistances(g *Graph, sources []NodeID, exclude func(EdgeKind) bo
 	return dist
 }
 
-// referenceBall is the expander's neighborhood as it was computed before
-// Ball: every distance in the graph, filtered by radius, sorted by
-// (distance, id), capped.
-func referenceBall(g *Graph, sources []NodeID, radius, maxNodes int, exclude func(EdgeKind) bool) []NodeID {
-	dist := referenceBFSDistances(g, sources, exclude)
-	type nd struct {
-		id NodeID
-		d  int
-	}
-	ball := make([]nd, 0, len(dist))
-	for id, d := range dist {
-		if d <= radius {
-			ball = append(ball, nd{id, d})
-		}
-	}
-	sort.Slice(ball, func(i, j int) bool {
-		if ball[i].d != ball[j].d {
-			return ball[i].d < ball[j].d
-		}
-		return ball[i].id < ball[j].id
-	})
-	if len(ball) > maxNodes {
-		ball = ball[:maxNodes]
-	}
-	nodes := make([]NodeID, len(ball))
-	for i, n := range ball {
-		nodes[i] = n.id
-	}
-	return nodes
-}
-
 // referenceInduce is Induce as it stood before it stopped iterating a map
 // and re-scanning for duplicate edges.
 func referenceInduce(g *Graph, nodes []NodeID) *Subgraph {
@@ -124,92 +93,28 @@ func randomFilter(rng *rand.Rand) func(EdgeKind) bool {
 	return ExcludeRedirects
 }
 
+// TestBFSDistancesMatchesReference holds BFSDistances to the map-based
+// walk it replaced. The graphs also share one scratch, of all sizes, whose
+// epoch is driven across its wrap-around on the way.
 func TestBFSDistancesMatchesReference(t *testing.T) {
+	w := &walkScratch{}
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(seed, 80)
 		sources, exclude := randomSources(rng, g, 4), randomFilter(rng)
-		got, want := g.BFSDistances(sources, exclude), referenceBFSDistances(g, sources, exclude)
-		if !reflect.DeepEqual(got, want) {
+		want := referenceBFSDistances(g, sources, exclude)
+		if got := g.BFSDistances(sources, exclude); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: BFSDistances(%v) = %v, want %v", seed, sources, got, want)
 		}
-	}
-}
-
-// TestBallMatchesBFSDistances checks Ball against the sorted, capped
-// distance map it replaces, with caps that cut a level in the middle and
-// caps that cut the sources themselves: the same set of nodes, the cut
-// level's smallest ids kept, in ascending id order. Every graph shares one
-// scratch with the others, of all sizes, and the scratch's epoch is driven
-// across its wrap-around on the way.
-func TestBallMatchesBFSDistances(t *testing.T) {
-	w := &walkScratch{}
-	for seed := int64(0); seed < 600; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(seed, 10+int(seed%4)*40)
-		sources, exclude := randomSources(rng, g, 5), randomFilter(rng)
-		radius, maxNodes := rng.Intn(5), rng.Intn(g.NumNodes()+3)
-		want := referenceBall(g, sources, radius, maxNodes, exclude)
-		slices.Sort(want)
-
-		if seed == 300 {
+		if seed == 150 {
 			w.epoch = math.MaxUint32 - 2 // wraps within the next three walks
 		}
-		if got := g.ball(w, sources, radius, maxNodes, exclude); !slices.Equal(got, want) {
-			t.Fatalf("seed %d (epoch %d): ball(%v, r=%d, max=%d) = %v, want %v", seed, w.epoch, sources, radius, maxNodes, got, want)
-		}
-		if got := g.Ball(sources, radius, maxNodes, exclude); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: Ball(%v, r=%d, max=%d) = %v, want %v", seed, sources, radius, maxNodes, got, want)
+		if got := g.distances(w, sources, exclude); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (epoch %d): distances(%v) = %v, want %v", seed, w.epoch, sources, got, want)
 		}
 	}
-	if w.epoch > 600 {
+	if w.epoch > 300 {
 		t.Fatalf("epoch %d never wrapped", w.epoch)
-	}
-}
-
-// TestBallStopsAtTheCap pins the point of the bounded walk: a long path is
-// not walked past the level that fills the cap.
-func TestBallStopsAtTheCap(t *testing.T) {
-	g := New(1000)
-	for i := 0; i < 1000; i++ {
-		g.AddNode(Article)
-	}
-	for i := 1; i < 1000; i++ {
-		if err := g.AddEdge(NodeID(i-1), NodeID(i), Link); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w := &walkScratch{}
-	if got := g.ball(w, []NodeID{0}, 500, 10, nil); len(got) != 10 {
-		t.Fatalf("ball = %v, want the 10 nearest nodes", got)
-	}
-	if len(w.queue) != 10 {
-		t.Errorf("the walk reached %d nodes for a cap of 10", len(w.queue))
-	}
-	if got := g.ball(w, []NodeID{0}, 3, 1000, nil); len(got) != 4 || len(w.queue) != 4 {
-		t.Errorf("radius 3 reached %d nodes and returned %v, want 4", len(w.queue), got)
-	}
-}
-
-// TestBallUnboundedRadius: a radius of math.MaxInt bounds nothing. On a
-// four-node path it reaches every node, as radius 10 does; the walk's level
-// test once computed radius+1, which wraps there, and returned the source
-// alone.
-func TestBallUnboundedRadius(t *testing.T) {
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		g.AddNode(Article)
-	}
-	for i := 1; i < 4; i++ {
-		if err := g.AddEdge(NodeID(i-1), NodeID(i), Link); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []NodeID{0, 1, 2, 3}
-	for _, radius := range []int{10, math.MaxInt - 1, math.MaxInt} {
-		if got := g.Ball([]NodeID{0}, radius, math.MaxInt, nil); !slices.Equal(got, want) {
-			t.Errorf("Ball(radius %d) = %v, want %v", radius, got, want)
-		}
 	}
 }
 
